@@ -625,7 +625,7 @@ func benchEntity(id int, x float64) protocol.EntityState {
 // snapshots. step advances one tick: churn a quarter of the entities and
 // re-ack every peer at its fixed lag, so each iteration plans the same
 // amount of work.
-func buildPlanFixture(b *testing.B, pool *work.Pool) (*core.Replicator, func()) {
+func buildPlanFixture(b testing.TB, pool *work.Pool) (*core.Replicator, func()) {
 	b.Helper()
 	s := core.NewStore()
 	r := core.NewReplicator(s, core.ReplConfig{Pool: pool})
@@ -680,11 +680,10 @@ func buildPlanFixture(b *testing.B, pool *work.Pool) (*core.Replicator, func()) 
 }
 
 // BenchmarkPlanTick measures the replication planner alone at pool widths
-// 1, 2, and 4: width 1 is the serial legacy path; wider pools shard the
-// filtered per-peer and ack-cohort builds and pay only the deterministic
-// merge on top. The plan is byte-identical at every width (the
-// TestParallelPlanMatchesSerial contract), so ns/op is the only thing that
-// may move.
+// 1, 2, and 4: width 1 runs the builds inline on the caller; wider pools
+// shard the filtered per-peer and ack-cohort builds. The plan is
+// byte-identical at every width (the TestPlanTickWidthInvariant contract),
+// so ns/op is the only thing that may move.
 func BenchmarkPlanTick(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -705,8 +704,8 @@ func BenchmarkPlanTick(b *testing.B) {
 
 // BenchmarkFanout measures the dispatcher's cohort encode + send walk over
 // a fixed ~40-cohort plan at pool widths 1, 2, and 4, against a sink
-// transport. Wider pools pre-encode the distinct cohorts in parallel; the
-// send walk stays in plan order on the caller.
+// transport. Wider pools encode the distinct cohorts in parallel; the send
+// walk stays in plan order on the caller.
 func BenchmarkFanout(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -734,6 +733,40 @@ func BenchmarkFanout(b *testing.B) {
 				b.Fatal("fanout sent nothing")
 			}
 			b.ReportMetric(float64(sink.bytes)/float64(b.N), "bytes/op")
+		})
+	}
+}
+
+// TestPlanTickAllocationFree pins the tick pipeline's steady state at zero
+// heap objects per tick — world churn, acks, PlanTick, and Fanout on the
+// 192-entity / 96-peer fixture — inline at width 1 and sharded at width 4.
+func TestPlanTickAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under -race; alloc counts are meaningless")
+	}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			pool := work.New(workers)
+			defer pool.Close()
+			r, step := buildPlanFixture(t, pool)
+			d, err := endpoint.NewDispatcher(&sinkTransport{}, metrics.NewRegistry("allocs"), endpoint.Config{Pool: pool})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.ReleaseFrames()
+			tick := func() {
+				step()
+				d.Fanout(r.PlanTick())
+			}
+			// Warm-up: more than one lap of the store's 256-slot dirty ring,
+			// whose slots each grow on first use, plus the plan scratch, the
+			// frame pool, and the pool's helpers.
+			for i := 0; i < 300; i++ {
+				tick()
+			}
+			if allocs := testing.AllocsPerRun(100, tick); allocs != 0 {
+				t.Fatalf("steady-state tick allocates %.2f objects, want 0", allocs)
+			}
 		})
 	}
 }

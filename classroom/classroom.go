@@ -86,10 +86,6 @@ type Config struct {
 	HeadsetHz float64
 	// RoomSensorCount is the per-campus sensor array size (default 4).
 	RoomSensorCount int
-	// Parallelism bounds every node's tick worker pool (see
-	// node.Config.Parallelism): 0 means GOMAXPROCS, 1 the exact
-	// single-threaded legacy path. Results are identical at every width.
-	Parallelism int
 }
 
 func (c *Config) applyDefaults() {
@@ -149,7 +145,6 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 		VRPitch:     cfg.VRPitch,
 		InterpDelay: cfg.InterpDelay,
 		Interest:    pol,
-		Parallelism: cfg.Parallelism,
 	})
 	if err != nil {
 		return nil, err
@@ -218,7 +213,6 @@ func (d *Deployment) AddCampus(name string, id ClassroomID) (*Campus, error) {
 		TickHz:      d.cfg.TickHz,
 		InterpDelay: d.cfg.InterpDelay,
 		Interest:    d.interest,
-		Parallelism: d.cfg.Parallelism,
 	})
 	if err != nil {
 		return nil, err
@@ -367,7 +361,6 @@ func (d *Deployment) AddRelay(name string, link netsim.LinkConfig) (*cloud.Relay
 		TickHz:      d.cfg.TickHz,
 		InterpDelay: d.cfg.InterpDelay,
 		Interest:    d.interest,
-		Parallelism: d.cfg.Parallelism,
 	})
 	if err != nil {
 		return nil, err

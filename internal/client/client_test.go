@@ -206,7 +206,7 @@ func TestVRIgnoresGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = sim.RunAll()
-	if v.Metrics().Counter("decode.errors").Value() != 1 {
+	if v.Metrics().Counter("recv.decode_errors").Value() != 1 {
 		t.Error("garbage not counted")
 	}
 }

@@ -55,8 +55,6 @@ type Config struct {
 	Interest *interest.Policy
 	// Repl tunes the replicator.
 	Repl core.ReplConfig
-	// Parallelism bounds the tick worker pool (see node.Config.Parallelism).
-	Parallelism int
 }
 
 func (c *Config) applyDefaults() {
@@ -104,7 +102,6 @@ func New(sim *vclock.Sim, tr endpoint.Transport, cfg Config) (*Server, error) {
 		Repl:        cfg.Repl,
 		CountRecv:   true,
 		AutoPong:    true,
-		Parallelism: cfg.Parallelism,
 	})
 	if err != nil {
 		return nil, err

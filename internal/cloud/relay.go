@@ -31,8 +31,6 @@ type RelayConfig struct {
 	Interest *interest.Policy
 	// Repl tunes the client replicator.
 	Repl core.ReplConfig
-	// Parallelism bounds the tick worker pool (see node.Config.Parallelism).
-	Parallelism int
 }
 
 // Relay mirrors the cloud world for one region: the forward-upstream policy
@@ -52,7 +50,6 @@ func NewRelay(sim *vclock.Sim, tr endpoint.Transport, cfg RelayConfig) (*Relay, 
 		Interest:    cfg.Interest,
 		Repl:        cfg.Repl,
 		AutoPong:    true,
-		Parallelism: cfg.Parallelism,
 	})
 	if err != nil {
 		return nil, err

@@ -6,44 +6,32 @@ import (
 )
 
 // encodeFailed marks a cohort whose payload could not be encoded; it is
-// only ever compared by pointer, never used as a frame. encodePending
-// reserves a slot inside EncodePlan so each cohort is queued exactly once;
-// pool runs are synchronous, so it never survives past EncodePlan's return.
-var (
-	encodeFailed  = &protocol.Frame{}
-	encodePending = &protocol.Frame{}
-)
+// only ever compared by pointer, never used as a frame.
+var encodeFailed = &protocol.Frame{}
 
 // FrameCache turns a PlanTick result into refcounted wire frames, encoding
 // each distinct cohort payload exactly once per tick and handing the
 // identical pooled frame to every cohort member with one reference per
 // recipient. The cache itself holds one base reference per cohort frame,
-// dropped at the next Reset, so a frame's bytes live exactly as long as the
-// slowest in-flight copy needs them and then return to the frame pool.
+// dropped at the next EncodePlan or Reset, so a frame's bytes live exactly
+// as long as the slowest in-flight copy needs them and then return to the
+// frame pool.
 type FrameCache struct {
+	// frames[c] is cohort c's frame (or encodeFailed) and msgs[c] its
+	// payload while EncodePlan runs; fn is the hoisted job body, built once
+	// so pool runs allocate nothing.
 	frames []*protocol.Frame
-
-	// Parallel-encode scratch (see EncodePlan): the distinct cohorts of the
-	// plan being encoded and the hoisted job body, built once so pool runs
-	// allocate nothing.
-	jobs []encodeJob
-	fn   func(worker, i int)
-}
-
-// encodeJob is one cohort's encode: the payload and the frame-table slot it
-// fills. Slots are distinct per job, so jobs run concurrently.
-type encodeJob struct {
-	msg    protocol.Message
-	cohort int
+	msgs   []protocol.Message
+	fn     func(worker, i int)
 }
 
 // Reset releases the cache's base reference on every cohort frame and
-// clears the table for a new tick. Call before iterating a new PlanTick
-// result, and once more when the owning server stops (so the final tick's
-// frames are not pinned forever).
+// empties the table. EncodePlan does it for the previous tick; call it
+// directly when the owning server stops (so the final tick's frames are not
+// pinned forever).
 func (c *FrameCache) Reset() {
 	for i, f := range c.frames {
-		if f != nil && f != encodeFailed && f != encodePending {
+		if f != encodeFailed {
 			f.Release()
 		}
 		c.frames[i] = nil
@@ -51,71 +39,54 @@ func (c *FrameCache) Reset() {
 	c.frames = c.frames[:0]
 }
 
-// FrameFor returns the encoded frame for pm with one reference owned by the
-// caller, encoding its cohort's payload on first use this tick. The caller
-// must consume that reference exactly once — normally by passing the frame
-// to netsim.Network.SendFrame, which releases it on every outcome. It
-// returns nil when encoding failed (callers should count an encode error
-// per affected peer, matching per-peer encoding semantics).
-func (c *FrameCache) FrameFor(pm PeerMessage) *protocol.Frame {
-	for pm.Cohort >= len(c.frames) {
-		c.frames = append(c.frames, nil)
-	}
-	f := c.frames[pm.Cohort]
-	if f == nil {
-		var err error
-		if f, err = protocol.EncodeFrame(pm.Msg); err != nil {
-			f = encodeFailed
+// EncodePlan drops the previous tick's frames and encodes every distinct
+// cohort of plan on the pool's workers (inline on the caller for a nil pool,
+// one worker, or one cohort); the in-order FrameFor walk that follows only
+// retains. Cohort IDs are dense and ascend in first-use order (the
+// PeerMessage contract), so the distinct cohorts are exactly the entries
+// whose Cohort equals the number collected so far. Each job encodes into its
+// own table slot; EncodeFrame itself is thread-safe (pooled frames, atomic
+// refcounts). A cohort whose payload fails to encode gets the failure
+// sentinel: FrameFor reports it as nil per recipient, and no frame reference
+// leaks.
+func (c *FrameCache) EncodePlan(plan []PeerMessage, pool *work.Pool) {
+	c.Reset()
+	for _, pm := range plan {
+		if pm.Cohort == len(c.msgs) {
+			c.msgs = append(c.msgs, pm.Msg)
+			c.frames = append(c.frames, nil)
 		}
-		c.frames[pm.Cohort] = f
 	}
+	if c.fn == nil {
+		c.fn = c.encodeAt
+	}
+	pool.Run(len(c.msgs), c.fn)
+	// Drop the payload references so plan messages are not pinned past the
+	// tick (msgs is reused scratch).
+	clear(c.msgs)
+	c.msgs = c.msgs[:0]
+}
+
+// encodeAt encodes cohort i's payload into its slot.
+func (c *FrameCache) encodeAt(_, i int) {
+	f, err := protocol.EncodeFrame(c.msgs[i])
+	if err != nil {
+		f = encodeFailed
+	}
+	c.frames[i] = f
+}
+
+// FrameFor returns the frame EncodePlan encoded for pm's cohort, with one
+// reference owned by the caller. The caller must consume that reference
+// exactly once — normally by passing the frame to a transport's SendFrame,
+// which releases it on every outcome. It returns nil when encoding failed
+// (callers should count an encode error per affected peer, matching per-peer
+// encoding semantics).
+func (c *FrameCache) FrameFor(pm PeerMessage) *protocol.Frame {
+	f := c.frames[pm.Cohort]
 	if f == encodeFailed {
 		return nil
 	}
 	f.Retain()
 	return f
-}
-
-// EncodePlan pre-encodes every distinct cohort of plan across the pool's
-// workers, so the subsequent in-order FrameFor walk only retains cached
-// frames. Each job encodes into its own frame-table slot; EncodeFrame
-// itself is thread-safe (pooled frames, atomic refcounts). Cohorts whose
-// payload fails to encode get the failure sentinel, exactly as the lazy
-// path would — FrameFor still reports them as nil per recipient, and no
-// frame reference leaks. A nil or serial pool makes this a no-op: the lazy
-// single-threaded path is the legacy behavior.
-func (c *FrameCache) EncodePlan(plan []PeerMessage, pool *work.Pool) {
-	if !pool.Parallel() || len(plan) < 2 {
-		return
-	}
-	jobs := c.jobs[:0]
-	for _, pm := range plan {
-		for pm.Cohort >= len(c.frames) {
-			c.frames = append(c.frames, nil)
-		}
-		if c.frames[pm.Cohort] == nil {
-			c.frames[pm.Cohort] = encodePending
-			jobs = append(jobs, encodeJob{msg: pm.Msg, cohort: pm.Cohort})
-		}
-	}
-	c.jobs = jobs
-	if c.fn == nil {
-		c.fn = c.encodeJobAt
-	}
-	pool.Run(len(jobs), c.fn)
-	// Release payload references so plan messages are not pinned past the
-	// tick (the jobs slice is reused scratch).
-	for i := range c.jobs {
-		c.jobs[i].msg = nil
-	}
-}
-
-// encodeJobAt encodes one cohort's payload into its reserved slot.
-func (c *FrameCache) encodeJobAt(_, i int) {
-	j := &c.jobs[i]
-	f, err := protocol.EncodeFrame(j.msg)
-	if err != nil {
-		f = encodeFailed
-	}
-	c.frames[j.cohort] = f
 }

@@ -53,7 +53,7 @@ func TestFrameCacheRefcountsMatchRecipients(t *testing.T) {
 		}
 
 		plan := repl.PlanTick()
-		cache.Reset()
+		cache.EncodePlan(plan, nil)
 		recipients := map[*protocol.Frame]int{}
 		var order []*protocol.Frame
 		for _, pm := range plan {
@@ -111,6 +111,7 @@ func TestFrameCacheEncodeOncePerCohort(t *testing.T) {
 	}
 	acq0, _ := protocol.FrameAccounting()
 	var cache FrameCache
+	cache.EncodePlan(plan, nil)
 	f0 := cache.FrameFor(plan[0])
 	f1 := cache.FrameFor(plan[1])
 	f2 := cache.FrameFor(plan[2])

@@ -10,14 +10,14 @@ import (
 	"metaclass/internal/work"
 )
 
-// driveParallelVsSerial churns two identically-mutated stores for many ticks
-// — one planned serially (nil pool), one planned on a parallel pool — with a
-// randomized mix of filtered peers, ack-cohort peers, a never-acking peer,
-// and membership churn, asserting every tick that the parallel plan is
-// byte-identical to the serial one: same peer order, same cohort numbering,
+// drivePooledVsInline churns two identically-mutated stores for many ticks
+// — one planned inline (nil pool), one planned on a pool of the given width —
+// with a randomized mix of filtered peers, ack-cohort peers, a never-acking
+// peer, and membership churn, asserting every tick that the pooled plan is
+// byte-identical to the inline one: same peer order, same cohort numbering,
 // same encoded frames, and at the end the same per-peer counters. Run under
 // -race in CI, it is also the data-race probe for the concurrent builds.
-func driveParallelVsSerial(t *testing.T, workers, ticks int) {
+func drivePooledVsInline(t *testing.T, workers, ticks int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(workers)*1000 + 17))
 	cfg := ReplConfig{MaxDeltaWindow: 30, SnapshotEvery: 70}
@@ -83,16 +83,16 @@ func driveParallelVsSerial(t *testing.T, workers, ticks int) {
 		planSer := rSer.PlanTick()
 		planPar := rPar.PlanTick()
 		if len(planSer) != len(planPar) {
-			t.Fatalf("workers=%d tick %d: parallel planned %d messages, serial %d",
+			t.Fatalf("workers=%d tick %d: pooled planned %d messages, inline %d",
 				workers, tick, len(planPar), len(planSer))
 		}
 		for i := range planSer {
 			if planPar[i].Peer != planSer[i].Peer {
-				t.Fatalf("workers=%d tick %d msg %d: peer %s, serial %s",
+				t.Fatalf("workers=%d tick %d msg %d: peer %s, inline %s",
 					workers, tick, i, planPar[i].Peer, planSer[i].Peer)
 			}
 			if planPar[i].Cohort != planSer[i].Cohort {
-				t.Fatalf("workers=%d tick %d msg %d (%s): cohort %d, serial %d",
+				t.Fatalf("workers=%d tick %d msg %d (%s): cohort %d, inline %d",
 					workers, tick, i, planPar[i].Peer, planPar[i].Cohort, planSer[i].Cohort)
 			}
 			got, err := protocol.Encode(planPar[i].Msg)
@@ -104,7 +104,7 @@ func driveParallelVsSerial(t *testing.T, workers, ticks int) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("workers=%d tick %d: frame to %s diverged from serial plan",
+				t.Fatalf("workers=%d tick %d: frame to %s diverged from inline plan",
 					workers, tick, planPar[i].Peer)
 			}
 			compared++
@@ -138,25 +138,25 @@ func driveParallelVsSerial(t *testing.T, workers, ticks int) {
 			t.Fatal(err)
 		}
 		if ss != sp {
-			t.Fatalf("workers=%d: stats of %s diverged: parallel %+v, serial %+v", workers, id, sp, ss)
+			t.Fatalf("workers=%d: stats of %s diverged: pooled %+v, inline %+v", workers, id, sp, ss)
 		}
 	}
 }
 
-// TestParallelPlanMatchesSerial covers the deterministic-merge contract at
-// worker counts 1 (the exact legacy inline path), 2, and 8.
-func TestParallelPlanMatchesSerial(t *testing.T) {
+// TestPlanTickWidthInvariant covers the deterministic-merge contract: the
+// plan on a nil pool against the plan at worker counts 1, 2, and 8.
+func TestPlanTickWidthInvariant(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			driveParallelVsSerial(t, workers, 240)
+			drivePooledVsInline(t, workers, 240)
 		})
 	}
 }
 
 // TestParallelEncodeFailureLeaksNoFrames drives EncodePlan over a plan where
 // one cohort's payload exceeds protocol.MaxPayload: the failed cohort must
-// report nil per recipient (exactly like the lazy path), the healthy cohorts
-// must still share frames, and no pooled frame may leak.
+// report nil per recipient, the healthy cohorts must still share frames, and
+// no pooled frame may leak.
 func TestParallelEncodeFailureLeaksNoFrames(t *testing.T) {
 	live0 := protocol.LiveFrames()
 	s := NewStore()
@@ -214,8 +214,8 @@ func TestParallelEncodeFailureLeaksNoFrames(t *testing.T) {
 }
 
 // TestParallelFanoutFramesMatchLazy encodes the same plan through EncodePlan
-// and through the lazy FrameFor-only path and checks the produced wire bytes
-// are identical frame for frame.
+// at width 4 and at width 1 (inline on the caller) and checks the produced
+// wire bytes are identical frame for frame.
 func TestParallelFanoutFramesMatchLazy(t *testing.T) {
 	live0 := protocol.LiveFrames()
 	s := NewStore()
@@ -238,22 +238,23 @@ func TestParallelFanoutFramesMatchLazy(t *testing.T) {
 	}
 
 	plan := r.PlanTick()
-	var eager, lazy FrameCache
-	eager.EncodePlan(plan, pool)
+	var wide, inline FrameCache
+	wide.EncodePlan(plan, pool)
+	inline.EncodePlan(plan, work.New(1))
 	for _, pm := range plan {
-		fe := eager.FrameFor(pm)
-		fl := lazy.FrameFor(pm)
-		if fe == nil || fl == nil {
+		fw := wide.FrameFor(pm)
+		fi := inline.FrameFor(pm)
+		if fw == nil || fi == nil {
 			t.Fatalf("encode failed for %s", pm.Peer)
 		}
-		if !bytes.Equal(fe.Bytes(), fl.Bytes()) {
-			t.Fatalf("parallel-encoded frame to %s differs from lazy encode", pm.Peer)
+		if !bytes.Equal(fw.Bytes(), fi.Bytes()) {
+			t.Fatalf("width-4 frame to %s differs from the width-1 encode", pm.Peer)
 		}
-		fe.Release()
-		fl.Release()
+		fw.Release()
+		fi.Release()
 	}
-	eager.Reset()
-	lazy.Reset()
+	wide.Reset()
+	inline.Reset()
 	if live := protocol.LiveFrames(); live != live0 {
 		t.Fatalf("%d frames leaked", live-live0)
 	}

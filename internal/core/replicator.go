@@ -54,17 +54,15 @@ type ReplConfig struct {
 	// redundant partial re-send. Off by default: deployments gate it where
 	// replica convergence is audited (the geo handoff layer).
 	LossRepair bool
-	// Pool shards PlanTick's independent builds — the filtered per-peer
-	// snapshots/deltas and the distinct ack-cohort deltas — across its
-	// workers, merging results back in sorted-peer order so the plan is
-	// byte-identical to the serial one. nil or a 1-worker pool runs the
-	// exact single-threaded legacy path.
+	// Pool runs PlanTick's independent builds — the filtered per-peer
+	// snapshots/deltas and the distinct ack-cohort deltas — on its workers;
+	// the results merge back in sorted-peer order, so the plan is the same at
+	// every width. nil runs the builds inline on the caller.
 	//
-	// With a parallel pool, peer filters may be invoked concurrently across
-	// peers (never concurrently for the same peer): a filter must read only
-	// state that is immutable for the duration of PlanTick plus state owned
-	// by its own peer. The store itself is read-only inside PlanTick, as the
-	// existing contract already requires.
+	// Peer filters may be invoked concurrently across peers (never
+	// concurrently for the same peer): a filter must read only state that is
+	// immutable for the duration of PlanTick plus state owned by its own
+	// peer. The store itself is read-only inside PlanTick.
 	Pool *work.Pool
 }
 
@@ -233,7 +231,6 @@ type Replicator struct {
 	plan          []PeerMessage
 	deltaCohorts  map[uint64]deltaCohort
 	cohortScratch []*protocol.Delta
-	cohortsUsed   int
 	snapScratch   *protocol.Snapshot
 
 	// pruneDirty defers removal-log pruning to once per PlanTick: acks only
@@ -252,19 +249,18 @@ type Replicator struct {
 	// closures instead of reallocating them per onboarding.
 	freePeers []*peerState
 
-	// Parallel-plan scratch (see planTickParallel): the distinct builds of
-	// the tick in first-encounter order, the hoisted job runner (built once
-	// so Run allocates nothing), and per-worker dirty-ring candidate buffers
-	// sized to the pool's width.
+	// Build scratch: the distinct builds of the tick in first-encounter
+	// order, the hoisted job runner (built once so Run allocates nothing), and
+	// per-worker dirty-ring candidate buffers sized to the pool's width.
 	jobs        []planJob
 	runJob      func(worker, i int)
 	workerCands [][]protocol.ParticipantID
 }
 
-// planJob is one independent build of a parallel PlanTick: a shared
-// snapshot, a filtered peer's snapshot or delta, or a distinct ack-cohort
-// delta. Each job writes only its own target message (plus the per-worker
-// candidate buffer), so jobs are safe to execute concurrently.
+// planJob is one independent build of a PlanTick: a shared snapshot, a
+// filtered peer's snapshot or delta, or a distinct ack-cohort delta. Each job
+// writes only its own target message (plus the per-worker candidate buffer),
+// so jobs are safe to execute concurrently.
 type planJob struct {
 	kind  jobKind
 	peer  *peerState      // jobPeerSnap, jobPeerDelta
@@ -547,175 +543,38 @@ type PeerMessage struct {
 // The returned slice and the Messages it shares are valid until the next
 // PlanTick call; callers must not mutate shared Messages.
 //
-// With a parallel ReplConfig.Pool the independent builds are sharded across
-// workers and merged back in sorted-peer order; the result — message bytes,
-// cohort numbering, per-peer counters — is byte-identical to the serial
-// plan (see planTickParallel).
+// The plan runs in three passes:
+//
+//	1 (owner) walk sorted peers, decide snapshot-vs-delta, and collect the
+//	          distinct builds — the shared snapshot, each filtered peer's
+//	          snapshot or delta, and one delta per distinct ack baseline —
+//	          as jobs.
+//	2 (pool)  execute the jobs on ReplConfig.Pool. Each job writes only its
+//	          own target message plus a per-worker candidate buffer; the
+//	          store is read-only and its lazy sorted-ID cache is warmed
+//	          before the fan-out.
+//	3 (owner) re-walk sorted peers, re-deriving the same snapshot-vs-delta
+//	          decisions (nothing they depend on moved in pass 2), dropping
+//	          empty deltas, assigning cohort IDs in first-use order, and
+//	          bumping the per-peer counters.
+//
+// Because pass 3 numbers and counts in sorted-peer order over prebuilt
+// messages, the returned plan — ordering, message contents, cohort
+// numbering, counters — does not depend on the worker count or on the order
+// the pool scheduled the jobs in.
 func (r *Replicator) PlanTick() []PeerMessage {
 	tick := r.store.Tick()
 	r.planTick = tick
 	r.prune()
-	if r.cfg.Pool.Parallel() && len(r.peers) > 1 {
-		return r.planTickParallel(tick)
-	}
-	return r.planTickSerial(tick)
-}
 
-// planTickSerial is the single-threaded legacy plan: build and number each
-// message inline while walking peers in sorted order.
-func (r *Replicator) planTickSerial(tick uint64) []PeerMessage {
-	out := r.plan[:0]
-	var sharedSnap *protocol.Snapshot
-	sharedSnapCohort := 0
-	clear(r.deltaCohorts)
-	r.cohortsUsed = 0
-	nextCohort := 0
-
-	for _, id := range r.sortedPeerIDs() {
-		p := r.peers[id]
-		wantSnapshot := !p.acked ||
-			tick-p.ackTick > r.cfg.MaxDeltaWindow ||
-			(r.cfg.SnapshotEvery > 0 && tick-p.lastSnapshot >= r.cfg.SnapshotEvery)
-		if wantSnapshot {
-			var snap *protocol.Snapshot
-			var cohort int
-			if p.filter != nil {
-				if p.snapScratch == nil {
-					p.snapScratch = &protocol.Snapshot{}
-				}
-				r.store.SnapshotOwedInto(p.boundFilter, p.snapScratch, p.owed)
-				snap = p.snapScratch
-				cohort = nextCohort
-				nextCohort++
-			} else {
-				if sharedSnap == nil {
-					if r.snapScratch == nil {
-						r.snapScratch = &protocol.Snapshot{}
-					}
-					r.store.SnapshotInto(nil, r.snapScratch)
-					sharedSnap = r.snapScratch
-					sharedSnapCohort = nextCohort
-					nextCohort++
-				}
-				snap = sharedSnap
-				cohort = sharedSnapCohort
-			}
-			p.lastSnapshot = tick
-			p.snapshots++
-			if r.cfg.LossRepair {
-				p.noteSent(tick, p.ackTick, true)
-			}
-			out = append(out, PeerMessage{Peer: id, Msg: snap, Cohort: cohort})
-			continue
-		}
-		if p.filter != nil {
-			if p.scratch == nil {
-				p.scratch = &protocol.Delta{}
-			}
-			r.store.DeltaSinceOwedInto(p.ackTick, p.boundFilter, p.scratch, p.owed, p.ackTick, r.cfg.OwedSettleTicks)
-			if len(p.scratch.Changed) == 0 && len(p.scratch.Removed) == 0 {
-				continue
-			}
-			p.deltas++
-			if r.cfg.LossRepair {
-				p.noteSent(tick, p.ackTick, false)
-			}
-			out = append(out, PeerMessage{Peer: id, Msg: p.scratch, Cohort: nextCohort})
-			nextCohort++
-			continue
-		}
-		dc, ok := r.deltaCohorts[p.ackTick]
-		if !ok {
-			delta := r.nextCohortDelta()
-			r.store.DeltaSinceInto(p.ackTick, nil, delta)
-			if len(delta.Changed) == 0 && len(delta.Removed) == 0 {
-				delta = nil // memoize emptiness for cohort mates
-			} else {
-				r.cohortsUsed++ // consume the scratch slot
-				dc.cohort = nextCohort
-				nextCohort++
-			}
-			dc.msg = delta
-			r.deltaCohorts[p.ackTick] = dc
-		}
-		if dc.msg == nil {
-			continue
-		}
-		p.deltas++
-		if r.cfg.LossRepair {
-			p.noteSent(tick, p.ackTick, false)
-		}
-		out = append(out, PeerMessage{Peer: id, Msg: dc.msg, Cohort: dc.cohort})
-	}
-	r.plan = out
-	return out
-}
-
-// nextCohortDelta hands out the next recycled shared-cohort Delta. Slots are
-// consumed (cohortsUsed) only when the built delta is non-empty; an empty
-// build leaves the slot for the next distinct baseline.
-func (r *Replicator) nextCohortDelta() *protocol.Delta {
-	if r.cohortsUsed < len(r.cohortScratch) {
-		return r.cohortScratch[r.cohortsUsed]
-	}
-	d := &protocol.Delta{}
-	r.cohortScratch = append(r.cohortScratch, d)
-	return d
-}
-
-// cohortSlot returns the i-th recycled shared-cohort Delta, growing the
-// scratch pool as needed. The parallel planner assigns one slot per distinct
-// ack baseline up front (emptiness is unknown until the build runs), so it
-// may touch more slots per tick than the serial path — slots, not messages:
-// empty builds never enter the plan, and the slot is reused next tick.
-func (r *Replicator) cohortSlot(i int) *protocol.Delta {
-	for len(r.cohortScratch) <= i {
-		r.cohortScratch = append(r.cohortScratch, &protocol.Delta{})
-	}
-	return r.cohortScratch[i]
-}
-
-// Sentinel cohort values used between the parallel planner's passes: a
-// cohort built but not yet numbered, and a cohort whose build came back
-// empty (no message planned for its members).
-const (
-	cohortUnnumbered = -1
-	cohortEmpty      = -2
-)
-
-// planTickParallel is PlanTick with the builds sharded across the
-// configured pool. It runs in three passes:
-//
-//	1 (serial)   walk sorted peers, decide snapshot-vs-delta exactly like
-//	             the serial plan, and collect the distinct builds — the
-//	             shared snapshot, each filtered peer's snapshot or delta,
-//	             and one delta per distinct ack baseline — as jobs.
-//	2 (parallel) execute the jobs on the pool. Each job writes only its own
-//	             target message plus a per-worker candidate buffer; the
-//	             store is read-only and its lazy sorted-ID cache is warmed
-//	             before the fan-out.
-//	3 (serial)   re-walk sorted peers, re-deriving the same snapshot-vs-
-//	             delta decisions (nothing they depend on moved in pass 2),
-//	             assigning cohort IDs in first-use order and bumping the
-//	             per-peer counters exactly where the serial plan would.
-//
-// Because pass 3 replays the serial walk over prebuilt messages, the
-// returned plan — ordering, message contents, cohort numbering, counters —
-// is byte-identical to planTickSerial's regardless of worker count or job
-// scheduling order.
-func (r *Replicator) planTickParallel(tick uint64) []PeerMessage {
 	// Pass 1: collect the distinct builds.
 	jobs := r.jobs[:0]
 	clear(r.deltaCohorts)
-	r.cohortsUsed = 0
 	cohortJobs := 0
 	sharedSnapQueued := false
 	for _, id := range r.sortedPeerIDs() {
 		p := r.peers[id]
-		wantSnapshot := !p.acked ||
-			tick-p.ackTick > r.cfg.MaxDeltaWindow ||
-			(r.cfg.SnapshotEvery > 0 && tick-p.lastSnapshot >= r.cfg.SnapshotEvery)
-		if wantSnapshot {
+		if r.wantSnapshot(p, tick) {
 			if p.filter != nil {
 				if p.snapScratch == nil {
 					p.snapScratch = &protocol.Snapshot{}
@@ -758,17 +617,13 @@ func (r *Replicator) planTickParallel(tick uint64) []PeerMessage {
 	}
 	r.cfg.Pool.Run(len(jobs), r.runJob)
 
-	// Pass 3: merge in sorted-peer order, replaying the serial plan's cohort
-	// numbering and counter updates over the prebuilt messages.
+	// Pass 3: merge in sorted-peer order.
 	out := r.plan[:0]
 	sharedSnapCohort := cohortUnnumbered
 	nextCohort := 0
 	for _, id := range r.sortedPeerIDs() {
 		p := r.peers[id]
-		wantSnapshot := !p.acked ||
-			tick-p.ackTick > r.cfg.MaxDeltaWindow ||
-			(r.cfg.SnapshotEvery > 0 && tick-p.lastSnapshot >= r.cfg.SnapshotEvery)
-		if wantSnapshot {
+		if r.wantSnapshot(p, tick) {
 			var snap *protocol.Snapshot
 			var cohort int
 			if p.filter != nil {
@@ -826,7 +681,36 @@ func (r *Replicator) planTickParallel(tick uint64) []PeerMessage {
 	return out
 }
 
-// execJob runs one parallel-plan build. Jobs write only their own target
+// wantSnapshot is the snapshot-vs-delta decision for one peer at tick. Pass 3
+// must see what pass 1 saw: it reads only ack and keyframe state, which the
+// builds in between never touch, and pass 3 itself advances lastSnapshot
+// only after asking.
+func (r *Replicator) wantSnapshot(p *peerState, tick uint64) bool {
+	return !p.acked ||
+		tick-p.ackTick > r.cfg.MaxDeltaWindow ||
+		(r.cfg.SnapshotEvery > 0 && tick-p.lastSnapshot >= r.cfg.SnapshotEvery)
+}
+
+// cohortSlot returns the i-th recycled shared-cohort Delta, growing the
+// scratch pool as needed. Pass 1 assigns one slot per distinct ack baseline
+// up front (emptiness is unknown until the build runs); empty builds never
+// enter the plan, and every slot is reused next tick.
+func (r *Replicator) cohortSlot(i int) *protocol.Delta {
+	for len(r.cohortScratch) <= i {
+		r.cohortScratch = append(r.cohortScratch, &protocol.Delta{})
+	}
+	return r.cohortScratch[i]
+}
+
+// Sentinel cohort values used between passes 1 and 3: a cohort built but
+// not yet numbered, and a cohort whose build came back empty (no message
+// planned for its members).
+const (
+	cohortUnnumbered = -1
+	cohortEmpty      = -2
+)
+
+// execJob runs one build of pass 2. Jobs write only their own target
 // message and the executing worker's candidate buffer, honoring the pool's
 // ownership rules (see package work).
 func (r *Replicator) execJob(worker, i int) {

@@ -259,8 +259,8 @@ func (s *Store) DeltaSinceInto(base uint64, filter func(protocol.ParticipantID) 
 
 // DeltaSinceCands is DeltaSinceInto with a caller-owned candidate buffer for
 // the dirty-ring walk, returned (possibly grown) for reuse. It exists for
-// concurrent delta builds — the parallel tick hands each worker its own
-// buffer — and is safe to call from multiple goroutines at once provided the
+// concurrent delta builds — PlanTick hands each worker its own buffer —
+// and is safe to call from multiple goroutines at once provided the
 // store is not mutated for the duration and the sorted-ID cache has been
 // materialized by the owner first (any Snapshot/Range/IDs call does; the
 // replicator warms it before fanning builds out).
@@ -291,12 +291,6 @@ func (s *Store) DeltaSinceCands(base uint64, filter func(protocol.ParticipantID)
 		msg.Removed = append(msg.Removed, rm.id)
 	}
 	return buf
-}
-
-// DeltaSinceOwedInto is DeltaSinceOwedCands using the store-owned candidate
-// buffer (the serial plan path).
-func (s *Store) DeltaSinceOwedInto(base uint64, filter func(protocol.ParticipantID) bool, msg *protocol.Delta, owed *OwedSet, ackTick, settle uint64) {
-	s.candScratch = s.DeltaSinceOwedCands(base, filter, msg, s.candScratch, owed, ackTick, settle)
 }
 
 // DeltaSinceOwedCands builds an interest-filtered delta with owed-change

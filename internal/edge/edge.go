@@ -67,8 +67,6 @@ type Config struct {
 	Interest *interest.Policy
 	// Fusion tunes per-participant sensor fusion.
 	Fusion fusion.Config
-	// Parallelism bounds the tick worker pool (see node.Config.Parallelism).
-	Parallelism int
 }
 
 func (c *Config) applyDefaults() {
@@ -122,7 +120,6 @@ func New(sim *vclock.Sim, tr endpoint.Transport, cfg Config) (*Server, error) {
 		Interest:    cfg.Interest,
 		CountRecv:   true,
 		AutoPong:    true,
-		Parallelism: cfg.Parallelism,
 	})
 	if err != nil {
 		return nil, err

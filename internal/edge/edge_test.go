@@ -297,8 +297,8 @@ func TestEdgeIgnoresGarbageMessages(t *testing.T) {
 	}
 	_ = net.Send("evil", "e", frame)
 	_ = sim.RunAll()
-	if got := s.Metrics().Counter("decode.errors").Value(); got != 1 {
-		t.Errorf("decode.errors = %d, want 1", got)
+	if got := s.Metrics().Counter("recv.decode_errors").Value(); got != 1 {
+		t.Errorf("recv.decode_errors = %d, want 1", got)
 	}
 	if got := s.Metrics().Counter("recv.unknown_peer").Value(); got != 1 {
 		t.Errorf("recv.unknown_peer = %d, want 1", got)

@@ -23,9 +23,8 @@ type Config struct {
 	// AutoPong answers Ping frames with a Pong echoing nonce and send time
 	// (server endpoints; clients count stray pings as unhandled instead).
 	AutoPong bool
-	// Pool, when parallel, pre-encodes Fanout's distinct cohort payloads
-	// across its workers before the in-order send walk. nil keeps the lazy
-	// single-threaded encode.
+	// Pool runs Fanout's distinct cohort encodes on its workers before the
+	// in-order send walk; nil encodes them inline on the caller.
 	Pool *work.Pool
 }
 
@@ -35,13 +34,13 @@ type Config struct {
 // types carry no decode switch, no scratch duplication, and no drifting
 // counter names of their own.
 //
-// Shared metric names (old per-node names stay live as aliases):
+// Shared metric names:
 //
-//	recv.decode_errors (alias decode.errors)   undecodable frames
-//	recv.unknown_peer  (alias recv.unknown)    sync/ack from an unknown source
-//	recv.gaps                                  replica rejected the update
-//	recv.unhandled                             no handler for the message type
-//	sync.msgs.recv                             decoded messages (CountRecv)
+//	recv.decode_errors   undecodable frames
+//	recv.unknown_peer    sync/ack from an unknown source
+//	recv.gaps            replica rejected the update
+//	recv.unhandled       no handler for the message type
+//	sync.msgs.recv       decoded messages (CountRecv)
 //	encode.errors, sync.msgs.sent, sync.bytes.sent, send.errors   (Fanout)
 //
 // A Dispatcher is single-threaded, like the nodes it serves: Receive must be
@@ -82,8 +81,7 @@ type Dispatcher struct {
 }
 
 // NewDispatcher creates a dispatcher over tr, registers the shared metric
-// family (and legacy-name aliases) in reg, and binds itself as the
-// transport's receiver.
+// family in reg, and binds itself as the transport's receiver.
 func NewDispatcher(tr Transport, reg *metrics.Registry, cfg Config) (*Dispatcher, error) {
 	if cfg.Now == nil {
 		cfg.Now = func() time.Duration { return 0 }
@@ -91,9 +89,7 @@ func NewDispatcher(tr Transport, reg *metrics.Registry, cfg Config) (*Dispatcher
 	d := &Dispatcher{tr: tr, reg: reg, cfg: cfg}
 	d.batcher, _ = tr.(Batcher)
 	d.mDecodeErrors = reg.Counter("recv.decode_errors")
-	reg.AliasCounter("decode.errors", "recv.decode_errors")
 	d.mUnknownPeer = reg.Counter("recv.unknown_peer")
-	reg.AliasCounter("recv.unknown", "recv.unknown_peer")
 	d.mGaps = reg.Counter("recv.gaps")
 	d.mUnhandled = reg.Counter("recv.unhandled")
 	if cfg.CountRecv {
@@ -253,11 +249,10 @@ func (d *Dispatcher) reply(to Addr, msg protocol.Message) {
 // Call once per tick with the node's PlanTick result. On a batching
 // transport the whole plan is queued and flushed with one vectored write per
 // touched connection — one flush per tick per conn — instead of one flush
-// per send. With a parallel Config.Pool the distinct cohort encodes run
-// across workers first; sends always stay in plan order on this goroutine,
-// so the wire traffic is identical at every worker count.
+// per send. The distinct cohort encodes run on Config.Pool first; sends
+// always stay in plan order on this goroutine, so the wire traffic is
+// identical at every worker count.
 func (d *Dispatcher) Fanout(plan []core.PeerMessage) {
-	d.frames.Reset()
 	d.frames.EncodePlan(plan, d.cfg.Pool)
 	if d.batcher != nil {
 		d.batcher.BeginBatch()

@@ -139,10 +139,10 @@ func TestDispatcherAutoPongAndTypedHooks(t *testing.T) {
 	if got := reg.Counter("sync.msgs.recv").Value(); got != 5 {
 		t.Fatalf("sync.msgs.recv = %d, want 5", got)
 	}
-	// Garbage counts decode errors under both the shared and legacy names.
+	// Garbage counts a decode error.
 	d.Receive("c", []byte{0xde, 0xad, 0xbe, 0xef})
-	if reg.Counter("recv.decode_errors").Value() != 1 || reg.Counter("decode.errors").Value() != 1 {
-		t.Fatal("decode error not visible under shared name and alias")
+	if reg.Counter("recv.decode_errors").Value() != 1 {
+		t.Fatal("decode error not counted")
 	}
 }
 

@@ -54,7 +54,7 @@ func TestE11CrossRunDeterminism(t *testing.T) {
 // one canonical string. The storms hit every teardown path the runtime
 // owns: replicator peer removal, interest-grid eviction, pooled client
 // reuse, and in-flight frame release on lossy and bandwidth-limited links.
-func churnFingerprint(t *testing.T, seed int64, parallelism int) string {
+func churnFingerprint(t *testing.T, seed int64) string {
 	t.Helper()
 	cloudLink := netsim.EdgeToCloud()
 	cloudLink.LossRate = 0.02
@@ -62,7 +62,6 @@ func churnFingerprint(t *testing.T, seed int64, parallelism int) string {
 	cloudLink.QueueLimit = 32 << 10
 	d, err := classroom.NewDeployment(classroom.Config{
 		Seed: seed, EnableInterest: true, CloudLink: &cloudLink,
-		Parallelism: parallelism,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -173,11 +172,11 @@ func TestChurnLeaksNoFrames(t *testing.T) {
 		t.Skip("multi-second churn deployment; skipped in -short")
 	}
 	live0 := protocol.LiveFrames()
-	run1 := churnFingerprint(t, 17, 1)
+	run1 := churnFingerprint(t, 17)
 	if live := protocol.LiveFrames(); live != live0 {
 		t.Fatalf("%d frames leaked by churn run 1", live-live0)
 	}
-	run2 := churnFingerprint(t, 17, 1)
+	run2 := churnFingerprint(t, 17)
 	if live := protocol.LiveFrames(); live != live0 {
 		t.Fatalf("%d frames leaked by churn run 2", live-live0)
 	}
@@ -193,21 +192,23 @@ func TestChurnLeaksNoFrames(t *testing.T) {
 
 // TestParallelChurnStorm drives the same lossy join/leave storm with every
 // node's worker pool at width 8 and asserts the run leaks no frames and is
-// byte-identical to the serial run — the whole-system stress for the
-// parallel tick under membership churn (peer tables and interest grids
-// mutating between every parallel section). CI runs this under -race as the
+// byte-identical to the width-1 run — the whole-system stress for the
+// tick pipeline under membership churn (peer tables and interest grids
+// mutating between every pool run). CI runs this under -race as the
 // dedicated parallel-tick smoke.
 func TestParallelChurnStorm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second churn deployment; skipped in -short")
 	}
 	live0 := protocol.LiveFrames()
-	serial := churnFingerprint(t, 17, 1)
-	wide := churnFingerprint(t, 17, 8)
+	pinWidth(t, 1)
+	serial := churnFingerprint(t, 17)
+	pinWidth(t, 8)
+	wide := churnFingerprint(t, 17)
 	if live := protocol.LiveFrames(); live != live0 {
 		t.Fatalf("%d frames leaked by the parallel churn storm", live-live0)
 	}
 	if serial != wide {
-		t.Fatalf("Parallelism=8 churn diverged from Parallelism=1:\n%s", diffLines(serial, wide))
+		t.Fatalf("width-8 churn diverged from width 1:\n%s", diffLines(serial, wide))
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -17,11 +18,10 @@ import (
 // experiment: one cloud, n remote VR learners) and renders every counter and
 // histogram the deployment produced — cloud sync bytes/msgs, seat counters,
 // per-client pose-age histograms — into one canonical multi-line string.
-// parallelism is the node worker-pool width (1 = the serial legacy path).
-func metricsFingerprint(t *testing.T, seed int64, n int, interest bool, parallelism int) string {
+func metricsFingerprint(t *testing.T, seed int64, n int, interest bool) string {
 	t.Helper()
 	d, err := classroom.NewDeployment(classroom.Config{
-		Seed: seed, EnableInterest: interest, Parallelism: parallelism,
+		Seed: seed, EnableInterest: interest,
 	})
 	if err != nil {
 		t.Fatalf("build deployment: %v", err)
@@ -92,8 +92,8 @@ func TestE4CrossRunDeterminism(t *testing.T) {
 			mode = "interest"
 		}
 		t.Run(mode, func(t *testing.T) {
-			run1 := metricsFingerprint(t, 42, 12, interest, 1)
-			run2 := metricsFingerprint(t, 42, 12, interest, 1)
+			run1 := metricsFingerprint(t, 42, 12, interest)
+			run2 := metricsFingerprint(t, 42, 12, interest)
 			if run1 != run2 {
 				t.Fatalf("same-seed runs diverged (%s mode):\n%s", mode, diffLines(run1, run2))
 			}
@@ -110,9 +110,9 @@ func TestE4CrossRunDeterminism(t *testing.T) {
 // the network totals into one canonical string. The relay path exercises
 // the forwarded-upstream copy and the two-stage fan-out that E4's topology
 // does not.
-func relayFingerprint(t *testing.T, seed int64, parallelism int) string {
+func relayFingerprint(t *testing.T, seed int64) string {
 	t.Helper()
-	d, err := classroom.NewDeployment(classroom.Config{Seed: seed, Parallelism: parallelism})
+	d, err := classroom.NewDeployment(classroom.Config{Seed: seed})
 	if err != nil {
 		t.Fatalf("build deployment: %v", err)
 	}
@@ -168,8 +168,8 @@ func relayFingerprint(t *testing.T, seed int64, parallelism int) string {
 // topology: same-seed runs must agree byte for byte on every cloud, relay,
 // and client counter, including the relay's forwarded.up path.
 func TestE5CrossRunDeterminism(t *testing.T) {
-	run1 := relayFingerprint(t, 42, 1)
-	run2 := relayFingerprint(t, 42, 1)
+	run1 := relayFingerprint(t, 42)
+	run2 := relayFingerprint(t, 42)
 	if run1 != run2 {
 		t.Fatalf("same-seed relay runs diverged:\n%s", diffLines(run1, run2))
 	}
@@ -196,14 +196,22 @@ func TestE9CrossRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelTickCrossWidthDeterminism is the parallel tick's end-to-end
-// gate: a whole deployment run at Parallelism=4 must produce byte-identical
+// pinWidth sets GOMAXPROCS — which every node built from here on reads as
+// its tick pool's width — to n until the test ends.
+func pinWidth(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestParallelTickCrossWidthDeterminism is the tick pipeline's end-to-end
+// gate: a whole deployment run at pool width 4 must produce byte-identical
 // metrics — every counter, histogram quantile, and network stat — to the
-// same seed at Parallelism=1, on both the E4 scale topology (interest on
-// and off) and the relay topology. Unlike a GOMAXPROCS comparison this
-// holds regardless of how many CPUs the host exposes: the pool always
-// spawns its workers, so the deterministic-merge contract is exercised even
-// on a single-core runner.
+// same seed at width 1, on both the E4 scale topology (interest on and off)
+// and the relay topology. It holds regardless of how many CPUs the host
+// exposes: GOMAXPROCS above the core count still spawns the pool's workers,
+// so the deterministic-merge contract is exercised even on a single-core
+// runner.
 func TestParallelTickCrossWidthDeterminism(t *testing.T) {
 	for _, interest := range []bool{true, false} {
 		mode := "broadcast"
@@ -211,19 +219,23 @@ func TestParallelTickCrossWidthDeterminism(t *testing.T) {
 			mode = "interest"
 		}
 		t.Run("e4/"+mode, func(t *testing.T) {
-			serial := metricsFingerprint(t, 42, 12, interest, 1)
-			wide := metricsFingerprint(t, 42, 12, interest, 4)
+			pinWidth(t, 1)
+			serial := metricsFingerprint(t, 42, 12, interest)
+			pinWidth(t, 4)
+			wide := metricsFingerprint(t, 42, 12, interest)
 			if serial != wide {
-				t.Fatalf("Parallelism=4 diverged from Parallelism=1 (%s mode):\n%s",
+				t.Fatalf("width 4 diverged from width 1 (%s mode):\n%s",
 					mode, diffLines(serial, wide))
 			}
 		})
 	}
 	t.Run("e5/relay", func(t *testing.T) {
-		serial := relayFingerprint(t, 42, 1)
-		wide := relayFingerprint(t, 42, 4)
+		pinWidth(t, 1)
+		serial := relayFingerprint(t, 42)
+		pinWidth(t, 4)
+		wide := relayFingerprint(t, 42)
 		if serial != wide {
-			t.Fatalf("relay run at Parallelism=4 diverged from Parallelism=1:\n%s",
+			t.Fatalf("relay run at width 4 diverged from width 1:\n%s",
 				diffLines(serial, wide))
 		}
 	})

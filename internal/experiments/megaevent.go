@@ -68,11 +68,6 @@ type megaResult struct {
 	err      error
 }
 
-// megaParallelism lets the cross-width determinism test re-run the venue at
-// explicit worker-pool widths; 0 (the default everywhere else) means
-// GOMAXPROCS.
-var megaParallelism = 0
-
 // runMegaPoint stands up the mega-event venue — a pinned performer on
 // campus plus a 16x16 remote audience, one quarter of it served through a
 // regional relay — warms it for a second, and measures steady cloud and
@@ -90,7 +85,6 @@ func runMegaPoint(seed int64, tiers bool) megaResult {
 	d, err := classroom.NewDeployment(classroom.Config{
 		Seed: seed, EnableInterest: tiers, TickHz: 20,
 		VRRows: 16, VRCols: 16, VRPitch: 3.2,
-		Parallelism: megaParallelism,
 	})
 	if err != nil {
 		res.err = err

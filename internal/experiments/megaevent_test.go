@@ -57,16 +57,15 @@ func TestE12CrossWidthDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-avatar venue workload; skipped in -short")
 	}
-	defer func() { megaParallelism = 0 }()
-	megaParallelism = 1
+	pinWidth(t, 1)
 	serial := runMegaPoint(42, true)
-	megaParallelism = 4
+	pinWidth(t, 4)
 	wide := runMegaPoint(42, true)
 	if serial.err != nil || wide.err != nil {
 		t.Fatalf("venue runs failed: serial=%v wide=%v", serial.err, wide.err)
 	}
 	if serial != wide {
-		t.Fatalf("Parallelism=4 venue diverged from Parallelism=1:\nserial: %+v\nwide:   %+v", serial, wide)
+		t.Fatalf("width-4 venue diverged from width 1:\nserial: %+v\nwide:   %+v", serial, wide)
 	}
 	if serial.leaked != 0 {
 		t.Fatalf("venue leaked %d frames", serial.leaked)

@@ -15,7 +15,10 @@ import (
 )
 
 // Grid is a 2D spatial hash over the classroom floor plane (X/Z), the
-// standard area-of-interest index. Not safe for concurrent use.
+// standard area-of-interest index. Update and Remove need exclusive access;
+// queries (Neighbors, QueryRadius, Position, Len) write nothing, so any
+// number may run concurrently between mutations — the tick's pool workers
+// rely on it.
 type Grid struct {
 	cell float64
 	pos  map[protocol.ParticipantID]mathx.Vec3
@@ -24,10 +27,9 @@ type Grid struct {
 	// Occupied-cell bounding box, maintained incrementally so queries scan
 	// min(query square, occupied box) instead of the full query square — a
 	// 60m cull radius over 4m cells is a 31×31 = 961-cell square, while a
-	// classroom occupies ~16 cells. Inserts extend the box; deleting a
-	// boundary cell marks it dirty for lazy recomputation on the next query.
-	bmin, bmax  [2]int32
-	boundsDirty bool
+	// classroom occupies ~16 cells. Inserts extend the box; emptying a
+	// boundary cell recomputes it on the spot, so queries only read it.
+	bmin, bmax [2]int32
 }
 
 // NewGrid creates a grid with the given cell size in meters (default 4).
@@ -62,7 +64,6 @@ func (g *Grid) Update(id protocol.ParticipantID, p mathx.Vec3) {
 	if cell := g.grid[k]; len(cell) == 0 {
 		if len(g.grid) == 0 {
 			g.bmin, g.bmax = k, k
-			g.boundsDirty = false
 		} else {
 			g.bmin[0] = min(g.bmin[0], k[0])
 			g.bmin[1] = min(g.bmin[1], k[1])
@@ -95,36 +96,28 @@ func (g *Grid) removeFromCell(k [2]int32, id protocol.ParticipantID) {
 	if len(cell) == 0 {
 		delete(g.grid, k)
 		if k[0] == g.bmin[0] || k[0] == g.bmax[0] || k[1] == g.bmin[1] || k[1] == g.bmax[1] {
-			g.boundsDirty = true
+			g.recomputeBounds()
 		}
 	} else {
 		g.grid[k] = cell
 	}
 }
 
-// bounds returns the occupied-cell bounding box, recomputing it when a
-// boundary cell was emptied since the last query. ok is false for an empty
-// grid.
-func (g *Grid) bounds() (bmin, bmax [2]int32, ok bool) {
-	if len(g.grid) == 0 {
-		return bmin, bmax, false
-	}
-	if g.boundsDirty {
-		first := true
-		for k := range g.grid {
-			if first {
-				g.bmin, g.bmax = k, k
-				first = false
-				continue
-			}
-			g.bmin[0] = min(g.bmin[0], k[0])
-			g.bmin[1] = min(g.bmin[1], k[1])
-			g.bmax[0] = max(g.bmax[0], k[0])
-			g.bmax[1] = max(g.bmax[1], k[1])
+// recomputeBounds rebuilds the occupied-cell bounding box from the occupied
+// cells (an empty grid leaves it stale; the next insert resets it).
+func (g *Grid) recomputeBounds() {
+	first := true
+	for k := range g.grid {
+		if first {
+			g.bmin, g.bmax = k, k
+			first = false
+			continue
 		}
-		g.boundsDirty = false
+		g.bmin[0] = min(g.bmin[0], k[0])
+		g.bmin[1] = min(g.bmin[1], k[1])
+		g.bmax[0] = max(g.bmax[0], k[0])
+		g.bmax[1] = max(g.bmax[1], k[1])
 	}
-	return g.bmin, g.bmax, true
 }
 
 // Len returns the number of indexed entities.
@@ -153,10 +146,10 @@ func (g *Grid) Neighbors(center mathx.Vec3, radius float64, buf []protocol.Parti
 	if radius < 0 {
 		return buf
 	}
-	bmin, bmax, ok := g.bounds()
-	if !ok {
+	if len(g.grid) == 0 {
 		return buf
 	}
+	bmin, bmax := g.bmin, g.bmax
 	base := len(buf)
 	r2 := radius * radius
 	lo := g.key(center.Sub(mathx.V3(radius, 0, radius)))
@@ -320,8 +313,8 @@ type Set struct {
 	tick     uint64
 	// scratch is the set-owned neighbor buffer RefreshOwned queries into.
 	// Owning it here (instead of a buffer shared across receivers) is what
-	// lets the parallel tick refresh many clients' sets concurrently: each
-	// refresh touches only its own set's state and reads the shared grid.
+	// lets the tick refresh many clients' sets concurrently: each refresh
+	// touches only its own set's state and reads the shared grid.
 	scratch []protocol.ParticipantID
 }
 
@@ -332,7 +325,7 @@ func NewSet() *Set {
 
 // Reset clears the set for reuse by another receiver (the node runtime pools
 // per-client sets across join/leave churn). The allowed map keeps its
-// capacity; the tick marker rewinds so the next Refresh rebuilds.
+// capacity; the tick marker rewinds so the next RefreshOwned rebuilds.
 func (s *Set) Reset() {
 	clear(s.allowed)
 	s.allowAll = false
@@ -340,38 +333,30 @@ func (s *Set) Reset() {
 	s.tick = 0
 }
 
-// RefreshOwned is Refresh using the set's own neighbor buffer. Distinct sets
-// may be refreshed concurrently (each touches only its own state; the grid
-// and policy are read-only), which is how the parallel tick shards per-client
-// classification across workers. Like Refresh it rebuilds at most once per
-// tick, so a set pre-refreshed on the pool answers the replication filter's
-// later call for the same tick from cache.
+// RefreshOwned rebuilds the set for receiver recv at tick, at most once per
+// tick (ticks start at 1; zero means never built), querying into the set's
+// own neighbor buffer. Distinct sets may be refreshed concurrently (each
+// touches only its own state; the grid and policy are read-only), which is
+// how the tick shards per-client classification across the pool's workers.
+// While recv is not indexed in g the set admits everything — a just-joined
+// receiver needs the full world until placed. The receiver itself is never
+// admitted: `Allows(g, recv) == false` is part of the contract, even in
+// admit-everything mode and even when recv is pinned.
 func (s *Set) RefreshOwned(g *Grid, p *Policy, recv protocol.ParticipantID, tick uint64) {
-	s.scratch = s.Refresh(g, p, recv, tick, s.scratch)
-}
-
-// Refresh rebuilds the set for receiver recv at tick, at most once per tick
-// (ticks start at 1; zero means never built). While recv is not indexed in
-// g the set admits everything — a just-joined receiver needs the full world
-// until placed. The receiver itself is never admitted: `Allows(g, recv) ==
-// false` is part of the contract, even in admit-everything mode and even
-// when recv is pinned. scratch is the caller's reusable neighbor buffer;
-// the grown buffer is returned for the caller to keep.
-func (s *Set) Refresh(g *Grid, p *Policy, recv protocol.ParticipantID, tick uint64, scratch []protocol.ParticipantID) []protocol.ParticipantID {
 	s.recv = recv
 	if s.tick == tick {
-		return scratch
+		return
 	}
 	s.tick = tick
 	recvPos, ok := g.Position(recv)
 	if !ok {
 		s.allowAll = true
-		return scratch
+		return
 	}
 	s.allowAll = false
 	clear(s.allowed)
-	scratch = g.Neighbors(recvPos, p.CullRadius, scratch[:0])
-	for _, id := range scratch {
+	s.scratch = g.Neighbors(recvPos, p.CullRadius, s.scratch[:0])
+	for _, id := range s.scratch {
 		if id == recv { // Neighbors includes the query center
 			continue
 		}
@@ -391,13 +376,12 @@ func (s *Set) Refresh(g *Grid, p *Policy, recv protocol.ParticipantID, tick uint
 			s.allowed[id] = true
 		}
 	}
-	return scratch
 }
 
 // Allows reports whether source id should be sent this tick. The receiver
 // the set was last refreshed for is never allowed. Other sources not indexed
-// in g bypass interest management (the caller cannot place them). Refresh
-// must have been called for the current tick.
+// in g bypass interest management (the caller cannot place them).
+// RefreshOwned must have been called for the current tick.
 func (s *Set) Allows(g *Grid, id protocol.ParticipantID) bool {
 	if id == s.recv {
 		return false

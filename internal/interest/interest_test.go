@@ -357,10 +357,10 @@ func TestRefreshExcludesReceiver(t *testing.T) {
 	}
 }
 
-// TestPlanSetPinChurnAgreement drives Plan and Set.Refresh through the same
-// pin/unpin churn and random motion, asserting the two admission paths never
-// drift: for every indexed source, Set.Allows must equal membership in Plan's
-// output.
+// TestPlanSetPinChurnAgreement drives Plan and Set.RefreshOwned through the
+// same pin/unpin churn and random motion, asserting the two admission paths
+// never drift: for every indexed source, Set.Allows must equal membership in
+// Plan's output.
 func TestPlanSetPinChurnAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	g := NewGrid(4)

@@ -328,15 +328,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// AliasCounter registers alias as a second name for the canonical counter:
-// both names resolve to the same underlying Counter, so legacy metric names
-// keep reporting identical values while call sites and dashboards migrate
-// to the canonical ones. Any counter previously registered under alias is
-// replaced.
-func (r *Registry) AliasCounter(alias, canonical string) {
-	r.ctrs[alias] = r.Counter(canonical)
-}
-
 // HistogramNames returns the sorted names of all histograms.
 func (r *Registry) HistogramNames() []string {
 	names := make([]string, 0, len(r.hists))

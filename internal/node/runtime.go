@@ -49,20 +49,11 @@ type Config struct {
 	// Interest is the client fan-out policy; nil disables interest
 	// management (broadcast).
 	Interest *interest.Policy
-	// Repl tunes the replicator.
+	// Repl tunes the replicator; its Pool is always set to the runtime's own.
 	Repl core.ReplConfig
 	// CountRecv and AutoPong configure the dispatcher (see endpoint.Config).
 	CountRecv bool
 	AutoPong  bool
-	// Parallelism bounds the worker pool that shards the tick's three
-	// independent stages — per-client interest classification, the
-	// replicator's plan builds, and the fan-out's cohort encodes. Zero or
-	// negative means GOMAXPROCS; 1 runs the exact single-threaded legacy
-	// path. The node's external contract is unchanged at every width: the
-	// pool only runs inside the tick callback, Run is synchronous, and every
-	// stage merges deterministically, so plans, wire bytes, and metrics are
-	// identical to Parallelism=1.
-	Parallelism int
 }
 
 func (c *Config) applyDefaults() {
@@ -126,12 +117,9 @@ type Runtime struct {
 	liveScratch   map[protocol.ParticipantID]bool
 	removeScratch []protocol.ParticipantID
 
-	// pool shards the tick's parallel stages; refreshScratch/refreshJob/
-	// refreshTick drive the interest pre-refresh stage (see refreshInterest).
-	pool           *work.Pool
-	refreshScratch []*Client
-	refreshJob     func(worker, i int)
-	refreshTick    uint64
+	// pool runs the tick's plan builds and cohort encodes; its width is
+	// GOMAXPROCS at construction.
+	pool *work.Pool
 
 	cancel func()
 }
@@ -157,14 +145,9 @@ func New(sim *vclock.Sim, tr endpoint.Transport, cfg Config) (*Runtime, error) {
 
 		liveScratch: make(map[protocol.ParticipantID]bool),
 	}
-	r.pool = work.New(cfg.Parallelism)
-	if cfg.Repl.Pool == nil {
-		cfg.Repl.Pool = r.pool
-	}
+	r.pool = work.New(0)
+	cfg.Repl.Pool = r.pool
 	r.repl = core.NewReplicator(r.store, cfg.Repl)
-	r.refreshJob = func(_, i int) {
-		r.refreshScratch[i].iset.RefreshOwned(r.grid, r.cfg.Interest, r.refreshScratch[i].ID, r.refreshTick)
-	}
 	ep, err := endpoint.NewDispatcher(tr, r.reg, endpoint.Config{
 		Now:       sim.Now,
 		CountRecv: cfg.CountRecv,
@@ -271,9 +254,9 @@ func (r *Runtime) Replicate(addr endpoint.Addr, filter core.FilterFunc) error {
 // set, instead of an all-pairs sqrt test per (client, source). Built once
 // per pooled Client — it reads c.ID dynamically, so reuse across joins
 // allocates nothing. The refresh goes through the set's own neighbor
-// buffer, so concurrent filter calls for distinct clients (the parallel
-// plan) never share scratch; when refreshInterest already ran this tick the
-// refresh is a cached no-op.
+// buffer, so concurrent filter calls for distinct clients (the plan's builds
+// on the pool) never share scratch, and it rebuilds at most once per tick:
+// a build's later calls answer from the set.
 func (r *Runtime) clientFilter(c *Client) core.FilterFunc {
 	return func(id protocol.ParticipantID, tick uint64) bool {
 		if id == c.ID {
@@ -522,28 +505,5 @@ func (r *Runtime) tick() {
 	if r.onTick != nil {
 		r.onTick()
 	}
-	r.refreshInterest()
 	r.ep.Fanout(r.repl.PlanTick())
-}
-
-// refreshInterest pre-refreshes every replicated client's interest set for
-// the tick across the pool's workers, so the plan's filter calls answer
-// from cache. Each refresh touches only its own set (plus the read-only
-// grid and policy), and Refresh is idempotent per tick, so this stage is
-// purely a parallel warm-up: skipping it (serial pools, broadcast mode,
-// too few clients) changes nothing but where the classification work runs.
-func (r *Runtime) refreshInterest() {
-	if !r.pool.Parallel() || r.cfg.Interest == nil || len(r.clients) < 2 {
-		return
-	}
-	r.refreshScratch = r.refreshScratch[:0]
-	for _, c := range r.clients {
-		if c.Replicated {
-			r.refreshScratch = append(r.refreshScratch, c)
-		}
-	}
-	r.refreshTick = r.store.Tick()
-	// Map-iteration order varies, but the jobs are commutative: each one
-	// only rebuilds its own client's set.
-	r.pool.Run(len(r.refreshScratch), r.refreshJob)
 }

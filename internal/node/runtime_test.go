@@ -1,11 +1,15 @@
 package node
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"metaclass/internal/endpoint"
 	"metaclass/internal/interest"
+	"metaclass/internal/mathx"
 	"metaclass/internal/protocol"
 	"metaclass/internal/vclock"
 )
@@ -192,5 +196,59 @@ func TestRuntimeStartStop(t *testing.T) {
 	rt.Stop() // idempotent
 	if rt.Started() {
 		t.Fatal("Started after Stop")
+	}
+}
+
+// TestTickGridQueriesWriteNothing is the -race regression for the interest
+// grid's occupied-cell box: 16 filtered clients refresh their interest sets
+// on the pool's workers (width 4) while, between ticks, one avatar hops back
+// and forth over a cell edge at the rim of the occupied area. Whichever cell
+// it stands in is a boundary cell it occupies alone, so every hop empties a
+// boundary cell and the box must shrink — on the owner goroutine, at the
+// hop, never inside the workers' concurrent Neighbors queries.
+func TestTickGridQueriesWriteNothing(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	rt, tr := newRuntime(t, Config{TickHz: 10, Interest: interest.NewPolicy()})
+
+	const clients, avatar = 16, protocol.ParticipantID(100)
+	place := func(id protocol.ParticipantID, pos mathx.Vec3) {
+		rt.Store().Upsert(protocol.EntityState{Participant: id, Pose: protocol.QuantizePose(pos, mathx.QuatIdentity())})
+		rt.Grid().Update(id, pos)
+	}
+	rt.Store().BeginTick()
+	for i := 0; i < clients; i++ { // cells (0..3, 0..3) of the 4 m grid
+		id := protocol.ParticipantID(i + 1)
+		place(id, mathx.V3(2+4*float64(i%4), 0, 2+4*float64(i/4)))
+		if err := rt.AddClient(id, endpoint.Addr(fmt.Sprintf("c%02d", id))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ticks := 0
+	if err := rt.Start(func() {
+		ticks++
+		x := 21.0 // cell 5; odd ticks stand in cell 4
+		if ticks%2 == 1 {
+			x = 19
+		}
+		place(avatar, mathx.V3(x, 0, 2))
+		// Half the clients ack, so delta builds and snapshot builds both run.
+		for i := 1; i <= clients; i += 2 {
+			_ = rt.Replicator().Ack(fmt.Sprintf("c%02d", i), rt.Store().Tick()-1)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Sim().Run(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	rt.Stop()
+	if ticks != 50 || tr.sent == 0 {
+		t.Fatalf("ran %d ticks and sent %d frames, want 50 ticks with traffic", ticks, tr.sent)
+	}
+	// The shrunken box still covers the avatar's current cell.
+	far, _ := rt.Grid().Position(clients)
+	if got := rt.Grid().Neighbors(far, 60, nil); !slices.Contains(got, avatar) {
+		t.Fatalf("avatar missing from a 60 m query after 50 hops: %v", got)
 	}
 }

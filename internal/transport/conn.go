@@ -26,10 +26,9 @@ var ErrFrameTooLarge = errors.New("transport: frame exceeds MaxFrame")
 // Conn is a message-oriented connection. Reads must come from a single
 // goroutine; writes are internally serialized and safe from any goroutine.
 type Conn struct {
-	c    net.Conn
-	r    *bufio.Reader
-	mu   sync.Mutex // guards writes, wbuf, and the pending batch
-	wbuf []byte     // reusable write buffer: length prefix + frame
+	c  net.Conn
+	r  *bufio.Reader
+	mu sync.Mutex // guards writes and the pending batch
 
 	// pending is the queued write batch: refcounted frames whose bytes are
 	// shared with other holders (cohort mates, in-flight sends) and flushed
@@ -58,17 +57,15 @@ func Dial(addr string) (*Conn, error) {
 // RemoteAddr returns the peer address.
 func (c *Conn) RemoteAddr() net.Addr { return c.c.RemoteAddr() }
 
-// WriteMessage encodes and sends one message. The frame is appended after
-// its length prefix into a reusable per-connection buffer, so steady-state
-// sends allocate nothing and hit the socket with a single write.
+// WriteMessage encodes one message into a pooled frame and sends it (with
+// anything already queued) in one flush.
 func (c *Conn) WriteMessage(msg protocol.Message) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	buf, err := protocol.AppendEncode(append(c.wbuf[:0], 0, 0, 0, 0), msg)
+	f, err := protocol.EncodeFrame(msg)
 	if err != nil {
 		return err
 	}
-	return c.writeFrame(buf)
+	c.QueueFrame(f)
+	return c.Flush()
 }
 
 // QueueFrame appends f to the connection's pending write batch, taking
@@ -121,37 +118,17 @@ func (c *Conn) releasePendingLocked() {
 	c.pending = c.pending[:0]
 }
 
-// writeFrame patches the length prefix into buf (which must start with 4
-// reserved header bytes), keeps it as the connection's reusable write
-// buffer, and hits the socket with a single write. Callers hold c.mu.
-func (c *Conn) writeFrame(buf []byte) error {
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
-	c.wbuf = buf
-	if _, err := c.c.Write(buf); err != nil {
-		return fmt.Errorf("transport: write frame: %w", err)
-	}
-	return nil
-}
-
-// ReadMessage blocks for the next message. io.EOF signals a clean close.
+// ReadMessage blocks for the next message and decodes it into a freshly
+// allocated value (its byte fields are copies, so it outlives the frame).
+// io.EOF signals a clean close.
 func (c *Conn) ReadMessage() (protocol.Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
-	}
-	frame := make([]byte, n)
-	if _, err := io.ReadFull(c.r, frame); err != nil {
-		return nil, err
-	}
-	msg, _, err := protocol.Decode(frame)
+	f, err := c.ReadFrame()
 	if err != nil {
 		return nil, err
 	}
-	return msg, nil
+	defer f.Release()
+	msg, _, err := protocol.Decode(f.Bytes())
+	return msg, err
 }
 
 // ReadFrame blocks for the next raw protocol frame (stream header stripped),

@@ -74,7 +74,7 @@ func ListenRoom(cfg RoomConfig) (*Room, error) {
 		return nil, err
 	}
 	sim := vclock.New(0)
-	rt, err := node.New(sim, ep, node.Config{TickHz: cfg.TickHz, Parallelism: 1})
+	rt, err := node.New(sim, ep, node.Config{TickHz: cfg.TickHz})
 	if err != nil {
 		_ = ep.Close()
 		return nil, err

@@ -1,17 +1,18 @@
-// Package work provides the bounded worker pool behind the parallel tick:
-// the replicator's per-peer/per-cohort plan builds, the dispatcher's
-// per-cohort frame encodes, and the runtime's per-client interest
-// classification all shard across one Pool while the node itself stays
-// single-threaded by contract — Run is synchronous, so by the time it
-// returns every job has finished and the owner goroutine is again the only
-// one touching node state.
+// Package work provides the bounded worker pool the tick runs on: the
+// replicator's per-peer/per-cohort plan builds (which include each filtered
+// client's interest classification) and the dispatcher's per-cohort frame
+// encodes shard across one Pool while the node itself stays single-threaded
+// by contract — Run is synchronous, so by the time it returns every job has
+// finished and the owner goroutine is again the only one touching node
+// state. Callers do not branch on the pool's width: the same code runs
+// inline at width 1 and sharded above it.
 //
 // Ownership rules for pooled scratch handed across goroutines (see
-// PERFORMANCE.md "parallel tick"):
+// PERFORMANCE.md "The tick pipeline"):
 //
 //   - A job may write only state owned by its own index (its peer's scratch
-//     message, its cohort's frame slot, its client's interest set) plus the
-//     per-worker arena keyed by the worker argument.
+//     message and interest set, its cohort's frame slot) plus the per-worker
+//     arena keyed by the worker argument.
 //   - Everything shared (the Store, the interest grid, policy tables) is
 //     read-only for the duration of Run; lazily-built caches must be
 //     materialized by the owner before Run starts.
@@ -28,7 +29,7 @@ import (
 // Pool is a bounded worker pool executing parallel-for loops. The zero-cost
 // path matters as much as the parallel one: a nil Pool, a 1-worker Pool, and
 // a single-element Run all execute inline on the caller's goroutine with no
-// synchronization at all — the exact single-threaded legacy path.
+// synchronization at all.
 //
 // A Pool is owned by one goroutine: Run and Close must not be called
 // concurrently (the node runtime calls both from the simulation goroutine).
@@ -71,11 +72,6 @@ func (p *Pool) Workers() int {
 	return p.workers
 }
 
-// Parallel reports whether Run may execute jobs on more than one goroutine —
-// the gate callers use to pick between the legacy inline path and the
-// sharded one.
-func (p *Pool) Parallel() bool { return p != nil && p.workers > 1 }
-
 // Run executes fn(worker, i) for every i in [0, n), distributing indices
 // across up to Workers goroutines, and returns when all calls have finished.
 // worker identifies the executing slot in [0, Workers) so jobs can use
@@ -85,8 +81,7 @@ func (p *Pool) Parallel() bool { return p != nil && p.workers > 1 }
 // deterministically by the caller afterwards.
 //
 // fn should be built once and reused across Runs: the pool itself allocates
-// nothing per call, keeping parallel ticks as allocation-flat as serial
-// ones.
+// nothing per call, keeping the tick allocation-flat at every width.
 func (p *Pool) Run(n int, fn func(worker, index int)) {
 	if n <= 0 {
 		return

@@ -49,7 +49,7 @@ func TestPerWorkerArenasDisjoint(t *testing.T) {
 	}
 }
 
-// TestNilAndSerialPoolsRunInline covers the legacy paths: a nil pool and a
+// TestNilAndSerialPoolsRunInline covers the inline paths: a nil pool and a
 // 1-worker pool both execute on the caller goroutine in index order.
 func TestNilAndSerialPoolsRunInline(t *testing.T) {
 	for _, p := range []*Pool{nil, New(1)} {
@@ -67,9 +67,6 @@ func TestNilAndSerialPoolsRunInline(t *testing.T) {
 		}
 		if len(order) != 5 {
 			t.Fatalf("inline run did %d of 5 jobs", len(order))
-		}
-		if p.Parallel() {
-			t.Fatal("serial pool reports Parallel")
 		}
 		if p.Workers() != 1 {
 			t.Fatalf("serial pool Workers = %d", p.Workers())
