@@ -34,7 +34,6 @@ import (
 	"metaclass/internal/avatar"
 	"metaclass/internal/client"
 	"metaclass/internal/cloud"
-	"metaclass/internal/core"
 	"metaclass/internal/edge"
 	"metaclass/internal/endpoint"
 	"metaclass/internal/expression"
@@ -459,15 +458,8 @@ func (d *Deployment) MigrateRemoteLearner(id ParticipantID, relay *cloud.Relay, 
 
 	// 1. Export the replication baseline and retire the old server's route.
 	// The cloud keeps seat and authored entity either way — only the
-	// replication route changes hands (DemoteClient also records the relay
-	// route, so edge ingest keeps reaching the learner).
-	var b core.PeerBaseline
-	var err error
-	if old == nil {
-		b, err = d.cloud.DemoteClient(id, newAddr)
-	} else {
-		b, err = old.ReleaseClient(id)
-	}
+	// replication route changes hands.
+	b, err := d.cloud.ReleaseSession(id, old, relay)
 	if err != nil {
 		return err
 	}
@@ -489,20 +481,12 @@ func (d *Deployment) MigrateRemoteLearner(id ParticipantID, relay *cloud.Relay, 
 
 	// 4. Adopt the session at the new server, seeding its replicator from
 	// the transferred baseline (plus the conservative re-owe).
+	if err := d.cloud.AdoptSession(id, endpoint.Addr(addr), old, relay, b); err != nil {
+		return err
+	}
 	if relay == nil {
-		if err := d.cloud.PromoteClient(id, endpoint.Addr(addr), b); err != nil {
-			return err
-		}
 		delete(d.relayOf, id)
 	} else {
-		if err := relay.AdoptClient(id, endpoint.Addr(addr), b); err != nil {
-			return err
-		}
-		if old != nil { // relay -> relay: the cloud tracks the new route
-			if err := d.cloud.RetargetClient(id, newAddr); err != nil {
-				return err
-			}
-		}
 		d.relayOf[id] = relay
 	}
 

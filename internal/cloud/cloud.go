@@ -53,8 +53,6 @@ type Config struct {
 	// Interest is the fan-out policy; nil disables interest management
 	// (broadcast — the E4 ablation baseline).
 	Interest *interest.Policy
-	// Repl tunes the replicator.
-	Repl core.ReplConfig
 }
 
 func (c *Config) applyDefaults() {
@@ -99,7 +97,6 @@ func New(sim *vclock.Sim, tr endpoint.Transport, cfg Config) (*Server, error) {
 		TickHz:      cfg.TickHz,
 		InterpDelay: cfg.InterpDelay,
 		Interest:    cfg.Interest,
-		Repl:        cfg.Repl,
 		CountRecv:   true,
 		AutoPong:    true,
 	})
@@ -179,40 +176,62 @@ func (s *Server) RegisterRelayClient(id protocol.ParticipantID, relay endpoint.A
 	return s.rt.RegisterClient(id, relay)
 }
 
-// DemoteClient hands a directly-served learner off to a relay: its
-// replication baseline is exported, the replicator peer is torn down, and
-// the learner re-registers as relay-routed — seat, authored entity, and
-// session identity all stay. The returned baseline seeds the adopting
-// relay's replicator (see Relay.AdoptClient) so replication resumes
-// incrementally instead of with a full snapshot.
-func (s *Server) DemoteClient(id protocol.ParticipantID, relay endpoint.Addr) (core.PeerBaseline, error) {
-	b, err := s.rt.ExportClientBaseline(id)
+// ReleaseSession is the outbound half of a session handoff. The server that
+// replicates to the learner — relay from, or this cloud when from is nil —
+// exports the learner's replication baseline (ack floor plus owed debt) and
+// retires its route. Seat, authored entity and session identity stay with
+// the cloud throughout: a learner leaving the cloud's direct service
+// re-registers as routed via relay to, so its poses keep being authored.
+// The caller cuts the old access path, brings the new one up, and hands the
+// baseline to AdoptSession.
+func (s *Server) ReleaseSession(id protocol.ParticipantID, from, to *Relay) (core.PeerBaseline, error) {
+	rt := s.rt
+	if from != nil {
+		rt = from.rt
+	}
+	b, err := rt.ExportClientBaseline(id)
 	if err != nil {
 		return core.PeerBaseline{}, err
 	}
-	if _, err := s.rt.RemoveClient(id); err != nil {
+	if _, err := rt.RemoveClient(id); err != nil {
 		return core.PeerBaseline{}, err
 	}
-	return b, s.rt.RegisterClient(id, relay)
+	if from == nil {
+		return b, s.rt.RegisterClient(id, to.Addr())
+	}
+	return b, nil
 }
 
-// PromoteClient is the inverse handoff: a relay-routed learner becomes
-// directly served by the cloud at addr, its replication position seeded from
-// the baseline its former relay exported.
-func (s *Server) PromoteClient(id protocol.ParticipantID, addr endpoint.Addr, b core.PeerBaseline) error {
-	if _, err := s.rt.RemoveClient(id); err != nil {
+// AdoptSession is the inbound half: the new server — relay to, or this cloud
+// when to is nil — registers the learner at addr and seeds its replicator
+// from the baseline ReleaseSession returned, so replication resumes
+// incrementally instead of with a full snapshot. The floor is honored only
+// when the adopting node's history provably covers it (tick domains are
+// node-local; see core.Replicator.ImportBaseline), and the runtime
+// conservatively re-opens owed debt for the content skew between the two
+// stores, so the handoff is lossless either way. from is the server the
+// session left, as passed to ReleaseSession.
+func (s *Server) AdoptSession(id protocol.ParticipantID, addr endpoint.Addr, from, to *Relay, b core.PeerBaseline) error {
+	rt := s.rt
+	if to != nil {
+		rt = to.rt
+	} else {
+		// Relay to cloud: the relay-routed registration gives way to a
+		// direct one.
+		if _, err := s.rt.RemoveClient(id); err != nil {
+			return err
+		}
+	}
+	if err := rt.AddClient(id, addr); err != nil {
 		return err
 	}
-	if err := s.rt.AddClient(id, addr); err != nil {
+	if err := rt.ImportClientBaseline(id, b); err != nil {
 		return err
 	}
-	return s.rt.ImportClientBaseline(id, b)
-}
-
-// RetargetClient updates which relay a relay-routed learner is recorded
-// under (relay-to-relay handoff: the cloud only tracks the route).
-func (s *Server) RetargetClient(id protocol.ParticipantID, relay endpoint.Addr) error {
-	return s.rt.RetargetClient(id, relay)
+	if from != nil && to != nil { // relay to relay: the cloud only tracks the route
+		return s.rt.RetargetClient(id, to.Addr())
+	}
+	return nil
 }
 
 // RemoveClient drops a remote learner: the runtime tears down the
@@ -230,8 +249,7 @@ func (s *Server) RemoveClient(id protocol.ParticipantID) error {
 	if _, seated := s.seats.SeatOf(id); seated {
 		_ = s.seats.Release(id)
 	}
-	s.rt.Store().BeginTick()
-	s.rt.Store().Remove(id)
+	s.rt.RemoveEntity(id)
 	return nil
 }
 

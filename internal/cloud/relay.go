@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"metaclass/internal/core"
 	"metaclass/internal/endpoint"
 	"metaclass/internal/interest"
 	"metaclass/internal/metrics"
@@ -29,8 +28,6 @@ type RelayConfig struct {
 	InterpDelay time.Duration
 	// Interest is the local fan-out policy (nil = broadcast).
 	Interest *interest.Policy
-	// Repl tunes the client replicator.
-	Repl core.ReplConfig
 }
 
 // Relay mirrors the cloud world for one region: the forward-upstream policy
@@ -48,7 +45,6 @@ func NewRelay(sim *vclock.Sim, tr endpoint.Transport, cfg RelayConfig) (*Relay, 
 		TickHz:      cfg.TickHz,
 		InterpDelay: cfg.InterpDelay,
 		Interest:    cfg.Interest,
-		Repl:        cfg.Repl,
 		AutoPong:    true,
 	})
 	if err != nil {
@@ -107,34 +103,6 @@ func (r *Relay) RemoveClient(id protocol.ParticipantID) error {
 		return fmt.Errorf("cloud: relay: unknown client %d", id)
 	}
 	return nil
-}
-
-// ReleaseClient exports a served client's replication baseline and tears its
-// local session down — the outbound half of a relay-to-relay (or
-// relay-to-cloud) handoff. The mirrored world entry stays: it is owned
-// upstream.
-func (r *Relay) ReleaseClient(id protocol.ParticipantID) (core.PeerBaseline, error) {
-	b, err := r.rt.ExportClientBaseline(id)
-	if err != nil {
-		return core.PeerBaseline{}, err
-	}
-	if _, err := r.rt.RemoveClient(id); err != nil {
-		return core.PeerBaseline{}, err
-	}
-	return b, nil
-}
-
-// AdoptClient registers a migrating client at addr and seeds its replication
-// position from the baseline its former server exported — the inbound half
-// of a handoff. The floor is honored only when this relay's mirror provably
-// covers it (tick domains are node-local; see core.Replicator.ImportBaseline),
-// and the runtime conservatively re-opens owed debt for the content skew
-// between the two mirrors, so the handoff is lossless either way.
-func (r *Relay) AdoptClient(id protocol.ParticipantID, addr endpoint.Addr, b core.PeerBaseline) error {
-	if err := r.rt.AddClient(id, addr); err != nil {
-		return err
-	}
-	return r.rt.ImportClientBaseline(id, b)
 }
 
 // Start begins the local fan-out loop.

@@ -38,22 +38,6 @@ type ReplConfig struct {
 	// with their last change unsent. Smaller values converge at-rest
 	// entities faster at the cost of redundant sends for moving ones.
 	OwedSettleTicks uint64
-	// LossRepair closes the lost-carrier hole in delta replication. State
-	// authored between a tick's plan and the next is stamped with the
-	// already-planned tick, so exactly one delta — the next tick's, whose
-	// base still lies below the stamp — carries it. If that one frame is
-	// lost, later deltas exclude the change (their base has passed its
-	// stamp) yet still apply cleanly at the replica, the ack floor sails
-	// past it, and the content is never sent again: silent divergence with
-	// zero recorded gaps. With LossRepair on, the replicator keeps a
-	// per-peer log of outstanding sends and, when an ack skips past unacked
-	// deltas, advances the baseline only to the oldest skipped delta's base
-	// — re-opening exactly the window the lost frame carried, which the
-	// next delta then re-covers. Acks arriving in order leave behavior
-	// byte-identical to the flag being off; reordered acks cost at worst a
-	// redundant partial re-send. Off by default: deployments gate it where
-	// replica convergence is audited (the geo handoff layer).
-	LossRepair bool
 	// Pool runs PlanTick's independent builds — the filtered per-peer
 	// snapshots/deltas and the distinct ack-cohort deltas — on its workers;
 	// the results merge back in sorted-peer order, so the plan is the same at
@@ -101,9 +85,11 @@ type peerState struct {
 	// Owned exclusively by this peer's builds and acks — see OwedSet for
 	// the ownership and determinism contract.
 	owed *OwedSet
-	// sent is the outstanding send log (LossRepair only): one record per
-	// planned message not yet resolved by an ack, ascending by tick.
-	sent []sentRecord
+	// sent is the outstanding send log: one record per planned message not
+	// yet resolved by an ack, ascending by tick. newestAck is the highest
+	// tick acked so far — the log has been resolved through it.
+	sent      []sentRecord
+	newestAck uint64
 }
 
 // sentRecord is one outstanding planned message in a peer's send log: the
@@ -155,9 +141,8 @@ func (p *peerState) resolveAck(tick uint64) (uint64, bool) {
 			matched, matchedSnap, matchedBase = true, rec.snap, rec.base
 			break
 		}
-		if !rec.snap && !skipped {
-			// Bases ascend with the log, so the first skipped delta's base
-			// is the oldest — the only one the repair needs.
+		if !rec.snap && (!skipped || rec.base < skippedBase) {
+			// The oldest skipped base re-opens every skipped window.
 			skipped, skippedBase = true, rec.base
 		}
 	}
@@ -181,7 +166,7 @@ func (p *peerState) resolveAck(tick uint64) (uint64, bool) {
 // allocated scratch (delta/snapshot entity slices, the bound filter closure),
 // so onboarding a client after a departure allocates nothing.
 func (p *peerState) reset() {
-	p.ackTick, p.acked, p.lastSnapshot = 0, false, 0
+	p.ackTick, p.acked, p.lastSnapshot, p.newestAck = 0, false, 0, 0
 	p.snapshots, p.deltas = 0, 0
 	p.filter = nil
 	if p.scratch != nil {
@@ -364,11 +349,22 @@ func (r *Replicator) PeersAppend(dst []string) []string {
 	return append(dst, r.sortedPeerIDs()...)
 }
 
-// Ack records that peer has applied state up to tick. Regressions (acks
-// older than the recorded floor) are ignored — reordered ack packets must
-// not move the baseline backwards. Only an ack that actually advances the
-// baseline can raise the prune floor, so ignored regressions do not
-// schedule a prune scan.
+// Ack records that peer applied the message planned at tick and moves the
+// peer's delta baseline to what the send log says that proves: to tick when
+// no unacked delta with an older base was skipped on the way, otherwise back
+// to the oldest skipped base — possibly BELOW where the baseline stood — so
+// the next delta re-covers a window that may have died in flight (resolveAck
+// has the reasoning). A spurious regression from mere ack reorder costs only
+// redundant delta content: deltas carry latest state, so re-applying them
+// never rolls a replica back.
+//
+// An ack at or below the newest tick already acked never moves the baseline:
+// the log is resolved through that tick, so nothing says what such an ack
+// proves. It matters because a replica re-acks its current tick whenever a
+// delayed delta reaches it stale — right after the ack that skipped that
+// delta regressed the baseline — and honoring the duplicate would undo the
+// repair with the delta's content never applied. Only an ack that raises the
+// baseline can raise the prune floor, so ignored acks schedule no prune scan.
 func (r *Replicator) Ack(peer string, tick uint64) error {
 	p, ok := r.peers[peer]
 	if !ok {
@@ -377,19 +373,11 @@ func (r *Replicator) Ack(peer string, tick uint64) error {
 	// Receipt is receipt regardless of ordering: even a regressed ack proves
 	// the tick's message arrived, settling any owed entities it carried.
 	p.owed.AckDrop(tick)
-	floor, repair := tick, false
-	if r.cfg.LossRepair {
-		// Advance only to what the send log proves delivered: an ack that
-		// skips unacked deltas re-opens the oldest skipped window instead of
-		// sailing past content that may have died in flight. A detected skip
-		// is the one case allowed to move the baseline BACKWARDS — the
-		// existing floor came from acks that prove delivery only through
-		// stamp floor-1, so the lost window can sit beneath it (see
-		// resolveAck). Spurious regressions from mere ack reorder cost only
-		// redundant delta content; deltas carry latest state, so re-applying
-		// them never rolls a replica back.
-		floor, repair = p.resolveAck(tick)
+	if tick <= p.newestAck {
+		return nil
 	}
+	p.newestAck = tick
+	floor, repair := p.resolveAck(tick)
 	switch {
 	case !p.acked || floor > p.ackTick:
 		p.ackTick = floor
@@ -640,9 +628,7 @@ func (r *Replicator) PlanTick() []PeerMessage {
 			}
 			p.lastSnapshot = tick
 			p.snapshots++
-			if r.cfg.LossRepair {
-				p.noteSent(tick, p.ackTick, true)
-			}
+			p.noteSent(tick, p.ackTick, true)
 			out = append(out, PeerMessage{Peer: id, Msg: snap, Cohort: cohort})
 			continue
 		}
@@ -651,9 +637,7 @@ func (r *Replicator) PlanTick() []PeerMessage {
 				continue
 			}
 			p.deltas++
-			if r.cfg.LossRepair {
-				p.noteSent(tick, p.ackTick, false)
-			}
+			p.noteSent(tick, p.ackTick, false)
 			out = append(out, PeerMessage{Peer: id, Msg: p.scratch, Cohort: nextCohort})
 			nextCohort++
 			continue
@@ -672,9 +656,7 @@ func (r *Replicator) PlanTick() []PeerMessage {
 			continue
 		}
 		p.deltas++
-		if r.cfg.LossRepair {
-			p.noteSent(tick, p.ackTick, false)
-		}
+		p.noteSent(tick, p.ackTick, false)
 		out = append(out, PeerMessage{Peer: id, Msg: dc.msg, Cohort: dc.cohort})
 	}
 	r.plan = out

@@ -10,12 +10,17 @@
 // the newest tick that peer has acknowledged, and emits either a compact
 // Delta against that acknowledged baseline or — when the peer is new, too
 // far behind, or explicitly scheduled — a full Snapshot. Deltas over lossy
-// links are safe because a lost delta merely leaves the peer's ack floor in
-// place; the next delta is computed against what the peer actually has.
+// links are safe because the baseline only claims what acks prove: state
+// stamped before a tick's plan is re-sent until a message carrying it is
+// acked, and state stamped with an already-planned tick — authored between
+// two ticks — rides the deltas whose base lies below that tick; when an ack
+// shows such a delta was skipped, the replicator moves the peer's baseline
+// back to the skipped delta's base (see Replicator.Ack for the contract).
 package core
 
 import (
 	"bytes"
+	"cmp"
 	"slices"
 	"sort"
 
@@ -316,9 +321,11 @@ func (s *Store) DeltaSinceCands(base uint64, filter func(protocol.ParticipantID)
 //
 // Candidates and owed IDs are merge-walked in ascending order (each entity
 // visited once, filter invoked once per entity), keeping Changed ascending
-// and byte-identical across runs and worker counts. Removals are never
-// filtered and never owed: the log reaches every peer. Owed entities that
-// died are forgotten during the sweep for the same reason.
+// and byte-identical across runs and worker counts. Removals are never owed
+// and filtered in one case only: a logged removal whose ID is live again
+// rides only with a message whose Changed carries the re-added entity.
+// Owed entities that died are forgotten during the sweep: the removal log
+// tells the peer.
 func (s *Store) DeltaSinceOwedCands(base uint64, filter func(protocol.ParticipantID) bool, msg *protocol.Delta, buf []protocol.ParticipantID, owed *OwedSet, ackTick, settle uint64) []protocol.ParticipantID {
 	msg.BaseTick, msg.Tick = base, s.tick
 	msg.Changed = msg.Changed[:0]
@@ -383,9 +390,25 @@ func (s *Store) DeltaSinceOwedCands(base uint64, filter func(protocol.Participan
 	}
 	first := sort.Search(len(s.removals), func(i int) bool { return s.removals[i].tick > base })
 	for _, rm := range s.removals[first:] {
+		// A removed ID that is live again was re-added inside the window, so
+		// it was a candidate above. If the filter rejected it, the removal
+		// must wait too: an earlier message on this base may already have
+		// delivered the re-add, and a bare removal would erase it at the
+		// receiver after that message's ack has settled the debt.
+		if _, live := s.entities[rm.id]; live && !carries(msg.Changed, rm.id) {
+			continue
+		}
 		msg.Removed = append(msg.Removed, rm.id)
 	}
 	return buf
+}
+
+// carries reports whether the ascending changed list includes id.
+func carries(changed []protocol.EntityState, id protocol.ParticipantID) bool {
+	_, ok := slices.BinarySearchFunc(changed, id, func(e protocol.EntityState, id protocol.ParticipantID) int {
+		return cmp.Compare(e.Participant, id)
+	})
+	return ok
 }
 
 // SnapshotOwedInto is SnapshotInto for an interest-filtered peer with owed

@@ -59,8 +59,6 @@ type Config struct {
 	// StaleAfter despawns a local participant whose sensors went quiet
 	// (default 2 s).
 	StaleAfter time.Duration
-	// Repl tunes the replicator.
-	Repl core.ReplConfig
 	// Interest is the client fan-out policy (nil = broadcast). Edge servers
 	// replicate to server peers unfiltered either way; the policy takes
 	// effect only if VR clients are attached to this node directly.
@@ -116,7 +114,6 @@ func New(sim *vclock.Sim, tr endpoint.Transport, cfg Config) (*Server, error) {
 	rt, err := node.New(sim, tr, node.Config{
 		TickHz:      cfg.TickHz,
 		InterpDelay: cfg.InterpDelay,
-		Repl:        cfg.Repl,
 		Interest:    cfg.Interest,
 		CountRecv:   true,
 		AutoPong:    true,
@@ -180,8 +177,7 @@ func (s *Server) UnregisterLocal(id protocol.ParticipantID) error {
 	delete(s.flags, id)
 	_ = s.seats.Release(id)
 	_ = s.avatars.Remove(id)
-	s.rt.Store().BeginTick()
-	s.rt.Store().Remove(id)
+	s.rt.RemoveEntity(id)
 	return nil
 }
 

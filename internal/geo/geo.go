@@ -37,7 +37,6 @@ import (
 
 	"metaclass/internal/client"
 	"metaclass/internal/cloud"
-	"metaclass/internal/core"
 	"metaclass/internal/endpoint"
 	"metaclass/internal/interest"
 	"metaclass/internal/mathx"
@@ -69,8 +68,6 @@ type Config struct {
 	PublishHz float64
 	// Interest is the client fan-out policy (nil = broadcast).
 	Interest *interest.Policy
-	// Repl tunes every server's replicator.
-	Repl core.ReplConfig
 	// RoamHysteresis is how much better (one-way) another server must be
 	// before Roam migrates a session to it (default 15 ms; see package doc).
 	RoamHysteresis time.Duration
@@ -95,10 +92,6 @@ func (c *Config) applyDefaults() {
 	if c.RoamHysteresis <= 0 {
 		c.RoamHysteresis = 15 * time.Millisecond
 	}
-	// Handoff correctness is audited by byte-identical convergence gates, so
-	// every geo server repairs deltas lost in flight instead of letting the
-	// ack floor sail past them (see core.ReplConfig.LossRepair).
-	c.Repl.LossRepair = true
 	if c.AccessLink == nil {
 		c.AccessLink = AccessLink
 	}
@@ -187,7 +180,6 @@ func New(sim *vclock.Sim, fab Fabric, cfg Config) (*Deployment, error) {
 	cl, err := cloud.New(sim, tr, cloud.Config{
 		TickHz:   cfg.TickHz,
 		Interest: cfg.Interest,
-		Repl:     cfg.Repl,
 	})
 	if err != nil {
 		return nil, err
@@ -415,7 +407,6 @@ func (d *Deployment) deployRelay(rr region.ID) error {
 		Upstream: d.cloudAddr,
 		TickHz:   d.cfg.TickHz,
 		Interest: d.cfg.Interest,
-		Repl:     d.cfg.Repl,
 	})
 	if err != nil {
 		return err
@@ -457,17 +448,12 @@ func (d *Deployment) Migrate(id protocol.ParticipantID, to region.ID) error {
 		return err
 	}
 	oldAddr, newAddr := d.serverAddr(s.served), d.serverAddr(to)
+	from, dest := d.relays[s.served], d.relays[to] // nil = the cloud
 
 	// 1. Export the replication baseline and retire the old server's session
 	// state. The cloud keeps seat and authored entity either way — only the
 	// replication route changes hands.
-	var b core.PeerBaseline
-	switch {
-	case s.served == "": // cloud -> relay
-		b, err = d.cloud.DemoteClient(id, newAddr)
-	default: // relay -> relay or relay -> cloud
-		b, err = d.relays[s.served].ReleaseClient(id)
-	}
+	b, err := d.cloud.ReleaseSession(id, from, dest)
 	if err != nil {
 		return err
 	}
@@ -489,20 +475,8 @@ func (d *Deployment) Migrate(id protocol.ParticipantID, to region.ID) error {
 	// 4. Adopt the session at the new server, seeding its replicator from
 	// the transferred baseline (plus the conservative re-owe; see
 	// node.Runtime.ImportClientBaseline).
-	switch {
-	case to == "": // relay -> cloud
-		if err := d.cloud.PromoteClient(id, s.addr, b); err != nil {
-			return err
-		}
-	default:
-		if err := d.relays[to].AdoptClient(id, s.addr, b); err != nil {
-			return err
-		}
-		if s.served != "" { // relay -> relay: the cloud tracks the new route
-			if err := d.cloud.RetargetClient(id, newAddr); err != nil {
-				return err
-			}
-		}
+	if err := d.cloud.AdoptSession(id, s.addr, from, dest, b); err != nil {
+		return err
 	}
 
 	// 5. Repoint the client: publishes, pings, and auto-acks follow.

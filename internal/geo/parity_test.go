@@ -57,7 +57,9 @@ func newGeoParityPass(t *testing.T, sim *vclock.Sim, fab Fabric) *geoParityPass 
 
 // counts snapshots the lock-step progress markers: the cloud's decoded
 // message count, every relay's forwarded-pose count plus upstream-replica
-// apply count, and every client's applied-update count.
+// apply count, and every client's applied-update count plus the ack floor
+// its serving node holds for it — a round is over only once the client's
+// acks have landed too, or the next plan starts from a different baseline.
 func (p *geoParityPass) counts() map[string]uint64 {
 	out := map[string]uint64{
 		"cloud": p.d.Cloud().Metrics().Counter("sync.msgs.recv").Value(),
@@ -69,6 +71,12 @@ func (p *geoParityPass) counts() map[string]uint64 {
 	for _, id := range p.d.SessionIDs() {
 		s, _ := p.d.Session(id)
 		out[string(s.VR.Addr())] = s.VR.Metrics().Counter("recv.updates").Value()
+		rt := p.d.Cloud().Runtime()
+		if s.served != "" {
+			rt = p.d.relays[s.served].Runtime()
+		}
+		st, _ := rt.Replicator().StatsOf(string(s.addr))
+		out[string(s.addr)+"-ack"] = st.AckTick
 	}
 	return out
 }

@@ -49,8 +49,6 @@ type Config struct {
 	// Interest is the client fan-out policy; nil disables interest
 	// management (broadcast).
 	Interest *interest.Policy
-	// Repl tunes the replicator; its Pool is always set to the runtime's own.
-	Repl core.ReplConfig
 	// CountRecv and AutoPong configure the dispatcher (see endpoint.Config).
 	CountRecv bool
 	AutoPong  bool
@@ -146,8 +144,7 @@ func New(sim *vclock.Sim, tr endpoint.Transport, cfg Config) (*Runtime, error) {
 		liveScratch: make(map[protocol.ParticipantID]bool),
 	}
 	r.pool = work.New(0)
-	cfg.Repl.Pool = r.pool
-	r.repl = core.NewReplicator(r.store, cfg.Repl)
+	r.repl = core.NewReplicator(r.store, core.ReplConfig{Pool: r.pool})
 	ep, err := endpoint.NewDispatcher(tr, r.reg, endpoint.Config{
 		Now:       sim.Now,
 		CountRecv: cfg.CountRecv,
@@ -355,6 +352,14 @@ func (r *Runtime) RemoveClient(id protocol.ParticipantID) (endpoint.Addr, error)
 	r.grid.Remove(id)
 	r.releaseClient(c)
 	return addr, nil
+}
+
+// RemoveEntity withdraws an entity the node authors, from outside the tick
+// loop. A removal between ticks must open its own store tick or it is
+// stamped with an already-planned one.
+func (r *Runtime) RemoveEntity(id protocol.ParticipantID) {
+	r.store.BeginTick()
+	r.store.Remove(id)
 }
 
 // ClientCount returns the number of registered learners (replicated or

@@ -255,9 +255,7 @@ func (r *Room) dropSession(addr endpoint.Addr) bool {
 		return false
 	}
 	if id != 0 {
-		st := r.rt.Store()
-		st.BeginTick()
-		st.Remove(id)
+		r.rt.RemoveEntity(id)
 	}
 	r.left.Add(1)
 	return true
