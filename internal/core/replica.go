@@ -14,11 +14,10 @@ import (
 // playout (interpolation) buffer per remote participant so displays render
 // smooth motion between network updates.
 type Replica struct {
-	store        *Store
-	buffers      map[protocol.ParticipantID]*pose.InterpBuffer
-	lastCaptured map[protocol.ParticipantID]time.Duration
-	delay        time.Duration
-	extrap       pose.Extrapolator
+	store   *Store
+	buffers map[protocol.ParticipantID]*pose.InterpBuffer
+	delay   time.Duration
+	extrap  pose.Extrapolator
 
 	// OnNew fires when a participant first appears (seat assignment hook).
 	OnNew func(e protocol.EntityState)
@@ -26,8 +25,8 @@ type Replica struct {
 	OnRemove func(id protocol.ParticipantID)
 	// Latency, if set, records capture-to-apply age of every entity update.
 	Latency *metrics.Histogram
-	// RetainOmitted keeps an entity (store record, playout buffer, latency
-	// watermark) when a Snapshot omits it instead of dropping everything.
+	// RetainOmitted keeps an entity (store record, playout buffer) when a
+	// Snapshot omits it instead of dropping everything.
 	// Set it when the upstream filters snapshots by interest: an omitted
 	// entity is merely out of the interest tier, not departed, so it stays
 	// enumerable, the display keeps extrapolating it, and its buffer must
@@ -76,11 +75,10 @@ func NewReplica(delay time.Duration, extrap pose.Extrapolator) *Replica {
 		extrap = pose.Linear{}
 	}
 	return &Replica{
-		store:        NewStore(),
-		buffers:      make(map[protocol.ParticipantID]*pose.InterpBuffer),
-		lastCaptured: make(map[protocol.ParticipantID]time.Duration),
-		delay:        delay,
-		extrap:       extrap,
+		store:   NewStore(),
+		buffers: make(map[protocol.ParticipantID]*pose.InterpBuffer),
+		delay:   delay,
+		extrap:  extrap,
 	}
 }
 
@@ -184,15 +182,12 @@ func (r *Replica) noteEntity(e protocol.EntityState, now time.Duration) {
 			float64(e.VelMMS[0])/1000, float64(e.VelMMS[1])/1000, float64(e.VelMMS[2])/1000,
 		),
 	}
-	buf.Push(p)
 	// Latency accounting covers fresh information only: redelivery of an
 	// entity whose capture stamp has not advanced (snapshot keyframes,
-	// mirror re-sends) says nothing about pipeline freshness.
-	if last, ok := r.lastCaptured[e.Participant]; !ok || e.CapturedAt > last {
-		r.lastCaptured[e.Participant] = e.CapturedAt
-		if r.Latency != nil {
-			r.Latency.Observe(now - e.CapturedAt)
-		}
+	// mirror re-sends) says nothing about pipeline freshness. The buffer's
+	// newest stamp is that watermark; Push reports whether p advanced it.
+	if buf.Push(p) && r.Latency != nil {
+		r.Latency.Observe(now - e.CapturedAt)
 	}
 }
 
@@ -203,7 +198,6 @@ func (r *Replica) dropEntity(id protocol.ParticipantID) {
 	}
 	r.bufPool.Put(buf)
 	delete(r.buffers, id)
-	delete(r.lastCaptured, id)
 	delete(r.retainedIDs, id)
 	r.bufDrops++
 	if r.OnRemove != nil {
@@ -216,7 +210,8 @@ func (r *Replica) dropEntity(id protocol.ParticipantID) {
 // sender pruned it from the delta log), so without this sweep they would
 // dead-reckon as ghosts forever. Runs on every apply; the retained set is
 // empty in steady state. Iteration order is irrelevant — each entity's
-// verdict depends only on its own watermark.
+// verdict depends only on its own newest capture stamp (every retained
+// entity has a buffer: both are dropped together).
 func (r *Replica) expireRetained(now time.Duration) {
 	if len(r.retainedIDs) == 0 {
 		return
@@ -226,7 +221,7 @@ func (r *Replica) expireRetained(now time.Duration) {
 		ttl = 2 * time.Second
 	}
 	for id := range r.retainedIDs {
-		if now-r.lastCaptured[id] > ttl {
+		if newest, _ := r.buffers[id].Newest(); now-newest.Time > ttl {
 			r.store.removeSilent(id)
 			r.dropEntity(id)
 		}

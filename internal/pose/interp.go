@@ -13,8 +13,10 @@ import (
 // or playback stutters, but adds directly to the end-to-end motion-to-photon
 // lag the paper's 100 ms budget constrains.
 type InterpBuffer struct {
-	samples []Pose // time-ordered ring, oldest first
-	cap     int
+	// ring holds the n buffered samples, stamps strictly increasing, from
+	// ring[head] (the oldest) and wrapping; len(ring) is the capacity.
+	ring    []Pose
+	head, n int
 	delay   time.Duration
 	extrap  Extrapolator
 
@@ -32,91 +34,104 @@ func NewInterpBuffer(delay time.Duration, capacity int, extrap Extrapolator) *In
 	if extrap == nil {
 		extrap = Linear{}
 	}
-	// capacity+1: Push appends before trimming to cap, so one spare slot
-	// keeps the full buffer from ever re-growing (and re-allocating) the ring.
-	return &InterpBuffer{
-		samples: make([]Pose, 0, capacity+1),
-		cap:     capacity, delay: delay, extrap: extrap,
-	}
+	return &InterpBuffer{ring: make([]Pose, capacity), delay: delay, extrap: extrap}
 }
 
-// Push inserts a sample. Out-of-order samples older than the newest are
-// inserted in order; duplicates by timestamp replace the stored sample.
-func (b *InterpBuffer) Push(p Pose) {
-	n := len(b.samples)
-	// Fast path: newest sample.
-	if n == 0 || p.Time > b.samples[n-1].Time {
-		b.samples = append(b.samples, p)
-	} else {
-		// Find insertion point (buffers are small; linear scan from the back).
-		i := n - 1
-		for i >= 0 && b.samples[i].Time > p.Time {
-			i--
-		}
-		if i >= 0 && b.samples[i].Time == p.Time {
-			b.samples[i] = p
-			return
-		}
-		b.samples = append(b.samples, Pose{})
-		copy(b.samples[i+2:], b.samples[i+1:])
-		b.samples[i+1] = p
+// slot returns the ring index of the i-th buffered sample, oldest first
+// (0 <= i <= n, i < cap); slot(1) is where head goes when the oldest leaves.
+func (b *InterpBuffer) slot(i int) int {
+	if i += b.head; i >= len(b.ring) {
+		i -= len(b.ring)
 	}
-	if len(b.samples) > b.cap {
-		// Drop oldest; copy down to avoid unbounded backing growth.
-		copy(b.samples, b.samples[len(b.samples)-b.cap:])
-		b.samples = b.samples[:b.cap]
+	return i
+}
+
+// Push inserts a sample and reports whether it advanced the newest stamp
+// (fresh information, as opposed to a redelivery or a late arrival). A full
+// buffer evicts its oldest sample. Out-of-order samples older than the newest
+// are inserted in order; duplicates by timestamp replace the stored sample.
+func (b *InterpBuffer) Push(p Pose) bool {
+	full := b.n == len(b.ring)
+	// Fast path: newest sample, one slot written.
+	if b.n == 0 || p.Time > b.ring[b.slot(b.n-1)].Time {
+		if full {
+			b.head = b.slot(1)
+		} else {
+			b.n++
+		}
+		b.ring[b.slot(b.n-1)] = p
+		return true
 	}
+	// Late arrival: i counts the buffered samples older than p (they land
+	// near the back, so scan from there).
+	i := b.n - 1
+	for i > 0 && b.ring[b.slot(i-1)].Time >= p.Time {
+		i--
+	}
+	if at := &b.ring[b.slot(i)]; at.Time == p.Time {
+		*at = p
+		return false
+	}
+	if full {
+		if i == 0 {
+			return false // older than everything in a full buffer: p is the evictee
+		}
+		b.head = b.slot(1)
+		b.n--
+		i--
+	}
+	// Shift the samples newer than p up one slot and put p in the gap.
+	for j := b.n; j > i; j-- {
+		b.ring[b.slot(j)] = b.ring[b.slot(j-1)]
+	}
+	b.ring[b.slot(i)] = p
+	b.n++
+	return false
 }
 
 // Len returns the number of buffered samples.
-func (b *InterpBuffer) Len() int { return len(b.samples) }
+func (b *InterpBuffer) Len() int { return b.n }
 
 // Delay returns the configured playout delay.
 func (b *InterpBuffer) Delay() time.Duration { return b.delay }
 
 // Newest returns the most recent sample and whether one exists.
 func (b *InterpBuffer) Newest() (Pose, bool) {
-	if len(b.samples) == 0 {
+	if b.n == 0 {
 		return Pose{}, false
 	}
-	return b.samples[len(b.samples)-1], true
+	return b.ring[b.slot(b.n-1)], true
 }
 
 // Sample reconstructs the pose at display time now, rendering at target time
 // now - Delay. It returns false only when the buffer is empty.
 func (b *InterpBuffer) Sample(now time.Duration) (Pose, bool) {
-	n := len(b.samples)
-	if n == 0 {
+	if b.n == 0 {
 		return Pose{}, false
 	}
 	target := now - b.delay
-	newest := b.samples[n-1]
-	if target >= newest.Time {
+	if newest := &b.ring[b.slot(b.n-1)]; target >= newest.Time {
 		// Beyond buffered data: dead-reckon forward from the newest sample.
 		b.extrapolated++
-		return b.extrap.Predict(newest, target).At(now), true
+		return b.extrap.Predict(*newest, target).At(now), true
 	}
-	if target <= b.samples[0].Time {
-		return b.samples[0].At(now), true
+	if oldest := &b.ring[b.head]; target <= oldest.Time {
+		return oldest.At(now), true
 	}
 	// Binary search for the bracketing pair.
-	lo, hi := 0, n-1
+	lo, hi := 0, b.n-1
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
-		if b.samples[mid].Time <= target {
+		if b.ring[b.slot(mid)].Time <= target {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	a, c := b.samples[lo], b.samples[hi]
-	span := c.Time - a.Time
-	t := 0.0
-	if span > 0 {
-		t = float64(target-a.Time) / float64(span)
-	}
+	a, c := &b.ring[b.slot(lo)], &b.ring[b.slot(hi)]
+	t := float64(target-a.Time) / float64(c.Time-a.Time)
 	b.interpolated++
-	return LerpPose(a, c, t).At(now), true
+	return LerpPose(*a, *c, t).At(now), true
 }
 
 // Stats reports how many samples were answered by interpolation vs.
@@ -129,13 +144,9 @@ func (b *InterpBuffer) Stats() (interpolated, extrapolated uint64) {
 // PruneBefore discards samples older than t (e.g. after a seat reassignment
 // invalidates the motion history).
 func (b *InterpBuffer) PruneBefore(t time.Duration) {
-	i := 0
-	for i < len(b.samples) && b.samples[i].Time < t {
-		i++
-	}
-	if i > 0 {
-		copy(b.samples, b.samples[i:])
-		b.samples = b.samples[:len(b.samples)-i]
+	for b.n > 0 && b.ring[b.head].Time < t {
+		b.head = b.slot(1)
+		b.n--
 	}
 }
 
@@ -143,7 +154,7 @@ func (b *InterpBuffer) PruneBefore(t time.Duration) {
 // capacity, delay, and extrapolator. It is the pooling hook: a recycled
 // buffer must carry no motion history or stats from its previous entity.
 func (b *InterpBuffer) Reset() {
-	b.samples = b.samples[:0]
+	b.head, b.n = 0, 0
 	b.interpolated, b.extrapolated = 0, 0
 }
 
@@ -160,6 +171,7 @@ func (b *InterpBuffer) Reset() {
 type InterpPool struct {
 	delay  time.Duration
 	cap    int
+	slab   int
 	extrap Extrapolator
 	free   []*InterpBuffer
 }
@@ -180,7 +192,7 @@ func NewInterpPool(delay time.Duration, capacity int, extrap Extrapolator, slab 
 	if slab < 8 {
 		slab = 8
 	}
-	p := &InterpPool{delay: delay, cap: capacity, extrap: extrap}
+	p := &InterpPool{delay: delay, cap: capacity, slab: slab, extrap: extrap}
 	p.free = make([]*InterpBuffer, 0, slab)
 	return p
 }
@@ -209,21 +221,14 @@ func (p *InterpPool) Put(b *InterpBuffer) {
 }
 
 // grow carves one slab of buffers: a single []InterpBuffer allocation plus a
-// single shared []Pose backing array sliced into per-buffer rings (cap+1
-// each, matching NewInterpBuffer's spare-slot trick).
+// single shared []Pose backing array sliced into per-buffer rings of cap
+// samples each (three-index slices, so no ring can reach its neighbour's).
 func (p *InterpPool) grow() {
-	n := cap(p.free)
-	if n < 8 {
-		n = 8
-	}
-	bufs := make([]InterpBuffer, n)
-	ring := make([]Pose, n*(p.cap+1))
+	bufs := make([]InterpBuffer, p.slab)
+	backing := make([]Pose, p.slab*p.cap)
 	for i := range bufs {
-		b := &bufs[i]
-		b.samples = ring[i*(p.cap+1) : i*(p.cap+1) : (i+1)*(p.cap+1)]
-		b.cap = p.cap
-		b.delay = p.delay
-		b.extrap = p.extrap
-		p.free = append(p.free, b)
+		lo, hi := i*p.cap, (i+1)*p.cap
+		bufs[i] = InterpBuffer{ring: backing[lo:hi:hi], delay: p.delay, extrap: p.extrap}
+		p.free = append(p.free, &bufs[i])
 	}
 }

@@ -1,0 +1,262 @@
+package pose
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+)
+
+// sliceOracle is the trivially correct playout buffer the ring is checked
+// against: a time-sorted slice that inserts by shifting and trims from the
+// front. It states the rules (sorted, duplicate stamp replaces, oldest
+// evicted when full — the new sample itself when it is the oldest).
+type sliceOracle struct {
+	samples []Pose
+	cap     int
+	delay   time.Duration
+
+	interpolated, extrapolated uint64
+}
+
+func (o *sliceOracle) push(p Pose) bool {
+	n := len(o.samples)
+	fresh := n == 0 || p.Time > o.samples[n-1].Time
+	i := n
+	for i > 0 && o.samples[i-1].Time > p.Time {
+		i--
+	}
+	if i > 0 && o.samples[i-1].Time == p.Time {
+		o.samples[i-1] = p
+		return false
+	}
+	o.samples = append(o.samples, Pose{})
+	copy(o.samples[i+1:], o.samples[i:])
+	o.samples[i] = p
+	if len(o.samples) > o.cap {
+		o.samples = append(o.samples[:0], o.samples[1:]...)
+	}
+	return fresh
+}
+
+func (o *sliceOracle) newest() (Pose, bool) {
+	if len(o.samples) == 0 {
+		return Pose{}, false
+	}
+	return o.samples[len(o.samples)-1], true
+}
+
+func (o *sliceOracle) sample(now time.Duration) (Pose, bool) {
+	n := len(o.samples)
+	if n == 0 {
+		return Pose{}, false
+	}
+	target := now - o.delay
+	if target >= o.samples[n-1].Time {
+		o.extrapolated++
+		return Linear{}.Predict(o.samples[n-1], target).At(now), true
+	}
+	if target <= o.samples[0].Time {
+		return o.samples[0].At(now), true
+	}
+	hi := 1
+	for o.samples[hi].Time <= target {
+		hi++
+	}
+	a, c := o.samples[hi-1], o.samples[hi]
+	o.interpolated++
+	return LerpPose(a, c, float64(target-a.Time)/float64(c.Time-a.Time)).At(now), true
+}
+
+func (o *sliceOracle) pruneBefore(t time.Duration) {
+	i := 0
+	for i < len(o.samples) && o.samples[i].Time < t {
+		i++
+	}
+	o.samples = o.samples[i:]
+}
+
+func (o *sliceOracle) reset() {
+	o.samples = o.samples[:0]
+	o.interpolated, o.extrapolated = 0, 0
+}
+
+// TestInterpBufferMatchesSliceModel drives random operation sequences through
+// the ring and the oracle and requires every observable to agree after every
+// step. Stamps advance by a millisecond per step on average, so head wraps
+// hundreds of times at capacity 64 and thousands at 2 and 4.
+func TestInterpBufferMatchesSliceModel(t *testing.T) {
+	for _, capacity := range []int{2, 4, 64} {
+		t.Run(fmt.Sprintf("cap=%d", capacity), func(t *testing.T) {
+			const delay = 20 * time.Millisecond
+			rng := rand.New(rand.NewSource(int64(capacity)))
+			b := NewInterpBuffer(delay, capacity, nil)
+			o := &sliceOracle{cap: capacity, delay: delay}
+			span := time.Duration(capacity+2) * time.Millisecond
+			clock := time.Duration(0)
+			for step := 0; step < 40000; step++ {
+				var stamp time.Duration
+				op := "push"
+				switch r := rng.Intn(100); {
+				case r < 55: // in order
+					clock += time.Duration(1+rng.Intn(3)) * time.Millisecond
+					stamp = clock
+				case r < 70: // late arrival or duplicate, inside the buffered span
+					stamp = clock - time.Duration(rng.Int63n(int64(span)))/time.Millisecond*time.Millisecond
+				case r < 75: // duplicate of the newest stamp
+					stamp = clock
+				case r < 82: // older than anything buffered
+					stamp = clock - 2*span - time.Duration(rng.Intn(5))*time.Millisecond
+				case r < 90:
+					op = "prune"
+					at := clock - time.Duration(rng.Int63n(int64(span)))
+					b.PruneBefore(at)
+					o.pruneBefore(at)
+				case r < 91:
+					op = "reset"
+					b.Reset()
+					o.reset()
+				default:
+					op = "sample"
+				}
+				if op == "push" {
+					p := sampleAt(stamp, rng.Float64())
+					if got, want := b.Push(p), o.push(p); got != want {
+						t.Fatalf("step %d: Push(%v) fresh = %v, oracle %v", step, stamp, got, want)
+					}
+				}
+				if b.Len() != len(o.samples) {
+					t.Fatalf("step %d (%s): Len = %d, oracle %d", step, op, b.Len(), len(o.samples))
+				}
+				gotNew, gotOK := b.Newest()
+				wantNew, wantOK := o.newest()
+				if gotNew != wantNew || gotOK != wantOK {
+					t.Fatalf("step %d (%s): Newest = %v,%v, oracle %v,%v", step, op, gotNew, gotOK, wantNew, wantOK)
+				}
+				for i, want := range o.samples {
+					if got := b.ring[b.slot(i)]; got != want {
+						t.Fatalf("step %d (%s): sample %d = %v, oracle %v", step, op, i, got, want)
+					}
+				}
+				// Sample around the whole buffered span: before it, inside it
+				// (on and between stamps), and past the newest stamp.
+				now := clock + delay - time.Duration(rng.Int63n(int64(2*span))) + span/2
+				if rng.Intn(2) == 0 {
+					now = now.Truncate(time.Millisecond)
+				}
+				got, gotOK := b.Sample(now)
+				want, wantOK := o.sample(now)
+				if got != want || gotOK != wantOK {
+					t.Fatalf("step %d (%s): Sample(%v) = %v,%v, oracle %v,%v", step, op, now, got, gotOK, want, wantOK)
+				}
+				gi, ge := b.Stats()
+				if gi != o.interpolated || ge != o.extrapolated {
+					t.Fatalf("step %d (%s): Stats = %d/%d, oracle %d/%d", step, op, gi, ge, o.interpolated, o.extrapolated)
+				}
+			}
+			if clock < 300*time.Duration(capacity)*time.Millisecond {
+				t.Fatalf("clock only reached %v: head did not wrap enough", clock)
+			}
+		})
+	}
+}
+
+// ringImage copies b's whole backing ring, not just its logical window.
+func ringImage(b *InterpBuffer) []Pose { return append([]Pose(nil), b.ring...) }
+
+func TestInterpPoolNeighboursNeverAlias(t *testing.T) {
+	const capacity, slab = 4, 8
+	p := NewInterpPool(0, capacity, nil, slab)
+	bufs := make([]*InterpBuffer, slab)
+	for i := range bufs {
+		bufs[i] = p.Get()
+		if len(bufs[i].ring) != capacity || cap(bufs[i].ring) != capacity {
+			t.Fatalf("buffer %d: ring len/cap = %d/%d, want %d/%d",
+				i, len(bufs[i].ring), cap(bufs[i].ring), capacity, capacity)
+		}
+	}
+	for i, b := range bufs {
+		before := make([][]Pose, slab)
+		for j := range bufs {
+			before[j] = ringImage(bufs[j])
+		}
+		// Past wrap, plus late arrivals that shift across the wrap point.
+		for k := 0; k < 3*capacity; k++ {
+			b.Push(sampleAt(time.Duration(10*k)*time.Millisecond, float64(i+1)))
+			b.Push(sampleAt(time.Duration(10*k-5)*time.Millisecond, float64(i+1)))
+		}
+		if b.Len() != capacity {
+			t.Fatalf("buffer %d: Len = %d, want %d", i, b.Len(), capacity)
+		}
+		for j := range bufs {
+			if j == i {
+				continue
+			}
+			for k, got := range bufs[j].ring {
+				if got != before[j][k] {
+					t.Fatalf("filling buffer %d changed buffer %d slot %d", i, j, k)
+				}
+			}
+		}
+	}
+}
+
+func TestInterpPoolGetAfterPutIsClean(t *testing.T) {
+	p := NewInterpPool(10*time.Millisecond, 4, nil, 8)
+	b := p.Get()
+	for k := 0; k < 7; k++ { // leaves head mid-ring
+		b.Push(sampleAt(time.Duration(k)*time.Millisecond, float64(k)))
+	}
+	b.Sample(5 * time.Millisecond)
+	b.Sample(time.Second)
+	p.Put(b)
+	got := p.Get()
+	if got != b {
+		t.Fatal("Get after Put did not recycle the buffer")
+	}
+	if got.Len() != 0 {
+		t.Errorf("recycled Len = %d, want 0", got.Len())
+	}
+	if _, ok := got.Newest(); ok {
+		t.Error("recycled buffer has a newest sample")
+	}
+	if _, ok := got.Sample(time.Second); ok {
+		t.Error("recycled buffer answered Sample")
+	}
+	if i, e := got.Stats(); i != 0 || e != 0 {
+		t.Errorf("recycled stats = %d/%d, want 0/0", i, e)
+	}
+	if got.Delay() != 10*time.Millisecond {
+		t.Errorf("recycled delay = %v", got.Delay())
+	}
+	if !got.Push(sampleAt(0, 1)) {
+		t.Error("first push into a recycled buffer not fresh")
+	}
+}
+
+// TestInterpPoolSlabSizeHonoured: a mass Put grows the free list's capacity
+// by append; the next slab must still be the constructor's size.
+func TestInterpPoolSlabSizeHonoured(t *testing.T) {
+	const slab = 8
+	p := NewInterpPool(0, 4, nil, slab)
+	var out []*InterpBuffer
+	for i := 0; i < 5*slab; i++ {
+		out = append(out, p.Get())
+	}
+	for _, b := range out {
+		p.Put(b)
+	}
+	if len(p.free) != 5*slab {
+		t.Fatalf("free = %d after mass Put, want %d", len(p.free), 5*slab)
+	}
+	for range out {
+		p.Get()
+	}
+	if len(p.free) != 0 {
+		t.Fatalf("free = %d after draining, want 0", len(p.free))
+	}
+	p.Get()
+	if got := len(p.free) + 1; got != slab {
+		t.Fatalf("slab after a mass Put/Get cycle carved %d buffers, want %d", got, slab)
+	}
+}

@@ -129,8 +129,8 @@ func TestInterpBufferOrderInvariant(t *testing.T) {
 		for _, o := range offsets {
 			b.Push(sampleAt(time.Duration(o)*time.Millisecond, float64(o)))
 		}
-		for i := 1; i < len(b.samples); i++ {
-			if b.samples[i-1].Time >= b.samples[i].Time {
+		for i := 1; i < b.Len(); i++ {
+			if b.ring[b.slot(i-1)].Time >= b.ring[b.slot(i)].Time {
 				return false
 			}
 		}
@@ -143,12 +143,42 @@ func TestInterpBufferOrderInvariant(t *testing.T) {
 
 func TestInterpBufferDefaults(t *testing.T) {
 	b := NewInterpBuffer(0, 0, nil)
-	if b.cap < 2 {
+	if len(b.ring) != 64 {
 		t.Error("capacity default not applied")
 	}
 	b.Push(sampleAt(0, 0))
 	if _, ok := b.Sample(time.Second); !ok {
 		t.Error("default extrapolator missing")
+	}
+}
+
+// BenchmarkInterpBufferPushFull is the steady-state receive path: an in-order
+// push into a buffer that is already full, so every push evicts the oldest
+// sample. hot reuses one buffer (ring in L1); cold cycles 4,096 buffers from
+// one pool (~25 MB of rings), so each push finds its ring in memory — a
+// client replaying a large class.
+func BenchmarkInterpBufferPushFull(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		bufs int
+	}{{"hot", 1}, {"cold", 4096}} {
+		b.Run(bc.name, func(b *testing.B) {
+			pool := NewInterpPool(100*time.Millisecond, 64, nil, 64)
+			bufs := make([]*InterpBuffer, bc.bufs)
+			for i := range bufs {
+				bufs[i] = pool.Get()
+				for k := 0; k < 64; k++ {
+					bufs[i].Push(sampleAt(time.Duration(k)*time.Millisecond, float64(k)))
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tm := time.Duration(64+i/len(bufs)) * time.Millisecond
+				if !bufs[i%len(bufs)].Push(sampleAt(tm, float64(i))) {
+					b.Fatal("in-order push not fresh")
+				}
+			}
+		})
 	}
 }
 

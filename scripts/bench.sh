@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# bench.sh — run the root E1–E12 benchmark suite with -benchmem and emit
-# BENCH_<n>.json recording name, ns/op, B/op, allocs/op and each bench's
-# headline metric (e.g. cloud-egress-KB/s). The JSON files form the repo's
+# bench.sh — run the root E1–E12 benchmark suite and the playout-buffer
+# benchmarks of ./internal/pose with -benchmem and emit BENCH_<n>.json
+# recording name, ns/op, B/op, allocs/op and each bench's headline metric
+# (e.g. cloud-egress-KB/s). The JSON files form the repo's
 # perf trajectory: BENCH_1.json is PR 1's floor; later perf PRs append
 # BENCH_2.json, BENCH_3.json, ... and get judged against the previous file.
 #
@@ -167,9 +168,10 @@ fi
 RAW="$(mktemp)"
 trap 'rm -f "$RAW" $TMP_OUT' EXIT
 
-go test -bench 'BenchmarkE[0-9]|BenchmarkOnboard|BenchmarkColdJoin|BenchmarkPlanTick|BenchmarkFanout' -benchmem -run '^$' ${BENCHTIME:+-benchtime "$BENCHTIME"} . | tee "$RAW" >&2
+BENCHES='BenchmarkE[0-9]|BenchmarkOnboard|BenchmarkColdJoin|BenchmarkPlanTick|BenchmarkFanout|BenchmarkInterpBuffer'
+go test -bench "$BENCHES" -benchmem -run '^$' ${BENCHTIME:+-benchtime "$BENCHTIME"} . ./internal/pose | tee "$RAW" >&2
 
-awk -v goversion="$(go version | awk '{print $3}')" '
+awk -v goversion="$(go version | awk '{print $3}')" -v benches="$BENCHES" '
 BEGIN { n = 0 }
 /^Benchmark/ {
     name = $1
@@ -199,7 +201,7 @@ END {
     print "{"
     printf "  \"suite\": \"E1-E12 + onboarding root benchmarks\",\n"
     printf "  \"go\": \"%s\",\n", goversion
-    printf "  \"command\": \"go test -bench BenchmarkE[0-9]|BenchmarkOnboard|BenchmarkColdJoin|BenchmarkPlanTick|BenchmarkFanout -benchmem -run ^$ .\",\n"
+    printf "  \"command\": \"go test -bench %s -benchmem -run ^$ . ./internal/pose\",\n", benches
     print  "  \"benchmarks\": ["
     for (i = 0; i < n; i++) print bench[i] (i < n - 1 ? "," : "")
     print "  ]"
