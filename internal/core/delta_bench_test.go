@@ -98,3 +98,41 @@ func BenchmarkAckStormPrune(b *testing.B) {
 		_ = r.PlanTick()
 	}
 }
+
+// BenchmarkOwedAckStorm is the venue's owed regime on one filtered peer: 256
+// entities that all change every tick, a filter that admits an eighth of them
+// per tick (an ambient-tier crowd), so nearly the whole world is owed all the
+// time, and the exact ack of each message arriving two ticks behind. One op
+// is one tick: the ingest, the ack's settle pass and the filtered build.
+func BenchmarkOwedAckStorm(b *testing.B) {
+	const pop = 256
+	s := NewStore()
+	r := NewReplicator(s, ReplConfig{})
+	due := func(id protocol.ParticipantID, tick uint64) bool { return (uint64(id)^tick)&7 == 0 }
+	if err := r.AddPeer("p", due); err != nil {
+		b.Fatal(err)
+	}
+	step := func() {
+		tick := s.BeginTick()
+		for i := 1; i <= pop; i++ {
+			s.Upsert(protocol.EntityState{Participant: protocol.ParticipantID(i), CapturedAt: time.Duration(tick)})
+		}
+		if tick > 2 {
+			if err := r.Ack("p", tick-2); err != nil {
+				b.Fatal(err)
+			}
+		}
+		_ = r.PlanTick()
+	}
+	for i := 0; i < 2*dirtyRingCap; i++ {
+		step()
+	}
+	if st, _ := r.StatsOf("p"); st.Owed < pop/2 {
+		b.Fatalf("only %d of %d entities owed: not the regime this measures", st.Owed, pop)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}

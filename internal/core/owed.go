@@ -11,7 +11,7 @@ import (
 // change the peer's filter suppressed. It closes the decimation hole in
 // plain delta replication: the replicator computes each delta against the
 // peer's single ack baseline, so once the peer acks any tick past an
-// entity's changedTick, that change can never reappear as a delta candidate
+// entity's changedTick, that change can never reappear in a delta window
 // — if its only send opportunities were ticks where the tier filter rejected
 // it, the peer's replica would stay stale forever. An owed entry says "this
 // peer may not have the entity's latest state"; it is created whenever the
@@ -21,178 +21,157 @@ import (
 // carried the entity — not when the message is merely planned, because
 // planned messages can be lost.
 //
+// The set is an array indexed by the store's entity slots — nearly every
+// entity is owed to nearly every learner on every tick, so the build tests one
+// entry per slot instead of merging a sparse key list. An entry belongs to the
+// tenant of its slot named by its generation: a debt dies with its entity (the
+// removal log or the replacing snapshot tells the peer) and the slot's next
+// tenant never inherits it.
+//
 // Ownership rules (the determinism/parallelism contract):
 //   - One OwedSet per filtered peer, owned by that peer's state. The
 //     parallel tick may build many peers' messages concurrently, but never
 //     two builds for the same peer — so builds mutate their own OwedSet
-//     without synchronization.
-//   - Builds iterate owed IDs in ascending order (sortedIDs into the
-//     set-owned scratch), merged with the ascending delta candidates, so
-//     message bytes are identical across runs and worker counts.
-//   - The entry value is the tick of the newest planned message that
-//     included the entity (0 = none since it became owed). AckDrop removes
+//     without synchronization, and only read the store.
+//   - Builds walk the store's ascending (id, slot) list, so message bytes
+//     are identical across runs and worker counts.
+//   - An entry's last is the tick of the newest planned message that
+//     included the entity (0 = none since it became owed). AckDrop settles
 //     entries only on an exact tick match: an ack for tick T proves receipt
 //     of the tick-T message, while an ack for a later tick proves nothing
 //     about T (the T message may have been lost on the way).
-//
-// keys mirrors the map's key set in ascending order, maintained
-// incrementally on insert/delete (a binary-search memmove on the handful of
-// entries that change per tick) so the per-tick sweep never pays a map
-// iteration or a sort.
 type OwedSet struct {
-	pending map[protocol.ParticipantID]uint64
-	keys    []protocol.ParticipantID
-	iter    []protocol.ParticipantID
-	sent    []sentRec
+	ents []owedEntry // indexed by store slot
+	// absent holds, ascending, the IDs marked owed while the store had no
+	// such entity (a handoff imports the exporter's debts, and the importer's
+	// mirror may lag). The next build keeps those that have arrived by then.
+	absent []protocol.ParticipantID
+	sent   []sentRec
+}
+
+// owedEntry is one slot's debt. It is valid for the tenant whose generation
+// it carries; OwedSet.at empties it for any other.
+type owedEntry struct {
+	last uint64
+	gen  uint32
+	owed bool
 }
 
 // sentRec is one owed entity carried by the message planned at tick,
 // awaiting that tick's exact ack. Plan ticks are monotonic, so the list is
 // tick-sorted by construction and AckDrop settles an ack with one binary
-// search over the handful of in-flight records instead of walking every
-// owed entry.
+// search instead of walking every owed entry. The slot needs no generation
+// beside it: a build visits a slot once, so no later tenant's entry can carry
+// this tick as its last.
 type sentRec struct {
-	id   protocol.ParticipantID
+	slot uint32
 	tick uint64
 }
 
-// NewOwedSet returns an empty tracker. The slice capacities cover a typical
-// interest neighborhood up front so a pooled peer's early ticks don't pay a
-// doubling ramp.
-func NewOwedSet() *OwedSet {
-	return &OwedSet{
-		pending: make(map[protocol.ParticipantID]uint64, 16),
-		keys:    make([]protocol.ParticipantID, 0, 16),
-		iter:    make([]protocol.ParticipantID, 0, 16),
-		sent:    make([]sentRec, 0, 16),
+// Reset empties the set for reuse by another peer (peer state is pooled
+// across join/leave churn). The slices keep their capacity.
+func (o *OwedSet) Reset() { *o = OwedSet{ents: o.ents[:0], absent: o.absent[:0], sent: o.sent[:0]} }
+
+// fit grows the set to one entry per store slot.
+func (o *OwedSet) fit(s *Store) {
+	if n := len(s.recs) - len(o.ents); n > 0 {
+		o.ents = append(o.ents, make([]owedEntry, n)...)
 	}
 }
 
-// Len returns the number of entities currently owed.
-func (o *OwedSet) Len() int {
-	if o == nil {
-		return 0
+// begin readies the set for a build against s: fit to its table, and each
+// absent mark resolved — owed-unsent if the entity has arrived, else forgotten.
+func (o *OwedSet) begin(s *Store) {
+	o.fit(s)
+	for _, id := range o.absent {
+		if slot, ok := s.slots[id]; ok {
+			o.at(slot, s.recs[slot].gen).mark()
+		}
 	}
-	return len(o.pending)
+	o.absent = o.absent[:0]
 }
 
-// Owes reports whether id is currently owed to the peer.
-func (o *OwedSet) Owes(id protocol.ParticipantID) bool {
-	if o == nil {
-		return false
+// at returns slot's entry for the tenant of generation gen, emptied first if
+// it was written for an earlier one. The set must be fit to the store.
+func (o *OwedSet) at(slot, gen uint32) *owedEntry {
+	e := &o.ents[slot]
+	if e.gen != gen {
+		*e = owedEntry{gen: gen}
 	}
-	_, ok := o.pending[id]
-	return ok
+	return e
 }
 
-// Reset clears the set for reuse by another peer (peer state is pooled
-// across join/leave churn). The map and key slice keep their capacity.
-func (o *OwedSet) Reset() {
-	clear(o.pending)
-	o.keys = o.keys[:0]
-	o.sent = o.sent[:0]
-}
-
-// insertKey splices id into the sorted key mirror (no-op if present).
-func (o *OwedSet) insertKey(id protocol.ParticipantID) {
-	if i, found := slices.BinarySearch(o.keys, id); !found {
-		o.keys = slices.Insert(o.keys, i, id)
+// owe records that the peer's filter suppressed the entity, whose latest
+// change is changedTick. Only a change strictly newer than the entry's
+// last-included tick is a new debt — a planned message at that tick already
+// carried state at least this fresh, so its ack may still settle the entry.
+// The guard matters because a delta window is measured against the peer's
+// ack baseline, which lags the send by a round trip: for a tick or two after
+// an entity's phase-tick send, the window re-surfaces the very change that
+// send carried, and unconditionally resetting the entry to zero would make
+// the owed sweep resend state the peer already holds on every tick without
+// fresh changes.
+func (e *owedEntry) owe(changedTick uint64) {
+	if e.owed && (e.last == 0 || changedTick <= e.last) {
+		return // already owed-unsent, or the planned message at last covers this change
 	}
+	e.owed, e.last = true, 0
 }
 
-// removeKey splices id out of the sorted key mirror (no-op if absent).
-func (o *OwedSet) removeKey(id protocol.ParticipantID) {
-	if i, found := slices.BinarySearch(o.keys, id); found {
-		o.keys = slices.Delete(o.keys, i, i+1)
-	}
-}
+// mark unconditionally (re)opens the debt. Keyframes use this instead of
+// owe: a snapshot replaces the receiver's whole world, so an omitted entity is
+// erased there and the ack of an earlier carrier must no longer settle it.
+func (e *owedEntry) mark() { e.owed, e.last = true, 0 }
 
-// owe records that the peer's filter suppressed id, whose latest change is
-// changedTick. Only a change strictly newer than the entry's last-included
-// tick is a new debt — a planned message at that tick already carried state
-// at least this fresh, so its ack may still settle the entry. The guard
-// matters because delta candidacy is measured against the peer's ack
-// baseline, which lags the send by a round trip: for a tick or two after an
-// entity's phase-tick send, the candidate walk re-surfaces the very change
-// that send carried, and unconditionally resetting the entry to zero would
-// make the owed sweep resend state the peer already holds on every tick
-// without fresh changes.
-func (o *OwedSet) owe(id protocol.ParticipantID, changedTick uint64) {
-	last, ok := o.pending[id]
-	if ok && (last == 0 || changedTick <= last) {
-		// Already owed-unsent, or the planned message at last covers this
-		// change. The first case is the hot one — a suppressed entity is a
-		// candidate on every tick until the ack floor passes its change, and
-		// skipping the redundant map write here keeps that loop read-only.
+// markID is mark by ID, from outside a build (handoff). An ID the store does
+// not hold is remembered in absent until the next build.
+func (o *OwedSet) markID(s *Store, id protocol.ParticipantID) {
+	slot, ok := s.slots[id]
+	if !ok {
+		if i, found := slices.BinarySearch(o.absent, id); !found {
+			o.absent = slices.Insert(o.absent, i, id)
+		}
 		return
 	}
-	o.pending[id] = 0
-	if !ok {
-		o.insertKey(id)
-	}
+	o.fit(s)
+	o.at(slot, s.recs[slot].gen).mark()
 }
 
-// oweNew is owe for an id the caller knows is not yet tracked (the merge
-// walk's not-owed branch): insert straight away, no existence probe.
-func (o *OwedSet) oweNew(id protocol.ParticipantID) {
-	o.pending[id] = 0
-	o.insertKey(id)
-}
-
-// mark unconditionally (re)opens id's debt. Keyframes use this instead of
-// owe: a snapshot replaces the receiver's whole world, so an omitted entity
-// is erased there no matter what earlier message carried it — the ack of
-// that earlier message must no longer settle the entry.
-func (o *OwedSet) mark(id protocol.ParticipantID) {
-	if _, ok := o.pending[id]; !ok {
-		o.insertKey(id)
-	}
-	o.pending[id] = 0
-}
-
-// markSent records that the message planned at tick carries id's current
-// state. Only existing entries are updated — an admitted entity that was
-// never owed needs no tracking (a lost delta leaves the ack floor in place,
-// so the ordinary candidate walk re-includes it).
-func (o *OwedSet) markSent(id protocol.ParticipantID, tick uint64) {
-	if _, ok := o.pending[id]; ok {
-		o.pending[id] = tick
-		if n := len(o.sent); n >= 256 && n >= 4*len(o.pending) {
-			// A peer that stopped acking accumulates stale records (each
-			// re-send supersedes the previous one). Compact to the records
-			// that still match their entry's newest planned tick.
-			w := 0
-			for _, rec := range o.sent {
-				if o.pending[rec.id] == rec.tick {
-					o.sent[w] = rec
-					w++
-				}
+// markSent records that the message planned at tick carries the current
+// state of slot's tenant, which is owed. An admitted entity that was never
+// owed needs no tracking: a lost delta leaves the ack floor in place, so the
+// ordinary delta window re-includes it.
+func (o *OwedSet) markSent(slot uint32, tick uint64) {
+	o.ents[slot].last = tick
+	if n := len(o.sent); n >= 256 && n >= 4*len(o.ents) {
+		// A peer that stopped acking accumulates stale records (each re-send
+		// supersedes the previous one). Compact to the records that still
+		// match their entry's newest planned tick.
+		w := 0
+		for _, rec := range o.sent {
+			if o.awaits(rec) {
+				o.sent[w] = rec
+				w++
 			}
-			o.sent = o.sent[:w]
 		}
-		o.sent = append(o.sent, sentRec{id: id, tick: tick})
+		o.sent = o.sent[:w]
 	}
+	o.sent = append(o.sent, sentRec{slot: slot, tick: tick})
 }
 
-// lastSent returns the tick of the newest planned message that included id
-// (0 if none since it became owed).
-func (o *OwedSet) lastSent(id protocol.ParticipantID) uint64 {
-	return o.pending[id]
-}
-
-// drop forgets id (it died; the unfiltered removal log or the replacing
-// snapshot tells the peer).
-func (o *OwedSet) drop(id protocol.ParticipantID) {
-	if _, ok := o.pending[id]; ok {
-		delete(o.pending, id)
-		o.removeKey(id)
-	}
+// awaits reports whether rec is still the newest planned carrier of its
+// slot's debt. Otherwise it is stale — a newer change re-marked the entry
+// (last 0), a later message re-carried it (last > tick), or the entry is a
+// successor's — and an ack of rec.tick settles nothing.
+func (o *OwedSet) awaits(rec sentRec) bool {
+	e := o.ents[rec.slot]
+	return e.owed && e.last == rec.tick
 }
 
 // AckDrop settles every owed entry whose last-included tick exactly matches
 // the acknowledged tick: the peer provably received that message and with it
 // the entity's then-current state. Any newer change would have re-marked the
-// entry (value 0) or been re-included at a later tick, so an exact match
+// entry (last 0) or been re-included at a later tick, so an exact match
 // means the peer is up to date. Regressed or duplicate acks are fine —
 // receipt is receipt regardless of arrival order.
 func (o *OwedSet) AckDrop(tick uint64) {
@@ -202,15 +181,10 @@ func (o *OwedSet) AckDrop(tick uint64) {
 	lo := sort.Search(len(o.sent), func(i int) bool { return o.sent[i].tick >= tick })
 	hi := lo
 	for hi < len(o.sent) && o.sent[hi].tick == tick {
-		rec := o.sent[hi]
-		hi++
-		if o.pending[rec.id] == tick {
-			delete(o.pending, rec.id)
-			o.removeKey(rec.id)
+		if rec := o.sent[hi]; o.awaits(rec) {
+			o.ents[rec.slot].owed = false
 		}
-		// A mismatched record is stale: a newer change re-marked the entry
-		// (value 0) or a later message re-carried it (value > tick), and in
-		// either case this ack settles nothing.
+		hi++
 	}
 	// Drop every record at or below the ack floor. A regressed ack for an
 	// already-pruned tick then settles nothing — harmless: the entry stays
@@ -219,10 +193,38 @@ func (o *OwedSet) AckDrop(tick uint64) {
 	o.sent = o.sent[:copy(o.sent, o.sent[hi:])]
 }
 
-// sortedIDs returns the owed IDs ascending, copied into the set-owned
-// iteration scratch so the caller may walk it while owe/markSent/drop
-// mutate the live key mirror underneath. Valid until the next call.
-func (o *OwedSet) sortedIDs() []protocol.ParticipantID {
-	o.iter = append(o.iter[:0], o.keys...)
-	return o.iter
+// each calls fn for every ID currently owed: the live entities of s with a
+// debt, ascending, then the absent marks no live debt covers. Off the tick path.
+func (o *OwedSet) each(s *Store, fn func(id protocol.ParticipantID)) {
+	if o == nil {
+		return
+	}
+	debt := func(slot uint32) bool {
+		return int(slot) < len(o.ents) && o.ents[slot].owed && o.ents[slot].gen == s.recs[slot].gen
+	}
+	for _, is := range s.ordered() {
+		if debt(is.slot) {
+			fn(is.id)
+		}
+	}
+	for _, id := range o.absent {
+		if slot, live := s.slots[id]; !live || !debt(slot) {
+			fn(id)
+		}
+	}
+}
+
+// ids returns the IDs currently owed, ascending (nil when there are none).
+func (o *OwedSet) ids(s *Store) []protocol.ParticipantID {
+	var out []protocol.ParticipantID
+	o.each(s, func(id protocol.ParticipantID) { out = append(out, id) })
+	slices.Sort(out)
+	return out
+}
+
+// Len returns the number of entities currently owed.
+func (o *OwedSet) Len(s *Store) int {
+	n := 0
+	o.each(s, func(protocol.ParticipantID) { n++ })
+	return n
 }

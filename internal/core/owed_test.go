@@ -210,8 +210,8 @@ func TestOwedConvergenceProperty(t *testing.T) {
 						return
 					}
 					stale := !entityEqual(recvState[id], e)
-					r := store.entities[id]
-					if stale && st.Acked && r.changedTick <= st.AckTick && !peer.owed.Owes(id) {
+					r := store.recs[store.slots[id]]
+					if stale && st.Acked && r.changedTick <= st.AckTick && !peer.owed.Owes(store, id) {
 						t.Fatalf("tick %d: entity %d stale at receiver, change tick %d already inside ack %d, and not owed — permanently lost",
 							store.Tick(), id, r.changedTick, st.AckTick)
 					}
@@ -271,7 +271,7 @@ func TestOwedConvergenceProperty(t *testing.T) {
 			// LATER enters interest range deliverable at all).
 			culled := 0
 			store.Range(func(id protocol.ParticipantID, _ protocol.EntityState) {
-				if divisor(id) == 0 && peer.owed.Owes(id) {
+				if divisor(id) == 0 && peer.owed.Owes(store, id) {
 					culled++
 				}
 			})
@@ -379,7 +379,7 @@ func TestOwedAckExactMatchOnly(t *testing.T) {
 	if err := repl.Ack("recv", 1); err != nil {
 		t.Fatal(err)
 	}
-	if !peer.owed.Owes(sleeper) {
+	if !peer.owed.Owes(store, sleeper) {
 		t.Fatal("omitted sleeper not owed after filtered snapshot")
 	}
 
@@ -409,7 +409,7 @@ func TestOwedAckExactMatchOnly(t *testing.T) {
 	if err := repl.Ack("recv", 3); err != nil {
 		t.Fatal(err)
 	}
-	if !peer.owed.Owes(sleeper) {
+	if !peer.owed.Owes(store, sleeper) {
 		t.Fatal("ack for tick 3 settled a tick-2 send — lost frame forgotten")
 	}
 
@@ -425,7 +425,7 @@ func TestOwedAckExactMatchOnly(t *testing.T) {
 	if err := repl.Ack("recv", 4); err != nil {
 		t.Fatal(err)
 	}
-	if peer.owed.Owes(sleeper) {
+	if peer.owed.Owes(store, sleeper) {
 		t.Error("exact ack for the retransmit tick did not settle the debt")
 	}
 }

@@ -239,13 +239,13 @@ type Replicator struct {
 	// per-worker dirty-ring candidate buffers sized to the pool's width.
 	jobs        []planJob
 	runJob      func(worker, i int)
-	workerCands [][]protocol.ParticipantID
+	workerCands [][]idSlot
 }
 
 // planJob is one independent build of a PlanTick: a shared snapshot, a
 // filtered peer's snapshot or delta, or a distinct ack-cohort delta. Each job
-// writes only its own target message (plus the per-worker candidate buffer),
-// so jobs are safe to execute concurrently.
+// writes only its own target message (plus its peer's owed set, or the
+// per-worker candidate buffer), so jobs are safe to execute concurrently.
 type planJob struct {
 	kind  jobKind
 	peer  *peerState      // jobPeerSnap, jobPeerDelta
@@ -291,7 +291,7 @@ func (r *Replicator) AddPeer(id string, filter FilterFunc) error {
 	}
 	p.filter = filter
 	if filter != nil && p.owed == nil {
-		p.owed = NewOwedSet()
+		p.owed = &OwedSet{}
 	}
 	r.peers[id] = p
 	r.idsDirty = true
@@ -438,11 +438,7 @@ func (r *Replicator) ExportBaseline(peer string) (PeerBaseline, error) {
 	if !ok {
 		return PeerBaseline{}, fmt.Errorf("%w: %s", ErrUnknownPeer, peer)
 	}
-	b := PeerBaseline{AckTick: p.ackTick, Acked: p.acked}
-	if p.owed != nil && p.owed.Len() > 0 {
-		b.Owed = append([]protocol.ParticipantID(nil), p.owed.sortedIDs()...)
-	}
-	return b, nil
+	return PeerBaseline{AckTick: p.ackTick, Acked: p.acked, Owed: p.owed.ids(r.store)}, nil
 }
 
 // ImportBaseline seeds peer's replication position from a baseline exported
@@ -456,7 +452,8 @@ func (r *Replicator) ExportBaseline(peer string) (PeerBaseline, error) {
 // Owed IDs are re-marked as owed-unsent debt on the importing peer (which
 // must be filtered, i.e. registered with a non-nil FilterFunc). Tick domains
 // are node-local, so an owed ID whose entity is absent here is marked anyway:
-// the owed sweep forgets debts of dead entities on its own.
+// the peer's next build keeps the debt if the entity has arrived by then and
+// forgets it otherwise.
 func (r *Replicator) ImportBaseline(peer string, b PeerBaseline) error {
 	p, ok := r.peers[peer]
 	if !ok {
@@ -479,7 +476,7 @@ func (r *Replicator) ImportBaseline(peer string, b PeerBaseline) error {
 	}
 	if p.owed != nil {
 		for _, id := range b.Owed {
-			p.owed.mark(id)
+			p.owed.markID(r.store, id)
 		}
 	}
 	// The send log describes the exporter's traffic; whatever of it was in
@@ -501,7 +498,7 @@ func (r *Replicator) Owe(peer string, id protocol.ParticipantID) error {
 		return fmt.Errorf("%w: %s", ErrUnknownPeer, peer)
 	}
 	if p.owed != nil {
-		p.owed.mark(id)
+		p.owed.markID(r.store, id)
 	}
 	return nil
 }
@@ -538,9 +535,9 @@ type PeerMessage struct {
 //	          snapshot or delta, and one delta per distinct ack baseline —
 //	          as jobs.
 //	2 (pool)  execute the jobs on ReplConfig.Pool. Each job writes only its
-//	          own target message plus a per-worker candidate buffer; the
-//	          store is read-only and its lazy sorted-ID cache is warmed
-//	          before the fan-out.
+//	          own target message, its peer's owed set and a per-worker
+//	          candidate buffer; the store is read-only and its lazy walk
+//	          order is warmed before the fan-out.
 //	3 (owner) re-walk sorted peers, re-deriving the same snapshot-vs-delta
 //	          decisions (nothing they depend on moved in pass 2), dropping
 //	          empty deltas, assigning cohort IDs in first-use order, and
@@ -593,10 +590,10 @@ func (r *Replicator) PlanTick() []PeerMessage {
 	}
 	r.jobs = jobs
 
-	// Pass 2: execute the builds on the pool. Warm the store's lazy
-	// sorted-ID cache first so concurrent scans only read it, and size the
-	// per-worker candidate buffers to the pool's width.
-	r.store.sortedIDs()
+	// Pass 2: execute the builds on the pool. Warm the store's lazy walk
+	// order first so concurrent scans only read it, and size the per-worker
+	// candidate buffers to the pool's width.
+	r.store.ordered()
 	for len(r.workerCands) < r.cfg.Pool.Workers() {
 		r.workerCands = append(r.workerCands, nil)
 	}
@@ -693,8 +690,8 @@ const (
 )
 
 // execJob runs one build of pass 2. Jobs write only their own target
-// message and the executing worker's candidate buffer, honoring the pool's
-// ownership rules (see package work).
+// message, their peer's owed set and the executing worker's candidate buffer,
+// honoring the pool's ownership rules (see package work).
 func (r *Replicator) execJob(worker, i int) {
 	j := &r.jobs[i]
 	switch j.kind {
@@ -704,9 +701,9 @@ func (r *Replicator) execJob(worker, i int) {
 		r.store.SnapshotOwedInto(j.peer.boundFilter, j.peer.snapScratch, j.peer.owed)
 	case jobPeerDelta:
 		p := j.peer
-		r.workerCands[worker] = r.store.DeltaSinceOwedCands(p.ackTick, p.boundFilter, p.scratch, r.workerCands[worker], p.owed, p.ackTick, r.cfg.OwedSettleTicks)
+		r.store.DeltaSinceOwedInto(p.ackTick, p.boundFilter, p.scratch, p.owed, p.ackTick, r.cfg.OwedSettleTicks)
 	case jobCohortDelta:
-		r.workerCands[worker] = r.store.DeltaSinceCands(j.base, nil, j.delta, r.workerCands[worker])
+		r.workerCands[worker] = r.store.deltaSinceCands(j.base, nil, j.delta, r.workerCands[worker])
 	}
 }
 
@@ -728,5 +725,5 @@ func (r *Replicator) StatsOf(peer string) (PeerStats, error) {
 	if !ok {
 		return PeerStats{}, fmt.Errorf("%w: %s", ErrUnknownPeer, peer)
 	}
-	return PeerStats{AckTick: p.ackTick, Acked: p.acked, Snapshots: p.snapshots, Deltas: p.deltas, Owed: p.owed.Len()}, nil
+	return PeerStats{AckTick: p.ackTick, Acked: p.acked, Snapshots: p.snapshots, Deltas: p.deltas, Owed: p.owed.Len(r.store)}, nil
 }

@@ -27,9 +27,19 @@ import (
 	"metaclass/internal/protocol"
 )
 
+// record is one slot of the store's entity table. gen advances when the slot
+// is vacated, so slot-indexed state kept elsewhere (a peer's OwedSet) can tell
+// the entity it was written for from whoever holds the slot now.
 type record struct {
 	state       protocol.EntityState
 	changedTick uint64
+	gen         uint32
+}
+
+// idSlot is one entry of the store's ascending-ID walk order.
+type idSlot struct {
+	id   protocol.ParticipantID
+	slot uint32
 }
 
 type removal struct {
@@ -43,32 +53,37 @@ type removal struct {
 // replicator would be sending such a peer a snapshot anyway.
 const dirtyRingCap = 256
 
-// Store is the authoritative entity state, indexed by participant. Not safe
+// Store is the authoritative entity state, indexed by participant. Every
+// live entity holds a small dense slot in recs — one ID→slot map, records by
+// value, vacated slots free-listed for the next new entity — and every walk
+// of the table indexes it by slot. Slots do not leave this package. Not safe
 // for concurrent use: each server owns one on its simulation goroutine.
 type Store struct {
 	tick     uint64
-	entities map[protocol.ParticipantID]*record
+	slots    map[protocol.ParticipantID]uint32
+	recs     []record
+	free     []uint32
 	removals []removal // ascending by tick
 
-	// ids caches the ascending participant-ID slice between membership
-	// changes, so per-tick Snapshot/DeltaSince scans allocate nothing.
-	ids      []protocol.ParticipantID
-	idsDirty bool
+	// order caches the ascending-ID (id, slot) list between membership
+	// changes, so per-tick scans allocate nothing and probe nothing.
+	order      []idSlot
+	orderDirty bool
 
-	// dirty is the changed-entity ring: slot t%dirtyRingCap lists the IDs
-	// first changed at tick t, so DeltaSince walks only entities changed
-	// inside the ack window instead of the whole population. The ring covers
-	// ticks [ringLo, tick] contiguously; receiver-side tick jumps
+	// dirty is the changed-entity ring: entry t%dirtyRingCap lists the slots
+	// first changed at tick t, so an unfiltered DeltaSince walks only entities
+	// changed inside the ack window instead of the whole population. The ring
+	// covers ticks [ringLo, tick] contiguously; receiver-side tick jumps
 	// (ApplySnapshot/ApplyDelta) invalidate it, and it is allocated lazily on
 	// the first BeginTick so pure-receiver stores never pay for it.
-	dirty       [][]protocol.ParticipantID
+	dirty       [][]uint32
 	ringLo      uint64
-	candScratch []protocol.ParticipantID
+	candScratch []idSlot
 }
 
 // NewStore creates an empty store at tick zero.
 func NewStore() *Store {
-	return &Store{entities: make(map[protocol.ParticipantID]*record), ringLo: 1}
+	return &Store{slots: make(map[protocol.ParticipantID]uint32), ringLo: 1}
 }
 
 // Tick returns the current tick number.
@@ -79,7 +94,7 @@ func (s *Store) Tick() uint64 { return s.tick }
 func (s *Store) BeginTick() uint64 {
 	s.tick++
 	if s.dirty == nil {
-		s.dirty = make([][]protocol.ParticipantID, dirtyRingCap)
+		s.dirty = make([][]uint32, dirtyRingCap)
 	}
 	s.dirty[s.tick%dirtyRingCap] = s.dirty[s.tick%dirtyRingCap][:0]
 	if lo := s.tick - min(s.tick, dirtyRingCap-1); lo > s.ringLo {
@@ -88,30 +103,59 @@ func (s *Store) BeginTick() uint64 {
 	return s.tick
 }
 
-// markChanged stamps r changed at the current tick and records the entity in
-// the dirty ring (once per tick; re-stamping within a tick is a no-op).
-func (s *Store) markChanged(id protocol.ParticipantID, r *record) {
+// slotOf returns id's slot, seating a new entity in the most recently vacated
+// slot, else in a new one at the end of the table.
+func (s *Store) slotOf(id protocol.ParticipantID) uint32 {
+	slot, ok := s.slots[id]
+	if ok {
+		return slot
+	}
+	if n := len(s.free); n > 0 {
+		slot, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		if len(s.recs) == cap(s.recs) {
+			// By an eighth, not append's doubling: records are 120 bytes, the
+			// table is long-lived, and every learner's replica holds one.
+			s.recs = append(make([]record, 0, len(s.recs)+len(s.recs)/8+8), s.recs...)
+		}
+		slot = uint32(len(s.recs))
+		s.recs = append(s.recs, record{})
+	}
+	s.slots[id] = slot
+	s.orderDirty = true
+	return slot
+}
+
+// vacate frees id's slot: the record is cleared (a vacant slot pins no
+// expression bytes and matches no tick of the dirty ring) and its generation
+// advances past the departed tenant.
+func (s *Store) vacate(id protocol.ParticipantID, slot uint32) {
+	s.recs[slot] = record{gen: s.recs[slot].gen + 1}
+	s.free = append(s.free, slot)
+	delete(s.slots, id)
+	s.orderDirty = true
+}
+
+// markChanged stamps slot's entity changed at the current tick and records
+// the slot in the dirty ring (once per tick; re-stamping is a no-op).
+func (s *Store) markChanged(slot uint32) {
+	r := &s.recs[slot]
 	if r.changedTick == s.tick {
 		return
 	}
 	r.changedTick = s.tick
 	if s.dirty != nil && s.ringLo <= s.tick {
-		slot := s.tick % dirtyRingCap
-		s.dirty[slot] = append(s.dirty[slot], id)
+		at := s.tick % dirtyRingCap
+		s.dirty[at] = append(s.dirty[at], slot)
 	}
 }
 
 // Upsert inserts or replaces an entity's state, stamping it changed at the
 // current tick.
 func (s *Store) Upsert(e protocol.EntityState) {
-	r, ok := s.entities[e.Participant]
-	if !ok {
-		r = &record{}
-		s.entities[e.Participant] = r
-		s.idsDirty = true
-	}
-	r.state = e
-	s.markChanged(e.Participant, r)
+	slot := s.slotOf(e.Participant)
+	s.recs[slot].state = e
+	s.markChanged(slot)
 }
 
 // UpsertIfChanged inserts or replaces an entity only if its state actually
@@ -119,8 +163,7 @@ func (s *Store) Upsert(e protocol.EntityState) {
 // stages (cloud world, regional relays) use it so unchanged entities do not
 // get re-stamped — and therefore not re-replicated — every tick.
 func (s *Store) UpsertIfChanged(e protocol.EntityState) bool {
-	r, ok := s.entities[e.Participant]
-	if ok && entityEqual(r.state, e) {
+	if slot, ok := s.slots[e.Participant]; ok && entityEqual(s.recs[slot].state, e) {
 		return false
 	}
 	s.Upsert(e)
@@ -139,22 +182,22 @@ func entityEqual(a, b protocol.EntityState) bool {
 // Touch re-stamps an entity as changed without altering state (used when a
 // side channel — e.g. a seat reassignment — must force re-replication).
 func (s *Store) Touch(id protocol.ParticipantID) bool {
-	r, ok := s.entities[id]
+	slot, ok := s.slots[id]
 	if !ok {
 		return false
 	}
-	s.markChanged(id, r)
+	s.markChanged(slot)
 	return true
 }
 
 // Remove deletes an entity and logs the removal for delta replication.
 // Removing an absent entity is a no-op returning false.
 func (s *Store) Remove(id protocol.ParticipantID) bool {
-	if _, ok := s.entities[id]; !ok {
+	slot, ok := s.slots[id]
+	if !ok {
 		return false
 	}
-	delete(s.entities, id)
-	s.idsDirty = true
+	s.vacate(id, slot)
 	s.removals = append(s.removals, removal{id: id, tick: s.tick})
 	return true
 }
@@ -163,54 +206,54 @@ func (s *Store) Remove(id protocol.ParticipantID) bool {
 // housekeeping, e.g. a replica expiring a retained entity: the store is not
 // serving deltas for the dropped entry, and the log must not grow unpruned).
 func (s *Store) removeSilent(id protocol.ParticipantID) {
-	if _, ok := s.entities[id]; !ok {
-		return
+	if slot, ok := s.slots[id]; ok {
+		s.vacate(id, slot)
 	}
-	delete(s.entities, id)
-	s.idsDirty = true
 }
 
 // Get returns an entity's current state.
 func (s *Store) Get(id protocol.ParticipantID) (protocol.EntityState, bool) {
-	r, ok := s.entities[id]
+	slot, ok := s.slots[id]
 	if !ok {
 		return protocol.EntityState{}, false
 	}
-	return r.state, true
+	return s.recs[slot].state, true
 }
 
 // Len returns the number of live entities.
-func (s *Store) Len() int { return len(s.entities) }
+func (s *Store) Len() int { return len(s.slots) }
 
-// sortedIDs returns the cached ascending ID slice, rebuilding it only after
-// membership changes. The result is owned by the store and valid until the
-// next Upsert of a new entity, Remove, or snapshot/delta application.
-func (s *Store) sortedIDs() []protocol.ParticipantID {
-	if s.idsDirty {
-		s.ids = s.ids[:0]
-		for id := range s.entities {
-			s.ids = append(s.ids, id)
+// ordered returns the cached ascending-ID (id, slot) list, rebuilding it only
+// after membership changes. The result is owned by the store and valid until
+// the next Upsert of a new entity, Remove, or snapshot/delta application.
+func (s *Store) ordered() []idSlot {
+	if s.orderDirty {
+		s.order = s.order[:0]
+		for id, slot := range s.slots {
+			s.order = append(s.order, idSlot{id: id, slot: slot})
 		}
-		slices.Sort(s.ids)
-		s.idsDirty = false
+		slices.SortFunc(s.order, func(a, b idSlot) int { return cmp.Compare(a.id, b.id) })
+		s.orderDirty = false
 	}
-	return s.ids
+	return s.order
 }
 
 // IDs returns all live participant IDs in ascending order. The slice is a
 // copy; callers may mutate the store while iterating it.
 func (s *Store) IDs() []protocol.ParticipantID {
-	ids := s.sortedIDs()
-	out := make([]protocol.ParticipantID, len(ids))
-	copy(out, ids)
+	order := s.ordered()
+	out := make([]protocol.ParticipantID, len(order))
+	for i, is := range order {
+		out[i] = is.id
+	}
 	return out
 }
 
 // Range calls fn for every live entity in ascending participant order
 // without allocating. fn must not mutate the store.
 func (s *Store) Range(fn func(id protocol.ParticipantID, e protocol.EntityState)) {
-	for _, id := range s.sortedIDs() {
-		fn(id, s.entities[id].state)
+	for _, is := range s.ordered() {
+		fn(is.id, s.recs[is.slot].state)
 	}
 }
 
@@ -219,7 +262,7 @@ func (s *Store) Range(fn func(id protocol.ParticipantID, e protocol.EntityState)
 func (s *Store) Snapshot(filter func(protocol.ParticipantID) bool) *protocol.Snapshot {
 	msg := &protocol.Snapshot{}
 	if filter == nil {
-		msg.Entities = make([]protocol.EntityState, 0, len(s.sortedIDs()))
+		msg.Entities = make([]protocol.EntityState, 0, len(s.ordered()))
 	}
 	s.SnapshotInto(filter, msg)
 	return msg
@@ -232,11 +275,11 @@ func (s *Store) Snapshot(filter func(protocol.ParticipantID) bool) *protocol.Sna
 func (s *Store) SnapshotInto(filter func(protocol.ParticipantID) bool, msg *protocol.Snapshot) {
 	msg.Tick = s.tick
 	msg.Entities = msg.Entities[:0]
-	for _, id := range s.sortedIDs() {
-		if filter != nil && !filter(id) {
+	for _, is := range s.ordered() {
+		if filter != nil && !filter(is.id) {
 			continue
 		}
-		msg.Entities = append(msg.Entities, s.entities[id].state)
+		msg.Entities = append(msg.Entities, s.recs[is.slot].state)
 	}
 }
 
@@ -256,151 +299,113 @@ func (s *Store) DeltaSince(base uint64, filter func(protocol.ParticipantID) bool
 // through it so steady-state delta planning allocates nothing.
 //
 // When the ack horizon lies inside the dirty ring the candidate set is the
-// ring's changed-ID union — O(changed in window) — instead of a scan of the
+// ring's changed-slot union — O(changed in window) — instead of a scan of the
 // whole population; older baselines fall back to the full scan.
 func (s *Store) DeltaSinceInto(base uint64, filter func(protocol.ParticipantID) bool, msg *protocol.Delta) {
-	s.candScratch = s.DeltaSinceCands(base, filter, msg, s.candScratch)
+	s.candScratch = s.deltaSinceCands(base, filter, msg, s.candScratch)
 }
 
-// DeltaSinceCands is DeltaSinceInto with a caller-owned candidate buffer for
+// deltaSinceCands is DeltaSinceInto with a caller-owned candidate buffer for
 // the dirty-ring walk, returned (possibly grown) for reuse. It exists for
-// concurrent delta builds — PlanTick hands each worker its own buffer —
-// and is safe to call from multiple goroutines at once provided the
-// store is not mutated for the duration and the sorted-ID cache has been
-// materialized by the owner first (any Snapshot/Range/IDs call does; the
+// concurrent delta builds — PlanTick hands each worker its own buffer — and
+// is safe to call from several goroutines at once provided the store is not
+// mutated meanwhile and the owner has materialized the walk order first (the
 // replicator warms it before fanning builds out).
-func (s *Store) DeltaSinceCands(base uint64, filter func(protocol.ParticipantID) bool, msg *protocol.Delta, buf []protocol.ParticipantID) []protocol.ParticipantID {
-	msg.BaseTick, msg.Tick = base, s.tick
-	msg.Changed = msg.Changed[:0]
-	msg.Removed = msg.Removed[:0]
-
-	if cands, ok := s.changedSince(base, buf); ok {
-		buf = cands
-		for _, id := range cands {
-			if filter == nil || filter(id) {
-				msg.Changed = append(msg.Changed, s.entities[id].state)
-			}
-		}
-	} else {
-		for _, id := range s.sortedIDs() {
-			r := s.entities[id]
-			if r.changedTick > base && (filter == nil || filter(id)) {
-				msg.Changed = append(msg.Changed, r.state)
-			}
-		}
-	}
-	// removals is ascending by tick: binary-search the first entry newer
-	// than base instead of scanning the whole log.
-	first := sort.Search(len(s.removals), func(i int) bool { return s.removals[i].tick > base })
-	for _, rm := range s.removals[first:] {
-		msg.Removed = append(msg.Removed, rm.id)
-	}
-	return buf
-}
-
-// DeltaSinceOwedCands builds an interest-filtered delta with owed-change
-// tracking: the decimation-safe variant of DeltaSinceCands for filtered
-// peers. filter and owed must be non-nil. Beyond the plain filtered build it
-//
-//   - marks a candidate the filter rejects as owed when its change is newer
-//     than the last planned message that carried it (the peer's ack can pass
-//     the change before the filter ever admits it; candidates the ack-lagged
-//     baseline merely re-surfaces after their send create no new debt);
-//   - sweeps the owed set, re-including an owed entity's current state once
-//     the filter admits it — even when its changedTick is at or before base
-//     — so a change suppressed on its only dirty tick is still delivered;
-//   - settle-gates the sweep: an owed entity is swept only after sitting
-//     unchanged for settle ticks. While it keeps changing, every phase-tick
-//     send supersedes the suppressed change via the candidate walk, so an
-//     eager sweep would only duplicate imminent traffic; the sweep's job is
-//     the entity that went quiet with its last change unsent;
-//   - retransmit-gates the sweep: an owed entity already included at tick L
-//     is re-included only after the peer's ack floor reaches L without the
-//     exact ack for L arriving (the tick-L message is then presumed lost).
-//     ackTick is that floor — for real peers it equals base.
-//
-// Candidates and owed IDs are merge-walked in ascending order (each entity
-// visited once, filter invoked once per entity), keeping Changed ascending
-// and byte-identical across runs and worker counts. Removals are never owed
-// and filtered in one case only: a logged removal whose ID is live again
-// rides only with a message whose Changed carries the re-added entity.
-// Owed entities that died are forgotten during the sweep: the removal log
-// tells the peer.
-func (s *Store) DeltaSinceOwedCands(base uint64, filter func(protocol.ParticipantID) bool, msg *protocol.Delta, buf []protocol.ParticipantID, owed *OwedSet, ackTick, settle uint64) []protocol.ParticipantID {
+func (s *Store) deltaSinceCands(base uint64, filter func(protocol.ParticipantID) bool, msg *protocol.Delta, buf []idSlot) []idSlot {
 	msg.BaseTick, msg.Tick = base, s.tick
 	msg.Changed = msg.Changed[:0]
 	msg.Removed = msg.Removed[:0]
 
 	cands, ok := s.changedSince(base, buf)
-	if !ok {
-		cands = buf[:0]
-		for _, id := range s.sortedIDs() {
-			if s.entities[id].changedTick > base {
-				cands = append(cands, id)
-			}
-		}
+	if ok {
+		buf = cands
+	} else {
+		cands = s.ordered()
 	}
-	buf = cands
-	owedIDs := owed.sortedIDs()
-	i, j := 0, 0
-	for i < len(cands) || j < len(owedIDs) {
-		var id protocol.ParticipantID
-		// The merge determines owed-membership for free: every mutation a
-		// step makes touches only that step's id, so the snapshot stays
-		// accurate for every id still ahead of the walk. The branches below
-		// exploit it to skip owed-map probes that could only be no-ops.
-		cand, wasOwed := false, false
-		switch {
-		case j >= len(owedIDs) || (i < len(cands) && cands[i] < owedIDs[j]):
-			id, cand = cands[i], true
-			i++
-		case i >= len(cands) || owedIDs[j] < cands[i]:
-			id = owedIDs[j]
-			j++
-		default: // dirty and owed: the candidate walk subsumes the sweep
-			id, cand, wasOwed = cands[i], true, true
-			i++
-			j++
-		}
-		if cand {
-			if r := s.entities[id]; filter(id) {
-				msg.Changed = append(msg.Changed, r.state)
-				if wasOwed {
-					owed.markSent(id, s.tick)
-				}
-			} else if wasOwed {
-				owed.owe(id, r.changedTick)
-			} else {
-				owed.oweNew(id)
-			}
-			continue
-		}
-		r, live := s.entities[id]
-		if !live {
-			owed.drop(id)
-			continue
-		}
-		if s.tick-r.changedTick < settle {
-			continue // still moving: the candidate walk will supersede this
-		}
-		if last := owed.lastSent(id); filter(id) && (last == 0 || ackTick >= last) {
+	for _, is := range cands {
+		r := &s.recs[is.slot]
+		if r.changedTick > base && (filter == nil || filter(is.id)) {
 			msg.Changed = append(msg.Changed, r.state)
-			owed.markSent(id, s.tick)
 		}
 	}
-	first := sort.Search(len(s.removals), func(i int) bool { return s.removals[i].tick > base })
-	for _, rm := range s.removals[first:] {
+	for _, rm := range s.removedSince(base) {
+		msg.Removed = append(msg.Removed, rm.id)
+	}
+	return buf
+}
+
+// removedSince returns the logged removals newer than base (the log ascends by tick).
+func (s *Store) removedSince(base uint64) []removal {
+	return s.removals[sort.Search(len(s.removals), func(i int) bool { return s.removals[i].tick > base }):]
+}
+
+// DeltaSinceOwedInto builds an interest-filtered delta with owed-change
+// tracking: the decimation-safe variant of DeltaSinceInto for filtered peers.
+// filter and owed must be non-nil. It is one pass over the ascending (id,
+// slot) list, testing per slot "changed after base, or owed"; beyond the
+// plain filtered build it
+//
+//   - marks a changed entity the filter rejects as owed when its change is
+//     newer than the last planned message that carried it (the peer's ack can
+//     pass the change before the filter ever admits it; a change the
+//     ack-lagged baseline merely re-surfaces after its send is no new debt);
+//   - re-includes an owed entity's current state once the filter admits it —
+//     even when its changedTick is at or before base — so a change
+//     suppressed on its only dirty tick is still delivered;
+//   - settle-gates that sweep: an owed entity outside the window is swept
+//     only after sitting unchanged for settle ticks. While it keeps changing,
+//     every phase-tick send supersedes the suppressed change, so an eager
+//     sweep would only duplicate imminent traffic; the sweep's job is the
+//     entity that went quiet with its last change unsent;
+//   - retransmit-gates the sweep: an owed entity already included at tick L
+//     is re-included only after the peer's ack floor reaches L without the
+//     exact ack for L arriving (the tick-L message is then presumed lost).
+//     ackTick is that floor — for real peers it equals base.
+//
+// Each entity is visited once, in ascending ID order, and the filter invoked
+// at most once per entity, so Changed is ascending and byte-identical across
+// runs and worker counts. Removals are never owed, and filtered in one case
+// only (below). Concurrency: as deltaSinceCands, for distinct owed sets.
+func (s *Store) DeltaSinceOwedInto(base uint64, filter func(protocol.ParticipantID) bool, msg *protocol.Delta, owed *OwedSet, ackTick, settle uint64) {
+	msg.BaseTick, msg.Tick = base, s.tick
+	msg.Changed = msg.Changed[:0]
+	msg.Removed = msg.Removed[:0]
+
+	owed.begin(s)
+	for _, is := range s.ordered() {
+		r := &s.recs[is.slot]
+		e := owed.at(is.slot, r.gen)
+		if r.changedTick > base {
+			// Changed inside the window: this walk subsumes the sweep.
+			if filter(is.id) {
+				msg.Changed = append(msg.Changed, r.state)
+				if e.owed {
+					owed.markSent(is.slot, s.tick)
+				}
+			} else {
+				e.owe(r.changedTick)
+			}
+			continue
+		}
+		if !e.owed || s.tick-r.changedTick < settle {
+			continue // nothing owed, or still moving: a later walk supersedes this
+		}
+		if filter(is.id) && (e.last == 0 || ackTick >= e.last) {
+			msg.Changed = append(msg.Changed, r.state)
+			owed.markSent(is.slot, s.tick)
+		}
+	}
+	for _, rm := range s.removedSince(base) {
 		// A removed ID that is live again was re-added inside the window, so
-		// it was a candidate above. If the filter rejected it, the removal
-		// must wait too: an earlier message on this base may already have
-		// delivered the re-add, and a bare removal would erase it at the
-		// receiver after that message's ack has settled the debt.
-		if _, live := s.entities[rm.id]; live && !carries(msg.Changed, rm.id) {
+		// the walk above met it as a changed entity. If the filter rejected
+		// it, the removal must wait too: an earlier message on this base may
+		// already have delivered the re-add, and a bare removal would erase it
+		// at the receiver after that message's ack has settled the debt.
+		if _, live := s.slots[rm.id]; live && !carries(msg.Changed, rm.id) {
 			continue
 		}
 		msg.Removed = append(msg.Removed, rm.id)
 	}
-	return buf
 }
 
 // carries reports whether the ascending changed list includes id.
@@ -414,49 +419,48 @@ func carries(changed []protocol.EntityState, id protocol.ParticipantID) bool {
 // SnapshotOwedInto is SnapshotInto for an interest-filtered peer with owed
 // tracking (filter and owed non-nil). A snapshot resets the peer's baseline
 // to the current tick, so every live entity the filter omits becomes owed —
-// its changedTick, whatever it was, is now at or before the baseline and the
-// candidate walk will never surface it again. Included entities that were
-// owed become pending on the snapshot's tick; owed entries for dead entities
-// are forgotten (the snapshot conveys absence by omission).
+// its changedTick, whatever it was, is now at or before the baseline and no
+// delta window will ever surface it again. Included entities that were owed
+// become pending on the snapshot's tick.
 func (s *Store) SnapshotOwedInto(filter func(protocol.ParticipantID) bool, msg *protocol.Snapshot, owed *OwedSet) {
 	msg.Tick = s.tick
 	msg.Entities = msg.Entities[:0]
-	for _, id := range s.sortedIDs() {
-		if !filter(id) {
-			owed.mark(id)
+	owed.begin(s)
+	for _, is := range s.ordered() {
+		r := &s.recs[is.slot]
+		e := owed.at(is.slot, r.gen)
+		if !filter(is.id) {
+			e.mark()
 			continue
 		}
-		msg.Entities = append(msg.Entities, s.entities[id].state)
-		owed.markSent(id, s.tick)
-	}
-	for id := range owed.pending {
-		if _, live := s.entities[id]; !live {
-			delete(owed.pending, id)
+		msg.Entities = append(msg.Entities, r.state)
+		if e.owed {
+			owed.markSent(is.slot, s.tick)
 		}
 	}
 }
 
-// changedSince returns the ascending IDs of live entities changed after base
+// changedSince returns, ascending by ID, the live entities changed after base
 // via the dirty ring, built into the caller's buffer; ok is false when the
 // ring does not cover (base, tick] and the caller must fall back to a full
 // scan (buf is returned untouched so its capacity survives).
-func (s *Store) changedSince(base uint64, buf []protocol.ParticipantID) ([]protocol.ParticipantID, bool) {
+func (s *Store) changedSince(base uint64, buf []idSlot) ([]idSlot, bool) {
 	if s.dirty == nil || base+1 < s.ringLo || base > s.tick {
 		return buf, false
 	}
 	cands := buf[:0]
 	for t := base + 1; t <= s.tick; t++ {
-		for _, id := range s.dirty[t%dirtyRingCap] {
-			// An entity appears in every slot it changed at; keep only the
-			// occurrence matching its latest change so each live entity
-			// contributes exactly once (removed entities drop out here).
-			if r, ok := s.entities[id]; ok && r.changedTick == t {
-				cands = append(cands, id)
+		for _, slot := range s.dirty[t%dirtyRingCap] {
+			// A slot appears in every ring entry its tenants changed at; keep
+			// the occurrence matching the current tenant's latest change, so
+			// each live entity contributes once (a vacant slot's is zero).
+			if r := &s.recs[slot]; r.changedTick == t {
+				cands = append(cands, idSlot{id: r.state.Participant, slot: slot})
 			}
 		}
 	}
-	slices.Sort(cands)
-	// A remove+re-add within one tick can duplicate an ID inside a slot.
+	slices.SortFunc(cands, func(a, b idSlot) int { return cmp.Compare(a.id, b.id) })
+	// A slot vacated and re-seated within one tick is listed twice there.
 	cands = slices.Compact(cands)
 	return cands, true
 }
@@ -479,15 +483,22 @@ func (s *Store) PruneRemovals(minAck uint64) {
 func (s *Store) RemovalLogLen() int { return len(s.removals) }
 
 // ApplySnapshot replaces the store's contents with the snapshot (receiver
-// side). The store tick jumps to the snapshot tick.
+// side): every tenant departs, then the snapshot's entities are seated from
+// slot 0 up in the table the store already owns. The tick jumps to snap.Tick.
 func (s *Store) ApplySnapshot(snap *protocol.Snapshot) {
-	s.entities = make(map[protocol.ParticipantID]*record, len(snap.Entities))
+	clear(s.slots)
+	s.free = s.free[:0]
+	for slot := len(s.recs) - 1; slot >= 0; slot-- {
+		s.recs[slot] = record{gen: s.recs[slot].gen + 1}
+		s.free = append(s.free, uint32(slot))
+	}
 	for _, e := range snap.Entities {
-		s.entities[e.Participant] = &record{state: e, changedTick: snap.Tick}
+		slot := s.slotOf(e.Participant)
+		s.recs[slot].state, s.recs[slot].changedTick = e, snap.Tick
 	}
 	s.tick = snap.Tick
 	s.removals = nil
-	s.idsDirty = true
+	s.orderDirty = true
 	s.ringLo = s.tick + 1 // tick jump: the ring no longer covers any window
 }
 
@@ -509,21 +520,11 @@ func (s *Store) ApplyDelta(d *protocol.Delta) bool {
 	// appears in both lists (the removal log is never filtered, and the live
 	// entity is a change candidate), and the re-add must win.
 	for _, id := range d.Removed {
-		if _, ok := s.entities[id]; ok {
-			delete(s.entities, id)
-			s.idsDirty = true
-		}
+		s.removeSilent(id)
 	}
 	for _, e := range d.Changed {
-		if rec, ok := s.entities[e.Participant]; ok {
-			// Reuse the existing record: replicas apply a delta per peer per
-			// tick, so this path must not allocate for known entities.
-			rec.state = e
-			rec.changedTick = d.Tick
-			continue
-		}
-		s.entities[e.Participant] = &record{state: e, changedTick: d.Tick}
-		s.idsDirty = true
+		slot := s.slotOf(e.Participant)
+		s.recs[slot].state, s.recs[slot].changedTick = e, d.Tick
 	}
 	return true
 }

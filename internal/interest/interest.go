@@ -7,6 +7,7 @@
 package interest
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -14,22 +15,43 @@ import (
 	"metaclass/internal/protocol"
 )
 
-// Grid is a 2D spatial hash over the classroom floor plane (X/Z), the
-// standard area-of-interest index. Update and Remove need exclusive access;
-// queries (Neighbors, QueryRadius, Position, Len) write nothing, so any
-// number may run concurrently between mutations — the tick's pool workers
-// rely on it.
+// Grid is a 2D spatial index over the classroom floor plane (X/Z), the
+// standard area-of-interest structure. Every indexed entity holds a small
+// dense slot: one ID→slot map, a slot-indexed entry array, and a directory of
+// the occupied cells, sorted by cell coordinate, whose cells list slots — so
+// a query probes no hash map and visits only cells somebody stands in. Slots
+// are free-listed and never leave this package; every table is sized by
+// population, never by coordinates. Update and Remove need exclusive access;
+// queries (Neighbors, Position, Len, a Set's refresh) write nothing, so any
+// number may run concurrently between mutations — the tick's workers do.
 type Grid struct {
-	cell float64
-	pos  map[protocol.ParticipantID]mathx.Vec3
-	grid map[[2]int32][]protocol.ParticipantID
+	size  float64
+	slots map[protocol.ParticipantID]uint32
+	ents  []placed // slot-indexed; free slots are listed in free
+	free  []uint32
+	cells []cell // occupied cells, ascending by (x, z)
+	// spare keeps emptied cells' slot lists for the next cell that fills: an
+	// avatar walking across empty floor allocates nothing.
+	spare [][]uint32
 
-	// Occupied-cell bounding box, maintained incrementally so queries scan
-	// min(query square, occupied box) instead of the full query square — a
-	// 60m cull radius over 4m cells is a 31×31 = 961-cell square, while a
-	// classroom occupies ~16 cells. Inserts extend the box; emptying a
-	// boundary cell recomputes it on the spot, so queries only read it.
-	bmin, bmax [2]int32
+	// seated counts placements ever made; an entry remembers the count at its
+	// own, so a Set can tell the tenant it classified from a later one.
+	seated uint64
+}
+
+// placed is one indexed entity. phase caches Phase(id): the decimation test
+// runs once per neighbour per receiver per tick.
+type placed struct {
+	pos   mathx.Vec3
+	phase uint64
+	born  uint64 // Grid.seated at placement
+	id    protocol.ParticipantID
+}
+
+// cell is one occupied square of the floor and the slots standing in it.
+type cell struct {
+	x, z  int32
+	slots []uint32
 }
 
 // NewGrid creates a grid with the given cell size in meters (default 4).
@@ -37,138 +59,143 @@ func NewGrid(cellSize float64) *Grid {
 	if cellSize <= 0 {
 		cellSize = 4
 	}
-	return &Grid{
-		cell: cellSize,
-		pos:  make(map[protocol.ParticipantID]mathx.Vec3),
-		grid: make(map[[2]int32][]protocol.ParticipantID),
-	}
+	return &Grid{size: cellSize, slots: make(map[protocol.ParticipantID]uint32)}
 }
 
-func (g *Grid) key(p mathx.Vec3) [2]int32 {
-	return [2]int32{int32(math.Floor(p.X / g.cell)), int32(math.Floor(p.Z / g.cell))}
+func (g *Grid) key(p mathx.Vec3) (x, z int32) {
+	return int32(math.Floor(p.X / g.size)), int32(math.Floor(p.Z / g.size))
+}
+
+// find returns the directory index of cell (x, z), or of the first after it.
+func (g *Grid) find(x, z int32) (int, bool) {
+	return slices.BinarySearchFunc(g.cells, cell{x: x, z: z}, func(c, k cell) int {
+		if d := cmp.Compare(c.x, k.x); d != 0 {
+			return d
+		}
+		return cmp.Compare(c.z, k.z)
+	})
 }
 
 // Update inserts or moves an entity.
 func (g *Grid) Update(id protocol.ParticipantID, p mathx.Vec3) {
-	if old, ok := g.pos[id]; ok {
-		ok2 := g.key(old)
-		k2 := g.key(p)
-		if ok2 == k2 {
-			g.pos[id] = p
+	slot, ok := g.slots[id]
+	if ok {
+		e := &g.ents[slot]
+		fx, fz := g.key(e.pos)
+		e.pos = p
+		if tx, tz := g.key(p); fx == tx && fz == tz {
 			return
 		}
-		g.removeFromCell(ok2, id)
-	}
-	g.pos[id] = p
-	k := g.key(p)
-	if cell := g.grid[k]; len(cell) == 0 {
-		if len(g.grid) == 0 {
-			g.bmin, g.bmax = k, k
+		g.leaveCell(fx, fz, slot)
+	} else {
+		g.seated++
+		e := placed{pos: p, phase: Phase(id), born: g.seated, id: id}
+		if n := len(g.free); n > 0 {
+			slot, g.free = g.free[n-1], g.free[:n-1]
+			g.ents[slot] = e
 		} else {
-			g.bmin[0] = min(g.bmin[0], k[0])
-			g.bmin[1] = min(g.bmin[1], k[1])
-			g.bmax[0] = max(g.bmax[0], k[0])
-			g.bmax[1] = max(g.bmax[1], k[1])
+			slot = uint32(len(g.ents))
+			g.ents = append(g.ents, e)
 		}
+		g.slots[id] = slot
 	}
-	g.grid[k] = append(g.grid[k], id)
+	x, z := g.key(p)
+	i, occupied := g.find(x, z)
+	if !occupied {
+		c := cell{x: x, z: z}
+		if n := len(g.spare); n > 0 {
+			c.slots, g.spare = g.spare[n-1], g.spare[:n-1]
+		}
+		g.cells = slices.Insert(g.cells, i, c)
+	}
+	g.cells[i].slots = append(g.cells[i].slots, slot)
 }
 
-// Remove deletes an entity. Removing an absent entity is a no-op.
+// Remove deletes an entity, freeing its slot for the next placement.
+// Removing an absent entity is a no-op.
 func (g *Grid) Remove(id protocol.ParticipantID) {
-	p, ok := g.pos[id]
+	slot, ok := g.slots[id]
 	if !ok {
 		return
 	}
-	g.removeFromCell(g.key(p), id)
-	delete(g.pos, id)
+	x, z := g.key(g.ents[slot].pos)
+	g.leaveCell(x, z, slot)
+	delete(g.slots, id)
+	g.free = append(g.free, slot)
 }
 
-func (g *Grid) removeFromCell(k [2]int32, id protocol.ParticipantID) {
-	cell := g.grid[k]
-	for i, v := range cell {
-		if v == id {
-			cell[i] = cell[len(cell)-1]
-			cell = cell[:len(cell)-1]
-			break
-		}
-	}
-	if len(cell) == 0 {
-		delete(g.grid, k)
-		if k[0] == g.bmin[0] || k[0] == g.bmax[0] || k[1] == g.bmin[1] || k[1] == g.bmax[1] {
-			g.recomputeBounds()
-		}
-	} else {
-		g.grid[k] = cell
-	}
-}
-
-// recomputeBounds rebuilds the occupied-cell bounding box from the occupied
-// cells (an empty grid leaves it stale; the next insert resets it).
-func (g *Grid) recomputeBounds() {
-	first := true
-	for k := range g.grid {
-		if first {
-			g.bmin, g.bmax = k, k
-			first = false
-			continue
-		}
-		g.bmin[0] = min(g.bmin[0], k[0])
-		g.bmin[1] = min(g.bmin[1], k[1])
-		g.bmax[0] = max(g.bmax[0], k[0])
-		g.bmax[1] = max(g.bmax[1], k[1])
+// leaveCell takes slot out of cell (x, z), dropping the cell once empty.
+func (g *Grid) leaveCell(x, z int32, slot uint32) {
+	i, _ := g.find(x, z)
+	c := &g.cells[i]
+	n := len(c.slots) - 1
+	c.slots[slices.Index(c.slots, slot)] = c.slots[n]
+	c.slots = c.slots[:n]
+	if n == 0 {
+		g.spare = append(g.spare, c.slots)
+		g.cells = slices.Delete(g.cells, i, i+1)
 	}
 }
 
 // Len returns the number of indexed entities.
-func (g *Grid) Len() int { return len(g.pos) }
+func (g *Grid) Len() int { return len(g.slots) }
 
 // Position returns an entity's indexed position.
 func (g *Grid) Position(id protocol.ParticipantID) (mathx.Vec3, bool) {
-	p, ok := g.pos[id]
-	return p, ok
+	slot, ok := g.slots[id]
+	if !ok {
+		return mathx.Vec3{}, false
+	}
+	return g.ents[slot].pos, true
 }
 
-// QueryRadius returns all entities within radius of center (2D, X/Z plane),
-// sorted by ID for determinism. The center entity itself is included if
-// indexed and in range.
-func (g *Grid) QueryRadius(center mathx.Vec3, radius float64) []protocol.ParticipantID {
-	return g.Neighbors(center, radius, nil)
+// within calls fn with the slot, entry and squared distance of every entity
+// within radius of center (2D, X/Z plane), the center entity included, in
+// cell order. It is the one cell walk: the occupied cells of the query square
+// row by row — a binary search into the directory wherever a row starts
+// before or runs past the square — so cost scales with local density, not
+// with the square's area (a 60 m cull radius over 4 m cells is 961 cells; a
+// classroom occupies a few dozen) and not with total population.
+func (g *Grid) within(center mathx.Vec3, radius float64, fn func(slot uint32, e *placed, distSq float64)) {
+	if radius < 0 {
+		return
+	}
+	r2 := radius * radius
+	lox, loz := g.key(center.Sub(mathx.V3(radius, 0, radius)))
+	hix, hiz := g.key(center.Add(mathx.V3(radius, 0, radius)))
+	i, _ := g.find(lox, loz)
+	for i < len(g.cells) && g.cells[i].x <= hix {
+		c := &g.cells[i]
+		switch {
+		case c.z < loz:
+			i, _ = g.find(c.x, loz)
+		case c.z > hiz:
+			if c.x == hix {
+				return // the last row is done (and x+1 could wrap)
+			}
+			i, _ = g.find(c.x+1, loz)
+		default:
+			for _, slot := range c.slots {
+				e := &g.ents[slot]
+				dx, dz := e.pos.X-center.X, e.pos.Z-center.Z
+				if d := dx*dx + dz*dz; d <= r2 {
+					fn(slot, e, d)
+				}
+			}
+			i++
+		}
+	}
 }
 
 // Neighbors appends all entities within radius of center (2D, X/Z plane) to
 // buf and returns the extended slice, sorted by ID for determinism. The
 // center entity itself is included if indexed and in range. Passing a reused
-// buf (sliced to length zero) makes repeated queries allocation-free; the
-// spatial hash visits only the cells overlapping the query square, so cost
-// scales with local density instead of total population.
+// buf (sliced to length zero) makes repeated queries allocation-free.
 func (g *Grid) Neighbors(center mathx.Vec3, radius float64, buf []protocol.ParticipantID) []protocol.ParticipantID {
-	if radius < 0 {
-		return buf
-	}
-	if len(g.grid) == 0 {
-		return buf
-	}
-	bmin, bmax := g.bmin, g.bmax
 	base := len(buf)
-	r2 := radius * radius
-	lo := g.key(center.Sub(mathx.V3(radius, 0, radius)))
-	hi := g.key(center.Add(mathx.V3(radius, 0, radius)))
-	lo[0] = max(lo[0], bmin[0])
-	lo[1] = max(lo[1], bmin[1])
-	hi[0] = min(hi[0], bmax[0])
-	hi[1] = min(hi[1], bmax[1])
-	for cx := lo[0]; cx <= hi[0]; cx++ {
-		for cz := lo[1]; cz <= hi[1]; cz++ {
-			for _, id := range g.grid[[2]int32{cx, cz}] {
-				p := g.pos[id]
-				dx, dz := p.X-center.X, p.Z-center.Z
-				if dx*dx+dz*dz <= r2 {
-					buf = append(buf, id)
-				}
-			}
-		}
-	}
+	g.within(center, radius, func(_ uint32, e *placed, _ float64) {
+		buf = append(buf, e.id)
+	})
 	slices.Sort(buf[base:])
 	return buf
 }
@@ -201,8 +228,8 @@ func (t Tier) String() string {
 	}
 }
 
-// RateDivisor returns the per-tier tick decimation: an update is sent on
-// ticks where tick % divisor == 0.
+// RateDivisor returns the per-tier tick decimation: a source is sent on the
+// ticks where tick % divisor == Phase(source) % divisor.
 func (t Tier) RateDivisor() uint64 {
 	switch t {
 	case TierFocus:
@@ -216,6 +243,14 @@ func (t Tier) RateDivisor() uint64 {
 	default:
 		return 0 // culled: never
 	}
+}
+
+// due reports whether a source with the given decimation phase, in tier t for
+// some receiver, is sent at tick. Every divisor is a power of two, so
+// tick%d == phase%d is a mask test on tick^phase.
+func (t Tier) due(phase, tick uint64) bool {
+	d := t.RateDivisor()
+	return d != 0 && (tick^phase)&(d-1) == 0
 }
 
 // Policy maps receiver-to-source geometry (and social pins) to tiers.
@@ -259,6 +294,12 @@ func (p *Policy) ClassifySq(source protocol.ParticipantID, distSq float64) Tier 
 	if p.Pinned[source] {
 		return TierFocus
 	}
+	return p.tierSq(distSq)
+}
+
+// tierSq is the distance half of ClassifySq: the tier of an unpinned source
+// at the given squared distance.
+func (p *Policy) tierSq(distSq float64) Tier {
 	switch {
 	case distSq <= p.FocusRadius*p.FocusRadius:
 		return TierFocus
@@ -294,53 +335,42 @@ func Phase(source protocol.ParticipantID) uint64 {
 // included in the update sent at the given tick. Sends are decimated to the
 // tier's RateDivisor and phase-staggered per source by Phase.
 func ShouldSend(t Tier, source protocol.ParticipantID, tick uint64) bool {
-	d := t.RateDivisor()
-	if d == 0 {
-		return false
-	}
-	return tick%d == Phase(source)%d
+	return t.due(Phase(source), tick)
 }
 
 // Set is a per-receiver cache of the sources whose update is due at the
-// current tick, rebuilt at most once per tick from one spatial query. It
-// replaces an all-pairs distance test per (receiver, source) with a
-// Neighbors query plus squared-distance classification, then answers each
-// source in O(1). Servers keep one Set per subscribed client.
+// current tick: a bitset over grid slots, rebuilt at most once per tick from
+// one walk of the grid's cells. It replaces an all-pairs distance test per
+// (receiver, source) with squared-distance classification of the receiver's
+// neighbourhood, then answers each source with one ID→slot probe and a bit
+// test. Servers keep one Set per subscribed client.
 type Set struct {
-	allowed  map[protocol.ParticipantID]bool
+	allowed  []uint64 // bit per grid slot
 	allowAll bool
 	recv     protocol.ParticipantID
 	tick     uint64
-	// scratch is the set-owned neighbor buffer RefreshOwned queries into.
-	// Owning it here (instead of a buffer shared across receivers) is what
-	// lets the tick refresh many clients' sets concurrently: each refresh
-	// touches only its own set's state and reads the shared grid.
-	scratch []protocol.ParticipantID
+	// seen is Grid.seated at the last rebuild: a slot whose tenant was seated
+	// later was never classified, whatever bit its predecessor left behind.
+	seen uint64
 }
 
 // NewSet returns an empty, ready-to-refresh set.
-func NewSet() *Set {
-	return &Set{allowed: make(map[protocol.ParticipantID]bool)}
-}
+func NewSet() *Set { return &Set{} }
 
 // Reset clears the set for reuse by another receiver (the node runtime pools
-// per-client sets across join/leave churn). The allowed map keeps its
-// capacity; the tick marker rewinds so the next RefreshOwned rebuilds.
-func (s *Set) Reset() {
-	clear(s.allowed)
-	s.allowAll = false
-	s.recv = 0
-	s.tick = 0
-}
+// per-client sets across join/leave churn). The bitset keeps its capacity;
+// the tick marker rewinds so the next RefreshOwned rebuilds, and until then
+// no indexed source reads as admitted (none was seated before count zero).
+func (s *Set) Reset() { *s = Set{allowed: s.allowed[:0]} }
 
 // RefreshOwned rebuilds the set for receiver recv at tick, at most once per
-// tick (ticks start at 1; zero means never built), querying into the set's
-// own neighbor buffer. Distinct sets may be refreshed concurrently (each
-// touches only its own state; the grid and policy are read-only), which is
-// how the tick shards per-client classification across the pool's workers.
-// While recv is not indexed in g the set admits everything — a just-joined
-// receiver needs the full world until placed. The receiver itself is never
-// admitted: `Allows(g, recv) == false` is part of the contract, even in
+// tick (ticks start at 1; zero means never built). Distinct sets may be
+// refreshed concurrently (each touches only its own state; the grid and
+// policy are read-only), which is how the tick shards per-client
+// classification across the pool's workers. While recv is not indexed in g
+// the set admits everything — a just-joined receiver needs the full world
+// until placed. The receiver itself is never admitted:
+// `Allows(g, recv) == false` is part of the contract, even in
 // admit-everything mode and even when recv is pinned.
 func (s *Set) RefreshOwned(g *Grid, p *Policy, recv protocol.ParticipantID, tick uint64) {
 	s.recv = recv
@@ -348,39 +378,40 @@ func (s *Set) RefreshOwned(g *Grid, p *Policy, recv protocol.ParticipantID, tick
 		return
 	}
 	s.tick = tick
-	recvPos, ok := g.Position(recv)
+	recvSlot, ok := g.slots[recv]
 	if !ok {
 		s.allowAll = true
 		return
 	}
 	s.allowAll = false
-	clear(s.allowed)
-	s.scratch = g.Neighbors(recvPos, p.CullRadius, s.scratch[:0])
-	for _, id := range s.scratch {
-		if id == recv { // Neighbors includes the query center
-			continue
-		}
-		pos, _ := g.Position(id)
-		dx, dz := pos.X-recvPos.X, pos.Z-recvPos.Z
-		if ShouldSend(p.ClassifySq(id, dx*dx+dz*dz), id, tick) {
-			s.allowed[id] = true
-		}
+	s.seen = g.seated
+	words := (len(g.ents) + 63) / 64
+	if cap(s.allowed) < words {
+		s.allowed = make([]uint64, words)
 	}
-	// Pinned sources are focus-tier regardless of distance (divisor 1, so no
-	// decimation check). A pinned receiver still never receives itself.
-	for id := range p.Pinned {
-		if id == recv {
-			continue
+	s.allowed = s.allowed[:words]
+	clear(s.allowed)
+	// Distance alone classifies here: a pinned neighbour is force-set below,
+	// and setting bits is order-independent. The walk includes the receiver
+	// and the pinned loop may: Allows answers for recv before it reads a bit.
+	g.within(g.ents[recvSlot].pos, p.CullRadius, func(slot uint32, e *placed, distSq float64) {
+		if p.tierSq(distSq).due(e.phase, tick) {
+			s.allowed[slot/64] |= 1 << (slot % 64)
 		}
-		if _, indexed := g.Position(id); indexed {
-			s.allowed[id] = true
+	})
+	// Pinned sources are focus-tier regardless of distance (divisor 1, so no
+	// decimation check).
+	for id := range p.Pinned {
+		if slot, indexed := g.slots[id]; indexed {
+			s.allowed[slot/64] |= 1 << (slot % 64)
 		}
 	}
 }
 
 // Allows reports whether source id should be sent this tick. The receiver
 // the set was last refreshed for is never allowed. Other sources not indexed
-// in g bypass interest management (the caller cannot place them).
+// in g bypass interest management (the caller cannot place them), and a
+// source placed since the refresh is indexed but unclassified: not allowed.
 // RefreshOwned must have been called for the current tick.
 func (s *Set) Allows(g *Grid, id protocol.ParticipantID) bool {
 	if id == s.recv {
@@ -389,43 +420,12 @@ func (s *Set) Allows(g *Grid, id protocol.ParticipantID) bool {
 	if s.allowAll {
 		return true
 	}
-	if _, indexed := g.Position(id); !indexed {
+	slot, indexed := g.slots[id]
+	if !indexed {
 		return true
 	}
-	return s.allowed[id]
-}
-
-// Plan computes, for a receiver at recv, the set of source IDs to include at
-// this tick. sources must be indexed in g. The receiver itself is excluded.
-func Plan(g *Grid, p *Policy, recv protocol.ParticipantID, recvPos mathx.Vec3, tick uint64) []protocol.ParticipantID {
-	candidates := g.QueryRadius(recvPos, p.CullRadius)
-	out := make([]protocol.ParticipantID, 0, len(candidates))
-	for _, id := range candidates {
-		if id == recv {
-			continue
-		}
-		pos, _ := g.Position(id)
-		dx, dz := pos.X-recvPos.X, pos.Z-recvPos.Z
-		if ShouldSend(p.ClassifySq(id, dx*dx+dz*dz), id, tick) {
-			out = append(out, id)
-		}
+	if g.ents[slot].born > s.seen {
+		return false
 	}
-	// Pinned sources are focus even outside the cull radius. A pinned source
-	// inside the cull radius already classified TierFocus above (divisor 1,
-	// sent every tick), so membership in the sorted candidates slice — not a
-	// scan of out — is the dedup test.
-	for id := range p.Pinned {
-		if id == recv {
-			continue
-		}
-		if _, ok := g.Position(id); !ok {
-			continue
-		}
-		if _, inRadius := slices.BinarySearch(candidates, id); inRadius {
-			continue
-		}
-		out = append(out, id)
-	}
-	slices.Sort(out)
-	return out
+	return s.allowed[slot/64]&(1<<(slot%64)) != 0
 }

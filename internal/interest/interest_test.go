@@ -3,6 +3,7 @@ package interest
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"metaclass/internal/mathx"
@@ -14,9 +15,9 @@ func TestGridUpdateQuery(t *testing.T) {
 	g.Update(1, mathx.V3(0, 0, 0))
 	g.Update(2, mathx.V3(3, 0, 0))
 	g.Update(3, mathx.V3(50, 0, 0))
-	got := g.QueryRadius(mathx.V3(0, 0, 0), 5)
+	got := g.Neighbors(mathx.V3(0, 0, 0), 5, nil)
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("QueryRadius = %v, want [1 2]", got)
+		t.Errorf("Neighbors = %v, want [1 2]", got)
 	}
 	if g.Len() != 3 {
 		t.Errorf("Len = %d", g.Len())
@@ -26,7 +27,7 @@ func TestGridUpdateQuery(t *testing.T) {
 func TestGridIgnoresHeight(t *testing.T) {
 	g := NewGrid(4)
 	g.Update(1, mathx.V3(0, 100, 0)) // height must not affect 2D interest
-	got := g.QueryRadius(mathx.V3(0, 0, 0), 1)
+	got := g.Neighbors(mathx.V3(0, 0, 0), 1, nil)
 	if len(got) != 1 {
 		t.Errorf("height affected query: %v", got)
 	}
@@ -36,15 +37,15 @@ func TestGridMoveAcrossCells(t *testing.T) {
 	g := NewGrid(2)
 	g.Update(1, mathx.V3(0, 0, 0))
 	g.Update(1, mathx.V3(100, 0, 100))
-	if got := g.QueryRadius(mathx.V3(0, 0, 0), 5); len(got) != 0 {
+	if got := g.Neighbors(mathx.V3(0, 0, 0), 5, nil); len(got) != 0 {
 		t.Errorf("stale cell entry: %v", got)
 	}
-	if got := g.QueryRadius(mathx.V3(100, 0, 100), 1); len(got) != 1 {
+	if got := g.Neighbors(mathx.V3(100, 0, 100), 1, nil); len(got) != 1 {
 		t.Errorf("moved entity missing: %v", got)
 	}
 	// Move within the same cell.
 	g.Update(1, mathx.V3(100.5, 0, 100.5))
-	if got := g.QueryRadius(mathx.V3(100.5, 0, 100.5), 1); len(got) != 1 {
+	if got := g.Neighbors(mathx.V3(100.5, 0, 100.5), 1, nil); len(got) != 1 {
 		t.Errorf("same-cell move lost entity: %v", got)
 	}
 }
@@ -60,7 +61,7 @@ func TestGridRemove(t *testing.T) {
 	if _, ok := g.Position(1); ok {
 		t.Error("removed entity still has position")
 	}
-	if got := g.QueryRadius(mathx.V3(1, 0, 1), 5); len(got) != 0 {
+	if got := g.Neighbors(mathx.V3(1, 0, 1), 5, nil); len(got) != 0 {
 		t.Errorf("removed entity in query: %v", got)
 	}
 }
@@ -81,7 +82,7 @@ func TestGridQueryMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		center := mathx.V3(rng.Float64()*100-50, 0, rng.Float64()*100-50)
 		radius := rng.Float64() * 30
-		got := g.QueryRadius(center, radius)
+		got := g.Neighbors(center, radius, nil)
 		want := map[protocol.ParticipantID]bool{}
 		for _, e := range ents {
 			dx, dz := e.p.X-center.X, e.p.Z-center.Z
@@ -100,10 +101,36 @@ func TestGridQueryMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestGridSizedByPopulation: the tables grow with the number of entities,
+// never with where they stand — one avatar at the far edge of what a wire
+// pose can express costs one slot and one cell, and queries next to it and
+// back at the origin both terminate with the right answer.
+func TestGridSizedByPopulation(t *testing.T) {
+	g := NewGrid(4)
+	g.Update(1, mathx.V3(1, 0, 1))
+	g.Update(2, mathx.V3(2, 0, 2))
+	edge, _ := protocol.WirePose{PosMM: [3]int64{math.MaxInt64, 0, math.MinInt64}}.Dequantize()
+	g.Update(3, edge)
+	if len(g.ents) != 3 || len(g.cells) != 2 {
+		t.Fatalf("%d slots and %d cells for 3 entities in 2 places", len(g.ents), len(g.cells))
+	}
+	if got := g.Neighbors(mathx.V3(0, 0, 0), 60, nil); !slices.Equal(got, []protocol.ParticipantID{1, 2}) {
+		t.Errorf("query at the origin = %v, want [1 2]", got)
+	}
+	if got := g.Neighbors(edge, 60, nil); !slices.Equal(got, []protocol.ParticipantID{3}) {
+		t.Errorf("query at the edge = %v, want [3]", got)
+	}
+	g.Remove(3)
+	g.Update(4, mathx.V3(3, 0, 3))
+	if len(g.ents) != 3 || len(g.cells) != 1 {
+		t.Fatalf("after the edge avatar left: %d slots and %d cells, want its slot reused and its cell gone", len(g.ents), len(g.cells))
+	}
+}
+
 func TestGridNegativeRadius(t *testing.T) {
 	g := NewGrid(4)
 	g.Update(1, mathx.Vec3{})
-	if got := g.QueryRadius(mathx.Vec3{}, -1); got != nil {
+	if got := g.Neighbors(mathx.Vec3{}, -1, nil); got != nil {
 		t.Errorf("negative radius = %v", got)
 	}
 }
@@ -198,28 +225,94 @@ func TestPolicyPinOverridesDistance(t *testing.T) {
 	}
 }
 
-func TestPlanExcludesReceiverAndCulled(t *testing.T) {
+// world is the brute-force oracle for the grid and the set: every position in
+// a plain map, every query a scan of all of it, no slots, no cells. It holds
+// what Plan and Grid.QueryRadius computed before Set.RefreshOwned became the
+// only classification loop in the package.
+type world map[protocol.ParticipantID]mathx.Vec3
+
+// queryRadius returns the IDs within radius of center (X/Z plane), ascending.
+func (w world) queryRadius(center mathx.Vec3, radius float64) []protocol.ParticipantID {
+	var out []protocol.ParticipantID
+	for id, pos := range w {
+		dx, dz := pos.X-center.X, pos.Z-center.Z
+		if radius >= 0 && dx*dx+dz*dz <= radius*radius {
+			out = append(out, id)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// plan returns, ascending, the placed sources due for receiver recv (which
+// must be placed) at tick: everyone but recv whose tier — pinned is focus at
+// any distance — sends on this tick.
+func (w world) plan(p *Policy, recv protocol.ParticipantID, tick uint64) []protocol.ParticipantID {
+	at := w[recv]
+	var out []protocol.ParticipantID
+	for id, pos := range w {
+		dx, dz := pos.X-at.X, pos.Z-at.Z
+		if id != recv && ShouldSend(p.ClassifySq(id, dx*dx+dz*dz), id, tick) {
+			out = append(out, id)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// allows is what Set.Allows must answer for (recv, src) right after a
+// refresh at tick.
+func (w world) allows(p *Policy, recv, src protocol.ParticipantID, tick uint64) bool {
+	if src == recv {
+		return false
+	}
+	if _, placed := w[recv]; !placed {
+		return true // admit-all until the receiver is placed
+	}
+	if _, placed := w[src]; !placed {
+		return true // unindexed sources bypass interest management
+	}
+	_, due := slices.BinarySearch(w.plan(p, recv, tick), src)
+	return due
+}
+
+// admitted lists, ascending, the indexed sources a fresh Set admits for recv
+// at tick.
+func admitted(g *Grid, p *Policy, recv protocol.ParticipantID, tick uint64) []protocol.ParticipantID {
+	s := NewSet()
+	s.RefreshOwned(g, p, recv, tick)
+	var out []protocol.ParticipantID
+	for id := range g.slots {
+		if s.Allows(g, id) {
+			out = append(out, id)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+func TestSetExcludesReceiverAndCulled(t *testing.T) {
 	g := NewGrid(4)
 	p := NewPolicy()
 	g.Update(1, mathx.V3(0, 0, 0))   // receiver
 	g.Update(2, mathx.V3(1, 0, 0))   // focus
 	g.Update(3, mathx.V3(500, 0, 0)) // culled
-	got := Plan(g, p, 1, mathx.V3(0, 0, 0), 0)
-	if len(got) != 1 || got[0] != 2 {
-		t.Errorf("Plan = %v, want [2]", got)
+	if got := admitted(g, p, 1, 1); len(got) != 1 || got[0] != 2 {
+		t.Errorf("admitted = %v, want [2]", got)
 	}
 }
 
-func TestPlanDecimatesByTier(t *testing.T) {
+func TestSetDecimatesByTier(t *testing.T) {
 	g := NewGrid(4)
 	p := NewPolicy()
+	g.Update(1, mathx.V3(0, 0, 0))  // receiver
 	g.Update(2, mathx.V3(1, 0, 0))  // focus: every tick
 	g.Update(3, mathx.V3(6, 0, 0))  // near: every 2nd
 	g.Update(4, mathx.V3(15, 0, 0)) // far: every 4th
 	g.Update(5, mathx.V3(30, 0, 0)) // ambient: every 8th
 	counts := map[protocol.ParticipantID]int{}
-	for tick := uint64(0); tick < 64; tick++ {
-		for _, id := range Plan(g, p, 1, mathx.V3(0, 0, 0), tick) {
+	for tick := uint64(1); tick <= 64; tick++ {
+		for _, id := range admitted(g, p, 1, tick) {
 			counts[id]++
 		}
 	}
@@ -231,48 +324,33 @@ func TestPlanDecimatesByTier(t *testing.T) {
 	}
 }
 
-func TestPlanIncludesDistantPinned(t *testing.T) {
+func TestSetIncludesDistantPinned(t *testing.T) {
 	g := NewGrid(4)
 	p := NewPolicy()
+	g.Update(1, mathx.V3(0, 0, 0))
 	g.Update(9, mathx.V3(1000, 0, 0)) // the lecturer, far outside cull radius
 	p.Pin(9)
-	got := Plan(g, p, 1, mathx.V3(0, 0, 0), 3)
-	if len(got) != 1 || got[0] != 9 {
-		t.Errorf("Plan = %v, want pinned [9]", got)
+	if got := admitted(g, p, 1, 3); len(got) != 1 || got[0] != 9 {
+		t.Errorf("admitted = %v, want pinned [9]", got)
 	}
 }
 
-func TestPlanFanOutReduction(t *testing.T) {
+func TestSetFanOutReduction(t *testing.T) {
 	// The point of interest management: with 1000 spread-out users, the
-	// per-receiver plan must be a small fraction of the population.
+	// per-receiver set must be a small fraction of the population.
 	rng := rand.New(rand.NewSource(23))
 	g := NewGrid(8)
 	p := NewPolicy()
 	for i := 0; i < 1000; i++ {
 		g.Update(protocol.ParticipantID(i), mathx.V3(rng.Float64()*400-200, 0, rng.Float64()*400-200))
 	}
-	recvPos, _ := g.Position(0)
 	total := 0
-	for tick := uint64(0); tick < 8; tick++ {
-		total += len(Plan(g, p, 0, recvPos, tick))
+	for tick := uint64(1); tick <= 8; tick++ {
+		total += len(admitted(g, p, 0, tick))
 	}
 	avg := float64(total) / 8
 	if avg > 100 {
-		t.Errorf("average plan size %v of 1000, want strong reduction", avg)
-	}
-}
-
-func BenchmarkPlan1000(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g := NewGrid(8)
-	p := NewPolicy()
-	for i := 0; i < 1000; i++ {
-		g.Update(protocol.ParticipantID(i), mathx.V3(rng.Float64()*400-200, 0, rng.Float64()*400-200))
-	}
-	pos, _ := g.Position(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Plan(g, p, 0, pos, uint64(i))
+		t.Errorf("average set size %v of 1000, want strong reduction", avg)
 	}
 }
 
@@ -357,75 +435,155 @@ func TestRefreshExcludesReceiver(t *testing.T) {
 	}
 }
 
-// TestPlanSetPinChurnAgreement drives Plan and Set.RefreshOwned through the
-// same pin/unpin churn and random motion, asserting the two admission paths
-// never drift: for every indexed source, Set.Allows must equal membership in
-// Plan's output.
+// TestPlanSetPinChurnAgreement is the model test for the slot-indexed grid
+// and the bitset Set: random placement, motion, removal (freed slots are
+// reused by the next placement, several times over) and pin/unpin churn,
+// every ID of the pool acting as a receiver with its own long-lived Set, and
+// after every tick Set.Allows compared with the brute-force world for every
+// (receiver, source) pair — placed, unplaced and never-indexed IDs alike.
+// Checked to fail when the refresh stops clearing the previous tick's bits,
+// drops the pinned loop, classifies with the receiver's phase or tests the
+// divisor instead of its mask, when Allows skips the seated-since-refresh
+// test or Update stops stamping it, or when Remove stops freeing the slot.
 func TestPlanSetPinChurnAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	g := NewGrid(4)
 	p := NewPolicy()
-	const n = 60
-	for i := 0; i < n; i++ {
-		g.Update(protocol.ParticipantID(i), mathx.V3(rng.Float64()*160-80, 0, rng.Float64()*160-80))
+	w := world{}
+	const n = 48 // IDs 0..n-1 churn through the grid; n and n+1 are never indexed
+	randPos := func() mathx.Vec3 { return mathx.V3(rng.Float64()*160-80, rng.Float64()*3, rng.Float64()*160-80) }
+	place := func(id protocol.ParticipantID) {
+		pos := randPos()
+		g.Update(id, pos)
+		w[id] = pos
 	}
-	recv := protocol.ParticipantID(0)
-	s := NewSet()
-	for tick := uint64(1); tick <= 200; tick++ {
-		// Churn pins (sometimes pinning the receiver itself) and positions.
-		for j := 0; j < 3; j++ {
+	remove := func(id protocol.ParticipantID) {
+		g.Remove(id)
+		delete(w, id)
+	}
+	for i := 0; i < n; i += 2 {
+		place(protocol.ParticipantID(i))
+	}
+	sets := make([]*Set, n+2)
+	for i := range sets {
+		sets[i] = NewSet()
+	}
+	slotReuse := 0
+	for tick := uint64(1); tick <= 300; tick++ {
+		for j := 0; j < 6; j++ {
 			id := protocol.ParticipantID(rng.Intn(n))
-			if rng.Intn(2) == 0 {
-				p.Pin(id)
-			} else {
+			switch rng.Intn(6) {
+			case 0:
+				p.Pin(id) // sometimes an unplaced ID, sometimes a receiver
+			case 1:
 				p.Unpin(id)
+			case 2:
+				remove(id)
+			default:
+				if _, placed := w[id]; !placed && len(g.free) > 0 {
+					slotReuse++
+				}
+				place(id)
 			}
 		}
-		id := protocol.ParticipantID(rng.Intn(n))
-		g.Update(id, mathx.V3(rng.Float64()*160-80, 0, rng.Float64()*160-80))
+		if g.Len() != len(w) {
+			t.Fatalf("tick %d: Len = %d, world holds %d", tick, g.Len(), len(w))
+		}
+		if len(g.ents) > n {
+			t.Fatalf("tick %d: %d slots for a pool of %d IDs: freed slots are not reused", tick, len(g.ents), n)
+		}
+		for r := range sets {
+			recv := protocol.ParticipantID(r)
+			s := sets[r]
+			s.RefreshOwned(g, p, recv, tick)
+			for src := protocol.ParticipantID(0); src < n+2; src++ {
+				if got, want := s.Allows(g, src), w.allows(p, recv, src, tick); got != want {
+					t.Fatalf("tick %d recv %d (placed=%v) source %d (placed=%v pinned=%v): Set.Allows = %v, brute force = %v",
+						tick, recv, has(w, recv), src, has(w, src), p.Pinned[src], got, want)
+				}
+			}
+		}
+		for id, pos := range w {
+			if got, ok := g.Position(id); !ok || got != pos {
+				t.Fatalf("tick %d: Position(%d) = %v, %v, want %v", tick, id, got, ok, pos)
+			}
+		}
 
-		recvPos, _ := g.Position(recv)
-		plan := Plan(g, p, recv, recvPos, tick)
-		inPlan := make(map[protocol.ParticipantID]bool, len(plan))
-		for _, id := range plan {
-			inPlan[id] = true
+		// Mutations after the refresh, inside the same tick: a departed
+		// source bypasses, and whoever takes over its slot was never
+		// classified — it must not read the bit its predecessor left.
+		if len(w) < 2 || len(w) == n {
+			continue
 		}
-		s.RefreshOwned(g, p, recv, tick)
-		for i := 0; i < n; i++ {
-			id := protocol.ParticipantID(i)
-			if got, want := s.Allows(g, id), inPlan[id]; got != want {
-				t.Fatalf("tick %d source %d: Set.Allows = %v, Plan membership = %v (pinned=%v)",
-					tick, id, got, want, p.Pinned[id])
+		var gone, joiner protocol.ParticipantID
+		for id := range w {
+			gone = max(gone, id)
+		}
+		for joiner = 0; has(w, joiner); joiner++ {
+		}
+		remove(gone)
+		place(joiner)
+		for r := range sets {
+			recv, s := protocol.ParticipantID(r), sets[r]
+			if recv == gone || recv == joiner || !has(w, recv) {
+				continue
+			}
+			if !s.Allows(g, gone) {
+				t.Fatalf("tick %d recv %d: source %d left the grid after the refresh and is still filtered", tick, recv, gone)
+			}
+			if s.Allows(g, joiner) {
+				t.Fatalf("tick %d recv %d: source %d was placed after the refresh (in the slot %d left) and reads as admitted", tick, recv, joiner, gone)
 			}
 		}
+	}
+	if slotReuse < 50 {
+		t.Fatalf("only %d placements reused a freed slot: the schedule does not exercise reuse", slotReuse)
 	}
 }
 
-func TestNeighborsMatchesQueryRadius(t *testing.T) {
+func has(w world, id protocol.ParticipantID) bool { _, ok := w[id]; return ok }
+
+func TestNeighborsMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := NewGrid(4)
+	w := world{}
 	for i := 0; i < 500; i++ {
-		g.Update(protocol.ParticipantID(i), mathx.V3(rng.Float64()*100-50, 0, rng.Float64()*100-50))
+		id, pos := protocol.ParticipantID(i), mathx.V3(rng.Float64()*100-50, 0, rng.Float64()*100-50)
+		g.Update(id, pos)
+		w[id] = pos
 	}
 	var buf []protocol.ParticipantID
 	for trial := 0; trial < 50; trial++ {
 		center := mathx.V3(rng.Float64()*100-50, 0, rng.Float64()*100-50)
 		radius := rng.Float64() * 30
-		want := g.QueryRadius(center, radius)
 		buf = g.Neighbors(center, radius, buf[:0])
-		if len(want) != len(buf) {
-			t.Fatalf("trial %d: Neighbors found %d, QueryRadius %d", trial, len(buf), len(want))
-		}
-		for i := range want {
-			if want[i] != buf[i] {
-				t.Fatalf("trial %d: order diverged at %d: %v vs %v", trial, i, buf[i], want[i])
-			}
+		if want := w.queryRadius(center, radius); !slices.Equal(buf, want) {
+			t.Fatalf("trial %d: Neighbors = %v, brute force = %v", trial, buf, want)
 		}
 	}
 	// A reused buffer with leftover capacity must not leak stale IDs.
 	buf = g.Neighbors(mathx.V3(1000, 0, 1000), 1, buf[:0])
 	if len(buf) != 0 {
 		t.Errorf("query far away returned %v", buf)
+	}
+}
+
+// BenchmarkRefreshOwned256 is the venue's shape: 16×16 seats at 3.2 m, one
+// pinned, default policy, every seat refreshing its own set each tick.
+func BenchmarkRefreshOwned256(b *testing.B) {
+	g := NewGrid(4)
+	p := NewPolicy()
+	const n = 256
+	sets := make([]*Set, n)
+	for i := range sets {
+		g.Update(protocol.ParticipantID(i+1), mathx.V3(float64(i%16)*3.2, 0, float64(i/16)*3.2))
+		sets[i] = NewSet()
+	}
+	p.Pin(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sets[i%n].RefreshOwned(g, p, protocol.ParticipantID(i%n+1), uint64(i/n+1))
 	}
 }
 

@@ -246,14 +246,14 @@ func (r *Runtime) Replicate(addr endpoint.Addr, filter core.FilterFunc) error {
 	return r.repl.AddPeer(string(addr), filter)
 }
 
-// clientFilter is the shared interest gate: one Grid query plus
+// clientFilter is the shared interest gate: one walk of the grid's cells plus
 // squared-distance classification per client per tick through the client's
-// set, instead of an all-pairs sqrt test per (client, source). Built once
-// per pooled Client — it reads c.ID dynamically, so reuse across joins
-// allocates nothing. The refresh goes through the set's own neighbor
-// buffer, so concurrent filter calls for distinct clients (the plan's builds
-// on the pool) never share scratch, and it rebuilds at most once per tick:
-// a build's later calls answer from the set.
+// set, instead of an all-pairs sqrt test per (client, source); every later
+// call in the tick answers from the set's bits. Built once per pooled
+// Client — it reads c.ID dynamically, so reuse across joins allocates
+// nothing. A refresh writes only the client's own set, so concurrent filter
+// calls for distinct clients (the plan's builds on the pool) share nothing
+// but the read-only grid and policy.
 func (r *Runtime) clientFilter(c *Client) core.FilterFunc {
 	return func(id protocol.ParticipantID, tick uint64) bool {
 		if id == c.ID {

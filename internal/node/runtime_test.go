@@ -252,3 +252,93 @@ func TestTickGridQueriesWriteNothing(t *testing.T) {
 		t.Fatalf("avatar missing from a 60 m query after 50 hops: %v", got)
 	}
 }
+
+// TestTickInterestAllocationFree covers the tick path the root
+// TestPlanTickAllocationFree cannot see (its filters are id%2 / id%3 stubs,
+// so no interest.Set ever runs): a runtime with Interest on, 64 clients
+// placed on an 8×8 seat grid at 3.2 m, one of them pinned, every avatar
+// moving every tick and every client acking exactly, two ticks behind. After
+// warm-up a tick — ingest, per-client set refresh, filtered delta builds with
+// owed tracking on the pool, encode, fan-out to a releasing sink — allocates
+// nothing, inline at GOMAXPROCS 1 and sharded at 4, and neither does a tick
+// that follows a leave + join: the joiner takes over the leaver's seat and
+// with it the store slot, the grid slot and the pooled client/peer state.
+// Under -race the allocation counts mean nothing (sync.Pool drops puts) and
+// the test is the race detector's view of the same ticks.
+func TestTickInterestAllocationFree(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			prev := runtime.GOMAXPROCS(procs)
+			defer runtime.GOMAXPROCS(prev)
+			policy := interest.NewPolicy()
+			rt, tr := newRuntime(t, Config{TickHz: 20, Interest: policy})
+			defer rt.Stop()
+
+			const seats = 64
+			// Seat i is held by ID i+1; the last seat alternates between two IDs.
+			holder := make([]protocol.ParticipantID, seats)
+			addrs := make(map[protocol.ParticipantID]endpoint.Addr)
+			for id := protocol.ParticipantID(1); id <= seats+1; id++ {
+				addrs[id] = endpoint.Addr(fmt.Sprintf("c%02d", id))
+			}
+			for i := range holder {
+				holder[i] = protocol.ParticipantID(i + 1)
+				if err := rt.AddClient(holder[i], addrs[holder[i]]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			policy.Pin(1)
+			rt.onTick = func() {
+				tick := rt.Store().Tick()
+				for i, id := range holder {
+					pos := mathx.V3(3.2*float64(i%8)+0.01*float64(tick%7), 0, 3.2*float64(i/8))
+					rt.Store().Upsert(protocol.EntityState{Participant: id, Pose: protocol.QuantizePose(pos, mathx.QuatIdentity())})
+					rt.Grid().Update(id, pos)
+					if tick > 2 {
+						_ = rt.Replicator().Ack(string(addrs[id]), tick-2)
+					}
+				}
+			}
+			swap := func() {
+				last := &holder[seats-1]
+				if _, err := rt.RemoveClient(*last); err != nil {
+					t.Fatal(err)
+				}
+				rt.RemoveEntity(*last)
+				*last = 2*seats + 1 - *last // 64 <-> 65
+				if err := rt.AddClient(*last, addrs[*last]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Warm-up: more than one lap of the store's 256-entry dirty ring,
+			// the plan and frame pools, the pool's helpers, and both IDs of
+			// the alternating seat.
+			for i := 0; i < 300; i++ {
+				if i%10 == 0 {
+					swap()
+				}
+				rt.tick()
+			}
+			if tr.sent == 0 {
+				t.Fatal("warm-up sent nothing")
+			}
+			if raceEnabled {
+				return
+			}
+			if allocs := testing.AllocsPerRun(100, rt.tick); allocs != 0 {
+				t.Errorf("steady-state tick allocates %.2f objects, want 0", allocs)
+			}
+			slotsBefore := rt.Store().Len()
+			if allocs := testing.AllocsPerRun(20, func() {
+				swap()
+				rt.tick()
+				rt.tick()
+			}); allocs != 0 {
+				t.Errorf("leave + join + two ticks allocate %.2f objects, want 0", allocs)
+			}
+			if rt.Store().Len() != slotsBefore || rt.Grid().Len() != seats {
+				t.Errorf("after the swaps: %d entities, %d placed, want %d and %d", rt.Store().Len(), rt.Grid().Len(), slotsBefore, seats)
+			}
+		})
+	}
+}

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# bench.sh — run the root E1–E12 benchmark suite and the playout-buffer
-# benchmarks of ./internal/pose with -benchmem and emit BENCH_<n>.json
-# recording name, ns/op, B/op, allocs/op and each bench's headline metric
+# bench.sh — run the root E1–E12 benchmark suite, the playout-buffer
+# benchmarks of ./internal/pose, the interest-grid benchmarks of
+# ./internal/interest and the store / owed-set / planner benchmarks of
+# ./internal/core with -benchmem and emit BENCH_<n>.json recording name,
+# ns/op, B/op, allocs/op and each bench's headline metric
 # (e.g. cloud-egress-KB/s). The JSON files form the repo's
 # perf trajectory: BENCH_1.json is PR 1's floor; later perf PRs append
 # BENCH_2.json, BENCH_3.json, ... and get judged against the previous file.
@@ -168,10 +170,11 @@ fi
 RAW="$(mktemp)"
 trap 'rm -f "$RAW" $TMP_OUT' EXIT
 
-BENCHES='BenchmarkE[0-9]|BenchmarkOnboard|BenchmarkColdJoin|BenchmarkPlanTick|BenchmarkFanout|BenchmarkInterpBuffer'
-go test -bench "$BENCHES" -benchmem -run '^$' ${BENCHTIME:+-benchtime "$BENCHTIME"} . ./internal/pose | tee "$RAW" >&2
+BENCHES='BenchmarkE[0-9]|BenchmarkOnboard|BenchmarkColdJoin|BenchmarkPlanTick|BenchmarkFanout|BenchmarkInterpBuffer|BenchmarkNeighbors|BenchmarkRefreshOwned|BenchmarkDeltaSince|BenchmarkAckStormPrune|BenchmarkOwedAckStorm'
+PKGS='. ./internal/pose ./internal/interest ./internal/core'
+go test -bench "$BENCHES" -benchmem -run '^$' ${BENCHTIME:+-benchtime "$BENCHTIME"} $PKGS | tee "$RAW" >&2
 
-awk -v goversion="$(go version | awk '{print $3}')" -v benches="$BENCHES" '
+awk -v goversion="$(go version | awk '{print $3}')" -v benches="$BENCHES" -v pkgs="$PKGS" '
 BEGIN { n = 0 }
 /^Benchmark/ {
     name = $1
@@ -201,7 +204,7 @@ END {
     print "{"
     printf "  \"suite\": \"E1-E12 + onboarding root benchmarks\",\n"
     printf "  \"go\": \"%s\",\n", goversion
-    printf "  \"command\": \"go test -bench %s -benchmem -run ^$ . ./internal/pose\",\n", benches
+    printf "  \"command\": \"go test -bench %s -benchmem -run ^$ %s\",\n", benches, pkgs
     print  "  \"benchmarks\": ["
     for (i = 0; i < n; i++) print bench[i] (i < n - 1 ? "," : "")
     print "  ]"
