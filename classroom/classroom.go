@@ -24,9 +24,8 @@
 package classroom
 
 import (
-	"cmp"
-	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"strconv"
 	"time"
@@ -40,6 +39,7 @@ import (
 	"metaclass/internal/interest"
 	"metaclass/internal/netsim"
 	"metaclass/internal/protocol"
+	"metaclass/internal/rig"
 	"metaclass/internal/sensors"
 	"metaclass/internal/trace"
 	"metaclass/internal/vclock"
@@ -102,28 +102,18 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// Deployment is a running Metaverse classroom installation.
+// Deployment is a running Metaverse classroom installation: campuses with
+// their sensing, names and IDs, on the simulated fabric. The rig stands every
+// node and link up, hands sessions off, starts and tears down.
 type Deployment struct {
 	cfg Config
 	sim *vclock.Sim
 	net *netsim.Network
+	rig *rig.Rig
 
-	// interest is the deployment-wide fan-out policy (nil when interest
-	// management is disabled). Cloud, relays and edges share one instance so
-	// pins (educator focus) and tier radii agree everywhere a client may
-	// attach.
-	interest *interest.Policy
-
-	cloud    *cloud.Server
 	campuses map[ClassroomID]*Campus
-	relays   map[string]*cloud.Relay
-	clients  map[ParticipantID]*client.VR
-	// relayOf records which relay serves a remote learner (nil for direct),
-	// so leave teardown reaches the right server.
-	relayOf map[ParticipantID]*cloud.Relay
-	names   map[ParticipantID]string
-	nextID  ParticipantID
-	started bool
+	names    map[ParticipantID]string
+	nextID   ParticipantID
 }
 
 // NewDeployment creates a deployment with a cloud VR server already up.
@@ -131,19 +121,21 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	cfg.applyDefaults()
 	sim := vclock.New(cfg.Seed)
 	net := netsim.New(sim)
+	// One policy for cloud, relays and edges (nil = interest management off).
 	var pol *interest.Policy
 	if cfg.EnableInterest {
 		pol = interest.NewPolicy()
 	}
-	// Nodes are constructed against the transport-agnostic endpoint API;
-	// deployments back them with the simulated fabric's adapter.
-	cl, err := cloud.New(sim, net.Endpoint("cloud"), cloud.Config{
-		TickHz:      cfg.TickHz,
-		VRRows:      cfg.VRRows,
-		VRCols:      cfg.VRCols,
-		VRPitch:     cfg.VRPitch,
-		InterpDelay: cfg.InterpDelay,
-		Interest:    pol,
+	r, err := rig.New(sim, &rig.NetsimFabric{Net: net}, rig.Config{
+		CloudAddr: "cloud",
+		Cloud: cloud.Config{
+			TickHz:      cfg.TickHz,
+			VRRows:      cfg.VRRows,
+			VRCols:      cfg.VRCols,
+			VRPitch:     cfg.VRPitch,
+			InterpDelay: cfg.InterpDelay,
+			Interest:    pol,
+		},
 	})
 	if err != nil {
 		return nil, err
@@ -152,12 +144,8 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 		cfg:      cfg,
 		sim:      sim,
 		net:      net,
-		interest: pol,
-		cloud:    cl,
+		rig:      r,
 		campuses: make(map[ClassroomID]*Campus),
-		relays:   make(map[string]*cloud.Relay),
-		clients:  make(map[ParticipantID]*client.VR),
-		relayOf:  make(map[ParticipantID]*cloud.Relay),
 		names:    make(map[ParticipantID]string),
 		nextID:   1,
 	}, nil
@@ -170,7 +158,7 @@ func (d *Deployment) Sim() *vclock.Sim { return d.sim }
 func (d *Deployment) Network() *netsim.Network { return d.net }
 
 // Cloud exposes the VR classroom server.
-func (d *Deployment) Cloud() *cloud.Server { return d.cloud }
+func (d *Deployment) Cloud() *cloud.Server { return d.rig.Cloud() }
 
 // Now returns the current virtual time.
 func (d *Deployment) Now() time.Duration { return d.sim.Now() }
@@ -198,45 +186,25 @@ type Campus struct {
 }
 
 // AddCampus creates a campus with an edge server connected to the cloud
-// over the default (or configured) edge<->cloud link.
+// over the default (or configured) edge<->cloud link. Campuses cannot be
+// added once the deployment runs.
 func (d *Deployment) AddCampus(name string, id ClassroomID) (*Campus, error) {
-	if d.started {
-		return nil, errors.New("classroom: deployment already running")
-	}
-	if _, ok := d.campuses[id]; ok {
-		return nil, fmt.Errorf("classroom: campus %d exists", id)
-	}
-	addr := netsim.Addr("edge-" + name)
-	es, err := edge.New(d.sim, d.net.Endpoint(addr), edge.Config{
-		Classroom:   id,
-		TickHz:      d.cfg.TickHz,
-		InterpDelay: d.cfg.InterpDelay,
-		Interest:    d.interest,
-	})
-	if err != nil {
-		return nil, err
-	}
 	link := netsim.EdgeToCloud()
 	if d.cfg.CloudLink != nil {
 		link = *d.cfg.CloudLink
-	}
-	if err := d.net.ConnectBoth(addr, netsim.Addr(d.cloud.Addr()), link); err != nil {
-		return nil, err
-	}
-	if err := es.ConnectPeer(d.cloud.Addr()); err != nil {
-		return nil, err
-	}
-	if err := d.cloud.ConnectEdge(endpoint.Addr(addr), id); err != nil {
-		return nil, err
 	}
 	c := &Campus{
 		d:       d,
 		name:    name,
 		id:      id,
-		edge:    es,
 		headset: make(map[ParticipantID]*sensors.Headset),
 		scripts: make(map[ParticipantID]trace.MotionScript),
 	}
+	es, err := d.rig.AddEdge(endpoint.Addr("edge-"+name), id, link, (*sensing)(c))
+	if err != nil {
+		return nil, err
+	}
+	c.edge = es
 	c.array = sensors.NewArray(d.cfg.RoomSensorCount, 12, 10, d.sim, sensors.RoomSensorConfig{}, c.roomSink)
 	d.campuses[id] = c
 	return c, nil
@@ -245,13 +213,26 @@ func (d *Deployment) AddCampus(name string, id ClassroomID) (*Campus, error) {
 // ConnectCampuses joins two campuses over the inter-campus real-time link
 // so each edge replicates directly to the other (Fig. 3).
 func (d *Deployment) ConnectCampuses(a, b *Campus) error {
-	if err := d.net.ConnectBoth(netsim.Addr(a.edge.Addr()), netsim.Addr(b.edge.Addr()), netsim.InterCampus()); err != nil {
-		return err
+	return d.rig.ConnectEdges(a.edge, b.edge, netsim.InterCampus())
+}
+
+// sensing is a campus seen as what the rig starts right after its edge and
+// stops with it: the room array, then the headsets ascending by ID.
+type sensing Campus
+
+func (c *sensing) Start() error {
+	c.array.Start()
+	for _, pid := range slices.Sorted(maps.Keys(c.headset)) {
+		c.headset[pid].Start()
 	}
-	if err := a.edge.ConnectPeer(b.edge.Addr()); err != nil {
-		return err
+	return nil
+}
+
+func (c *sensing) Stop() {
+	c.array.Stop()
+	for _, pid := range slices.Sorted(maps.Keys(c.headset)) {
+		c.headset[pid].Stop()
 	}
-	return b.edge.ConnectPeer(a.edge.Addr())
 }
 
 // Name returns the campus name.
@@ -308,7 +289,7 @@ func (c *Campus) addLocal(name string, role Role, script trace.MotionScript) (Pa
 	c.array.Track(strconv.FormatUint(uint64(id), 10), script)
 	// Mid-session joins start sensing immediately (the room array is already
 	// sweeping; Track above adds them to its rotation).
-	if c.d.started {
+	if c.d.rig.Started() {
 		hs.Start()
 	}
 	return id, nil
@@ -326,7 +307,7 @@ func (c *Campus) AddEducator(name string, script trace.MotionScript) (Participan
 	if err != nil {
 		return 0, err
 	}
-	c.d.cloud.PinFocus(id)
+	c.d.rig.Cloud().PinFocus(id)
 	return id, nil
 }
 
@@ -351,222 +332,55 @@ func (c *Campus) ScriptOf(id ParticipantID) (trace.MotionScript, bool) {
 
 // AddRelay stands up a regional relay connected to the cloud over link.
 func (d *Deployment) AddRelay(name string, link netsim.LinkConfig) (*cloud.Relay, error) {
-	if _, ok := d.relays[name]; ok {
-		return nil, fmt.Errorf("classroom: relay %s exists", name)
-	}
-	addr := netsim.Addr("relay-" + name)
-	r, err := cloud.NewRelay(d.sim, d.net.Endpoint(addr), cloud.RelayConfig{
-		Upstream:    d.cloud.Addr(),
-		TickHz:      d.cfg.TickHz,
-		InterpDelay: d.cfg.InterpDelay,
-		Interest:    d.interest,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := d.net.ConnectBoth(addr, netsim.Addr(d.cloud.Addr()), link); err != nil {
-		return nil, err
-	}
-	if err := d.cloud.AddRelay(endpoint.Addr(addr)); err != nil {
-		return nil, err
-	}
-	d.relays[name] = r
-	return r, nil
+	return d.rig.AddRelay(endpoint.Addr("relay-"+name), link)
 }
 
 // AddRemoteLearner joins a remote VR learner directly to the cloud over the
 // given access link.
 func (d *Deployment) AddRemoteLearner(name string, script trace.MotionScript, link netsim.LinkConfig) (*client.VR, ParticipantID, error) {
-	return d.addRemote(name, script, link, d.cloud.Addr(), true)
+	return d.addRemote(name, script, link, nil)
 }
 
-// AddRemoteLearnerVia joins a remote learner through a regional relay.
+// AddRemoteLearnerVia joins a remote learner through a regional relay (one
+// this deployment's AddRelay returned).
 func (d *Deployment) AddRemoteLearnerVia(relay *cloud.Relay, name string, script trace.MotionScript, link netsim.LinkConfig) (*client.VR, ParticipantID, error) {
-	return d.addRemote(name, script, link, relay.Addr(), false)
+	return d.addRemote(name, script, link, relay)
 }
 
-func (d *Deployment) addRemote(name string, script trace.MotionScript, link netsim.LinkConfig, server endpoint.Addr, direct bool) (*client.VR, ParticipantID, error) {
+// addRemote joins a learner through the rig. One who never joined keeps no
+// roster entry; the ID is spent all the same (no ID is ever handed out twice).
+func (d *Deployment) addRemote(name string, script trace.MotionScript, link netsim.LinkConfig, via *cloud.Relay) (*client.VR, ParticipantID, error) {
 	id := d.allocID(name)
-	addr := netsim.Addr("vr-" + strconv.FormatUint(uint64(id), 10))
-	v, err := client.NewVR(d.sim, d.net.Endpoint(addr), client.VRConfig{
-		Participant: id,
-		Server:      server,
-		InterpDelay: d.cfg.InterpDelay,
-		Script:      script,
-	})
+	v, err := d.rig.Join(id, endpoint.Addr("vr-"+strconv.FormatUint(uint64(id), 10)), script, via, link)
 	if err != nil {
+		delete(d.names, id)
 		return nil, 0, err
-	}
-	if err := d.net.ConnectBoth(addr, netsim.Addr(server), link); err != nil {
-		return nil, 0, err
-	}
-	if direct {
-		if err := d.cloud.AddClient(id, endpoint.Addr(addr)); err != nil {
-			return nil, 0, err
-		}
-	} else {
-		if err := d.cloud.RegisterRelayClient(id, server); err != nil {
-			return nil, 0, err
-		}
-		for _, name := range sortedKeys(d.relays) {
-			if r := d.relays[name]; r.Addr() == server {
-				if err := r.AddClient(id, endpoint.Addr(addr)); err != nil {
-					return nil, 0, err
-				}
-				d.relayOf[id] = r
-				break
-			}
-		}
-	}
-	d.clients[id] = v
-	// Mid-session joins go live immediately: the deployment is already
-	// running, so the learner's publish loop starts now.
-	if d.started {
-		if err := v.Start(); err != nil {
-			return nil, 0, err
-		}
 	}
 	return v, id, nil
 }
 
 // MigrateRemoteLearner hands a live remote learner off to a different server
 // mid-session: to a regional relay, or back to the cloud when relay is nil,
-// over the given access link. The handoff is the geo deployment's
-// drain-transfer-adopt sequence — the old server exports the learner's
-// replication baseline (ack floor plus owed debt), the old access path is cut
-// (in-flight frames cancelled, never leaked), the new path comes up, and the
-// new server adopts the session seeded from the baseline — so no update is
-// lost or duplicated across the cut. Synchronous: call it between Run slices
-// so no tick interleaves with the cut. A no-op when the learner is already
-// served there.
+// over the given access link. No update is lost or duplicated across the cut
+// (rig.Handoff has the sequence). Call it between Run slices so no tick
+// interleaves with the cut. A no-op when the learner is already served there.
 func (d *Deployment) MigrateRemoteLearner(id ParticipantID, relay *cloud.Relay, link netsim.LinkConfig) error {
-	v, ok := d.clients[id]
-	if !ok {
-		return fmt.Errorf("classroom: unknown remote learner %d", id)
-	}
-	old := d.relayOf[id]
-	if old == relay {
-		return nil
-	}
-	oldAddr, newAddr := d.cloud.Addr(), d.cloud.Addr()
-	if old != nil {
-		oldAddr = old.Addr()
-	}
-	if relay != nil {
-		newAddr = relay.Addr()
-	}
-
-	// 1. Export the replication baseline and retire the old server's route.
-	// The cloud keeps seat and authored entity either way — only the
-	// replication route changes hands.
-	b, err := d.cloud.ReleaseSession(id, old, relay)
-	if err != nil {
-		return err
-	}
-
-	// 2. Cut the old access path: deliveries in flight on the pair are
-	// cancelled (frames released, handlers not invoked) — which is exactly
-	// why the baseline flattens in-flight sends back to owed debt.
-	addr := netsim.Addr(v.Addr())
-	for _, dir := range [2][2]netsim.Addr{{addr, netsim.Addr(oldAddr)}, {netsim.Addr(oldAddr), addr}} {
-		if err := d.net.Disconnect(dir[0], dir[1]); err != nil {
-			return err
-		}
-	}
-
-	// 3. Bring up the new access path before the new server plans a tick.
-	if err := d.net.ConnectBoth(addr, netsim.Addr(newAddr), link); err != nil {
-		return err
-	}
-
-	// 4. Adopt the session at the new server, seeding its replicator from
-	// the transferred baseline (plus the conservative re-owe).
-	if err := d.cloud.AdoptSession(id, endpoint.Addr(addr), old, relay, b); err != nil {
-		return err
-	}
-	if relay == nil {
-		delete(d.relayOf, id)
-	} else {
-		d.relayOf[id] = relay
-	}
-
-	// 5. Repoint the client: publishes, pings, and auto-acks follow.
-	v.Retarget(newAddr)
-	return nil
+	return d.rig.Handoff(id, relay, link)
 }
 
-// RemoveRemoteLearner withdraws a remote VR learner mid-session: their
-// publish loop stops, their server-side replication peer and interest state
-// are torn down (scratch returning to the onboarding pool), their authored
-// entity is removed from the world so the departure replicates everywhere,
-// and their endpoint detaches — frames still in flight toward it are
-// released by the transport, never leaked.
+// RemoveRemoteLearner withdraws a remote VR learner mid-session and the
+// departure replicates everywhere (rig.Leave has the teardown policy).
 func (d *Deployment) RemoveRemoteLearner(id ParticipantID) error {
-	v, ok := d.clients[id]
-	if !ok {
-		return fmt.Errorf("classroom: unknown remote learner %d", id)
+	if err := d.rig.Leave(id); err != nil {
+		return err
 	}
-	delete(d.clients, id)
 	delete(d.names, id) // churn must not grow the roster without bound
-	v.Stop()
-	if r := d.relayOf[id]; r != nil {
-		delete(d.relayOf, id)
-		if err := r.RemoveClient(id); err != nil {
-			return err
-		}
-	}
-	if err := d.cloud.RemoveClient(id); err != nil {
-		return err
-	}
-	// Remove the learner's host from the fabric: its links and any deliveries
-	// still queued toward it are reclaimed eagerly (frames released exactly
-	// once, never leaked), so churn cannot grow the netsim tables without
-	// bound. Traffic the learner already put on the wire still arrives.
-	return d.net.RemoveHost(netsim.Addr(v.Addr()))
-}
-
-// Start launches every server, sensor and client. Run calls it implicitly.
-func (d *Deployment) Start() error {
-	if d.started {
-		return nil
-	}
-	d.started = true
-	if err := d.cloud.Start(); err != nil {
-		return err
-	}
-	// Deterministic startup order: map iteration order varies run to run,
-	// which would reorder tick registration and derail reproducibility.
-	for _, cid := range sortedKeys(d.campuses) {
-		c := d.campuses[cid]
-		if err := c.edge.Start(); err != nil {
-			return err
-		}
-		c.array.Start()
-		for _, pid := range sortedKeys(c.headset) {
-			c.headset[pid].Start()
-		}
-	}
-	for _, name := range sortedKeys(d.relays) {
-		if err := d.relays[name].Start(); err != nil {
-			return err
-		}
-	}
-	for _, pid := range sortedKeys(d.clients) {
-		if err := d.clients[pid].Start(); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
-func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
-	out := make([]K, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	slices.Sort(out)
-	return out
-}
+// Start launches every server, sensor and client (rig.Start has the order).
+// Idempotent; Run calls it implicitly.
+func (d *Deployment) Start() error { return d.rig.Start() }
 
 // Run starts (if needed) and advances the deployment by dur of virtual time.
 func (d *Deployment) Run(dur time.Duration) error {
@@ -577,26 +391,10 @@ func (d *Deployment) Run(dur time.Duration) error {
 }
 
 // Stop halts all tick loops and sensors.
-func (d *Deployment) Stop() {
-	for _, c := range d.campuses {
-		c.edge.Stop()
-		c.array.Stop()
-		for _, hs := range c.headset {
-			hs.Stop()
-		}
-	}
-	for _, r := range d.relays {
-		r.Stop()
-	}
-	for _, v := range d.clients {
-		v.Stop()
-	}
-	d.cloud.Stop()
-	d.started = false
-}
+func (d *Deployment) Stop() { d.rig.Stop() }
 
 // Campuses returns the campuses keyed by classroom ID.
 func (d *Deployment) Campuses() map[ClassroomID]*Campus { return d.campuses }
 
 // Clients returns remote learners keyed by participant ID.
-func (d *Deployment) Clients() map[ParticipantID]*client.VR { return d.clients }
+func (d *Deployment) Clients() map[ParticipantID]*client.VR { return d.rig.Clients() }

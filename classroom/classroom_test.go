@@ -1,11 +1,13 @@
 package classroom
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"metaclass/internal/mathx"
 	"metaclass/internal/netsim"
+	"metaclass/internal/rig"
 	"metaclass/internal/trace"
 )
 
@@ -406,5 +408,105 @@ func TestLinkDegradationSurvived(t *testing.T) {
 	}
 	if rep.Store().Len() == 0 {
 		t.Error("GZ replica empty after recovery")
+	}
+}
+
+// TestFailedJoinReclaimsEndpoint: a join the fabric refuses (a loss rate of
+// 2 is no probability) must leave nothing behind — no bound host, no link,
+// no cloud registration, no roster entry — and must not wedge later joins.
+func TestFailedJoinReclaimsEndpoint(t *testing.T) {
+	d, err := NewDeployment(Config{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	relay, err := d.AddRelay("r", netsim.EdgeToCloud())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := d.Network().Tables()
+	bad := netsim.LinkConfig{LossRate: 2}
+	if _, _, err := d.AddRemoteLearner("ghost", trace.Seated{}, bad); err == nil {
+		t.Fatal("direct join over an invalid link succeeded")
+	}
+	if _, _, err := d.AddRemoteLearnerVia(relay, "ghost", trace.Seated{}, bad); err == nil {
+		t.Fatal("relayed join over an invalid link succeeded")
+	}
+	if _, err := d.AddRelay("ghost", bad); err == nil {
+		t.Fatal("relay deploy over an invalid link succeeded")
+	}
+	if got := d.Network().Tables(); got.Hosts != base.Hosts || got.Links != base.Links {
+		t.Errorf("fabric after failed joins: %d hosts / %d links, want %d / %d",
+			got.Hosts, got.Links, base.Hosts, base.Links)
+	}
+	if n := len(d.names); n != 0 {
+		t.Errorf("roster holds %d names after failed joins, want 0", n)
+	}
+	if n := len(d.Clients()) + d.Cloud().ClientCount() + relay.ClientCount(); n != 0 {
+		t.Errorf("%d sessions registered after failed joins, want 0", n)
+	}
+	// The next learner — and a relay reusing the refused name — join cleanly.
+	v, id, err := d.AddRemoteLearner("alice", trace.Seated{}, netsim.ResidentialBroadband(20*time.Millisecond))
+	if err != nil {
+		t.Fatalf("join after a failed join: %v", err)
+	}
+	if _, err := d.AddRelay("ghost", netsim.EdgeToCloud()); err != nil {
+		t.Fatalf("relay deploy after a failed one: %v", err)
+	}
+	if err := d.Run(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := d.Cloud().World().Get(id); !ok || d.NameOf(id) != "alice" {
+		t.Errorf("learner %d (%q) did not come up after the failed joins", id, d.NameOf(id))
+	}
+	if _, synced := v.FirstSyncAt(); !synced {
+		t.Error("learner joined after the failed joins never synced")
+	}
+}
+
+// TestForeignRelayRejected: a relay this deployment did not create cannot
+// serve its learners — the cloud would record them as routed through a
+// server it does not replicate to. Join and migration both refuse it and
+// change nothing.
+func TestForeignRelayRejected(t *testing.T) {
+	other, err := NewDeployment(Config{Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := other.AddRelay("east", netsim.EdgeToCloud())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDeployment(Config{Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Same name, same address, different deployment: identity is the pointer.
+	if _, err := d.AddRelay("east", netsim.EdgeToCloud()); err != nil {
+		t.Fatal(err)
+	}
+	access := netsim.ResidentialBroadband(20 * time.Millisecond)
+	_, id, err := d.AddRemoteLearner("alice", trace.Seated{}, access)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := d.Network().Tables()
+	if _, _, err := d.AddRemoteLearnerVia(foreign, "bob", trace.Seated{}, access); !errors.Is(err, rig.ErrForeignRelay) {
+		t.Errorf("join via a foreign relay: err = %v, want rig.ErrForeignRelay", err)
+	}
+	if err := d.MigrateRemoteLearner(id, foreign, access); !errors.Is(err, rig.ErrForeignRelay) {
+		t.Errorf("migration to a foreign relay: err = %v, want rig.ErrForeignRelay", err)
+	}
+	if got := d.Network().Tables(); got.Hosts != base.Hosts || got.Links != base.Links {
+		t.Errorf("fabric changed by refused calls: %d hosts / %d links, want %d / %d",
+			got.Hosts, got.Links, base.Hosts, base.Links)
+	}
+	if n := d.Cloud().ClientCount(); n != 1 || foreign.ClientCount() != 0 {
+		t.Errorf("cloud clients = %d, foreign relay clients = %d, want 1 and 0", n, foreign.ClientCount())
+	}
+	if err := d.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := d.Cloud().World().Get(id); !ok {
+		t.Error("the learner whose migration was refused no longer reaches the cloud")
 	}
 }

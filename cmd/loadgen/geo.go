@@ -8,6 +8,7 @@ import (
 	"metaclass/internal/geo"
 	"metaclass/internal/protocol"
 	"metaclass/internal/region"
+	"metaclass/internal/rig"
 	"metaclass/internal/vclock"
 )
 
@@ -21,7 +22,7 @@ import (
 // scheduled migration must have happened, and no frame may be left alive.
 func runGeo() error {
 	live0 := protocol.LiveFrames()
-	fab := geo.NewTCPFabric()
+	fab := rig.NewTCPFabric()
 	defer fab.Close()
 	sim := vclock.New(3)
 	d, err := geo.New(sim, fab, geo.Config{

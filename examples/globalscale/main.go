@@ -18,6 +18,7 @@ import (
 	"metaclass/internal/netsim"
 	"metaclass/internal/protocol"
 	"metaclass/internal/region"
+	"metaclass/internal/rig"
 	"metaclass/internal/vclock"
 )
 
@@ -34,7 +35,7 @@ func run() error {
 	clientRegions := []region.ID{"kr", "jp", "us-east", "eu-west", "sa-poor"}
 
 	sim := vclock.New(3)
-	d, err := geo.New(sim, &geo.NetsimFabric{Net: netsim.New(sim)}, geo.Config{
+	d, err := geo.New(sim, &rig.NetsimFabric{Net: netsim.New(sim)}, geo.Config{
 		Topology:    topo,
 		CloudRegion: "hk",
 	})

@@ -10,6 +10,7 @@ import (
 	"metaclass/internal/netsim"
 	"metaclass/internal/protocol"
 	"metaclass/internal/region"
+	"metaclass/internal/rig"
 	"metaclass/internal/vclock"
 )
 
@@ -83,7 +84,7 @@ func runGeoPoint(seed int64, sharded bool) geoResult {
 	res := geoResult{}
 	live0 := protocol.LiveFrames()
 	sim := vclock.New(seed)
-	d, err := geo.New(sim, &geo.NetsimFabric{Net: netsim.New(sim)}, geo.Config{
+	d, err := geo.New(sim, &rig.NetsimFabric{Net: netsim.New(sim)}, geo.Config{
 		Topology:    region.GlobalCampus(),
 		CloudRegion: "hk",
 	})

@@ -5,18 +5,13 @@
 // over the endpoint.Transport API — identically on the deterministic netsim
 // fabric (links derived from the latency matrix) and on real TCP sockets.
 //
-// On top of the static topology it implements live session handoff:
-// Deployment.Migrate moves a joined client between relays (or between the
-// cloud and a relay) without losing or duplicating an update. The old
-// server's replication baseline — ack floor plus owed-set debt — transfers
-// to the new one (core.Replicator.ExportBaseline/ImportBaseline), the old
-// access path's in-flight frames are cancelled or drained by the fabric,
-// and the importing runtime conservatively re-opens owed debt for content
-// the transferred floor cannot prove delivered, so the owed sweep converges
-// exactly the entities the delta walk would miss. Two triggers drive
-// migration: client roam — Roam() moves a session when another server beats
-// its current one by more than Config.RoamHysteresis — and relay drain —
-// Drain() migrates every client off a relay, then reclaims it.
+// On top of the static topology it drives live session handoff: Migrate
+// moves a joined client between relays (or between the cloud and a relay)
+// without losing or duplicating an update. Two triggers drive it: client
+// roam — Roam() moves a session when another server beats its current one by
+// more than Config.RoamHysteresis — and relay drain — Drain() migrates every
+// client off a relay, then retires it. Nodes, endpoints, links and the
+// handoff sequence belong to internal/rig; this package says who goes where.
 //
 // The roam hysteresis knob: a session migrates only when
 //
@@ -32,7 +27,8 @@ package geo
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"metaclass/internal/client"
@@ -44,6 +40,7 @@ import (
 	"metaclass/internal/netsim"
 	"metaclass/internal/protocol"
 	"metaclass/internal/region"
+	"metaclass/internal/rig"
 	"metaclass/internal/trace"
 	"metaclass/internal/vclock"
 )
@@ -52,7 +49,6 @@ import (
 var (
 	ErrUnknownSession = errors.New("geo: unknown session")
 	ErrUnknownRelay   = errors.New("geo: no relay in region")
-	ErrRelayExists    = errors.New("geo: relay already deployed")
 )
 
 // Config parameterizes a Deployment.
@@ -117,25 +113,19 @@ type Session struct {
 
 	// served is the region of the serving relay; "" means the cloud.
 	served region.ID
-	addr   endpoint.Addr
 }
 
 // ServedBy returns the serving relay's region, or "" for the cloud.
 func (s *Session) ServedBy() region.ID { return s.served }
 
 // Deployment is a live geo-sharded topology: one cloud, the placed relays,
-// and the client sessions routed between them.
+// and the client sessions routed between them, on the rig that runs them.
 type Deployment struct {
 	cfg Config
 	sim *vclock.Sim
-	fab Fabric
+	rig *rig.Rig
 
-	cloud     *cloud.Server
-	cloudAddr endpoint.Addr
-
-	relays    map[region.ID]*cloud.Relay
-	relayAddr map[region.ID]endpoint.Addr
-
+	relays   map[region.ID]*cloud.Relay
 	sessions map[protocol.ParticipantID]*Session
 	census   map[region.ID]int
 
@@ -144,13 +134,11 @@ type Deployment struct {
 	mMigrations *metrics.Counter
 	mRoams      *metrics.Counter
 	mDrains     *metrics.Counter
-
-	started bool
 }
 
 // New creates a deployment: the cloud comes up immediately (address
 // "geo-cloud"); relays are placed later via Deploy or Rebalance.
-func New(sim *vclock.Sim, fab Fabric, cfg Config) (*Deployment, error) {
+func New(sim *vclock.Sim, fab rig.Fabric, cfg Config) (*Deployment, error) {
 	cfg.applyDefaults()
 	if cfg.Topology == nil {
 		return nil, errors.New("geo: Config.Topology is required")
@@ -158,33 +146,27 @@ func New(sim *vclock.Sim, fab Fabric, cfg Config) (*Deployment, error) {
 	if _, err := cfg.Topology.Latency(cfg.CloudRegion, cfg.CloudRegion); err != nil {
 		return nil, fmt.Errorf("geo: cloud region: %w", err)
 	}
+	r, err := rig.New(sim, fab, rig.Config{
+		CloudAddr: "geo-cloud",
+		Cloud:     cloud.Config{TickHz: cfg.TickHz, Interest: cfg.Interest},
+		PublishHz: cfg.PublishHz,
+	})
+	if err != nil {
+		return nil, err
+	}
 	d := &Deployment{
-		cfg:       cfg,
-		sim:       sim,
-		fab:       fab,
-		cloudAddr: "geo-cloud",
-		relays:    make(map[region.ID]*cloud.Relay),
-		relayAddr: make(map[region.ID]endpoint.Addr),
-		sessions:  make(map[protocol.ParticipantID]*Session),
-		census:    make(map[region.ID]int),
-		reg:       metrics.NewRegistry("geo"),
+		cfg:      cfg,
+		sim:      sim,
+		rig:      r,
+		relays:   make(map[region.ID]*cloud.Relay),
+		sessions: make(map[protocol.ParticipantID]*Session),
+		census:   make(map[region.ID]int),
+		reg:      metrics.NewRegistry("geo"),
 	}
 	d.mDeploys = d.reg.Counter("geo.relays.deployed")
 	d.mMigrations = d.reg.Counter("geo.migrations")
 	d.mRoams = d.reg.Counter("geo.roams")
 	d.mDrains = d.reg.Counter("geo.drains")
-	tr, err := fab.Transport(d.cloudAddr)
-	if err != nil {
-		return nil, err
-	}
-	cl, err := cloud.New(sim, tr, cloud.Config{
-		TickHz:   cfg.TickHz,
-		Interest: cfg.Interest,
-	})
-	if err != nil {
-		return nil, err
-	}
-	d.cloud = cl
 	return d, nil
 }
 
@@ -192,7 +174,7 @@ func New(sim *vclock.Sim, fab Fabric, cfg Config) (*Deployment, error) {
 func (d *Deployment) Sim() *vclock.Sim { return d.sim }
 
 // Cloud returns the cloud server.
-func (d *Deployment) Cloud() *cloud.Server { return d.cloud }
+func (d *Deployment) Cloud() *cloud.Server { return d.rig.Cloud() }
 
 // Metrics returns the deployment-level control-plane registry.
 func (d *Deployment) Metrics() *metrics.Registry { return d.reg }
@@ -205,12 +187,7 @@ func (d *Deployment) Relay(reg region.ID) (*cloud.Relay, bool) {
 
 // RelayRegions returns the deployed relay regions, ascending.
 func (d *Deployment) RelayRegions() []region.ID {
-	out := make([]region.ID, 0, len(d.relays))
-	for r := range d.relays {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Sorted(maps.Keys(d.relays))
 }
 
 // Session returns the session for id.
@@ -222,22 +199,11 @@ func (d *Deployment) Session(id protocol.ParticipantID) (*Session, bool) {
 // SessionIDs returns all live session IDs, ascending — the pinned iteration
 // order for every sweep over sessions.
 func (d *Deployment) SessionIDs() []protocol.ParticipantID {
-	out := make([]protocol.ParticipantID, 0, len(d.sessions))
-	for id := range d.sessions {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Sorted(maps.Keys(d.sessions))
 }
 
 // Census returns a copy of the per-region client counts.
-func (d *Deployment) Census() map[region.ID]int {
-	out := make(map[region.ID]int, len(d.census))
-	for r, n := range d.census {
-		out[r] = n
-	}
-	return out
-}
+func (d *Deployment) Census() map[region.ID]int { return maps.Clone(d.census) }
 
 // latency is the topology's one-way latency with same-region pairs allowed.
 func (d *Deployment) latency(a, b region.ID) (time.Duration, error) {
@@ -250,13 +216,6 @@ func (d *Deployment) serverRegionOf(served region.ID) region.ID {
 		return d.cfg.CloudRegion
 	}
 	return served
-}
-
-func (d *Deployment) serverAddr(served region.ID) endpoint.Addr {
-	if served == "" {
-		return d.cloudAddr
-	}
-	return d.relayAddr[served]
 }
 
 // bestServer returns the lowest-latency server for a client in reg,
@@ -285,11 +244,9 @@ func (d *Deployment) bestServer(reg region.ID, exclude region.ID) (region.ID, ti
 }
 
 // Join creates a session for a client in reg and routes it to the current
-// best server (the cloud until relays are deployed). Returns the session.
+// best server (the cloud until relays are deployed). An ID already in session
+// is refused: its address is in use.
 func (d *Deployment) Join(id protocol.ParticipantID, reg region.ID) (*Session, error) {
-	if _, ok := d.sessions[id]; ok {
-		return nil, fmt.Errorf("geo: session %d already joined", id)
-	}
 	if _, err := d.latency(reg, reg); err != nil {
 		return nil, err
 	}
@@ -298,65 +255,24 @@ func (d *Deployment) Join(id protocol.ParticipantID, reg region.ID) (*Session, e
 		return nil, err
 	}
 	addr := endpoint.Addr(fmt.Sprintf("geo-vr-%04d", id))
-	tr, err := d.fab.Transport(addr)
+	// d.relays[""] is nil: the cloud serves until relays are deployed.
+	vr, err := d.rig.Join(id, addr, d.cfg.Script(id), d.relays[served], d.cfg.AccessLink(lat))
 	if err != nil {
 		return nil, err
 	}
-	vr, err := client.NewVR(d.sim, tr, client.VRConfig{
-		Participant: id,
-		Server:      d.serverAddr(served),
-		PublishHz:   d.cfg.PublishHz,
-		Script:      d.cfg.Script(id),
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := d.fab.Link(d.serverAddr(served), addr, d.cfg.AccessLink(lat)); err != nil {
-		return nil, err
-	}
-	if served == "" {
-		if err := d.cloud.AddClient(id, addr); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := d.relays[served].AddClient(id, addr); err != nil {
-			return nil, err
-		}
-		if err := d.cloud.RegisterRelayClient(id, d.relayAddr[served]); err != nil {
-			return nil, err
-		}
-	}
-	s := &Session{ID: id, Region: reg, VR: vr, served: served, addr: addr}
+	s := &Session{ID: id, Region: reg, VR: vr, served: served}
 	d.sessions[id] = s
 	d.census[reg]++
-	if d.started {
-		if err := vr.Start(); err != nil {
-			return nil, err
-		}
-	}
 	return s, nil
 }
 
-// Leave tears a session fully down: server-side state (seat, authored
-// entity, replication peer), the access link, and the client endpoint.
+// Leave tears a session fully down (rig.Leave has the teardown policy).
 func (d *Deployment) Leave(id protocol.ParticipantID) error {
 	s, ok := d.sessions[id]
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownSession, id)
 	}
-	s.VR.Stop()
-	if s.served != "" {
-		if err := d.relays[s.served].RemoveClient(id); err != nil {
-			return err
-		}
-	}
-	if err := d.cloud.RemoveClient(id); err != nil {
-		return err
-	}
-	if err := d.fab.Unlink(d.serverAddr(s.served), s.addr); err != nil {
-		return err
-	}
-	if err := d.fab.Remove(s.addr); err != nil {
+	if err := d.rig.Leave(id); err != nil {
 		return err
 	}
 	delete(d.sessions, id)
@@ -388,48 +304,25 @@ func (d *Deployment) Deploy(k int) ([]region.ID, error) {
 	return placed, nil
 }
 
-// deployRelay stands one relay up: endpoint, backbone link to the cloud,
-// replication registration, and (if the deployment is live) its tick loop.
+// deployRelay stands one relay up in rr (address "geo-relay-<region>") on a
+// backbone link to the cloud; on a live deployment it starts ticking at once.
 func (d *Deployment) deployRelay(rr region.ID) error {
-	if _, ok := d.relays[rr]; ok {
-		return fmt.Errorf("%w: %s", ErrRelayExists, rr)
-	}
 	lat, err := d.latency(d.cfg.CloudRegion, rr)
 	if err != nil {
 		return err
 	}
-	addr := endpoint.Addr("geo-relay-" + string(rr))
-	tr, err := d.fab.Transport(addr)
+	rel, err := d.rig.AddRelay(endpoint.Addr("geo-relay-"+string(rr)), d.cfg.BackboneLink(lat))
 	if err != nil {
-		return err
-	}
-	rel, err := cloud.NewRelay(d.sim, tr, cloud.RelayConfig{
-		Upstream: d.cloudAddr,
-		TickHz:   d.cfg.TickHz,
-		Interest: d.cfg.Interest,
-	})
-	if err != nil {
-		return err
-	}
-	if err := d.fab.Link(d.cloudAddr, addr, d.cfg.BackboneLink(lat)); err != nil {
-		return err
-	}
-	if err := d.cloud.AddRelay(addr); err != nil {
 		return err
 	}
 	d.relays[rr] = rel
-	d.relayAddr[rr] = addr
 	d.mDeploys.Inc()
-	if d.started {
-		return rel.Start()
-	}
 	return nil
 }
 
 // Migrate hands a live session off to the server in region `to` ("" = the
-// cloud) — the drain-transfer-adopt sequence the package doc describes.
-// Synchronous: it runs between simulation events, so no tick interleaves
-// with the cut. A no-op when the session is already served there.
+// cloud) over an access link for the new distance (rig.Handoff has the
+// sequence). A no-op when the session is already served there.
 func (d *Deployment) Migrate(id protocol.ParticipantID, to region.ID) error {
 	s, ok := d.sessions[id]
 	if !ok {
@@ -447,40 +340,9 @@ func (d *Deployment) Migrate(id protocol.ParticipantID, to region.ID) error {
 	if err != nil {
 		return err
 	}
-	oldAddr, newAddr := d.serverAddr(s.served), d.serverAddr(to)
-	from, dest := d.relays[s.served], d.relays[to] // nil = the cloud
-
-	// 1. Export the replication baseline and retire the old server's session
-	// state. The cloud keeps seat and authored entity either way — only the
-	// replication route changes hands.
-	b, err := d.cloud.ReleaseSession(id, from, dest)
-	if err != nil {
+	if err := d.rig.Handoff(id, d.relays[to], d.cfg.AccessLink(accessLat)); err != nil {
 		return err
 	}
-
-	// 2. Cut the old access path. Netsim cancels in-flight frames on the
-	// pair (references released, handlers not invoked); TCP closes the
-	// connection. Anything the old server had planned for this client dies
-	// here — which is exactly why the baseline flattens in-flight sends back
-	// to owed debt.
-	if err := d.fab.Unlink(oldAddr, s.addr); err != nil {
-		return err
-	}
-
-	// 3. Bring up the new access path before the new server plans a tick.
-	if err := d.fab.Link(newAddr, s.addr, d.cfg.AccessLink(accessLat)); err != nil {
-		return err
-	}
-
-	// 4. Adopt the session at the new server, seeding its replicator from
-	// the transferred baseline (plus the conservative re-owe; see
-	// node.Runtime.ImportClientBaseline).
-	if err := d.cloud.AdoptSession(id, s.addr, from, dest, b); err != nil {
-		return err
-	}
-
-	// 5. Repoint the client: publishes, pings, and auto-acks follow.
-	s.VR.Retarget(newAddr)
 	s.served = to
 	d.mMigrations.Inc()
 	return nil
@@ -514,16 +376,13 @@ func (d *Deployment) Roam() (int, error) {
 }
 
 // Drain retires the relay in reg: every session it serves migrates to its
-// next-best server first (ascending ID), then the relay stops ticking, the
-// cloud drops its replication peer, and the fabric reclaims the endpoint —
-// in that order, so no tick can plan a frame for a route being torn down
-// and nothing the relay still holds can leak.
+// next-best server first (ascending ID), then the rig reclaims the relay
+// (rig.RetireRelay has the order and why).
 func (d *Deployment) Drain(reg region.ID) error {
 	rel, ok := d.relays[reg]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownRelay, reg)
 	}
-	addr := d.relayAddr[reg]
 	for _, id := range d.SessionIDs() {
 		s := d.sessions[id]
 		if s.served != reg {
@@ -537,18 +396,10 @@ func (d *Deployment) Drain(reg region.ID) error {
 			return err
 		}
 	}
-	rel.Stop()
-	if err := d.cloud.RemoveRelay(addr); err != nil {
-		return err
-	}
-	if err := d.fab.Unlink(d.cloudAddr, addr); err != nil {
-		return err
-	}
-	if err := d.fab.Remove(addr); err != nil {
+	if err := d.rig.RetireRelay(rel); err != nil {
 		return err
 	}
 	delete(d.relays, reg)
-	delete(d.relayAddr, reg)
 	d.mDrains.Inc()
 	return nil
 }
@@ -578,42 +429,8 @@ func (d *Deployment) Rebalance(k int) (added, retired []region.ID, moved int, er
 	return add, retire, moved, nil
 }
 
-// Start brings the whole deployment live at the same virtual instant: the
-// cloud, every deployed relay (ascending region), and every joined session
-// (ascending ID). Starting everything together keeps the server tick
-// domains aligned, which is what lets a handoff's transferred ack floor be
-// honored instead of falling back to a snapshot.
-func (d *Deployment) Start() error {
-	if d.started {
-		return errors.New("geo: already started")
-	}
-	if err := d.cloud.Start(); err != nil {
-		return err
-	}
-	for _, rr := range d.RelayRegions() {
-		if err := d.relays[rr].Start(); err != nil {
-			return err
-		}
-	}
-	for _, id := range d.SessionIDs() {
-		if err := d.sessions[id].VR.Start(); err != nil {
-			return err
-		}
-	}
-	d.started = true
-	return nil
-}
+// Start brings the whole deployment live at one virtual instant (rig.Start).
+func (d *Deployment) Start() error { return d.rig.Start() }
 
-// Stop halts every tick loop (sessions, relays, cloud) and releases the last
-// tick's cohort frames. Endpoints stay on the fabric; in-flight traffic
-// drains as the simulation runs on (or the fabric closes).
-func (d *Deployment) Stop() {
-	for _, id := range d.SessionIDs() {
-		d.sessions[id].VR.Stop()
-	}
-	for _, rr := range d.RelayRegions() {
-		d.relays[rr].Stop()
-	}
-	d.cloud.Stop()
-	d.started = false
-}
+// Stop halts every tick loop; endpoints stay on the fabric (rig.Stop).
+func (d *Deployment) Stop() { d.rig.Stop() }

@@ -10,6 +10,7 @@ import (
 	"metaclass/internal/netsim"
 	"metaclass/internal/protocol"
 	"metaclass/internal/region"
+	"metaclass/internal/rig"
 	"metaclass/internal/vclock"
 )
 
@@ -19,7 +20,7 @@ import (
 func testDeployment(t *testing.T, seed int64) (*vclock.Sim, *Deployment) {
 	t.Helper()
 	sim := vclock.New(seed)
-	fab := &NetsimFabric{Net: netsim.New(sim)}
+	fab := &rig.NetsimFabric{Net: netsim.New(sim)}
 	d, err := New(sim, fab, Config{
 		Topology:    region.GlobalCampus(),
 		CloudRegion: "hk",

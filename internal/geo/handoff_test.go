@@ -9,6 +9,7 @@ import (
 	"metaclass/internal/netsim"
 	"metaclass/internal/protocol"
 	"metaclass/internal/region"
+	"metaclass/internal/rig"
 	"metaclass/internal/vclock"
 )
 
@@ -56,7 +57,7 @@ func TestGeoMigrateInFlight(t *testing.T) {
 func TestGeoMigrateOwedDebt(t *testing.T) {
 	live0 := protocol.LiveFrames()
 	sim := vclock.New(11)
-	fab := &NetsimFabric{Net: netsim.New(sim)}
+	fab := &rig.NetsimFabric{Net: netsim.New(sim)}
 	d, err := New(sim, fab, Config{
 		Topology:    region.GlobalCampus(),
 		CloudRegion: "hk",

@@ -9,6 +9,7 @@ import (
 	"metaclass/internal/netsim"
 	"metaclass/internal/protocol"
 	"metaclass/internal/region"
+	"metaclass/internal/rig"
 	"metaclass/internal/vclock"
 )
 
@@ -39,7 +40,7 @@ type geoParityPass struct {
 // at the send instant and parity with pumped TCP holds exactly.
 func flatLinks(time.Duration) netsim.LinkConfig { return netsim.LinkConfig{} }
 
-func newGeoParityPass(t *testing.T, sim *vclock.Sim, fab Fabric) *geoParityPass {
+func newGeoParityPass(t *testing.T, sim *vclock.Sim, fab rig.Fabric) *geoParityPass {
 	t.Helper()
 	d, err := New(sim, fab, Config{
 		Topology:     region.GlobalCampus(),
@@ -75,8 +76,8 @@ func (p *geoParityPass) counts() map[string]uint64 {
 		if s.served != "" {
 			rt = p.d.relays[s.served].Runtime()
 		}
-		st, _ := rt.Replicator().StatsOf(string(s.addr))
-		out[string(s.addr)+"-ack"] = st.AckTick
+		st, _ := rt.Replicator().StatsOf(string(s.VR.Addr()))
+		out[string(s.VR.Addr())+"-ack"] = st.AckTick
 	}
 	return out
 }
@@ -200,7 +201,7 @@ func TestGeoNetsimTCPParity(t *testing.T) {
 	// sim.Run; record per-round counters as the TCP pass's targets.
 	var wantCounts [geoParityRounds + 1]map[string]uint64
 	simA := vclock.New(3)
-	ns := newGeoParityPass(t, simA, &NetsimFabric{Net: netsim.New(simA)})
+	ns := newGeoParityPass(t, simA, &rig.NetsimFabric{Net: netsim.New(simA)})
 	ns.settle = func(t *testing.T, round int) { wantCounts[round] = ns.counts() }
 	netsimFP := ns.run(t)
 	if err := ns.sim.Run(ns.sim.Now() + time.Second); err != nil {
@@ -209,7 +210,7 @@ func TestGeoNetsimTCPParity(t *testing.T) {
 
 	// Pass 2: TCP loopback, same schedule, pumping until each round's
 	// traffic — including multi-hop forwards and acks — has fully landed.
-	fab := NewTCPFabric()
+	fab := rig.NewTCPFabric()
 	defer fab.Close()
 	tcp := newGeoParityPass(t, vclock.New(3), fab)
 	tcp.settle = func(t *testing.T, round int) {

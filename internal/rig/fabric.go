@@ -1,6 +1,7 @@
-package geo
+package rig
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -9,30 +10,36 @@ import (
 	"metaclass/internal/transport"
 )
 
-// Fabric abstracts the network substrate a Deployment stands its topology on:
-// named transport endpoints plus point-to-point links between them. The two
+// Fabric abstracts the network substrate a Rig stands its topology on: named
+// transport endpoints plus point-to-point links between them. The two
 // implementations — NetsimFabric over the deterministic simulated fabric and
 // TCPFabric over real loopback sockets — make the same deployment code run
 // identically on both backends, which is what the cross-backend parity gate
-// exercises.
+// exercises. A Fabric wrapping another is the seam for tapping a deployment.
 //
 // Link configurations carry netsim semantics (latency, jitter, loss); the
 // TCP fabric ignores them — a real network imposes its own — but accepts
 // them so callers stay backend-agnostic.
 type Fabric interface {
-	// Transport returns (creating if needed) the named endpoint.
+	// Transport creates the named endpoint. A name in use is refused: handing
+	// the live endpoint out again would let the new node's Bind hijack it.
 	Transport(name endpoint.Addr) (endpoint.Transport, error)
-	// Link establishes bidirectional connectivity between two endpoints.
-	// Linking an already-linked pair reconfigures it rather than failing.
+	// Link establishes bidirectional connectivity between two endpoints that
+	// are not linked (the rig links a pair once: at join, relay deploy, or
+	// handoff to a server the session is not on).
 	Link(a, b endpoint.Addr, cfg netsim.LinkConfig) error
 	// Unlink cuts connectivity between two endpoints, cancelling whatever the
 	// fabric still holds in flight between them (netsim releases the frames
 	// eagerly; TCP closes the connection and lets the sockets drain). Unknown
 	// pairs are a no-op: handoff teardown must be idempotent.
 	Unlink(a, b endpoint.Addr) error
-	// Remove reclaims an endpoint and every link touching it (relay drain).
+	// Remove reclaims an endpoint and every link touching it; its name is
+	// free again. Unknown names are a no-op.
 	Remove(name endpoint.Addr) error
 }
+
+// ErrAddrInUse is Fabric.Transport's refusal of a name that has an endpoint.
+var ErrAddrInUse = errors.New("rig: address already in use")
 
 // NetsimFabric adapts a netsim.Network to the Fabric surface.
 type NetsimFabric struct {
@@ -41,23 +48,15 @@ type NetsimFabric struct {
 
 // Transport returns the simulated host's endpoint (registered on first Bind).
 func (f *NetsimFabric) Transport(name endpoint.Addr) (endpoint.Transport, error) {
+	if f.Net.HasHost(netsim.Addr(name)) {
+		return nil, fmt.Errorf("%w: %s", ErrAddrInUse, name)
+	}
 	return f.Net.Endpoint(netsim.Addr(name)), nil
 }
 
-// Link connects (or reconfigures) both directions of a<->b.
+// Link connects both directions of a<->b.
 func (f *NetsimFabric) Link(a, b endpoint.Addr, cfg netsim.LinkConfig) error {
-	for _, dir := range [2][2]netsim.Addr{{netsim.Addr(a), netsim.Addr(b)}, {netsim.Addr(b), netsim.Addr(a)}} {
-		if _, err := f.Net.LinkConfigOf(dir[0], dir[1]); err == nil {
-			if err := f.Net.SetLink(dir[0], dir[1], cfg); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := f.Net.Connect(dir[0], dir[1], cfg); err != nil {
-			return err
-		}
-	}
-	return nil
+	return f.Net.ConnectBoth(netsim.Addr(a), netsim.Addr(b), cfg)
 }
 
 // Unlink disconnects both directions, cancelling in-flight deliveries.
@@ -91,61 +90,39 @@ func (f *NetsimFabric) Remove(name endpoint.Addr) error {
 // Pump() to dispatch inbound traffic — the same single-threaded discipline
 // the rest of the node stack runs under.
 type TCPFabric struct {
-	eps    map[endpoint.Addr]*transport.Endpoint
-	tcp    map[endpoint.Addr]string
-	linked map[[2]endpoint.Addr]bool
+	eps map[endpoint.Addr]*transport.Endpoint
 }
 
 // NewTCPFabric creates an empty TCP fabric.
 func NewTCPFabric() *TCPFabric {
-	return &TCPFabric{
-		eps:    make(map[endpoint.Addr]*transport.Endpoint),
-		tcp:    make(map[endpoint.Addr]string),
-		linked: make(map[[2]endpoint.Addr]bool),
-	}
+	return &TCPFabric{eps: make(map[endpoint.Addr]*transport.Endpoint)}
 }
 
-// Transport returns (listening on first use) the named endpoint.
+// Transport starts the named endpoint listening on a loopback port.
 func (f *TCPFabric) Transport(name endpoint.Addr) (endpoint.Transport, error) {
-	if ep, ok := f.eps[name]; ok {
-		return ep, nil
+	if _, ok := f.eps[name]; ok {
+		return nil, fmt.Errorf("%w: %s", ErrAddrInUse, name)
 	}
 	ep, err := transport.ListenEndpoint(name, "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
 	f.eps[name] = ep
-	f.tcp[name] = ep.TCPAddr()
 	return ep, nil
 }
 
-func pairKey(a, b endpoint.Addr) [2]endpoint.Addr {
-	if b < a {
-		a, b = b, a
-	}
-	return [2]endpoint.Addr{a, b}
-}
-
-// Link dials the mesh connection a->b once; the handshake makes the pair
-// mutually routable before Link returns. Re-linking an existing pair is a
-// no-op (the connection is already up; latency shaping does not apply here).
+// Link dials the mesh connection a->b; the handshake makes the pair mutually
+// routable before Link returns (latency shaping does not apply here).
 func (f *TCPFabric) Link(a, b endpoint.Addr, _ netsim.LinkConfig) error {
-	if f.linked[pairKey(a, b)] {
-		return nil
-	}
 	ea, ok := f.eps[a]
 	if !ok {
-		return fmt.Errorf("geo: tcp fabric: unknown endpoint %s", a)
+		return fmt.Errorf("rig: tcp fabric: unknown endpoint %s", a)
 	}
-	addr, ok := f.tcp[b]
+	eb, ok := f.eps[b]
 	if !ok {
-		return fmt.Errorf("geo: tcp fabric: unknown endpoint %s", b)
+		return fmt.Errorf("rig: tcp fabric: unknown endpoint %s", b)
 	}
-	if err := ea.Dial(b, addr); err != nil {
-		return err
-	}
-	f.linked[pairKey(a, b)] = true
-	return nil
+	return ea.Dial(b, eb.TCPAddr())
 }
 
 // Unlink closes the pair's connection from both sides (ClosePeer tolerates
@@ -157,23 +134,16 @@ func (f *TCPFabric) Unlink(a, b endpoint.Addr) error {
 	if eb, ok := f.eps[b]; ok {
 		eb.ClosePeer(a)
 	}
-	delete(f.linked, pairKey(a, b))
 	return nil
 }
 
-// Remove closes the named endpoint and forgets its links.
+// Remove closes the named endpoint and with it every connection it holds.
 func (f *TCPFabric) Remove(name endpoint.Addr) error {
 	ep, ok := f.eps[name]
 	if !ok {
 		return nil
 	}
 	delete(f.eps, name)
-	delete(f.tcp, name)
-	for k := range f.linked {
-		if k[0] == name || k[1] == name {
-			delete(f.linked, k)
-		}
-	}
 	return ep.Close()
 }
 
@@ -198,7 +168,5 @@ func (f *TCPFabric) Close() {
 	for name, ep := range f.eps {
 		_ = ep.Close()
 		delete(f.eps, name)
-		delete(f.tcp, name)
 	}
-	clear(f.linked)
 }

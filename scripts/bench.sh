@@ -1,17 +1,21 @@
 #!/usr/bin/env bash
-# bench.sh — run the root E1–E12 benchmark suite, the playout-buffer
-# benchmarks of ./internal/pose, the interest-grid benchmarks of
-# ./internal/interest and the store / owed-set / planner benchmarks of
-# ./internal/core with -benchmem and emit BENCH_<n>.json recording name,
+# bench.sh — run every benchmark of every package in the root module
+# (`go test -bench . ./...`: the root E1–E12 suite and each internal package's
+# micro-benchmarks; the nested bench/ module is classbench's, not this
+# ledger's) with -benchmem and emit BENCH_<n>.json recording name, package,
 # ns/op, B/op, allocs/op and each bench's headline metric
 # (e.g. cloud-egress-KB/s). The JSON files form the repo's
 # perf trajectory: BENCH_1.json is PR 1's floor; later perf PRs append
 # BENCH_2.json, BENCH_3.json, ... and get judged against the previous file.
+# Only what needs no noise model is gated — allocs/op and the deterministic
+# headline metrics; ns/op is recorded, and wall-clock regressions are
+# classbench's job (BENCHMARK.json's step_ms_mean bounds).
 #
 # Usage:
 #   scripts/bench.sh [n]                      run the suite, write BENCH_<n>.json (default n=1)
-#   scripts/bench.sh [n] --compare OLD.json   ...then fail if E4Scale allocs/op
-#                                             or ns/op regressed >5% vs OLD.json;
+#   scripts/bench.sh [n] --compare OLD.json   ...then fail if a gated allocs/op
+#                                             or headline metric regressed >5%
+#                                             vs OLD.json;
 #                                             with n omitted the run goes to a
 #                                             temp file (no baseline clobbered)
 #   scripts/bench.sh --compare OLD.json NEW.json
@@ -24,11 +28,6 @@ cd "$(dirname "$0")/.."
 # allocs_of FILE NAME — extract NAME's allocs_per_op from a BENCH json.
 allocs_of() {
     sed -n 's|.*"name": "'"$2"'".*"allocs_per_op": \([0-9][0-9]*\).*|\1|p' "$1"
-}
-
-# ns_of FILE NAME — extract NAME's ns_per_op from a BENCH json.
-ns_of() {
-    sed -n 's|.*"name": "'"$2"'".*"ns_per_op": \([0-9][0-9.]*\).*|\1|p' "$1"
 }
 
 # metric_of FILE NAME METRIC — extract NAME's headline METRIC (from the
@@ -60,28 +59,6 @@ gate_metric() {
     echo "$name $metric: $old ($old_file) -> $new ($new_file)" >&2
     if ! awk -v o="$old" -v n="$new" 'BEGIN { exit !(n <= o * 1.05) }'; then
         echo "bench.sh: FAIL — $name $metric regressed >5% ($old -> $new)" >&2
-        exit 1
-    fi
-}
-
-# gate_ns NAME OLD NEW — fail when NAME's ns/op regressed >5%. Wall-time
-# gates only make sense between files measured on comparable hardware, which
-# committed BENCH jsons are (the suite's own trajectory).
-gate_ns() {
-    local name="$1" old_file="$2" new_file="$3" old new
-    old="$(ns_of "$old_file" "$name")"
-    new="$(ns_of "$new_file" "$name")"
-    if [[ -z "$new" ]]; then
-        echo "bench.sh: missing $name ns_per_op in $new_file" >&2
-        exit 1
-    fi
-    if [[ -z "$old" ]]; then
-        echo "bench.sh: missing $name ns_per_op in $old_file" >&2
-        exit 1
-    fi
-    echo "$name ns/op: $old ($old_file) -> $new ($new_file)" >&2
-    if ! awk -v o="$old" -v n="$new" 'BEGIN { exit !(n <= o * 1.05) }'; then
-        echo "bench.sh: FAIL — $name ns/op regressed >5% ($old -> $new)" >&2
         exit 1
     fi
 }
@@ -124,10 +101,9 @@ compare_allocs() {
     gate_allocs "E4Scale" "$1" "$2" required
     gate_allocs "Onboard/storm=64" "$1" "$2" optional
     gate_allocs "ColdJoin" "$1" "$2" optional
-    gate_ns "E4Scale" "$1" "$2"
     gate_metric "E12MegaEvent" "cloud-egress-KB/s" "$1" "$2" optional
     gate_metric "ColdJoin" "cold-join-ms" "$1" "$2" optional
-    echo "bench.sh: OK — within the 5% allocation, wall-time, egress, and cold-join budgets" >&2
+    echo "bench.sh: OK — within the 5% allocation, egress, and cold-join budgets" >&2
 }
 
 N=""
@@ -170,12 +146,17 @@ fi
 RAW="$(mktemp)"
 trap 'rm -f "$RAW" $TMP_OUT' EXIT
 
-BENCHES='BenchmarkE[0-9]|BenchmarkOnboard|BenchmarkColdJoin|BenchmarkPlanTick|BenchmarkFanout|BenchmarkInterpBuffer|BenchmarkNeighbors|BenchmarkRefreshOwned|BenchmarkDeltaSince|BenchmarkAckStormPrune|BenchmarkOwedAckStorm'
-PKGS='. ./internal/pose ./internal/interest ./internal/core'
-go test -bench "$BENCHES" -benchmem -run '^$' ${BENCHTIME:+-benchtime "$BENCHTIME"} $PKGS | tee "$RAW" >&2
+go test -bench . -skip '^BenchmarkE4Scale$' -benchmem -run '^$' ${BENCHTIME:+-benchtime "$BENCHTIME"} ./... | tee "$RAW" >&2
+# E4Scale runs apart, at a pinned iteration count (its row comes last):
+# allocs/op is a mean over the iterations, front-loaded by the onboarding
+# ramp, and go test picks the count from wall time — the same binary reads 878
+# allocs/op at 16 iterations and 1,064 at 13, so on a noisy host the 5 % gate
+# would compare host phases. The other gated rows move <1 % with the count.
+go test -bench '^BenchmarkE4Scale$' -benchtime 16x -benchmem -run '^$' . | tee -a "$RAW" >&2
 
-awk -v goversion="$(go version | awk '{print $3}')" -v benches="$BENCHES" -v pkgs="$PKGS" '
+awk -v goversion="$(go version | awk '{print $3}')" '
 BEGIN { n = 0 }
+/^pkg: / { pkg = $2 }
 /^Benchmark/ {
     name = $1
     sub(/^Benchmark/, "", name)
@@ -192,7 +173,7 @@ BEGIN { n = 0 }
             extra = extra "\"" unit "\": " val
         }
     }
-    line = sprintf("    {\"name\": \"%s\", \"iterations\": %s", name, iters)
+    line = sprintf("    {\"name\": \"%s\", \"pkg\": \"%s\", \"iterations\": %s", name, pkg, iters)
     if (ns != "") line = line sprintf(", \"ns_per_op\": %s", ns)
     if (bytes != "") line = line sprintf(", \"bytes_per_op\": %s", bytes)
     if (allocs != "") line = line sprintf(", \"allocs_per_op\": %s", allocs)
@@ -202,9 +183,9 @@ BEGIN { n = 0 }
 }
 END {
     print "{"
-    printf "  \"suite\": \"E1-E12 + onboarding root benchmarks\",\n"
+    printf "  \"suite\": \"every benchmark in the root module\",\n"
     printf "  \"go\": \"%s\",\n", goversion
-    printf "  \"command\": \"go test -bench %s -benchmem -run ^$ %s\",\n", benches, pkgs
+    printf "  \"command\": \"go test -bench . -benchmem -run ^$ ./... (E4Scale apart at -benchtime 16x)\",\n"
     print  "  \"benchmarks\": ["
     for (i = 0; i < n; i++) print bench[i] (i < n - 1 ? "," : "")
     print "  ]"
