@@ -14,10 +14,18 @@ import (
 // playout (interpolation) buffer per remote participant so displays render
 // smooth motion between network updates.
 type Replica struct {
-	store   *Store
-	buffers map[protocol.ParticipantID]*pose.InterpBuffer
-	delay   time.Duration
-	extrap  pose.Extrapolator
+	store  *Store
+	delay  time.Duration
+	extrap pose.Extrapolator
+
+	// playout is indexed by the store's slot: the playout buffer of the slot's
+	// tenant (nil while the slot is vacant) and whether a snapshot omission is
+	// holding the tenant as retained. The store's apply walk hands every
+	// entity's slot to noteEntity, and a buffer is dropped before its slot is
+	// vacated, so a slot's next tenant always starts with none. nRetained
+	// counts the retained marks.
+	playout   []playoutSlot
+	nRetained int
 
 	// OnNew fires when a participant first appears (seat assignment hook).
 	OnNew func(e protocol.EntityState)
@@ -53,14 +61,6 @@ type Replica struct {
 	bufDrops   uint64
 	retained   uint64
 
-	// knownScratch is the reusable present-in-snapshot set; retainedIDs
-	// tracks entities currently retained through snapshot omission (cleared
-	// when an update arrives for them); retainScratch carries their states
-	// across ApplySnapshot's store rebuild.
-	knownScratch  map[protocol.ParticipantID]bool
-	retainedIDs   map[protocol.ParticipantID]bool
-	retainScratch []protocol.EntityState
-
 	// bufPool recycles playout buffers (slab-allocated) so a cold join into a
 	// large world costs a few slab allocations instead of one buffer + ring
 	// per entity, and churn after the join recycles instead of reallocating.
@@ -75,14 +75,14 @@ func NewReplica(delay time.Duration, extrap pose.Extrapolator) *Replica {
 		extrap = pose.Linear{}
 	}
 	return &Replica{
-		store:   NewStore(),
-		buffers: make(map[protocol.ParticipantID]*pose.InterpBuffer),
-		delay:   delay,
-		extrap:  extrap,
+		store:  NewStore(),
+		delay:  delay,
+		extrap: extrap,
 	}
 }
 
-// Store exposes the replica's current entity state.
+// Store exposes the replica's current entity state, for reading: the playout
+// buffers follow the store's slots, so only Apply may change its membership.
 func (r *Replica) Store() *Store { return r.store }
 
 // Apply ingests a replication message at virtual time now. It returns the
@@ -91,41 +91,10 @@ func (r *Replica) Store() *Store { return r.store }
 func (r *Replica) Apply(msg protocol.Message, now time.Duration) (uint64, bool) {
 	switch m := msg.(type) {
 	case *protocol.Snapshot:
-		if r.knownScratch == nil {
-			r.knownScratch = make(map[protocol.ParticipantID]bool, len(m.Entities))
-		}
-		known := r.knownScratch
-		clear(known)
-		for i := range m.Entities {
-			known[m.Entities[i].Participant] = true
-		}
 		// Entities absent from the snapshot are gone — unless the upstream
-		// filters by interest, in which case they are carried across the
-		// store rebuild and keep extrapolating.
-		r.retainScratch = r.retainScratch[:0]
-		for _, id := range r.store.IDs() {
-			if !known[id] {
-				if r.RetainOmitted {
-					r.retained++
-					if r.retainedIDs == nil {
-						r.retainedIDs = make(map[protocol.ParticipantID]bool)
-					}
-					r.retainedIDs[id] = true
-					if e, ok := r.store.Get(id); ok {
-						r.retainScratch = append(r.retainScratch, e)
-					}
-					continue
-				}
-				r.dropEntity(id)
-			}
-		}
-		for i := range m.Entities {
-			r.noteEntity(m.Entities[i], now)
-		}
-		r.store.ApplySnapshot(m)
-		for _, e := range r.retainScratch {
-			r.store.Upsert(e)
-		}
+		// filters by interest, in which case they stay where they are and
+		// keep extrapolating (retain). Survivors keep slot and buffer.
+		r.store.applySnapshot(m, r, now)
 		r.expireRetained(now)
 		r.snapshots++
 		r.applied++
@@ -136,19 +105,9 @@ func (r *Replica) Apply(msg protocol.Message, now time.Duration) (uint64, bool) 
 			r.applied++
 			return r.store.Tick(), true
 		}
-		if !r.store.ApplyDelta(m) {
+		if !r.store.applyDelta(m, r, now) {
 			r.rejected++
 			return 0, false
-		}
-		// Removals first, mirroring ApplyDelta: an entity removed and
-		// re-added within the delta window is in both lists, and must end up
-		// present — with a fresh playout buffer (it left and rejoined; the
-		// old interpolation history must not bridge the gap).
-		for _, id := range m.Removed {
-			r.dropEntity(id)
-		}
-		for i := range m.Changed {
-			r.noteEntity(m.Changed[i], now)
 		}
 		r.expireRetained(now)
 		r.applied++
@@ -159,20 +118,33 @@ func (r *Replica) Apply(msg protocol.Message, now time.Duration) (uint64, bool) 
 	}
 }
 
-func (r *Replica) noteEntity(e protocol.EntityState, now time.Duration) {
-	buf, ok := r.buffers[e.Participant]
-	if !ok {
+// playoutSlot is one entry of Replica.playout.
+type playoutSlot struct {
+	buf      *pose.InterpBuffer
+	retained bool
+}
+
+// noteEntity is the store's apply walk handing over an entity it has just
+// written to slot: the first one a slot's tenant receives creates its buffer.
+func (r *Replica) noteEntity(slot uint32, e *protocol.EntityState, now time.Duration) {
+	if int(slot) >= len(r.playout) { // a slot the store has just added
+		r.playout = append(r.playout, make([]playoutSlot, len(r.store.recs)-len(r.playout))...)
+	}
+	ps := &r.playout[slot]
+	if ps.buf == nil {
 		if r.bufPool == nil {
 			r.bufPool = pose.NewInterpPool(r.delay, 64, r.extrap, 64)
 		}
-		buf = r.bufPool.Get()
-		r.buffers[e.Participant] = buf
+		ps.buf = r.bufPool.Get()
 		r.bufCreates++
 		if r.OnNew != nil {
-			r.OnNew(e)
+			r.OnNew(*e)
 		}
 	}
-	delete(r.retainedIDs, e.Participant) // an update ends the omission
+	if ps.retained { // an update ends the omission
+		ps.retained = false
+		r.nRetained--
+	}
 	pos, rot := e.Pose.Dequantize()
 	p := pose.Pose{
 		Time:     e.CapturedAt,
@@ -186,19 +158,35 @@ func (r *Replica) noteEntity(e protocol.EntityState, now time.Duration) {
 	// entity whose capture stamp has not advanced (snapshot keyframes,
 	// mirror re-sends) says nothing about pipeline freshness. The buffer's
 	// newest stamp is that watermark; Push reports whether p advanced it.
-	if buf.Push(p) && r.Latency != nil {
+	if ps.buf.Push(p) && r.Latency != nil {
 		r.Latency.Observe(now - e.CapturedAt)
 	}
 }
 
-func (r *Replica) dropEntity(id protocol.ParticipantID) {
-	buf, ok := r.buffers[id]
-	if !ok {
-		return
+// retain is the store's snapshot walk asking whether the omitted tenant of
+// slot stays (RetainOmitted); if so it is marked and counted.
+func (r *Replica) retain(slot uint32) bool {
+	if !r.RetainOmitted {
+		return false
 	}
-	r.bufPool.Put(buf)
-	delete(r.buffers, id)
-	delete(r.retainedIDs, id)
+	r.retained++
+	if p := &r.playout[slot]; !p.retained {
+		p.retained = true
+		r.nRetained++
+	}
+	return true
+}
+
+// dropBuffer releases the buffer of slot's tenant id, which is about to leave
+// the store.
+func (r *Replica) dropBuffer(id protocol.ParticipantID, slot uint32) {
+	p := &r.playout[slot]
+	if p.retained {
+		p.retained = false
+		r.nRetained--
+	}
+	r.bufPool.Put(p.buf)
+	p.buf = nil
 	r.bufDrops++
 	if r.OnRemove != nil {
 		r.OnRemove(id)
@@ -208,22 +196,22 @@ func (r *Replica) dropEntity(id protocol.ParticipantID) {
 // expireRetained drops retained entities whose updates have been silent past
 // RetainFor: their removal was conveyed only by snapshot omission (the
 // sender pruned it from the delta log), so without this sweep they would
-// dead-reckon as ghosts forever. Runs on every apply; the retained set is
-// empty in steady state. Iteration order is irrelevant — each entity's
-// verdict depends only on its own newest capture stamp (every retained
-// entity has a buffer: both are dropped together).
+// dead-reckon as ghosts forever. Runs on every apply; nothing is retained in
+// steady state. Ascending by ID; each entity's verdict depends only on its
+// own newest capture stamp.
 func (r *Replica) expireRetained(now time.Duration) {
-	if len(r.retainedIDs) == 0 {
+	if r.nRetained == 0 {
 		return
 	}
 	ttl := r.RetainFor
 	if ttl <= 0 {
 		ttl = 2 * time.Second
 	}
-	for id := range r.retainedIDs {
-		if newest, _ := r.buffers[id].Newest(); now-newest.Time > ttl {
-			r.store.removeSilent(id)
-			r.dropEntity(id)
+	for _, is := range r.store.ordered() {
+		if p := &r.playout[is.slot]; p.retained {
+			if newest, _ := p.buf.Newest(); now-newest.Time > ttl {
+				r.store.drop(is.id, is.slot, r)
+			}
 		}
 	}
 }
@@ -231,11 +219,11 @@ func (r *Replica) expireRetained(now time.Duration) {
 // Pose samples the replicated participant's pose for display at time at
 // (in the entity's source frame; callers apply seat corrections).
 func (r *Replica) Pose(id protocol.ParticipantID, at time.Duration) (pose.Pose, bool) {
-	buf, ok := r.buffers[id]
+	slot, ok := r.store.slots[id]
 	if !ok {
 		return pose.Pose{}, false
 	}
-	return buf.Sample(at)
+	return r.playout[slot].buf.Sample(at)
 }
 
 // Participants lists replicated participant IDs, ascending.

@@ -123,3 +123,104 @@ func TestReplicaRetainedExpiresAfterNewestStamp(t *testing.T) {
 		t.Fatalf("stats = %+v, want 2 retentions / 1 drop", st)
 	}
 }
+
+// applyFixture is a replica holding pop entities (IDs 1..pop) after one
+// keyframe, and a message-building helper that stamps fresh capture times.
+func applyFixture(pop int) (*Replica, []protocol.EntityState) {
+	r := NewReplica(100*ms, nil)
+	r.RetainOmitted = true
+	r.Latency = &metrics.Histogram{}
+	ents := make([]protocol.EntityState, pop)
+	for i := range ents {
+		ents[i] = entAt(protocol.ParticipantID(i+1), 0)
+	}
+	r.Apply(&protocol.Snapshot{Tick: 1, Entities: ents}, 0)
+	return r, ents
+}
+
+// TestReplicaApplyAllocationFree pins the receive path's steady state at
+// zero heap objects: a delta over known entities, and a keyframe over an
+// unchanged population (listing everyone, and listing a third with the rest
+// retained).
+func TestReplicaApplyAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are meaningless under -race")
+	}
+	r, ents := applyFixture(100)
+	r.RetainFor = time.Hour // the filtered keyframe's omissions stay retained
+	tick, now := uint64(1), time.Duration(0)
+	stamp := func(list []protocol.EntityState) {
+		tick++
+		now += 33 * ms
+		for i := range list {
+			list[i].CapturedAt = now
+		}
+	}
+	d := &protocol.Delta{}
+	delta := func() {
+		d.Changed = d.Changed[:0]
+		for i := 0; i < len(ents); i += 3 {
+			d.Changed = append(d.Changed, ents[i])
+		}
+		stamp(d.Changed)
+		d.BaseTick, d.Tick = tick-1, tick
+		if _, ok := r.Apply(d, now); !ok {
+			t.Fatal("delta rejected")
+		}
+	}
+	snap := &protocol.Snapshot{}
+	keyframe := func(n int) func() {
+		return func() {
+			stamp(ents[:n])
+			snap.Tick, snap.Entities = tick, ents[:n]
+			r.Apply(snap, now)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{{"delta", delta}, {"keyframe", keyframe(100)}, {"filtered keyframe", keyframe(34)}} {
+		if allocs := testing.AllocsPerRun(100, c.fn); allocs != 0 {
+			t.Errorf("steady-state %s allocates %.2f objects, want 0", c.name, allocs)
+		}
+	}
+	if st := r.Stats(); st.BufferCreates != 100 || st.BufferDrops != 0 || st.Rejected != 0 {
+		t.Fatalf("fixture drifted from steady state: %+v", st)
+	}
+}
+
+// BenchmarkReplicaApplyDelta is the learner's steady-state receive: a
+// 36-entity ascending delta with fresh stamps into a replica of 100. hot
+// reuses one replica; cold cycles 64 (39 MB of rings), so each apply finds
+// its rings in memory, as classbench's apply kernel arranges.
+func BenchmarkReplicaApplyDelta(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		reps int
+	}{{"hot", 1}, {"cold", 64}} {
+		b.Run(bc.name, func(b *testing.B) {
+			reps := make([]*Replica, bc.reps)
+			var ents []protocol.EntityState
+			for i := range reps {
+				reps[i], ents = applyFixture(100)
+			}
+			d := &protocol.Delta{}
+			for i := 0; i < 36; i++ {
+				d.Changed = append(d.Changed, ents[(i*25)/9])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				round := uint64(i/len(reps)) + 2
+				now := time.Duration(round) * 33 * ms
+				for k := range d.Changed {
+					d.Changed[k].CapturedAt = now
+				}
+				d.BaseTick, d.Tick = round-1, round
+				if _, ok := reps[i%len(reps)].Apply(d, now); !ok {
+					b.Fatal("delta rejected")
+				}
+			}
+		})
+	}
+}

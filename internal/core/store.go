@@ -23,6 +23,7 @@ import (
 	"cmp"
 	"slices"
 	"sort"
+	"time"
 
 	"metaclass/internal/protocol"
 )
@@ -200,15 +201,6 @@ func (s *Store) Remove(id protocol.ParticipantID) bool {
 	s.vacate(id, slot)
 	s.removals = append(s.removals, removal{id: id, tick: s.tick})
 	return true
-}
-
-// removeSilent deletes an entity without logging a removal (receiver-side
-// housekeeping, e.g. a replica expiring a retained entity: the store is not
-// serving deltas for the dropped entry, and the log must not grow unpruned).
-func (s *Store) removeSilent(id protocol.ParticipantID) {
-	if slot, ok := s.slots[id]; ok {
-		s.vacate(id, slot)
-	}
 }
 
 // Get returns an entity's current state.
@@ -482,24 +474,59 @@ func (s *Store) PruneRemovals(minAck uint64) {
 // RemovalLogLen exposes the removal backlog size (for tests and metrics).
 func (s *Store) RemovalLogLen() int { return len(s.removals) }
 
-// ApplySnapshot replaces the store's contents with the snapshot (receiver
-// side): every tenant departs, then the snapshot's entities are seated from
-// slot 0 up in the table the store already owns. The tick jumps to snap.Tick.
-func (s *Store) ApplySnapshot(snap *protocol.Snapshot) {
-	clear(s.slots)
-	s.free = s.free[:0]
-	for slot := len(s.recs) - 1; slot >= 0; slot-- {
-		s.recs[slot] = record{gen: s.recs[slot].gen + 1}
-		s.free = append(s.free, uint32(slot))
-	}
-	for _, e := range snap.Entities {
-		slot := s.slotOf(e.Participant)
-		s.recs[slot].state, s.recs[slot].changedTick = e, snap.Tick
-	}
+// The receiver side. A replication message is applied by walking its entity
+// list — ascending by ID on the wire — against the ascending (id, slot) order,
+// so an entity the store already holds is found by advancing a cursor and
+// costs no hash probe. Store.ApplySnapshot/ApplyDelta and Replica.Apply run
+// the same code: r is the replica whose playout buffers follow the slots, nil
+// for a bare store, and now is its apply time.
+
+// ApplySnapshot makes the store's contents the snapshot's (receiver side):
+// entities the snapshot omits depart, the ones it lists keep their slots, and
+// new ones are seated. The tick jumps to snap.Tick.
+func (s *Store) ApplySnapshot(snap *protocol.Snapshot) { s.applySnapshot(snap, nil, 0) }
+
+func (s *Store) applySnapshot(snap *protocol.Snapshot, r *Replica, now time.Duration) {
 	s.tick = snap.Tick
 	s.removals = nil
-	s.orderDirty = true
 	s.ringLo = s.tick + 1 // tick jump: the ring no longer covers any window
+	// Omissions first, ascending, and every one of them before the first new
+	// entity is seated: whatever a departure frees (its slot here, a seat
+	// behind Replica.OnRemove) is there for the newcomers.
+	order := s.ordered()
+	c := 0
+	for i := range snap.Entities {
+		id := snap.Entities[i].Participant
+		for ; c < len(order) && order[c].id < id; c++ {
+			s.omit(order[c], r)
+		}
+		if c < len(order) && order[c].id == id {
+			c++
+		}
+	}
+	for ; c < len(order); c++ {
+		s.omit(order[c], r)
+	}
+	s.merge(snap.Entities, r, now)
+}
+
+// omit handles a live entity a snapshot does not list: it departs, unless r
+// keeps it in place as retained.
+func (s *Store) omit(is idSlot, r *Replica) {
+	if r != nil && r.retain(is.slot) {
+		return
+	}
+	s.drop(is.id, is.slot, r)
+}
+
+// drop removes a live entity on the receiver side, without logging a removal
+// (the store is not serving deltas for it). r's buffer goes before the slot
+// does: once the slot is vacant its next tenant may be seated in it.
+func (s *Store) drop(id protocol.ParticipantID, slot uint32, r *Replica) {
+	if r != nil {
+		r.dropBuffer(id, slot)
+	}
+	s.vacate(id, slot)
 }
 
 // ApplyDelta merges a delta into the store (receiver side). It returns false
@@ -507,7 +534,9 @@ func (s *Store) ApplySnapshot(snap *protocol.Snapshot) {
 // tick (a gap: the receiver must wait for a snapshot or an older-based
 // delta). Deltas based at or before the current tick apply cleanly because
 // entity states are absolute, not differential.
-func (s *Store) ApplyDelta(d *protocol.Delta) bool {
+func (s *Store) ApplyDelta(d *protocol.Delta) bool { return s.applyDelta(d, nil, 0) }
+
+func (s *Store) applyDelta(d *protocol.Delta, r *Replica, now time.Duration) bool {
 	if d.BaseTick > s.tick {
 		return false
 	}
@@ -518,13 +547,42 @@ func (s *Store) ApplyDelta(d *protocol.Delta) bool {
 	s.ringLo = s.tick + 1 // tick jump: the ring no longer covers any window
 	// Removals first: an entity removed and re-added within the delta window
 	// appears in both lists (the removal log is never filtered, and the live
-	// entity is a change candidate), and the re-add must win.
+	// entity is a change candidate), and the re-add must win — as a new
+	// tenant, so the old one's interpolation history does not bridge the gap.
 	for _, id := range d.Removed {
-		s.removeSilent(id)
+		if slot, ok := s.slots[id]; ok {
+			s.drop(id, slot, r)
+		}
 	}
-	for _, e := range d.Changed {
-		slot := s.slotOf(e.Participant)
-		s.recs[slot].state, s.recs[slot].changedTick = e, d.Tick
-	}
+	s.merge(d.Changed, r, now)
 	return true
+}
+
+// merge writes ents into the table at the current tick. A sender lists
+// entities ascending, so the cursor over the walk order meets each one the
+// store holds without a probe; what the cursor cannot match — a new entity,
+// or an entry a hostile peer listed out of order or twice — takes the one
+// slotOf probe, which finds or seats it. Nothing is vacated during the walk,
+// so the order taken at its start stays true for every entity in it.
+func (s *Store) merge(ents []protocol.EntityState, r *Replica, now time.Duration) {
+	order := s.ordered()
+	c := 0
+	for i := range ents {
+		e := &ents[i]
+		for c < len(order) && order[c].id < e.Participant {
+			c++
+		}
+		var slot uint32
+		if c < len(order) && order[c].id == e.Participant {
+			slot = order[c].slot
+			c++
+		} else {
+			slot = s.slotOf(e.Participant)
+		}
+		rec := &s.recs[slot]
+		rec.state, rec.changedTick = *e, s.tick
+		if r != nil {
+			r.noteEntity(slot, e, now)
+		}
+	}
 }
