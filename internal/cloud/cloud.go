@@ -240,7 +240,7 @@ func (s *Server) AdoptSession(id protocol.ParticipantID, addr endpoint.Addr, fro
 // authored entity so the departure replicates to everyone else.
 func (s *Server) RemoveClient(id protocol.ParticipantID) error {
 	if _, err := s.rt.RemoveClient(id); err != nil {
-		return fmt.Errorf("cloud: unknown client %d", id)
+		return fmt.Errorf("cloud: %w", err)
 	}
 	delete(s.seatStates, id)
 	// Release only if actually seated: a learner who never published a pose

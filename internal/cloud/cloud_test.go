@@ -10,6 +10,7 @@ import (
 	"metaclass/internal/interest"
 	"metaclass/internal/mathx"
 	"metaclass/internal/netsim"
+	"metaclass/internal/node"
 	"metaclass/internal/protocol"
 	"metaclass/internal/vclock"
 )
@@ -123,6 +124,25 @@ func TestCloudRemoveClient(t *testing.T) {
 	}
 	if s.seats.Vacant() != s.seats.Total() {
 		t.Error("seat not released")
+	}
+}
+
+// TestRemoveUnknownClientMatchesRuntimeError pins the documented contract that
+// the runtime's errors match through the node packages: removing a client the
+// server or the relay does not serve is node.ErrUnknownClient at both levels.
+func TestRemoveUnknownClientMatchesRuntimeError(t *testing.T) {
+	sim := vclock.New(3)
+	net := netsim.New(sim)
+	s := newCloud(t, sim, net, nil)
+	if err := s.RemoveClient(7); !errors.Is(err, node.ErrUnknownClient) {
+		t.Errorf("server: err = %v, want one matching node.ErrUnknownClient", err)
+	}
+	r, err := NewRelay(sim, net.Endpoint("relay"), RelayConfig{Upstream: "cloud"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.RemoveClient(7); !errors.Is(err, node.ErrUnknownClient) {
+		t.Errorf("relay: err = %v, want one matching node.ErrUnknownClient", err)
 	}
 }
 

@@ -100,7 +100,7 @@ func (r *Relay) AddClient(id protocol.ParticipantID, addr endpoint.Addr) error {
 // world entry is owned upstream and expires via the cloud's own removal.
 func (r *Relay) RemoveClient(id protocol.ParticipantID) error {
 	if _, err := r.rt.RemoveClient(id); err != nil {
-		return fmt.Errorf("cloud: relay: unknown client %d", id)
+		return fmt.Errorf("cloud: relay: %w", err)
 	}
 	return nil
 }

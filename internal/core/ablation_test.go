@@ -33,11 +33,11 @@ func measureReplicationBytes(t testing.TB, snapshotOnly bool, entities, ticks in
 			s.Upsert(ent(id, float64(tick)))
 		}
 		for _, pm := range r.PlanTick() {
-			n, err := protocol.EncodedSize(pm.Msg)
+			frame, err := protocol.AppendEncode(nil, pm.Msg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			total += n
+			total += len(frame)
 			_ = r.Ack("p", s.Tick())
 		}
 	}

@@ -8,8 +8,7 @@ import (
 	"metaclass/internal/protocol"
 )
 
-// benchStorePop builds a store with pop live entities, warmed past the dirty
-// ring so steady-state behavior is measured.
+// benchStorePop builds a store with pop live entities at tick 1.
 func benchStorePop(pop int) *Store {
 	s := NewStore()
 	s.BeginTick()
@@ -22,50 +21,53 @@ func benchStorePop(pop int) *Store {
 	return s
 }
 
-// BenchmarkDeltaSinceChurn measures DeltaSince cost against population size
-// with a fixed churn of 16 changed entities per tick. With the dirty-ring
-// index the cost tracks the churn, not the population: the per-op time must
-// stay flat as pop grows 100 → 10,000 (the full-scan seed grew linearly).
-func BenchmarkDeltaSinceChurn(b *testing.B) {
-	const churn = 16
-	for _, pop := range []int{100, 1000, 10000} {
-		b.Run(fmt.Sprintf("pop%d", pop), func(b *testing.B) {
-			s := benchStorePop(pop)
-			var msg protocol.Delta
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				base := s.Tick()
-				s.BeginTick()
-				for k := 0; k < churn; k++ {
-					id := protocol.ParticipantID((i*churn+k)%pop + 1)
-					s.Upsert(protocol.EntityState{
-						Participant: id,
-						CapturedAt:  time.Duration(i),
-					})
-				}
-				s.DeltaSinceInto(base, nil, &msg)
-				if len(msg.Changed) != churn {
-					b.Fatalf("delta carried %d changes, want %d", len(msg.Changed), churn)
-				}
-			}
-		})
+// BenchmarkDeltaSince measures one tick of the unfiltered delta build — the
+// tick's re-authoring plus DeltaSinceInto into a reused message — against
+// population size in two regimes: dense is the one every workload runs (two
+// thirds of the population re-authored per tick, the ack four ticks behind,
+// so the delta carries everyone), sparse16 re-authors 16 entities a tick and
+// acks the tick before (no workload does; the build still walks everyone).
+func BenchmarkDeltaSince(b *testing.B) {
+	regimes := []struct {
+		name  string
+		churn func(pop int) int
+		lag   uint64
+	}{
+		{"sparse16", func(int) int { return 16 }, 1},
+		{"dense", func(pop int) int { return pop * 2 / 3 }, 4},
 	}
-}
-
-// BenchmarkDeltaSinceFullScanFallback pins the cost of the pre-index
-// behavior: a baseline older than the ring forces the full population scan,
-// for comparison against BenchmarkDeltaSinceChurn.
-func BenchmarkDeltaSinceFullScanFallback(b *testing.B) {
-	const pop = 10000
-	s := benchStorePop(pop)
-	// Age the store far past the ring so tick-1 baselines must full-scan.
-	for t := 0; t < dirtyRingCap+8; t++ {
-		s.BeginTick()
-	}
-	var msg protocol.Delta
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.DeltaSinceInto(1, nil, &msg)
+	for _, rg := range regimes {
+		for _, pop := range []int{100, 1000, 10000} {
+			b.Run(fmt.Sprintf("%s/pop%d", rg.name, pop), func(b *testing.B) {
+				s := benchStorePop(pop)
+				churn := rg.churn(pop)
+				var msg protocol.Delta
+				next := 0
+				step := func() {
+					tick := s.BeginTick()
+					for k := 0; k < churn; k++ {
+						s.Upsert(protocol.EntityState{
+							Participant: protocol.ParticipantID(next%pop + 1),
+							CapturedAt:  time.Duration(tick),
+						})
+						next++
+					}
+					s.DeltaSinceInto(tick-rg.lag, nil, &msg)
+				}
+				for i := 0; i < 8; i++ {
+					step()
+				}
+				want := min(pop, churn*int(rg.lag))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					step()
+					if len(msg.Changed) != want {
+						b.Fatalf("delta carried %d changes, want %d", len(msg.Changed), want)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -124,7 +126,7 @@ func BenchmarkOwedAckStorm(b *testing.B) {
 		}
 		_ = r.PlanTick()
 	}
-	for i := 0; i < 2*dirtyRingCap; i++ {
+	for i := 0; i < 512; i++ {
 		step()
 	}
 	if st, _ := r.StatsOf("p"); st.Owed < pop/2 {

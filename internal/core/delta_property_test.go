@@ -76,8 +76,8 @@ func randEntity(rng *rand.Rand, id protocol.ParticipantID) protocol.EntityState 
 
 // TestDeltaSincePropertyMatchesNaiveReference drives randomized
 // apply/remove/touch/ack sequences through the real Store and the shadow
-// reference in lockstep, asserting every DeltaSince — ring-served and
-// full-scan fallback, filtered and unfiltered — is identical.
+// reference in lockstep, asserting every DeltaSince — recent and ancient
+// baselines, filtered and unfiltered — is identical.
 func TestDeltaSincePropertyMatchesNaiveReference(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1234} {
 		rng := rand.New(rand.NewSource(seed))
@@ -126,12 +126,12 @@ func TestDeltaSincePropertyMatchesNaiveReference(t *testing.T) {
 				ref.prune(minAck)
 			}
 
-			// Probe deltas across the whole baseline range: fresh baselines
-			// (ring-served), ancient ones (full-scan fallback), and the
-			// ring-horizon boundary.
+			// Probe deltas across the whole baseline range: the previous tick,
+			// a horizon up to 316 ticks back (past the default MaxDeltaWindow
+			// of 150), and everything.
 			bases := []uint64{
 				s.Tick() - min(s.Tick(), 1),
-				s.Tick() - min(s.Tick(), uint64(rng.Intn(dirtyRingCap+60))),
+				s.Tick() - min(s.Tick(), uint64(rng.Intn(316))),
 				0,
 			}
 			for _, base := range bases {
@@ -155,8 +155,8 @@ func TestDeltaSincePropertyMatchesNaiveReference(t *testing.T) {
 				}
 			}
 
-			// Rarely, a receiver-style tick jump invalidates the ring; the
-			// store must fall back to full scans and stay correct.
+			// Rarely, a receiver-style tick jump re-stamps everything held and
+			// clears the removal log; later deltas must stay correct.
 			if rng.Intn(400) == 0 {
 				snap := s.Snapshot(nil)
 				snap.Tick += uint64(rng.Intn(5))

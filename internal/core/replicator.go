@@ -235,17 +235,15 @@ type Replicator struct {
 	freePeers []*peerState
 
 	// Build scratch: the distinct builds of the tick in first-encounter
-	// order, the hoisted job runner (built once so Run allocates nothing), and
-	// per-worker dirty-ring candidate buffers sized to the pool's width.
-	jobs        []planJob
-	runJob      func(worker, i int)
-	workerCands [][]idSlot
+	// order, and the hoisted job runner (built once so Run allocates nothing).
+	jobs   []planJob
+	runJob func(worker, i int)
 }
 
 // planJob is one independent build of a PlanTick: a shared snapshot, a
 // filtered peer's snapshot or delta, or a distinct ack-cohort delta. Each job
-// writes only its own target message (plus its peer's owed set, or the
-// per-worker candidate buffer), so jobs are safe to execute concurrently.
+// writes only its own target message (plus its peer's owed set), so jobs are
+// safe to execute concurrently.
 type planJob struct {
 	kind  jobKind
 	peer  *peerState      // jobPeerSnap, jobPeerDelta
@@ -535,9 +533,9 @@ type PeerMessage struct {
 //	          snapshot or delta, and one delta per distinct ack baseline —
 //	          as jobs.
 //	2 (pool)  execute the jobs on ReplConfig.Pool. Each job writes only its
-//	          own target message, its peer's owed set and a per-worker
-//	          candidate buffer; the store is read-only and its lazy walk
-//	          order is warmed before the fan-out.
+//	          own target message and its peer's owed set; the store is
+//	          read-only and its lazy walk order is warmed before the
+//	          fan-out.
 //	3 (owner) re-walk sorted peers, re-deriving the same snapshot-vs-delta
 //	          decisions (nothing they depend on moved in pass 2), dropping
 //	          empty deltas, assigning cohort IDs in first-use order, and
@@ -591,12 +589,8 @@ func (r *Replicator) PlanTick() []PeerMessage {
 	r.jobs = jobs
 
 	// Pass 2: execute the builds on the pool. Warm the store's lazy walk
-	// order first so concurrent scans only read it, and size the per-worker
-	// candidate buffers to the pool's width.
+	// order first so concurrent scans only read it.
 	r.store.ordered()
-	for len(r.workerCands) < r.cfg.Pool.Workers() {
-		r.workerCands = append(r.workerCands, nil)
-	}
 	if r.runJob == nil {
 		r.runJob = r.execJob
 	}
@@ -689,10 +683,10 @@ const (
 	cohortEmpty      = -2
 )
 
-// execJob runs one build of pass 2. Jobs write only their own target
-// message, their peer's owed set and the executing worker's candidate buffer,
-// honoring the pool's ownership rules (see package work).
-func (r *Replicator) execJob(worker, i int) {
+// execJob runs one build of pass 2. Jobs write only their own target message
+// and their peer's owed set, honoring the pool's ownership rules (see package
+// work).
+func (r *Replicator) execJob(_, i int) {
 	j := &r.jobs[i]
 	switch j.kind {
 	case jobSharedSnap:
@@ -703,7 +697,7 @@ func (r *Replicator) execJob(worker, i int) {
 		p := j.peer
 		r.store.DeltaSinceOwedInto(p.ackTick, p.boundFilter, p.scratch, p.owed, p.ackTick, r.cfg.OwedSettleTicks)
 	case jobCohortDelta:
-		r.workerCands[worker] = r.store.deltaSinceCands(j.base, nil, j.delta, r.workerCands[worker])
+		r.store.DeltaSinceInto(j.base, nil, j.delta)
 	}
 }
 

@@ -48,17 +48,13 @@ type removal struct {
 	tick uint64
 }
 
-// dirtyRingCap is the number of recent ticks the changed-entity ring covers.
-// It comfortably exceeds the default replication MaxDeltaWindow (150): any
-// ack horizon older than the ring falls back to a full scan, and the
-// replicator would be sending such a peer a snapshot anyway.
-const dirtyRingCap = 256
-
 // Store is the authoritative entity state, indexed by participant. Every
 // live entity holds a small dense slot in recs — one ID→slot map, records by
 // value, vacated slots free-listed for the next new entity — and every walk
-// of the table indexes it by slot. Slots do not leave this package. Not safe
-// for concurrent use: each server owns one on its simulation goroutine.
+// of the table, the delta and snapshot builds included, is a pass over the
+// ascending (id, slot) order indexing it by slot. Slots do not leave this
+// package. Not safe for concurrent use: each server owns one on its
+// simulation goroutine (PlanTick's concurrent builds only read it).
 type Store struct {
 	tick     uint64
 	slots    map[protocol.ParticipantID]uint32
@@ -70,21 +66,11 @@ type Store struct {
 	// changes, so per-tick scans allocate nothing and probe nothing.
 	order      []idSlot
 	orderDirty bool
-
-	// dirty is the changed-entity ring: entry t%dirtyRingCap lists the slots
-	// first changed at tick t, so an unfiltered DeltaSince walks only entities
-	// changed inside the ack window instead of the whole population. The ring
-	// covers ticks [ringLo, tick] contiguously; receiver-side tick jumps
-	// (ApplySnapshot/ApplyDelta) invalidate it, and it is allocated lazily on
-	// the first BeginTick so pure-receiver stores never pay for it.
-	dirty       [][]uint32
-	ringLo      uint64
-	candScratch []idSlot
 }
 
 // NewStore creates an empty store at tick zero.
 func NewStore() *Store {
-	return &Store{slots: make(map[protocol.ParticipantID]uint32), ringLo: 1}
+	return &Store{slots: make(map[protocol.ParticipantID]uint32)}
 }
 
 // Tick returns the current tick number.
@@ -94,13 +80,6 @@ func (s *Store) Tick() uint64 { return s.tick }
 // tick before applying that tick's updates.
 func (s *Store) BeginTick() uint64 {
 	s.tick++
-	if s.dirty == nil {
-		s.dirty = make([][]uint32, dirtyRingCap)
-	}
-	s.dirty[s.tick%dirtyRingCap] = s.dirty[s.tick%dirtyRingCap][:0]
-	if lo := s.tick - min(s.tick, dirtyRingCap-1); lo > s.ringLo {
-		s.ringLo = lo
-	}
 	return s.tick
 }
 
@@ -128,8 +107,7 @@ func (s *Store) slotOf(id protocol.ParticipantID) uint32 {
 }
 
 // vacate frees id's slot: the record is cleared (a vacant slot pins no
-// expression bytes and matches no tick of the dirty ring) and its generation
-// advances past the departed tenant.
+// expression bytes) and its generation advances past the departed tenant.
 func (s *Store) vacate(id protocol.ParticipantID, slot uint32) {
 	s.recs[slot] = record{gen: s.recs[slot].gen + 1}
 	s.free = append(s.free, slot)
@@ -137,26 +115,11 @@ func (s *Store) vacate(id protocol.ParticipantID, slot uint32) {
 	s.orderDirty = true
 }
 
-// markChanged stamps slot's entity changed at the current tick and records
-// the slot in the dirty ring (once per tick; re-stamping is a no-op).
-func (s *Store) markChanged(slot uint32) {
-	r := &s.recs[slot]
-	if r.changedTick == s.tick {
-		return
-	}
-	r.changedTick = s.tick
-	if s.dirty != nil && s.ringLo <= s.tick {
-		at := s.tick % dirtyRingCap
-		s.dirty[at] = append(s.dirty[at], slot)
-	}
-}
-
 // Upsert inserts or replaces an entity's state, stamping it changed at the
 // current tick.
 func (s *Store) Upsert(e protocol.EntityState) {
-	slot := s.slotOf(e.Participant)
-	s.recs[slot].state = e
-	s.markChanged(slot)
+	r := &s.recs[s.slotOf(e.Participant)]
+	r.state, r.changedTick = e, s.tick
 }
 
 // UpsertIfChanged inserts or replaces an entity only if its state actually
@@ -187,7 +150,7 @@ func (s *Store) Touch(id protocol.ParticipantID) bool {
 	if !ok {
 		return false
 	}
-	s.markChanged(slot)
+	s.recs[slot].changedTick = s.tick
 	return true
 }
 
@@ -287,34 +250,19 @@ func (s *Store) DeltaSince(base uint64, filter func(protocol.ParticipantID) bool
 }
 
 // DeltaSinceInto is DeltaSince building into msg, reusing its
-// Changed/Removed capacity; the replicator threads per-peer scratch messages
-// through it so steady-state delta planning allocates nothing.
+// Changed/Removed capacity; the replicator threads per-cohort scratch
+// messages through it so steady-state delta planning allocates nothing. It is
+// one pass over the ascending (id, slot) order testing "changed after base".
 //
-// When the ack horizon lies inside the dirty ring the candidate set is the
-// ring's changed-slot union — O(changed in window) — instead of a scan of the
-// whole population; older baselines fall back to the full scan.
+// Concurrency: it writes only msg, so several builds may run at once provided
+// the store is not mutated meanwhile and the owner has materialized the walk
+// order first (the replicator warms it before fanning builds out).
 func (s *Store) DeltaSinceInto(base uint64, filter func(protocol.ParticipantID) bool, msg *protocol.Delta) {
-	s.candScratch = s.deltaSinceCands(base, filter, msg, s.candScratch)
-}
-
-// deltaSinceCands is DeltaSinceInto with a caller-owned candidate buffer for
-// the dirty-ring walk, returned (possibly grown) for reuse. It exists for
-// concurrent delta builds — PlanTick hands each worker its own buffer — and
-// is safe to call from several goroutines at once provided the store is not
-// mutated meanwhile and the owner has materialized the walk order first (the
-// replicator warms it before fanning builds out).
-func (s *Store) deltaSinceCands(base uint64, filter func(protocol.ParticipantID) bool, msg *protocol.Delta, buf []idSlot) []idSlot {
 	msg.BaseTick, msg.Tick = base, s.tick
 	msg.Changed = msg.Changed[:0]
 	msg.Removed = msg.Removed[:0]
 
-	cands, ok := s.changedSince(base, buf)
-	if ok {
-		buf = cands
-	} else {
-		cands = s.ordered()
-	}
-	for _, is := range cands {
+	for _, is := range s.ordered() {
 		r := &s.recs[is.slot]
 		if r.changedTick > base && (filter == nil || filter(is.id)) {
 			msg.Changed = append(msg.Changed, r.state)
@@ -323,7 +271,6 @@ func (s *Store) deltaSinceCands(base uint64, filter func(protocol.ParticipantID)
 	for _, rm := range s.removedSince(base) {
 		msg.Removed = append(msg.Removed, rm.id)
 	}
-	return buf
 }
 
 // removedSince returns the logged removals newer than base (the log ascends by tick).
@@ -357,7 +304,7 @@ func (s *Store) removedSince(base uint64) []removal {
 // Each entity is visited once, in ascending ID order, and the filter invoked
 // at most once per entity, so Changed is ascending and byte-identical across
 // runs and worker counts. Removals are never owed, and filtered in one case
-// only (below). Concurrency: as deltaSinceCands, for distinct owed sets.
+// only (below). Concurrency: as DeltaSinceInto, for distinct owed sets.
 func (s *Store) DeltaSinceOwedInto(base uint64, filter func(protocol.ParticipantID) bool, msg *protocol.Delta, owed *OwedSet, ackTick, settle uint64) {
 	msg.BaseTick, msg.Tick = base, s.tick
 	msg.Changed = msg.Changed[:0]
@@ -432,31 +379,6 @@ func (s *Store) SnapshotOwedInto(filter func(protocol.ParticipantID) bool, msg *
 	}
 }
 
-// changedSince returns, ascending by ID, the live entities changed after base
-// via the dirty ring, built into the caller's buffer; ok is false when the
-// ring does not cover (base, tick] and the caller must fall back to a full
-// scan (buf is returned untouched so its capacity survives).
-func (s *Store) changedSince(base uint64, buf []idSlot) ([]idSlot, bool) {
-	if s.dirty == nil || base+1 < s.ringLo || base > s.tick {
-		return buf, false
-	}
-	cands := buf[:0]
-	for t := base + 1; t <= s.tick; t++ {
-		for _, slot := range s.dirty[t%dirtyRingCap] {
-			// A slot appears in every ring entry its tenants changed at; keep
-			// the occurrence matching the current tenant's latest change, so
-			// each live entity contributes once (a vacant slot's is zero).
-			if r := &s.recs[slot]; r.changedTick == t {
-				cands = append(cands, idSlot{id: r.state.Participant, slot: slot})
-			}
-		}
-	}
-	slices.SortFunc(cands, func(a, b idSlot) int { return cmp.Compare(a.id, b.id) })
-	// A slot vacated and re-seated within one tick is listed twice there.
-	cands = slices.Compact(cands)
-	return cands, true
-}
-
 // PruneRemovals discards removal log entries at or before minAck (the
 // minimum acknowledged tick across peers) — they can never appear in a
 // future delta.
@@ -489,7 +411,6 @@ func (s *Store) ApplySnapshot(snap *protocol.Snapshot) { s.applySnapshot(snap, n
 func (s *Store) applySnapshot(snap *protocol.Snapshot, r *Replica, now time.Duration) {
 	s.tick = snap.Tick
 	s.removals = nil
-	s.ringLo = s.tick + 1 // tick jump: the ring no longer covers any window
 	// Omissions first, ascending, and every one of them before the first new
 	// entity is seated: whatever a departure frees (its slot here, a seat
 	// behind Replica.OnRemove) is there for the newcomers.
@@ -544,7 +465,6 @@ func (s *Store) applyDelta(d *protocol.Delta, r *Replica, now time.Duration) boo
 		return true // stale duplicate; nothing newer to learn
 	}
 	s.tick = d.Tick
-	s.ringLo = s.tick + 1 // tick jump: the ring no longer covers any window
 	// Removals first: an entity removed and re-added within the delta window
 	// appears in both lists (the removal log is never filtered, and the live
 	// entity is a change candidate), and the re-add must win — as a new

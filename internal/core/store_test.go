@@ -212,3 +212,29 @@ func TestApplyDeltaRemovals(t *testing.T) {
 		t.Error("unrelated entity lost")
 	}
 }
+
+// TestStoreTickAllocationFree pins the authoring side's steady state at zero
+// heap objects from a store's second tick on: BeginTick, re-authoring every
+// live entity and the unfiltered delta build into a reused message.
+func TestStoreTickAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are meaningless under -race")
+	}
+	const pop = 64
+	s := NewStore()
+	var msg protocol.Delta
+	tick := func() {
+		now := s.BeginTick()
+		for id := protocol.ParticipantID(1); id <= pop; id++ {
+			s.Upsert(ent(id, float64(now)))
+		}
+		s.DeltaSinceInto(now-1, nil, &msg)
+		if len(msg.Changed) != pop {
+			t.Fatalf("tick %d: delta carried %d changes, want %d", now, len(msg.Changed), pop)
+		}
+	}
+	tick() // the warm tick seats the population and sizes msg
+	if allocs := testing.AllocsPerRun(100, tick); allocs != 0 {
+		t.Errorf("steady-state store tick allocates %.2f objects, want 0", allocs)
+	}
+}

@@ -182,7 +182,7 @@ func TestE5CrossRunDeterminism(t *testing.T) {
 
 // TestE9CrossRunDeterminism gates the dead-reckoning experiment: its table
 // (rates, wire sizes, per-extrapolator errors) must render byte-identically
-// run to run — the E9 numbers come through the codec's EncodedSize and the
+// run to run — the E9 numbers come through the codec's frame size and the
 // interpolation buffers, both of which the frame-lifecycle work touches.
 func TestE9CrossRunDeterminism(t *testing.T) {
 	t1 := E9DeadReckoning(42)

@@ -391,11 +391,11 @@ func poseUpdateWireSize() int {
 		Pose:   protocol.QuantizePose(mathx.V3(3, 1.2, 4), mathx.QuatIdentity()),
 		VelMMS: [3]int64{1200, 50, 900},
 	}
-	n, err := protocol.EncodedSize(m)
+	frame, err := protocol.AppendEncode(nil, m)
 	if err != nil {
 		return 0
 	}
-	return n
+	return len(frame)
 }
 
 func deadReckonPoint(script trace.MotionScript, hz float64, ex pose.Extrapolator) (rms, maxErr float64) {

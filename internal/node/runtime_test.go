@@ -310,9 +310,8 @@ func TestTickInterestAllocationFree(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// Warm-up: more than one lap of the store's 256-entry dirty ring,
-			// the plan and frame pools, the pool's helpers, and both IDs of
-			// the alternating seat.
+			// Warm-up: the plan and frame pools, the pool's helpers, and both
+			// IDs of the alternating seat.
 			for i := 0; i < 300; i++ {
 				if i%10 == 0 {
 					swap()

@@ -61,7 +61,6 @@ func appendFrame(w *Writer, msg Message, base int) error {
 // encoding once the buffer has grown to the working frame size.
 func AppendEncode(dst []byte, msg Message) ([]byte, error) {
 	w := writerPool.Get().(*Writer)
-	w.count = false
 	w.buf = dst
 	err := appendFrame(w, msg, len(dst))
 	out := w.buf
@@ -78,7 +77,6 @@ func AppendEncode(dst []byte, msg Message) ([]byte, error) {
 // the returned slice never aliases pool memory.
 func Encode(msg Message) ([]byte, error) {
 	w := writerPool.Get().(*Writer)
-	w.count = false
 	w.buf = w.buf[:0]
 	err := appendFrame(w, msg, 0)
 	if err != nil {
@@ -238,22 +236,4 @@ func (d *Decoder) Decode(frame []byte) (Message, int, error) {
 		return nil, 0, fmt.Errorf("decoding %v: %w", t, err)
 	}
 	return msg, size, nil
-}
-
-// EncodedSize returns the frame size Encode would produce for msg, without
-// allocating or materializing the frame (used by bandwidth accounting): the
-// payload is measured with a pooled writer in counting mode.
-func EncodedSize(msg Message) (int, error) {
-	w := writerPool.Get().(*Writer)
-	w.count = true
-	w.n = 0
-	msg.encode(w)
-	plen := w.Len()
-	w.count = false
-	w.n = 0
-	writerPool.Put(w)
-	if plen > MaxPayload {
-		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, plen)
-	}
-	return headerSize + sizeUvarint(uint64(plen)) + plen + 4, nil
 }

@@ -131,29 +131,6 @@ func TestEncodeFramesDoNotAliasPool(t *testing.T) {
 	}
 }
 
-func TestEncodedSizeAllTypes(t *testing.T) {
-	for _, msg := range allMessages() {
-		frame, err := Encode(msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := EncodedSize(msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != len(frame) {
-			t.Errorf("%v: EncodedSize = %d, frame = %d", msg.Type(), n, len(frame))
-		}
-	}
-}
-
-func TestEncodedSizeOversize(t *testing.T) {
-	m := &VideoChunk{Data: make([]byte, MaxPayload+1)}
-	if _, err := EncodedSize(m); err == nil {
-		t.Error("EncodedSize accepted oversize payload")
-	}
-}
-
 func TestAppendEncodeOversizeLeavesDstIntact(t *testing.T) {
 	dst := []byte{1, 2, 3}
 	m := &VideoChunk{Data: make([]byte, MaxPayload+1)}
@@ -175,22 +152,6 @@ func BenchmarkAppendEncodePoseUpdate(b *testing.B) {
 		var err error
 		buf, err = AppendEncode(buf[:0], m)
 		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEncodedSizeSnapshot100(b *testing.B) {
-	snap := &Snapshot{Tick: 1}
-	for i := 0; i < 100; i++ {
-		snap.Entities = append(snap.Entities, EntityState{
-			Participant: ParticipantID(i),
-			Pose:        QuantizePose(mathx.V3(float64(i), 1, 2), mathx.QuatIdentity()),
-		})
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := EncodedSize(snap); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -204,18 +204,6 @@ func TestSnapshotEntityCountBound(t *testing.T) {
 	}
 }
 
-func TestEncodedSize(t *testing.T) {
-	m := &Ack{Participant: 1, Tick: 5}
-	n, err := EncodedSize(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame, _ := Encode(m)
-	if n != len(frame) {
-		t.Errorf("EncodedSize = %d, frame = %d", n, len(frame))
-	}
-}
-
 func TestReaderHelpers(t *testing.T) {
 	var w Writer
 	w.F64(3.5)

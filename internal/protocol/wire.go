@@ -44,36 +44,21 @@ var (
 
 // Writer serializes primitive values into a growing byte buffer.
 // The zero value is ready to use.
-//
-// A Writer can also run in counting mode (count set, used by EncodedSize),
-// where every write only accumulates the byte count it would have produced
-// instead of materializing bytes.
 type Writer struct {
-	buf   []byte
-	count bool
-	n     int
+	buf []byte
 }
 
 // NewWriterSize returns a Writer with capacity preallocated.
 func NewWriterSize(n int) *Writer { return &Writer{buf: make([]byte, 0, n)} }
 
-// Bytes returns the accumulated buffer (not a copy). In counting mode it is
-// always nil.
+// Bytes returns the accumulated buffer (not a copy).
 func (w *Writer) Bytes() []byte { return w.buf }
 
-// Len returns the number of bytes written (or counted).
-func (w *Writer) Len() int {
-	if w.count {
-		return w.n
-	}
-	return len(w.buf)
-}
+// Len returns the number of bytes written.
+func (w *Writer) Len() int { return len(w.buf) }
 
-// Reset clears the buffer (retaining capacity) or the counter.
-func (w *Writer) Reset() {
-	w.buf = w.buf[:0]
-	w.n = 0
-}
+// Reset clears the buffer, retaining capacity.
+func (w *Writer) Reset() { w.buf = w.buf[:0] }
 
 // sizeUvarint returns the encoded length of v as an unsigned varint.
 func sizeUvarint(v uint64) int {
@@ -87,55 +72,31 @@ func sizeUvarint(v uint64) int {
 
 // U8 writes one byte.
 func (w *Writer) U8(v uint8) {
-	if w.count {
-		w.n++
-		return
-	}
 	w.buf = append(w.buf, v)
 }
 
 // U16 writes a big-endian uint16.
 func (w *Writer) U16(v uint16) {
-	if w.count {
-		w.n += 2
-		return
-	}
 	w.buf = binary.BigEndian.AppendUint16(w.buf, v)
 }
 
 // U32 writes a big-endian uint32.
 func (w *Writer) U32(v uint32) {
-	if w.count {
-		w.n += 4
-		return
-	}
 	w.buf = binary.BigEndian.AppendUint32(w.buf, v)
 }
 
 // U64 writes a big-endian uint64.
 func (w *Writer) U64(v uint64) {
-	if w.count {
-		w.n += 8
-		return
-	}
 	w.buf = binary.BigEndian.AppendUint64(w.buf, v)
 }
 
 // UVarint writes an unsigned varint.
 func (w *Writer) UVarint(v uint64) {
-	if w.count {
-		w.n += sizeUvarint(v)
-		return
-	}
 	w.buf = binary.AppendUvarint(w.buf, v)
 }
 
 // Varint writes a signed (zigzag) varint.
 func (w *Writer) Varint(v int64) {
-	if w.count {
-		w.n += sizeUvarint(uint64(v)<<1 ^ uint64(v>>63))
-		return
-	}
 	w.buf = binary.AppendVarint(w.buf, v)
 }
 
@@ -151,29 +112,17 @@ func (w *Writer) I16(v int16) { w.U16(uint16(v)) }
 // BytesVar writes a length-prefixed (uvarint) byte slice.
 func (w *Writer) BytesVar(b []byte) {
 	w.UVarint(uint64(len(b)))
-	if w.count {
-		w.n += len(b)
-		return
-	}
 	w.buf = append(w.buf, b...)
 }
 
 // String writes a length-prefixed UTF-8 string.
 func (w *Writer) String(s string) {
 	w.UVarint(uint64(len(s)))
-	if w.count {
-		w.n += len(s)
-		return
-	}
 	w.buf = append(w.buf, s...)
 }
 
 // Raw appends bytes with no length prefix.
 func (w *Writer) Raw(b []byte) {
-	if w.count {
-		w.n += len(b)
-		return
-	}
 	w.buf = append(w.buf, b...)
 }
 
