@@ -168,7 +168,7 @@ func TestUnitCaseRemoteAvatarsSeated(t *testing.T) {
 
 func TestUnitCaseDisplayTracksTruth(t *testing.T) {
 	d, teacher, gz, cwb, _ := buildUnitCase(t, 4)
-	if err := d.Run(10 * time.Second); err != nil {
+	if err := d.Run(9 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	script, ok := gz.ScriptOf(teacher)
@@ -177,12 +177,18 @@ func TestUnitCaseDisplayTracksTruth(t *testing.T) {
 	}
 	// CWB renders the GZ teacher seat-corrected, so positions differ by a
 	// rigid transform — but motion magnitude must match. Compare displayed
-	// speed against true speed over a window.
-	now := d.Now()
+	// speed against true speed over a window, reading the display as it
+	// plays: a playout buffer keeps what a reader at the live edge can reach,
+	// not a second of history to replay.
 	var dispDist, trueDist float64
 	var prevDisp, prevTrue mathx.Vec3
 	for i := 0; i <= 20; i++ {
-		at := now - time.Duration(20-i)*50*time.Millisecond
+		if i > 0 {
+			if err := d.Run(50 * time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+		}
+		at := d.Now()
 		p, ok := cwb.Edge().DisplayPose(teacher, at)
 		if !ok {
 			t.Fatal("teacher not displayable at CWB")
@@ -201,6 +207,50 @@ func TestUnitCaseDisplayTracksTruth(t *testing.T) {
 	if ratio < 0.5 || ratio > 1.5 {
 		t.Errorf("displayed motion %.2f m vs true %.2f m (ratio %.2f), want ~1",
 			dispDist, trueDist, ratio)
+	}
+}
+
+// TestDisplayPosePastReadHoldsOldest pins what a display time before the live
+// edge gets. A remote participant's playout history reaches as far back as a
+// display at the live edge reads (core.Replica.Pose), a quarter of a second at
+// these rates: a read a second or two in the past is still answered, with the
+// oldest pose the edge holds, and is counted in ReplicaStats.Clamped, which
+// live reads leave at zero.
+func TestDisplayPosePastReadHoldsOldest(t *testing.T) {
+	d, teacher, _, cwb, _ := buildUnitCase(t, 4)
+	if err := d.Run(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	edge := cwb.Edge()
+	clamped := func() (n uint64) {
+		for _, addr := range edge.Runtime().SyncPeerAddrs() {
+			if rep, ok := edge.ReplicaOf(addr); ok {
+				n += rep.Stats().Clamped
+			}
+		}
+		return n
+	}
+	now := d.Now()
+	live, ok := edge.DisplayPose(teacher, now)
+	if !ok {
+		t.Fatal("teacher not displayable at CWB")
+	}
+	if n := clamped(); n != 0 {
+		t.Fatalf("a read at the live edge counted %d clamped", n)
+	}
+	back1, ok1 := edge.DisplayPose(teacher, now-time.Second)
+	back2, ok2 := edge.DisplayPose(teacher, now-2*time.Second)
+	if !ok1 || !ok2 {
+		t.Fatalf("past reads displayable = %v, %v, want both held at the oldest pose", ok1, ok2)
+	}
+	if back1.Position != back2.Position || back1.Rotation != back2.Rotation {
+		t.Errorf("reads 1 s and 2 s back differ (%v vs %v): history that deep should be gone", back1.Position, back2.Position)
+	}
+	if back1.Position == live.Position {
+		t.Errorf("past read returned the live pose %v, want the oldest held", live.Position)
+	}
+	if n := clamped(); n != 2 {
+		t.Errorf("two past reads counted %d clamped, want 2", n)
 	}
 }
 

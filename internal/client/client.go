@@ -31,7 +31,8 @@ type VRConfig struct {
 	PublishHz float64
 	// PingEvery is the RTT probe interval (default 2s; <0 disables).
 	PingEvery time.Duration
-	// InterpDelay is the remote-entity playout delay (default 100 ms).
+	// InterpDelay is the remote-entity playout delay (default 100 ms). It
+	// also sets how much history each playout buffer keeps (core.NewReplica).
 	InterpDelay time.Duration
 	// Extrap is the dead-reckoning strategy (default Linear).
 	Extrap pose.Extrapolator
@@ -213,7 +214,9 @@ func (v *VR) publish() {
 }
 
 // DisplayedPose returns how the client's display renders participant id at
-// display time.
+// display time at — a live display time (the client's now): history reaches
+// only as far back as such a read does (core.Replica.Pose), and an earlier at
+// is answered with the oldest pose still held.
 func (v *VR) DisplayedPose(id protocol.ParticipantID, at time.Duration) (pose.Pose, bool) {
 	return v.replica.Pose(id, at)
 }

@@ -60,6 +60,7 @@ type Replica struct {
 	bufCreates uint64
 	bufDrops   uint64
 	retained   uint64
+	clamped    uint64 // of buffers since dropped; the live ones are summed in Stats
 
 	// bufPool recycles playout buffers (slab-allocated) so a cold join into a
 	// large world costs a few slab allocations instead of one buffer + ring
@@ -68,8 +69,26 @@ type Replica struct {
 	bufPool *pose.InterpPool
 }
 
+// playoutDepth is the number of samples a playout ring holds for delay: what
+// playout can reach. A display samples at now >= the newest stamp, so its
+// target now - delay never falls before newest - delay, and the samples it
+// can touch are those inside that window plus the one older that brackets
+// the target: 2 + ceil(delay x upstream rate). The rate is taken as 60 Hz,
+// which covers upstream ticks up to 60 Hz (the nodes default to 20-30 Hz);
+// 8 is the result at the 100 ms default, 64 the ceiling whatever the delay.
+// A faster upstream, or a read at a display time before the newest stamp, is
+// held at the oldest sample the ring still has and counted
+// (ReplicaStats.Clamped).
+func playoutDepth(delay time.Duration) int {
+	const rateHz, floor, ceiling = 60, 8, 64
+	d := min(max(delay, 0), 2*time.Second) // past the ceiling already; keeps the product in range
+	return min(max(2+int((d*rateHz+time.Second-1)/time.Second), floor), ceiling)
+}
+
 // NewReplica creates a replica whose playout buffers render delay behind
 // live using extrap beyond the newest sample (nil = linear dead reckoning).
+// The delay also sets how much history each buffer keeps (playoutDepth):
+// enough for a display reading at the live edge, not for replaying the past.
 func NewReplica(delay time.Duration, extrap pose.Extrapolator) *Replica {
 	if extrap == nil {
 		extrap = pose.Linear{}
@@ -133,7 +152,7 @@ func (r *Replica) noteEntity(slot uint32, e *protocol.EntityState, now time.Dura
 	ps := &r.playout[slot]
 	if ps.buf == nil {
 		if r.bufPool == nil {
-			r.bufPool = pose.NewInterpPool(r.delay, 64, r.extrap, 64)
+			r.bufPool = pose.NewInterpPool(r.delay, playoutDepth(r.delay), r.extrap, 64)
 		}
 		ps.buf = r.bufPool.Get()
 		r.bufCreates++
@@ -185,6 +204,7 @@ func (r *Replica) dropBuffer(id protocol.ParticipantID, slot uint32) {
 		p.retained = false
 		r.nRetained--
 	}
+	r.clamped += p.buf.Clamped()
 	r.bufPool.Put(p.buf)
 	p.buf = nil
 	r.bufDrops++
@@ -217,7 +237,12 @@ func (r *Replica) expireRetained(now time.Duration) {
 }
 
 // Pose samples the replicated participant's pose for display at time at
-// (in the entity's source frame; callers apply seat corrections).
+// (in the entity's source frame; callers apply seat corrections). It serves
+// a display at the live edge: at must not precede the participant's newest
+// applied stamp. The replica keeps only the history such a read can reach
+// (playoutDepth), so an earlier at whose target falls before that history
+// returns the oldest sample still held, with ok true, and adds to
+// ReplicaStats.Clamped.
 func (r *Replica) Pose(id protocol.ParticipantID, at time.Duration) (pose.Pose, bool) {
 	slot, ok := r.store.slots[id]
 	if !ok {
@@ -232,7 +257,10 @@ func (r *Replica) Participants() []protocol.ParticipantID { return r.store.IDs()
 // ReplicaStats reports apply accounting. BufferCreates/BufferDrops expose
 // playout-buffer churn (a create after a drop of the same entity means the
 // interpolation history was lost); Retained counts snapshot omissions that
-// kept their buffer under RetainOmitted.
+// kept their buffer under RetainOmitted; Clamped counts Pose calls that
+// wanted history a full buffer had evicted and got its oldest sample
+// (InterpBuffer.Clamped) — non-zero means an upstream outrunning the playout
+// depth, or a caller reading before the live edge.
 type ReplicaStats struct {
 	Applied       uint64
 	Rejected      uint64
@@ -240,12 +268,20 @@ type ReplicaStats struct {
 	BufferCreates uint64
 	BufferDrops   uint64
 	Retained      uint64
+	Clamped       uint64
 }
 
 // Stats returns counters.
 func (r *Replica) Stats() ReplicaStats {
-	return ReplicaStats{
+	st := ReplicaStats{
 		Applied: r.applied, Rejected: r.rejected, Snapshots: r.snapshots,
 		BufferCreates: r.bufCreates, BufferDrops: r.bufDrops, Retained: r.retained,
+		Clamped: r.clamped,
 	}
+	for i := range r.playout {
+		if b := r.playout[i].buf; b != nil {
+			st.Clamped += b.Clamped()
+		}
+	}
+	return st
 }

@@ -18,9 +18,11 @@ import (
 // mapReplica is the oracle for Replica: the implementation the slot-indexed
 // tables replaced — playout buffers, the retained set and the snapshot's
 // present set all maps keyed by participant — over a store that is one map.
-// It knows nothing of slots, walk orders or pools. One liberty is taken with
-// the original: it expired retained entities in map order, here ascending, so
-// the OnRemove sequence is comparable.
+// It knows nothing of slots, walk orders or pools; its buffers are as deep as
+// the replica's rule says (playoutDepth), so the two clamp to the same oldest
+// sample. One liberty is taken with the original: it expired retained
+// entities in map order, here ascending, so the OnRemove sequence is
+// comparable.
 type mapReplica struct {
 	tick    uint64
 	ents    map[protocol.ParticipantID]protocol.EntityState
@@ -117,7 +119,7 @@ func (r *mapReplica) Apply(msg protocol.Message, now time.Duration) (uint64, boo
 func (r *mapReplica) noteEntity(e protocol.EntityState, now time.Duration) {
 	buf, ok := r.buffers[e.Participant]
 	if !ok {
-		buf = pose.NewInterpBuffer(r.delay, 64, nil)
+		buf = pose.NewInterpBuffer(r.delay, playoutDepth(r.delay), nil)
 		r.buffers[e.Participant] = buf
 		r.stats.BufferCreates++
 		if r.OnNew != nil {
@@ -140,9 +142,11 @@ func (r *mapReplica) noteEntity(e protocol.EntityState, now time.Duration) {
 }
 
 func (r *mapReplica) dropEntity(id protocol.ParticipantID) {
-	if _, ok := r.buffers[id]; !ok {
+	buf, ok := r.buffers[id]
+	if !ok {
 		return
 	}
+	r.stats.Clamped += buf.Clamped()
 	delete(r.buffers, id)
 	delete(r.retainedIDs, id)
 	r.stats.BufferDrops++
@@ -173,6 +177,15 @@ func (r *mapReplica) Pose(id protocol.ParticipantID, at time.Duration) (pose.Pos
 		return pose.Pose{}, false
 	}
 	return buf.Sample(at)
+}
+
+// Stats adds the clamps of the buffers still held to those of the dropped.
+func (r *mapReplica) Stats() ReplicaStats {
+	st := r.stats
+	for _, buf := range r.buffers {
+		st.Clamped += buf.Clamped()
+	}
+	return st
 }
 
 // scriptStep is one message of a replica script and its apply time.
@@ -441,8 +454,8 @@ func TestReplicaMatchesMapModel(t *testing.T) {
 							t.Fatalf("step %d: entity %d = %+v, model %+v", step, id, got, o.ents[id])
 						}
 					}
-					if r.Stats() != o.stats {
-						t.Fatalf("step %d (%T): Stats = %+v, model %+v", step, st.msg, r.Stats(), o.stats)
+					if r.Stats() != o.Stats() {
+						t.Fatalf("step %d (%T): Stats = %+v, model %+v", step, st.msg, r.Stats(), o.Stats())
 					}
 					if r.Latency.Count() != o.Latency.Count() || r.Latency.Sum() != o.Latency.Sum() {
 						t.Fatalf("step %d: Latency count/sum = %d/%v, model %d/%v", step,
@@ -461,7 +474,7 @@ func TestReplicaMatchesMapModel(t *testing.T) {
 						t.Fatalf("step %d: %d live buffers for %d entities", step, n, len(ids))
 					}
 				}
-				if st := r.Stats(); st.Rejected == 0 || st.BufferDrops < 20 || (retain && st.Retained == 0) {
+				if st := r.Stats(); st.Rejected == 0 || st.BufferDrops < 20 || st.Clamped == 0 || (retain && st.Retained == 0) {
 					t.Fatalf("schedule too tame: %+v", st)
 				}
 			})

@@ -191,8 +191,8 @@ func TestReplicaApplyAllocationFree(t *testing.T) {
 
 // BenchmarkReplicaApplyDelta is the learner's steady-state receive: a
 // 36-entity ascending delta with fresh stamps into a replica of 100. hot
-// reuses one replica; cold cycles 64 (39 MB of rings), so each apply finds
-// its rings in memory, as classbench's apply kernel arranges.
+// reuses one replica; cold cycles 64 (4.9 MB of rings), so each apply finds
+// its rings out of the nearest caches, as classbench's apply kernel arranges.
 func BenchmarkReplicaApplyDelta(b *testing.B) {
 	for _, bc := range []struct {
 		name string

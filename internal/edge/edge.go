@@ -315,7 +315,10 @@ func (s *Server) authorLocals() {
 
 // DisplayPose returns the pose of any participant as the classroom's MR
 // displays should render it at display time: fused live state for local
-// participants, seat-corrected interpolated state for remote ones.
+// participants, seat-corrected interpolated state for remote ones. at is a
+// live display time (the node's now): a remote participant's history reaches
+// only as far back as a display at the live edge reads (core.Replica.Pose),
+// and an earlier at is answered with the oldest pose still held.
 func (s *Server) DisplayPose(id protocol.ParticipantID, at time.Duration) (pose.Pose, bool) {
 	if f, ok := s.fusers[id]; ok {
 		return f.Estimate(at)

@@ -44,7 +44,8 @@ type Config struct {
 	// TickHz is the replication tick rate (default 30).
 	TickHz float64
 	// InterpDelay is the playout delay of sync-peer replicas (default
-	// 100 ms).
+	// 100 ms). It also sets how much history each playout buffer keeps
+	// (core.NewReplica).
 	InterpDelay time.Duration
 	// Interest is the client fan-out policy; nil disables interest
 	// management (broadcast).

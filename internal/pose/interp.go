@@ -22,6 +22,7 @@ type InterpBuffer struct {
 
 	interpolated uint64
 	extrapolated uint64
+	clamped      uint64
 }
 
 // NewInterpBuffer creates a buffer rendering delay behind live, holding up to
@@ -104,7 +105,9 @@ func (b *InterpBuffer) Newest() (Pose, bool) {
 }
 
 // Sample reconstructs the pose at display time now, rendering at target time
-// now - Delay. It returns false only when the buffer is empty.
+// now - Delay. It returns false only when the buffer is empty: a target past
+// the newest sample is extrapolated, one before the oldest holds the oldest
+// (Clamped).
 func (b *InterpBuffer) Sample(now time.Duration) (Pose, bool) {
 	if b.n == 0 {
 		return Pose{}, false
@@ -116,6 +119,11 @@ func (b *InterpBuffer) Sample(now time.Duration) (Pose, bool) {
 		return b.extrap.Predict(*newest, target).At(now), true
 	}
 	if oldest := &b.ring[b.head]; target <= oldest.Time {
+		// Before buffered data: hold the oldest sample. In a full ring that is
+		// evicted history the read wanted; in one still filling, the start.
+		if target < oldest.Time && b.n == len(b.ring) {
+			b.clamped++
+		}
 		return oldest.At(now), true
 	}
 	// Binary search for the bracketing pair.
@@ -141,6 +149,14 @@ func (b *InterpBuffer) Stats() (interpolated, extrapolated uint64) {
 	return b.interpolated, b.extrapolated
 }
 
+// Clamped reports how many samples a full buffer answered by holding its
+// oldest sample because the target fell before it: the history the read
+// wanted had been evicted. Any non-zero count means the buffer is too shallow
+// for its reader — updates arrive faster than capacity covers Delay (playback
+// moves in steps), or now lay further in the past than the buffer keeps. A
+// buffer still filling holds its first sample the same way, uncounted.
+func (b *InterpBuffer) Clamped() uint64 { return b.clamped }
+
 // PruneBefore discards samples older than t (e.g. after a seat reassignment
 // invalidates the motion history).
 func (b *InterpBuffer) PruneBefore(t time.Duration) {
@@ -155,7 +171,7 @@ func (b *InterpBuffer) PruneBefore(t time.Duration) {
 // buffer must carry no motion history or stats from its previous entity.
 func (b *InterpBuffer) Reset() {
 	b.head, b.n = 0, 0
-	b.interpolated, b.extrapolated = 0, 0
+	b.interpolated, b.extrapolated, b.clamped = 0, 0, 0
 }
 
 // InterpPool recycles InterpBuffers for one receiver's cold-join path. A
