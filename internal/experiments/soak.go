@@ -27,8 +27,8 @@ const soakEpochs = 20
 // rising heap line long before it would kill a real deployment hours in.
 func E13Soak(seed int64) Table {
 	t := Table{
-		ID:    "E13",
-		Title: "Soak flatness — compressed churn epochs: post-GC heap, frames, netsim tables",
+		ID:      "E13",
+		Title:   "Soak flatness — compressed churn epochs: post-GC heap, frames, netsim tables",
 		Columns: []string{"epoch", "heap.KB", "live.frames", "hosts", "links", "inflight"},
 	}
 	res := runSoak(seed, soakEpochs)

@@ -206,18 +206,10 @@ func TestSnapshotEntityCountBound(t *testing.T) {
 
 func TestReaderHelpers(t *testing.T) {
 	var w Writer
-	w.F64(3.5)
-	w.F32(-1.25)
 	w.Varint(-12345)
 	w.String("hello")
 	w.BytesVar([]byte{9, 8})
 	r := NewReader(w.Bytes())
-	if got := r.F64(); got != 3.5 {
-		t.Errorf("F64 = %v", got)
-	}
-	if got := r.F32(); got != -1.25 {
-		t.Errorf("F32 = %v", got)
-	}
 	if got := r.Varint(); got != -12345 {
 		t.Errorf("Varint = %v", got)
 	}

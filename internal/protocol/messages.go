@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -370,20 +371,110 @@ const (
 	FlagPresenting
 )
 
+// encode makes room once for everything before the expression bytes — at
+// most maxEntityFixed — and writes it by index: the reserve is what makes
+// those writes in bounds. The expression, then seat and flags, are plain
+// appends. A buffer too small grows the way it did when every field was an
+// append, by one byte past its capacity, so a pooled frame's capacity climbs
+// the same size classes; like any append, growing moves off memory the caller
+// lent (AppendEncode's dst) and leaves that memory as it was.
 func (e *EntityState) encode(w *Writer) {
-	w.U32(uint32(e.Participant))
-	w.U16(uint16(e.Home))
-	w.Varint(int64(e.CapturedAt))
-	e.Pose.encode(w)
-	for _, v := range e.VelMMS {
-		w.Varint(v)
+	i := len(w.buf)
+	for cap(w.buf)-i < maxEntityFixed {
+		w.buf = append(w.buf[:cap(w.buf)], 0)[:i]
 	}
-	w.BytesVar(e.Expression)
-	w.U16(e.Seat)
-	w.U8(e.Flags)
+	b := w.buf[:i+maxEntityFixed]
+	binary.BigEndian.PutUint32(b[i:], uint32(e.Participant))
+	binary.BigEndian.PutUint16(b[i+4:], uint16(e.Home))
+	i = putVarint(b, i+6, int64(e.CapturedAt))
+	for _, v := range e.Pose.PosMM {
+		i = putVarint(b, i, v)
+	}
+	q := e.Pose.Quat
+	binary.BigEndian.PutUint64(b[i:], uint64(uint16(q[0]))<<48|uint64(uint16(q[1]))<<32|uint64(uint16(q[2]))<<16|uint64(uint16(q[3])))
+	i += 8
+	for _, v := range e.VelMMS {
+		i = putVarint(b, i, v)
+	}
+	i += binary.PutUvarint(b[i:], uint64(len(e.Expression)))
+	w.buf = append(b[:i], e.Expression...)
+	w.buf = append(w.buf, byte(e.Seat>>8), byte(e.Seat), e.Flags)
 }
 
+// putVarint writes v as a zigzag varint at b[i:] and returns the index after
+// it.
+func putVarint(b []byte, i int, v int64) int {
+	x := uint64(v)<<1 ^ uint64(v>>63)
+	for x >= 0x80 {
+		b[i] = byte(x) | 0x80
+		x >>= 7
+		i++
+	}
+	b[i] = byte(x)
+	return i + 1
+}
+
+// decode makes one bounds decision per entity: with maxEntityFixed bytes
+// unread, everything before the expression is in bounds wherever the varints
+// end, so it is decoded from a local slice and the offset committed once.
+// With fewer bytes than that, or a varint that path will not take, the entity
+// is decoded field by field from its first byte — the path that owns the last
+// entities of every frame, every truncated frame and every error.
 func (e *EntityState) decode(r *Reader) {
+	if r.err != nil || r.Remaining() < maxEntityFixed || !e.decodeFast(r) {
+		e.decodeChecked(r)
+	}
+}
+
+// decodeFast decodes e from r.buf[r.off:], which the caller has checked holds
+// at least maxEntityFixed bytes: the fields before the expression without
+// further checks, the rest through the checked reads. A varint longer than
+// ten bytes or overflowing 64 bits returns false with r untouched: e is then
+// partly written and decodeChecked must decode it again, which is what gives
+// that input the error, offset and zeroed fields it has always had.
+func (e *EntityState) decodeFast(r *Reader) bool {
+	b := r.buf[r.off : r.off+maxEntityFixed]
+	e.Participant = ParticipantID(binary.BigEndian.Uint32(b))
+	e.Home = ClassroomID(binary.BigEndian.Uint16(b[4:]))
+	i := 6
+	var vs [7]int64
+	for k := range vs {
+		if k == 4 { // the quaternion sits between position and velocity
+			q := binary.BigEndian.Uint64(b[i:])
+			e.Pose.Quat = [4]int16{int16(q >> 48), int16(q >> 32), int16(q >> 16), int16(q)}
+			i += 8
+		}
+		var x uint64
+		for s := uint(0); ; s += 7 {
+			c := b[i]
+			i++
+			if c < 0x80 {
+				if s == 63 && c > 1 {
+					return false // overflows 64 bits
+				}
+				x |= uint64(c) << s
+				break
+			}
+			if s == 63 {
+				return false // an eleventh byte
+			}
+			x |= uint64(c&0x7f) << s
+		}
+		vs[k] = int64(x>>1) ^ -int64(x&1)
+	}
+	e.CapturedAt = time.Duration(vs[0])
+	e.Pose.PosMM = [3]int64{vs[1], vs[2], vs[3]}
+	e.VelMMS = [3]int64{vs[4], vs[5], vs[6]}
+	r.off += i
+	e.Expression = r.BytesVar()
+	e.Seat = r.U16()
+	e.Flags = r.U8()
+	return true
+}
+
+// decodeChecked is the field-by-field path: every read is bounds-checked on
+// its own and a failure zeroes the fields after it.
+func (e *EntityState) decodeChecked(r *Reader) {
 	e.Participant = ParticipantID(r.U32())
 	e.Home = ClassroomID(r.U16())
 	e.CapturedAt = time.Duration(r.Varint())
@@ -434,8 +525,16 @@ func (m *Snapshot) decode(r *Reader) error {
 // + quaternion(8) + expression length(1) + seat(2) + flags(1) = 25 bytes. It
 // bounds the entity count a Snapshot/Delta header may claim, so a forged
 // count cannot force a huge up-front slice allocation (which a pooled
-// Decoder would then retain as scratch).
+// Decoder would then retain as scratch). TestEntityWireConstants pins it to
+// the encoder's output.
 const minEntityWire = 25
+
+// maxEntityFixed is the largest possible encoded EntityState up to and
+// including its expression-length uvarint: participant(4) + home(2) + seven
+// maximal varints + quaternion(8) + a maximal length = 94 bytes. decode takes
+// its unchecked path only with this many bytes unread; encode makes room for
+// it before writing by index.
+const maxEntityFixed = 4 + 2 + 7*binary.MaxVarintLen64 + 8 + binary.MaxVarintLen64
 
 // growEntities resizes s to n elements, reusing capacity when the slice is a
 // Decoder's retained scratch; every element is fully overwritten by decode.

@@ -19,7 +19,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Protocol constants.
@@ -56,9 +55,6 @@ func (w *Writer) Bytes() []byte { return w.buf }
 
 // Len returns the number of bytes written.
 func (w *Writer) Len() int { return len(w.buf) }
-
-// Reset clears the buffer, retaining capacity.
-func (w *Writer) Reset() { w.buf = w.buf[:0] }
 
 // sizeUvarint returns the encoded length of v as an unsigned varint.
 func sizeUvarint(v uint64) int {
@@ -99,12 +95,6 @@ func (w *Writer) UVarint(v uint64) {
 func (w *Writer) Varint(v int64) {
 	w.buf = binary.AppendVarint(w.buf, v)
 }
-
-// F32 writes a float32 as its IEEE-754 bits.
-func (w *Writer) F32(v float32) { w.U32(math.Float32bits(v)) }
-
-// F64 writes a float64 as its IEEE-754 bits.
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
 // I16 writes a big-endian int16.
 func (w *Writer) I16(v int16) { w.U16(uint16(v)) }
@@ -222,12 +212,6 @@ func (r *Reader) Varint() int64 {
 	r.off += n
 	return v
 }
-
-// F32 reads a float32.
-func (r *Reader) F32() float32 { return math.Float32frombits(r.U32()) }
-
-// F64 reads a float64.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
 // I16 reads a big-endian int16.
 func (r *Reader) I16() int16 { return int16(r.U16()) }
