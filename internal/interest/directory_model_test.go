@@ -1,0 +1,284 @@
+package interest
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"metaclass/internal/mathx"
+	"metaclass/internal/protocol"
+)
+
+// mapGrid is the oracle for the grid's ID directory: the bookkeeping Grid did
+// before it, slots found through a hash map keyed by participant. It mirrors
+// the free list (last freed, first reused), so its slots are the grid's.
+type mapGrid struct {
+	slots  map[protocol.ParticipantID]uint32
+	pos    []mathx.Vec3 // slot-indexed
+	born   []uint64     // slot-indexed: seated at placement
+	free   []uint32
+	seated uint64
+}
+
+func (m *mapGrid) update(id protocol.ParticipantID, p mathx.Vec3) {
+	slot, ok := m.slots[id]
+	if !ok {
+		m.seated++
+		if n := len(m.free); n > 0 {
+			slot, m.free = m.free[n-1], m.free[:n-1]
+		} else {
+			slot = uint32(len(m.pos))
+			m.pos, m.born = append(m.pos, p), append(m.born, 0)
+		}
+		m.slots[id], m.born[slot] = slot, m.seated
+	}
+	m.pos[slot] = p
+}
+
+func (m *mapGrid) remove(id protocol.ParticipantID) {
+	if slot, ok := m.slots[id]; ok {
+		delete(m.slots, id)
+		m.free = append(m.free, slot)
+	}
+}
+
+// mapSet is the oracle for Set: a refresh that classifies every indexed
+// entity by brute force, and the Allows the map-keyed grid answered with —
+// one map probe, the tenant test, the slot's bit.
+type mapSet struct {
+	allowed  map[uint32]bool // by slot
+	allowAll bool
+	recv     protocol.ParticipantID
+	seen     uint64
+}
+
+func (s *mapSet) refresh(m *mapGrid, p *Policy, recv protocol.ParticipantID, tick uint64) {
+	s.recv = recv
+	at, ok := m.slots[recv]
+	if s.allowAll = !ok; !ok {
+		return
+	}
+	s.seen, s.allowed = m.seated, map[uint32]bool{}
+	for id, slot := range m.slots {
+		dx, dz := m.pos[slot].X-m.pos[at].X, m.pos[slot].Z-m.pos[at].Z
+		if p.tierSq(dx*dx+dz*dz).due(Phase(id), tick) {
+			s.allowed[slot] = true
+		}
+	}
+	for id := range p.Pinned {
+		if slot, indexed := m.slots[id]; indexed {
+			s.allowed[slot] = true
+		}
+	}
+}
+
+func (s *mapSet) allows(m *mapGrid, id protocol.ParticipantID) bool {
+	if id == s.recv {
+		return false
+	}
+	if s.allowAll {
+		return true
+	}
+	slot, indexed := m.slots[id]
+	if !indexed {
+		return true
+	}
+	if m.born[slot] > s.seen {
+		return false
+	}
+	return s.allowed[slot]
+}
+
+// directoryModel drives a Grid and three long-lived Sets beside their
+// map-keyed oracles.
+type directoryModel struct {
+	t    *testing.T
+	rng  *rand.Rand
+	g    *Grid
+	m    *mapGrid
+	p    *Policy
+	pool []protocol.ParticipantID // the IDs that come and go, ascending
+	// asked is every ID Allows is asked about, ascending: the pool, each pool
+	// ID's two neighbours (never indexed: below, between and above the ones
+	// that are), zero and the largest ID.
+	asked []protocol.ParticipantID
+	recvs [3]protocol.ParticipantID // always indexed; indexed and pinned; never indexed
+	sets  [3]*Set
+	refs  [3]*mapSet
+	tick  uint64
+}
+
+func newDirectoryModel(t *testing.T, seed int64) *directoryModel {
+	h := &directoryModel{
+		t: t, rng: rand.New(rand.NewSource(seed)),
+		g: NewGrid(4), m: &mapGrid{slots: map[protocol.ParticipantID]uint32{}}, p: NewPolicy(),
+	}
+	// Sparse IDs, a campus in the high half and a seat in the low: region<<16 | n.
+	for region := 1; region <= 6; region++ {
+		for n := 0; n < 8; n++ {
+			h.pool = append(h.pool, protocol.ParticipantID(region<<16|n*5+2))
+		}
+	}
+	h.recvs = [3]protocol.ParticipantID{h.pool[10], h.pool[30], 4<<16 | 0x8000}
+	h.asked = []protocol.ParticipantID{0, h.recvs[2], math.MaxUint32}
+	for _, id := range h.pool {
+		h.asked = append(h.asked, id-1, id, id+1)
+	}
+	slices.Sort(h.asked)
+	for i := range h.sets {
+		h.sets[i], h.refs[i] = NewSet(), &mapSet{}
+	}
+	h.update(h.recvs[0], h.randPos())
+	h.update(h.recvs[1], h.randPos())
+	h.p.Pin(h.recvs[1])
+	return h
+}
+
+func (h *directoryModel) randPos() mathx.Vec3 {
+	return mathx.V3(h.rng.Float64()*140-70, h.rng.Float64()*3, h.rng.Float64()*140-70)
+}
+
+func (h *directoryModel) update(id protocol.ParticipantID, p mathx.Vec3) {
+	h.g.Update(id, p)
+	h.m.update(id, p)
+}
+
+func (h *directoryModel) remove(id protocol.ParticipantID) {
+	h.g.Remove(id)
+	h.m.remove(id)
+}
+
+func (h *directoryModel) refresh() {
+	h.tick++
+	for i, recv := range h.recvs {
+		h.sets[i].RefreshOwned(h.g, h.p, recv, h.tick)
+		h.refs[i].refresh(h.m, h.p, recv, h.tick)
+	}
+}
+
+// check compares the directory with the map, and every receiver's Allows
+// with its oracle's over five call orders: the set carries its cursor from
+// one order into the next, as it does from one tick's walk into the next.
+func (h *directoryModel) check(step int) {
+	h.t.Helper()
+	g, m := h.g, h.m
+	if g.Len() != len(m.slots) || len(g.ids) != len(m.slots) {
+		h.t.Fatalf("step %d: Len = %d, directory holds %d, the map %d", step, g.Len(), len(g.ids), len(m.slots))
+	}
+	for i, e := range g.ids {
+		if i > 0 && g.ids[i-1].id >= e.id {
+			h.t.Fatalf("step %d: directory not strictly ascending at %d: %d then %d", step, i, g.ids[i-1].id, e.id)
+		}
+		if slot, ok := m.slots[e.id]; !ok || slot != e.slot || m.born[slot] != e.born {
+			h.t.Fatalf("step %d: directory says %d sits in slot %d since %d, the map slot %d (indexed=%v) since %d",
+				step, e.id, e.slot, e.born, slot, ok, m.born[slot])
+		}
+		if pos, ok := g.Position(e.id); !ok || pos != m.pos[e.slot] {
+			h.t.Fatalf("step %d: Position(%d) = %v, %v, want %v", step, e.id, pos, ok, m.pos[e.slot])
+		}
+	}
+
+	descending := slices.Clone(h.asked)
+	slices.Reverse(descending)
+	shuffled := slices.Clone(h.asked)
+	h.rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	var twice, thirds []protocol.ParticipantID
+	for i, id := range h.asked {
+		twice = append(twice, id, id)
+		if i%3 != 2 {
+			thirds = append(thirds, id)
+		}
+	}
+	for _, order := range []struct {
+		name string
+		ids  []protocol.ParticipantID
+	}{
+		{"ascending", h.asked}, {"descending", descending}, {"shuffled", shuffled},
+		{"each twice", twice}, {"every third skipped", thirds},
+	} {
+		for r, recv := range h.recvs {
+			for _, id := range order.ids {
+				if got, want := h.sets[r].Allows(g, id), h.refs[r].allows(m, id); got != want {
+					_, indexed := m.slots[id]
+					h.t.Fatalf("step %d, %s, recv %#x source %#x (indexed=%v): Allows = %v, the map model %v",
+						step, order.name, recv, id, indexed, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSetAllowsMatchesMapModel is the model test for the grid's ID directory
+// and the Set's cursor, with the deleted ID→slot map as the oracle: a seeded
+// schedule of joins (fresh slots and recycled ones), moves inside a cell and
+// across cells, leaves, pin churn and refreshes at advancing ticks, and after
+// every step — most of them with the sets stale, so the tenant test carries
+// answers — Allows for an indexed, a pinned and an unindexed receiver over
+// indexed and unindexed IDs in five call orders. Checked to fail when Allows
+// trusts the entry its cursor steps stop on without comparing IDs, and when
+// Remove leaves the directory entry behind.
+func TestSetAllowsMatchesMapModel(t *testing.T) {
+	h := newDirectoryModel(t, 31)
+	h.refresh()
+	h.check(0)
+	recycled := 0
+	for step := 1; step <= 1500; step++ {
+		id := h.pool[h.rng.Intn(len(h.pool))]
+		_, indexed := h.m.slots[id]
+		switch op := h.rng.Intn(10); {
+		case op < 2 && indexed: // a step that stays inside its cell
+			pos, _ := h.g.Position(id)
+			x, z := h.g.key(pos)
+			h.update(id, mathx.V3((float64(x)+h.rng.Float64())*4, 0, (float64(z)+h.rng.Float64())*4))
+		case op < 5: // a join, or a move across cells
+			if !indexed && len(h.m.free) > 0 {
+				recycled++
+			}
+			h.update(id, h.randPos())
+		case op < 7:
+			if id != h.recvs[0] && id != h.recvs[1] {
+				h.remove(id)
+			}
+		case op == 7:
+			if h.p.Pinned[id] && id != h.recvs[1] {
+				h.p.Unpin(id)
+			} else {
+				h.p.Pin(id) // indexed or not
+			}
+		default:
+			h.refresh()
+		}
+		h.check(step)
+	}
+	if recycled < 50 {
+		t.Fatalf("only %d joins took a recycled slot: the schedule does not exercise the tenant test", recycled)
+	}
+
+	// A cursor left at the end of a directory that then loses half its
+	// entries, with no refresh in between: stale in every way it can be.
+	t.Run("shrunk under the cursor", func(t *testing.T) {
+		h := newDirectoryModel(t, 37)
+		for _, id := range h.pool {
+			h.update(id, h.randPos())
+		}
+		h.refresh()
+		h.check(0)
+		for r := range h.sets[:2] { // the unindexed receiver admits all and never looks
+			for _, id := range h.pool {
+				if got, want := h.sets[r].Allows(h.g, id), h.refs[r].allows(h.m, id); got != want {
+					t.Fatalf("recv %d source %#x: Allows = %v, the map model %v", r, id, got, want)
+				}
+			}
+			if at, end := h.sets[r].next, len(h.g.ids); at != end {
+				t.Fatalf("recv %d: cursor at %d after a walk to the directory's end (%d)", r, at, end)
+			}
+		}
+		for i, id := range h.pool {
+			if i%2 == 0 && id != h.recvs[0] && id != h.recvs[1] {
+				h.remove(id)
+			}
+		}
+		h.check(1)
+	})
+}

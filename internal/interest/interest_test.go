@@ -1,6 +1,7 @@
 package interest
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -282,12 +283,11 @@ func admitted(g *Grid, p *Policy, recv protocol.ParticipantID, tick uint64) []pr
 	s := NewSet()
 	s.RefreshOwned(g, p, recv, tick)
 	var out []protocol.ParticipantID
-	for id := range g.slots {
-		if s.Allows(g, id) {
-			out = append(out, id)
+	for _, e := range g.ids {
+		if s.Allows(g, e.id) {
+			out = append(out, e.id)
 		}
 	}
-	slices.Sort(out)
 	return out
 }
 
@@ -571,20 +571,88 @@ func TestNeighborsMatchesBruteForce(t *testing.T) {
 // BenchmarkRefreshOwned256 is the venue's shape: 16×16 seats at 3.2 m, one
 // pinned, default policy, every seat refreshing its own set each tick.
 func BenchmarkRefreshOwned256(b *testing.B) {
-	g := NewGrid(4)
-	p := NewPolicy()
 	const n = 256
+	g, p, seats := venueGrid(n)
 	sets := make([]*Set, n)
 	for i := range sets {
-		g.Update(protocol.ParticipantID(i+1), mathx.V3(float64(i%16)*3.2, 0, float64(i/16)*3.2))
 		sets[i] = NewSet()
 	}
-	p.Pin(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sets[i%n].RefreshOwned(g, p, protocol.ParticipantID(i%n+1), uint64(i/n+1))
+		sets[i%n].RefreshOwned(g, p, seats[i%n], uint64(i/n+1))
 	}
+}
+
+// BenchmarkAllows256 prices the answer where BenchmarkRefreshOwned256 prices
+// the refresh: one op is one receiver's filter walk over the venue's 256
+// sources. ascending is the venue's own walk (every ID, in store order),
+// two-thirds the lecture's (in order, every third entity unchanged and never
+// offered), shuffled the binary-search fallback on every call.
+func BenchmarkAllows256(b *testing.B) {
+	g, p, seats := venueGrid(256)
+	s := NewSet()
+	s.RefreshOwned(g, p, seats[0], 1)
+	var twoThirds []protocol.ParticipantID
+	for i, id := range seats {
+		if i%3 != 2 {
+			twoThirds = append(twoThirds, id)
+		}
+	}
+	shuffled := slices.Clone(seats)
+	rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for _, order := range []struct {
+		name string
+		ids  []protocol.ParticipantID
+	}{{"ascending", seats}, {"two-thirds", twoThirds}, {"shuffled", shuffled}} {
+		b.Run(order.name, func(b *testing.B) {
+			b.ReportAllocs()
+			hits := 0
+			for i := 0; i < b.N; i++ {
+				for _, id := range order.ids {
+					if s.Allows(g, id) {
+						hits++
+					}
+				}
+			}
+			if hits == 0 {
+				b.Fatal("nothing admitted")
+			}
+		})
+	}
+}
+
+// BenchmarkGridJoinLeave prices what the ID directory costs a join or a
+// leave that the map it replaced did not: one op is a Remove and a re-Update
+// of one resident, round-robin over the population, so the two memmoves
+// average half the directory (16 B per entity) each.
+func BenchmarkGridJoinLeave(b *testing.B) {
+	for _, n := range []int{256, 4096} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			g, _, seats := venueGrid(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id := seats[i%n]
+				pos, _ := g.Position(id)
+				g.Remove(id)
+				g.Update(id, pos)
+			}
+		})
+	}
+}
+
+// venueGrid seats n entities 3.2 m apart on a 16-wide block with the first
+// pinned — the venue's shape — and returns their IDs ascending.
+func venueGrid(n int) (*Grid, *Policy, []protocol.ParticipantID) {
+	g, p := NewGrid(4), NewPolicy()
+	seats := make([]protocol.ParticipantID, n)
+	for i := range seats {
+		seats[i] = protocol.ParticipantID(i + 1)
+		g.Update(seats[i], mathx.V3(float64(i%16)*3.2, 0, float64(i/16)*3.2))
+	}
+	p.Pin(seats[0])
+	return g, p, seats
 }
 
 func BenchmarkNeighbors1000(b *testing.B) {

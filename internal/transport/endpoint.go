@@ -14,6 +14,12 @@ import (
 // ErrUnknownPeer reports a send to an endpoint the mesh has no connection to.
 var ErrUnknownPeer = errors.New("transport: no connection to peer")
 
+// handshakeWait is how long a peer has to deliver the one message the name
+// handshake waits for (the dialer's Hello, the listener's HelloAck), so a
+// connection that opens and goes quiet costs a goroutine and a socket for
+// this long and no longer.
+const handshakeWait = 5 * time.Second
+
 // inbound is one received frame queued for dispatch. The frame holds the
 // payload bytes; Pump releases it after the receiver returns.
 type inbound struct {
@@ -49,6 +55,7 @@ type Endpoint struct {
 	conns  map[endpoint.Addr]*Conn
 	all    map[*Conn]struct{} // every live conn, named or mid-handshake
 	closed bool
+	hsWait time.Duration // handshakeWait; a field so a test can shorten it
 	recv   endpoint.Receiver
 	// recvFrames is recv's FrameReceiver view (nil if unsupported): inbound
 	// frames are handed over retainably instead of as borrowed bytes.
@@ -95,14 +102,15 @@ func listen(name endpoint.Addr, tcpAddr string, anon bool) (*Endpoint, error) {
 		return nil, fmt.Errorf("transport: listen %s: %w", tcpAddr, err)
 	}
 	e := &Endpoint{
-		addr:  name,
-		ln:    ln,
-		anon:  anon,
-		conns: make(map[endpoint.Addr]*Conn),
-		all:   make(map[*Conn]struct{}),
-		dirty: make(map[endpoint.Addr]*Conn),
-		inbox: make(chan inbound, 256),
-		done:  make(chan struct{}),
+		addr:   name,
+		ln:     ln,
+		anon:   anon,
+		conns:  make(map[endpoint.Addr]*Conn),
+		all:    make(map[*Conn]struct{}),
+		hsWait: handshakeWait,
+		dirty:  make(map[endpoint.Addr]*Conn),
+		inbox:  make(chan inbound, 256),
+		done:   make(chan struct{}),
 	}
 	e.wg.Add(1)
 	go e.acceptLoop()
@@ -124,7 +132,7 @@ func (e *Endpoint) Dial(peer endpoint.Addr, tcpAddr string) error {
 		_ = c.Close()
 		return fmt.Errorf("transport: handshake with %s: %w", peer, err)
 	}
-	msg, err := c.ReadMessage()
+	msg, err := e.readHandshake(c)
 	if err != nil {
 		_ = c.Close()
 		return fmt.Errorf("transport: handshake with %s: %w", peer, err)
@@ -192,12 +200,30 @@ func (e *Endpoint) acceptLoop() {
 	}
 }
 
+// readHandshake reads the one message a handshake waits for under a read
+// deadline of hsWait, and lifts the deadline once the message is whole: the
+// read loop that follows waits on a quiet peer for as long as it is quiet.
+func (e *Endpoint) readHandshake(c *Conn) (protocol.Message, error) {
+	e.mu.Lock()
+	wait := e.hsWait
+	e.mu.Unlock()
+	if err := c.c.SetReadDeadline(time.Now().Add(wait)); err != nil {
+		return nil, err
+	}
+	msg, err := c.ReadMessage()
+	if err != nil {
+		return nil, err
+	}
+	return msg, c.c.SetReadDeadline(time.Time{})
+}
+
 // handshake reads the peer's announcement, registers the connection under
 // the announced name, and continues as its read loop. The connection is
-// already tracked, so Close unblocks a stalled handshake read.
+// already tracked, so Close unblocks a stalled handshake read, and a peer
+// that never finishes its Hello is dropped when the read deadline passes.
 func (e *Endpoint) handshake(c *Conn) {
 	defer e.wg.Done()
-	msg, err := c.ReadMessage()
+	msg, err := e.readHandshake(c)
 	if err != nil {
 		e.untrack(c)
 		return

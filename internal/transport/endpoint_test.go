@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"errors"
 	"net"
+	"os"
 	"testing"
 	"time"
 
@@ -36,6 +38,128 @@ func TestEndpointCloseUnblocksPendingHandshake(t *testing.T) {
 		}
 	case <-time.After(3 * time.Second):
 		t.Fatal("Close deadlocked on a pending handshake connection")
+	}
+}
+
+// TestHandshakeDeadlineDropsStalledPeers is the first of the hostile-peer
+// cases: a connection that opens and never completes the name handshake is
+// closed by the endpoint once hsWait passes — untracked, its goroutine gone —
+// on the accepting side (a peer that sends nothing; a peer that sends a valid
+// length prefix and stalls inside the frame) and on the dialing side (a
+// listener that takes the Hello and never acks). Healthy peers dialled before
+// and after the stalled ones handshake and exchange a frame as usual.
+func TestHandshakeDeadlineDropsStalledPeers(t *testing.T) {
+	live0 := protocol.LiveFrames()
+	const wait = 500 * time.Millisecond
+	listenShort := func(name endpoint.Addr) *Endpoint {
+		t.Helper()
+		e, err := ListenEndpoint(name, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.mu.Lock()
+		e.hsWait = wait
+		e.mu.Unlock()
+		return e
+	}
+	tracked := func(e *Endpoint) int {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return len(e.all)
+	}
+	srv, before, after := listenShort("srv"), listenShort("before"), listenShort("after")
+	got := make(chan endpoint.Addr, 2) // one ping from each healthy peer
+	if err := srv.Bind(recvFunc(func(from endpoint.Addr, _ []byte) { got <- from })); err != nil {
+		t.Fatal(err)
+	}
+	if err := before.Dial("srv", srv.TCPAddr()); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, stall := range []struct {
+		name string
+		sent []byte
+	}{
+		{"sends nothing", nil},
+		{"stalls after a length prefix", []byte{0, 0, 0, 16}},
+	} {
+		nc, err := net.Dial("tcp", srv.TCPAddr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		if _, err := nc.Write(stall.sent); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		_ = nc.SetReadDeadline(start.Add(10 * wait)) // the test's own bound, not the endpoint's
+		if n, err := nc.Read(make([]byte, 1)); n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("peer that %s: read %d bytes, err %v; want the endpoint to close the conn", stall.name, n, err)
+		}
+		if held := time.Since(start); held < wait/2 {
+			t.Fatalf("peer that %s was dropped after %v, before the %v wait", stall.name, held, wait)
+		}
+	}
+
+	// The dialing side: the listener accepts and never answers the Hello.
+	mute, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mute.Close()
+	if err := after.Dial("mute", mute.Addr().String()); err == nil {
+		t.Fatal("Dial returned routable with no HelloAck")
+	}
+	if n := tracked(after); n != 0 {
+		t.Fatalf("dialer tracks %d conns after a failed handshake", n)
+	}
+
+	if err := after.Dial("srv", srv.TCPAddr()); err != nil {
+		t.Fatalf("healthy dial after the stalled peers: %v", err)
+	}
+	for _, cli := range []*Endpoint{before, after} {
+		ping, err := protocol.EncodeFrame(&protocol.Ping{Nonce: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cli.SendFrame("srv", ping); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for len(got) < 2 {
+		if srv.PumpWait(10*wait) == 0 {
+			t.Fatalf("server heard %d of 2 healthy peers", len(got))
+		}
+	}
+	if a, b := <-got, <-got; a == b {
+		t.Fatalf("both pings came from %q", a)
+	}
+	// A dropped conn leaves the tracked set just after its socket closes, which
+	// is what the stalled peers above waited for: give the delete its moment.
+	for deadline := time.Now().Add(10 * wait); tracked(srv) != 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("server tracks %d conns, want the 2 healthy ones", tracked(srv))
+		}
+	}
+
+	// Close waits for every accept, handshake and read goroutine: returning is
+	// the proof none was left behind.
+	closed := make(chan error, 3)
+	for _, e := range []*Endpoint{before, after, srv} {
+		go func() { closed <- e.Close() }()
+	}
+	for range 3 {
+		select {
+		case err := <-closed:
+			if err != nil {
+				t.Error(err)
+			}
+		case <-time.After(10 * wait):
+			t.Fatal("Close did not return: a handshake goroutine outlived its conn")
+		}
+	}
+	if live := protocol.LiveFrames(); live != live0 {
+		t.Fatalf("%d frames leaked", live-live0)
 	}
 }
 
