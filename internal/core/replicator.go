@@ -77,9 +77,6 @@ type peerState struct {
 	// Valid until the peer's next planned delta, matching the PlanTick
 	// result contract.
 	scratch *protocol.Delta
-	// snapScratch is the reusable per-peer Snapshot for filtered peers,
-	// with the same lifetime contract as scratch.
-	snapScratch *protocol.Snapshot
 	// owed tracks the entities whose latest change this peer's filter
 	// suppressed (nil for unfiltered peers: no filter, no suppression).
 	// Owned exclusively by this peer's builds and acks — see OwedSet for
@@ -163,7 +160,7 @@ func (p *peerState) resolveAck(tick uint64) (uint64, bool) {
 }
 
 // reset clears a peer's replication state for reuse while keeping its
-// allocated scratch (delta/snapshot entity slices, the bound filter closure),
+// allocated scratch (the delta's entity slices, the bound filter closure),
 // so onboarding a client after a departure allocates nothing.
 func (p *peerState) reset() {
 	p.ackTick, p.acked, p.lastSnapshot, p.newestAck = 0, false, 0, 0
@@ -172,9 +169,6 @@ func (p *peerState) reset() {
 	if p.scratch != nil {
 		p.scratch.Changed = p.scratch.Changed[:0]
 		p.scratch.Removed = p.scratch.Removed[:0]
-	}
-	if p.snapScratch != nil {
-		p.snapScratch.Entities = p.snapScratch.Entities[:0]
 	}
 	if p.owed != nil {
 		p.owed.Reset()
@@ -211,12 +205,17 @@ type Replicator struct {
 	// plan and deltaCohorts are per-tick scratch, reused across PlanTick
 	// calls to keep the hot path allocation-free. cohortScratch recycles the
 	// shared cohort Delta messages tick to tick (a cohort message is valid
-	// until the next PlanTick, per the result contract), and snapScratch
-	// does the same for the shared snapshot cohort's message.
+	// until the next PlanTick, per the result contract), snapScratch does the
+	// same for the shared snapshot cohort's message, and peerSnaps for the
+	// filtered peers' own snapshots: the tick's i-th is built into the i-th
+	// message, so the list is as long as the busiest tick's snapshots were
+	// many. (A peer snapshots at its join and then once per keyframe; a
+	// world-sized message of its own would sit idle for the rest of its life.)
 	plan          []PeerMessage
 	deltaCohorts  map[uint64]deltaCohort
 	cohortScratch []*protocol.Delta
 	snapScratch   *protocol.Snapshot
+	peerSnaps     []*protocol.Snapshot
 
 	// pruneDirty defers removal-log pruning to once per PlanTick: acks only
 	// record their tick, so a fully-acking classroom costs O(peers) per tick
@@ -230,7 +229,7 @@ type Replicator struct {
 	prunedTo uint64
 
 	// freePeers pools peer states released by RemovePeer so a join/leave
-	// storm (E11 churn) reuses scratch snapshots, deltas, and filter
+	// storm (E11 churn) reuses scratch deltas, owed sets and filter
 	// closures instead of reallocating them per onboarding.
 	freePeers []*peerState
 
@@ -246,9 +245,10 @@ type Replicator struct {
 // safe to execute concurrently.
 type planJob struct {
 	kind  jobKind
-	peer  *peerState      // jobPeerSnap, jobPeerDelta
-	base  uint64          // jobCohortDelta: the cohort's ack baseline
-	delta *protocol.Delta // jobCohortDelta: the cohort's scratch message
+	peer  *peerState         // jobPeerSnap, jobPeerDelta
+	snap  *protocol.Snapshot // jobPeerSnap: the tick's next peerSnaps message
+	base  uint64             // jobCohortDelta: the cohort's ack baseline
+	delta *protocol.Delta    // jobCohortDelta: the cohort's scratch message
 }
 
 type jobKind uint8
@@ -553,16 +553,14 @@ func (r *Replicator) PlanTick() []PeerMessage {
 	// Pass 1: collect the distinct builds.
 	jobs := r.jobs[:0]
 	clear(r.deltaCohorts)
-	cohortJobs := 0
+	cohortJobs, peerSnaps := 0, 0
 	sharedSnapQueued := false
 	for _, id := range r.sortedPeerIDs() {
 		p := r.peers[id]
 		if r.wantSnapshot(p, tick) {
 			if p.filter != nil {
-				if p.snapScratch == nil {
-					p.snapScratch = &protocol.Snapshot{}
-				}
-				jobs = append(jobs, planJob{kind: jobPeerSnap, peer: p})
+				jobs = append(jobs, planJob{kind: jobPeerSnap, peer: p, snap: scratchSlot(&r.peerSnaps, peerSnaps)})
+				peerSnaps++
 			} else if !sharedSnapQueued {
 				sharedSnapQueued = true
 				if r.snapScratch == nil {
@@ -580,7 +578,7 @@ func (r *Replicator) PlanTick() []PeerMessage {
 			continue
 		}
 		if _, ok := r.deltaCohorts[p.ackTick]; !ok {
-			slot := r.cohortSlot(cohortJobs)
+			slot := scratchSlot(&r.cohortScratch, cohortJobs)
 			cohortJobs++
 			r.deltaCohorts[p.ackTick] = deltaCohort{msg: slot, cohort: cohortUnnumbered}
 			jobs = append(jobs, planJob{kind: jobCohortDelta, base: p.ackTick, delta: slot})
@@ -599,14 +597,15 @@ func (r *Replicator) PlanTick() []PeerMessage {
 	// Pass 3: merge in sorted-peer order.
 	out := r.plan[:0]
 	sharedSnapCohort := cohortUnnumbered
-	nextCohort := 0
+	nextCohort, peerSnaps := 0, 0
 	for _, id := range r.sortedPeerIDs() {
 		p := r.peers[id]
 		if r.wantSnapshot(p, tick) {
 			var snap *protocol.Snapshot
 			var cohort int
 			if p.filter != nil {
-				snap = p.snapScratch
+				snap = r.peerSnaps[peerSnaps] // same peers, same order as pass 1
+				peerSnaps++
 				cohort = nextCohort
 				nextCohort++
 			} else {
@@ -664,15 +663,16 @@ func (r *Replicator) wantSnapshot(p *peerState, tick uint64) bool {
 		(r.cfg.SnapshotEvery > 0 && tick-p.lastSnapshot >= r.cfg.SnapshotEvery)
 }
 
-// cohortSlot returns the i-th recycled shared-cohort Delta, growing the
-// scratch pool as needed. Pass 1 assigns one slot per distinct ack baseline
-// up front (emptiness is unknown until the build runs); empty builds never
-// enter the plan, and every slot is reused next tick.
-func (r *Replicator) cohortSlot(i int) *protocol.Delta {
-	for len(r.cohortScratch) <= i {
-		r.cohortScratch = append(r.cohortScratch, &protocol.Delta{})
+// scratchSlot returns the i-th recycled message of a per-tick scratch list,
+// growing the list as needed. Pass 1 assigns one message per distinct ack
+// baseline (emptiness is unknown until the build runs; empty builds never
+// enter the plan) and one per filtered peer's snapshot, and every message is
+// reused next tick.
+func scratchSlot[T any](list *[]*T, i int) *T {
+	for len(*list) <= i {
+		*list = append(*list, new(T))
 	}
-	return r.cohortScratch[i]
+	return (*list)[i]
 }
 
 // Sentinel cohort values used between passes 1 and 3: a cohort built but
@@ -692,7 +692,7 @@ func (r *Replicator) execJob(_, i int) {
 	case jobSharedSnap:
 		r.store.SnapshotInto(nil, r.snapScratch)
 	case jobPeerSnap:
-		r.store.SnapshotOwedInto(j.peer.boundFilter, j.peer.snapScratch, j.peer.owed)
+		r.store.SnapshotOwedInto(j.peer.boundFilter, j.snap, j.peer.owed)
 	case jobPeerDelta:
 		p := j.peer
 		r.store.DeltaSinceOwedInto(p.ackTick, p.boundFilter, p.scratch, p.owed, p.ackTick, r.cfg.OwedSettleTicks)

@@ -8,7 +8,9 @@ package interest
 
 import (
 	"cmp"
+	"iter"
 	"math"
+	"math/bits"
 	"slices"
 
 	"metaclass/internal/mathx"
@@ -53,8 +55,9 @@ type seat struct {
 	born uint64 // Grid.seated at placement
 }
 
-// placed is one indexed entity. phase caches Phase(id): the decimation test
-// runs once per neighbour per receiver per tick.
+// placed is one indexed entity. phase caches Phase(id) for Set.RefreshOwned,
+// its only reader: once per neighbour per receiver per tick the refresh counts
+// the trailing zero bits of tick^phase.
 type placed struct {
 	pos   mathx.Vec3
 	phase uint64
@@ -181,40 +184,38 @@ func (g *Grid) Position(id protocol.ParticipantID) (mathx.Vec3, bool) {
 	return g.ents[g.ids[at].slot].pos, true
 }
 
-// within calls fn with the slot, entry and squared distance of every entity
-// within radius of center (2D, X/Z plane), the center entity included, in
-// cell order. It is the one cell walk: the occupied cells of the query square
-// row by row — a binary search into the directory wherever a row starts
-// before or runs past the square — so cost scales with local density, not
-// with the square's area (a 60 m cull radius over 4 m cells is 961 cells; a
-// classroom occupies a few dozen) and not with total population.
-func (g *Grid) within(center mathx.Vec3, radius float64, fn func(slot uint32, e *placed, distSq float64)) {
-	if radius < 0 {
-		return
-	}
-	r2 := radius * radius
-	lox, loz := g.key(center.Sub(mathx.V3(radius, 0, radius)))
-	hix, hiz := g.key(center.Add(mathx.V3(radius, 0, radius)))
-	i, _ := g.find(lox, loz)
-	for i < len(g.cells) && g.cells[i].x <= hix {
-		c := &g.cells[i]
-		switch {
-		case c.z < loz:
-			i, _ = g.find(c.x, loz)
-		case c.z > hiz:
-			if c.x == hix {
-				return // the last row is done (and x+1 could wrap)
-			}
-			i, _ = g.find(c.x+1, loz)
-		default:
-			for _, slot := range c.slots {
-				e := &g.ents[slot]
-				dx, dz := e.pos.X-center.X, e.pos.Z-center.Z
-				if d := dx*dx + dz*dz; d <= r2 {
-					fn(slot, e, d)
+// occupied yields the slot list of every occupied cell of the square around
+// center that a radius query must look at, in cell order. It is the one cell
+// walk: the occupied cells of the query square row by row — a binary search
+// into the directory wherever a row starts before or runs past the square —
+// so cost scales with local density, not with the square's area (a 60 m cull
+// radius over 4 m cells is 961 cells; a classroom occupies a few dozen) and
+// not with total population. The distance test is the caller's, in its own
+// loop over each list. A negative radius yields nothing.
+func (g *Grid) occupied(center mathx.Vec3, radius float64) iter.Seq[[]uint32] {
+	return func(yield func([]uint32) bool) {
+		if radius < 0 {
+			return
+		}
+		lox, loz := g.key(center.Sub(mathx.V3(radius, 0, radius)))
+		hix, hiz := g.key(center.Add(mathx.V3(radius, 0, radius)))
+		i, _ := g.find(lox, loz)
+		for i < len(g.cells) && g.cells[i].x <= hix {
+			c := &g.cells[i]
+			switch {
+			case c.z < loz:
+				i, _ = g.find(c.x, loz)
+			case c.z > hiz:
+				if c.x == hix {
+					return // the last row is done (and x+1 could wrap)
 				}
+				i, _ = g.find(c.x+1, loz)
+			default:
+				if !yield(c.slots) {
+					return
+				}
+				i++
 			}
-			i++
 		}
 	}
 }
@@ -225,9 +226,15 @@ func (g *Grid) within(center mathx.Vec3, radius float64, fn func(slot uint32, e 
 // buf (sliced to length zero) makes repeated queries allocation-free.
 func (g *Grid) Neighbors(center mathx.Vec3, radius float64, buf []protocol.ParticipantID) []protocol.ParticipantID {
 	base := len(buf)
-	g.within(center, radius, func(_ uint32, e *placed, _ float64) {
-		buf = append(buf, e.id)
-	})
+	r2 := radius * radius
+	for slots := range g.occupied(center, radius) {
+		for _, slot := range slots {
+			e := &g.ents[slot]
+			if dx, dz := e.pos.X-center.X, e.pos.Z-center.Z; dx*dx+dz*dz <= r2 {
+				buf = append(buf, e.id)
+			}
+		}
+	}
 	slices.Sort(buf[base:])
 	return buf
 }
@@ -279,7 +286,10 @@ func (t Tier) RateDivisor() uint64 {
 
 // due reports whether a source with the given decimation phase, in tier t for
 // some receiver, is sent at tick. Every divisor is a power of two, so
-// tick%d == phase%d is a mask test on tick^phase.
+// tick%d == phase%d is a mask test on tick^phase. ShouldSend is its only
+// caller outside the tests: this is the per-source statement of the rule,
+// which their brute-force oracles are written in, and Set.RefreshOwned applies
+// the same rule to a whole neighbourhood without naming a tier.
 func (t Tier) due(phase, tick uint64) bool {
 	d := t.RateDivisor()
 	return d != 0 && (tick^phase)&(d-1) == 0
@@ -372,10 +382,17 @@ func ShouldSend(t Tier, source protocol.ParticipantID, tick uint64) bool {
 
 // Set is a per-receiver cache of the sources whose update is due at the
 // current tick: a bitset over grid slots, rebuilt at most once per tick from
-// one walk of the grid's cells. It replaces an all-pairs distance test per
-// (receiver, source) with squared-distance classification of the receiver's
-// neighbourhood, then answers each source from the grid's ID directory and a
-// bit test. Servers keep one Set per subscribed client.
+// one walk of the grid's cells. A set bit means the slot's tenant is pinned, or
+// stands within the reach of its trailing-zero count: a tier with divisor 2^t
+// sends a source on the ticks where tick^phase ends in at least t zero bits,
+// so a source whose tick^phase ends in z of them (3 or more counting as 3, the
+// slowest tier) is due exactly when some tier 0…z takes its distance — when it
+// stands within the widest of those tiers' radii, and inside the cull radius.
+// That is one compare per neighbour against a four-entry table, and it must
+// agree bit for bit with naming the tier first, one source at a time:
+// ShouldSend(p.ClassifySq(id, d²), id, tick). Each source is then answered
+// from the grid's ID directory and a bit test. Servers keep one Set per
+// subscribed client.
 //
 // A store offers its entities to a filter in ascending ID order, the order
 // the directory is kept in, so Allows finds a source by stepping a cursor a
@@ -424,6 +441,14 @@ func (s *Set) Reset() { *s = Set{allowed: s.allowed[:0]} }
 // until placed. The receiver itself is never admitted:
 // `Allows(g, recv) == false` is part of the contract, even in
 // admit-everything mode and even when recv is pinned.
+//
+// reach[z] is min(Cull², max(R₀²…R_z²)) over the policy's four radii in tier
+// order, built once per refresh. The running maximum is what makes the table
+// exact for any radii, ordered or not: ClassifySq names the first tier whose
+// radius takes the distance, that tier is among 0…z iff any of those radii
+// takes it, and "any" is "the widest". The minimum keeps the cull gate for a
+// policy whose inner radii exceed it, and a negative cull radius admits
+// nothing because the walk visits nothing.
 func (s *Set) RefreshOwned(g *Grid, p *Policy, recv protocol.ParticipantID, tick uint64) {
 	s.recv = recv
 	if s.tick == tick {
@@ -443,14 +468,25 @@ func (s *Set) RefreshOwned(g *Grid, p *Policy, recv protocol.ParticipantID, tick
 	}
 	s.allowed = s.allowed[:words]
 	clear(s.allowed)
-	// Distance alone classifies here: a pinned neighbour is force-set below,
-	// and setting bits is order-independent. The walk includes the receiver
-	// and the pinned loop may: Allows answers for recv before it reads a bit.
-	g.within(g.ents[g.ids[at].slot].pos, p.CullRadius, func(slot uint32, e *placed, distSq float64) {
-		if p.tierSq(distSq).due(e.phase, tick) {
-			s.allowed[slot/64] |= 1 << (slot % 64)
+	var reach [4]float64
+	widest, cull := 0.0, p.CullRadius*p.CullRadius
+	for z, r := range [4]float64{p.FocusRadius, p.NearRadius, p.FarRadius, p.CullRadius} {
+		widest = max(widest, r*r)
+		reach[z] = min(cull, widest)
+	}
+	// Distance alone decides here: a pinned neighbour is force-set below, and
+	// setting bits is order-independent. The walk includes the receiver and
+	// the pinned loop may: Allows answers for recv before it reads a bit.
+	center := g.ents[g.ids[at].slot].pos
+	for slots := range g.occupied(center, p.CullRadius) {
+		for _, slot := range slots {
+			e := &g.ents[slot]
+			dx, dz := e.pos.X-center.X, e.pos.Z-center.Z
+			if dx*dx+dz*dz <= reach[bits.TrailingZeros64((tick^e.phase)|8)] {
+				s.allowed[slot/64] |= 1 << (slot % 64)
+			}
 		}
-	})
+	}
 	// Pinned sources are focus-tier regardless of distance (divisor 1, so no
 	// decimation check).
 	for id := range p.Pinned {

@@ -543,6 +543,111 @@ func TestPlanSetPinChurnAgreement(t *testing.T) {
 
 func has(w world, id protocol.ParticipantID) bool { _, ok := w[id]; return ok }
 
+// TestRefreshMatchesPlanForAnyPolicy: the refresh never names a tier — it
+// compares each neighbour's distance with reach[trailing zeros of tick^phase]
+// — so its agreement with the spec (world.plan: ShouldSend of ClassifySq, one
+// source at a time, behind the cull radius the refresh queries with) rests on
+// an argument about the order of the radii. The argument is checked here on
+// seeded random policies beside NewPolicy(): ordered radii, unordered ones
+// (Near < Focus, Far > Cull), equal ones, a zero, a negative CullRadius; with
+// and without pins; sources exactly on every boundary of the receiver at the
+// origin (d² == R²); and 16 consecutive ticks, so every residue of tick&7
+// meets every phase class. Checked to fail on two mutations of RefreshOwned:
+//
+//	reach[bits.TrailingZeros64(tick^e.phase)]   // the clamp "| 8" dropped: z exceeds 3
+//	reach[z] = min(cull, r*r)                   // R_z² alone for the running max
+func TestRefreshMatchesPlanForAnyPolicy(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	radius := func() float64 { return rng.Float64() * 30 }
+	policies := []*Policy{NewPolicy()}
+	for i := 0; i < 240; i++ {
+		p := &Policy{Pinned: map[protocol.ParticipantID]bool{}}
+		r := [4]float64{radius(), radius(), radius(), radius()}
+		switch i % 6 {
+		case 0: // ordered
+			slices.Sort(r[:])
+		case 1: // whatever order they came in
+		case 2: // all equal, or equal in pairs
+			r[1], r[3] = r[0], r[2]
+			if rng.Intn(2) == 0 {
+				r[2] = r[0]
+				r[3] = r[0]
+			}
+		case 3:
+			r[rng.Intn(4)] = 0
+		case 4:
+			r[3] = -r[3] - 1
+		case 5: // Near < Focus and Far > Cull
+			slices.Sort(r[:])
+			r[0], r[1], r[2], r[3] = r[1], r[0], r[3], r[2]
+		}
+		p.FocusRadius, p.NearRadius, p.FarRadius, p.CullRadius = r[0], r[1], r[2], r[3]
+		policies = append(policies, p)
+	}
+	phases, admittedTotal, onBoundary := map[uint64]bool{}, 0, 0
+	for pi, p := range policies {
+		g, w := NewGrid(4), world{}
+		place := func(pos mathx.Vec3) protocol.ParticipantID {
+			id := protocol.ParticipantID(rng.Intn(1 << 20))
+			for has(w, id) {
+				id++
+			}
+			g.Update(id, pos)
+			w[id] = pos
+			phases[Phase(id)&7] = true
+			return id
+		}
+		origin := place(mathx.Vec3{})
+		radii := [4]float64{p.FocusRadius, p.NearRadius, p.FarRadius, p.CullRadius}
+		boundary := map[protocol.ParticipantID]bool{}
+		for _, r := range radii {
+			// From the origin dx is ±r exactly and dz zero, so d² == r².
+			boundary[place(mathx.V3(r, 0, 0))] = true
+			boundary[place(mathx.V3(0, 0, -r))] = true
+		}
+		span := 1.3 * max(math.Abs(radii[0]), math.Abs(radii[1]), math.Abs(radii[2]), math.Abs(radii[3]), 1)
+		recvs := []protocol.ParticipantID{origin}
+		for i := 0; i < 32; i++ {
+			id := place(mathx.V3((rng.Float64()*2-1)*span, rng.Float64()*3, (rng.Float64()*2-1)*span))
+			if i < 4 {
+				recvs = append(recvs, id)
+			}
+		}
+		far := place(mathx.V3(40*span, 0, -40*span))
+		if pi%2 == 1 {
+			p.Pin(far)
+			p.Pin(recvs[1])
+			p.Pin(protocol.ParticipantID(1 << 21)) // never placed
+		}
+		cull := p.CullRadius * p.CullRadius
+		first := uint64(rng.Intn(1 << 30))
+		for tick := first; tick < first+16; tick++ {
+			for _, recv := range recvs {
+				at := w[recv]
+				want := slices.DeleteFunc(w.plan(p, recv, tick), func(id protocol.ParticipantID) bool {
+					dx, dz := w[id].X-at.X, w[id].Z-at.Z
+					return !p.Pinned[id] && !(p.CullRadius >= 0 && dx*dx+dz*dz <= cull)
+				})
+				got := admitted(g, p, recv, tick)
+				if !slices.Equal(got, want) {
+					t.Fatalf("policy %d %+v tick %d recv %d: refresh admits %v, brute force %v", pi, *p, tick, recv, got, want)
+				}
+				admittedTotal += len(got)
+				if recv == origin {
+					for _, id := range got {
+						if boundary[id] {
+							onBoundary++
+						}
+					}
+				}
+			}
+		}
+	}
+	if len(phases) != 8 || admittedTotal < 10000 || onBoundary < 1000 {
+		t.Fatalf("%d phase classes, %d admissions, %d of sources on a boundary: the schedule does not exercise the table", len(phases), admittedTotal, onBoundary)
+	}
+}
+
 func TestNeighborsMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := NewGrid(4)
@@ -569,10 +674,16 @@ func TestNeighborsMatchesBruteForce(t *testing.T) {
 }
 
 // BenchmarkRefreshOwned256 is the venue's shape: 16×16 seats at 3.2 m, one
-// pinned, default policy, every seat refreshing its own set each tick.
-func BenchmarkRefreshOwned256(b *testing.B) {
-	const n = 256
-	g, p, seats := venueGrid(n)
+// pinned, default policy, every seat refreshing its own set each tick — about
+// one and a half entities to a 4 m cell, so the cell walk weighs most.
+func BenchmarkRefreshOwned256(b *testing.B) { benchRefreshOwned(b, 256, 16, 3.2) }
+
+// BenchmarkRefreshOwnedLecture100 is the lecture's: 10×10 seats at 1.2 m,
+// eleven entities to a cell, so the per-neighbour compare does.
+func BenchmarkRefreshOwnedLecture100(b *testing.B) { benchRefreshOwned(b, 100, 10, 1.2) }
+
+func benchRefreshOwned(b *testing.B, n, wide int, pitch float64) {
+	g, p, seats := seatedGrid(n, wide, pitch)
 	sets := make([]*Set, n)
 	for i := range sets {
 		sets[i] = NewSet()
@@ -644,12 +755,16 @@ func BenchmarkGridJoinLeave(b *testing.B) {
 
 // venueGrid seats n entities 3.2 m apart on a 16-wide block with the first
 // pinned — the venue's shape — and returns their IDs ascending.
-func venueGrid(n int) (*Grid, *Policy, []protocol.ParticipantID) {
+func venueGrid(n int) (*Grid, *Policy, []protocol.ParticipantID) { return seatedGrid(n, 16, 3.2) }
+
+// seatedGrid seats n entities pitch meters apart in rows of wide, the first
+// pinned, default policy, and returns their IDs ascending.
+func seatedGrid(n, wide int, pitch float64) (*Grid, *Policy, []protocol.ParticipantID) {
 	g, p := NewGrid(4), NewPolicy()
 	seats := make([]protocol.ParticipantID, n)
 	for i := range seats {
 		seats[i] = protocol.ParticipantID(i + 1)
-		g.Update(seats[i], mathx.V3(float64(i%16)*3.2, 0, float64(i/16)*3.2))
+		g.Update(seats[i], mathx.V3(float64(i%wide)*pitch, 0, float64(i/wide)*pitch))
 	}
 	p.Pin(seats[0])
 	return g, p, seats

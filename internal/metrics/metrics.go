@@ -8,6 +8,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -32,7 +33,38 @@ const (
 	bucketCount      = bucketsPerOctave * octaves
 )
 
+// bucketIndex returns the bucket of d: the largest index whose floor is at
+// most d. It runs once per fresh entity on every replica, so it is integer
+// work: the bit length of the whole microseconds names the octave, then at
+// most eight compares against bucketFloor find the bucket in it. The scan
+// ends where the table says, not where the octave does, so it stays right
+// even if Log2's rounding had put an octave's first floor a nanosecond early.
 func bucketIndex(d time.Duration) int {
+	if d < time.Microsecond {
+		return 0
+	}
+	i := min((bits.Len64(uint64(d/time.Microsecond))-1)*bucketsPerOctave, bucketCount-1)
+	for i+1 < bucketCount && bucketFloor[i+1] <= d {
+		i++
+	}
+	return i
+}
+
+// bucketFloor[i] is the smallest duration that bucketIndexLog2, the formula
+// that defines the buckets, puts in bucket i or above: 256 binary searches
+// at package init, 0.4 ms.
+var bucketFloor = func() (floor [bucketCount]time.Duration) {
+	for i := range floor {
+		floor[i] = time.Duration(sort.Search(math.MaxInt64, func(d int) bool {
+			return bucketIndexLog2(time.Duration(d)) >= i
+		}))
+	}
+	return floor
+}()
+
+// bucketIndexLog2 is the definition bucketIndex is tabulated from (and checked
+// against): eight buckets to each doubling of d in microseconds.
+func bucketIndexLog2(d time.Duration) int {
 	us := float64(d) / float64(time.Microsecond)
 	if us < 1 {
 		return 0

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -196,6 +197,35 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("String missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// TestBucketIndexMatchesLog2: the integer bucketIndex is the Log2 formula's
+// table, so the two agree wherever they are asked — every duration up to
+// 2²² ns (twelve octaves, one nanosecond at a time), five million random ones
+// across every octave an int64 has, and the three nanoseconds either side of
+// every threshold, where a table built one off would show.
+func TestBucketIndexMatchesLog2(t *testing.T) {
+	check := func(d time.Duration) {
+		if got, want := bucketIndex(d), bucketIndexLog2(d); got != want {
+			t.Fatalf("bucketIndex(%d ns) = %d, the Log2 form says %d", d, got, want)
+		}
+	}
+	for d := time.Duration(0); d <= 1<<22; d++ {
+		check(d)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 5_000_000; i++ {
+		check(time.Duration(rng.Uint64() >> (1 + rng.Intn(63))))
+	}
+	for i, floor := range bucketFloor {
+		if i > 0 && floor <= bucketFloor[i-1] {
+			t.Fatalf("bucketFloor[%d] = %d is not above bucketFloor[%d] = %d", i, floor, i-1, bucketFloor[i-1])
+		}
+		for d := max(floor-3, 0); d <= floor+3; d++ {
+			check(d)
+		}
+	}
+	check(math.MaxInt64)
 }
 
 func BenchmarkHistogramObserve(b *testing.B) {

@@ -102,7 +102,11 @@ func TestRuntimeOnboardingAllocationFlat(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		cycle() // warm the pools
 	}
-	if allocs := testing.AllocsPerRun(200, cycle); allocs > 3 {
+	allocs := testing.AllocsPerRun(200, cycle)
+	if raceEnabled {
+		return // sync.Pool drops puts under -race: the count reads 4 one run in twenty
+	}
+	if allocs > 3 {
 		t.Fatalf("join/tick/leave cycle allocates %.1f objects/op, want ~0", allocs)
 	}
 }
