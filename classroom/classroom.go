@@ -68,8 +68,6 @@ type Config struct {
 	Seed int64
 	// TickHz is the server replication rate (default 30).
 	TickHz float64
-	// InterpDelay is the display playout delay (default 100 ms).
-	InterpDelay time.Duration
 	// Interest enables interest-managed fan-out at the cloud (default
 	// policy if nil and EnableInterest is true).
 	EnableInterest bool
@@ -81,24 +79,11 @@ type Config struct {
 	VRPitch        float64
 	// CloudLink overrides the edge<->cloud link profile.
 	CloudLink *netsim.LinkConfig
-	// HeadsetHz is the headset tracking rate (default 60).
-	HeadsetHz float64
-	// RoomSensorCount is the per-campus sensor array size (default 4).
-	RoomSensorCount int
 }
 
 func (c *Config) applyDefaults() {
 	if c.TickHz <= 0 {
 		c.TickHz = 30
-	}
-	if c.InterpDelay <= 0 {
-		c.InterpDelay = 100 * time.Millisecond
-	}
-	if c.HeadsetHz <= 0 {
-		c.HeadsetHz = 60
-	}
-	if c.RoomSensorCount <= 0 {
-		c.RoomSensorCount = 4
 	}
 }
 
@@ -129,12 +114,11 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	r, err := rig.New(sim, &rig.NetsimFabric{Net: net}, rig.Config{
 		CloudAddr: "cloud",
 		Cloud: cloud.Config{
-			TickHz:      cfg.TickHz,
-			VRRows:      cfg.VRRows,
-			VRCols:      cfg.VRCols,
-			VRPitch:     cfg.VRPitch,
-			InterpDelay: cfg.InterpDelay,
-			Interest:    pol,
+			TickHz:   cfg.TickHz,
+			VRRows:   cfg.VRRows,
+			VRCols:   cfg.VRCols,
+			VRPitch:  cfg.VRPitch,
+			Interest: pol,
 		},
 	})
 	if err != nil {
@@ -205,7 +189,8 @@ func (d *Deployment) AddCampus(name string, id ClassroomID) (*Campus, error) {
 		return nil, err
 	}
 	c.edge = es
-	c.array = sensors.NewArray(d.cfg.RoomSensorCount, 12, 10, d.sim, sensors.RoomSensorConfig{}, c.roomSink)
+	// Four sensors around a 12 m x 10 m room.
+	c.array = sensors.NewArray(4, 12, 10, d.sim, sensors.RoomSensorConfig{}, c.roomSink)
 	d.campuses[id] = c
 	return c, nil
 }
@@ -275,7 +260,7 @@ func (c *Campus) addLocal(name string, role Role, script trace.MotionScript) (Pa
 		return 0, err
 	}
 	hs := sensors.NewHeadset(strconv.FormatUint(uint64(id), 10), c.d.sim, script,
-		sensors.HeadsetConfig{RateHz: c.d.cfg.HeadsetHz},
+		sensors.HeadsetConfig{},
 		func(o sensors.Observation) { _ = c.edge.IngestObservation(id, o) })
 	hs.SetExpressionSource(
 		func(t time.Duration) expression.Expression {
@@ -392,9 +377,6 @@ func (d *Deployment) Run(dur time.Duration) error {
 
 // Stop halts all tick loops and sensors.
 func (d *Deployment) Stop() { d.rig.Stop() }
-
-// Campuses returns the campuses keyed by classroom ID.
-func (d *Deployment) Campuses() map[ClassroomID]*Campus { return d.campuses }
 
 // Clients returns remote learners keyed by participant ID.
 func (d *Deployment) Clients() map[ParticipantID]*client.VR { return d.rig.Clients() }

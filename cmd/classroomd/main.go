@@ -28,10 +28,22 @@ func main() {
 		stat = flag.Duration("stats", 5*time.Second, "stats print interval")
 	)
 	flag.Parse()
+	if err := checkFlags(*stat); err != nil {
+		fmt.Fprintln(os.Stderr, "classroomd:", err)
+		os.Exit(2)
+	}
 	if err := run(*addr, *tick, *stat); err != nil {
 		fmt.Fprintln(os.Stderr, "classroomd:", err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags refuses a stats interval the stats ticker would panic on.
+func checkFlags(statsEvery time.Duration) error {
+	if statsEvery <= 0 {
+		return fmt.Errorf("-stats must be positive, got %v", statsEvery)
+	}
+	return nil
 }
 
 func run(addr string, tickHz float64, statsEvery time.Duration) error {

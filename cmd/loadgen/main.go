@@ -57,6 +57,10 @@ func main() {
 		geoMode  = flag.Bool("geo", false, "replay the geo placement/roam/drain schedule over an in-process TCP fabric; exit non-zero unless converged and leak-free")
 	)
 	flag.Parse()
+	if err := checkFlags(*clients, *rate); err != nil {
+		fmt.Fprintln(os.Stderr, "loadgen:", err)
+		os.Exit(2)
+	}
 	if *geoMode {
 		if err := runGeo(); err != nil {
 			fmt.Fprintln(os.Stderr, "loadgen:", err)
@@ -86,6 +90,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags refuses the values that would otherwise surface as a panic in a
+// client goroutine (a publish ticker needs a positive interval, and above
+// 1 GHz the interval rounds to zero) or as a verdict over no clients.
+func checkFlags(clients int, rate float64) error {
+	if clients <= 0 {
+		return fmt.Errorf("-clients must be positive, got %d", clients)
+	}
+	if !(rate > 0 && rate <= 1e9) { // also refuses NaN
+		return fmt.Errorf("-rate must be in (0, 1e9] Hz, got %v", rate)
+	}
+	return nil
 }
 
 // runSoak is the compressed soak gate over real TCP: `epochs` rounds of the

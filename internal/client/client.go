@@ -34,8 +34,6 @@ type VRConfig struct {
 	// InterpDelay is the remote-entity playout delay (default 100 ms). It
 	// also sets how much history each playout buffer keeps (core.NewReplica).
 	InterpDelay time.Duration
-	// Extrap is the dead-reckoning strategy (default Linear).
-	Extrap pose.Extrapolator
 	// Script drives the user's own motion (default Seated at origin).
 	Script trace.MotionScript
 	// Expressions, when non-nil, samples a facial expression each publish.
@@ -51,9 +49,6 @@ func (c *VRConfig) applyDefaults() {
 	}
 	if c.InterpDelay <= 0 {
 		c.InterpDelay = 100 * time.Millisecond
-	}
-	if c.Extrap == nil {
-		c.Extrap = pose.Linear{}
 	}
 	if c.Script == nil {
 		c.Script = trace.Seated{}
@@ -98,7 +93,7 @@ func NewVR(sim *vclock.Sim, tr endpoint.Transport, cfg VRConfig) (*VR, error) {
 		cfg:     cfg,
 		sim:     sim,
 		addr:    tr.LocalAddr(),
-		replica: core.NewReplica(cfg.InterpDelay, cfg.Extrap),
+		replica: core.NewReplica(cfg.InterpDelay, pose.Linear{}),
 		reg:     metrics.NewRegistry(string(tr.LocalAddr())),
 	}
 	v.replica.Latency = v.reg.Histogram("pose.age")

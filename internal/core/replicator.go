@@ -65,13 +65,8 @@ type peerState struct {
 	lastSnapshot uint64
 	snapshots    uint64
 	deltas       uint64
-	// filter is the peer's interest gate (nil when unfiltered). boundFilter
-	// adapts it to the single-argument Store signature, reading the
-	// replicator's current plan tick; it is built once per peerState
-	// *allocation* and reads filter dynamically, so pooled peer states
-	// (join/leave churn) reuse the closure instead of minting one per join.
-	filter      FilterFunc
-	boundFilter func(protocol.ParticipantID) bool
+	// filter is the peer's interest gate (nil when unfiltered).
+	filter FilterFunc
 	// scratch is the reusable per-peer Delta for filtered peers (their
 	// payloads are peer-specific, so the message cannot be cohort-shared).
 	// Valid until the peer's next planned delta, matching the PlanTick
@@ -160,8 +155,8 @@ func (p *peerState) resolveAck(tick uint64) (uint64, bool) {
 }
 
 // reset clears a peer's replication state for reuse while keeping its
-// allocated scratch (the delta's entity slices, the bound filter closure),
-// so onboarding a client after a departure allocates nothing.
+// allocated scratch (the delta's entity slices, the owed set), so onboarding
+// a client after a departure allocates nothing.
 func (p *peerState) reset() {
 	p.ackTick, p.acked, p.lastSnapshot, p.newestAck = 0, false, 0, 0
 	p.snapshots, p.deltas = 0, 0
@@ -194,10 +189,6 @@ type Replicator struct {
 	cfg   ReplConfig
 	peers map[string]*peerState
 
-	// planTick is the store tick of the PlanTick in progress; bound filters
-	// read it instead of capturing the tick per call.
-	planTick uint64
-
 	// sortedIDs caches the sorted peer-ID slice between membership changes.
 	sortedIDs []string
 	idsDirty  bool
@@ -229,8 +220,8 @@ type Replicator struct {
 	prunedTo uint64
 
 	// freePeers pools peer states released by RemovePeer so a join/leave
-	// storm (E11 churn) reuses scratch deltas, owed sets and filter
-	// closures instead of reallocating them per onboarding.
+	// storm (E11 churn) reuses scratch deltas and owed sets instead of
+	// reallocating them per onboarding.
 	freePeers []*peerState
 
 	// Build scratch: the distinct builds of the tick in first-encounter
@@ -285,7 +276,6 @@ func (r *Replicator) AddPeer(id string, filter FilterFunc) error {
 		r.freePeers = r.freePeers[:n-1]
 	} else {
 		p = &peerState{}
-		p.boundFilter = func(eid protocol.ParticipantID) bool { return p.filter(eid, r.planTick) }
 	}
 	p.filter = filter
 	if filter != nil && p.owed == nil {
@@ -297,7 +287,7 @@ func (r *Replicator) AddPeer(id string, filter FilterFunc) error {
 }
 
 // RemovePeer unregisters a peer. Its state returns to the replicator's pool
-// (scratch capacity and filter closure intact) so the next AddPeer is
+// (scratch capacity intact) so the next AddPeer is
 // allocation-free; the departing peer's ack baseline and filter are cleared.
 func (r *Replicator) RemovePeer(id string) error {
 	p, ok := r.peers[id]
@@ -547,7 +537,6 @@ type PeerMessage struct {
 // the pool scheduled the jobs in.
 func (r *Replicator) PlanTick() []PeerMessage {
 	tick := r.store.Tick()
-	r.planTick = tick
 	r.prune()
 
 	// Pass 1: collect the distinct builds.
@@ -692,10 +681,10 @@ func (r *Replicator) execJob(_, i int) {
 	case jobSharedSnap:
 		r.store.SnapshotInto(nil, r.snapScratch)
 	case jobPeerSnap:
-		r.store.SnapshotOwedInto(j.peer.boundFilter, j.snap, j.peer.owed)
+		r.store.SnapshotOwedInto(j.peer.filter, j.snap, j.peer.owed)
 	case jobPeerDelta:
 		p := j.peer
-		r.store.DeltaSinceOwedInto(p.ackTick, p.boundFilter, p.scratch, p.owed, p.ackTick, r.cfg.OwedSettleTicks)
+		r.store.DeltaSinceOwedInto(p.ackTick, p.filter, p.scratch, p.owed, p.ackTick, r.cfg.OwedSettleTicks)
 	case jobCohortDelta:
 		r.store.DeltaSinceInto(j.base, nil, j.delta)
 	}

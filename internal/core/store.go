@@ -280,7 +280,8 @@ func (s *Store) removedSince(base uint64) []removal {
 
 // DeltaSinceOwedInto builds an interest-filtered delta with owed-change
 // tracking: the decimation-safe variant of DeltaSinceInto for filtered peers.
-// filter and owed must be non-nil. It is one pass over the ascending (id,
+// filter and owed must be non-nil; the filter is asked at the store's tick,
+// which is the plan's. It is one pass over the ascending (id,
 // slot) list, testing per slot "changed after base, or owed"; beyond the
 // plain filtered build it
 //
@@ -305,7 +306,7 @@ func (s *Store) removedSince(base uint64) []removal {
 // at most once per entity, so Changed is ascending and byte-identical across
 // runs and worker counts. Removals are never owed, and filtered in one case
 // only (below). Concurrency: as DeltaSinceInto, for distinct owed sets.
-func (s *Store) DeltaSinceOwedInto(base uint64, filter func(protocol.ParticipantID) bool, msg *protocol.Delta, owed *OwedSet, ackTick, settle uint64) {
+func (s *Store) DeltaSinceOwedInto(base uint64, filter FilterFunc, msg *protocol.Delta, owed *OwedSet, ackTick, settle uint64) {
 	msg.BaseTick, msg.Tick = base, s.tick
 	msg.Changed = msg.Changed[:0]
 	msg.Removed = msg.Removed[:0]
@@ -316,7 +317,7 @@ func (s *Store) DeltaSinceOwedInto(base uint64, filter func(protocol.Participant
 		e := owed.at(is.slot, r.gen)
 		if r.changedTick > base {
 			// Changed inside the window: this walk subsumes the sweep.
-			if filter(is.id) {
+			if filter(is.id, s.tick) {
 				msg.Changed = append(msg.Changed, r.state)
 				if e.owed {
 					owed.markSent(is.slot, s.tick)
@@ -329,7 +330,7 @@ func (s *Store) DeltaSinceOwedInto(base uint64, filter func(protocol.Participant
 		if !e.owed || s.tick-r.changedTick < settle {
 			continue // nothing owed, or still moving: a later walk supersedes this
 		}
-		if filter(is.id) && (e.last == 0 || ackTick >= e.last) {
+		if filter(is.id, s.tick) && (e.last == 0 || ackTick >= e.last) {
 			msg.Changed = append(msg.Changed, r.state)
 			owed.markSent(is.slot, s.tick)
 		}
@@ -361,14 +362,14 @@ func carries(changed []protocol.EntityState, id protocol.ParticipantID) bool {
 // its changedTick, whatever it was, is now at or before the baseline and no
 // delta window will ever surface it again. Included entities that were owed
 // become pending on the snapshot's tick.
-func (s *Store) SnapshotOwedInto(filter func(protocol.ParticipantID) bool, msg *protocol.Snapshot, owed *OwedSet) {
+func (s *Store) SnapshotOwedInto(filter FilterFunc, msg *protocol.Snapshot, owed *OwedSet) {
 	msg.Tick = s.tick
 	msg.Entities = msg.Entities[:0]
 	owed.begin(s)
 	for _, is := range s.ordered() {
 		r := &s.recs[is.slot]
 		e := owed.at(is.slot, r.gen)
-		if !filter(is.id) {
+		if !filter(is.id, s.tick) {
 			e.mark()
 			continue
 		}

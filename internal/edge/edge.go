@@ -50,10 +50,9 @@ type Config struct {
 	Classroom protocol.ClassroomID
 	// TickHz is the replication tick rate (default 30).
 	TickHz float64
-	// SeatRows, SeatCols, SeatPitch describe the room's seating grid
-	// (defaults 6 x 8 at 1.2 m).
+	// SeatRows, SeatCols describe the room's seating grid (default 6 x 8);
+	// seats are seatPitch apart.
 	SeatRows, SeatCols int
-	SeatPitch          float64
 	// InterpDelay is the remote-avatar playout delay (default 100 ms).
 	InterpDelay time.Duration
 	// StaleAfter despawns a local participant whose sensors went quiet
@@ -63,9 +62,10 @@ type Config struct {
 	// replicate to server peers unfiltered either way; the policy takes
 	// effect only if VR clients are attached to this node directly.
 	Interest *interest.Policy
-	// Fusion tunes per-participant sensor fusion.
-	Fusion fusion.Config
 }
+
+// seatPitch is the distance between neighbouring seats in meters.
+const seatPitch = 1.2
 
 func (c *Config) applyDefaults() {
 	if c.SeatRows <= 0 {
@@ -73,9 +73,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.SeatCols <= 0 {
 		c.SeatCols = 8
-	}
-	if c.SeatPitch <= 0 {
-		c.SeatPitch = 1.2
 	}
 	if c.StaleAfter <= 0 {
 		c.StaleAfter = 2 * time.Second
@@ -128,7 +125,7 @@ func New(sim *vclock.Sim, tr endpoint.Transport, cfg Config) (*Server, error) {
 		exprs:       make(map[protocol.ParticipantID][]byte),
 		flags:       make(map[protocol.ParticipantID]uint8),
 		corrections: make(map[endpoint.Addr]map[protocol.ParticipantID]mathx.Transform),
-		seats:       seat.NewGrid(cfg.Classroom, cfg.SeatRows, cfg.SeatCols, cfg.SeatPitch),
+		seats:       seat.NewGrid(cfg.Classroom, cfg.SeatRows, cfg.SeatCols, seatPitch),
 		avatars:     avatar.NewRegistry(),
 	}
 	s.mLocalDespawn = rt.Metrics().Counter("local.despawned")
@@ -161,7 +158,7 @@ func (s *Server) RegisterLocal(av avatar.Avatar, seatIdx uint16) error {
 		_ = s.avatars.Remove(av.Participant)
 		return err
 	}
-	s.fusers[av.Participant] = fusion.New(s.cfg.Fusion)
+	s.fusers[av.Participant] = fusion.New(fusion.Config{})
 	return nil
 }
 

@@ -21,9 +21,6 @@ import (
 
 // Config tunes the fuser.
 type Config struct {
-	// ProcessNoise is the Kalman acceleration intensity (default 2.0,
-	// classroom-scale motion).
-	ProcessNoise float64
 	// GateThreshold is the normalized-innovation-squared rejection bound
 	// (default 25 — i.e. 5 sigma). Observations above it are discarded,
 	// except that gating is suspended while the filter is cold.
@@ -34,9 +31,6 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.ProcessNoise <= 0 {
-		c.ProcessNoise = 2
-	}
 	if c.GateThreshold <= 0 {
 		c.GateThreshold = 25
 	}
@@ -44,6 +38,9 @@ func (c *Config) applyDefaults() {
 		c.ColdSamples = 10
 	}
 }
+
+// processNoise is the Kalman acceleration intensity: classroom-scale motion.
+const processNoise = 2.0
 
 // Fuser fuses observations for one participant.
 type Fuser struct {
@@ -61,7 +58,7 @@ type Fuser struct {
 // New creates a fuser.
 func New(cfg Config) *Fuser {
 	cfg.applyDefaults()
-	return &Fuser{cfg: cfg, kf: pose.NewKalman3D(cfg.ProcessNoise)}
+	return &Fuser{cfg: cfg, kf: pose.NewKalman3D(processNoise)}
 }
 
 // Observe feeds one sensor observation. It returns true if the observation

@@ -9,19 +9,17 @@
 // moves a joined client between relays (or between the cloud and a relay)
 // without losing or duplicating an update. Two triggers drive it: client
 // roam — Roam() moves a session when another server beats its current one by
-// more than Config.RoamHysteresis — and relay drain — Drain() migrates every
+// more than roamHysteresis — and relay drain — Drain() migrates every
 // client off a relay, then retires it. Nodes, endpoints, links and the
 // handoff sequence belong to internal/rig; this package says who goes where.
 //
-// The roam hysteresis knob: a session migrates only when
+// The roam hysteresis: a session migrates only when
 //
-//	latency(current server) > latency(best server) + RoamHysteresis
+//	latency(current server) > latency(best server) + roamHysteresis
 //
 // so two relays at near-equal distance never ping-pong a client between
-// them. The default, 15 ms, is about two render frames: an improvement
-// smaller than that is imperceptible in pose age and not worth a handoff.
-// Raise it to make placements stickier under churny censuses; lower it
-// toward zero only in tests that want migrations on any improvement.
+// them. 15 ms is about two render frames: an improvement smaller than that
+// is imperceptible in pose age and not worth a handoff.
 package geo
 
 import (
@@ -64,19 +62,17 @@ type Config struct {
 	PublishHz float64
 	// Interest is the client fan-out policy (nil = broadcast).
 	Interest *interest.Policy
-	// RoamHysteresis is how much better (one-way) another server must be
-	// before Roam migrates a session to it (default 15 ms; see package doc).
-	RoamHysteresis time.Duration
 	// AccessLink maps a client's one-way backbone latency to its access-path
 	// link model (default AccessLink). Ignored by fabrics that shape nothing.
 	AccessLink func(oneWay time.Duration) netsim.LinkConfig
 	// BackboneLink maps the cloud-relay one-way latency to the provisioned
 	// backbone link model (default BackboneLink).
 	BackboneLink func(oneWay time.Duration) netsim.LinkConfig
-	// Script builds a session's motion script (default: seated, anchored by
-	// ID so no two sessions overlap).
-	Script func(id protocol.ParticipantID) trace.MotionScript
 }
+
+// roamHysteresis is how much better (one-way) another server must be before
+// Roam migrates a session to it (see package doc).
+const roamHysteresis = 15 * time.Millisecond
 
 func (c *Config) applyDefaults() {
 	if c.TickHz <= 0 {
@@ -85,22 +81,20 @@ func (c *Config) applyDefaults() {
 	if c.PublishHz <= 0 {
 		c.PublishHz = 20
 	}
-	if c.RoamHysteresis <= 0 {
-		c.RoamHysteresis = 15 * time.Millisecond
-	}
 	if c.AccessLink == nil {
 		c.AccessLink = AccessLink
 	}
 	if c.BackboneLink == nil {
 		c.BackboneLink = BackboneLink
 	}
-	if c.Script == nil {
-		c.Script = func(id protocol.ParticipantID) trace.MotionScript {
-			return trace.Seated{
-				Anchor: mathx.V3(float64(id%16)*1.2, 0, float64(id/16)*1.2),
-				Phase:  float64(id),
-			}
-		}
+}
+
+// seatedScript is a session's motion: seated, anchored by ID so no two
+// sessions overlap.
+func seatedScript(id protocol.ParticipantID) trace.MotionScript {
+	return trace.Seated{
+		Anchor: mathx.V3(float64(id%16)*1.2, 0, float64(id/16)*1.2),
+		Phase:  float64(id),
 	}
 }
 
@@ -202,9 +196,6 @@ func (d *Deployment) SessionIDs() []protocol.ParticipantID {
 	return slices.Sorted(maps.Keys(d.sessions))
 }
 
-// Census returns a copy of the per-region client counts.
-func (d *Deployment) Census() map[region.ID]int { return maps.Clone(d.census) }
-
 // latency is the topology's one-way latency with same-region pairs allowed.
 func (d *Deployment) latency(a, b region.ID) (time.Duration, error) {
 	return d.cfg.Topology.Latency(a, b)
@@ -256,7 +247,7 @@ func (d *Deployment) Join(id protocol.ParticipantID, reg region.ID) (*Session, e
 	}
 	addr := endpoint.Addr(fmt.Sprintf("geo-vr-%04d", id))
 	// d.relays[""] is nil: the cloud serves until relays are deployed.
-	vr, err := d.rig.Join(id, addr, d.cfg.Script(id), d.relays[served], d.cfg.AccessLink(lat))
+	vr, err := d.rig.Join(id, addr, seatedScript(id), d.relays[served], d.cfg.AccessLink(lat))
 	if err != nil {
 		return nil, err
 	}
@@ -349,7 +340,7 @@ func (d *Deployment) Migrate(id protocol.ParticipantID, to region.ID) error {
 }
 
 // Roam sweeps every session (ascending ID) and migrates the ones whose
-// current server is beaten by more than RoamHysteresis. Returns how many
+// current server is beaten by more than roamHysteresis. Returns how many
 // sessions moved.
 func (d *Deployment) Roam() (int, error) {
 	moved := 0
@@ -363,7 +354,7 @@ func (d *Deployment) Roam() (int, error) {
 		if err != nil {
 			return moved, err
 		}
-		if best == s.served || cur <= bestLat+d.cfg.RoamHysteresis {
+		if best == s.served || cur <= bestLat+roamHysteresis {
 			continue
 		}
 		if err := d.Migrate(id, best); err != nil {

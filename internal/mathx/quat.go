@@ -26,15 +26,6 @@ func QuatAxisAngle(axis Vec3, angle float64) Quat {
 	return Quat{W: math.Cos(half), X: n.X * s, Y: n.Y * s, Z: n.Z * s}
 }
 
-// QuatYawPitchRoll builds a rotation from yaw (about Y), pitch (about X) and
-// roll (about Z), applied in that order, matching typical headset conventions.
-func QuatYawPitchRoll(yaw, pitch, roll float64) Quat {
-	qy := QuatAxisAngle(V3(0, 1, 0), yaw)
-	qp := QuatAxisAngle(V3(1, 0, 0), pitch)
-	qr := QuatAxisAngle(V3(0, 0, 1), roll)
-	return qy.Mul(qp).Mul(qr)
-}
-
 // Mul returns the Hamilton product q * r (apply r first, then q).
 func (q Quat) Mul(r Quat) Quat {
 	return Quat{

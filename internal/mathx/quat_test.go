@@ -108,7 +108,7 @@ func TestSlerpNearlyParallel(t *testing.T) {
 
 func TestQuatYaw(t *testing.T) {
 	for _, yaw := range []float64{0, 0.5, -1.2, math.Pi / 2, 3} {
-		q := QuatYawPitchRoll(yaw, 0, 0)
+		q := QuatAxisAngle(V3(0, 1, 0), yaw)
 		if got := q.Yaw(); math.Abs(WrapAngle(got-yaw)) > 1e-9 {
 			t.Errorf("Yaw() = %v, want %v", got, yaw)
 		}

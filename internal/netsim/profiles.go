@@ -4,29 +4,8 @@ import "time"
 
 // Canonical link profiles for the deployment pieces named in the paper's
 // architecture (Fig. 3). The absolute values follow the paper's own anchors:
-// classrooms run "their own independent WiFi infrastructure" to minimize
-// headset-to-edge latency, the two campuses (Guangzhou and Clear Water Bay)
-// are metro-distance apart, and poorly-interconnected remote users see
-// round-trip times "in the order of the hundreds of milliseconds".
-
-// ClassroomWiFi models the in-room WiFi between headsets and the edge server.
-func ClassroomWiFi() LinkConfig {
-	return LinkConfig{
-		Latency:   2 * time.Millisecond,
-		Jitter:    3 * time.Millisecond,
-		LossRate:  0.002,
-		Bandwidth: 100e6, // 100 Mbps effective per headset association
-	}
-}
-
-// WiredSensor models the wired in-room sensor network (cameras -> edge).
-func WiredSensor() LinkConfig {
-	return LinkConfig{
-		Latency:   500 * time.Microsecond,
-		Jitter:    200 * time.Microsecond,
-		Bandwidth: 1e9, // gigabit
-	}
-}
+// the two campuses (Guangzhou and Clear Water Bay) are metro-distance apart,
+// and remote learners reach the cloud over home broadband.
 
 // InterCampus models the dedicated GZ<->CWB real-time transmission link.
 func InterCampus() LinkConfig {
@@ -55,17 +34,6 @@ func ResidentialBroadband(oneWay time.Duration) LinkConfig {
 		Jitter:    8 * time.Millisecond,
 		LossRate:  0.005,
 		Bandwidth: 50e6,
-	}
-}
-
-// PoorlyPeered models the paper's badly-interconnected participant: long
-// paths through congested exchange points or firewall detours.
-func PoorlyPeered() LinkConfig {
-	return LinkConfig{
-		Latency:   140 * time.Millisecond, // ~280 ms RTT
-		Jitter:    40 * time.Millisecond,
-		LossRate:  0.03,
-		Bandwidth: 10e6,
 	}
 }
 

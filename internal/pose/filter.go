@@ -176,17 +176,5 @@ func (k *Kalman3D) Variance() float64 {
 	return (k.axes[0].Variance() + k.axes[1].Variance() + k.axes[2].Variance()) / 3
 }
 
-// NormalizedInnovation returns the max per-axis normalized innovation of the
-// last update (outlier score).
-func (k *Kalman3D) NormalizedInnovation() float64 {
-	m := k.axes[0].NormalizedInnovation()
-	for _, a := range k.axes[1:] {
-		if ni := a.NormalizedInnovation(); ni > m {
-			m = ni
-		}
-	}
-	return m
-}
-
 // Primed reports whether the filter has been initialized.
 func (k *Kalman3D) Primed() bool { return k.axes[0].Primed() }

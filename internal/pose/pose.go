@@ -40,9 +40,6 @@ func Identity() Pose {
 // and q in meters.
 func (p Pose) PositionError(q Pose) float64 { return p.Position.Dist(q.Position) }
 
-// RotationError returns the rotation angle between p and q in radians.
-func (p Pose) RotationError(q Pose) float64 { return p.Rotation.AngleTo(q.Rotation) }
-
 // IsFinite reports whether every component is finite.
 func (p Pose) IsFinite() bool {
 	return p.Position.IsFinite() && p.Rotation.IsFinite() && p.Velocity.IsFinite() &&

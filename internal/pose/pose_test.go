@@ -25,10 +25,6 @@ func TestPoseErrors(t *testing.T) {
 	if got := a.PositionError(b); got != 5 {
 		t.Errorf("PositionError = %v, want 5", got)
 	}
-	b.Rotation = mathx.QuatAxisAngle(mathx.V3(0, 1, 0), 0.5)
-	if got := a.RotationError(b); math.Abs(got-0.5) > 1e-9 {
-		t.Errorf("RotationError = %v, want 0.5", got)
-	}
 }
 
 func TestIsFiniteDetectsNaN(t *testing.T) {

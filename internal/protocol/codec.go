@@ -158,11 +158,9 @@ type Decoder struct {
 	r        Reader
 	hello    Hello
 	helloAck HelloAck
-	join     Join
 	leave    Leave
 	pose     PoseUpdate
 	expr     ExpressionUpdate
-	seat     SeatAssign
 	snapshot Snapshot
 	delta    Delta
 	ack      Ack
@@ -181,16 +179,12 @@ func (d *Decoder) message(t MsgType) (Message, error) {
 		return &d.hello, nil
 	case TypeHelloAck:
 		return &d.helloAck, nil
-	case TypeJoin:
-		return &d.join, nil
 	case TypeLeave:
 		return &d.leave, nil
 	case TypePoseUpdate:
 		return &d.pose, nil
 	case TypeExpressionUpdate:
 		return &d.expr, nil
-	case TypeSeatAssign:
-		return &d.seat, nil
 	case TypeSnapshot:
 		return &d.snapshot, nil
 	case TypeDelta:

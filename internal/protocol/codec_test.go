@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -18,12 +19,10 @@ func allMessages() []Message {
 	return []Message{
 		&Hello{Participant: 7, Classroom: 2, Role: RoleEducator, Name: "Prof. Wang"},
 		&HelloAck{Participant: 7, TickRateHz: 30, ServerTick: 12345},
-		&Join{Participant: 9, Classroom: 1, Role: RoleLearner, Name: "kaist-student", AvatarLoD: 3},
 		&Leave{Participant: 9, Reason: "travel restriction"},
 		&PoseUpdate{Participant: 7, Seq: 42, CapturedAt: 1500 * time.Millisecond,
 			Pose: pose, VelMMS: [3]int64{120, -5, 900}},
 		&ExpressionUpdate{Participant: 7, Seq: 43, Weights: []byte{0, 128, 255, 64}},
-		&SeatAssign{Participant: 9, Classroom: 2, SeatIndex: 17, Correction: pose},
 		&Snapshot{Tick: 99, Entities: []EntityState{
 			{Participant: 1, Pose: pose, Expression: []byte{1, 2}, Seat: 3, Flags: FlagSpeaking},
 			{Participant: 2, Pose: pose, VelMMS: [3]int64{-1, 0, 55}},
@@ -65,6 +64,9 @@ func TestRoundTripAllTypes(t *testing.T) {
 
 func TestEveryTypeHasName(t *testing.T) {
 	for tt := TypeHello; tt < typeMax; tt++ {
+		if slices.Contains(retiredTypes, tt) {
+			continue // TestWireTypeNumbersPinned holds these to a refusal
+		}
 		if !tt.Valid() {
 			t.Errorf("type %d reports invalid", tt)
 		}
@@ -80,6 +82,50 @@ func TestEveryTypeHasName(t *testing.T) {
 	}
 	if MsgType(200).String() != "MsgType(200)" {
 		t.Errorf("unknown type String = %s", MsgType(200))
+	}
+}
+
+// retiredTypes are the wire numbers of deleted message types (Join,
+// SeatAssign). They stay reserved: a number is never handed to a new type.
+var retiredTypes = []MsgType{3, 7}
+
+// TestWireTypeNumbersPinned holds every wire type to its number — the type
+// byte is the protocol, and the constants are an iota block that a deletion
+// or an insertion would renumber — and the retired numbers to a refusal on
+// both decode paths.
+func TestWireTypeNumbersPinned(t *testing.T) {
+	pinned := map[MsgType]uint8{
+		TypeHello: 1, TypeHelloAck: 2, TypeLeave: 4, TypePoseUpdate: 5,
+		TypeExpressionUpdate: 6, TypeSnapshot: 8, TypeDelta: 9, TypeAck: 10,
+		TypePing: 11, TypePong: 12, TypeVideoChunk: 13, TypeAudioFrame: 14,
+		TypeActivityEvent: 15, TypeNack: 16,
+	}
+	for mt, n := range pinned {
+		if uint8(mt) != n {
+			t.Errorf("%v is wire type %d, want %d", mt, uint8(mt), n)
+		}
+	}
+	if want := len(pinned) + len(retiredTypes); int(typeMax)-1 != want {
+		t.Errorf("%d wire numbers in use, %d pinned or retired", int(typeMax)-1, want)
+	}
+	if len(retiredTypeFrames) != len(retiredTypes) {
+		t.Fatalf("%d retired frames for %d retired types", len(retiredTypeFrames), len(retiredTypes))
+	}
+	var dec Decoder
+	for i, mt := range retiredTypes {
+		if _, taken := pinned[mt]; taken || mt.Valid() {
+			t.Errorf("retired type %d is in use", uint8(mt))
+		}
+		frame := retiredTypeFrames[i]
+		if got, _, _, err := parseFrame(frame); err != nil || got != mt {
+			t.Fatalf("retired frame %d: parseFrame = type %d, %v; want a well-formed frame of type %d", i, uint8(got), err, uint8(mt))
+		}
+		if _, _, err := Decode(frame); !errors.Is(err, ErrBadMessage) {
+			t.Errorf("Decode of retired type %d: err = %v, want ErrBadMessage", uint8(mt), err)
+		}
+		if _, _, err := dec.Decode(frame); !errors.Is(err, ErrBadMessage) {
+			t.Errorf("Decoder.Decode of retired type %d: err = %v, want ErrBadMessage", uint8(mt), err)
+		}
 	}
 }
 
@@ -298,6 +344,9 @@ func BenchmarkEncodeSnapshot100(b *testing.B) {
 func TestDecoderCoversAllWireTypes(t *testing.T) {
 	var dec Decoder
 	for mt := TypeHello; mt < typeMax; mt++ {
+		if slices.Contains(retiredTypes, mt) {
+			continue // TestWireTypeNumbersPinned holds these to a refusal
+		}
 		m1, err1 := newMessage(mt)
 		m2, err2 := dec.message(mt)
 		if err1 != nil || err2 != nil {

@@ -2,6 +2,8 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/hex"
+	"slices"
 	"testing"
 	"time"
 )
@@ -12,7 +14,6 @@ func fuzzSeedMessages() []Message {
 	return []Message{
 		&Hello{Participant: 7, Classroom: 2, Role: RoleEducator, Name: "prof"},
 		&HelloAck{Participant: 7, TickRateHz: 30, ServerTick: 1 << 40},
-		&Join{Participant: 9, Classroom: 1, Role: RoleLearner, Name: "学生", AvatarLoD: 2},
 		&Leave{Participant: 9, Reason: "left"},
 		&PoseUpdate{
 			Participant: 3, Seq: 1000, CapturedAt: 90 * time.Second,
@@ -20,8 +21,6 @@ func fuzzSeedMessages() []Message {
 			VelMMS: [3]int64{-50, 0, 1400},
 		},
 		&ExpressionUpdate{Participant: 3, Seq: 2, Weights: []byte{0, 128, 255}},
-		&SeatAssign{Participant: 3, Classroom: 2, SeatIndex: 17,
-			Correction: WirePose{PosMM: [3]int64{1, 2, 3}, Quat: [4]int16{32767, 0, 0, 0}}},
 		&Snapshot{Tick: 5, Entities: []EntityState{
 			{Participant: 1, Home: 1, CapturedAt: time.Second,
 				Pose:   WirePose{PosMM: [3]int64{10, 20, 30}, Quat: [4]int16{32767, 0, 0, 0}},
@@ -68,13 +67,33 @@ func fuzzBoundarySeedMessages() []Message {
 	}
 }
 
+// retiredTypeFrames are the seeds of the two retired wire types, 3 (Join) and
+// 7 (SeatAssign), byte for byte as Encode wrote them while the types existed:
+// well-formed length and checksum, a type number no decoder knows any more.
+var retiredTypeFrames = [][]byte{
+	mustHex("4d4301030f0000000900010106e5ada6e7949f025167ee61"),
+	mustHex("4d4301071300000003000200110204067fff000000000000677cabd8"),
+}
+
+func mustHex(s string) []byte {
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 func addSeedFrames(f *testing.F) {
 	f.Helper()
+	frames := slices.Clone(retiredTypeFrames)
 	for _, msg := range append(fuzzSeedMessages(), fuzzBoundarySeedMessages()...) {
 		frame, err := Encode(msg)
 		if err != nil {
 			f.Fatalf("encoding %v seed: %v", msg.Type(), err)
 		}
+		frames = append(frames, frame)
+	}
+	for _, frame := range frames {
 		f.Add(frame)
 		// A truncated and a corrupted variant steer the fuzzer toward the
 		// bounds-checking and checksum paths from the start.

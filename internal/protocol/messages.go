@@ -12,15 +12,17 @@ import (
 // zero byte is never a valid type.
 type MsgType uint8
 
-// Message types.
+// Message types. A type's number is its wire byte. 3 and 7 belonged to Join
+// and SeatAssign, which nothing sent or handled; they stay reserved so a
+// later type can never be mistaken for a frame of either.
 const (
 	TypeHello MsgType = iota + 1
 	TypeHelloAck
-	TypeJoin
+	_ // 3: was Join
 	TypeLeave
 	TypePoseUpdate
 	TypeExpressionUpdate
-	TypeSeatAssign
+	_ // 7: was SeatAssign
 	TypeSnapshot
 	TypeDelta
 	TypeAck
@@ -36,11 +38,9 @@ const (
 var typeNames = map[MsgType]string{
 	TypeHello:            "Hello",
 	TypeHelloAck:         "HelloAck",
-	TypeJoin:             "Join",
 	TypeLeave:            "Leave",
 	TypePoseUpdate:       "PoseUpdate",
 	TypeExpressionUpdate: "ExpressionUpdate",
-	TypeSeatAssign:       "SeatAssign",
 	TypeSnapshot:         "Snapshot",
 	TypeDelta:            "Delta",
 	TypeAck:              "Ack",
@@ -60,8 +60,11 @@ func (t MsgType) String() string {
 	return fmt.Sprintf("MsgType(%d)", uint8(t))
 }
 
-// Valid reports whether t is a known message type.
-func (t MsgType) Valid() bool { return t >= TypeHello && t < typeMax }
+// Valid reports whether t is a known message type (a retired number is not).
+func (t MsgType) Valid() bool {
+	_, ok := typeNames[t]
+	return ok
+}
 
 // ParticipantID identifies a learner, educator or guest across the
 // deployment. IDs are assigned by the classroom session layer.
@@ -210,35 +213,6 @@ func (m *HelloAck) decode(r *Reader) error {
 	return r.ExpectEOF()
 }
 
-// Join announces a participant entering the shared session.
-type Join struct {
-	Participant ParticipantID
-	Classroom   ClassroomID
-	Role        Role
-	Name        string
-	AvatarLoD   uint8
-}
-
-// Type implements Message.
-func (*Join) Type() MsgType { return TypeJoin }
-
-func (m *Join) encode(w *Writer) {
-	w.U32(uint32(m.Participant))
-	w.U16(uint16(m.Classroom))
-	w.U8(uint8(m.Role))
-	w.String(m.Name)
-	w.U8(m.AvatarLoD)
-}
-
-func (m *Join) decode(r *Reader) error {
-	m.Participant = ParticipantID(r.U32())
-	m.Classroom = ClassroomID(r.U16())
-	m.Role = Role(r.U8())
-	m.Name = r.String()
-	m.AvatarLoD = r.U8()
-	return r.ExpectEOF()
-}
-
 // Leave announces a participant leaving.
 type Leave struct {
 	Participant ParticipantID
@@ -315,36 +289,6 @@ func (m *ExpressionUpdate) decode(r *Reader) error {
 	m.Participant = ParticipantID(r.U32())
 	m.Seq = r.U32()
 	m.Weights = r.BytesVar()
-	return r.ExpectEOF()
-}
-
-// SeatAssign maps a remote participant's avatar onto a vacant local seat
-// (the Fig. 3 "identify the vacant seats" step).
-type SeatAssign struct {
-	Participant ParticipantID
-	Classroom   ClassroomID
-	SeatIndex   uint16
-	// Correction is the rigid transform from the sender's classroom frame to
-	// the assigned seat's local frame ("corrects the pose to match the new
-	// position of the avatar").
-	Correction WirePose
-}
-
-// Type implements Message.
-func (*SeatAssign) Type() MsgType { return TypeSeatAssign }
-
-func (m *SeatAssign) encode(w *Writer) {
-	w.U32(uint32(m.Participant))
-	w.U16(uint16(m.Classroom))
-	w.U16(m.SeatIndex)
-	m.Correction.encode(w)
-}
-
-func (m *SeatAssign) decode(r *Reader) error {
-	m.Participant = ParticipantID(r.U32())
-	m.Classroom = ClassroomID(r.U16())
-	m.SeatIndex = r.U16()
-	m.Correction.decode(r)
 	return r.ExpectEOF()
 }
 
@@ -797,16 +741,12 @@ func newMessage(t MsgType) (Message, error) {
 		return &Hello{}, nil
 	case TypeHelloAck:
 		return &HelloAck{}, nil
-	case TypeJoin:
-		return &Join{}, nil
 	case TypeLeave:
 		return &Leave{}, nil
 	case TypePoseUpdate:
 		return &PoseUpdate{}, nil
 	case TypeExpressionUpdate:
 		return &ExpressionUpdate{}, nil
-	case TypeSeatAssign:
-		return &SeatAssign{}, nil
 	case TypeSnapshot:
 		return &Snapshot{}, nil
 	case TypeDelta:

@@ -61,9 +61,9 @@ func TestQuickRoundTripEntityStateViaDelta(t *testing.T) {
 
 func TestQuickRoundTripStrings(t *testing.T) {
 	f := func(p uint32, name, reason string) bool {
-		join := &Join{Participant: ParticipantID(p), Role: RoleGuest, Name: name, AvatarLoD: 2}
+		hello := &Hello{Participant: ParticipantID(p), Role: RoleGuest, Name: name}
 		leave := &Leave{Participant: ParticipantID(p), Reason: reason}
-		for _, m := range []Message{join, leave} {
+		for _, m := range []Message{hello, leave} {
 			frame, err := Encode(m)
 			if err != nil {
 				return false

@@ -51,12 +51,6 @@ func (d DeviceClass) String() string {
 	return fmt.Sprintf("DeviceClass(%d)", uint8(d))
 }
 
-// Valid reports whether d is a known class.
-func (d DeviceClass) Valid() bool {
-	_, ok := deviceSpecs[d]
-	return ok
-}
-
 // FrameTime returns the time the device needs to render a scene of the
 // given triangle count.
 func (d DeviceClass) FrameTime(triangles int64) time.Duration {
@@ -109,30 +103,22 @@ func (p Plan) String() string {
 	}
 }
 
-// PipelineConfig holds the network/codec costs of the cloud leg.
+// PipelineConfig holds the network cost of the cloud leg.
 type PipelineConfig struct {
 	// RTT is the device<->cloud round trip.
 	RTT time.Duration
-	// EncodeTime and DecodeTime are the video codec costs of the streamed
-	// layer (defaults 4 ms / 2 ms).
-	EncodeTime, DecodeTime time.Duration
-	// SpeculationHorizonScale converts head angular velocity (rad/s) times
-	// RTT into a mispredict probability; default 1.2 (calibrated so 90
-	// deg/s at 100 ms RTT mispredicts ~17% of frames).
-	SpeculationHorizonScale float64
 }
 
-func (c *PipelineConfig) applyDefaults() {
-	if c.EncodeTime <= 0 {
-		c.EncodeTime = 4 * time.Millisecond
-	}
-	if c.DecodeTime <= 0 {
-		c.DecodeTime = 2 * time.Millisecond
-	}
-	if c.SpeculationHorizonScale <= 0 {
-		c.SpeculationHorizonScale = 1.2
-	}
-}
+const (
+	// encodeTime and decodeTime are the video codec costs of the streamed
+	// layer.
+	encodeTime = 4 * time.Millisecond
+	decodeTime = 2 * time.Millisecond
+	// speculationHorizonScale converts head angular velocity (rad/s) times
+	// RTT into a mispredict probability (calibrated so 90 deg/s at 100 ms
+	// RTT mispredicts ~17% of frames).
+	speculationHorizonScale = 1.2
+)
 
 // Report is the outcome of evaluating a plan on a scene.
 type Report struct {
@@ -156,7 +142,6 @@ type Report struct {
 // high-quality and low-quality triangle counts. headAngVel is the user's
 // head angular velocity in rad/s (drives speculation accuracy).
 func Evaluate(plan Plan, device DeviceClass, hqTris, lqTris int64, cfg PipelineConfig, headAngVel float64) Report {
-	cfg.applyDefaults()
 	switch plan {
 	case PlanDeviceOnly:
 		return Report{
@@ -165,10 +150,10 @@ func Evaluate(plan Plan, device DeviceClass, hqTris, lqTris int64, cfg PipelineC
 		}
 	case PlanSplit, PlanSplitSpeculative:
 		cloud := DeviceCloudGPU.FrameTime(hqTris)
-		lag := cfg.RTT + cfg.EncodeTime + cfg.DecodeTime + cloud
+		lag := cfg.RTT + encodeTime + decodeTime + cloud
 		rep := Report{
 			Plan:           plan,
-			LocalFrameTime: device.FrameTime(lqTris) + cfg.DecodeTime,
+			LocalFrameTime: device.FrameTime(lqTris) + decodeTime,
 			AvatarLag:      lag,
 			CloudFrameTime: cloud,
 		}
@@ -178,7 +163,7 @@ func Evaluate(plan Plan, device DeviceClass, hqTris, lqTris int64, cfg PipelineC
 			if headAngVel < 0 {
 				headAngVel = 0
 			}
-			p := 1 - math.Exp(-cfg.SpeculationHorizonScale*headAngVel*lag.Seconds())
+			p := 1 - math.Exp(-speculationHorizonScale*headAngVel*lag.Seconds())
 			rep.MispredictRate = p
 			// Hidden on hits; full pipeline on misses.
 			rep.AvatarLag = time.Duration(p * float64(lag))

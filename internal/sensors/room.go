@@ -25,10 +25,11 @@ type RoomSensorConfig struct {
 	// OcclusionRate is the probability any given sample is lost to
 	// occlusion by furniture/other participants (default 0.1).
 	OcclusionRate float64
-	// YawNoiseStd is heading estimation noise in radians (default 0.05 —
-	// body-orientation from vision is coarse).
-	YawNoiseStd float64
 }
+
+// roomYawNoiseStd is a room sensor's heading estimation noise in radians:
+// body orientation from vision is coarse.
+const roomYawNoiseStd = 0.05
 
 func (c *RoomSensorConfig) applyDefaults() {
 	if c.RateHz <= 0 {
@@ -44,9 +45,6 @@ func (c *RoomSensorConfig) applyDefaults() {
 		c.OcclusionRate = 0
 	} else if c.OcclusionRate == 0 {
 		c.OcclusionRate = 0.1
-	}
-	if c.YawNoiseStd <= 0 {
-		c.YawNoiseStd = 0.05
 	}
 }
 
@@ -128,7 +126,7 @@ func (s *RoomSensor) sample() {
 			Position: truth.Position.Add(mathx.V3(
 				rng.NormFloat64()*noise, rng.NormFloat64()*noise, rng.NormFloat64()*noise,
 			)),
-			Yaw:       truth.Rotation.Yaw() + rng.NormFloat64()*s.cfg.YawNoiseStd,
+			Yaw:       truth.Rotation.Yaw() + rng.NormFloat64()*roomYawNoiseStd,
 			PosStdDev: noise,
 		}
 		s.emitted++

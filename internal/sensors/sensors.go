@@ -66,9 +66,10 @@ type HeadsetConfig struct {
 	// DriftRate is the bias random-walk intensity in m/sqrt(s)
 	// (default 0.002). Drift is what room sensors correct.
 	DriftRate float64
-	// YawNoiseStd is heading noise in radians (default 0.01).
-	YawNoiseStd float64
 }
+
+// headsetYawNoiseStd is a headset's heading noise in radians.
+const headsetYawNoiseStd = 0.01
 
 func (c *HeadsetConfig) applyDefaults() {
 	if c.RateHz <= 0 {
@@ -81,9 +82,6 @@ func (c *HeadsetConfig) applyDefaults() {
 		c.DriftRate = 0
 	} else if c.DriftRate == 0 {
 		c.DriftRate = 0.002
-	}
-	if c.YawNoiseStd <= 0 {
-		c.YawNoiseStd = 0.01
 	}
 }
 
@@ -159,7 +157,7 @@ func (h *Headset) sample() {
 			rng.NormFloat64()*h.cfg.NoiseStd,
 			rng.NormFloat64()*h.cfg.NoiseStd,
 		)),
-		Yaw:       truth.Rotation.Yaw() + rng.NormFloat64()*h.cfg.YawNoiseStd,
+		Yaw:       truth.Rotation.Yaw() + rng.NormFloat64()*headsetYawNoiseStd,
 		PosStdDev: h.cfg.NoiseStd + h.bias.Len(), // honest about drift uncertainty
 	}
 	h.emits++

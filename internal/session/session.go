@@ -241,15 +241,6 @@ func (m *Manager) CloseQuiz(at time.Duration, id ActivityID) (map[protocol.Parti
 	return scores, nil
 }
 
-// QuizState returns a quiz's lifecycle state.
-func (m *Manager) QuizState(id ActivityID) (State, error) {
-	q, ok := m.quizzes[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrNoActivity, id)
-	}
-	return q.state, nil
-}
-
 // --- gamified learning: breakout puzzles -----------------------------------
 
 // Breakout is a team "digital breakout": teams race to solve a sequence of
@@ -417,7 +408,6 @@ type Presentation struct {
 	Title  string
 	Slides int
 	slide  int
-	state  State
 	ctrl   map[protocol.ParticipantID]bool
 }
 
@@ -432,7 +422,7 @@ func (m *Manager) StartPresentation(at time.Duration, owner protocol.Participant
 	id := m.next
 	m.next++
 	p := &Presentation{
-		ID: id, Owner: owner, Title: title, Slides: slides, state: StateOpen,
+		ID: id, Owner: owner, Title: title, Slides: slides,
 		ctrl: map[protocol.ParticipantID]bool{owner: true},
 	}
 	m.pres[id] = p
@@ -463,9 +453,6 @@ func (m *Manager) Navigate(at time.Duration, id ActivityID, who protocol.Partici
 	if !ok {
 		return 0, fmt.Errorf("%w: %d", ErrNoActivity, id)
 	}
-	if p.state != StateOpen {
-		return 0, fmt.Errorf("%w: presentation %v", ErrWrongState, p.state)
-	}
 	if !p.ctrl[who] {
 		return 0, fmt.Errorf("%w: %d has no control", ErrNotEnrolled, who)
 	}
@@ -487,21 +474,4 @@ func (m *Manager) CurrentSlide(id ActivityID) (int, error) {
 		return 0, fmt.Errorf("%w: %d", ErrNoActivity, id)
 	}
 	return p.slide, nil
-}
-
-// EndPresentation closes the deck (owner only).
-func (m *Manager) EndPresentation(at time.Duration, id ActivityID, who protocol.ParticipantID) error {
-	p, ok := m.pres[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoActivity, id)
-	}
-	if p.Owner != who {
-		return fmt.Errorf("%w: only the owner ends it", ErrWrongState)
-	}
-	if p.state != StateOpen {
-		return fmt.Errorf("%w: presentation %v", ErrWrongState, p.state)
-	}
-	p.state = StateClosed
-	m.emit(at, id, "pres.end", who, nil)
-	return nil
 }

@@ -33,9 +33,6 @@ func TestQuizLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := m.QuizState(qid); st != StateDraft {
-		t.Errorf("state = %v", st)
-	}
 	// Answer before open refused.
 	if err := m.SubmitAnswer(0, qid, ids[1], 0, 1); !errors.Is(err, ErrWrongState) {
 		t.Errorf("pre-open submit err = %v", err)
@@ -212,16 +209,6 @@ func TestPresentationControl(t *testing.T) {
 	}
 	if s, _ := m.CurrentSlide(pid); s != 7 {
 		t.Errorf("current slide = %d", s)
-	}
-	// End: only owner; then navigation refused.
-	if err := m.EndPresentation(3*time.Second, pid, student); !errors.Is(err, ErrWrongState) {
-		t.Errorf("non-owner end err = %v", err)
-	}
-	if err := m.EndPresentation(3*time.Second, pid, owner); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Navigate(4*time.Second, pid, owner, 1); !errors.Is(err, ErrWrongState) {
-		t.Errorf("navigate after end err = %v", err)
 	}
 }
 

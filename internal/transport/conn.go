@@ -1,8 +1,10 @@
 // Package transport carries the classroom wire protocol over real TCP, so
-// the sync server is not simulation-only: cmd/classroomd hosts an actual
-// networked classroom and cmd/loadgen drives it with real clients. Frames
-// are the same protocol.Encode bytes used in simulation, prefixed with a
-// 4-byte big-endian length for stream framing.
+// nothing above it is simulation-only. Conn frames messages on a stream: the
+// same protocol frame bytes the simulated fabric carries, each prefixed with
+// a 4-byte big-endian length. Endpoint puts those connections behind
+// endpoint.Transport, so every node runs over sockets exactly as it does
+// over netsim, and Room is the one-process classroom that cmd/classroomd
+// hosts and cmd/loadgen drives with real clients.
 package transport
 
 import (

@@ -17,8 +17,6 @@ type RoomConfig struct {
 	Addr string
 	// TickHz is the replication rate (default 30).
 	TickHz float64
-	// Classroom is the room's ID in Hello acks.
-	Classroom protocol.ClassroomID
 }
 
 func (c *RoomConfig) applyDefaults() {

@@ -39,21 +39,18 @@ func (s Strategy) String() string {
 // StreamConfig parameterizes one video stream.
 type StreamConfig struct {
 	Stream   uint32
-	Codec    CodecConfig
 	Strategy Strategy
 	// K is the data shards per frame (default 8).
 	K int
 	// R is the static parity count (StrategyFEC; default 2).
 	R int
-	// Deadline is the playout deadline measured from capture (default
-	// 150 ms — interactive lecture video).
-	Deadline time.Duration
-	// Controller tunes StrategyAdaptive.
-	Controller Controller
 }
 
+// playoutDeadline is the playout deadline measured from capture:
+// interactive lecture video.
+const playoutDeadline = 150 * time.Millisecond
+
 func (c *StreamConfig) applyDefaults() {
-	c.Codec.applyDefaults()
 	if c.Strategy == 0 {
 		c.Strategy = StrategyFEC
 	}
@@ -64,9 +61,6 @@ func (c *StreamConfig) applyDefaults() {
 		c.R = 0
 	} else if c.R == 0 {
 		c.R = 2
-	}
-	if c.Deadline <= 0 {
-		c.Deadline = 150 * time.Millisecond
 	}
 }
 
@@ -95,7 +89,7 @@ type Sender struct {
 func NewSender(sim *vclock.Sim, cfg StreamConfig, send func(*protocol.VideoChunk)) *Sender {
 	cfg.applyDefaults()
 	s := &Sender{
-		sim: sim, cfg: cfg, enc: NewEncoder(cfg.Codec), send: send,
+		sim: sim, cfg: cfg, enc: NewEncoder(CodecConfig{}), send: send,
 		rsCache: make(map[[2]int]*RS),
 		pending: make(map[uint32][][]byte),
 	}
@@ -158,7 +152,7 @@ func (s *Sender) emitFrame() {
 			return
 		}
 	}
-	deadline := frame.CapturedAt + s.cfg.Deadline
+	deadline := frame.CapturedAt + playoutDeadline
 	for i, shard := range shards {
 		s.chunksSent++
 		s.bytesSent += uint64(len(shard))
@@ -192,7 +186,7 @@ func (s *Sender) HandleNack(n *protocol.Nack) {
 	if !ok {
 		return
 	}
-	deadline := s.sim.Now() + s.cfg.Deadline // conservative restamp
+	deadline := s.sim.Now() + playoutDeadline // conservative restamp
 	for _, idx := range n.Missing {
 		if int(idx) >= len(shards) {
 			continue
@@ -218,7 +212,7 @@ func (s *Sender) ReportNetwork(loss float64, rtt time.Duration) {
 	if s.cfg.Strategy != StrategyAdaptive {
 		return
 	}
-	plan := s.cfg.Controller.Decide(loss, rtt, s.cfg.Deadline)
+	plan := Controller{}.Decide(loss, rtt, playoutDeadline)
 	s.parity = plan.Parity
 	s.useARQ = plan.UseARQ
 	if s.enc.cfg.BitrateBps != plan.BitrateBps {
@@ -317,7 +311,7 @@ func (r *Receiver) HandleChunk(c *protocol.VideoChunk) {
 			k: int(c.GroupK), r: int(c.GroupR),
 			shards:     make([][]byte, int(c.GroupK)+int(c.GroupR)),
 			deadline:   c.Deadline,
-			capturedAt: c.Deadline - r.cfg.Deadline,
+			capturedAt: c.Deadline - playoutDeadline,
 			keyframe:   c.Keyframe,
 		}
 		r.groups[c.FrameID] = g

@@ -7,6 +7,11 @@
 // state. Callers do not branch on the pool's width: the same code runs
 // inline at width 1 and sharded above it.
 //
+// What is established about width is that it cannot change a byte of output
+// (TestPlanTickWidthInvariant, the cross-width goldens), not that it helps:
+// on the 2-vCPU hosts every number in PERFORMANCE.md comes from, each
+// PlanTick/workers=N row above 1 has measured as overhead only.
+//
 // Ownership rules for pooled scratch handed across goroutines (see
 // PERFORMANCE.md "The tick pipeline"):
 //
