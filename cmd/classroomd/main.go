@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"syscall"
@@ -28,7 +29,7 @@ func main() {
 		stat = flag.Duration("stats", 5*time.Second, "stats print interval")
 	)
 	flag.Parse()
-	if err := checkFlags(*stat); err != nil {
+	if err := checkFlags(*tick, *stat); err != nil {
 		fmt.Fprintln(os.Stderr, "classroomd:", err)
 		os.Exit(2)
 	}
@@ -38,8 +39,13 @@ func main() {
 	}
 }
 
-// checkFlags refuses a stats interval the stats ticker would panic on.
-func checkFlags(statsEvery time.Duration) error {
+// checkFlags refuses a tick rate the room cannot run or advertise (the
+// HelloAck carries it as a uint16; NaN fails the range test too) and a stats
+// interval the stats ticker would panic on.
+func checkFlags(tickHz float64, statsEvery time.Duration) error {
+	if !(tickHz >= 1 && tickHz <= math.MaxUint16) {
+		return fmt.Errorf("-tick must be in [1, %d] Hz, got %v", math.MaxUint16, tickHz)
+	}
 	if statsEvery <= 0 {
 		return fmt.Errorf("-stats must be positive, got %v", statsEvery)
 	}

@@ -19,7 +19,6 @@ package cloud
 
 import (
 	"fmt"
-	"time"
 
 	"metaclass/internal/core"
 	"metaclass/internal/endpoint"
@@ -48,8 +47,6 @@ type Config struct {
 	// (defaults 40 x 25 at 1.2 m — a thousand-seat virtual auditorium).
 	VRRows, VRCols int
 	VRPitch        float64
-	// InterpDelay is the playout delay for edge replicas (default 100 ms).
-	InterpDelay time.Duration
 	// Interest is the fan-out policy; nil disables interest management
 	// (broadcast — the E4 ablation baseline).
 	Interest *interest.Policy
@@ -94,11 +91,10 @@ type Server struct {
 func New(sim *vclock.Sim, tr endpoint.Transport, cfg Config) (*Server, error) {
 	cfg.applyDefaults()
 	rt, err := node.New(sim, tr, node.Config{
-		TickHz:      cfg.TickHz,
-		InterpDelay: cfg.InterpDelay,
-		Interest:    cfg.Interest,
-		CountRecv:   true,
-		AutoPong:    true,
+		TickHz:    cfg.TickHz,
+		Interest:  cfg.Interest,
+		CountRecv: true,
+		AutoPong:  true,
 	})
 	if err != nil {
 		return nil, err
@@ -269,7 +265,7 @@ func (s *Server) Start() error {
 	return nil
 }
 
-// Stop halts the tick loop and releases the last tick's cohort frames.
+// Stop halts the tick loop.
 func (s *Server) Stop() { s.rt.Stop() }
 
 // ingestEdges is the cloud's per-tick ingest policy: mirror edge-authored

@@ -2,7 +2,6 @@ package cloud
 
 import (
 	"fmt"
-	"time"
 
 	"metaclass/internal/endpoint"
 	"metaclass/internal/interest"
@@ -23,9 +22,6 @@ type RelayConfig struct {
 	Upstream endpoint.Addr
 	// TickHz is the local fan-out rate (default 30).
 	TickHz float64
-	// InterpDelay is the playout delay of the upstream replica (default
-	// 100 ms).
-	InterpDelay time.Duration
 	// Interest is the local fan-out policy (nil = broadcast).
 	Interest *interest.Policy
 }
@@ -42,10 +38,9 @@ type Relay struct {
 // NewRelay creates a relay on the given transport endpoint.
 func NewRelay(sim *vclock.Sim, tr endpoint.Transport, cfg RelayConfig) (*Relay, error) {
 	rt, err := node.New(sim, tr, node.Config{
-		TickHz:      cfg.TickHz,
-		InterpDelay: cfg.InterpDelay,
-		Interest:    cfg.Interest,
-		AutoPong:    true,
+		TickHz:   cfg.TickHz,
+		Interest: cfg.Interest,
+		AutoPong: true,
 	})
 	if err != nil {
 		return nil, err
@@ -113,7 +108,7 @@ func (r *Relay) Start() error {
 	return nil
 }
 
-// Stop halts the loop and releases the last tick's cohort frames.
+// Stop halts the loop.
 func (r *Relay) Stop() { r.rt.Stop() }
 
 // ingestUpstream mirrors the upstream replica into the local store and

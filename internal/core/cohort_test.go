@@ -134,80 +134,6 @@ func TestCohortPlanMatchesPerPeerPlanBroadcast(t *testing.T) {
 	}
 }
 
-// TestCohortSharing asserts the fan-out contract: unfiltered peers with the
-// same ack baseline share one Msg pointer and cohort ID, and filtered peers
-// get singleton cohorts.
-func TestCohortSharing(t *testing.T) {
-	s := NewStore()
-	r := NewReplicator(s, ReplConfig{})
-	for _, id := range []string{"a", "b", "c"} {
-		if err := r.AddPeer(id, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	evens := func(id protocol.ParticipantID, _ uint64) bool { return id%2 == 0 }
-	if err := r.AddPeer("filtered", evens); err != nil {
-		t.Fatal(err)
-	}
-
-	s.BeginTick()
-	for i := 1; i <= 4; i++ {
-		s.Upsert(ent(protocol.ParticipantID(i), 0))
-	}
-
-	// First contact: all unfiltered peers share one snapshot cohort.
-	plan := r.PlanTick()
-	if len(plan) != 4 {
-		t.Fatalf("planned %d messages, want 4", len(plan))
-	}
-	byPeer := map[string]PeerMessage{}
-	for _, pm := range plan {
-		byPeer[pm.Peer] = pm
-	}
-	if byPeer["a"].Msg != byPeer["b"].Msg || byPeer["b"].Msg != byPeer["c"].Msg {
-		t.Error("unfiltered snapshot peers did not share one message")
-	}
-	if byPeer["a"].Cohort != byPeer["b"].Cohort || byPeer["b"].Cohort != byPeer["c"].Cohort {
-		t.Error("unfiltered snapshot peers did not share one cohort")
-	}
-	if byPeer["filtered"].Cohort == byPeer["a"].Cohort {
-		t.Error("filtered peer shared the broadcast cohort")
-	}
-	if snap := byPeer["filtered"].Msg.(*protocol.Snapshot); len(snap.Entities) != 2 {
-		t.Errorf("filtered snapshot has %d entities, want 2", len(snap.Entities))
-	}
-
-	// a and b ack the same tick, c stays one behind: two delta cohorts.
-	_ = r.Ack("a", s.Tick())
-	_ = r.Ack("b", s.Tick())
-	_ = r.Ack("filtered", s.Tick())
-	cTick := s.Tick()
-	s.BeginTick()
-	s.Upsert(ent(1, 1))
-	_ = r.Ack("c", cTick) // c acks the older tick after a/b move ahead
-	_ = r.PlanTick()
-	_ = r.Ack("a", s.Tick())
-	_ = r.Ack("b", s.Tick())
-	s.BeginTick()
-	s.Upsert(ent(2, 2))
-	plan = r.PlanTick()
-	byPeer = map[string]PeerMessage{}
-	for _, pm := range plan {
-		byPeer[pm.Peer] = pm
-	}
-	if byPeer["a"].Msg != byPeer["b"].Msg {
-		t.Error("same-ack peers a/b did not share a delta")
-	}
-	if byPeer["c"].Msg == byPeer["a"].Msg {
-		t.Error("stale peer c shared the fresh cohort's delta")
-	}
-	da := byPeer["a"].Msg.(*protocol.Delta)
-	dc := byPeer["c"].Msg.(*protocol.Delta)
-	if da.BaseTick == dc.BaseTick {
-		t.Errorf("expected distinct ack baselines, both %d", da.BaseTick)
-	}
-}
-
 // TestPlanReuseInvalidation: the plan scratch and cached peer list must
 // stay correct across peer membership changes.
 func TestPlanReuseInvalidation(t *testing.T) {
@@ -239,8 +165,8 @@ func TestPlanReuseInvalidation(t *testing.T) {
 	}
 }
 
-// BenchmarkPlanTickBroadcast100Peers measures the cohort win: 100 unfiltered
-// peers sharing one ack baseline cost one delta build, not 100.
+// BenchmarkPlanTickBroadcast100Peers measures 100 unfiltered peers sharing
+// one ack baseline: one delta build each.
 func BenchmarkPlanTickBroadcast100Peers(b *testing.B) {
 	s := NewStore()
 	r := NewReplicator(s, ReplConfig{})

@@ -14,8 +14,8 @@ import (
 // — one planned inline (nil pool), one planned on a pool of the given width —
 // with a randomized mix of filtered peers, ack-cohort peers, a never-acking
 // peer, and membership churn, asserting every tick that the pooled plan is
-// byte-identical to the inline one: same peer order, same cohort numbering,
-// same encoded frames, and at the end the same per-peer counters. Run under
+// byte-identical to the inline one: same peer order, same encoded frames,
+// and at the end the same per-peer counters. Run under
 // -race in CI, it is also the data-race probe for the concurrent builds.
 func drivePooledVsInline(t *testing.T, workers, ticks int) {
 	t.Helper()
@@ -91,10 +91,6 @@ func drivePooledVsInline(t *testing.T, workers, ticks int) {
 				t.Fatalf("workers=%d tick %d msg %d: peer %s, inline %s",
 					workers, tick, i, planPar[i].Peer, planSer[i].Peer)
 			}
-			if planPar[i].Cohort != planSer[i].Cohort {
-				t.Fatalf("workers=%d tick %d msg %d (%s): cohort %d, inline %d",
-					workers, tick, i, planPar[i].Peer, planPar[i].Cohort, planSer[i].Cohort)
-			}
 			got, err := protocol.Encode(planPar[i].Msg)
 			if err != nil {
 				t.Fatal(err)
@@ -150,112 +146,5 @@ func TestPlanTickWidthInvariant(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			drivePooledVsInline(t, workers, 240)
 		})
-	}
-}
-
-// TestParallelEncodeFailureLeaksNoFrames drives EncodePlan over a plan where
-// one cohort's payload exceeds protocol.MaxPayload: the failed cohort must
-// report nil per recipient, the healthy cohorts must still share frames, and
-// no pooled frame may leak.
-func TestParallelEncodeFailureLeaksNoFrames(t *testing.T) {
-	live0 := protocol.LiveFrames()
-	s := NewStore()
-	pool := work.New(4)
-	defer pool.Close()
-	r := NewReplicator(s, ReplConfig{Pool: pool})
-	// Peer "big" is filtered onto the oversized entity only, so its
-	// singleton cohort fails to encode while the broadcast cohort succeeds.
-	onlyBig := func(id protocol.ParticipantID, _ uint64) bool { return id == 999 }
-	notBig := func(id protocol.ParticipantID, _ uint64) bool { return id != 999 }
-	if err := r.AddPeer("big", onlyBig); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []string{"a", "b", "c"} {
-		if err := r.AddPeer(id, notBig); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	s.BeginTick()
-	s.Upsert(ent(1, 0))
-	huge := ent(999, 1)
-	huge.Expression = make([]byte, protocol.MaxPayload+1)
-	s.Upsert(huge)
-
-	plan := r.PlanTick()
-	if len(plan) != 4 {
-		t.Fatalf("planned %d messages, want 4", len(plan))
-	}
-	var cache FrameCache
-	cache.EncodePlan(plan, pool)
-	failed, sent := 0, 0
-	for _, pm := range plan {
-		f := cache.FrameFor(pm)
-		if pm.Peer == "big" {
-			if f != nil {
-				t.Fatal("oversized cohort encoded successfully")
-			}
-			failed++
-			continue
-		}
-		if f == nil {
-			t.Fatalf("healthy cohort for %s failed to encode", pm.Peer)
-		}
-		f.Release() // consume the recipient reference, as SendFrame would
-		sent++
-	}
-	if failed != 1 || sent != 3 {
-		t.Fatalf("failed=%d sent=%d, want 1/3", failed, sent)
-	}
-	cache.Reset()
-	if live := protocol.LiveFrames(); live != live0 {
-		t.Fatalf("%d frames leaked across a failed parallel encode", live-live0)
-	}
-}
-
-// TestParallelFanoutFramesMatchLazy encodes the same plan through EncodePlan
-// at width 4 and at width 1 (inline on the caller) and checks the produced
-// wire bytes are identical frame for frame.
-func TestParallelFanoutFramesMatchLazy(t *testing.T) {
-	live0 := protocol.LiveFrames()
-	s := NewStore()
-	pool := work.New(4)
-	defer pool.Close()
-	r := NewReplicator(s, ReplConfig{Pool: pool})
-	evens := func(id protocol.ParticipantID, _ uint64) bool { return id%2 == 0 }
-	for i := 0; i < 6; i++ {
-		var f FilterFunc
-		if i%3 == 0 {
-			f = evens
-		}
-		if err := r.AddPeer(fmt.Sprintf("peer-%d", i), f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.BeginTick()
-	for i := 1; i <= 9; i++ {
-		s.Upsert(ent(protocol.ParticipantID(i), float64(i)))
-	}
-
-	plan := r.PlanTick()
-	var wide, inline FrameCache
-	wide.EncodePlan(plan, pool)
-	inline.EncodePlan(plan, work.New(1))
-	for _, pm := range plan {
-		fw := wide.FrameFor(pm)
-		fi := inline.FrameFor(pm)
-		if fw == nil || fi == nil {
-			t.Fatalf("encode failed for %s", pm.Peer)
-		}
-		if !bytes.Equal(fw.Bytes(), fi.Bytes()) {
-			t.Fatalf("width-4 frame to %s differs from the width-1 encode", pm.Peer)
-		}
-		fw.Release()
-		fi.Release()
-	}
-	wide.Reset()
-	inline.Reset()
-	if live := protocol.LiveFrames(); live != live0 {
-		t.Fatalf("%d frames leaked", live-live0)
 	}
 }

@@ -38,10 +38,10 @@ type ReplConfig struct {
 	// with their last change unsent. Smaller values converge at-rest
 	// entities faster at the cost of redundant sends for moving ones.
 	OwedSettleTicks uint64
-	// Pool runs PlanTick's independent builds — the filtered per-peer
-	// snapshots/deltas and the distinct ack-cohort deltas — on its workers;
-	// the results merge back in sorted-peer order, so the plan is the same at
-	// every width. nil runs the builds inline on the caller.
+	// Pool runs PlanTick's independent builds — one snapshot or delta per
+	// peer — on its workers; the results merge back in sorted-peer order, so
+	// the plan is the same at every width. nil runs the builds inline on the
+	// caller.
 	//
 	// Peer filters may be invoked concurrently across peers (never
 	// concurrently for the same peer): a filter must read only state that is
@@ -67,10 +67,8 @@ type peerState struct {
 	deltas       uint64
 	// filter is the peer's interest gate (nil when unfiltered).
 	filter FilterFunc
-	// scratch is the reusable per-peer Delta for filtered peers (their
-	// payloads are peer-specific, so the message cannot be cohort-shared).
-	// Valid until the peer's next planned delta, matching the PlanTick
-	// result contract.
+	// scratch is the peer's reusable Delta, valid until its next planned
+	// delta, matching the PlanTick result contract.
 	scratch *protocol.Delta
 	// owed tracks the entities whose latest change this peer's filter
 	// suppressed (nil for unfiltered peers: no filter, no suppression).
@@ -171,19 +169,8 @@ func (p *peerState) reset() {
 	p.sent = p.sent[:0]
 }
 
-// deltaCohort memoizes one distinct delta built during a PlanTick. A nil msg
-// records that the delta against this ack baseline was empty.
-type deltaCohort struct {
-	msg    *protocol.Delta
-	cohort int
-}
-
-// Replicator plans per-peer replication messages from a Store.
-//
-// Peers with no interest filter that share the same ack baseline form an
-// ack-cohort: PlanTick builds each distinct Snapshot/Delta once per cohort
-// and hands the same Message to every member, tagged with a cohort ID so
-// callers can also encode each payload exactly once (see PeerMessage.Cohort).
+// Replicator plans per-peer replication messages from a Store: every peer
+// gets a Snapshot or Delta built for it alone, filtered or not.
 type Replicator struct {
 	store *Store
 	cfg   ReplConfig
@@ -193,20 +180,14 @@ type Replicator struct {
 	sortedIDs []string
 	idsDirty  bool
 
-	// plan and deltaCohorts are per-tick scratch, reused across PlanTick
-	// calls to keep the hot path allocation-free. cohortScratch recycles the
-	// shared cohort Delta messages tick to tick (a cohort message is valid
-	// until the next PlanTick, per the result contract), snapScratch does the
-	// same for the shared snapshot cohort's message, and peerSnaps for the
-	// filtered peers' own snapshots: the tick's i-th is built into the i-th
-	// message, so the list is as long as the busiest tick's snapshots were
-	// many. (A peer snapshots at its join and then once per keyframe; a
-	// world-sized message of its own would sit idle for the rest of its life.)
-	plan          []PeerMessage
-	deltaCohorts  map[uint64]deltaCohort
-	cohortScratch []*protocol.Delta
-	snapScratch   *protocol.Snapshot
-	peerSnaps     []*protocol.Snapshot
+	// plan is per-tick scratch, reused across PlanTick calls to keep the hot
+	// path allocation-free. peerSnaps holds the tick's snapshots: the tick's
+	// i-th is built into the i-th message, so the list is as long as the
+	// busiest tick's snapshots were many. (A peer snapshots at its join and
+	// then once per keyframe; a world-sized message of its own would sit idle
+	// for the rest of its life.)
+	plan      []PeerMessage
+	peerSnaps []*protocol.Snapshot
 
 	// pruneDirty defers removal-log pruning to once per PlanTick: acks only
 	// record their tick, so a fully-acking classroom costs O(peers) per tick
@@ -224,41 +205,29 @@ type Replicator struct {
 	// reallocating them per onboarding.
 	freePeers []*peerState
 
-	// Build scratch: the distinct builds of the tick in first-encounter
-	// order, and the hoisted job runner (built once so Run allocates nothing).
+	// Build scratch: one job per peer in sorted-peer order, and the hoisted
+	// job runner (built once so Run allocates nothing).
 	jobs   []planJob
 	runJob func(worker, i int)
 }
 
-// planJob is one independent build of a PlanTick: a shared snapshot, a
-// filtered peer's snapshot or delta, or a distinct ack-cohort delta. Each job
-// writes only its own target message (plus its peer's owed set), so jobs are
-// safe to execute concurrently.
+// planJob is one peer's build in a PlanTick: a snapshot into snap when snap
+// is non-nil, otherwise a delta into the peer's scratch. Each job writes only
+// its own target message (plus its peer's owed set), so jobs are safe to
+// execute concurrently.
 type planJob struct {
-	kind  jobKind
-	peer  *peerState         // jobPeerSnap, jobPeerDelta
-	snap  *protocol.Snapshot // jobPeerSnap: the tick's next peerSnaps message
-	base  uint64             // jobCohortDelta: the cohort's ack baseline
-	delta *protocol.Delta    // jobCohortDelta: the cohort's scratch message
+	id   string
+	peer *peerState
+	snap *protocol.Snapshot
 }
-
-type jobKind uint8
-
-const (
-	jobSharedSnap jobKind = iota
-	jobPeerSnap
-	jobPeerDelta
-	jobCohortDelta
-)
 
 // NewReplicator creates a replicator over store.
 func NewReplicator(store *Store, cfg ReplConfig) *Replicator {
 	cfg.applyDefaults()
 	return &Replicator{
-		store:        store,
-		cfg:          cfg,
-		peers:        make(map[string]*peerState),
-		deltaCohorts: make(map[uint64]deltaCohort),
+		store: store,
+		cfg:   cfg,
+		peers: make(map[string]*peerState),
 	}
 }
 
@@ -491,87 +460,56 @@ func (r *Replicator) Owe(peer string, id protocol.ParticipantID) error {
 	return nil
 }
 
-// PeerMessage is one planned transmission. Cohort identifies the distinct
-// message within one PlanTick result: peers sharing a cohort carry the same
-// Msg pointer, so a caller can encode the payload once per cohort and send
-// the identical frame to every member. Cohort IDs are dense and ascend in
-// first-use order.
+// PeerMessage is one planned transmission: the message built for Peer.
 type PeerMessage struct {
-	Peer   string
-	Msg    protocol.Message
-	Cohort int
+	Peer string
+	Msg  protocol.Message
 }
 
 // PlanTick builds the replication message for every peer at the store's
 // current tick. Peers receive a Snapshot when they have never acked, their
 // ack is older than MaxDeltaWindow, or a periodic keyframe is due;
 // otherwise a Delta since their ack. Peers with nothing to send (empty
-// delta) are skipped.
+// delta) are skipped. An unfiltered peer's message is the full state; a
+// filtered peer's is gated by its filter and settles its owed set.
 //
-// Unfiltered peers are grouped into ack-cohorts: one shared Snapshot for all
-// snapshot-due peers and one shared Delta per distinct ack baseline. Peers
-// with an interest filter fall back to per-peer builds (their payloads are
-// peer-specific by construction) and get singleton cohorts.
-//
-// The returned slice and the Messages it shares are valid until the next
-// PlanTick call; callers must not mutate shared Messages.
+// The returned slice and its Messages are valid until the next PlanTick
+// call; callers must not mutate the Messages.
 //
 // The plan runs in three passes:
 //
-//	1 (owner) walk sorted peers, decide snapshot-vs-delta, and collect the
-//	          distinct builds — the shared snapshot, each filtered peer's
-//	          snapshot or delta, and one delta per distinct ack baseline —
-//	          as jobs.
+//	1 (owner) walk sorted peers, decide snapshot-vs-delta, and queue one
+//	          build job per peer.
 //	2 (pool)  execute the jobs on ReplConfig.Pool. Each job writes only its
 //	          own target message and its peer's owed set; the store is
 //	          read-only and its lazy walk order is warmed before the
 //	          fan-out.
-//	3 (owner) re-walk sorted peers, re-deriving the same snapshot-vs-delta
-//	          decisions (nothing they depend on moved in pass 2), dropping
-//	          empty deltas, assigning cohort IDs in first-use order, and
-//	          bumping the per-peer counters.
+//	3 (owner) walk the jobs in order, dropping empty deltas and bumping the
+//	          per-peer counters.
 //
-// Because pass 3 numbers and counts in sorted-peer order over prebuilt
-// messages, the returned plan — ordering, message contents, cohort
-// numbering, counters — does not depend on the worker count or on the order
-// the pool scheduled the jobs in.
+// Because pass 3 counts in sorted-peer order over prebuilt messages, the
+// returned plan — ordering, message contents, counters — does not depend on
+// the worker count or on the order the pool scheduled the jobs in.
 func (r *Replicator) PlanTick() []PeerMessage {
 	tick := r.store.Tick()
 	r.prune()
 
-	// Pass 1: collect the distinct builds.
+	// Pass 1: queue one build per peer.
 	jobs := r.jobs[:0]
-	clear(r.deltaCohorts)
-	cohortJobs, peerSnaps := 0, 0
-	sharedSnapQueued := false
+	snaps := 0
 	for _, id := range r.sortedPeerIDs() {
 		p := r.peers[id]
+		j := planJob{id: id, peer: p}
 		if r.wantSnapshot(p, tick) {
-			if p.filter != nil {
-				jobs = append(jobs, planJob{kind: jobPeerSnap, peer: p, snap: scratchSlot(&r.peerSnaps, peerSnaps)})
-				peerSnaps++
-			} else if !sharedSnapQueued {
-				sharedSnapQueued = true
-				if r.snapScratch == nil {
-					r.snapScratch = &protocol.Snapshot{}
-				}
-				jobs = append(jobs, planJob{kind: jobSharedSnap})
+			if snaps == len(r.peerSnaps) {
+				r.peerSnaps = append(r.peerSnaps, &protocol.Snapshot{})
 			}
-			continue
+			j.snap = r.peerSnaps[snaps]
+			snaps++
+		} else if p.scratch == nil {
+			p.scratch = &protocol.Delta{}
 		}
-		if p.filter != nil {
-			if p.scratch == nil {
-				p.scratch = &protocol.Delta{}
-			}
-			jobs = append(jobs, planJob{kind: jobPeerDelta, peer: p})
-			continue
-		}
-		if _, ok := r.deltaCohorts[p.ackTick]; !ok {
-			slot := scratchSlot(&r.cohortScratch, cohortJobs)
-			cohortJobs++
-			r.deltaCohorts[p.ackTick] = deltaCohort{msg: slot, cohort: cohortUnnumbered}
-			jobs = append(jobs, planJob{kind: jobCohortDelta, base: p.ackTick, delta: slot})
-		}
+		jobs = append(jobs, j)
 	}
 	r.jobs = jobs
 
@@ -585,108 +523,48 @@ func (r *Replicator) PlanTick() []PeerMessage {
 
 	// Pass 3: merge in sorted-peer order.
 	out := r.plan[:0]
-	sharedSnapCohort := cohortUnnumbered
-	nextCohort, peerSnaps := 0, 0
-	for _, id := range r.sortedPeerIDs() {
-		p := r.peers[id]
-		if r.wantSnapshot(p, tick) {
-			var snap *protocol.Snapshot
-			var cohort int
-			if p.filter != nil {
-				snap = r.peerSnaps[peerSnaps] // same peers, same order as pass 1
-				peerSnaps++
-				cohort = nextCohort
-				nextCohort++
-			} else {
-				if sharedSnapCohort == cohortUnnumbered {
-					sharedSnapCohort = nextCohort
-					nextCohort++
-				}
-				snap = r.snapScratch
-				cohort = sharedSnapCohort
-			}
+	for _, j := range jobs {
+		p := j.peer
+		if j.snap != nil {
 			p.lastSnapshot = tick
 			p.snapshots++
 			p.noteSent(tick, p.ackTick, true)
-			out = append(out, PeerMessage{Peer: id, Msg: snap, Cohort: cohort})
+			out = append(out, PeerMessage{Peer: j.id, Msg: j.snap})
 			continue
 		}
-		if p.filter != nil {
-			if len(p.scratch.Changed) == 0 && len(p.scratch.Removed) == 0 {
-				continue
-			}
-			p.deltas++
-			p.noteSent(tick, p.ackTick, false)
-			out = append(out, PeerMessage{Peer: id, Msg: p.scratch, Cohort: nextCohort})
-			nextCohort++
-			continue
-		}
-		dc := r.deltaCohorts[p.ackTick]
-		if dc.cohort == cohortUnnumbered {
-			if len(dc.msg.Changed) == 0 && len(dc.msg.Removed) == 0 {
-				dc.msg, dc.cohort = nil, cohortEmpty
-			} else {
-				dc.cohort = nextCohort
-				nextCohort++
-			}
-			r.deltaCohorts[p.ackTick] = dc
-		}
-		if dc.msg == nil {
+		if len(p.scratch.Changed) == 0 && len(p.scratch.Removed) == 0 {
 			continue
 		}
 		p.deltas++
 		p.noteSent(tick, p.ackTick, false)
-		out = append(out, PeerMessage{Peer: id, Msg: dc.msg, Cohort: dc.cohort})
+		out = append(out, PeerMessage{Peer: j.id, Msg: p.scratch})
 	}
 	r.plan = out
 	return out
 }
 
-// wantSnapshot is the snapshot-vs-delta decision for one peer at tick. Pass 3
-// must see what pass 1 saw: it reads only ack and keyframe state, which the
-// builds in between never touch, and pass 3 itself advances lastSnapshot
-// only after asking.
+// wantSnapshot is the snapshot-vs-delta decision for one peer at tick.
 func (r *Replicator) wantSnapshot(p *peerState, tick uint64) bool {
 	return !p.acked ||
 		tick-p.ackTick > r.cfg.MaxDeltaWindow ||
 		(r.cfg.SnapshotEvery > 0 && tick-p.lastSnapshot >= r.cfg.SnapshotEvery)
 }
 
-// scratchSlot returns the i-th recycled message of a per-tick scratch list,
-// growing the list as needed. Pass 1 assigns one message per distinct ack
-// baseline (emptiness is unknown until the build runs; empty builds never
-// enter the plan) and one per filtered peer's snapshot, and every message is
-// reused next tick.
-func scratchSlot[T any](list *[]*T, i int) *T {
-	for len(*list) <= i {
-		*list = append(*list, new(T))
-	}
-	return (*list)[i]
-}
-
-// Sentinel cohort values used between passes 1 and 3: a cohort built but
-// not yet numbered, and a cohort whose build came back empty (no message
-// planned for its members).
-const (
-	cohortUnnumbered = -1
-	cohortEmpty      = -2
-)
-
 // execJob runs one build of pass 2. Jobs write only their own target message
 // and their peer's owed set, honoring the pool's ownership rules (see package
 // work).
 func (r *Replicator) execJob(_, i int) {
 	j := &r.jobs[i]
-	switch j.kind {
-	case jobSharedSnap:
-		r.store.SnapshotInto(nil, r.snapScratch)
-	case jobPeerSnap:
-		r.store.SnapshotOwedInto(j.peer.filter, j.snap, j.peer.owed)
-	case jobPeerDelta:
-		p := j.peer
+	p := j.peer
+	switch {
+	case j.snap != nil && p.filter == nil:
+		r.store.SnapshotInto(nil, j.snap)
+	case j.snap != nil:
+		r.store.SnapshotOwedInto(p.filter, j.snap, p.owed)
+	case p.filter == nil:
+		r.store.DeltaSinceInto(p.ackTick, nil, p.scratch)
+	default:
 		r.store.DeltaSinceOwedInto(p.ackTick, p.filter, p.scratch, p.owed, p.ackTick, r.cfg.OwedSettleTicks)
-	case jobCohortDelta:
-		r.store.DeltaSinceInto(j.base, nil, j.delta)
 	}
 }
 

@@ -224,7 +224,7 @@ func (s *Store) Snapshot(filter func(protocol.ParticipantID) bool) *protocol.Sna
 }
 
 // SnapshotInto is Snapshot building into msg, reusing its Entities
-// capacity; the replicator threads per-peer/cohort scratch messages through
+// capacity; the replicator threads per-tick scratch messages through
 // it so steady-state snapshot planning allocates nothing (mirroring what
 // DeltaSinceInto does for deltas and the pooled Decoder does on receive).
 func (s *Store) SnapshotInto(filter func(protocol.ParticipantID) bool, msg *protocol.Snapshot) {
@@ -250,7 +250,7 @@ func (s *Store) DeltaSince(base uint64, filter func(protocol.ParticipantID) bool
 }
 
 // DeltaSinceInto is DeltaSince building into msg, reusing its
-// Changed/Removed capacity; the replicator threads per-cohort scratch
+// Changed/Removed capacity; the replicator threads per-peer scratch
 // messages through it so steady-state delta planning allocates nothing. It is
 // one pass over the ascending (id, slot) order testing "changed after base".
 //

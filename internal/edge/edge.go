@@ -53,8 +53,6 @@ type Config struct {
 	// SeatRows, SeatCols describe the room's seating grid (default 6 x 8);
 	// seats are seatPitch apart.
 	SeatRows, SeatCols int
-	// InterpDelay is the remote-avatar playout delay (default 100 ms).
-	InterpDelay time.Duration
 	// StaleAfter despawns a local participant whose sensors went quiet
 	// (default 2 s).
 	StaleAfter time.Duration
@@ -109,11 +107,10 @@ func New(sim *vclock.Sim, tr endpoint.Transport, cfg Config) (*Server, error) {
 		return nil, errors.New("edge: classroom ID must be nonzero")
 	}
 	rt, err := node.New(sim, tr, node.Config{
-		TickHz:      cfg.TickHz,
-		InterpDelay: cfg.InterpDelay,
-		Interest:    cfg.Interest,
-		CountRecv:   true,
-		AutoPong:    true,
+		TickHz:    cfg.TickHz,
+		Interest:  cfg.Interest,
+		CountRecv: true,
+		AutoPong:  true,
 	})
 	if err != nil {
 		return nil, err
@@ -265,7 +262,7 @@ func (s *Server) Start() error {
 	return s.rt.Start(s.authorLocals)
 }
 
-// Stop halts the tick loop and releases the last tick's cohort frames.
+// Stop halts the tick loop.
 // Safe to call repeatedly.
 func (s *Server) Stop() { s.rt.Stop() }
 

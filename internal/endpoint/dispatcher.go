@@ -23,13 +23,13 @@ type Config struct {
 	// AutoPong answers Ping frames with a Pong echoing nonce and send time
 	// (server endpoints; clients count stray pings as unhandled instead).
 	AutoPong bool
-	// Pool runs Fanout's distinct cohort encodes on its workers before the
-	// in-order send walk; nil encodes them inline on the caller.
+	// Pool runs Fanout's per-peer encodes on its workers before the in-order
+	// send walk; nil encodes them inline on the caller.
 	Pool *work.Pool
 }
 
 // Dispatcher is the shared receive/reply surface of every node: it owns the
-// pooled protocol.Decoder, the cohort FrameCache for tick fan-out, the
+// pooled protocol.Decoder, the fan-out's per-peer frame slots, the
 // ack/pong reply scratch, and the recv-side metric family — so the four node
 // types carry no decode switch, no scratch duplication, and no drifting
 // counter names of their own.
@@ -52,8 +52,14 @@ type Dispatcher struct {
 	reg     *metrics.Registry
 	cfg     Config
 
-	dec         protocol.Decoder
-	frames      core.FrameCache
+	dec protocol.Decoder
+	// plan and frames are Fanout's scratch: frames[i] is plan entry i's
+	// encoded frame (nil when the encode failed) while the call runs;
+	// encode is the hoisted job body, built once so pool runs allocate
+	// nothing.
+	plan        []core.PeerMessage
+	frames      []*protocol.Frame
+	encode      func(worker, i int)
 	ackScratch  protocol.Ack
 	pongScratch protocol.Pong
 	// recvFrame is the refcounted frame backing the payload currently being
@@ -242,23 +248,31 @@ func (d *Dispatcher) reply(to Addr, msg protocol.Message) {
 	}
 }
 
-// Fanout encodes and transmits one tick's replication plan: each distinct
-// cohort payload is encoded exactly once into a pooled frame, every cohort
-// member receives the identical frame with its own reference, and the
-// transport releases each reference on delivery, loss, drop, or error.
-// Call once per tick with the node's PlanTick result. On a batching
-// transport the whole plan is queued and flushed with one vectored write per
-// touched connection — one flush per tick per conn — instead of one flush
-// per send. The distinct cohort encodes run on Config.Pool first; sends
-// always stay in plan order on this goroutine, so the wire traffic is
-// identical at every worker count.
+// Fanout encodes and transmits one tick's replication plan: every entry is
+// encoded into its own pooled frame, whose single reference the transport
+// consumes on delivery, loss, drop, or error. Call once per tick with the
+// node's PlanTick result. On a batching transport the whole plan is queued
+// and flushed with one vectored write per touched connection — one flush per
+// tick per conn — instead of one flush per send. The encodes run on
+// Config.Pool first, entry i into slot i; sends always stay in plan order on
+// this goroutine, so the wire traffic is identical at every worker count. No
+// frame reference outlives the call.
 func (d *Dispatcher) Fanout(plan []core.PeerMessage) {
-	d.frames.EncodePlan(plan, d.cfg.Pool)
+	d.plan = plan
+	for len(d.frames) < len(plan) {
+		d.frames = append(d.frames, nil)
+	}
+	if d.encode == nil {
+		d.encode = d.encodeAt
+	}
+	d.cfg.Pool.Run(len(plan), d.encode)
+	d.plan = nil // do not pin the plan's messages past the tick
 	if d.batcher != nil {
 		d.batcher.BeginBatch()
 	}
-	for _, pm := range plan {
-		frame := d.frames.FrameFor(pm)
+	for i, pm := range plan {
+		frame := d.frames[i]
+		d.frames[i] = nil
 		if frame == nil {
 			d.mEncodeErrors.Inc()
 			continue
@@ -276,9 +290,16 @@ func (d *Dispatcher) Fanout(plan []core.PeerMessage) {
 	}
 }
 
-// ReleaseFrames drops the cohort table's base references. Call when the
-// owning node stops, so the final tick's frames are not pinned forever.
-func (d *Dispatcher) ReleaseFrames() { d.frames.Reset() }
+// encodeAt encodes plan entry i into frame slot i (nil on failure:
+// EncodeFrame returns no frame with an error).
+func (d *Dispatcher) encodeAt(_, i int) {
+	d.frames[i], _ = protocol.EncodeFrame(d.plan[i].Msg)
+}
+
+// ReleaseFrames does nothing: Fanout hands every frame's only reference to
+// the transport, so no frame outlives the call. It remains for callers
+// written against the earlier shared-frame fan-out.
+func (d *Dispatcher) ReleaseFrames() {}
 
 // Send encodes msg into a pooled frame and transmits it — the one-off path
 // outside the tick fan-out (pose publishes, pings). The frame's reference is

@@ -43,10 +43,6 @@ var (
 type Config struct {
 	// TickHz is the replication tick rate (default 30).
 	TickHz float64
-	// InterpDelay is the playout delay of sync-peer replicas (default
-	// 100 ms). It also sets how much history each playout buffer keeps
-	// (core.NewReplica).
-	InterpDelay time.Duration
 	// Interest is the client fan-out policy; nil disables interest
 	// management (broadcast).
 	Interest *interest.Policy
@@ -59,10 +55,11 @@ func (c *Config) applyDefaults() {
 	if c.TickHz <= 0 {
 		c.TickHz = 30
 	}
-	if c.InterpDelay <= 0 {
-		c.InterpDelay = 100 * time.Millisecond
-	}
 }
+
+// interpDelay is the playout delay of sync-peer replicas. It also sets how
+// much history each playout buffer keeps (core.NewReplica).
+const interpDelay = 100 * time.Millisecond
 
 // SyncPeer is one inbound sync partner (a campus edge at the cloud, the
 // cloud at a relay or edge, a peer edge) whose Snapshot/Delta traffic lands
@@ -116,7 +113,7 @@ type Runtime struct {
 	liveScratch   map[protocol.ParticipantID]bool
 	removeScratch []protocol.ParticipantID
 
-	// pool runs the tick's plan builds and cohort encodes; its width is
+	// pool runs the tick's per-peer plan builds and encodes; its width is
 	// GOMAXPROCS at construction. Width is proven not to change the output
 	// and has not been shown to shorten the tick (see package work).
 	pool *work.Pool
@@ -206,7 +203,7 @@ func (r *Runtime) ConnectReplica(addr endpoint.Addr, ageHist string) (*SyncPeer,
 	if _, ok := r.peers[addr]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrPeerExists, addr)
 	}
-	p := &SyncPeer{Addr: addr, Replica: core.NewReplica(r.cfg.InterpDelay, pose.Linear{})}
+	p := &SyncPeer{Addr: addr, Replica: core.NewReplica(interpDelay, pose.Linear{})}
 	p.Replica.Latency = r.reg.Histogram(ageHist)
 	r.peers[addr] = p
 	r.peersDirty = true
@@ -479,7 +476,7 @@ func (r *Runtime) MirrorPeers(retain func(e protocol.EntityState) bool) {
 }
 
 // Start begins the tick loop: BeginTick, the node's ingest policy, then the
-// cohort fan-out of the replication plan through the dispatcher (which
+// per-peer fan-out of the replication plan through the dispatcher (which
 // batches the tick's sends into one flush per connection on transports that
 // support it).
 func (r *Runtime) Start(onTick func()) error {
@@ -495,15 +492,13 @@ func (r *Runtime) Start(onTick func()) error {
 // Started reports whether the tick loop is running.
 func (r *Runtime) Started() bool { return r.cancel != nil }
 
-// Stop halts the tick loop, releases the last tick's cohort frames, and
-// parks the worker pool's helper goroutines (a later Start revives them
-// lazily). Safe to call repeatedly.
+// Stop halts the tick loop and parks the worker pool's helper goroutines (a
+// later Start revives them lazily). Safe to call repeatedly.
 func (r *Runtime) Stop() {
 	if r.cancel != nil {
 		r.cancel()
 		r.cancel = nil
 	}
-	r.ep.ReleaseFrames()
 	r.pool.Close()
 }
 

@@ -9,8 +9,8 @@ import (
 
 // Frame is a pooled, reference-counted wire-frame buffer: the unit of byte
 // ownership on the send path. A frame is acquired with one reference,
-// retained once per additional holder (e.g. per recipient of a cohort
-// fan-out), and released by each holder exactly once; the final release
+// retained once per additional holder (e.g. a relay forwarding the frame it
+// received), and released by each holder exactly once; the final release
 // returns the buffer to a process-wide pool, so steady-state traffic
 // allocates no frame bytes at all.
 //

@@ -38,9 +38,9 @@ var (
 type Config struct {
 	// CloudAddr names the cloud's endpoint.
 	CloudAddr endpoint.Addr
-	// Cloud configures the cloud server. Its TickHz, InterpDelay and Interest
-	// are also every edge's and relay's (one policy instance, so pins and tier
-	// radii agree wherever a client attaches), its InterpDelay every client's.
+	// Cloud configures the cloud server. Its TickHz and Interest are also
+	// every edge's and relay's (one policy instance, so pins and tier radii
+	// agree wherever a client attaches).
 	Cloud cloud.Config
 	// PublishHz is each client's pose upload rate (0 = the client default).
 	PublishHz float64
@@ -136,10 +136,9 @@ func (r *Rig) AddEdge(addr endpoint.Addr, id protocol.ClassroomID, link netsim.L
 		return nil, err
 	}
 	es, err := edge.New(r.sim, tr, edge.Config{
-		Classroom:   id,
-		TickHz:      r.cfg.Cloud.TickHz,
-		InterpDelay: r.cfg.Cloud.InterpDelay,
-		Interest:    r.cfg.Cloud.Interest,
+		Classroom: id,
+		TickHz:    r.cfg.Cloud.TickHz,
+		Interest:  r.cfg.Cloud.Interest,
 	})
 	if err == nil {
 		err = r.fab.Link(r.cfg.CloudAddr, addr, link)
@@ -177,10 +176,9 @@ func (r *Rig) AddRelay(addr endpoint.Addr, link netsim.LinkConfig) (*cloud.Relay
 		return nil, err
 	}
 	rel, err := cloud.NewRelay(r.sim, tr, cloud.RelayConfig{
-		Upstream:    r.cfg.CloudAddr,
-		TickHz:      r.cfg.Cloud.TickHz,
-		InterpDelay: r.cfg.Cloud.InterpDelay,
-		Interest:    r.cfg.Cloud.Interest,
+		Upstream: r.cfg.CloudAddr,
+		TickHz:   r.cfg.Cloud.TickHz,
+		Interest: r.cfg.Cloud.Interest,
 	})
 	if err == nil {
 		err = r.fab.Link(r.cfg.CloudAddr, addr, link)
@@ -238,7 +236,6 @@ func (r *Rig) Join(id protocol.ParticipantID, addr endpoint.Addr, script trace.M
 		Participant: id,
 		Server:      server,
 		PublishHz:   r.cfg.PublishHz,
-		InterpDelay: r.cfg.Cloud.InterpDelay,
 		Script:      script,
 	})
 	if err == nil {

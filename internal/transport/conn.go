@@ -32,9 +32,10 @@ type Conn struct {
 	r  *bufio.Reader
 	mu sync.Mutex // guards writes and the pending batch
 
-	// pending is the queued write batch: refcounted frames whose bytes are
-	// shared with other holders (cohort mates, in-flight sends) and flushed
-	// to the socket with one vectored write — no per-connection copy.
+	// pending is the queued write batch: refcounted frames whose bytes may be
+	// shared with other holders (a forwarded receive frame, in-flight sends)
+	// and flushed to the socket with one vectored write — no per-connection
+	// copy.
 	pending   []*protocol.Frame
 	flushHdrs [][4]byte
 	flushBufs net.Buffers

@@ -34,7 +34,7 @@ func (c *RoomConfig) applyDefaults() {
 // to one process.
 //
 // The Room is a thin admission policy over node.Runtime: the peer table,
-// replicator wiring, tick skeleton, cohort fan-out, and join/leave teardown
+// replicator wiring, tick skeleton, per-peer fan-out, and join/leave teardown
 // are all the runtime's (the same pooled, leak-gated lifecycle the cloud,
 // relay, and edge nodes run on), driven over an anonymous-accept TCP
 // endpoint. The Room itself only decides who gets in (Hello/HelloAck), which
@@ -130,7 +130,7 @@ func (r *Room) Stats() RoomStats {
 // run is the room's driver: it pumps inbound traffic between ticks and
 // advances the virtual clock one interval per real interval, so the
 // runtime's Ticker fires the shared tick skeleton (BeginTick → plan →
-// cohort fan-out → one vectored flush per conn) at TickHz.
+// per-peer fan-out → one vectored flush per conn) at TickHz.
 func (r *Room) run() {
 	defer r.wg.Done()
 	interval := time.Duration(float64(time.Second) / r.cfg.TickHz)

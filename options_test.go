@@ -35,15 +35,15 @@ func TestOptionCensus(t *testing.T) {
 	}{
 		{classroom.Config{}, 7},
 		{client.VRConfig{}, 7},
-		{cloud.Config{}, 6},
-		{cloud.RelayConfig{}, 4},
+		{cloud.Config{}, 5},
+		{cloud.RelayConfig{}, 3},
 		{core.ReplConfig{}, 4},
-		{edge.Config{}, 7},
+		{edge.Config{}, 6},
 		{endpoint.Config{}, 5},
 		{fusion.Config{}, 2},
 		{geo.Config{}, 7},
 		{netsim.LinkConfig{}, 5},
-		{node.Config{}, 5},
+		{node.Config{}, 4},
 		{render.PipelineConfig{}, 1},
 		{rig.Config{}, 3},
 		{sensors.HeadsetConfig{}, 3},
