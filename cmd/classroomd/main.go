@@ -1,7 +1,7 @@
-// Command classroomd hosts a real-TCP Metaverse classroom sync room (the
-// cloud VR server of Fig. 3 as a single process). Clients join with a Hello,
-// publish PoseUpdate streams, and receive interest-free snapshot/delta
-// replication of every other participant.
+// Command classroomd hosts the cloud VR classroom server of Fig. 3
+// (cloud.Server) over real TCP. Learners join with a Hello, publish pose and
+// expression streams, are seated in the virtual classroom, and receive
+// interest-managed replication of everyone else, whose audio is relayed.
 //
 // Usage:
 //
@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -19,7 +20,10 @@ import (
 	"syscall"
 	"time"
 
+	"metaclass/internal/cloud"
+	"metaclass/internal/interest"
 	"metaclass/internal/transport"
+	"metaclass/internal/vclock"
 )
 
 func main() {
@@ -39,7 +43,7 @@ func main() {
 	}
 }
 
-// checkFlags refuses a tick rate the room cannot run or advertise (the
+// checkFlags refuses a tick rate the server cannot run or advertise (the
 // HelloAck carries it as a uint16; NaN fails the range test too) and a stats
 // interval the stats ticker would panic on.
 func checkFlags(tickHz float64, statsEvery time.Duration) error {
@@ -53,26 +57,32 @@ func checkFlags(tickHz float64, statsEvery time.Duration) error {
 }
 
 func run(addr string, tickHz float64, statsEvery time.Duration) error {
-	room, err := transport.ListenRoom(transport.RoomConfig{Addr: addr, TickHz: tickHz})
+	ep, err := transport.ListenAnonymous("classroomd", addr)
 	if err != nil {
 		return err
 	}
-	defer func() { _ = room.Close() }()
-	fmt.Printf("classroomd: serving on %s at %.0f Hz\n", room.Addr(), tickHz)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	ticker := time.NewTicker(statsEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-sig:
-			fmt.Println("\nclassroomd: shutting down")
-			return room.Close()
-		case <-ticker.C:
-			st := room.Stats()
-			fmt.Printf("participants=%d joined=%d left=%d poses=%d\n",
-				st.Entities, st.Joined, st.Left, st.Poses)
-		}
+	defer func() { _ = ep.Close() }()
+	sim := vclock.New(0)
+	srv, err := cloud.New(sim, ep, cloud.Config{TickHz: tickHz, Interest: interest.NewPolicy()})
+	if err != nil {
+		return err
 	}
+	ep.OnPeerGone(srv.EndSession)
+	if err := srv.Start(); err != nil {
+		return err
+	}
+	defer srv.Stop()
+	// A ticker on the node's clock reads the registry on the serving goroutine.
+	reg := srv.Metrics()
+	sim.Ticker(statsEvery, func() {
+		fmt.Printf("participants=%d joined=%d left=%d poses=%d spoofed=%d\n", srv.World().Len(),
+			reg.Counter("sessions.joined").Value(), reg.Counter("sessions.left").Value(),
+			reg.Counter("client.poses").Value(), reg.Counter("recv.spoofed").Value())
+	})
+	fmt.Printf("classroomd: serving on %s at %.0f Hz\n", ep.TCPAddr(), tickHz)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	ep.Serve(sim, time.Duration(float64(time.Second)/tickHz), ctx.Done())
+	fmt.Println("\nclassroomd: shutting down")
+	return ep.Close()
 }

@@ -4,16 +4,17 @@
 // real network stack. With -churn, clients also cycle through join/leave
 // storms (the E11 workload): each client disconnects after its stay and
 // rejoins, and loadgen reports the onboarding latency (connect to first
-// replicated snapshot) alongside avatar staleness.
+// replicated snapshot) alongside avatar staleness. A run fails (exit 1) when
+// every session failed or no replication update arrived at all.
 //
 // Usage:
 //
 // With -soak N, loadgen instead runs N compressed churn epochs — every
 // client joins, publishes for its stay, and leaves; then a forced GC and a
 // post-GC heap sample — and exits non-zero unless the final-quartile heap is
-// flat against the epoch-3 baseline. Combined with -serve the room runs
-// in-process, so the verdict covers server-side leaks too; against a remote
-// -addr it covers only the client side.
+// flat against the epoch-3 baseline. Combined with -serve (cmd/classroomd's
+// cloud server, built the same way, in-process) the verdict covers
+// server-side leaks too; against a remote -addr only the client side.
 //
 // With -geo, loadgen instead replays the geo deployment schedule — staggered
 // joins across three regions, k-center relay placement, a live roam of both
@@ -38,11 +39,14 @@ import (
 	"sync/atomic"
 	"time"
 
+	"metaclass/internal/cloud"
+	"metaclass/internal/interest"
 	"metaclass/internal/mathx"
 	"metaclass/internal/metrics"
 	"metaclass/internal/protocol"
 	"metaclass/internal/trace"
 	"metaclass/internal/transport"
+	"metaclass/internal/vclock"
 )
 
 func main() {
@@ -52,7 +56,7 @@ func main() {
 		duration = flag.Duration("duration", 30*time.Second, "test duration")
 		rate     = flag.Float64("rate", 20, "pose publish rate per client (Hz)")
 		churn    = flag.Duration("churn", 0, "client stay duration before leaving and rejoining (0 = no churn)")
-		serve    = flag.Bool("serve", false, "host an in-process room on 127.0.0.1:0 and drive it (self-contained smoke)")
+		serve    = flag.Bool("serve", false, "host an in-process cloud server on 127.0.0.1:0 and drive it (self-contained smoke)")
 		soak     = flag.Int("soak", 0, "run N compressed churn epochs with a post-GC heap sample each; exit non-zero unless flat")
 		geoMode  = flag.Bool("geo", false, "replay the geo placement/roam/drain schedule over an in-process TCP fabric; exit non-zero unless converged and leak-free")
 	)
@@ -70,14 +74,12 @@ func main() {
 	}
 	target := *addr
 	if *serve {
-		room, err := transport.ListenRoom(transport.RoomConfig{Addr: "127.0.0.1:0"})
-		if err != nil {
+		var err error
+		if target, err = serveCloud(); err != nil {
 			fmt.Fprintln(os.Stderr, "loadgen:", err)
 			os.Exit(1)
 		}
-		defer func() { _ = room.Close() }()
-		target = room.Addr()
-		fmt.Printf("loadgen: serving in-process room on %s\n", target)
+		fmt.Printf("loadgen: serving an in-process cloud server on %s\n", target)
 	}
 	if *soak > 0 {
 		if err := runSoak(target, *clients, *rate, *churn, *soak); err != nil {
@@ -105,6 +107,61 @@ func checkFlags(clients int, rate float64) error {
 	return nil
 }
 
+// serveCloud hosts a cloud server on 127.0.0.1:0, built as cmd/classroomd
+// builds it and served on its own goroutine until the process exits.
+func serveCloud() (string, error) {
+	const tickHz = 30
+	ep, err := transport.ListenAnonymous("loadgen", "127.0.0.1:0")
+	if err != nil {
+		return "", err
+	}
+	sim := vclock.New(0)
+	srv, err := cloud.New(sim, ep, cloud.Config{TickHz: tickHz, Interest: interest.NewPolicy()})
+	if err != nil {
+		return "", err
+	}
+	ep.OnPeerGone(srv.EndSession)
+	if err := srv.Start(); err != nil {
+		return "", err
+	}
+	go ep.Serve(sim, time.Second/tickHz, nil)
+	return ep.TCPAddr(), nil
+}
+
+// tally is what every client session of a run adds to.
+type tally struct {
+	age, onboard            metrics.SafeHistogram
+	sessions, updates, errs atomic.Uint64
+}
+
+// report prints the run's totals and returns its verdict.
+func (t *tally) report() error {
+	fmt.Printf("done: sessions=%d updates=%d errors=%d\n", t.sessions.Load(), t.updates.Load(), t.errs.Load())
+	if snap := t.age.Snapshot(); snap.Count() > 0 {
+		fmt.Printf("avatar age: p50=%v p95=%v p99=%v max=%v (paper threshold: 100ms)\n",
+			snap.P50().Round(time.Millisecond), snap.P95().Round(time.Millisecond),
+			snap.P99().Round(time.Millisecond), snap.Max().Round(time.Millisecond))
+	}
+	if snap := t.onboard.Snapshot(); snap.Count() > 0 {
+		fmt.Printf("onboarding: p50=%v p95=%v max=%v (connect -> first snapshot)\n",
+			snap.P50().Round(time.Millisecond), snap.P95().Round(time.Millisecond),
+			snap.Max().Round(time.Millisecond))
+	}
+	return verdict(t.sessions.Load(), t.updates.Load(), t.errs.Load())
+}
+
+// verdict fails a run in which no session got through or the server
+// replicated nothing: either way there was nothing to measure.
+func verdict(sessions, updates, errs uint64) error {
+	if errs >= sessions {
+		return fmt.Errorf("every session failed (%d of %d)", errs, sessions)
+	}
+	if updates == 0 {
+		return fmt.Errorf("no replication update arrived")
+	}
+	return nil
+}
+
 // runSoak is the compressed soak gate over real TCP: `epochs` rounds of the
 // full churn cycle — every client joins, publishes for `stay`, leaves — with
 // a forced GC and a post-GC HeapAlloc sample after each round. A deployment
@@ -116,12 +173,7 @@ func runSoak(addr string, clients int, rate float64, stay time.Duration, epochs 
 	}
 	fmt.Printf("loadgen: soak %d epochs x %d clients (stay %v at %.0f Hz) -> %s\n",
 		epochs, clients, stay, rate, addr)
-	var (
-		age      metrics.SafeHistogram
-		onboard  metrics.SafeHistogram
-		received atomic.Uint64
-		errs     atomic.Uint64
-	)
+	var t tally
 	start := time.Now()
 	heaps := make([]uint64, 0, epochs)
 	var ms runtime.MemStats
@@ -131,10 +183,7 @@ func runSoak(addr string, clients int, rate float64, stay time.Duration, epochs 
 			wg.Add(1)
 			go func(id int) {
 				defer wg.Done()
-				if err := runClient(addr, protocol.ParticipantID(id+1), rate, start,
-					time.Now().Add(stay), &age, &onboard, &received); err != nil {
-					errs.Add(1)
-				}
+				_ = t.session(addr, protocol.ParticipantID(id+1), rate, start, time.Now().Add(stay))
 			}(i)
 		}
 		wg.Wait()
@@ -143,12 +192,8 @@ func runSoak(addr string, clients int, rate float64, stay time.Duration, epochs 
 		heaps = append(heaps, ms.HeapAlloc)
 		fmt.Printf("epoch %2d/%d: post-GC heap %5d KB\n", e+1, epochs, ms.HeapAlloc/1024)
 	}
-	fmt.Printf("done: sessions=%d updates=%d errors=%d\n",
-		uint64(epochs*clients), received.Load(), errs.Load())
-	if snap := onboard.Snapshot(); snap.Count() > 0 {
-		fmt.Printf("onboarding: p50=%v p95=%v max=%v\n",
-			snap.P50().Round(time.Millisecond), snap.P95().Round(time.Millisecond),
-			snap.Max().Round(time.Millisecond))
+	if err := t.report(); err != nil {
+		return err
 	}
 	if len(heaps) < 4 {
 		fmt.Println("soak: too few epochs for a flatness verdict (need >= 4)")
@@ -174,13 +219,8 @@ func run(addr string, clients int, duration time.Duration, rate float64, churn t
 	fmt.Printf("loadgen: %d clients -> %s for %v at %.0f Hz (churn stay %v)\n",
 		clients, addr, duration, rate, churn)
 	var (
-		age      metrics.SafeHistogram
-		onboard  metrics.SafeHistogram
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		received atomic.Uint64
-		sessions atomic.Uint64
-		errs     int
+		t  tally
+		wg sync.WaitGroup
 	)
 	start := time.Now()
 	deadline := start.Add(duration)
@@ -200,13 +240,7 @@ func run(addr string, clients int, duration time.Duration, rate float64, churn t
 						stop = s
 					}
 				}
-				sessions.Add(1)
-				err := runClient(addr, protocol.ParticipantID(id+1), rate, start, stop,
-					&age, &onboard, &received)
-				if err != nil {
-					mu.Lock()
-					errs++
-					mu.Unlock()
+				if err := t.session(addr, protocol.ParticipantID(id+1), rate, start, stop); err != nil {
 					// Back off before rejoining so an unreachable server is
 					// retried, not hammered in a busy loop.
 					time.Sleep(250 * time.Millisecond)
@@ -218,31 +252,23 @@ func run(addr string, clients int, duration time.Duration, rate float64, churn t
 		}(i)
 	}
 	wg.Wait()
-	fmt.Printf("done: sessions=%d updates=%d errors=%d\n", sessions.Load(), received.Load(), errs)
-	if snap := age.Snapshot(); snap.Count() > 0 {
-		fmt.Printf("avatar age: p50=%v p95=%v p99=%v max=%v (paper threshold: 100ms)\n",
-			snap.P50().Round(time.Millisecond), snap.P95().Round(time.Millisecond),
-			snap.P99().Round(time.Millisecond), snap.Max().Round(time.Millisecond))
-	}
-	if snap := onboard.Snapshot(); snap.Count() > 0 {
-		fmt.Printf("onboarding: p50=%v p95=%v max=%v (connect -> first snapshot)\n",
-			snap.P50().Round(time.Millisecond), snap.P95().Round(time.Millisecond),
-			snap.Max().Round(time.Millisecond))
-	}
-	return nil
+	return t.report()
 }
 
-func runClient(addr string, id protocol.ParticipantID, rate float64,
-	start, deadline time.Time, age, onboard *metrics.SafeHistogram, received *atomic.Uint64) error {
+// session runs one client session until deadline, counting it and what it
+// receives in t.
+func (t *tally) session(addr string, id protocol.ParticipantID, rate float64, start, deadline time.Time) error {
+	t.sessions.Add(1)
 	joinedAt := time.Now()
 	conn, err := transport.Dial(addr)
-	if err != nil {
-		return err
+	if err == nil {
+		defer conn.Close()
+		err = conn.WriteMessage(&protocol.Hello{
+			Participant: id, Role: protocol.RoleLearner, Name: fmt.Sprintf("load-%d", id),
+		})
 	}
-	defer conn.Close()
-	if err := conn.WriteMessage(&protocol.Hello{
-		Participant: id, Role: protocol.RoleLearner, Name: fmt.Sprintf("load-%d", id),
-	}); err != nil {
+	if err != nil {
+		t.errs.Add(1)
 		return err
 	}
 
@@ -286,28 +312,25 @@ func runClient(addr string, id protocol.ParticipantID, rate float64,
 			break
 		}
 		elapsed := time.Since(start)
+		var ents []protocol.EntityState
+		var tick uint64
 		switch m := msg.(type) {
 		case *protocol.Snapshot:
-			if !synced {
-				synced = true
-				onboard.Observe(time.Since(joinedAt))
-			}
-			for _, e := range m.Entities {
-				age.Observe(elapsed - e.CapturedAt)
-				received.Add(1)
-			}
-			_ = conn.WriteMessage(&protocol.Ack{Participant: id, Tick: m.Tick})
+			ents, tick = m.Entities, m.Tick
 		case *protocol.Delta:
-			if !synced {
-				synced = true
-				onboard.Observe(time.Since(joinedAt))
-			}
-			for _, e := range m.Changed {
-				age.Observe(elapsed - e.CapturedAt)
-				received.Add(1)
-			}
-			_ = conn.WriteMessage(&protocol.Ack{Participant: id, Tick: m.Tick})
+			ents, tick = m.Changed, m.Tick
+		default:
+			continue
 		}
+		if !synced {
+			synced = true
+			t.onboard.Observe(time.Since(joinedAt))
+		}
+		for _, e := range ents {
+			t.age.Observe(elapsed - e.CapturedAt)
+		}
+		t.updates.Add(uint64(len(ents)))
+		_ = conn.WriteMessage(&protocol.Ack{Participant: id, Tick: tick})
 	}
 	wg.Wait()
 	return nil

@@ -28,3 +28,22 @@ func TestCheckFlags(t *testing.T) {
 		}
 	}
 }
+
+func TestVerdict(t *testing.T) {
+	for _, tc := range []struct {
+		name                    string
+		sessions, updates, errs uint64
+		ok                      bool
+	}{
+		{"healthy run", 4, 900, 0, true},
+		{"some sessions failed", 8, 900, 3, true},
+		{"server unreachable", 2, 0, 2, false},
+		{"every session failed after some updates", 2, 10, 2, false},
+		{"server replicated nothing", 4, 0, 0, false},
+		{"no session ran", 0, 0, 0, false},
+	} {
+		if err := verdict(tc.sessions, tc.updates, tc.errs); (err == nil) != tc.ok {
+			t.Errorf("%s: verdict(%d, %d, %d) = %v, want ok=%v", tc.name, tc.sessions, tc.updates, tc.errs, err, tc.ok)
+		}
+	}
+}

@@ -12,9 +12,10 @@
 //
 // The peer table, tick loop, interest filtering, and join/leave lifecycle
 // all live in the shared node.Runtime; this package is the cloud policy
-// over it: world merge from the campuses, VR seating, and client pose
-// authorship. All traffic rides the transport-agnostic endpoint API: the
-// same server runs over the simulated fabric or real TCP sockets.
+// over it: world merge from the campuses, VR seating, client pose
+// authorship, and admission of learners who connect on their own. All
+// traffic rides the transport-agnostic endpoint API: the same server runs
+// over the simulated fabric or real TCP sockets (cmd/classroomd).
 package cloud
 
 import (
@@ -83,6 +84,7 @@ type Server struct {
 	mClientPoses *metrics.Counter
 	hClientAge   *metrics.Histogram
 	retainOwn    func(e protocol.EntityState) bool
+	closePeer    func(endpoint.Addr) // the transport's ClosePeer, else a no-op
 }
 
 // New creates a cloud server on the given transport endpoint: its address,
@@ -110,9 +112,14 @@ func New(sim *vclock.Sim, tr endpoint.Transport, cfg Config) (*Server, error) {
 	// Mirror-tick retention: entities with Home == 0 are cloud-authored VR
 	// users — absent from every edge replica by construction, never culled.
 	s.retainOwn = func(e protocol.EntityState) bool { return e.Home == 0 }
+	s.closePeer = func(endpoint.Addr) {}
+	if c, ok := tr.(interface{ ClosePeer(endpoint.Addr) }); ok {
+		s.closePeer = c.ClosePeer
+	}
 	ep := rt.Dispatcher()
-	ep.OnPose(func(_ endpoint.Addr, m *protocol.PoseUpdate) { s.ingestClientPose(m) })
-	ep.OnExpression(func(_ endpoint.Addr, m *protocol.ExpressionUpdate) { s.ingestClientExpression(m) })
+	ep.OnPose(s.ingestClientPose)
+	ep.OnExpression(s.ingestClientExpression)
+	ep.OnFallback(s.admit)
 	return s, nil
 }
 
@@ -277,10 +284,13 @@ func (s *Server) ingestEdges() { s.rt.MirrorPeers(s.retainOwn) }
 // ingestClientPose authors a remote VR learner's pose into the world,
 // seating them on first contact ("the cloud server arranges the avatars of
 // all users within an entirely virtual VR classroom").
-func (s *Server) ingestClientPose(m *protocol.PoseUpdate) {
-	_, ok := s.rt.Client(m.Participant)
+func (s *Server) ingestClientPose(from endpoint.Addr, m *protocol.PoseUpdate) {
+	c, ok := s.rt.Client(m.Participant)
 	if !ok {
-		s.rt.Metrics().Counter("recv.unknown_client").Inc()
+		s.count("recv.unknown_client")
+		return
+	}
+	if s.spoofed(from, c) {
 		return
 	}
 	pos, rot := m.Pose.Dequantize()
@@ -289,11 +299,11 @@ func (s *Server) ingestClientPose(m *protocol.PoseUpdate) {
 		anchor := mathx.V3(pos.X, 0, pos.Z)
 		asg, err := s.seats.AssignVacant(m.Participant, anchor, rot.Yaw(), mathx.Vec3{})
 		if err != nil {
-			s.rt.Metrics().Counter("seats.exhausted").Inc()
+			s.count("seats.exhausted")
 			st.correction = mathx.TransformIdentity()
 		} else {
 			st.correction = asg.Correction
-			s.rt.Metrics().Counter("seats.assigned").Inc()
+			s.count("seats.assigned")
 		}
 		st.seated = true
 		s.seatStates[m.Participant] = st
@@ -321,7 +331,10 @@ func (s *Server) ingestClientPose(m *protocol.PoseUpdate) {
 	s.hClientAge.Observe(s.rt.Sim().Now() - m.CapturedAt)
 }
 
-func (s *Server) ingestClientExpression(m *protocol.ExpressionUpdate) {
+func (s *Server) ingestClientExpression(from endpoint.Addr, m *protocol.ExpressionUpdate) {
+	if c, ok := s.rt.Client(m.Participant); !ok || s.spoofed(from, c) {
+		return
+	}
 	e, ok := s.rt.Store().Get(m.Participant)
 	if !ok {
 		return
@@ -332,3 +345,93 @@ func (s *Server) ingestClientExpression(m *protocol.ExpressionUpdate) {
 
 // ClientCount returns the number of registered remote learners.
 func (s *Server) ClientCount() int { return s.rt.ClientCount() }
+
+// admit is the receive policy for messages no typed hook claims: a learner
+// connecting on its own (cmd/classroomd) joins with a Hello, leaves with a
+// Leave and speaks in AudioFrames. No other deployment sends them, and
+// traffic from an edge or a relay is never admission. The counters it adds
+// (sessions.joined, sessions.left, recv.spoofed) exist from first increment.
+func (s *Server) admit(from endpoint.Addr, payload []byte, msg protocol.Message) {
+	switch msg.(type) {
+	case *protocol.Snapshot, *protocol.Delta: // no replica: the dispatcher's count
+		s.count("recv.unknown_peer")
+		return
+	}
+	if s.link(from) {
+		s.rt.Dispatcher().CountUnhandled()
+		return
+	}
+	switch m := msg.(type) {
+	case *protocol.Hello:
+		s.hello(from, m)
+	case *protocol.Leave:
+		s.EndSession(from)
+		s.closePeer(from)
+	case *protocol.AudioFrame:
+		s.relayAudio(from, m, payload)
+	default:
+		s.rt.Dispatcher().CountUnhandled()
+	}
+}
+
+// hello admits the learner at from. A duplicate Hello on a live session is
+// ignored; one for a participant another session holds takes the seat over
+// (a churned client rejoining before its old connection's teardown landed).
+func (s *Server) hello(from endpoint.Addr, m *protocol.Hello) {
+	if _, live := s.rt.ClientByAddr(from); live {
+		return
+	}
+	if old, held := s.rt.Client(m.Participant); held {
+		if old.Replicated { // a relay-routed holder's address is its relay's
+			s.closePeer(old.Addr)
+		}
+		_ = s.RemoveClient(m.Participant)
+		s.count("sessions.left")
+	}
+	if s.AddClient(m.Participant, from) != nil {
+		return
+	}
+	s.count("sessions.joined")
+	_ = s.rt.Dispatcher().Send(from, &protocol.HelloAck{Participant: m.Participant,
+		TickRateHz: uint16(s.rt.TickHz()), ServerTick: s.rt.Store().Tick()})
+}
+
+// EndSession ends the learner session whose connection is at addr, if any.
+// A transport whose peers are connections calls it when one dies.
+func (s *Server) EndSession(addr endpoint.Addr) {
+	if c, ok := s.rt.ClientByAddr(addr); ok && s.RemoveClient(c.ID) == nil {
+		s.count("sessions.left")
+	}
+}
+
+// relayAudio forwards a learner's audio at once, zero-copy (lip-sync makes
+// it deadline-critical), to every other directly served learner.
+func (s *Server) relayAudio(from endpoint.Addr, m *protocol.AudioFrame, payload []byte) {
+	if c, ok := s.rt.Client(m.Participant); !ok || s.spoofed(from, c) {
+		return
+	}
+	s.rt.RangeClients(func(c *node.Client) {
+		if c.Replicated && c.Addr != from {
+			_ = s.rt.Dispatcher().Forward(c.Addr, payload)
+		}
+	})
+}
+
+// spoofed reports, and counts as recv.spoofed, a message for learner c from
+// neither c's address (a relay-routed learner's is its relay's) nor a link:
+// a handoff retargets a learner while its old relay may still be forwarding.
+func (s *Server) spoofed(from endpoint.Addr, c *node.Client) bool {
+	if c.Addr == from || s.link(from) {
+		return false
+	}
+	s.count("recv.spoofed")
+	return true
+}
+
+// link reports whether addr is an edge or a relay, not a learner.
+func (s *Server) link(addr endpoint.Addr) bool {
+	_, learner := s.rt.ClientByAddr(addr)
+	return !learner && (s.rt.HasSyncPeer(addr) || s.rt.Replicator().HasPeer(string(addr)))
+}
+
+func (s *Server) count(name string) { s.rt.Metrics().Counter(name).Inc() }

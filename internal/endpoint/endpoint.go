@@ -39,8 +39,8 @@ type FrameReceiver interface {
 // write queue (the TCP mesh). Between BeginBatch and FlushBatch, SendFrame
 // queues frames instead of flushing each one to its socket; FlushBatch
 // drains every touched connection with one vectored write each — one flush
-// per tick per conn, the way Room.tick batches. Transports without the
-// extension flush per send as before, and callers must tolerate both.
+// per tick per conn. Transports without the extension flush per send as
+// before, and callers must tolerate both.
 type Batcher interface {
 	BeginBatch()
 	FlushBatch() error

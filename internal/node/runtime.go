@@ -180,6 +180,9 @@ func (r *Runtime) Sim() *vclock.Sim { return r.sim }
 // Addr returns the node's endpoint address.
 func (r *Runtime) Addr() endpoint.Addr { return r.addr }
 
+// TickHz returns the rate the tick loop runs at (Config.TickHz, defaulted).
+func (r *Runtime) TickHz() float64 { return r.cfg.TickHz }
+
 // Metrics exposes the node's registry.
 func (r *Runtime) Metrics() *metrics.Registry { return r.reg }
 

@@ -3,8 +3,8 @@
 // same protocol frame bytes the simulated fabric carries, each prefixed with
 // a 4-byte big-endian length. Endpoint puts those connections behind
 // endpoint.Transport, so every node runs over sockets exactly as it does
-// over netsim, and Room is the one-process classroom that cmd/classroomd
-// hosts and cmd/loadgen drives with real clients.
+// over netsim, and Endpoint.Serve drives one in real time (cmd/classroomd's
+// cloud server, which cmd/loadgen drives with real clients).
 package transport
 
 import (

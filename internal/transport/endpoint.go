@@ -9,6 +9,7 @@ import (
 
 	"metaclass/internal/endpoint"
 	"metaclass/internal/protocol"
+	"metaclass/internal/vclock"
 )
 
 // ErrUnknownPeer reports a send to an endpoint the mesh has no connection to.
@@ -28,10 +29,10 @@ type inbound struct {
 }
 
 // Endpoint is a TCP-backed endpoint.Transport: a listener plus a set of
-// named peer connections carrying the same length-prefixed protocol frames
-// the Room speaks, with the refcounted-frame ownership contract preserved on
-// both sides of the socket (vectored writes share frame bytes out, pooled
-// frames carry received bytes in).
+// named peer connections carrying Conn's length-prefixed protocol frames,
+// with the refcounted-frame ownership contract preserved on both sides of
+// the socket (vectored writes share frame bytes out, pooled frames carry
+// received bytes in).
 //
 // Peers learn each other's logical names with a one-message handshake: the
 // dialing side announces itself with a Hello whose Name field carries its
@@ -47,8 +48,8 @@ type Endpoint struct {
 	// anon accepts connections without the Hello/HelloAck name handshake:
 	// each accepted conn is registered under its remote TCP address and every
 	// inbound message — the application-level Hello included — reaches the
-	// bound receiver. Server endpoints whose peers are anonymous clients (the
-	// Room) listen this way and run their own admission policy on top.
+	// bound receiver. Server endpoints whose peers are anonymous clients
+	// (cmd/classroomd) listen this way and run their own admission on top.
 	anon bool
 
 	mu     sync.Mutex
@@ -62,7 +63,7 @@ type Endpoint struct {
 	recvFrames endpoint.FrameReceiver
 	// batching, when true, makes SendFrame queue without flushing; dirty
 	// tracks the connections touched since BeginBatch, each flushed once by
-	// FlushBatch (one vectored write per conn per tick, like Room.tick).
+	// FlushBatch (one vectored write per conn per tick).
 	batching     bool
 	dirty        map[endpoint.Addr]*Conn
 	flushScratch []flushEntry
@@ -470,6 +471,24 @@ func (e *Endpoint) PumpWait(timeout time.Duration) int {
 		return 0
 	case <-e.done:
 		return 0
+	}
+}
+
+// Serve drives a node over this endpoint in real time until done closes: it
+// pumps inbound traffic between ticks and advances sim one interval per
+// wall-clock interval, so the node's tickers fire on the calling goroutine.
+func (e *Endpoint) Serve(sim *vclock.Sim, interval time.Duration, done <-chan struct{}) {
+	ticker := time.NewTicker(interval)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-done:
+			return
+		case <-ticker.C:
+			_ = sim.Run(sim.Now() + interval)
+		default:
+			e.PumpWait(time.Millisecond)
+		}
 	}
 }
 

@@ -1,4 +1,4 @@
-package transport
+package transport_test
 
 import (
 	"runtime"
@@ -44,16 +44,16 @@ func soakSession(t *testing.T, addr string, id protocol.ParticipantID, epoch int
 }
 
 // TestRoomSoakFlatness is the long-soak gate over the TCP backend: the
-// folded Room endures compressed churn epochs — 8 loadgen-style clients
+// served cloud server endures compressed churn epochs — 8 loadgen-style clients
 // joining, publishing, and leaving per epoch, participant IDs reused across
 // epochs exactly as cmd/loadgen's churn mode reuses them — with a forced GC
 // and post-GC HeapAlloc sample between epochs. The final-quartile heap must
 // stay within 10% (plus a small absolute slack for goroutine/socket noise)
 // of the epoch-3 baseline, every session must be torn down, and closing the
-// room must leave zero live frames.
+// server must leave zero live frames.
 func TestRoomSoakFlatness(t *testing.T) {
 	live0 := protocol.LiveFrames()
-	r, err := ListenRoom(RoomConfig{Addr: "127.0.0.1:0", TickHz: 60})
+	r, err := listenRoom()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestRoomSoakFlatness(t *testing.T) {
 		wg.Wait()
 		// Drain: every session of this epoch torn down, no entities left.
 		want := uint64((e + 1) * clients)
-		st := waitStats(r, 5*time.Second, func(st RoomStats) bool {
+		st := waitStats(r, 5*time.Second, func(st stats) bool {
 			return st.Left == want && st.Entities == 0
 		})
 		if st.Left != want || st.Entities != 0 {

@@ -1,15 +1,16 @@
-package transport
+package transport_test
 
 import (
 	"testing"
 	"time"
 
 	"metaclass/internal/protocol"
+	"metaclass/internal/transport"
 )
 
 // waitStats polls the room until pred accepts its stats or the deadline
 // passes, returning the last snapshot either way.
-func waitStats(r *Room, timeout time.Duration, pred func(RoomStats) bool) RoomStats {
+func waitStats(r *room, timeout time.Duration, pred func(stats) bool) stats {
 	deadline := time.Now().Add(timeout)
 	for {
 		st := r.Stats()
@@ -20,11 +21,11 @@ func waitStats(r *Room, timeout time.Duration, pred func(RoomStats) bool) RoomSt
 	}
 }
 
-// TestRoomStatsParity pins the RoomStats counter semantics to their pre-fold
-// values for a fixed schedule: Joined counts accepted hellos (duplicates
-// ignored), Poses counts every PoseUpdate received — spoofed and pre-hello
-// ones included, exactly as the old per-connection count did — and Left
-// counts only sessions that had helloed.
+// TestRoomStatsParity pins the session counters for a fixed schedule:
+// sessions.joined counts accepted hellos (duplicates ignored), every
+// PoseUpdate received is counted exactly once — accepted (client.poses),
+// spoofed (recv.spoofed) or pre-hello (recv.unknown_client) — and
+// sessions.left counts only sessions that had helloed.
 func TestRoomStatsParity(t *testing.T) {
 	r := startRoom(t)
 	a := hello(t, r.Addr(), 1)
@@ -51,7 +52,7 @@ func TestRoomStatsParity(t *testing.T) {
 		}
 	}
 	// 2 pre-hello poses from a raw connection (counted, rejected).
-	raw, err := Dial(r.Addr())
+	raw, err := transport.Dial(r.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +66,11 @@ func TestRoomStatsParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st := waitStats(r, 3*time.Second, func(st RoomStats) bool { return st.Poses == 12 })
-	if st.Poses != 12 {
-		t.Fatalf("poses = %d, want 12 (honest 8 + spoofed 2 + pre-hello 2)", st.Poses)
+	received := func(st stats) uint64 { return st.Poses + st.Spoofed + st.UnknownClient }
+	st := waitStats(r, 3*time.Second, func(st stats) bool { return received(st) == 12 })
+	if st.Poses != 8 || st.Spoofed != 2 || st.UnknownClient != 2 {
+		t.Fatalf("poses: accepted %d, spoofed %d, pre-hello %d; want 12 = honest 8 + spoofed 2 + pre-hello 2",
+			st.Poses, st.Spoofed, st.UnknownClient)
 	}
 	if st.Joined != 3 {
 		t.Fatalf("joined = %d, want 3 (duplicate hello must not re-join)", st.Joined)
@@ -81,7 +84,7 @@ func TestRoomStatsParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = raw.Close()
-	st = waitStats(r, 3*time.Second, func(st RoomStats) bool { return st.Left == 1 && st.Entities == 1 })
+	st = waitStats(r, 3*time.Second, func(st stats) bool { return st.Left == 1 && st.Entities == 1 })
 	if st.Left != 1 {
 		t.Fatalf("left = %d, want 1 (never-helloed conns do not count)", st.Left)
 	}
@@ -90,9 +93,8 @@ func TestRoomStatsParity(t *testing.T) {
 	}
 }
 
-// TestRoomStatsAfterClose: Stats during and after Close reports the room's
-// last real state — the pre-fold implementation fabricated Entities: 0 when
-// its command round-trip raced shutdown.
+// TestRoomStatsAfterClose: Stats after Close reports the server's last real
+// state, read once serving has stopped — never a fabricated zero.
 func TestRoomStatsAfterClose(t *testing.T) {
 	r := startRoom(t)
 	a := hello(t, r.Addr(), 1)
@@ -100,7 +102,7 @@ func TestRoomStatsAfterClose(t *testing.T) {
 	if err := a.WriteMessage(posePayload(1, 1, 0.5)); err != nil {
 		t.Fatal(err)
 	}
-	before := waitStats(r, 3*time.Second, func(st RoomStats) bool { return st.Entities == 1 })
+	before := waitStats(r, 3*time.Second, func(st stats) bool { return st.Entities == 1 })
 	if before.Entities != 1 {
 		t.Fatalf("entities = %d before close, want 1", before.Entities)
 	}
@@ -125,7 +127,7 @@ func TestRoomSeatTakeover(t *testing.T) {
 	defer stale.Close()
 	fresh := hello(t, r.Addr(), 4) // hello() fails the test if no ack arrives
 	defer fresh.Close()
-	st := waitStats(r, 3*time.Second, func(st RoomStats) bool { return st.Joined == 2 && st.Left == 1 })
+	st := waitStats(r, 3*time.Second, func(st stats) bool { return st.Joined == 2 && st.Left == 1 })
 	if st.Joined != 2 || st.Left != 1 {
 		t.Fatalf("takeover stats = %+v, want Joined 2, Left 1", st)
 	}

@@ -1,21 +1,83 @@
-package transport
+package transport_test
 
 import (
-	"encoding/binary"
-	"errors"
 	"io"
-	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"metaclass/internal/cloud"
+	"metaclass/internal/interest"
 	"metaclass/internal/mathx"
 	"metaclass/internal/protocol"
+	"metaclass/internal/transport"
+	"metaclass/internal/vclock"
 )
 
-func startRoom(t *testing.T) *Room {
+// room is a cloud server served over TCP the way cmd/classroomd serves one
+// (ListenAnonymous → cloud.New → OnPeerGone → Start → Serve), at 60 Hz.
+type room struct {
+	ep    *transport.Endpoint
+	srv   *cloud.Server
+	Close func() error
+
+	// The serving goroutine samples the registry into st every tick, under
+	// mu; Stats waits for a sample taken after it was called.
+	mu     sync.Mutex
+	cond   *sync.Cond
+	st     stats
+	gen    uint64
+	closed bool
+}
+
+// stats is a point-in-time reading of the server's session counters.
+type stats struct {
+	Joined, Left, Poses, Spoofed, UnknownClient uint64
+	Entities                                    int
+}
+
+func listenRoom() (*room, error) {
+	const interval = time.Second / 60
+	ep, err := transport.ListenAnonymous("classroomd", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	sim := vclock.New(0)
+	srv, err := cloud.New(sim, ep, cloud.Config{TickHz: 60, Interest: interest.NewPolicy()})
+	if err == nil {
+		ep.OnPeerGone(srv.EndSession)
+		err = srv.Start()
+	}
+	if err != nil {
+		_ = ep.Close()
+		return nil, err
+	}
+	r := &room{ep: ep, srv: srv}
+	r.cond = sync.NewCond(&r.mu)
+	sim.Ticker(interval, r.sample)
+	done, served := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(served)
+		ep.Serve(sim, interval, done)
+	}()
+	r.Close = sync.OnceValue(func() error {
+		close(done)
+		<-served
+		r.sample() // the final state, read after the last dispatch
+		r.mu.Lock()
+		r.closed = true
+		r.cond.Broadcast()
+		r.mu.Unlock()
+		err := ep.Close()
+		srv.Stop()
+		return err
+	})
+	return r, nil
+}
+
+func startRoom(t *testing.T) *room {
 	t.Helper()
-	r, err := ListenRoom(RoomConfig{Addr: "127.0.0.1:0", TickHz: 60})
+	r, err := listenRoom()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,9 +85,40 @@ func startRoom(t *testing.T) *Room {
 	return r
 }
 
-func hello(t *testing.T, addr string, id protocol.ParticipantID) *Conn {
+func (r *room) Addr() string { return r.ep.TCPAddr() }
+
+// sample runs on the serving goroutine (or after it has returned), the only
+// one that may read the registry.
+func (r *room) sample() {
+	reg := r.srv.Metrics()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.st = stats{
+		Joined:        reg.Counter("sessions.joined").Value(),
+		Left:          reg.Counter("sessions.left").Value(),
+		Poses:         reg.Counter("client.poses").Value(),
+		Spoofed:       reg.Counter("recv.spoofed").Value(),
+		UnknownClient: reg.Counter("recv.unknown_client").Value(),
+		Entities:      r.srv.World().Len(),
+	}
+	r.gen++
+	r.cond.Broadcast()
+}
+
+// Stats returns a sample the serving goroutine took after the call began;
+// once the room has closed, its final state.
+func (r *room) Stats() stats {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for want := r.gen + 1; r.gen < want && !r.closed; {
+		r.cond.Wait()
+	}
+	return r.st
+}
+
+func hello(t *testing.T, addr string, id protocol.ParticipantID) *transport.Conn {
 	t.Helper()
-	c, err := Dial(addr)
+	c, err := transport.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +144,7 @@ func posePayload(id protocol.ParticipantID, seq uint32, x float64) *protocol.Pos
 }
 
 // readUntil pumps messages until pred returns true or the deadline passes.
-func readUntil(t *testing.T, c *Conn, timeout time.Duration, pred func(protocol.Message) bool) bool {
+func readUntil(t *testing.T, c *transport.Conn, timeout time.Duration, pred func(protocol.Message) bool) bool {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	result := make(chan bool, 1)
@@ -192,35 +285,38 @@ func TestRoomRejectsSpoofedPoses(t *testing.T) {
 	if err := a.WriteMessage(posePayload(1, 1, 0.5)); err != nil {
 		t.Fatal(err)
 	}
+	// The cloud seats learners, so what client 2 sees of entity 1 is the
+	// seat-corrected pose: it is checked against the server's own entity 1,
+	// authored from the one pose the server accepted.
+	var seen protocol.EntityState
 	saw := readUntil(t, b, 3*time.Second, func(msg protocol.Message) bool {
-		check := func(e protocol.EntityState) bool {
-			if e.Participant != 1 {
-				return false
-			}
-			pos, _ := e.Pose.Dequantize()
-			if pos.X > 50 {
-				t.Fatal("spoofed pose accepted")
-			}
-			return pos.X > 0.4 && pos.X < 0.6
-		}
+		var ents []protocol.EntityState
 		switch m := msg.(type) {
 		case *protocol.Snapshot:
-			for _, e := range m.Entities {
-				if check(e) {
-					return true
-				}
-			}
+			ents = m.Entities
 		case *protocol.Delta:
-			for _, e := range m.Changed {
-				if check(e) {
-					return true
-				}
+			ents = m.Changed
+		}
+		for _, e := range ents {
+			if e.Participant == 1 {
+				seen = e
+				return true
 			}
 		}
 		return false
 	})
 	if !saw {
 		t.Fatal("honest pose never replicated")
+	}
+	st := waitStats(r, 3*time.Second, func(st stats) bool { return st.Spoofed == 1 })
+	if st.Spoofed != 1 || st.Poses != 1 {
+		t.Fatalf("spoofed = %d, accepted poses = %d; want 1 and 1 (the spoof dropped)", st.Spoofed, st.Poses)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if e, _ := r.srv.World().Get(1); e.Pose != seen.Pose {
+		t.Fatalf("client 2 saw entity 1 at %+v, the world holds %+v", seen.Pose, e.Pose)
 	}
 }
 
@@ -229,6 +325,7 @@ func TestRoomClientDisconnectRemovesEntity(t *testing.T) {
 	a := hello(t, r.Addr(), 1)
 	defer a.Close()
 	b := hello(t, r.Addr(), 2)
+	_ = a.WriteMessage(posePayload(1, 1, 0))
 	_ = b.WriteMessage(posePayload(2, 1, 1))
 
 	// Wait until entity 2 is visible to client 1.
@@ -250,6 +347,9 @@ func TestRoomClientDisconnectRemovesEntity(t *testing.T) {
 		return false
 	}) {
 		t.Fatal("entity 2 never appeared")
+	}
+	if st := waitStats(r, 3*time.Second, func(st stats) bool { return st.Entities == 2 }); st.Entities != 2 {
+		t.Fatalf("entities = %d before disconnect, want 2", st.Entities)
 	}
 	_ = b.Close()
 
@@ -292,7 +392,7 @@ func TestRoomCloseUnblocksClients(t *testing.T) {
 
 func TestConnReadWriteRoundTrip(t *testing.T) {
 	r := startRoom(t)
-	c, err := Dial(r.Addr())
+	c, err := transport.Dial(r.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,131 +439,6 @@ func TestRoomLeaksNoFrames(t *testing.T) {
 	}
 	if live := protocol.LiveFrames(); live != live0 {
 		t.Fatalf("%d frames leaked by the TCP room write path", live-live0)
-	}
-}
-
-// connPair returns the two ends of a loopback TCP connection, closed when
-// the test ends.
-func connPair(t *testing.T) (c, peer *Conn) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		nc, err := ln.Accept()
-		if err == nil {
-			accepted <- nc
-		}
-	}()
-	c, err = Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	peer = NewConn(<-accepted)
-	t.Cleanup(func() {
-		_ = c.Close()
-		_ = peer.Close()
-	})
-	return c, peer
-}
-
-// TestConnQueueFlushSharesFrameBytes checks the vectored write batch: queued
-// cohort frames reach the peer intact and every reference is consumed, on
-// the success path and when flushing into a closed socket.
-func TestConnQueueFlushSharesFrameBytes(t *testing.T) {
-	live0 := protocol.LiveFrames()
-	c, peer := connPair(t)
-
-	// One shared cohort frame queued twice (two recipients in real use) plus
-	// a second distinct frame: one flush, one writev, three messages.
-	shared, err := protocol.EncodeFrame(&protocol.Ack{Participant: 5, Tick: 77})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared.Retain()
-	other, err := protocol.EncodeFrame(&protocol.Ping{Nonce: 9, SentAt: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.QueueFrame(shared)
-	c.QueueFrame(shared)
-	c.QueueFrame(other)
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []protocol.MsgType{protocol.TypeAck, protocol.TypeAck, protocol.TypePing} {
-		msg, err := peer.ReadMessage()
-		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		if msg.Type() != want {
-			t.Fatalf("message %d = %v, want %v", i, msg.Type(), want)
-		}
-	}
-
-	// Flushing into a closed socket must fail but still release the batch.
-	late, err := protocol.EncodeFrame(&protocol.Ack{Tick: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = c.Close()
-	c.QueueFrame(late)
-	if err := c.Flush(); err == nil {
-		t.Fatal("flush into closed conn succeeded")
-	}
-	if live := protocol.LiveFrames(); live != live0 {
-		t.Fatalf("%d frames leaked by queue/flush", live-live0)
-	}
-}
-
-// TestConnMessagePathsLeakNoFrames covers WriteMessage/ReadMessage, which
-// ride the pooled frame path: a round trip, an unencodable message, an
-// oversize length prefix, and a closed connection must each report the right
-// error and leave the frame accounting at its baseline.
-func TestConnMessagePathsLeakNoFrames(t *testing.T) {
-	live0 := protocol.LiveFrames()
-	c, peer := connPair(t)
-
-	want := &protocol.AudioFrame{Participant: 3, Seq: 8, Data: []byte("voice")}
-	if err := c.WriteMessage(want); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := peer.ReadMessage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := msg.(*protocol.AudioFrame); !ok || got.Seq != want.Seq || string(got.Data) != "voice" {
-		t.Fatalf("round trip returned %#v", msg)
-	}
-
-	// An unencodable message fails before anything is queued or written.
-	huge := &protocol.AudioFrame{Data: make([]byte, protocol.MaxPayload+1)}
-	if err := c.WriteMessage(huge); !errors.Is(err, protocol.ErrTooLarge) {
-		t.Fatalf("oversize message: err = %v, want protocol.ErrTooLarge", err)
-	}
-
-	// An oversize length prefix is refused before any frame is acquired.
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
-	if _, err := c.c.Write(hdr[:]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := peer.ReadMessage(); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("oversize prefix: err = %v, want ErrFrameTooLarge", err)
-	}
-
-	_ = c.Close()
-	if err := c.WriteMessage(want); err == nil {
-		t.Fatal("write on a closed conn succeeded")
-	}
-	if _, err := c.ReadMessage(); err == nil {
-		t.Fatal("read on a closed conn succeeded")
-	}
-	if live := protocol.LiveFrames(); live != live0 {
-		t.Fatalf("%d frames leaked by the message paths", live-live0)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"metaclass/internal/render"
 	"metaclass/internal/rig"
 	"metaclass/internal/sensors"
-	"metaclass/internal/transport"
 	"metaclass/internal/video"
 )
 
@@ -48,7 +47,6 @@ func TestOptionCensus(t *testing.T) {
 		{rig.Config{}, 3},
 		{sensors.HeadsetConfig{}, 3},
 		{sensors.RoomSensorConfig{}, 5},
-		{transport.RoomConfig{}, 2},
 		{video.CodecConfig{}, 3},
 		{video.StreamConfig{}, 4},
 	} {
