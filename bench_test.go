@@ -770,3 +770,28 @@ func TestPlanTickAllocationFree(t *testing.T) {
 		})
 	}
 }
+
+// hostRefSink keeps BenchmarkHostRef's loop from being optimised away.
+var hostRefSink uint64
+
+// BenchmarkHostRef is the host reference: a fixed serial loop that calls into
+// no package of this module, so its ns/op moves only with the machine.
+// scripts/bench.sh --compare divides the gated rows' ns/op by it before
+// comparing two files. Never edit it: a changed loop invalidates every
+// comparison against older files.
+func BenchmarkHostRef(b *testing.B) {
+	var table [4096]uint32
+	for i := range table {
+		table[i] = uint32(i) * 2654435761
+	}
+	x := uint64(88172645463325252)
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 4096; j++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			x += uint64(table[x&4095])
+		}
+	}
+	hostRefSink = x
+}

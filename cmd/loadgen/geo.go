@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
@@ -102,13 +101,15 @@ func runGeo() error {
 		s.VR.Stop()
 	}
 	deadline := time.Now().Add(30 * time.Second)
-	converged := false
-	for !converged && !time.Now().After(deadline) {
+	var divergence error
+	for {
 		if err := sim.Run(sim.Now() + tick); err != nil {
 			return err
 		}
 		settle()
-		converged = geoConverged(d)
+		if divergence = d.Converged(); divergence == nil || time.Now().After(deadline) {
+			break
+		}
 	}
 
 	migrations := d.Metrics().Counter("geo.migrations").Value()
@@ -120,9 +121,9 @@ func runGeo() error {
 	leaked := protocol.LiveFrames() - live0
 
 	fmt.Printf("geo: converged=%v migrations=%d (roams %d, drains %d) leaked=%d\n",
-		converged, migrations, roams, drains, leaked)
-	if !converged {
-		return fmt.Errorf("geo NOT CONVERGED: a client replica diverged from the cloud world after the handoffs")
+		divergence == nil, migrations, roams, drains, leaked)
+	if divergence != nil {
+		return fmt.Errorf("geo NOT CONVERGED after the handoffs: %w", divergence)
 	}
 	if migrations != 9 {
 		return fmt.Errorf("geo performed %d migrations, want 9 (6 roams + 3 drain evictions)", migrations)
@@ -132,33 +133,4 @@ func runGeo() error {
 	}
 	fmt.Println("geo OK: every replica byte-equal to the cloud world, all 9 handoffs done, zero frames leaked")
 	return nil
-}
-
-// geoConverged reports whether every session's replica agrees byte-for-byte
-// with the cloud world on every entity it should hold (everyone but itself,
-// in broadcast mode) and holds nothing else.
-func geoConverged(d *geo.Deployment) bool {
-	world := d.Cloud().World()
-	for _, id := range d.SessionIDs() {
-		s, _ := d.Session(id)
-		store := s.VR.ReplicaStore()
-		for _, eid := range world.IDs() {
-			if eid == id {
-				continue
-			}
-			want, _ := world.Get(eid)
-			got, ok := store.Get(eid)
-			if !ok || got.CapturedAt != want.CapturedAt || got.Pose != want.Pose ||
-				got.VelMMS != want.VelMMS || got.Seat != want.Seat ||
-				got.Flags != want.Flags || !bytes.Equal(got.Expression, want.Expression) {
-				return false
-			}
-		}
-		for _, eid := range store.IDs() {
-			if _, ok := world.Get(eid); !ok {
-				return false
-			}
-		}
-	}
-	return true
 }

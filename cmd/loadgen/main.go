@@ -30,6 +30,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -256,7 +257,8 @@ func run(addr string, clients int, duration time.Duration, rate float64, churn t
 }
 
 // session runs one client session until deadline, counting it and what it
-// receives in t.
+// receives in t. A session the server closes before the client's Leave is
+// over at once: the publisher stops, and the session counts as an error.
 func (t *tally) session(addr string, id protocol.ParticipantID, rate float64, start, deadline time.Time) error {
 	t.sessions.Add(1)
 	joinedAt := time.Now()
@@ -277,6 +279,9 @@ func (t *tally) session(addr string, id protocol.ParticipantID, rate float64, st
 		Phase:  rand.New(rand.NewSource(int64(id))).Float64() * 6,
 	}
 
+	// left closes once the publisher has sent its Leave; received once the
+	// receive loop has ended.
+	left, received := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	// Publisher.
@@ -285,9 +290,16 @@ func (t *tally) session(addr string, id protocol.ParticipantID, rate float64, st
 		ticker := time.NewTicker(time.Duration(float64(time.Second) / rate))
 		defer ticker.Stop()
 		seq := uint32(0)
-		for now := range ticker.C {
+		for {
+			var now time.Time
+			select {
+			case <-received:
+				return
+			case now = <-ticker.C:
+			}
 			if now.After(deadline) {
 				_ = conn.WriteMessage(&protocol.Leave{Participant: id})
+				close(left)
 				_ = conn.Close()
 				return
 			}
@@ -332,6 +344,13 @@ func (t *tally) session(addr string, id protocol.ParticipantID, rate float64, st
 		t.updates.Add(uint64(len(ents)))
 		_ = conn.WriteMessage(&protocol.Ack{Participant: id, Tick: tick})
 	}
+	close(received)
 	wg.Wait()
-	return nil
+	select {
+	case <-left:
+		return nil
+	default:
+		t.errs.Add(1)
+		return errors.New("loadgen: the server closed the session")
+	}
 }

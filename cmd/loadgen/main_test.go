@@ -2,7 +2,11 @@ package main
 
 import (
 	"math"
+	"net"
 	"testing"
+	"time"
+
+	"metaclass/internal/transport"
 )
 
 func TestCheckFlags(t *testing.T) {
@@ -45,5 +49,35 @@ func TestVerdict(t *testing.T) {
 		if err := verdict(tc.sessions, tc.updates, tc.errs); (err == nil) != tc.ok {
 			t.Errorf("%s: verdict(%d, %d, %d) = %v, want ok=%v", tc.name, tc.sessions, tc.updates, tc.errs, err, tc.ok)
 		}
+	}
+}
+
+// TestSessionEndsWhenServerCloses: a server that reads the Hello and hangs up
+// ends the session at once, counted as an error, instead of leaving the
+// publisher writing into the dead socket until the deadline.
+func TestSessionEndsWhenServerCloses(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		conn := transport.NewConn(c)
+		_, _ = conn.ReadMessage()
+		_ = conn.Close()
+	}()
+
+	var tl tally
+	start := time.Now()
+	err = tl.session(ln.Addr().String(), 1, 20, start, start.Add(10*time.Second))
+	if took := time.Since(start); took > 3*time.Second {
+		t.Fatalf("session returned after %v, want well before its 10 s deadline", took)
+	}
+	if err == nil || tl.errs.Load() != 1 {
+		t.Fatalf("session = %v with errs = %d, want an error and errs = 1", err, tl.errs.Load())
 	}
 }

@@ -124,7 +124,9 @@ func TestVRAppliesReplicationAndAcks(t *testing.T) {
 			Pose: protocol.QuantizePose(mathx.V3(float64(id), 1, 0), mathx.QuatIdentity()),
 		})
 	}
-	fs.push(t, snapStore.Snapshot(nil))
+	snap := &protocol.Snapshot{}
+	snapStore.SnapshotInto(nil, snap)
+	fs.push(t, snap)
 	_ = sim.RunAll()
 
 	if len(fs.acks) != 1 || fs.acks[0].Tick != 1 {
@@ -162,7 +164,9 @@ func TestVRPoseAgeMeasured(t *testing.T) {
 		st.BeginTick()
 		st.Upsert(protocol.EntityState{Participant: 1, CapturedAt: 0,
 			Pose: protocol.QuantizePose(mathx.V3(0, 1, 0), mathx.QuatIdentity())})
-		fs.push(t, st.Snapshot(nil))
+		snap := &protocol.Snapshot{}
+		st.SnapshotInto(nil, snap)
+		fs.push(t, snap)
 	})
 	_ = sim.RunAll()
 	h := v.Metrics().Histogram("pose.age")

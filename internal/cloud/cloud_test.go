@@ -328,7 +328,9 @@ func TestCloudEdgeFilterOnlySendsVRUsers(t *testing.T) {
 	edgeStore.BeginTick()
 	edgeStore.Upsert(protocol.EntityState{Participant: 50, Home: 1,
 		Pose: protocol.QuantizePose(mathx.V3(1, 1, 1), mathx.QuatIdentity())})
-	snap, err := protocol.Encode(edgeStore.Snapshot(nil))
+	edgeSnap := &protocol.Snapshot{}
+	edgeStore.SnapshotInto(nil, edgeSnap)
+	snap, err := protocol.Encode(edgeSnap)
 	if err != nil {
 		t.Fatal(err)
 	}

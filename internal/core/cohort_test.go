@@ -29,12 +29,12 @@ func referencePlanTick(s *Store, cfg ReplConfig, peers map[string]*refPeer, orde
 			tick-p.ackTick > cfg.MaxDeltaWindow ||
 			(cfg.SnapshotEvery > 0 && tick-p.lastSnapshot >= cfg.SnapshotEvery)
 		if wantSnapshot {
-			snap := s.Snapshot(nil)
+			snap := snapshotOf(s, nil)
 			p.lastSnapshot = tick
 			out = append(out, PeerMessage{Peer: id, Msg: snap})
 			continue
 		}
-		delta := s.DeltaSince(p.ackTick, nil)
+		delta := deltaOf(s, p.ackTick, nil)
 		if len(delta.Changed) == 0 && len(delta.Removed) == 0 {
 			continue
 		}

@@ -76,14 +76,20 @@ func randEntity(rng *rand.Rand, id protocol.ParticipantID) protocol.EntityState 
 
 // TestDeltaSincePropertyMatchesNaiveReference drives randomized
 // apply/remove/touch/ack sequences through the real Store and the shadow
-// reference in lockstep, asserting every DeltaSince — recent and ancient
-// baselines, filtered and unfiltered — is identical.
+// reference in lockstep, asserting every DeltaSinceInto — recent and ancient
+// baselines, filtered and unfiltered — is identical. Each probe is also built
+// the way the replicator builds an unfiltered peer's, by DeltaSinceOwedInto
+// on a persistent owed set nothing marks, and must equal the unfiltered
+// reference; so must SnapshotOwedInto's snapshot.
 func TestDeltaSincePropertyMatchesNaiveReference(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1234} {
 		rng := rand.New(rand.NewSource(seed))
 		s := NewStore()
 		ref := newShadowStore()
 		const universe = 40
+		var owed OwedSet
+		var owedDelta protocol.Delta
+		var owedSnap protocol.Snapshot
 
 		for step := 0; step < 4000; step++ {
 			s.BeginTick()
@@ -139,7 +145,7 @@ func TestDeltaSincePropertyMatchesNaiveReference(t *testing.T) {
 				if rng.Intn(3) == 0 {
 					filter = func(id protocol.ParticipantID) bool { return id%3 != 0 }
 				}
-				got := s.DeltaSince(base, filter)
+				got := deltaOf(s, base, filter)
 				want := ref.deltaSince(base, filter)
 				if got.BaseTick != want.BaseTick || got.Tick != want.Tick {
 					t.Fatalf("seed %d step %d: header (%d,%d) != (%d,%d)",
@@ -153,12 +159,24 @@ func TestDeltaSincePropertyMatchesNaiveReference(t *testing.T) {
 					t.Fatalf("seed %d step %d base %d: Removed mismatch\ngot  %v\nwant %v",
 						seed, step, base, got.Removed, want.Removed)
 				}
+
+				s.DeltaSinceOwedInto(base, nil, &owedDelta, &owed, 8)
+				all := ref.deltaSince(base, nil)
+				if owedDelta.BaseTick != all.BaseTick || owedDelta.Tick != all.Tick ||
+					!slices.EqualFunc(owedDelta.Changed, all.Changed, entityEqual) || !slices.Equal(owedDelta.Removed, all.Removed) {
+					t.Fatalf("seed %d step %d base %d: owed build (%d,%d) %v -%v != reference (%d,%d) %v -%v", seed, step, base,
+						owedDelta.BaseTick, owedDelta.Tick, ids(owedDelta.Changed), owedDelta.Removed, all.BaseTick, all.Tick, ids(all.Changed), all.Removed)
+				}
 			}
 
 			// Rarely, a receiver-style tick jump re-stamps everything held and
 			// clears the removal log; later deltas must stay correct.
 			if rng.Intn(400) == 0 {
-				snap := s.Snapshot(nil)
+				snap := snapshotOf(s, nil)
+				s.SnapshotOwedInto(nil, &owedSnap, &owed)
+				if owedSnap.Tick != snap.Tick || !slices.EqualFunc(owedSnap.Entities, snap.Entities, entityEqual) {
+					t.Fatalf("seed %d step %d: owed snapshot %v != reference %v", seed, step, ids(owedSnap.Entities), ids(snap.Entities))
+				}
 				snap.Tick += uint64(rng.Intn(5))
 				s.ApplySnapshot(snap)
 				ref.tick = snap.Tick

@@ -7,19 +7,19 @@ import (
 	"metaclass/internal/protocol"
 )
 
-// OwedSet tracks, for one interest-filtered peer, the entities whose latest
-// change the peer's filter suppressed. It closes the decimation hole in
-// plain delta replication: the replicator computes each delta against the
-// peer's single ack baseline, so once the peer acks any tick past an
-// entity's changedTick, that change can never reappear in a delta window
-// — if its only send opportunities were ticks where the tier filter rejected
-// it, the peer's replica would stay stale forever. An owed entry says "this
-// peer may not have the entity's latest state"; it is created whenever the
-// filter rejects a dirty entity (or a snapshot omits a live one) whose
-// change is newer than the last message planned for that peer that carried
-// it, and is dropped only when the peer acknowledges a message that actually
-// carried the entity — not when the message is merely planned, because
-// planned messages can be lost.
+// OwedSet tracks, for one peer, the entities whose latest change the peer's
+// filter suppressed (or that a handoff marked undelivered). It closes the
+// decimation hole in plain delta replication: the replicator computes each
+// delta against the peer's single ack baseline, so once the peer acks any
+// tick past an entity's changedTick, that change can never reappear in a
+// delta window — if its only send opportunities were ticks where the tier
+// filter rejected it, the peer's replica would stay stale forever. An owed
+// entry says "this peer may not have the entity's latest state"; it is
+// created whenever the filter rejects a dirty entity (or a snapshot omits a
+// live one) whose change is newer than the last message planned for that
+// peer that carried it, and is dropped only when the peer acknowledges a
+// message that actually carried the entity — not when the message is merely
+// planned, because planned messages can be lost.
 //
 // The set is an array indexed by the store's entity slots — nearly every
 // entity is owed to nearly every learner on every tick, so the build tests one
@@ -29,7 +29,7 @@ import (
 // tenant never inherits it.
 //
 // Ownership rules (the determinism/parallelism contract):
-//   - One OwedSet per filtered peer, owned by that peer's state. The
+//   - One OwedSet per peer, owned by that peer's state. The
 //     parallel tick may build many peers' messages concurrently, but never
 //     two builds for the same peer — so builds mutate their own OwedSet
 //     without synchronization, and only read the store.
@@ -175,7 +175,7 @@ func (o *OwedSet) awaits(rec sentRec) bool {
 // means the peer is up to date. Regressed or duplicate acks are fine —
 // receipt is receipt regardless of arrival order.
 func (o *OwedSet) AckDrop(tick uint64) {
-	if o == nil || tick == 0 || len(o.sent) == 0 {
+	if tick == 0 || len(o.sent) == 0 {
 		return
 	}
 	lo := sort.Search(len(o.sent), func(i int) bool { return o.sent[i].tick >= tick })
@@ -196,9 +196,6 @@ func (o *OwedSet) AckDrop(tick uint64) {
 // each calls fn for every ID currently owed: the live entities of s with a
 // debt, ascending, then the absent marks no live debt covers. Off the tick path.
 func (o *OwedSet) each(s *Store, fn func(id protocol.ParticipantID)) {
-	if o == nil {
-		return
-	}
 	debt := func(slot uint32) bool {
 		return int(slot) < len(o.ents) && o.ents[slot].owed && o.ents[slot].gen == s.recs[slot].gen
 	}

@@ -147,7 +147,7 @@ func TestOwedSetMatchesMapModel(t *testing.T) {
 			if err := repl.AddPeer("p", never); err != nil {
 				t.Fatal(err)
 			}
-			o := repl.peers["p"].owed
+			o := &repl.peers["p"].owed
 			m := newOwedModel()
 			absentMarks := map[protocol.ParticipantID]bool{}
 			var planTicks []uint64

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"metaclass/internal/protocol"
@@ -518,4 +519,71 @@ func TestOwedSettleGate(t *testing.T) {
 	if st, _ := repl.StatsOf("recv"); st.Owed != 0 {
 		t.Errorf("owed backlog = %d after settled delivery+ack, want 0", st.Owed)
 	}
+}
+
+// TestUnfilteredPeerCarriesDebt pins the one contract for a peer registered
+// without a filter: debt marked by Owe is re-sent by the settled sweep, and a
+// handed-off baseline with owed IDs resumes as a delta that carries them, not
+// as a snapshot.
+func TestUnfilteredPeerCarriesDebt(t *testing.T) {
+	store := NewStore()
+	store.BeginTick() // tick 1
+	for id := protocol.ParticipantID(1); id <= 3; id++ {
+		store.Upsert(protocol.EntityState{Participant: id})
+	}
+	repl := NewReplicator(store, ReplConfig{OwedSettleTicks: 1})
+	if err := repl.AddPeer("srv", nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := repl.PlanTick()[0].Msg.(*protocol.Snapshot); !ok {
+		t.Fatal("first contact is not a snapshot")
+	}
+	if err := repl.Ack("srv", 1); err != nil {
+		t.Fatal(err)
+	}
+
+	store.BeginTick() // tick 2: entity 2 sits unchanged since tick 1
+	store.Upsert(protocol.EntityState{Participant: 1})
+	if err := repl.Owe("srv", 2); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := repl.StatsOf("srv"); st.Owed != 1 {
+		t.Fatalf("owed = %d after Owe, want 1", st.Owed)
+	}
+	d := repl.PlanTick()[0].Msg.(*protocol.Delta)
+	if got := ids(d.Changed); !slices.Equal(got, []protocol.ParticipantID{1, 2}) {
+		t.Fatalf("delta after Owe carried %v, want [1 2] (the owed entity swept)", got)
+	}
+	if err := repl.Ack("srv", 2); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := repl.StatsOf("srv"); st.Owed != 0 {
+		t.Errorf("owed = %d after the carrier's ack, want 0", st.Owed)
+	}
+
+	// Handoff: a fresh unfiltered peer imports a covered floor with debt.
+	for store.Tick() < 5 {
+		store.BeginTick()
+	}
+	store.Upsert(protocol.EntityState{Participant: 3})
+	if err := repl.AddPeer("next", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := repl.ImportBaseline("next", PeerBaseline{AckTick: 4, Acked: true, Owed: []protocol.ParticipantID{2}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range repl.PlanTick() {
+		if m.Peer != "next" {
+			continue
+		}
+		d, ok := m.Msg.(*protocol.Delta)
+		if !ok {
+			t.Fatalf("import with a covered floor and debt planned %T, want a delta", m.Msg)
+		}
+		if d.BaseTick != 4 || !slices.Equal(ids(d.Changed), []protocol.ParticipantID{2, 3}) {
+			t.Fatalf("imported delta from %d carried %v, want base 4 and [2 3]", d.BaseTick, ids(d.Changed))
+		}
+		return
+	}
+	t.Fatal("no message planned for the importing peer")
 }

@@ -30,7 +30,7 @@ type ReplConfig struct {
 	// (0 disables). Keyframes bound the damage of undetected state skew.
 	SnapshotEvery uint64
 	// OwedSettleTicks is how long an entity must sit unchanged before a
-	// filtered peer's owed sweep delivers its suppressed change (default 8,
+	// peer's owed sweep delivers its suppressed change (default 8,
 	// the largest interest rate divisor). While an entity keeps changing,
 	// each phase-tick send supersedes the suppressed change, so an eager
 	// sweep would only duplicate traffic the candidate walk is about to
@@ -65,16 +65,16 @@ type peerState struct {
 	lastSnapshot uint64
 	snapshots    uint64
 	deltas       uint64
-	// filter is the peer's interest gate (nil when unfiltered).
+	// filter is the peer's interest gate (nil admits everything).
 	filter FilterFunc
 	// scratch is the peer's reusable Delta, valid until its next planned
 	// delta, matching the PlanTick result contract.
 	scratch *protocol.Delta
-	// owed tracks the entities whose latest change this peer's filter
-	// suppressed (nil for unfiltered peers: no filter, no suppression).
-	// Owned exclusively by this peer's builds and acks — see OwedSet for
-	// the ownership and determinism contract.
-	owed *OwedSet
+	// owed tracks the entities this peer may not hold the latest state of:
+	// changes its filter suppressed, and debt marked by handoff. Owned
+	// exclusively by this peer's builds and acks — see OwedSet for the
+	// ownership and determinism contract.
+	owed OwedSet
 	// sent is the outstanding send log: one record per planned message not
 	// yet resolved by an ack, ascending by tick. newestAck is the highest
 	// tick acked so far — the log has been resolved through it.
@@ -163,9 +163,7 @@ func (p *peerState) reset() {
 		p.scratch.Changed = p.scratch.Changed[:0]
 		p.scratch.Removed = p.scratch.Removed[:0]
 	}
-	if p.owed != nil {
-		p.owed.Reset()
-	}
+	p.owed.Reset()
 	p.sent = p.sent[:0]
 }
 
@@ -247,9 +245,6 @@ func (r *Replicator) AddPeer(id string, filter FilterFunc) error {
 		p = &peerState{}
 	}
 	p.filter = filter
-	if filter != nil && p.owed == nil {
-		p.owed = &OwedSet{}
-	}
 	r.peers[id] = p
 	r.idsDirty = true
 	return nil
@@ -406,8 +401,8 @@ func (r *Replicator) ExportBaseline(peer string) (PeerBaseline, error) {
 // a floor too old to delta from — falls back to unacked, so the next
 // PlanTick opens with a full snapshot (correct, just not incremental).
 //
-// Owed IDs are re-marked as owed-unsent debt on the importing peer (which
-// must be filtered, i.e. registered with a non-nil FilterFunc). Tick domains
+// Owed IDs are re-marked as owed-unsent debt on the importing peer, filtered
+// or not; the owed sweep re-sends them once they sit settled. Tick domains
 // are node-local, so an owed ID whose entity is absent here is marked anyway:
 // the peer's next build keeps the debt if the entity has arrived by then and
 // forgets it otherwise.
@@ -419,22 +414,14 @@ func (r *Replicator) ImportBaseline(peer string, b PeerBaseline) error {
 	tick := r.store.Tick()
 	coversFloor := b.Acked && b.AckTick >= r.prunedTo && b.AckTick <= tick &&
 		tick-b.AckTick <= r.cfg.MaxDeltaWindow
-	// An unfiltered importer has no owed set to carry the debt, and the
-	// suppressed changes sit below the floor where no delta resurfaces them;
-	// only a snapshot covers that combination.
-	if coversFloor && len(b.Owed) > 0 && p.owed == nil {
-		coversFloor = false
-	}
 	if coversFloor {
 		p.ackTick, p.acked = b.AckTick, true
 		r.pruneDirty = true
 	} else {
 		p.ackTick, p.acked = 0, false
 	}
-	if p.owed != nil {
-		for _, id := range b.Owed {
-			p.owed.markID(r.store, id)
-		}
+	for _, id := range b.Owed {
+		p.owed.markID(r.store, id)
 	}
 	// The send log describes the exporter's traffic; whatever of it was in
 	// flight died with the old route, and this node's sends start fresh.
@@ -442,21 +429,18 @@ func (r *Replicator) ImportBaseline(peer string, b PeerBaseline) error {
 	return nil
 }
 
-// Owe records entity id as owed-unsent debt to a filtered peer, (re)opening
+// Owe records entity id as owed-unsent debt to peer, (re)opening
 // the debt even if a send was already in flight. Handoff uses it to mark
 // state the importing node cannot prove delivered — tick domains are
 // node-local, so the transferred floor covers the exporter's history, not
 // content skew between the two stores. The owed sweep then converges exactly
-// the entities whose delta walk never surfaces them. No-op for unfiltered
-// peers (they are always sent everything).
+// the entities whose delta walk never surfaces them.
 func (r *Replicator) Owe(peer string, id protocol.ParticipantID) error {
 	p, ok := r.peers[peer]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownPeer, peer)
 	}
-	if p.owed != nil {
-		p.owed.markID(r.store, id)
-	}
+	p.owed.markID(r.store, id)
 	return nil
 }
 
@@ -470,8 +454,8 @@ type PeerMessage struct {
 // current tick. Peers receive a Snapshot when they have never acked, their
 // ack is older than MaxDeltaWindow, or a periodic keyframe is due;
 // otherwise a Delta since their ack. Peers with nothing to send (empty
-// delta) are skipped. An unfiltered peer's message is the full state; a
-// filtered peer's is gated by its filter and settles its owed set.
+// delta) are skipped. Every peer's message is gated by its filter (nil admits
+// everything) and settles its owed set.
 //
 // The returned slice and its Messages are valid until the next PlanTick
 // call; callers must not mutate the Messages.
@@ -556,15 +540,10 @@ func (r *Replicator) wantSnapshot(p *peerState, tick uint64) bool {
 func (r *Replicator) execJob(_, i int) {
 	j := &r.jobs[i]
 	p := j.peer
-	switch {
-	case j.snap != nil && p.filter == nil:
-		r.store.SnapshotInto(nil, j.snap)
-	case j.snap != nil:
-		r.store.SnapshotOwedInto(p.filter, j.snap, p.owed)
-	case p.filter == nil:
-		r.store.DeltaSinceInto(p.ackTick, nil, p.scratch)
-	default:
-		r.store.DeltaSinceOwedInto(p.ackTick, p.filter, p.scratch, p.owed, p.ackTick, r.cfg.OwedSettleTicks)
+	if j.snap != nil {
+		r.store.SnapshotOwedInto(p.filter, j.snap, &p.owed)
+	} else {
+		r.store.DeltaSinceOwedInto(p.ackTick, p.filter, p.scratch, &p.owed, r.cfg.OwedSettleTicks)
 	}
 }
 
@@ -574,9 +553,9 @@ type PeerStats struct {
 	Acked     bool
 	Snapshots uint64
 	Deltas    uint64
-	// Owed is the number of entities whose latest change the peer's interest
-	// filter has suppressed and that the peer has not yet acknowledged
-	// receiving (always 0 for unfiltered peers).
+	// Owed is the number of entities the peer owes debt on — a change its
+	// filter suppressed, or a handoff mark — that it has not yet acknowledged
+	// receiving.
 	Owed int
 }
 

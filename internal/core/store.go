@@ -212,21 +212,11 @@ func (s *Store) Range(fn func(id protocol.ParticipantID, e protocol.EntityState)
 	}
 }
 
-// Snapshot builds a full-state message at the current tick. If filter is
-// non-nil, only entities it admits are included.
-func (s *Store) Snapshot(filter func(protocol.ParticipantID) bool) *protocol.Snapshot {
-	msg := &protocol.Snapshot{}
-	if filter == nil {
-		msg.Entities = make([]protocol.EntityState, 0, len(s.ordered()))
-	}
-	s.SnapshotInto(filter, msg)
-	return msg
-}
-
-// SnapshotInto is Snapshot building into msg, reusing its Entities
-// capacity; the replicator threads per-tick scratch messages through
-// it so steady-state snapshot planning allocates nothing (mirroring what
-// DeltaSinceInto does for deltas and the pooled Decoder does on receive).
+// SnapshotInto builds a full-state message at the current tick into msg,
+// reusing its Entities capacity. If filter is non-nil, only entities it admits
+// are included. It is the reference build: the replicator plans every peer
+// with SnapshotOwedInto, and the delta property test and the benchmark
+// kernels measure against this one.
 func (s *Store) SnapshotInto(filter func(protocol.ParticipantID) bool, msg *protocol.Snapshot) {
 	msg.Tick = s.tick
 	msg.Entities = msg.Entities[:0]
@@ -238,21 +228,14 @@ func (s *Store) SnapshotInto(filter func(protocol.ParticipantID) bool, msg *prot
 	}
 }
 
-// DeltaSince builds a delta of changes after base, up to the current tick.
-// If filter is non-nil it gates which changed entities are included
-// (interest management); removals are never filtered — every peer must
-// learn about departures. Filters are invoked once per candidate and must be
-// pure within a tick.
-func (s *Store) DeltaSince(base uint64, filter func(protocol.ParticipantID) bool) *protocol.Delta {
-	msg := &protocol.Delta{}
-	s.DeltaSinceInto(base, filter, msg)
-	return msg
-}
-
-// DeltaSinceInto is DeltaSince building into msg, reusing its
-// Changed/Removed capacity; the replicator threads per-peer scratch
-// messages through it so steady-state delta planning allocates nothing. It is
-// one pass over the ascending (id, slot) order testing "changed after base".
+// DeltaSinceInto builds a delta of changes after base, up to the current
+// tick, into msg, reusing its Changed/Removed capacity. If filter is non-nil
+// it gates which changed entities are included; removals are never filtered.
+// It is one pass over the ascending (id, slot) order testing "changed after
+// base", and the reference build that DeltaSinceOwedInto — what the
+// replicator plans every peer with — is checked against
+// (TestDeltaSincePropertyMatchesNaiveReference) and the benchmark kernels
+// measure.
 //
 // Concurrency: it writes only msg, so several builds may run at once provided
 // the store is not mutated meanwhile and the owner has materialized the walk
@@ -278,12 +261,12 @@ func (s *Store) removedSince(base uint64) []removal {
 	return s.removals[sort.Search(len(s.removals), func(i int) bool { return s.removals[i].tick > base }):]
 }
 
-// DeltaSinceOwedInto builds an interest-filtered delta with owed-change
-// tracking: the decimation-safe variant of DeltaSinceInto for filtered peers.
-// filter and owed must be non-nil; the filter is asked at the store's tick,
-// which is the plan's. It is one pass over the ascending (id,
-// slot) list, testing per slot "changed after base, or owed"; beyond the
-// plain filtered build it
+// DeltaSinceOwedInto builds a peer's delta with owed-change tracking: the
+// decimation-safe variant of DeltaSinceInto, and the one the replicator plans
+// every peer with. owed must be non-nil; a nil filter admits everything, and
+// a non-nil one is asked at the store's tick, which is the plan's. It is one
+// pass over the ascending (id, slot) list, testing per slot "changed after
+// base, or owed"; beyond the plain filtered build it
 //
 //   - marks a changed entity the filter rejects as owed when its change is
 //     newer than the last planned message that carried it (the peer's ack can
@@ -298,15 +281,14 @@ func (s *Store) removedSince(base uint64) []removal {
 //     sweep would only duplicate imminent traffic; the sweep's job is the
 //     entity that went quiet with its last change unsent;
 //   - retransmit-gates the sweep: an owed entity already included at tick L
-//     is re-included only after the peer's ack floor reaches L without the
-//     exact ack for L arriving (the tick-L message is then presumed lost).
-//     ackTick is that floor — for real peers it equals base.
+//     is re-included only after the peer's ack floor base reaches L without
+//     the exact ack for L arriving (the tick-L message is then presumed lost).
 //
 // Each entity is visited once, in ascending ID order, and the filter invoked
 // at most once per entity, so Changed is ascending and byte-identical across
 // runs and worker counts. Removals are never owed, and filtered in one case
 // only (below). Concurrency: as DeltaSinceInto, for distinct owed sets.
-func (s *Store) DeltaSinceOwedInto(base uint64, filter FilterFunc, msg *protocol.Delta, owed *OwedSet, ackTick, settle uint64) {
+func (s *Store) DeltaSinceOwedInto(base uint64, filter FilterFunc, msg *protocol.Delta, owed *OwedSet, settle uint64) {
 	msg.BaseTick, msg.Tick = base, s.tick
 	msg.Changed = msg.Changed[:0]
 	msg.Removed = msg.Removed[:0]
@@ -317,7 +299,7 @@ func (s *Store) DeltaSinceOwedInto(base uint64, filter FilterFunc, msg *protocol
 		e := owed.at(is.slot, r.gen)
 		if r.changedTick > base {
 			// Changed inside the window: this walk subsumes the sweep.
-			if filter(is.id, s.tick) {
+			if filter == nil || filter(is.id, s.tick) {
 				msg.Changed = append(msg.Changed, r.state)
 				if e.owed {
 					owed.markSent(is.slot, s.tick)
@@ -330,7 +312,7 @@ func (s *Store) DeltaSinceOwedInto(base uint64, filter FilterFunc, msg *protocol
 		if !e.owed || s.tick-r.changedTick < settle {
 			continue // nothing owed, or still moving: a later walk supersedes this
 		}
-		if filter(is.id, s.tick) && (e.last == 0 || ackTick >= e.last) {
+		if (filter == nil || filter(is.id, s.tick)) && (e.last == 0 || base >= e.last) {
 			msg.Changed = append(msg.Changed, r.state)
 			owed.markSent(is.slot, s.tick)
 		}
@@ -356,8 +338,8 @@ func carries(changed []protocol.EntityState, id protocol.ParticipantID) bool {
 	return ok
 }
 
-// SnapshotOwedInto is SnapshotInto for an interest-filtered peer with owed
-// tracking (filter and owed non-nil). A snapshot resets the peer's baseline
+// SnapshotOwedInto is SnapshotInto with owed tracking (owed non-nil; a nil
+// filter admits everything). A snapshot resets the peer's baseline
 // to the current tick, so every live entity the filter omits becomes owed —
 // its changedTick, whatever it was, is now at or before the baseline and no
 // delta window will ever surface it again. Included entities that were owed
@@ -369,7 +351,7 @@ func (s *Store) SnapshotOwedInto(filter FilterFunc, msg *protocol.Snapshot, owed
 	for _, is := range s.ordered() {
 		r := &s.recs[is.slot]
 		e := owed.at(is.slot, r.gen)
-		if !filter(is.id, s.tick) {
+		if filter != nil && !filter(is.id, s.tick) {
 			e.mark()
 			continue
 		}

@@ -14,6 +14,19 @@ func ent(id protocol.ParticipantID, x float64) protocol.EntityState {
 	}
 }
 
+// snapshotOf and deltaOf build the reference messages into fresh ones.
+func snapshotOf(s *Store, filter func(protocol.ParticipantID) bool) *protocol.Snapshot {
+	msg := &protocol.Snapshot{}
+	s.SnapshotInto(filter, msg)
+	return msg
+}
+
+func deltaOf(s *Store, base uint64, filter func(protocol.ParticipantID) bool) *protocol.Delta {
+	msg := &protocol.Delta{}
+	s.DeltaSinceInto(base, filter, msg)
+	return msg
+}
+
 func TestStoreUpsertGet(t *testing.T) {
 	s := NewStore()
 	s.BeginTick()
@@ -41,12 +54,12 @@ func TestStoreRemoveLogsRemoval(t *testing.T) {
 	if s.Remove(1) {
 		t.Error("double remove succeeded")
 	}
-	d := s.DeltaSince(1, nil)
+	d := deltaOf(s, 1, nil)
 	if len(d.Removed) != 1 || d.Removed[0] != 1 {
 		t.Errorf("delta removals = %v", d.Removed)
 	}
 	// A peer already past the removal tick doesn't see it.
-	d = s.DeltaSince(2, nil)
+	d = deltaOf(s, 2, nil)
 	if len(d.Removed) != 0 {
 		t.Errorf("stale removal leaked: %v", d.Removed)
 	}
@@ -71,11 +84,11 @@ func TestSnapshotFilter(t *testing.T) {
 	s.BeginTick()
 	s.Upsert(ent(1, 0))
 	s.Upsert(ent(2, 0))
-	snap := s.Snapshot(func(id protocol.ParticipantID) bool { return id == 2 })
+	snap := snapshotOf(s, func(id protocol.ParticipantID) bool { return id == 2 })
 	if len(snap.Entities) != 1 || snap.Entities[0].Participant != 2 {
 		t.Errorf("filtered snapshot = %+v", snap.Entities)
 	}
-	full := s.Snapshot(nil)
+	full := snapshotOf(s, nil)
 	if len(full.Entities) != 2 {
 		t.Errorf("full snapshot = %d entities", len(full.Entities))
 	}
@@ -88,7 +101,7 @@ func TestDeltaSinceOnlyChanged(t *testing.T) {
 	s.Upsert(ent(2, 0))
 	s.BeginTick() // tick 2
 	s.Upsert(ent(2, 5))
-	d := s.DeltaSince(1, nil)
+	d := deltaOf(s, 1, nil)
 	if len(d.Changed) != 1 || d.Changed[0].Participant != 2 {
 		t.Errorf("delta = %+v", d.Changed)
 	}
@@ -108,7 +121,7 @@ func TestTouchForcesReplication(t *testing.T) {
 	if s.Touch(99) {
 		t.Error("touch of absent entity succeeded")
 	}
-	d := s.DeltaSince(1, nil)
+	d := deltaOf(s, 1, nil)
 	if len(d.Changed) != 1 {
 		t.Errorf("touched entity not in delta: %+v", d.Changed)
 	}
@@ -129,7 +142,7 @@ func TestPruneRemovals(t *testing.T) {
 	if s.RemovalLogLen() != 2 {
 		t.Errorf("log after prune = %d, want 2", s.RemovalLogLen())
 	}
-	d := s.DeltaSince(3, nil)
+	d := deltaOf(s, 3, nil)
 	if len(d.Removed) != 2 {
 		t.Errorf("delta removals after prune = %v", d.Removed)
 	}
@@ -143,7 +156,7 @@ func TestApplySnapshotReplacesState(t *testing.T) {
 	recv := NewStore()
 	recv.BeginTick()
 	recv.Upsert(ent(99, 0)) // stale state that must vanish
-	snap := s.Snapshot(nil)
+	snap := snapshotOf(s, nil)
 	recv.ApplySnapshot(snap)
 	if recv.Tick() != s.Tick() {
 		t.Errorf("tick = %d, want %d", recv.Tick(), s.Tick())
@@ -160,18 +173,18 @@ func TestApplyDeltaOrdering(t *testing.T) {
 	src := NewStore()
 	src.BeginTick() // 1
 	src.Upsert(ent(1, 1))
-	snap := src.Snapshot(nil)
+	snap := snapshotOf(src, nil)
 
 	recv := NewStore()
 	recv.ApplySnapshot(snap)
 
 	src.BeginTick() // 2
 	src.Upsert(ent(1, 2))
-	d12 := src.DeltaSince(1, nil)
+	d12 := deltaOf(src, 1, nil)
 
 	src.BeginTick() // 3
 	src.Upsert(ent(2, 3))
-	d23 := src.DeltaSince(2, nil)
+	d23 := deltaOf(src, 2, nil)
 
 	// A delta based beyond our state must be refused.
 	if recv.ApplyDelta(d23) {
@@ -198,11 +211,11 @@ func TestApplyDeltaRemovals(t *testing.T) {
 	src.Upsert(ent(1, 0))
 	src.Upsert(ent(2, 0))
 	recv := NewStore()
-	recv.ApplySnapshot(src.Snapshot(nil))
+	recv.ApplySnapshot(snapshotOf(src, nil))
 
 	src.BeginTick()
 	src.Remove(1)
-	if !recv.ApplyDelta(src.DeltaSince(1, nil)) {
+	if !recv.ApplyDelta(deltaOf(src, 1, nil)) {
 		t.Fatal("delta refused")
 	}
 	if _, ok := recv.Get(1); ok {

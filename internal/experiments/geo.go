@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
@@ -184,40 +183,11 @@ func runGeoPoint(seed int64, sharded bool) geoResult {
 	if !run(3 * time.Second) {
 		return res
 	}
-	res.converged = geoConverged(d)
+	res.converged = d.Converged() == nil
 	d.Stop()
 	if !run(30 * time.Second) {
 		return res
 	}
 	res.leaked = protocol.LiveFrames() - live0
 	return res
-}
-
-// geoConverged reports whether every session's replica agrees byte-for-byte
-// with the cloud world on every entity it should hold (everyone but itself,
-// in broadcast mode) and holds nothing else.
-func geoConverged(d *geo.Deployment) bool {
-	world := d.Cloud().World()
-	for _, id := range d.SessionIDs() {
-		s, _ := d.Session(id)
-		store := s.VR.ReplicaStore()
-		for _, eid := range world.IDs() {
-			if eid == id {
-				continue
-			}
-			want, _ := world.Get(eid)
-			got, ok := store.Get(eid)
-			if !ok || got.CapturedAt != want.CapturedAt || got.Pose != want.Pose ||
-				got.VelMMS != want.VelMMS || got.Seat != want.Seat ||
-				got.Flags != want.Flags || !bytes.Equal(got.Expression, want.Expression) {
-				return false
-			}
-		}
-		for _, eid := range store.IDs() {
-			if _, ok := world.Get(eid); !ok {
-				return false
-			}
-		}
-	}
-	return true
 }

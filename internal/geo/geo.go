@@ -23,6 +23,7 @@
 package geo
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"maps"
@@ -425,3 +426,37 @@ func (d *Deployment) Start() error { return d.rig.Start() }
 
 // Stop halts every tick loop; endpoints stay on the fabric (rig.Stop).
 func (d *Deployment) Stop() { d.rig.Stop() }
+
+// Converged checks that every session's replica agrees byte-for-byte with the
+// cloud world on every entity it should hold (everyone but itself, in
+// broadcast mode) and holds nothing else. It returns nil, or the first
+// divergence: the session, the server serving it, and the entity.
+func (d *Deployment) Converged() error {
+	world := d.Cloud().World()
+	for _, id := range d.SessionIDs() {
+		s, _ := d.Session(id)
+		store := s.VR.ReplicaStore()
+		for _, eid := range world.IDs() {
+			if eid == id {
+				continue
+			}
+			want, _ := world.Get(eid)
+			got, ok := store.Get(eid)
+			if !ok {
+				return fmt.Errorf("geo: session %d (served %q): entity %d missing from replica", id, s.ServedBy(), eid)
+			}
+			if got.CapturedAt != want.CapturedAt || got.Pose != want.Pose ||
+				got.VelMMS != want.VelMMS || got.Seat != want.Seat ||
+				got.Flags != want.Flags || !bytes.Equal(got.Expression, want.Expression) {
+				return fmt.Errorf("geo: session %d (served %q): entity %d diverged: got CapturedAt=%v want %v",
+					id, s.ServedBy(), eid, got.CapturedAt, want.CapturedAt)
+			}
+		}
+		for _, eid := range store.IDs() {
+			if _, ok := world.Get(eid); !ok {
+				return fmt.Errorf("geo: session %d: replica holds departed entity %d", id, eid)
+			}
+		}
+	}
+	return nil
+}

@@ -1,7 +1,6 @@
 package geo
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -41,36 +40,12 @@ func testDeployment(t *testing.T, seed int64) (*vclock.Sim, *Deployment) {
 }
 
 // converged asserts that every session's replica agrees byte-for-byte with
-// the cloud's world on every entity the client should see (everyone but
-// itself, in broadcast mode): the zero-lost, zero-duplicated gate.
+// the cloud's world (Deployment.Converged): the zero-lost, zero-duplicated
+// gate.
 func converged(t *testing.T, d *Deployment) {
 	t.Helper()
-	world := d.Cloud().World()
-	for _, id := range d.SessionIDs() {
-		s, _ := d.Session(id)
-		store := s.VR.ReplicaStore()
-		for _, eid := range world.IDs() {
-			if eid == id {
-				continue
-			}
-			want, _ := world.Get(eid)
-			got, ok := store.Get(eid)
-			if !ok {
-				t.Errorf("session %d (served %q): entity %d missing from replica", id, s.ServedBy(), eid)
-				continue
-			}
-			if got.CapturedAt != want.CapturedAt || got.Pose != want.Pose ||
-				got.VelMMS != want.VelMMS || got.Seat != want.Seat ||
-				got.Flags != want.Flags || !bytes.Equal(got.Expression, want.Expression) {
-				t.Errorf("session %d (served %q): entity %d diverged: got CapturedAt=%v want %v",
-					id, s.ServedBy(), eid, got.CapturedAt, want.CapturedAt)
-			}
-		}
-		for _, eid := range store.IDs() {
-			if _, ok := world.Get(eid); !ok {
-				t.Errorf("session %d: replica holds departed entity %d", id, eid)
-			}
-		}
+	if err := d.Converged(); err != nil {
+		t.Error(err)
 	}
 }
 

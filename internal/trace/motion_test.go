@@ -107,65 +107,3 @@ func TestWalkerDegenerateInputs(t *testing.T) {
 		t.Error("zero-length loop non-finite")
 	}
 }
-
-func TestArrivalsPoisson(t *testing.T) {
-	a := NewArrivals(7)
-	arr := a.Poisson(1000, 10) // 10/s: expect ~100 s span
-	if len(arr) != 1000 {
-		t.Fatalf("len = %d", len(arr))
-	}
-	for i := 1; i < len(arr); i++ {
-		if arr[i] < arr[i-1] {
-			t.Fatal("arrivals not sorted")
-		}
-	}
-	span := arr[len(arr)-1].Seconds()
-	if span < 70 || span > 140 {
-		t.Errorf("1000 arrivals at 10/s span %v s, want ~100", span)
-	}
-	if got := a.Poisson(0, 10); got != nil {
-		t.Error("n=0 should be nil")
-	}
-	if got := a.Poisson(10, 0); got != nil {
-		t.Error("rate=0 should be nil")
-	}
-}
-
-func TestArrivalsSurge(t *testing.T) {
-	a := NewArrivals(9)
-	start := 10 * time.Minute
-	arr := a.Surge(1000, start)
-	if len(arr) != 1000 {
-		t.Fatalf("len = %d", len(arr))
-	}
-	var before int
-	for i, at := range arr {
-		if i > 0 && at < arr[i-1] {
-			t.Fatal("surge not sorted")
-		}
-		if at < start {
-			before++
-		}
-	}
-	if before < 700 || before > 900 {
-		t.Errorf("%d of 1000 arrive before start, want ~800", before)
-	}
-}
-
-func TestSessionLength(t *testing.T) {
-	a := NewArrivals(11)
-	classLen := time.Hour
-	full := 0
-	for i := 0; i < 1000; i++ {
-		d := a.SessionLength(classLen)
-		if d > classLen {
-			t.Fatalf("session %v exceeds class %v", d, classLen)
-		}
-		if d == classLen {
-			full++
-		}
-	}
-	if full < 650 || full > 850 {
-		t.Errorf("%d/1000 stay full class, want ~750", full)
-	}
-}

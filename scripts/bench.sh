@@ -2,22 +2,27 @@
 # bench.sh — run every benchmark of every package in the root module
 # (`go test -bench . ./...`: the root E1–E12 suite and each internal package's
 # micro-benchmarks; the nested bench/ module is classbench's, not this
-# ledger's) with -benchmem and emit BENCH_<n>.json recording name, package,
-# ns/op, B/op, allocs/op and each bench's headline metric
-# (e.g. cloud-egress-KB/s). The JSON files form the repo's
-# perf trajectory: BENCH_1.json is PR 1's floor; later perf PRs append
-# BENCH_2.json, BENCH_3.json, ... and get judged against the previous file.
-# Only what needs no noise model is gated — allocs/op and the deterministic
-# headline metrics; ns/op is recorded, and wall-clock regressions are
-# classbench's job (BENCHMARK.json's step_ms_mean bounds).
+# ledger's) with -benchmem, each -count times, and emit BENCH_<n>.json
+# recording per row its name, package, median ns/op with its spread (the
+# distance between the quartiles of the runs, as a fraction of the median),
+# and the median B/op, allocs/op and headline metric (e.g.
+# cloud-egress-KB/s). The JSON files form the repo's perf trajectory:
+# BENCH_1.json is the first floor; later perf changes append BENCH_2.json,
+# BENCH_3.json, ... and get judged against the previous file.
+#
+# The gates: allocs/op and the deterministic headline metrics (>5%), and the
+# ns/op of a few rows (nsGated below) divided by the HostRef row, a fixed
+# serial loop that only the machine moves. The ns gate fires only when a
+# row's normalised ns/op grew by more than both files' spreads and 10%; an
+# old file recorded without spreads skips it.
 #
 # Usage:
-#   scripts/bench.sh [n]                      run the suite, write BENCH_<n>.json (default n=1)
-#   scripts/bench.sh [n] --compare OLD.json   ...then fail if a gated allocs/op
-#                                             or headline metric regressed >5%
-#                                             vs OLD.json;
-#                                             with n omitted the run goes to a
-#                                             temp file (no baseline clobbered)
+#   scripts/bench.sh [n] [-count N]           run the suite N times (default 5),
+#                                             write BENCH_<n>.json (default n=1)
+#   scripts/bench.sh [n] --compare OLD.json   ...then fail if a gate fires
+#                                             against OLD.json; with n omitted
+#                                             the run goes to a temp file (no
+#                                             baseline clobbered)
 #   scripts/bench.sh --compare OLD.json NEW.json
 #                                             no benchmark run: compare the two
 #                                             committed files (the CI gate)
@@ -25,88 +30,111 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# allocs_of FILE NAME — extract NAME's allocs_per_op from a BENCH json.
-allocs_of() {
-    sed -n 's|.*"name": "'"$2"'".*"allocs_per_op": \([0-9][0-9]*\).*|\1|p' "$1"
-}
+# The rows whose ns/op is gated: the server tick at scale and at a venue, the
+# interest refresh, the wire decode and the replica apply.
+nsGated=("E4Scale" "E12MegaEvent" "RefreshOwned256" "DecoderDeltaWire33/expr=0" "ReplicaApplyDelta/hot")
 
-# metric_of FILE NAME METRIC — extract NAME's headline METRIC (from the
-# "metrics" object go test's extra ReportMetric units land in).
-metric_of() {
+# field_of FILE NAME FIELD — extract NAME's numeric FIELD from a BENCH json:
+# a top-level one (ns_per_op, allocs_per_op, ...) or a headline metric from
+# the "metrics" object go test's extra ReportMetric units land in. Empty when
+# absent.
+field_of() {
     sed -n 's|.*"name": "'"$2"'".*"'"$3"'": \([0-9][0-9.]*\).*|\1|p' "$1"
 }
 
-# gate_metric NAME METRIC OLD NEW REQUIRED — fail when NAME's METRIC grew
-# >5% (headline metrics gated here are costs: egress bandwidth). With
+# gate_value NAME WHAT OLD_FILE NEW_FILE OLD NEW REQUIRED — fail when a cost
+# (allocs/op, egress bandwidth, cold-join latency) grew >5%. With
 # REQUIRED=optional the gate is skipped when the old file predates the
 # benchmark.
-gate_metric() {
-    local name="$1" metric="$2" old_file="$3" new_file="$4" required="$5" old new
-    old="$(metric_of "$old_file" "$name" "$metric")"
-    new="$(metric_of "$new_file" "$name" "$metric")"
+gate_value() {
+    local name="$1" what="$2" old_file="$3" new_file="$4" old="$5" new="$6" required="$7"
     if [[ -z "$new" ]]; then
-        echo "bench.sh: missing $name $metric in $new_file" >&2
+        echo "bench.sh: missing $name $what in $new_file" >&2
         exit 1
     fi
     if [[ -z "$old" ]]; then
         if [[ "$required" == "optional" ]]; then
-            echo "bench.sh: note — $old_file has no $name $metric baseline; gate skipped" >&2
+            echo "bench.sh: note — $old_file has no $name $what baseline; gate skipped" >&2
             return 0
         fi
-        echo "bench.sh: missing $name $metric in $old_file" >&2
+        echo "bench.sh: missing $name $what in $old_file" >&2
         exit 1
     fi
-    echo "$name $metric: $old ($old_file) -> $new ($new_file)" >&2
+    echo "$name $what: $old ($old_file) -> $new ($new_file)" >&2
     if ! awk -v o="$old" -v n="$new" 'BEGIN { exit !(n <= o * 1.05) }'; then
-        echo "bench.sh: FAIL — $name $metric regressed >5% ($old -> $new)" >&2
+        echo "bench.sh: FAIL — $name $what regressed >5% ($old -> $new)" >&2
         exit 1
     fi
 }
 
-# gate_allocs NAME OLD NEW REQUIRED — fail when NAME's allocs/op regressed
-# >5%. With REQUIRED=optional the gate is skipped (with a notice) when the
-# old file predates the benchmark.
 gate_allocs() {
-    local name="$1" old_file="$2" new_file="$3" required="$4" old new
-    old="$(allocs_of "$old_file" "$name")"
-    new="$(allocs_of "$new_file" "$name")"
-    if [[ -z "$new" ]]; then
-        echo "bench.sh: missing $name allocs_per_op in $new_file" >&2
-        exit 1
-    fi
-    if [[ -z "$old" ]]; then
-        if [[ "$required" == "optional" ]]; then
-            echo "bench.sh: note — $old_file has no $name baseline; gate skipped" >&2
-            return 0
-        fi
-        echo "bench.sh: missing $name allocs_per_op in $old_file" >&2
-        exit 1
-    fi
-    echo "$name allocs/op: $old ($old_file) -> $new ($new_file)" >&2
-    if ! awk -v o="$old" -v n="$new" 'BEGIN { exit !(n <= o * 1.05) }'; then
-        echo "bench.sh: FAIL — $name allocs/op regressed >5% ($old -> $new)" >&2
-        exit 1
-    fi
+    gate_value "$1" "allocs/op" "$2" "$3" "$(field_of "$2" "$1" allocs_per_op)" "$(field_of "$3" "$1" allocs_per_op)" "$4"
 }
 
-# compare_allocs OLD NEW — fail when E4Scale or the onboarding storm bench
+gate_metric() {
+    gate_value "$1" "$2" "$3" "$4" "$(field_of "$3" "$1" "$2")" "$(field_of "$4" "$1" "$2")" "$5"
+}
+
+# gate_ns OLD NEW — fail when a gated row's ns/op, divided by its file's
+# HostRef ns/op, grew by more than 10% and more than either file's spread of
+# that row. Skipped when OLD has no spreads or no HostRef row.
+gate_ns() {
+    local old_file="$1" new_file="$2" name o n oref nref os ns
+    oref="$(field_of "$old_file" HostRef ns_per_op)"
+    nref="$(field_of "$new_file" HostRef ns_per_op)"
+    if [[ -z "$oref" || -z "$(field_of "$old_file" "${nsGated[0]}" ns_spread)" ]]; then
+        echo "bench.sh: note — $old_file has no spreads or no HostRef row; ns gate skipped" >&2
+        return 0
+    fi
+    if [[ -z "$nref" ]]; then
+        echo "bench.sh: missing HostRef ns_per_op in $new_file" >&2
+        exit 1
+    fi
+    for name in "${nsGated[@]}"; do
+        o="$(field_of "$old_file" "$name" ns_per_op)"
+        n="$(field_of "$new_file" "$name" ns_per_op)"
+        os="$(field_of "$old_file" "$name" ns_spread)"
+        ns="$(field_of "$new_file" "$name" ns_spread)"
+        if [[ -z "$o" || -z "$n" || -z "$os" || -z "$ns" ]]; then
+            echo "bench.sh: missing $name ns_per_op or ns_spread" >&2
+            exit 1
+        fi
+        if ! awk -v o="$o" -v n="$n" -v oref="$oref" -v nref="$nref" -v os="$os" -v ns="$ns" -v name="$name" '
+            BEGIN {
+                change = (n / nref) / (o / oref) - 1
+                limit = 0.10
+                if (os > limit) limit = os
+                if (ns > limit) limit = ns
+                printf "%s ns/op per HostRef: %.4g -> %.4g (%+.1f%%, limit %.1f%%)\n", name, o / oref, n / nref, 100 * change, 100 * limit > "/dev/stderr"
+                exit !(change <= limit)
+            }'; then
+            echo "bench.sh: FAIL — $name ns/op regressed beyond both spreads and 10%" >&2
+            exit 1
+        fi
+    done
+}
+
+# compare OLD NEW — fail when E4Scale or the onboarding storm bench
 # regressed >5% in allocs/op, when the tiered mega-event's cloud egress grew
 # >5% (the decimation gate: re-admitting the far/ambient crowd at full rate
-# moves bandwidth, not allocations), or when the cold-join first-sync
-# latency grew >5% (the receiver-side pooling gate: geo handoffs that fall
-# back to a snapshot pay exactly this path). (Onboard joined the suite with
-# BENCH_5.json, E12MegaEvent with BENCH_7.json, ColdJoin with BENCH_9.json;
-# older baselines skip their gates.)
-compare_allocs() {
+# moves bandwidth, not allocations), when the cold-join first-sync latency
+# grew >5% (the receiver-side pooling gate: geo handoffs that fall back to a
+# snapshot pay exactly this path), or when a gated row's normalised ns/op
+# fired gate_ns. (Onboard joined the suite with BENCH_5.json, E12MegaEvent
+# with BENCH_7.json, ColdJoin with BENCH_9.json, spreads and HostRef with
+# BENCH_20.json; older baselines skip their gates.)
+compare() {
     gate_allocs "E4Scale" "$1" "$2" required
     gate_allocs "Onboard/storm=64" "$1" "$2" optional
     gate_allocs "ColdJoin" "$1" "$2" optional
     gate_metric "E12MegaEvent" "cloud-egress-KB/s" "$1" "$2" optional
     gate_metric "ColdJoin" "cold-join-ms" "$1" "$2" optional
-    echo "bench.sh: OK — within the 5% allocation, egress, and cold-join budgets" >&2
+    gate_ns "$1" "$2"
+    echo "bench.sh: OK — within the allocation, egress, cold-join and ns/op budgets" >&2
 }
 
 N=""
+COUNT=5
 COMPARE=""
 COMPARE_NEW=""
 while [[ $# -gt 0 ]]; do
@@ -114,10 +142,14 @@ while [[ $# -gt 0 ]]; do
     --compare)
         COMPARE="${2:?--compare needs a BENCH json to compare against}"
         shift 2
-        if [[ $# -gt 0 && "$1" != --* ]]; then
+        if [[ $# -gt 0 && "$1" != -* ]]; then
             COMPARE_NEW="$1"
             shift
         fi
+        ;;
+    -count)
+        COUNT="${2:?-count needs a run count}"
+        shift 2
         ;;
     *)
         N="$1"
@@ -128,7 +160,7 @@ done
 
 if [[ -n "$COMPARE_NEW" ]]; then
     # Pure file comparison — no benchmark run.
-    compare_allocs "$COMPARE" "$COMPARE_NEW"
+    compare "$COMPARE" "$COMPARE_NEW"
     exit 0
 fi
 
@@ -146,48 +178,71 @@ fi
 RAW="$(mktemp)"
 trap 'rm -f "$RAW" $TMP_OUT' EXIT
 
-go test -bench . -skip '^BenchmarkE4Scale$' -benchmem -run '^$' ${BENCHTIME:+-benchtime "$BENCHTIME"} ./... | tee "$RAW" >&2
+go test -bench . -skip '^BenchmarkE4Scale$' -benchmem -run '^$' -count "$COUNT" ${BENCHTIME:+-benchtime "$BENCHTIME"} ./... | tee "$RAW" >&2
 # E4Scale runs apart, at a pinned iteration count (its row comes last):
 # allocs/op is a mean over the iterations, front-loaded by the onboarding
 # ramp, and go test picks the count from wall time — the same binary reads 878
 # allocs/op at 16 iterations and 1,064 at 13, so on a noisy host the 5 % gate
 # would compare host phases. The other gated rows move <1 % with the count.
-go test -bench '^BenchmarkE4Scale$' -benchtime 16x -benchmem -run '^$' . | tee -a "$RAW" >&2
+go test -bench '^BenchmarkE4Scale$' -benchtime 16x -benchmem -run '^$' -count "$COUNT" . | tee -a "$RAW" >&2
 
-awk -v goversion="$(go version | awk '{print $3}')" '
+awk -v goversion="$(go version | awk '{print $3}')" -v count="$COUNT" '
+# median and quartile distance of the k values in v (sorted in place).
+function sortv(v, k,    i, j, t) {
+    for (i = 2; i <= k; i++)
+        for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
+}
+function median(v, k) { sortv(v, k); return k % 2 ? v[(k + 1) / 2] : (v[k / 2] + v[k / 2 + 1]) / 2 }
+function quartiles(v, k,    q) { sortv(v, k); q = int((k - 1) / 4); return v[k - q] - v[1 + q] }
+function collect(key, field, k, v,    i) {
+    for (i = 1; i <= k; i++) v[i] = vals[key, field, i]
+}
+function num(x) { return x == int(x) ? sprintf("%.0f", x) : sprintf("%.2f", x) }
 BEGIN { n = 0 }
 /^pkg: / { pkg = $2 }
 /^Benchmark/ {
     name = $1
     sub(/^Benchmark/, "", name)
     sub(/-[0-9]+$/, "", name) # strip -GOMAXPROCS suffix if present
-    iters = $2
-    ns = ""; bytes = ""; allocs = ""; extra = ""
+    key = pkg SUBSEP name
+    if (!(key in runs)) { order[n++] = key; names[key] = name; pkgs[key] = pkg }
+    r = ++runs[key]
+    iters[key] = $2
     for (i = 3; i + 1 <= NF; i += 2) {
-        val = $i; unit = $(i + 1)
-        if (unit == "ns/op") ns = val
-        else if (unit == "B/op") bytes = val
-        else if (unit == "allocs/op") allocs = val
-        else {
-            if (extra != "") extra = extra ", "
-            extra = extra "\"" unit "\": " val
-        }
+        unit = $(i + 1)
+        if (!((key, unit) in seen)) { seen[key, unit] = 1; units[key] = units[key] SUBSEP unit }
+        vals[key, unit, r] = $i
     }
-    line = sprintf("    {\"name\": \"%s\", \"pkg\": \"%s\", \"iterations\": %s", name, pkg, iters)
-    if (ns != "") line = line sprintf(", \"ns_per_op\": %s", ns)
-    if (bytes != "") line = line sprintf(", \"bytes_per_op\": %s", bytes)
-    if (allocs != "") line = line sprintf(", \"allocs_per_op\": %s", allocs)
-    if (extra != "") line = line sprintf(", \"metrics\": {%s}", extra)
-    line = line "}"
-    bench[n++] = line
 }
 END {
     print "{"
     printf "  \"suite\": \"every benchmark in the root module\",\n"
     printf "  \"go\": \"%s\",\n", goversion
-    printf "  \"command\": \"go test -bench . -benchmem -run ^$ ./... (E4Scale apart at -benchtime 16x)\",\n"
+    printf "  \"command\": \"go test -bench . -benchmem -run ^$ -count %d ./... (E4Scale apart at -benchtime 16x); per row the median of the runs, ns_spread the quartile distance over the median\",\n", count
     print  "  \"benchmarks\": ["
-    for (i = 0; i < n; i++) print bench[i] (i < n - 1 ? "," : "")
+    for (b = 0; b < n; b++) {
+        key = order[b]; k = runs[key]
+        line = sprintf("    {\"name\": \"%s\", \"pkg\": \"%s\", \"runs\": %d, \"iterations\": %s", names[key], pkgs[key], k, iters[key])
+        extra = ""
+        m = split(substr(units[key], 2), us, SUBSEP)
+        for (u = 1; u <= m; u++) {
+            unit = us[u]
+            delete v; collect(key, unit, k, v)
+            med = median(v, k)
+            if (unit == "ns/op") {
+                line = line sprintf(", \"ns_per_op\": %s, \"ns_spread\": %.3f", num(med), med > 0 ? quartiles(v, k) / med : 0)
+            } else if (unit == "B/op") {
+                line = line sprintf(", \"bytes_per_op\": %s", num(med))
+            } else if (unit == "allocs/op") {
+                line = line sprintf(", \"allocs_per_op\": %s", num(med))
+            } else {
+                if (extra != "") extra = extra ", "
+                extra = extra sprintf("\"%s\": %s", unit, num(med))
+            }
+        }
+        if (extra != "") line = line sprintf(", \"metrics\": {%s}", extra)
+        print line "}" (b < n - 1 ? "," : "")
+    }
     print "  ]"
     print "}"
 }' "$RAW" > "$OUT"
@@ -195,5 +250,5 @@ END {
 echo "wrote $OUT" >&2
 
 if [[ -n "$COMPARE" ]]; then
-    compare_allocs "$COMPARE" "$OUT"
+    compare "$COMPARE" "$OUT"
 fi

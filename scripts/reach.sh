@@ -7,7 +7,7 @@
 # of them, as <file>:<line>: <symbol>.
 #
 # Printed, not gated: a function absent from every binary may still be a seam
-# or an oracle a test in another package uses (Store.Snapshot, ShouldSend, ...).
+# or an oracle a test in another package uses (Store.RemovalLogLen, ShouldSend, ...).
 # Deciding which of those stay is a judgement; this is the list to judge.
 set -euo pipefail
 cd "$(dirname "$0")/.."
