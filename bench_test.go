@@ -18,6 +18,7 @@ import (
 	"metaclass/internal/endpoint"
 	"metaclass/internal/experiments"
 	"metaclass/internal/fusion"
+	"metaclass/internal/interest"
 	"metaclass/internal/mathx"
 	"metaclass/internal/metrics"
 	"metaclass/internal/netsim"
@@ -611,67 +612,53 @@ func (s *sinkTransport) LocalAddr() endpoint.Addr     { return "bench-sink" }
 func (s *sinkTransport) Bind(endpoint.Receiver) error { return nil }
 func (s *sinkTransport) Close() error                 { return nil }
 
-func benchEntity(id int, x float64) protocol.EntityState {
-	return protocol.EntityState{
-		Participant: protocol.ParticipantID(id),
-		Pose:        protocol.QuantizePose(mathx.V3(x, 0, x*0.5), mathx.QuatIdentity()),
-	}
-}
-
-// buildPlanFixture assembles a store and replicator loaded like a busy cloud
-// tick — 192 entities and 96 peers, a third interest-filtered (per-peer
-// builds and singleton cohorts) and the rest unfiltered across six distinct
-// ack baselines (shared delta cohorts) — pre-warmed past first-contact
-// snapshots. step advances one tick: churn a quarter of the entities and
-// re-ack every peer at its fixed lag, so each iteration plans the same
-// amount of work.
+// buildPlanFixture assembles a store and replicator loaded like the venue's
+// server tick: 256 entities seated 16×16 at 3.2 m, each also a peer whose
+// interest is asked the way node.Runtime asks a client's — its own
+// interest.Set refreshed under interest.NewPolicy(), then AppendRefused —
+// pre-warmed past first-contact snapshots. step advances one tick: every
+// avatar shifts inside its seat and every peer re-acks at its fixed lag of
+// one to three ticks, so each iteration plans the same amount of work.
 func buildPlanFixture(b testing.TB, pool *work.Pool) (*core.Replicator, func()) {
 	b.Helper()
+	const side, pitch = 16, 3.2
 	s := core.NewStore()
+	g := interest.NewGrid(4)
+	policy := interest.NewPolicy()
 	r := core.NewReplicator(s, core.ReplConfig{Pool: pool})
-	evens := func(id protocol.ParticipantID, _ uint64) bool { return id%2 == 0 }
-	thirds := func(id protocol.ParticipantID, _ uint64) bool { return id%3 != 0 }
-	for i := 0; i < 96; i++ {
-		var f core.FilterFunc
-		if i%3 == 0 {
-			if i%2 == 0 {
-				f = evens
-			} else {
-				f = thirds
-			}
-		}
-		if err := r.AddPeer(fmt.Sprintf("peer-%03d", i), f); err != nil {
+	peers := make([]string, side*side)
+	for i := range peers {
+		id, set := protocol.ParticipantID(i+1), interest.NewSet()
+		peers[i] = fmt.Sprintf("peer-%03d", i)
+		if err := r.AddPeerRefusing(peers[i], func(tick uint64, dst []protocol.ParticipantID) []protocol.ParticipantID {
+			set.RefreshOwned(g, policy, id, tick)
+			return set.AppendRefused(g, dst)
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}
-	var peerBuf []string
 	ack := func() {
-		peerBuf = r.PeersAppend(peerBuf[:0])
 		tick := s.Tick()
-		for i, id := range peerBuf {
-			lag := uint64(i%6) * 2
-			if tick > lag {
-				if err := r.Ack(id, tick-lag); err != nil {
+		for i, peer := range peers {
+			if lag := uint64(1 + i%3); tick > lag {
+				if err := r.Ack(peer, tick-lag); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
 	}
 	step := func() {
-		s.BeginTick()
-		tick := s.Tick()
-		for i := 0; i < 48; i++ {
-			id := 1 + int((tick*7+uint64(i)*11)%192)
-			s.Upsert(benchEntity(id, float64((tick+uint64(i))%40)))
+		tick := s.BeginTick()
+		for i := range peers {
+			id := protocol.ParticipantID(i + 1)
+			pos := mathx.V3(pitch*float64(i%side)+0.01*float64(tick%7), 0, pitch*float64(i/side))
+			s.Upsert(protocol.EntityState{Participant: id, Pose: protocol.QuantizePose(pos, mathx.QuatIdentity())})
+			g.Update(id, pos)
 		}
 		ack()
 	}
-	s.BeginTick()
-	for i := 1; i <= 192; i++ {
-		s.Upsert(benchEntity(i, float64(i%40)))
-	}
-	_ = r.PlanTick() // first-contact snapshots
-	ack()
+	step()
+	_ = r.PlanTick()          // first-contact snapshots
 	for i := 0; i < 12; i++ { // settle into steady-state deltas
 		step()
 		_ = r.PlanTick()
@@ -681,7 +668,7 @@ func buildPlanFixture(b testing.TB, pool *work.Pool) (*core.Replicator, func()) 
 
 // BenchmarkPlanTick measures the replication planner alone at pool widths
 // 1, 2, and 4: width 1 runs the builds inline on the caller; wider pools
-// shard the filtered per-peer and ack-cohort builds. The plan is
+// shard the per-peer builds, each peer's interest refresh included. The plan is
 // byte-identical at every width (the TestPlanTickWidthInvariant contract),
 // so ns/op is the only thing that may move.
 func BenchmarkPlanTick(b *testing.B) {
@@ -702,10 +689,10 @@ func BenchmarkPlanTick(b *testing.B) {
 	}
 }
 
-// BenchmarkFanout measures the dispatcher's cohort encode + send walk over
-// a fixed ~40-cohort plan at pool widths 1, 2, and 4, against a sink
-// transport. Wider pools encode the distinct cohorts in parallel; the send
-// walk stays in plan order on the caller.
+// BenchmarkFanout measures the dispatcher's encode + send walk over one
+// fixed plan of the fixture (a message per peer) at pool widths 1, 2, and 4,
+// against a sink transport. Wider pools encode the messages in parallel; the
+// send walk stays in plan order on the caller.
 func BenchmarkFanout(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -739,7 +726,7 @@ func BenchmarkFanout(b *testing.B) {
 
 // TestPlanTickAllocationFree pins the tick pipeline's steady state at zero
 // heap objects per tick — world churn, acks, PlanTick, and Fanout on the
-// 192-entity / 96-peer fixture — inline at width 1 and sharded at width 4.
+// venue-shaped plan fixture — inline at width 1 and sharded at width 4.
 func TestPlanTickAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under -race; alloc counts are meaningless")

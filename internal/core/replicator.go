@@ -15,9 +15,14 @@ var (
 	ErrUnknownPeer = errors.New("core: unknown peer")
 )
 
-// FilterFunc gates which entities a peer receives at a tick (interest
-// management hook). A nil FilterFunc admits everything.
+// FilterFunc gates which entities a peer receives at a tick, one entity per
+// call (AddPeer adapts it to a RefusedFunc). A nil FilterFunc admits everything.
 type FilterFunc func(id protocol.ParticipantID, tick uint64) bool
+
+// RefusedFunc is a peer's interest, asked once per build: it appends the IDs
+// the peer refuses at tick to dst, ascending, and returns the extended slice.
+// IDs the store does not hold may be listed. A nil RefusedFunc refuses nothing.
+type RefusedFunc func(tick uint64, dst []protocol.ParticipantID) []protocol.ParticipantID
 
 // ReplConfig tunes replication behavior.
 type ReplConfig struct {
@@ -43,10 +48,10 @@ type ReplConfig struct {
 	// the plan is the same at every width. nil runs the builds inline on the
 	// caller.
 	//
-	// Peer filters may be invoked concurrently across peers (never
-	// concurrently for the same peer): a filter must read only state that is
-	// immutable for the duration of PlanTick plus state owned by its own
-	// peer. The store itself is read-only inside PlanTick.
+	// A peer's RefusedFunc is called once per build, into its worker's
+	// scratch, concurrently with other peers' (never with itself): it must
+	// read only state immutable for the duration of PlanTick plus state owned
+	// by its own peer. The store itself is read-only inside PlanTick.
 	Pool *work.Pool
 }
 
@@ -65,8 +70,8 @@ type peerState struct {
 	lastSnapshot uint64
 	snapshots    uint64
 	deltas       uint64
-	// filter is the peer's interest gate (nil admits everything).
-	filter FilterFunc
+	// refused is the peer's interest (nil refuses nothing).
+	refused RefusedFunc
 	// scratch is the peer's reusable Delta, valid until its next planned
 	// delta, matching the PlanTick result contract.
 	scratch *protocol.Delta
@@ -158,7 +163,7 @@ func (p *peerState) resolveAck(tick uint64) (uint64, bool) {
 func (p *peerState) reset() {
 	p.ackTick, p.acked, p.lastSnapshot, p.newestAck = 0, false, 0, 0
 	p.snapshots, p.deltas = 0, 0
-	p.filter = nil
+	p.refused = nil
 	if p.scratch != nil {
 		p.scratch.Changed = p.scratch.Changed[:0]
 		p.scratch.Removed = p.scratch.Removed[:0]
@@ -203,10 +208,11 @@ type Replicator struct {
 	// reallocating them per onboarding.
 	freePeers []*peerState
 
-	// Build scratch: one job per peer in sorted-peer order, and the hoisted
-	// job runner (built once so Run allocates nothing).
-	jobs   []planJob
-	runJob func(worker, i int)
+	// Build scratch: one job per peer in sorted-peer order, the hoisted job
+	// runner (built once so Run allocates nothing), a refused list per worker.
+	jobs    []planJob
+	runJob  func(worker, i int)
+	refused [][]protocol.ParticipantID
 }
 
 // planJob is one peer's build in a PlanTick: a snapshot into snap when snap
@@ -223,16 +229,34 @@ type planJob struct {
 func NewReplicator(store *Store, cfg ReplConfig) *Replicator {
 	cfg.applyDefaults()
 	return &Replicator{
-		store: store,
-		cfg:   cfg,
-		peers: make(map[string]*peerState),
+		store:   store,
+		cfg:     cfg,
+		peers:   make(map[string]*peerState),
+		refused: make([][]protocol.ParticipantID, cfg.Pool.Workers()),
 	}
 }
 
-// AddPeer registers a downstream peer. filter may be nil (no interest
-// management — e.g. the peer is another authoritative server needing
-// everything).
+// AddPeer registers a downstream peer gated by filter, which may be nil (e.g.
+// the peer is another authoritative server needing everything). It adapts
+// filter for AddPeerRefusing: one pass over the store's live entities a build.
 func (r *Replicator) AddPeer(id string, filter FilterFunc) error {
+	var refused RefusedFunc
+	if filter != nil {
+		refused = func(tick uint64, dst []protocol.ParticipantID) []protocol.ParticipantID {
+			for _, is := range r.store.ordered() {
+				if !filter(is.id, tick) {
+					dst = append(dst, is.id)
+				}
+			}
+			return dst
+		}
+	}
+	return r.AddPeerRefusing(id, refused)
+}
+
+// AddPeerRefusing registers a downstream peer whose interest is asked once per
+// build (nil refuses nothing).
+func (r *Replicator) AddPeerRefusing(id string, refused RefusedFunc) error {
 	if _, ok := r.peers[id]; ok {
 		return fmt.Errorf("%w: %s", ErrPeerExists, id)
 	}
@@ -244,7 +268,7 @@ func (r *Replicator) AddPeer(id string, filter FilterFunc) error {
 	} else {
 		p = &peerState{}
 	}
-	p.filter = filter
+	p.refused = refused
 	r.peers[id] = p
 	r.idsDirty = true
 	return nil
@@ -252,7 +276,7 @@ func (r *Replicator) AddPeer(id string, filter FilterFunc) error {
 
 // RemovePeer unregisters a peer. Its state returns to the replicator's pool
 // (scratch capacity intact) so the next AddPeer is
-// allocation-free; the departing peer's ack baseline and filter are cleared.
+// allocation-free; the departing peer's ack baseline and interest are cleared.
 func (r *Replicator) RemovePeer(id string) error {
 	p, ok := r.peers[id]
 	if !ok {
@@ -454,8 +478,8 @@ type PeerMessage struct {
 // current tick. Peers receive a Snapshot when they have never acked, their
 // ack is older than MaxDeltaWindow, or a periodic keyframe is due;
 // otherwise a Delta since their ack. Peers with nothing to send (empty
-// delta) are skipped. Every peer's message is gated by its filter (nil admits
-// everything) and settles its owed set.
+// delta) are skipped. Every peer's message is gated by its interest, asked
+// once per build (nil refuses nothing), and settles its owed set.
 //
 // The returned slice and its Messages are valid until the next PlanTick
 // call; callers must not mutate the Messages.
@@ -465,9 +489,9 @@ type PeerMessage struct {
 //	1 (owner) walk sorted peers, decide snapshot-vs-delta, and queue one
 //	          build job per peer.
 //	2 (pool)  execute the jobs on ReplConfig.Pool. Each job writes only its
-//	          own target message and its peer's owed set; the store is
-//	          read-only and its lazy walk order is warmed before the
-//	          fan-out.
+//	          own target message, its peer's owed set and its worker's
+//	          refused list; the store is read-only and its lazy walk order
+//	          is warmed before the fan-out.
 //	3 (owner) walk the jobs in order, dropping empty deltas and bumping the
 //	          per-peer counters.
 //
@@ -534,16 +558,21 @@ func (r *Replicator) wantSnapshot(p *peerState, tick uint64) bool {
 		(r.cfg.SnapshotEvery > 0 && tick-p.lastSnapshot >= r.cfg.SnapshotEvery)
 }
 
-// execJob runs one build of pass 2. Jobs write only their own target message
-// and their peer's owed set, honoring the pool's ownership rules (see package
-// work).
-func (r *Replicator) execJob(_, i int) {
+// execJob runs one build of pass 2, asking the peer's interest once into its
+// worker's refused list. It writes only that list, its own target message and
+// its peer's owed set, honoring the pool's ownership rules (see package work).
+func (r *Replicator) execJob(w, i int) {
 	j := &r.jobs[i]
 	p := j.peer
+	refused := r.refused[w][:0]
+	if p.refused != nil {
+		refused = p.refused(r.store.Tick(), refused)
+		r.refused[w] = refused
+	}
 	if j.snap != nil {
-		r.store.SnapshotOwedInto(p.filter, j.snap, &p.owed)
+		r.store.SnapshotOwedInto(refused, j.snap, &p.owed)
 	} else {
-		r.store.DeltaSinceOwedInto(p.ackTick, p.filter, p.scratch, &p.owed, r.cfg.OwedSettleTicks)
+		r.store.DeltaSinceOwedInto(p.ackTick, refused, p.scratch, &p.owed, r.cfg.OwedSettleTicks)
 	}
 }
 

@@ -261,18 +261,30 @@ func (s *Store) removedSince(base uint64) []removal {
 	return s.removals[sort.Search(len(s.removals), func(i int) bool { return s.removals[i].tick > base }):]
 }
 
+// refusedList is a peer's ascending refused IDs, read as a cursor by one
+// ascending walk: admits drops the entries below id for good, stepping over
+// IDs the store does not hold, and reports whether id is absent.
+type refusedList []protocol.ParticipantID
+
+func (l *refusedList) admits(id protocol.ParticipantID) bool {
+	for len(*l) > 0 && (*l)[0] < id {
+		*l = (*l)[1:]
+	}
+	return len(*l) == 0 || (*l)[0] != id
+}
+
 // DeltaSinceOwedInto builds a peer's delta with owed-change tracking: the
 // decimation-safe variant of DeltaSinceInto, and the one the replicator plans
-// every peer with. owed must be non-nil; a nil filter admits everything, and
-// a non-nil one is asked at the store's tick, which is the plan's. It is one
-// pass over the ascending (id, slot) list, testing per slot "changed after
-// base, or owed"; beyond the plain filtered build it
+// every peer with. owed must be non-nil; refused lists, ascending, what the
+// peer refuses at the store's tick, which is the plan's. It is one pass over
+// the ascending (id, slot) list, testing per slot "changed after base, or
+// owed"; beyond the plain filtered build it
 //
-//   - marks a changed entity the filter rejects as owed when its change is
+//   - marks a changed entity the peer refuses as owed when its change is
 //     newer than the last planned message that carried it (the peer's ack can
-//     pass the change before the filter ever admits it; a change the
+//     pass the change before its interest ever admits it; a change the
 //     ack-lagged baseline merely re-surfaces after its send is no new debt);
-//   - re-includes an owed entity's current state once the filter admits it —
+//   - re-includes an owed entity's current state once the peer admits it —
 //     even when its changedTick is at or before base — so a change
 //     suppressed on its only dirty tick is still delivered;
 //   - settle-gates that sweep: an owed entity outside the window is swept
@@ -284,22 +296,23 @@ func (s *Store) removedSince(base uint64) []removal {
 //     is re-included only after the peer's ack floor base reaches L without
 //     the exact ack for L arriving (the tick-L message is then presumed lost).
 //
-// Each entity is visited once, in ascending ID order, and the filter invoked
-// at most once per entity, so Changed is ascending and byte-identical across
-// runs and worker counts. Removals are never owed, and filtered in one case
-// only (below). Concurrency: as DeltaSinceInto, for distinct owed sets.
-func (s *Store) DeltaSinceOwedInto(base uint64, filter FilterFunc, msg *protocol.Delta, owed *OwedSet, settle uint64) {
+// Each entity is visited once, in ascending ID order, and merge-joined with
+// refused (no call per entity), so Changed is ascending and byte-identical
+// across runs and worker counts. Removals are never owed, and filtered in one
+// case only (below). Concurrency: as DeltaSinceInto, for distinct owed sets.
+func (s *Store) DeltaSinceOwedInto(base uint64, refused []protocol.ParticipantID, msg *protocol.Delta, owed *OwedSet, settle uint64) {
 	msg.BaseTick, msg.Tick = base, s.tick
 	msg.Changed = msg.Changed[:0]
 	msg.Removed = msg.Removed[:0]
 
 	owed.begin(s)
+	cursor := refusedList(refused)
 	for _, is := range s.ordered() {
 		r := &s.recs[is.slot]
 		e := owed.at(is.slot, r.gen)
 		if r.changedTick > base {
 			// Changed inside the window: this walk subsumes the sweep.
-			if filter == nil || filter(is.id, s.tick) {
+			if cursor.admits(is.id) {
 				msg.Changed = append(msg.Changed, r.state)
 				if e.owed {
 					owed.markSent(is.slot, s.tick)
@@ -312,15 +325,15 @@ func (s *Store) DeltaSinceOwedInto(base uint64, filter FilterFunc, msg *protocol
 		if !e.owed || s.tick-r.changedTick < settle {
 			continue // nothing owed, or still moving: a later walk supersedes this
 		}
-		if (filter == nil || filter(is.id, s.tick)) && (e.last == 0 || base >= e.last) {
+		if cursor.admits(is.id) && (e.last == 0 || base >= e.last) {
 			msg.Changed = append(msg.Changed, r.state)
 			owed.markSent(is.slot, s.tick)
 		}
 	}
 	for _, rm := range s.removedSince(base) {
 		// A removed ID that is live again was re-added inside the window, so
-		// the walk above met it as a changed entity. If the filter rejected
-		// it, the removal must wait too: an earlier message on this base may
+		// the walk above met it as a changed entity. If the peer refused it,
+		// the removal must wait too: an earlier message on this base may
 		// already have delivered the re-add, and a bare removal would erase it
 		// at the receiver after that message's ack has settled the debt.
 		if _, live := s.slots[rm.id]; live && !carries(msg.Changed, rm.id) {
@@ -338,20 +351,21 @@ func carries(changed []protocol.EntityState, id protocol.ParticipantID) bool {
 	return ok
 }
 
-// SnapshotOwedInto is SnapshotInto with owed tracking (owed non-nil; a nil
-// filter admits everything). A snapshot resets the peer's baseline
-// to the current tick, so every live entity the filter omits becomes owed —
-// its changedTick, whatever it was, is now at or before the baseline and no
-// delta window will ever surface it again. Included entities that were owed
-// become pending on the snapshot's tick.
-func (s *Store) SnapshotOwedInto(filter FilterFunc, msg *protocol.Snapshot, owed *OwedSet) {
+// SnapshotOwedInto is SnapshotInto with owed tracking (owed non-nil), gated
+// by refused as DeltaSinceOwedInto is. A snapshot resets the peer's baseline
+// to the current tick, so every live entity refused becomes owed — its
+// changedTick, whatever it was, is now at or before the baseline and no delta
+// window will ever surface it again. Included entities that were owed become
+// pending on the snapshot's tick.
+func (s *Store) SnapshotOwedInto(refused []protocol.ParticipantID, msg *protocol.Snapshot, owed *OwedSet) {
 	msg.Tick = s.tick
 	msg.Entities = msg.Entities[:0]
 	owed.begin(s)
+	cursor := refusedList(refused)
 	for _, is := range s.ordered() {
 		r := &s.recs[is.slot]
 		e := owed.at(is.slot, r.gen)
-		if filter != nil && !filter(is.id, s.tick) {
+		if !cursor.admits(is.id) {
 			e.mark()
 			continue
 		}

@@ -282,3 +282,78 @@ func TestSetAllowsMatchesMapModel(t *testing.T) {
 		h.check(1)
 	})
 }
+
+// checkRefused compares each receiver's AppendRefused with what Allows says,
+// asked about every directory ID and the receiver: the refused ones,
+// ascending, appended after what dst already held.
+func (h *directoryModel) checkRefused(step int) {
+	h.t.Helper()
+	for r, recv := range h.recvs {
+		asked := []protocol.ParticipantID{recv}
+		for _, e := range h.g.ids {
+			asked = append(asked, e.id)
+		}
+		slices.Sort(asked)
+		want := []protocol.ParticipantID{math.MaxUint32} // dst's prefix
+		for _, id := range slices.Compact(asked) {
+			if !h.sets[r].Allows(h.g, id) {
+				want = append(want, id)
+			}
+		}
+		if got := h.sets[r].AppendRefused(h.g, []protocol.ParticipantID{math.MaxUint32}); !slices.Equal(got, want) {
+			h.t.Fatalf("step %d, recv %#x: AppendRefused = %#x, Allows refuses %#x", step, recv, got, want)
+		}
+	}
+}
+
+// TestAppendRefusedMatchesAllows checks the build's one question per tick
+// against the per-source answer, on the schedule kind of
+// TestSetAllowsMatchesMapModel: joins into fresh and recycled slots, moves,
+// leaves, pin churn and refreshes, and after every step — most with the sets
+// stale — the indexed, pinned and unindexed receivers. Then the indexed
+// receiver leaves, and after it everything above it, so a receiver the
+// directory no longer holds is listed in the middle and at the end. Checked
+// to fail when AppendRefused drops the born > seen test.
+func TestAppendRefusedMatchesAllows(t *testing.T) {
+	h := newDirectoryModel(t, 43)
+	h.refresh()
+	h.checkRefused(0)
+	stale := 0
+	for step := 1; step <= 1500; step++ {
+		id := h.pool[h.rng.Intn(len(h.pool))]
+		switch op := h.rng.Intn(8); {
+		case op < 3:
+			h.update(id, h.randPos())
+		case op < 5:
+			if id != h.recvs[0] && id != h.recvs[1] {
+				h.remove(id)
+			}
+		case op == 5:
+			if h.p.Pinned[id] && id != h.recvs[1] {
+				h.p.Unpin(id)
+			} else {
+				h.p.Pin(id)
+			}
+		default:
+			h.refresh()
+		}
+		for _, e := range h.g.ids {
+			if e.born > h.sets[0].seen {
+				stale++
+				break
+			}
+		}
+		h.checkRefused(step)
+	}
+	if stale < 500 {
+		t.Fatalf("only %d steps held a tenant seated after the refresh: the schedule does not exercise the tenant test", stale)
+	}
+	h.remove(h.recvs[0])
+	h.checkRefused(1501)
+	for _, id := range h.pool {
+		if id > h.recvs[0] {
+			h.remove(id)
+		}
+	}
+	h.checkRefused(1502)
+}

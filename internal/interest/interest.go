@@ -28,7 +28,7 @@ import (
 // exclusive access and are the only writers of both directories: each keeps
 // them sorted as it goes (a binary search, then a memmove of the 16-byte
 // entries above a joiner or leaver) and nothing is left for a query to build.
-// Queries (Neighbors, Position, Len, a Set's refresh and its Allows) write
+// Queries (Neighbors, Position, Len, a Set's refresh and its answers) write
 // nothing to the grid, so any number may run concurrently between mutations —
 // the tick's workers do.
 type Grid struct {
@@ -47,8 +47,8 @@ type Grid struct {
 	seated uint64
 }
 
-// seat is one ID directory entry: everything Set.Allows needs to know about
-// an entity besides its bit, so the answer never loads ents[slot].
+// seat is one ID directory entry: everything a Set's answer needs to know
+// about an entity besides its bit, so the answer never loads ents[slot].
 type seat struct {
 	id   protocol.ParticipantID
 	slot uint32
@@ -390,20 +390,20 @@ func ShouldSend(t Tier, source protocol.ParticipantID, tick uint64) bool {
 // stands within the widest of those tiers' radii, and inside the cull radius.
 // That is one compare per neighbour against a four-entry table, and it must
 // agree bit for bit with naming the tier first, one source at a time:
-// ShouldSend(p.ClassifySq(id, d²), id, tick). Each source is then answered
-// from the grid's ID directory and a bit test. Servers keep one Set per
+// ShouldSend(p.ClassifySq(id, d²), id, tick). Servers keep one Set per
 // subscribed client.
 //
-// A store offers its entities to a filter in ascending ID order, the order
-// the directory is kept in, so Allows finds a source by stepping a cursor a
-// few entries on from the one it answered last and binary-searches for
-// anything the steps do not reach: a first call, a repeated or descending
-// ID, a source the grid does not index, a directory that shrank under the
-// cursor. The entry found is always checked against the ID asked for, so
-// call order decides the speed of an answer and never the answer. The cursor
-// makes Allows a write to the set (to nothing else: the grid is only read):
-// one set's refresh and Allows calls must not run concurrently with each
-// other, while distinct sets still share nothing.
+// The build asks a set once per tick: AppendRefused lists every source it
+// refuses in one pass over the grid's ascending ID directory. Allows answers
+// one source at a time, the statement AppendRefused is tested against: it
+// steps a cursor a few entries on from the one it answered last and
+// binary-searches for anything the steps do not reach: a first call, a
+// repeated or descending ID, a source the grid does not index, a directory
+// that shrank under the cursor. The entry found is always checked against the
+// ID asked for, so call order decides the speed of an answer and never the
+// answer. The cursor makes Allows a write to the set (to nothing else: the
+// grid is only read): one set's refresh and Allows calls must not run
+// concurrently with each other, while distinct sets still share nothing.
 type Set struct {
 	allowed  []uint64 // bit per grid slot
 	allowAll bool
@@ -524,4 +524,30 @@ func (s *Set) Allows(g *Grid, id protocol.ParticipantID) bool {
 		return false
 	}
 	return s.allowed[e.slot/64]&(1<<(e.slot%64)) != 0
+}
+
+// AppendRefused appends to dst, ascending, every ID Allows refuses: the
+// receiver, and each indexed source seated after the refresh or left unset by
+// it (in admit-everything mode, the receiver alone). It writes nothing to the
+// set. RefreshOwned must have been called for the current tick.
+func (s *Set) AppendRefused(g *Grid, dst []protocol.ParticipantID) []protocol.ParticipantID {
+	if s.allowAll {
+		return append(dst, s.recv)
+	}
+	self := false // the receiver is listed, indexed or not
+	for _, e := range g.ids {
+		if !self && e.id >= s.recv {
+			dst, self = append(dst, s.recv), true
+			if e.id == s.recv {
+				continue
+			}
+		}
+		if e.born > s.seen || s.allowed[e.slot/64]&(1<<(e.slot%64)) == 0 {
+			dst = append(dst, e.id)
+		}
+	}
+	if !self {
+		dst = append(dst, s.recv)
+	}
+	return dst
 }

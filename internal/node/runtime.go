@@ -71,7 +71,7 @@ type SyncPeer struct {
 
 // Client is one downstream learner endpoint, replicated with the runtime's
 // interest filter. Client values are pooled across join/leave churn: the
-// interest set, the filter closure, and the replicator-side scratch they
+// interest set, the closure asking it, and the replicator-side scratch they
 // feed all survive a leave and are reused by the next join, so onboarding
 // is allocation-flat under storms.
 type Client struct {
@@ -81,8 +81,8 @@ type Client struct {
 	// relay-routed learners): tracked in the table, never a replicator peer.
 	Replicated bool
 
-	iset   *interest.Set
-	filter core.FilterFunc
+	iset    *interest.Set
+	refused core.RefusedFunc
 }
 
 // Runtime owns the shared node machinery.
@@ -248,24 +248,22 @@ func (r *Runtime) Replicate(addr endpoint.Addr, filter core.FilterFunc) error {
 	return r.repl.AddPeer(string(addr), filter)
 }
 
-// clientFilter is the shared interest gate: one walk of the grid's cells plus
-// squared-distance classification per client per tick through the client's
-// set, instead of an all-pairs sqrt test per (client, source); every later
-// call in the tick answers from the set's bits. Built once per pooled
-// Client — it reads c.ID dynamically, so reuse across joins allocates
-// nothing. A refresh writes only the client's own set, so concurrent filter
-// calls for distinct clients (the plan's builds on the pool) share nothing
-// but the read-only grid and policy.
-func (r *Runtime) clientFilter(c *Client) core.FilterFunc {
-	return func(id protocol.ParticipantID, tick uint64) bool {
-		if id == c.ID {
-			return false // clients predict themselves locally
-		}
+// clientFilter is the shared interest gate, asked once per client build: one
+// walk of the grid's cells plus squared-distance classification through the
+// client's set, instead of an all-pairs sqrt test per (client, source), then
+// one pass over the grid's directory listing what the set refuses. The client
+// itself is always refused: clients predict themselves locally. Built once
+// per pooled Client — it reads c.ID dynamically, so reuse across joins
+// allocates nothing. A refresh writes only the client's own set, so
+// concurrent calls for distinct clients (the plan's builds on the pool) share
+// nothing but the read-only grid and policy.
+func (r *Runtime) clientFilter(c *Client) core.RefusedFunc {
+	return func(tick uint64, dst []protocol.ParticipantID) []protocol.ParticipantID {
 		if r.cfg.Interest == nil {
-			return true // broadcast mode
+			return append(dst, c.ID) // broadcast mode
 		}
 		c.iset.RefreshOwned(r.grid, r.cfg.Interest, c.ID, tick)
-		return c.iset.Allows(r.grid, id)
+		return c.iset.AppendRefused(r.grid, dst)
 	}
 }
 
@@ -277,7 +275,7 @@ func (r *Runtime) acquireClient() *Client {
 		return c
 	}
 	c := &Client{iset: interest.NewSet()}
-	c.filter = r.clientFilter(c)
+	c.refused = r.clientFilter(c)
 	return c
 }
 
@@ -297,7 +295,7 @@ func (r *Runtime) AddClient(id protocol.ParticipantID, addr endpoint.Addr) error
 	c.ID, c.Addr, c.Replicated = id, addr, true
 	r.clients[id] = c
 	r.byAddr[addr] = c
-	return r.repl.AddPeer(string(addr), c.filter)
+	return r.repl.AddPeerRefusing(string(addr), c.refused)
 }
 
 // RegisterClient records a learner this node seats and authors but does not
@@ -390,7 +388,7 @@ func (r *Runtime) RetargetClient(id protocol.ParticipantID, addr endpoint.Addr) 
 		if err != nil {
 			return err
 		}
-		if err := r.repl.AddPeer(string(addr), c.filter); err != nil {
+		if err := r.repl.AddPeerRefusing(string(addr), c.refused); err != nil {
 			return err
 		}
 		_ = r.repl.RemovePeer(string(c.Addr))

@@ -258,9 +258,9 @@ func TestTickGridQueriesWriteNothing(t *testing.T) {
 }
 
 // TestTickInterestAllocationFree covers the tick path the root
-// TestPlanTickAllocationFree cannot see (its filters are id%2 / id%3 stubs,
-// so no interest.Set ever runs): a runtime with Interest on, 64 clients
-// placed on an 8×8 seat grid at 3.2 m, one of them pinned, every avatar
+// TestPlanTickAllocationFree cannot see (its fixture has no node.Runtime: no
+// ingest, no client table, no leave + join): a runtime with Interest on, 64
+// clients placed on an 8×8 seat grid at 3.2 m, one of them pinned, every avatar
 // moving every tick and every client acking exactly, two ticks behind. After
 // warm-up a tick — ingest, per-client set refresh, filtered delta builds with
 // owed tracking on the pool, encode, fan-out to a releasing sink — allocates

@@ -58,12 +58,11 @@ func (f *AlphaBeta) Primed() bool { return f.primed }
 // occluding) room sensors against the (always-on but drifting) headset.
 type Kalman1D struct {
 	// State: position x, velocity v; covariance P (2x2 symmetric).
-	x, v             float64
-	p00, p01, p11    float64
-	processNoise     float64 // acceleration spectral density (m^2/s^3)
-	last             time.Duration
-	primed           bool
-	lastInnovationSq float64
+	x, v          float64
+	p00, p01, p11 float64
+	processNoise  float64 // acceleration spectral density (m^2/s^3)
+	last          time.Duration
+	primed        bool
 }
 
 // NewKalman1D creates a filter with the given process noise intensity.
@@ -110,7 +109,6 @@ func (k *Kalman1D) Update(t time.Duration, z, r float64) float64 {
 	k.p00 = (1 - g0) * p00
 	k.p01 = (1 - g0) * p01
 	k.p11 = p11 - g1*p01
-	k.lastInnovationSq = innovation * innovation / s
 	return k.x
 }
 
@@ -132,10 +130,6 @@ func (k *Kalman1D) Velocity() float64 { return k.v }
 
 // Variance returns the current position variance estimate.
 func (k *Kalman1D) Variance() float64 { return k.p00 }
-
-// NormalizedInnovation returns the last update's squared innovation divided
-// by its predicted variance — values ≫ 1 flag outlier observations.
-func (k *Kalman1D) NormalizedInnovation() float64 { return k.lastInnovationSq }
 
 // Primed reports whether the filter has been initialized.
 func (k *Kalman1D) Primed() bool { return k.primed }

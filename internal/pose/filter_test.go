@@ -95,23 +95,6 @@ func TestKalman1DConvergesToTruth(t *testing.T) {
 	}
 }
 
-func TestKalman1DOutlierScore(t *testing.T) {
-	k := NewKalman1D(1)
-	for i := 0; i < 100; i++ {
-		tm := time.Duration(i) * 20 * time.Millisecond
-		k.Update(tm, 1.0, 0.01)
-	}
-	// In steady state, normalized innovation is small.
-	if ni := k.NormalizedInnovation(); ni > 2 {
-		t.Errorf("steady-state NI = %v, want < 2", ni)
-	}
-	// A wild outlier drives NI up by orders of magnitude.
-	k.Update(2020*time.Millisecond, 50.0, 0.01)
-	if ni := k.NormalizedInnovation(); ni < 100 {
-		t.Errorf("outlier NI = %v, want >= 100", ni)
-	}
-}
-
 func TestKalman1DPredictDoesNotMutate(t *testing.T) {
 	k := NewKalman1D(1)
 	k.Update(0, 0, 0.01)

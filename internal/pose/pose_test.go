@@ -58,37 +58,3 @@ func TestLerpPose(t *testing.T) {
 		t.Errorf("mid time = %v", mid.Time)
 	}
 }
-
-func TestJointNames(t *testing.T) {
-	seen := map[string]bool{}
-	for j := Joint(0); j < JointCount; j++ {
-		name := j.String()
-		if name == "" {
-			t.Errorf("joint %d has empty name", j)
-		}
-		if seen[name] {
-			t.Errorf("duplicate joint name %q", name)
-		}
-		seen[name] = true
-	}
-	if JointCount.String() == "" {
-		t.Error("sentinel String empty")
-	}
-}
-
-func TestBodyPoseLerpAndError(t *testing.T) {
-	a := NewBodyPose()
-	b := NewBodyPose()
-	b.Joints[JointLeftElbow] = mathx.QuatAxisAngle(mathx.V3(1, 0, 0), 1.0)
-	if got := a.JointError(b); math.Abs(got-1.0/float64(JointCount)) > 1e-9 {
-		t.Errorf("JointError = %v", got)
-	}
-	mid := a.Lerp(b, 0.5)
-	want := mathx.QuatAxisAngle(mathx.V3(1, 0, 0), 0.5)
-	if mid.Joints[JointLeftElbow].AngleTo(want) > 1e-9 {
-		t.Error("joint lerp wrong")
-	}
-	if mid.Joints[JointHead].AngleTo(mathx.QuatIdentity()) > 1e-9 {
-		t.Error("untouched joint moved")
-	}
-}
