@@ -465,7 +465,7 @@ func benchVideoSecond(b *testing.B) {
 	var receiver *video.Receiver
 	sender := video.NewSender(sim, cfg, func(c *protocol.VideoChunk) {
 		if frame, err := protocol.Encode(c); err == nil {
-			_ = net.Send("tx", "rx", frame)
+			_ = net.SendFrame("tx", "rx", protocol.CopyFrame(frame))
 		}
 	})
 	receiver = video.NewReceiver(sim, cfg, nil)
@@ -542,7 +542,7 @@ func BenchmarkE10Fusion(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sim := vclock.New(benchSeed)
 		script := trace.Seated{Anchor: mathx.V3(1, 0, 2)}
-		f := fusion.New(fusion.Config{})
+		f := fusion.New()
 		sink := func(o sensors.Observation) { f.Observe(o) }
 		h := sensors.NewHeadset("p", sim, script, sensors.HeadsetConfig{}, sink)
 		arr := sensors.NewArray(3, 10, 8, sim, sensors.RoomSensorConfig{}, sink)

@@ -77,8 +77,6 @@ type Config struct {
 	// measure distances in — a mega-event venue needs a wider pitch.
 	VRRows, VRCols int
 	VRPitch        float64
-	// CloudLink overrides the edge<->cloud link profile.
-	CloudLink *netsim.LinkConfig
 }
 
 func (c *Config) applyDefaults() {
@@ -170,13 +168,9 @@ type Campus struct {
 }
 
 // AddCampus creates a campus with an edge server connected to the cloud
-// over the default (or configured) edge<->cloud link. Campuses cannot be
-// added once the deployment runs.
+// over the edge<->cloud link (netsim.EdgeToCloud; Network().SetLink reshapes
+// it before Run). Campuses cannot be added once the deployment runs.
 func (d *Deployment) AddCampus(name string, id ClassroomID) (*Campus, error) {
-	link := netsim.EdgeToCloud()
-	if d.cfg.CloudLink != nil {
-		link = *d.cfg.CloudLink
-	}
 	c := &Campus{
 		d:       d,
 		name:    name,
@@ -184,7 +178,7 @@ func (d *Deployment) AddCampus(name string, id ClassroomID) (*Campus, error) {
 		headset: make(map[ParticipantID]*sensors.Headset),
 		scripts: make(map[ParticipantID]trace.MotionScript),
 	}
-	es, err := d.rig.AddEdge(endpoint.Addr("edge-"+name), id, link, (*sensing)(c))
+	es, err := d.rig.AddEdge(endpoint.Addr("edge-"+name), id, netsim.EdgeToCloud(), (*sensing)(c))
 	if err != nil {
 		return nil, err
 	}

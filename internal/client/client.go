@@ -31,9 +31,6 @@ type VRConfig struct {
 	PublishHz float64
 	// PingEvery is the RTT probe interval (default 2s; <0 disables).
 	PingEvery time.Duration
-	// InterpDelay is the remote-entity playout delay (default 100 ms). It
-	// also sets how much history each playout buffer keeps (core.NewReplica).
-	InterpDelay time.Duration
 	// Script drives the user's own motion (default Seated at origin).
 	Script trace.MotionScript
 	// Expressions, when non-nil, samples a facial expression each publish.
@@ -46,9 +43,6 @@ func (c *VRConfig) applyDefaults() {
 	}
 	if c.PingEvery == 0 {
 		c.PingEvery = 2 * time.Second
-	}
-	if c.InterpDelay <= 0 {
-		c.InterpDelay = 100 * time.Millisecond
 	}
 	if c.Script == nil {
 		c.Script = trace.Seated{}
@@ -93,7 +87,7 @@ func NewVR(sim *vclock.Sim, tr endpoint.Transport, cfg VRConfig) (*VR, error) {
 		cfg:     cfg,
 		sim:     sim,
 		addr:    tr.LocalAddr(),
-		replica: core.NewReplica(cfg.InterpDelay, pose.Linear{}),
+		replica: core.NewReplica(core.PlayoutDelay, pose.Linear{}),
 		reg:     metrics.NewRegistry(string(tr.LocalAddr())),
 	}
 	v.replica.Latency = v.reg.Histogram("pose.age")

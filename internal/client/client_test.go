@@ -50,7 +50,7 @@ func (fs *fakeServer) push(t *testing.T, msg protocol.Message) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.net.Send("srv", "vr", frame); err != nil {
+	if err := fs.net.SendFrame("srv", "vr", protocol.CopyFrame(frame)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -206,7 +206,7 @@ func TestVRIgnoresGarbage(t *testing.T) {
 	fs := newFakeServer(t, sim, net)
 	v := newVRUnderTest(t, sim, net, VRConfig{})
 	_ = fs
-	if err := net.Send("srv", "vr", []byte{0xde, 0xad}); err != nil {
+	if err := net.SendFrame("srv", "vr", protocol.CopyFrame([]byte{0xde, 0xad})); err != nil {
 		t.Fatal(err)
 	}
 	_ = sim.RunAll()
@@ -226,7 +226,7 @@ func TestVRPingMeasuresRTT(t *testing.T) {
 		}
 		if ping, ok := msg.(*protocol.Ping); ok {
 			if frame, err := protocol.Encode(&protocol.Pong{Nonce: ping.Nonce, SentAt: ping.SentAt}); err == nil {
-				_ = net.Send("srv", from, frame)
+				_ = net.SendFrame("srv", from, protocol.CopyFrame(frame))
 			}
 		}
 	})); err != nil {
@@ -280,15 +280,17 @@ func TestVRRetainsOmittedEntitiesAcrossFilteredSnapshots(t *testing.T) {
 	sim := vclock.New(1)
 	net := netsim.New(sim)
 	fs := newFakeServer(t, sim, net)
-	// A short playout delay so display time runs ahead of the omitted
-	// entity's last sample and dead reckoning visibly engages.
-	v := newVRUnderTest(t, sim, net, VRConfig{InterpDelay: 10 * time.Millisecond})
+	v := newVRUnderTest(t, sim, net, VRConfig{})
+	// Every display read runs one playout delay past the original timeline,
+	// so display time runs ahead of the omitted entity's last sample and dead
+	// reckoning visibly engages.
+	const lag = core.PlayoutDelay
 
 	// Tick 1: both the near entity 1 and the far entity 2 are in tier.
 	fs.push(t, &protocol.Snapshot{Tick: 1, Entities: []protocol.EntityState{
 		entity(1, 0), entity(2, 0),
 	}})
-	_ = sim.Run(20 * time.Millisecond)
+	_ = sim.Run(lag + 20*time.Millisecond)
 	if st := v.ReplicaStats(); st.BufferCreates != 2 || st.BufferDrops != 0 {
 		t.Fatalf("after first snapshot: creates=%d drops=%d, want 2/0",
 			st.BufferCreates, st.BufferDrops)
@@ -299,7 +301,7 @@ func TestVRRetainsOmittedEntitiesAcrossFilteredSnapshots(t *testing.T) {
 	fs.push(t, &protocol.Snapshot{Tick: 2, Entities: []protocol.EntityState{
 		entity(1, 30*time.Millisecond),
 	}})
-	_ = sim.Run(40 * time.Millisecond)
+	_ = sim.Run(lag + 40*time.Millisecond)
 	st := v.ReplicaStats()
 	if st.BufferDrops != 0 {
 		t.Fatalf("omitted far-tier entity dropped its buffer (drops=%d)", st.BufferDrops)
@@ -325,7 +327,7 @@ func TestVRRetainsOmittedEntitiesAcrossFilteredSnapshots(t *testing.T) {
 	fs.push(t, &protocol.Snapshot{Tick: 3, Entities: []protocol.EntityState{
 		entity(1, 60*time.Millisecond), entity(2, 60*time.Millisecond),
 	}})
-	_ = sim.Run(60 * time.Millisecond)
+	_ = sim.Run(lag + 60*time.Millisecond)
 	if st := v.ReplicaStats(); st.BufferCreates != 2 || st.BufferDrops != 0 {
 		t.Fatalf("re-entry churned buffers: creates=%d drops=%d, want 2/0",
 			st.BufferCreates, st.BufferDrops)
@@ -333,7 +335,7 @@ func TestVRRetainsOmittedEntitiesAcrossFilteredSnapshots(t *testing.T) {
 
 	// A true departure still drops: deltas carry explicit removals.
 	fs.push(t, &protocol.Delta{BaseTick: 3, Tick: 4, Removed: []protocol.ParticipantID{2}})
-	_ = sim.Run(80 * time.Millisecond)
+	_ = sim.Run(lag + 80*time.Millisecond)
 	if st := v.ReplicaStats(); st.BufferDrops != 1 {
 		t.Fatalf("explicit removal did not drop the buffer (drops=%d)", st.BufferDrops)
 	}
@@ -351,15 +353,15 @@ func TestVRRetainsOmittedEntitiesAcrossFilteredSnapshots(t *testing.T) {
 	fs.push(t, &protocol.Snapshot{Tick: 6, Entities: []protocol.EntityState{
 		entity(1, 120*time.Millisecond),
 	}})
-	_ = sim.Run(150 * time.Millisecond)
+	_ = sim.Run(lag + 150*time.Millisecond)
 	if _, ok := v.DisplayedPose(3, sim.Now()); !ok {
 		t.Fatal("freshly-omitted entity 3 should still extrapolate")
 	}
-	_ = sim.Run(3 * time.Second) // entity 3 stays silent well past the 2s TTL
+	_ = sim.Run(lag + 3*time.Second) // entity 3 stays silent well past the 2s TTL
 	fs.push(t, &protocol.Delta{BaseTick: 6, Tick: 7, Changed: []protocol.EntityState{
 		entity(1, 3*time.Second),
 	}})
-	_ = sim.Run(3100 * time.Millisecond)
+	_ = sim.Run(lag + 3100*time.Millisecond)
 	if _, ok := v.DisplayedPose(3, sim.Now()); ok {
 		t.Error("silent retained entity was never expired (ghost avatar)")
 	}

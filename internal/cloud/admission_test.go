@@ -55,7 +55,7 @@ func TestAdmissionPolicy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := net.Send(from, "cloud", b); err != nil {
+		if err := net.SendFrame(from, "cloud", protocol.CopyFrame(b)); err != nil {
 			t.Fatal(err)
 		}
 		if err := sim.Run(sim.Now()); err != nil {

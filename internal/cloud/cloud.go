@@ -96,7 +96,6 @@ func New(sim *vclock.Sim, tr endpoint.Transport, cfg Config) (*Server, error) {
 		TickHz:    cfg.TickHz,
 		Interest:  cfg.Interest,
 		CountRecv: true,
-		AutoPong:  true,
 	})
 	if err != nil {
 		return nil, err

@@ -59,7 +59,7 @@ func TestCloudSeatsAndAuthorsClients(t *testing.T) {
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	_ = net.Send("c1", "cloud", clientPose(7, 1, 0, 0.5))
+	_ = net.SendFrame("c1", "cloud", protocol.CopyFrame(clientPose(7, 1, 0, 0.5)))
 	_ = sim.Run(time.Second)
 	e, ok := s.World().Get(7)
 	if !ok {
@@ -92,7 +92,7 @@ func TestCloudUnknownClientPoseDropped(t *testing.T) {
 	s := newCloud(t, sim, net, nil)
 	addClientHost(t, net, "c1", nil)
 	_ = s.Start()
-	_ = net.Send("c1", "cloud", clientPose(99, 1, 0, 0))
+	_ = net.SendFrame("c1", "cloud", protocol.CopyFrame(clientPose(99, 1, 0, 0)))
 	_ = sim.Run(time.Second)
 	if _, ok := s.World().Get(99); ok {
 		t.Error("unregistered client authored")
@@ -111,7 +111,7 @@ func TestCloudRemoveClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = s.Start()
-	_ = net.Send("c1", "cloud", clientPose(7, 1, 0, 0))
+	_ = net.SendFrame("c1", "cloud", protocol.CopyFrame(clientPose(7, 1, 0, 0)))
 	_ = sim.Run(time.Second)
 	if err := s.RemoveClient(7); err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestCloudInterestFilterReducesTraffic(t *testing.T) {
 			seq := uint32(0)
 			sim.Ticker(50*time.Millisecond, func() {
 				seq++
-				_ = net.Send(addr, "cloud", clientPose(id, seq, sim.Now(), float64(i*40)))
+				_ = net.SendFrame(addr, "cloud", protocol.CopyFrame(clientPose(id, seq, sim.Now(), float64(i*40))))
 			})
 		}
 		_ = sim.Run(3 * time.Second)
@@ -233,7 +233,7 @@ func TestRelayMirrorsAndServes(t *testing.T) {
 	seq := uint32(0)
 	sim.Ticker(50*time.Millisecond, func() {
 		seq++
-		_ = net.Send("pub", "cloud", clientPose(1, seq, sim.Now(), 1))
+		_ = net.SendFrame("pub", "cloud", protocol.CopyFrame(clientPose(1, seq, sim.Now(), 1)))
 	})
 	_ = sim.Run(3 * time.Second)
 
@@ -289,7 +289,7 @@ func TestRelayForwardsClientPosesUpstream(t *testing.T) {
 	}
 	_ = s.Start()
 	_ = r.Start()
-	_ = net.Send("sub", "relay", clientPose(2, 1, 0, 3))
+	_ = net.SendFrame("sub", "relay", protocol.CopyFrame(clientPose(2, 1, 0, 3)))
 	_ = sim.Run(time.Second)
 	if _, ok := s.World().Get(2); !ok {
 		t.Fatal("relay did not forward the client pose upstream")
@@ -334,7 +334,7 @@ func TestCloudEdgeFilterOnlySendsVRUsers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = net.Send("edge", "cloud", snap)
+	_ = net.SendFrame("edge", "cloud", protocol.CopyFrame(snap))
 
 	// And a VR client publishes directly.
 	addClientHost(t, net, "c1", nil)
@@ -342,7 +342,7 @@ func TestCloudEdgeFilterOnlySendsVRUsers(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = s.Start()
-	_ = net.Send("c1", "cloud", clientPose(7, 1, 0, 0))
+	_ = net.SendFrame("c1", "cloud", protocol.CopyFrame(clientPose(7, 1, 0, 0)))
 	_ = sim.Run(2 * time.Second)
 
 	// The cloud's replication to the edge must contain VR user 7 and never
@@ -399,7 +399,7 @@ func TestRemoveClientWhileFramesInFlight(t *testing.T) {
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	_ = net.Send("c1", "cloud", clientPose(7, 1, 0, 0.5))
+	_ = net.SendFrame("c1", "cloud", protocol.CopyFrame(clientPose(7, 1, 0, 0.5)))
 	// Run long enough for fan-out toward c1 to be in flight, then yank the
 	// client mid-flight.
 	if err := sim.Run(500 * time.Millisecond); err != nil {

@@ -40,7 +40,6 @@ func NewRelay(sim *vclock.Sim, tr endpoint.Transport, cfg RelayConfig) (*Relay, 
 	rt, err := node.New(sim, tr, node.Config{
 		TickHz:   cfg.TickHz,
 		Interest: cfg.Interest,
-		AutoPong: true,
 	})
 	if err != nil {
 		return nil, err

@@ -8,15 +8,12 @@ import (
 
 // measureReplicationBytes drives a replicator over a churning store and
 // returns total encoded bytes sent — the DESIGN.md §5 "snapshot-only vs
-// delta" ablation.
+// delta" ablation. The snapshot-only side encodes the store's full snapshot
+// every tick instead of the replicator's plan.
 func measureReplicationBytes(t testing.TB, snapshotOnly bool, entities, ticks int) int {
 	t.Helper()
 	s := NewStore()
-	cfg := ReplConfig{}
-	if snapshotOnly {
-		cfg.SnapshotEvery = 1 // force a keyframe every tick
-	}
-	r := NewReplicator(s, cfg)
+	r := NewReplicator(s, ReplConfig{})
 	if err := r.AddPeer("p", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -24,6 +21,7 @@ func measureReplicationBytes(t testing.TB, snapshotOnly bool, entities, ticks in
 	for i := 0; i < entities; i++ {
 		s.Upsert(ent(protocol.ParticipantID(i), 0))
 	}
+	var snap protocol.Snapshot
 	total := 0
 	for tick := 0; tick < ticks; tick++ {
 		s.BeginTick()
@@ -32,13 +30,22 @@ func measureReplicationBytes(t testing.TB, snapshotOnly bool, entities, ticks in
 			id := protocol.ParticipantID((tick*7 + i) % entities)
 			s.Upsert(ent(id, float64(tick)))
 		}
-		for _, pm := range r.PlanTick() {
-			frame, err := protocol.AppendEncode(nil, pm.Msg)
+		var msgs []protocol.Message
+		if snapshotOnly {
+			s.SnapshotInto(nil, &snap)
+			msgs = append(msgs, &snap)
+		} else {
+			for _, pm := range r.PlanTick() {
+				msgs = append(msgs, pm.Msg)
+				_ = r.Ack("p", s.Tick())
+			}
+		}
+		for _, m := range msgs {
+			frame, err := protocol.AppendEncode(nil, m)
 			if err != nil {
 				t.Fatal(err)
 			}
 			total += len(frame)
-			_ = r.Ack("p", s.Tick())
 		}
 	}
 	return total

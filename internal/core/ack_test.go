@@ -20,7 +20,6 @@ func TestAckFloor(t *testing.T) {
 	}
 	cases := []struct {
 		name  string
-		cfg   ReplConfig
 		steps []step
 	}{
 		{
@@ -48,13 +47,15 @@ func TestAckFloor(t *testing.T) {
 			steps: []step{{plan: 1, ack: 1, want: 1}, {plan: 2, ack: 3, want: 3}},
 		},
 		{
-			// Tick 4 is a keyframe (SnapshotEvery 3 after the tick-1 snapshot);
-			// a snapshot proves everything below it whatever was skipped.
+			// Ticks 4 through maxDeltaWindow+3 go unacked, so the last of them
+			// lies past the window and is a keyframe; a snapshot proves
+			// everything below it whatever was skipped. Had it been a delta on
+			// base 2, skipping delta 3 (base 1) would regress the floor to 1.
 			name: "a snapshot ack covers every skipped delta",
-			cfg:  ReplConfig{SnapshotEvery: 3},
 			steps: []step{
 				{plan: 1, ack: 1, want: 1}, {plan: 2, ack: 2, want: 2},
-				{plan: 1, ack: 4, want: 4},
+				{plan: maxDeltaWindow, want: 2},
+				{ack: maxDeltaWindow + 3, want: maxDeltaWindow + 3},
 			},
 		},
 		{
@@ -89,7 +90,7 @@ func TestAckFloor(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewStore()
-			r := NewReplicator(s, tc.cfg)
+			r := NewReplicator(s, ReplConfig{})
 			if err := r.AddPeer("p", nil); err != nil {
 				t.Fatal(err)
 			}

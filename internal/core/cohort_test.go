@@ -14,24 +14,23 @@ import (
 // of the peer table. The cohort planner must emit byte-identical frames in
 // the same peer order.
 type refPeer struct {
-	ackTick      uint64
-	acked        bool
-	lastSnapshot uint64
+	ackTick uint64
+	acked   bool
 }
 
-func referencePlanTick(s *Store, cfg ReplConfig, peers map[string]*refPeer, order []string) []PeerMessage {
-	cfg.applyDefaults()
+// referencePlanTick returns the tick's reference plan and how many of its
+// snapshots went to acked peers that had fallen past the delta window.
+func referencePlanTick(s *Store, peers map[string]*refPeer, order []string) ([]PeerMessage, int) {
 	tick := s.Tick()
 	var out []PeerMessage
+	pastWindow := 0
 	for _, id := range order {
 		p := peers[id]
-		wantSnapshot := !p.acked ||
-			tick-p.ackTick > cfg.MaxDeltaWindow ||
-			(cfg.SnapshotEvery > 0 && tick-p.lastSnapshot >= cfg.SnapshotEvery)
-		if wantSnapshot {
-			snap := snapshotOf(s, nil)
-			p.lastSnapshot = tick
-			out = append(out, PeerMessage{Peer: id, Msg: snap})
+		if !p.acked || tick-p.ackTick > maxDeltaWindow {
+			if p.acked {
+				pastWindow++
+			}
+			out = append(out, PeerMessage{Peer: id, Msg: snapshotOf(s, nil)})
 			continue
 		}
 		delta := deltaOf(s, p.ackTick, nil)
@@ -40,20 +39,20 @@ func referencePlanTick(s *Store, cfg ReplConfig, peers map[string]*refPeer, orde
 		}
 		out = append(out, PeerMessage{Peer: id, Msg: delta})
 	}
-	return out
+	return out, pastWindow
 }
 
 // TestCohortPlanMatchesPerPeerPlanBroadcast churns a store for hundreds of
 // ticks while peers ack at different cadences (including one that never
-// acks and a keyframe schedule), and asserts every tick that the cohort
-// planner sends exactly the frames — and therefore exactly the
-// sync.bytes.sent — the seed's per-peer planner would have sent.
+// acks and one that falls past the delta window between acks), and asserts
+// every tick that the cohort planner sends exactly the frames — and
+// therefore exactly the sync.bytes.sent — the seed's per-peer planner would
+// have sent.
 func TestCohortPlanMatchesPerPeerPlanBroadcast(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	cfg := ReplConfig{MaxDeltaWindow: 40, SnapshotEvery: 90}
 
 	src := NewStore()
-	repl := NewReplicator(src, cfg)
+	repl := NewReplicator(src, ReplConfig{})
 	shadow := NewStore()
 	refPeers := make(map[string]*refPeer)
 	var order []string
@@ -67,7 +66,8 @@ func TestCohortPlanMatchesPerPeerPlanBroadcast(t *testing.T) {
 	}
 
 	var cohortBytes, refBytes uint64
-	for tick := 0; tick < 300; tick++ {
+	pastWindow := 0
+	for tick := 0; tick < 400; tick++ {
 		// Identical mutations on both stores.
 		mutate := func(s *Store) {
 			s.BeginTick()
@@ -88,7 +88,8 @@ func TestCohortPlanMatchesPerPeerPlanBroadcast(t *testing.T) {
 		mutate(shadow)
 
 		plan := repl.PlanTick()
-		ref := referencePlanTick(shadow, cfg, refPeers, order)
+		ref, past := referencePlanTick(shadow, refPeers, order)
+		pastWindow += past
 		if len(plan) != len(ref) {
 			t.Fatalf("tick %d: cohort planned %d messages, reference %d", tick, len(plan), len(ref))
 		}
@@ -112,12 +113,17 @@ func TestCohortPlanMatchesPerPeerPlanBroadcast(t *testing.T) {
 		}
 
 		// Peers ack at mixed cadences; peer-00 never acks, exercising the
-		// un-acked snapshot path alongside delta cohorts.
+		// un-acked snapshot path alongside delta cohorts, and the last peer
+		// acks less often than the delta window spans.
 		for i, id := range order {
 			if i == 0 {
 				continue
 			}
-			if tick%(i+1) == 0 {
+			cadence := i + 1
+			if i == len(order)-1 {
+				cadence = maxDeltaWindow + 30
+			}
+			if tick%cadence == 0 {
 				if err := repl.Ack(id, src.Tick()); err != nil {
 					t.Fatal(err)
 				}
@@ -131,6 +137,9 @@ func TestCohortPlanMatchesPerPeerPlanBroadcast(t *testing.T) {
 	}
 	if cohortBytes == 0 {
 		t.Fatal("test drove no replication traffic")
+	}
+	if pastWindow == 0 {
+		t.Fatal("no acked peer fell past the delta window")
 	}
 }
 

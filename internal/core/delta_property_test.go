@@ -133,8 +133,8 @@ func TestDeltaSincePropertyMatchesNaiveReference(t *testing.T) {
 			}
 
 			// Probe deltas across the whole baseline range: the previous tick,
-			// a horizon up to 316 ticks back (past the default MaxDeltaWindow
-			// of 150), and everything.
+			// a horizon up to 316 ticks back (past the replicator's
+			// maxDeltaWindow of 150), and everything.
 			bases := []uint64{
 				s.Tick() - min(s.Tick(), 1),
 				s.Tick() - min(s.Tick(), uint64(rng.Intn(316))),

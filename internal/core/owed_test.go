@@ -106,7 +106,7 @@ func TestDecimatedChangeEventuallyDelivered(t *testing.T) {
 }
 
 // TestOwedConvergenceProperty drives the full filtered-replication pipeline
-// — decimation, loss, ack reordering, forced keyframes, removals — against a
+// — decimation, loss, ack reordering, keyframes, removals — against a
 // naive full-history receiver (a plain map applying every delivered message)
 // and asserts two properties:
 //
@@ -117,6 +117,9 @@ func TestDecimatedChangeEventuallyDelivered(t *testing.T) {
 //  2. Convergence: once mutations stop and the link turns lossless, every
 //     sometimes-admissible live entity reaches its authoritative state and
 //     the owed backlog drains to zero.
+//
+// On even seeds every ack is lost for longer than the delta window spans, so
+// the peer falls past it and gets filtered keyframes (the owes-omitted path).
 func TestOwedConvergenceProperty(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		seed := seed
@@ -139,11 +142,7 @@ func TestOwedConvergenceProperty(t *testing.T) {
 			}
 
 			store := NewStore()
-			cfg := ReplConfig{}
-			if seed%2 == 0 {
-				cfg.SnapshotEvery = 64 // exercise the filtered-keyframe owes-omitted path
-			}
-			repl := NewReplicator(store, cfg)
+			repl := NewReplicator(store, ReplConfig{})
 			if err := repl.AddPeer("recv", decimationFilter(divisor)); err != nil {
 				t.Fatal(err)
 			}
@@ -154,9 +153,15 @@ func TestOwedConvergenceProperty(t *testing.T) {
 			recvState := map[protocol.ParticipantID]protocol.EntityState{}
 			recvTick := uint64(0)
 			var pendingAcks []uint64 // delivered-but-not-yet-acked message ticks
+			muted := false           // every ack is lost
+			keyframes := 0           // snapshots planned to a peer that had acked
 
 			deliver := func(lossy bool) {
+				st, _ := repl.StatsOf("recv")
 				for _, pm := range repl.PlanTick() {
+					if _, ok := pm.Msg.(*protocol.Snapshot); ok && st.Acked {
+						keyframes++
+					}
 					if lossy && rng.Float64() < 0.3 {
 						continue // the frame never arrives
 					}
@@ -191,7 +196,7 @@ func TestOwedConvergenceProperty(t *testing.T) {
 				kept := pendingAcks[:0]
 				for _, ack := range pendingAcks {
 					switch {
-					case lossy && rng.Float64() < 0.2:
+					case muted || lossy && rng.Float64() < 0.2:
 						// lost
 					case lossy && rng.Float64() < 0.3:
 						kept = append(kept, ack) // delayed to a later tick
@@ -228,6 +233,7 @@ func TestOwedConvergenceProperty(t *testing.T) {
 
 			// Churn phase: random upserts/removes/touches over a lossy link.
 			for i := 0; i < 300; i++ {
+				muted = seed%2 == 0 && i >= 100 && i < 120+maxDeltaWindow
 				tick := store.BeginTick()
 				for k := 0; k < 1+rng.Intn(4); k++ {
 					id := protocol.ParticipantID(rng.Intn(n))
@@ -249,6 +255,10 @@ func TestOwedConvergenceProperty(t *testing.T) {
 				store.BeginTick()
 				deliver(false)
 				checkInvariant()
+			}
+
+			if seed%2 == 0 && keyframes == 0 {
+				t.Fatal("the peer fell past the delta window but was planned no filtered snapshot")
 			}
 
 			// Convergence: every sometimes-admissible live entity matches.
@@ -289,9 +299,7 @@ func TestOwedConvergenceProperty(t *testing.T) {
 // delta once the filter admits it, even though it is no longer a candidate.
 func TestFilteredSnapshotOwesOmitted(t *testing.T) {
 	store := NewStore()
-	// Settle 1 so the sweep fires on the first quiet tick: this test pins the
-	// owes-omitted bookkeeping, not the settle delay (see TestOwedSettleGate).
-	repl := NewReplicator(store, ReplConfig{OwedSettleTicks: 1})
+	repl := NewReplicator(store, ReplConfig{})
 	admitOdd := false
 	filter := func(id protocol.ParticipantID, tick uint64) bool {
 		return id%2 == 0 || admitOdd
@@ -322,10 +330,14 @@ func TestFilteredSnapshotOwesOmitted(t *testing.T) {
 		t.Fatalf("owed = %d after filtered snapshot, want 3 (omitted odds)", st.Owed)
 	}
 
-	// Nothing changes, but the filter starts admitting odd entities (they
-	// "entered interest range"). The next delta must carry their state even
-	// though their changedTick sits at or before the ack baseline.
-	store.BeginTick()
+	// Nothing changes, but once the odd entities have sat settled the filter
+	// starts admitting them (they "entered interest range"). The next delta
+	// must carry their state even though their changedTick sits at or before
+	// the ack baseline. (This pins the owes-omitted bookkeeping, not the
+	// settle delay: see TestOwedSettleGate.)
+	for store.Tick() < 1+owedSettleTicks {
+		store.BeginTick()
+	}
 	admitOdd = true
 	plan = repl.PlanTick()
 	if len(plan) != 1 {
@@ -357,9 +369,7 @@ func TestFilteredSnapshotOwesOmitted(t *testing.T) {
 // send tick.
 func TestOwedAckExactMatchOnly(t *testing.T) {
 	store := NewStore()
-	// Settle 1 keeps the tick arithmetic below exact: the sweep acts on the
-	// first quiet tick, so send/loss/retransmit land on consecutive ticks.
-	repl := NewReplicator(store, ReplConfig{OwedSettleTicks: 1})
+	repl := NewReplicator(store, ReplConfig{})
 	admit := false
 	sleeper := protocol.ParticipantID(7)
 	filter := func(id protocol.ParticipantID, tick uint64) bool {
@@ -383,47 +393,53 @@ func TestOwedAckExactMatchOnly(t *testing.T) {
 	if !peer.owed.Owes(store, sleeper) {
 		t.Fatal("omitted sleeper not owed after filtered snapshot")
 	}
+	// Quiet ticks until the sleeper has sat settled, so the send, the loss
+	// and the retransmit below land on consecutive ticks t0, t0+1 and t0+2.
+	for store.Tick() < owedSettleTicks {
+		store.BeginTick()
+	}
+	t0 := uint64(1 + owedSettleTicks)
 
-	// Tick 2: filter admits; the owed sweep sends the sleeper... and the
-	// frame is lost (no ack for tick 2).
+	// Tick t0: filter admits; the owed sweep sends the sleeper... and the
+	// frame is lost (no ack for tick t0).
 	store.BeginTick()
 	admit = true
 	store.Upsert(protocol.EntityState{Participant: 1}) // keep the stream non-empty
 	plan := repl.PlanTick()
 	d := plan[0].Msg.(*protocol.Delta)
 	if len(d.Changed) != 2 {
-		t.Fatalf("tick-2 delta carried %d entities, want 2 (mover + owed sleeper)", len(d.Changed))
+		t.Fatalf("tick-%d delta carried %d entities, want 2 (mover + owed sleeper)", t0, len(d.Changed))
 	}
 
-	// Tick 3: the tick-2 frame is in flight as far as the replicator knows
-	// (ack floor still 1 < send tick 2), so the sweep must NOT burn
+	// Tick t0+1: the tick-t0 frame is in flight as far as the replicator
+	// knows (ack floor still 1 < send tick t0), so the sweep must NOT burn
 	// bandwidth re-sending the sleeper.
 	store.BeginTick()
 	store.Upsert(protocol.EntityState{Participant: 1})
 	plan = repl.PlanTick()
 	d = plan[0].Msg.(*protocol.Delta)
 	if len(d.Changed) != 1 {
-		t.Fatalf("tick-3 delta carried %d entities, want 1 (no premature retransmit)", len(d.Changed))
+		t.Fatalf("tick-%d delta carried %d entities, want 1 (no premature retransmit)", t0+1, len(d.Changed))
 	}
-	// The tick-3 ack arrives; tick 2's never does. An exact-match rule keeps
-	// the debt open — ack 3 does not prove receipt of frame 2.
-	if err := repl.Ack("recv", 3); err != nil {
+	// The tick-t0+1 ack arrives; tick t0's never does. An exact-match rule
+	// keeps the debt open — ack t0+1 does not prove receipt of frame t0.
+	if err := repl.Ack("recv", t0+1); err != nil {
 		t.Fatal(err)
 	}
 	if !peer.owed.Owes(store, sleeper) {
-		t.Fatal("ack for tick 3 settled a tick-2 send — lost frame forgotten")
+		t.Fatalf("ack for tick %d settled a tick-%d send — lost frame forgotten", t0+1, t0)
 	}
 
-	// Tick 4: ack floor (3) has passed the send tick (2) with no exact ack —
-	// the frame is presumed lost and the sleeper is retransmitted.
+	// Tick t0+2: ack floor (t0+1) has passed the send tick (t0) with no exact
+	// ack — the frame is presumed lost and the sleeper is retransmitted.
 	store.BeginTick()
 	store.Upsert(protocol.EntityState{Participant: 1})
 	plan = repl.PlanTick()
 	d = plan[0].Msg.(*protocol.Delta)
 	if len(d.Changed) != 2 {
-		t.Fatalf("tick-4 delta carried %d entities, want 2 (sleeper retransmitted)", len(d.Changed))
+		t.Fatalf("tick-%d delta carried %d entities, want 2 (sleeper retransmitted)", t0+2, len(d.Changed))
 	}
-	if err := repl.Ack("recv", 4); err != nil {
+	if err := repl.Ack("recv", t0+2); err != nil {
 		t.Fatal(err)
 	}
 	if peer.owed.Owes(store, sleeper) {
@@ -435,7 +451,7 @@ func TestOwedAckExactMatchOnly(t *testing.T) {
 // entity keeps changing, the sweep must NOT deliver its suppressed changes —
 // every phase-tick send supersedes them, so an eager sweep would only
 // duplicate traffic (at E4 scale it re-inflated egress by a third). Only
-// once the entity sits quiet for OwedSettleTicks may the sweep deliver, and
+// once the entity sits quiet for owedSettleTicks may the sweep deliver, and
 // then exactly once.
 func TestOwedSettleGate(t *testing.T) {
 	const (
@@ -443,8 +459,7 @@ func TestOwedSettleGate(t *testing.T) {
 		sleeper = protocol.ParticipantID(3) // admitted on odd ticks only
 	)
 	store := NewStore()
-	const settle = 4
-	repl := NewReplicator(store, ReplConfig{OwedSettleTicks: settle})
+	repl := NewReplicator(store, ReplConfig{})
 	filter := decimationFilter(func(id protocol.ParticipantID) uint64 {
 		if id == mover {
 			return 1
@@ -495,9 +510,10 @@ func TestOwedSettleGate(t *testing.T) {
 	}
 
 	// Phase B: the sleeper's last change landed on tick 9... make one final
-	// change on a decimated tick (10) and go quiet. Admitted odd ticks 11 and
-	// 13 fall inside the settle window — no sweep. Tick 15 is the first
-	// admitted tick with 15-10 >= settle: delivered there, exactly once.
+	// change on a decimated tick (10) and go quiet. Admitted odd ticks 11
+	// through 17 fall inside the settle window — no sweep. Tick 19 is the
+	// first admitted tick with 19-10 >= owedSettleTicks: delivered there,
+	// exactly once.
 	store.Upsert(protocol.EntityState{Participant: sleeper, Home: 999}) // tick 10
 	deliveredAt := uint64(0)
 	for tick := store.Tick(); tick <= 20; tick = store.BeginTick() {
@@ -513,8 +529,8 @@ func TestOwedSettleGate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if deliveredAt != 15 {
-		t.Fatalf("quiet sleeper delivered at tick %d, want 15 (first admitted tick past the settle window)", deliveredAt)
+	if deliveredAt != 19 {
+		t.Fatalf("quiet sleeper delivered at tick %d, want 19 (first admitted tick past the settle window)", deliveredAt)
 	}
 	if st, _ := repl.StatsOf("recv"); st.Owed != 0 {
 		t.Errorf("owed backlog = %d after settled delivery+ack, want 0", st.Owed)
@@ -531,7 +547,7 @@ func TestUnfilteredPeerCarriesDebt(t *testing.T) {
 	for id := protocol.ParticipantID(1); id <= 3; id++ {
 		store.Upsert(protocol.EntityState{Participant: id})
 	}
-	repl := NewReplicator(store, ReplConfig{OwedSettleTicks: 1})
+	repl := NewReplicator(store, ReplConfig{})
 	if err := repl.AddPeer("srv", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +558,11 @@ func TestUnfilteredPeerCarriesDebt(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store.BeginTick() // tick 2: entity 2 sits unchanged since tick 1
+	// Tick t0: entity 2 has sat unchanged since tick 1 for the settle time.
+	t0 := uint64(1 + owedSettleTicks)
+	for store.Tick() < t0 {
+		store.BeginTick()
+	}
 	store.Upsert(protocol.EntityState{Participant: 1})
 	if err := repl.Owe("srv", 2); err != nil {
 		t.Fatal(err)
@@ -554,7 +574,7 @@ func TestUnfilteredPeerCarriesDebt(t *testing.T) {
 	if got := ids(d.Changed); !slices.Equal(got, []protocol.ParticipantID{1, 2}) {
 		t.Fatalf("delta after Owe carried %v, want [1 2] (the owed entity swept)", got)
 	}
-	if err := repl.Ack("srv", 2); err != nil {
+	if err := repl.Ack("srv", t0); err != nil {
 		t.Fatal(err)
 	}
 	if st, _ := repl.StatsOf("srv"); st.Owed != 0 {
@@ -562,14 +582,14 @@ func TestUnfilteredPeerCarriesDebt(t *testing.T) {
 	}
 
 	// Handoff: a fresh unfiltered peer imports a covered floor with debt.
-	for store.Tick() < 5 {
+	for store.Tick() < t0+3 {
 		store.BeginTick()
 	}
 	store.Upsert(protocol.EntityState{Participant: 3})
 	if err := repl.AddPeer("next", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := repl.ImportBaseline("next", PeerBaseline{AckTick: 4, Acked: true, Owed: []protocol.ParticipantID{2}}); err != nil {
+	if err := repl.ImportBaseline("next", PeerBaseline{AckTick: t0 + 2, Acked: true, Owed: []protocol.ParticipantID{2}}); err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range repl.PlanTick() {
@@ -580,8 +600,8 @@ func TestUnfilteredPeerCarriesDebt(t *testing.T) {
 		if !ok {
 			t.Fatalf("import with a covered floor and debt planned %T, want a delta", m.Msg)
 		}
-		if d.BaseTick != 4 || !slices.Equal(ids(d.Changed), []protocol.ParticipantID{2, 3}) {
-			t.Fatalf("imported delta from %d carried %v, want base 4 and [2 3]", d.BaseTick, ids(d.Changed))
+		if d.BaseTick != t0+2 || !slices.Equal(ids(d.Changed), []protocol.ParticipantID{2, 3}) {
+			t.Fatalf("imported delta from %d carried %v, want base %d and [2 3]", d.BaseTick, ids(d.Changed), t0+2)
 		}
 		return
 	}

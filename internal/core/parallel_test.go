@@ -13,21 +13,21 @@ import (
 // drivePooledVsInline churns two identically-mutated stores for many ticks
 // — one planned inline (nil pool), one planned on a pool of the given width —
 // with a randomized mix of filtered peers, ack-cohort peers, a never-acking
-// peer, and membership churn, asserting every tick that the pooled plan is
+// peer, a peer that falls past the delta window between acks, and membership
+// churn, asserting every tick that the pooled plan is
 // byte-identical to the inline one: same peer order, same encoded frames,
 // and at the end the same per-peer counters. Run under
 // -race in CI, it is also the data-race probe for the concurrent builds.
 func drivePooledVsInline(t *testing.T, workers, ticks int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(workers)*1000 + 17))
-	cfg := ReplConfig{MaxDeltaWindow: 30, SnapshotEvery: 70}
-	pcfg := cfg
-	pcfg.Pool = work.New(workers)
-	defer pcfg.Pool.Close()
+	pool := work.New(workers)
+	defer pool.Close()
 
 	sSer, sPar := NewStore(), NewStore()
-	rSer := NewReplicator(sSer, cfg)
-	rPar := NewReplicator(sPar, pcfg)
+	rSer := NewReplicator(sSer, ReplConfig{})
+	rPar := NewReplicator(sPar, ReplConfig{Pool: pool})
+	const slowPeer = "peer-001" // acks less often than the delta window spans
 
 	filters := []FilterFunc{
 		nil,
@@ -54,7 +54,7 @@ func drivePooledVsInline(t *testing.T, workers, ticks int) {
 	}
 
 	var peerBuf []string
-	compared := 0
+	compared, pastWindow := 0, 0
 	for tick := 0; tick < ticks; tick++ {
 		mutSeed := rng.Int63()
 		for _, s := range []*Store{sSer, sPar} {
@@ -74,12 +74,17 @@ func drivePooledVsInline(t *testing.T, workers, ticks int) {
 		}
 		if tick%31 == 19 && nPeers > 4 {
 			victim := fmt.Sprintf("peer-%03d", rng.Intn(nPeers))
-			if rSer.HasPeer(victim) {
+			if rSer.HasPeer(victim) && victim != slowPeer {
 				_ = rSer.RemovePeer(victim)
 				_ = rPar.RemovePeer(victim)
 			}
 		}
 
+		for _, id := range rSer.PeersAppend(peerBuf[:0]) {
+			if st, _ := rSer.StatsOf(id); st.Acked && sSer.Tick()-st.AckTick > maxDeltaWindow {
+				pastWindow++
+			}
+		}
 		planSer := rSer.PlanTick()
 		planPar := rPar.PlanTick()
 		if len(planSer) != len(planPar) {
@@ -110,7 +115,11 @@ func drivePooledVsInline(t *testing.T, workers, ticks int) {
 		// ack baselines — and therefore several delta cohorts — live.
 		peerBuf = rSer.PeersAppend(peerBuf[:0])
 		for i, id := range peerBuf {
-			if i == 0 || tick%(i%5+2) != 0 {
+			if id == slowPeer {
+				if tick%(maxDeltaWindow+30) != 0 {
+					continue
+				}
+			} else if i == 0 || tick%(i%5+2) != 0 {
 				continue
 			}
 			if err := rSer.Ack(id, sSer.Tick()); err != nil {
@@ -123,6 +132,9 @@ func drivePooledVsInline(t *testing.T, workers, ticks int) {
 	}
 	if compared == 0 {
 		t.Fatal("test compared no messages")
+	}
+	if pastWindow == 0 {
+		t.Fatal("no acked peer fell past the delta window")
 	}
 	for _, id := range rSer.Peers() {
 		ss, err := rSer.StatsOf(id)
@@ -144,7 +156,7 @@ func drivePooledVsInline(t *testing.T, workers, ticks int) {
 func TestPlanTickWidthInvariant(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			drivePooledVsInline(t, workers, 240)
+			drivePooledVsInline(t, workers, 400)
 		})
 	}
 }

@@ -15,8 +15,8 @@ import (
 // same refusals over a wider ID range: it also names IDs the store does not
 // hold (never seated, or removed), which the build's cursor must step over.
 // The schedule churns entities (joins, leaves, re-adds, touches), churns a
-// peer, acks at per-peer lags with skipped and regressed acks, forces
-// keyframes and lets one peer fall past MaxDeltaWindow. Every tick the two
+// peer, acks at per-peer lags with skipped and regressed acks, and lets one
+// peer fall past the delta window into keyframes. Every tick the two
 // plans must be identical, message by message, and so must every peer's
 // StatsOf, its owed count included. Checked to fail when the store's cursor
 // steps over a refused entry only on an exact match (no ordering compare),
@@ -25,11 +25,10 @@ func TestRefusedFuncMatchesFilter(t *testing.T) {
 	const span = 90 // the store seats IDs 1..span that are not multiples of 3
 	rng := rand.New(rand.NewSource(53))
 	store := NewStore()
-	cfg := ReplConfig{MaxDeltaWindow: 20, SnapshotEvery: 37}
-	byFilter := NewReplicator(store, cfg)
-	cfg.Pool = work.New(3) // the refused lists live in per-worker scratch
-	defer cfg.Pool.Close()
-	byList := NewReplicator(store, cfg)
+	byFilter := NewReplicator(store, ReplConfig{})
+	pool := work.New(3) // the refused lists live in per-worker scratch
+	defer pool.Close()
+	byList := NewReplicator(store, ReplConfig{Pool: pool})
 
 	filters := map[string]FilterFunc{
 		// Interest-shaped: divisors 1, 2, 4 and never, phased by ID.
@@ -70,8 +69,8 @@ func TestRefusedFuncMatchesFilter(t *testing.T) {
 		add(peer)
 	}
 
-	snapshots, owedTicks := 0, 0
-	for tick := uint64(1); tick <= 400; tick++ {
+	snapshots, pastWindow, owedTicks := 0, 0, 0
+	for tick := uint64(1); tick <= 500; tick++ {
 		store.BeginTick()
 		for k := 0; k < 1+rng.Intn(6); k++ {
 			id := protocol.ParticipantID(1 + rng.Intn(span))
@@ -96,6 +95,11 @@ func TestRefusedFuncMatchesFilter(t *testing.T) {
 			add("self")
 		}
 
+		for _, peer := range peers {
+			if st, _ := byFilter.StatsOf(peer); st.Acked && tick-st.AckTick > maxDeltaWindow {
+				pastWindow++
+			}
+		}
 		want, got := byFilter.PlanTick(), byList.PlanTick()
 		if !reflect.DeepEqual(got, want) {
 			for i := range min(len(got), len(want)) {
@@ -113,7 +117,7 @@ func TestRefusedFuncMatchesFilter(t *testing.T) {
 
 		for i, peer := range peers {
 			l := lags[i]
-			silent := peer == "decimated" && tick > 150 && tick < 180 // past the window
+			silent := peer == "decimated" && tick > 150 && tick < 180+maxDeltaWindow // past the window
 			switch u := rng.Float64(); {
 			case silent || u < 0.15 || tick <= l:
 				continue
@@ -146,7 +150,7 @@ func TestRefusedFuncMatchesFilter(t *testing.T) {
 			}
 		}
 	}
-	if snapshots < 30 || owedTicks < 600 { // seed 53 plans 51 and carries debt on 800
-		t.Fatalf("the schedule planned %d snapshots and carried debt on %d peer-ticks: too tame to compare", snapshots, owedTicks)
+	if snapshots < 30 || pastWindow == 0 || owedTicks < 600 { // seed 53 plans 45 (33 past the window) and carries debt on 999
+		t.Fatalf("the schedule planned %d snapshots (%d past the window) and carried debt on %d peer-ticks: too tame to compare", snapshots, pastWindow, owedTicks)
 	}
 }

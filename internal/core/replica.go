@@ -41,18 +41,9 @@ type Replica struct {
 	// not churn when it flickers back in. OnRemove is not fired for
 	// omissions. True departures still arrive as Delta removals, which
 	// always drop the buffer — and a retained entity whose updates stay
-	// silent past RetainFor (a pruned removal the snapshot could not convey)
+	// silent past retainFor (a pruned removal the snapshot could not convey)
 	// is expired on a later apply, so ghosts cannot accumulate.
 	RetainOmitted bool
-	// RetainFor bounds how long a retained entity may stay capture-silent
-	// before it is presumed departed and dropped (default 2s — the same
-	// horizon edge servers use to despawn silent local participants). Live
-	// entities in the rate-divided interest tiers (focus through ambient)
-	// never hit it; a fully culled live entity is indistinguishable from a
-	// departed one (both are silent) and expires too — the same drop the
-	// pre-retention code made immediately, just TTL-delayed — and is
-	// rebuilt normally if it re-enters interest range.
-	RetainFor time.Duration
 
 	applied    uint64
 	rejected   uint64
@@ -69,13 +60,26 @@ type Replica struct {
 	bufPool *pose.InterpPool
 }
 
+// PlayoutDelay is how far behind live every replica in the system renders
+// remote entities: the delay clients and sync peers build their replicas with.
+const PlayoutDelay = 100 * time.Millisecond
+
+// retainFor bounds how long a retained entity may stay capture-silent before
+// it is presumed departed and dropped: 2 s, the same horizon edge servers use
+// to despawn silent local participants. Live entities in the rate-divided
+// interest tiers (focus through ambient) never hit it; a fully culled live
+// entity is indistinguishable from a departed one (both are silent) and
+// expires too — the same drop the pre-retention code made immediately, just
+// TTL-delayed — and is rebuilt normally if it re-enters interest range.
+const retainFor = 2 * time.Second
+
 // playoutDepth is the number of samples a playout ring holds for delay: what
 // playout can reach. A display samples at now >= the newest stamp, so its
 // target now - delay never falls before newest - delay, and the samples it
 // can touch are those inside that window plus the one older that brackets
 // the target: 2 + ceil(delay x upstream rate). The rate is taken as 60 Hz,
 // which covers upstream ticks up to 60 Hz (the nodes default to 20-30 Hz);
-// 8 is the result at the 100 ms default, 64 the ceiling whatever the delay.
+// 8 is the result at PlayoutDelay, 64 the ceiling whatever the delay.
 // A faster upstream, or a read at a display time before the newest stamp, is
 // held at the oldest sample the ring still has and counted
 // (ReplicaStats.Clamped).
@@ -214,7 +218,7 @@ func (r *Replica) dropBuffer(id protocol.ParticipantID, slot uint32) {
 }
 
 // expireRetained drops retained entities whose updates have been silent past
-// RetainFor: their removal was conveyed only by snapshot omission (the
+// retainFor: their removal was conveyed only by snapshot omission (the
 // sender pruned it from the delta log), so without this sweep they would
 // dead-reckon as ghosts forever. Runs on every apply; nothing is retained in
 // steady state. Ascending by ID; each entity's verdict depends only on its
@@ -223,13 +227,9 @@ func (r *Replica) expireRetained(now time.Duration) {
 	if r.nRetained == 0 {
 		return
 	}
-	ttl := r.RetainFor
-	if ttl <= 0 {
-		ttl = 2 * time.Second
-	}
 	for _, is := range r.store.ordered() {
 		if p := &r.playout[is.slot]; p.retained {
-			if newest, _ := p.buf.Newest(); now-newest.Time > ttl {
+			if newest, _ := p.buf.Newest(); now-newest.Time > retainFor {
 				r.store.drop(is.id, is.slot, r)
 			}
 		}

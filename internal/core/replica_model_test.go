@@ -33,7 +33,6 @@ type mapReplica struct {
 	OnRemove      func(id protocol.ParticipantID)
 	Latency       *metrics.Histogram
 	RetainOmitted bool
-	RetainFor     time.Duration
 
 	stats       ReplicaStats
 	retainedIDs map[protocol.ParticipantID]bool
@@ -156,15 +155,11 @@ func (r *mapReplica) dropEntity(id protocol.ParticipantID) {
 }
 
 func (r *mapReplica) expireRetained(now time.Duration) {
-	ttl := r.RetainFor
-	if ttl <= 0 {
-		ttl = 2 * time.Second
-	}
 	for _, id := range r.ids() {
 		if !r.retainedIDs[id] {
 			continue
 		}
-		if newest, _ := r.buffers[id].Newest(); now-newest.Time > ttl {
+		if newest, _ := r.buffers[id].Newest(); now-newest.Time > retainFor {
 			delete(r.ents, id)
 			r.dropEntity(id)
 		}
@@ -278,7 +273,7 @@ func decodeScript(data []byte) []scriptStep {
 // of 24 IDs: keyframes that omit, deltas that remove, remove and re-add in
 // one message, list their entities unsorted or twice, arrive stale, gapped or
 // rewound, capture stamps that repeat or run backwards, and pauses long
-// enough for RetainFor (1 s in the test) to expire what a keyframe retained.
+// enough for retainFor (2 s) to expire what a keyframe retained.
 func replicaScript(seed int64, steps int) []scriptStep {
 	const pool = 24
 	rng := rand.New(rand.NewSource(seed))
@@ -418,7 +413,6 @@ func TestReplicaMatchesMapModel(t *testing.T) {
 				r, o := NewReplica(delay, nil), newMapReplica(delay)
 				var gotEvents, wantEvents []string
 				r.RetainOmitted, o.RetainOmitted = retain, retain
-				r.RetainFor, o.RetainFor = time.Second, time.Second
 				r.Latency, o.Latency = &metrics.Histogram{}, &metrics.Histogram{}
 				r.OnNew = func(e protocol.EntityState) {
 					gotEvents = append(gotEvents, fmt.Sprintf("new %d@%v", e.Participant, e.CapturedAt))
@@ -493,7 +487,7 @@ func FuzzReplicaApply(f *testing.F) {
 	f.Fuzz(func(t *testing.T, retain bool, data []byte) {
 		live0 := protocol.LiveFrames()
 		r := NewReplica(20*time.Millisecond, nil)
-		r.RetainOmitted, r.RetainFor = retain, time.Second
+		r.RetainOmitted = retain
 		for i, step := range decodeScript(data) {
 			r.Apply(step.msg, step.now)
 			held, st := liveBuffers(t, r), r.Stats()

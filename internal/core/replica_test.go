@@ -87,7 +87,6 @@ func TestReplicaReAddedEntityStartsFresh(t *testing.T) {
 func TestReplicaRetainedExpiresAfterNewestStamp(t *testing.T) {
 	r := NewReplica(0, nil)
 	r.RetainOmitted = true
-	r.RetainFor = time.Second
 	var removed []protocol.ParticipantID
 	r.OnRemove = func(id protocol.ParticipantID) { removed = append(removed, id) }
 	has := func(id protocol.ParticipantID) bool {
@@ -95,22 +94,22 @@ func TestReplicaRetainedExpiresAfterNewestStamp(t *testing.T) {
 		return ok
 	}
 
-	r.Apply(&protocol.Snapshot{Tick: 1, Entities: []protocol.EntityState{entAt(1, 0), entAt(2, 0)}}, 10*ms)
+	r.Apply(&protocol.Snapshot{Tick: 1, Entities: []protocol.EntityState{entAt(1, 0), entAt(2, 0)}}, 20*ms)
 	// 1 falls out of the interest tier: omitted, retained.
-	r.Apply(&protocol.Snapshot{Tick: 2, Entities: []protocol.EntityState{entAt(2, 400*ms)}}, 410*ms)
+	r.Apply(&protocol.Snapshot{Tick: 2, Entities: []protocol.EntityState{entAt(2, 800*ms)}}, 820*ms)
 	// Redelivery of 1's old state (a keyframe re-send) ends the omission but
 	// must not restart its clock: the capture stamp has not advanced.
-	r.Apply(&protocol.Delta{BaseTick: 2, Tick: 3, Changed: []protocol.EntityState{entAt(1, 0)}}, 600*ms)
-	r.Apply(&protocol.Snapshot{Tick: 4, Entities: []protocol.EntityState{entAt(2, 800*ms)}}, 900*ms)
+	r.Apply(&protocol.Delta{BaseTick: 2, Tick: 3, Changed: []protocol.EntityState{entAt(1, 0)}}, 1200*ms)
+	r.Apply(&protocol.Snapshot{Tick: 4, Entities: []protocol.EntityState{entAt(2, 1600*ms)}}, 1800*ms)
 	if !has(1) || len(removed) != 0 {
-		t.Fatalf("entity 1 expired %v after its newest stamp, RetainFor is 1s", 900*ms)
+		t.Fatalf("entity 1 expired %v after its newest stamp, retainFor is %v", 1800*ms, retainFor)
 	}
-	// 1.1 s after its newest stamp (0), 0.5 s after the redelivery.
-	r.Apply(&protocol.Delta{BaseTick: 4, Tick: 5, Changed: []protocol.EntityState{entAt(2, 1000*ms)}}, 1100*ms)
+	// 2.2 s after its newest stamp (0), 1 s after the redelivery.
+	r.Apply(&protocol.Delta{BaseTick: 4, Tick: 5, Changed: []protocol.EntityState{entAt(2, 2000*ms)}}, 2200*ms)
 	if has(1) {
-		t.Fatal("retained entity survived RetainFor past its newest stamp")
+		t.Fatal("retained entity survived retainFor past its newest stamp")
 	}
-	if _, ok := r.Pose(1, 1100*ms); ok {
+	if _, ok := r.Pose(1, 2200*ms); ok {
 		t.Fatal("expired entity still has a playout buffer")
 	}
 	if len(removed) != 1 || removed[0] != 1 {
@@ -147,11 +146,10 @@ func TestReplicaApplyAllocationFree(t *testing.T) {
 		t.Skip("alloc counts are meaningless under -race")
 	}
 	r, ents := applyFixture(100)
-	r.RetainFor = time.Hour // the filtered keyframe's omissions stay retained
 	tick, now := uint64(1), time.Duration(0)
 	stamp := func(list []protocol.EntityState) {
 		tick++
-		now += 33 * ms
+		now += 10 * ms // the filtered keyframes' 101 applies stay inside retainFor: omissions stay retained
 		for i := range list {
 			list[i].CapturedAt = now
 		}

@@ -24,25 +24,22 @@ type FilterFunc func(id protocol.ParticipantID, tick uint64) bool
 // IDs the store does not hold may be listed. A nil RefusedFunc refuses nothing.
 type RefusedFunc func(tick uint64, dst []protocol.ParticipantID) []protocol.ParticipantID
 
+// maxDeltaWindow is the largest tick distance between a peer's ack and the
+// current tick that a delta may span; past it the peer gets a full snapshot,
+// which bounds both delta size and removal-log growth (150 ticks is 5 s at
+// 30 Hz).
+const maxDeltaWindow = 150
+
+// owedSettleTicks is how long an entity must sit unchanged before a peer's
+// owed sweep delivers its suppressed change: 8, the largest interest rate
+// divisor. While an entity keeps changing, each phase-tick send supersedes
+// the suppressed change, so an eager sweep would only duplicate traffic the
+// candidate walk is about to carry anyway; the sweep exists to converge
+// entities that went quiet with their last change unsent.
+const owedSettleTicks = 8
+
 // ReplConfig tunes replication behavior.
 type ReplConfig struct {
-	// MaxDeltaWindow is the maximum tick distance between a peer's ack and
-	// the current tick before the replicator falls back to a full snapshot
-	// (bounding both delta size and removal-log growth). Default 150 ticks
-	// (5 s at 30 Hz).
-	MaxDeltaWindow uint64
-	// SnapshotEvery forces a periodic full snapshot even to healthy peers
-	// (0 disables). Keyframes bound the damage of undetected state skew.
-	SnapshotEvery uint64
-	// OwedSettleTicks is how long an entity must sit unchanged before a
-	// peer's owed sweep delivers its suppressed change (default 8,
-	// the largest interest rate divisor). While an entity keeps changing,
-	// each phase-tick send supersedes the suppressed change, so an eager
-	// sweep would only duplicate traffic the candidate walk is about to
-	// carry anyway; the sweep exists to converge entities that went quiet
-	// with their last change unsent. Smaller values converge at-rest
-	// entities faster at the cost of redundant sends for moving ones.
-	OwedSettleTicks uint64
 	// Pool runs PlanTick's independent builds — one snapshot or delta per
 	// peer — on its workers; the results merge back in sorted-peer order, so
 	// the plan is the same at every width. nil runs the builds inline on the
@@ -55,21 +52,11 @@ type ReplConfig struct {
 	Pool *work.Pool
 }
 
-func (c *ReplConfig) applyDefaults() {
-	if c.MaxDeltaWindow == 0 {
-		c.MaxDeltaWindow = 150
-	}
-	if c.OwedSettleTicks == 0 {
-		c.OwedSettleTicks = 8
-	}
-}
-
 type peerState struct {
-	ackTick      uint64
-	acked        bool
-	lastSnapshot uint64
-	snapshots    uint64
-	deltas       uint64
+	ackTick   uint64
+	acked     bool
+	snapshots uint64
+	deltas    uint64
 	// refused is the peer's interest (nil refuses nothing).
 	refused RefusedFunc
 	// scratch is the peer's reusable Delta, valid until its next planned
@@ -97,7 +84,7 @@ type sentRecord struct {
 }
 
 // maxSentLog bounds a peer's outstanding send log. A peer silent this long
-// is far past MaxDeltaWindow and receiving snapshots; dropping the oldest
+// is far past maxDeltaWindow and receiving snapshots; dropping the oldest
 // records costs nothing because any snapshot ack restores total coverage.
 const maxSentLog = 512
 
@@ -161,7 +148,7 @@ func (p *peerState) resolveAck(tick uint64) (uint64, bool) {
 // allocated scratch (the delta's entity slices, the owed set), so onboarding
 // a client after a departure allocates nothing.
 func (p *peerState) reset() {
-	p.ackTick, p.acked, p.lastSnapshot, p.newestAck = 0, false, 0, 0
+	p.ackTick, p.acked, p.newestAck = 0, false, 0
 	p.snapshots, p.deltas = 0, 0
 	p.refused = nil
 	if p.scratch != nil {
@@ -187,8 +174,8 @@ type Replicator struct {
 	// path allocation-free. peerSnaps holds the tick's snapshots: the tick's
 	// i-th is built into the i-th message, so the list is as long as the
 	// busiest tick's snapshots were many. (A peer snapshots at its join and
-	// then once per keyframe; a world-sized message of its own would sit idle
-	// for the rest of its life.)
+	// again only if it falls past the delta window; a world-sized message of
+	// its own would sit idle for the rest of its life.)
 	plan      []PeerMessage
 	peerSnaps []*protocol.Snapshot
 
@@ -227,7 +214,6 @@ type planJob struct {
 
 // NewReplicator creates a replicator over store.
 func NewReplicator(store *Store, cfg ReplConfig) *Replicator {
-	cfg.applyDefaults()
 	return &Replicator{
 		store:   store,
 		cfg:     cfg,
@@ -420,7 +406,7 @@ func (r *Replicator) ExportBaseline(peer string) (PeerBaseline, error) {
 // ImportBaseline seeds peer's replication position from a baseline exported
 // on another node. The ack floor is honored only when this replicator's
 // history provably covers it: the floor must lie between the removal-log
-// prune horizon and the current store tick, within MaxDeltaWindow. Anything
+// prune horizon and the current store tick, within maxDeltaWindow. Anything
 // else — a floor under pruned removals, a floor ahead of a lagging mirror,
 // a floor too old to delta from — falls back to unacked, so the next
 // PlanTick opens with a full snapshot (correct, just not incremental).
@@ -437,7 +423,7 @@ func (r *Replicator) ImportBaseline(peer string, b PeerBaseline) error {
 	}
 	tick := r.store.Tick()
 	coversFloor := b.Acked && b.AckTick >= r.prunedTo && b.AckTick <= tick &&
-		tick-b.AckTick <= r.cfg.MaxDeltaWindow
+		tick-b.AckTick <= maxDeltaWindow
 	if coversFloor {
 		p.ackTick, p.acked = b.AckTick, true
 		r.pruneDirty = true
@@ -475,9 +461,8 @@ type PeerMessage struct {
 }
 
 // PlanTick builds the replication message for every peer at the store's
-// current tick. Peers receive a Snapshot when they have never acked, their
-// ack is older than MaxDeltaWindow, or a periodic keyframe is due;
-// otherwise a Delta since their ack. Peers with nothing to send (empty
+// current tick. Peers receive a Snapshot when they have never acked or their
+// ack is older than maxDeltaWindow; otherwise a Delta since their ack. Peers with nothing to send (empty
 // delta) are skipped. Every peer's message is gated by its interest, asked
 // once per build (nil refuses nothing), and settles its owed set.
 //
@@ -534,7 +519,6 @@ func (r *Replicator) PlanTick() []PeerMessage {
 	for _, j := range jobs {
 		p := j.peer
 		if j.snap != nil {
-			p.lastSnapshot = tick
 			p.snapshots++
 			p.noteSent(tick, p.ackTick, true)
 			out = append(out, PeerMessage{Peer: j.id, Msg: j.snap})
@@ -553,9 +537,7 @@ func (r *Replicator) PlanTick() []PeerMessage {
 
 // wantSnapshot is the snapshot-vs-delta decision for one peer at tick.
 func (r *Replicator) wantSnapshot(p *peerState, tick uint64) bool {
-	return !p.acked ||
-		tick-p.ackTick > r.cfg.MaxDeltaWindow ||
-		(r.cfg.SnapshotEvery > 0 && tick-p.lastSnapshot >= r.cfg.SnapshotEvery)
+	return !p.acked || tick-p.ackTick > maxDeltaWindow
 }
 
 // execJob runs one build of pass 2, asking the peer's interest once into its
@@ -572,7 +554,7 @@ func (r *Replicator) execJob(w, i int) {
 	if j.snap != nil {
 		r.store.SnapshotOwedInto(refused, j.snap, &p.owed)
 	} else {
-		r.store.DeltaSinceOwedInto(p.ackTick, refused, p.scratch, &p.owed, r.cfg.OwedSettleTicks)
+		r.store.DeltaSinceOwedInto(p.ackTick, refused, p.scratch, &p.owed, owedSettleTicks)
 	}
 }
 

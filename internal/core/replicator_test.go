@@ -67,39 +67,19 @@ func TestReplicatorQuiescentSendsNothing(t *testing.T) {
 
 func TestReplicatorStaleAckFallsBackToSnapshot(t *testing.T) {
 	s := NewStore()
-	r := NewReplicator(s, ReplConfig{MaxDeltaWindow: 10})
+	r := NewReplicator(s, ReplConfig{})
 	_ = r.AddPeer("p", nil)
 	s.BeginTick()
 	s.Upsert(ent(1, 0))
 	_ = r.PlanTick()
 	_ = r.Ack("p", 1)
-	for i := 0; i < 20; i++ {
+	for i := 0; i < maxDeltaWindow+10; i++ {
 		s.BeginTick()
 		s.Upsert(ent(1, float64(i)))
 	}
 	msgs := r.PlanTick()
 	if _, ok := msgs[0].Msg.(*protocol.Snapshot); !ok {
 		t.Fatalf("stale peer got %T, want Snapshot", msgs[0].Msg)
-	}
-}
-
-func TestReplicatorPeriodicKeyframe(t *testing.T) {
-	s := NewStore()
-	r := NewReplicator(s, ReplConfig{SnapshotEvery: 5, MaxDeltaWindow: 1000})
-	_ = r.AddPeer("p", nil)
-	snapshots := 0
-	for i := 0; i < 20; i++ {
-		s.BeginTick()
-		s.Upsert(ent(1, float64(i)))
-		for _, m := range r.PlanTick() {
-			if _, ok := m.Msg.(*protocol.Snapshot); ok {
-				snapshots++
-			}
-		}
-		_ = r.Ack("p", s.Tick())
-	}
-	if snapshots < 3 || snapshots > 6 {
-		t.Errorf("keyframes = %d over 20 ticks at every-5, want ~4", snapshots)
 	}
 }
 
@@ -250,7 +230,7 @@ func TestReplicatorPruneBoundedByUnackedPeer(t *testing.T) {
 func TestEndToEndConvergence(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	src := NewStore()
-	repl := NewReplicator(src, ReplConfig{MaxDeltaWindow: 30})
+	repl := NewReplicator(src, ReplConfig{})
 	_ = repl.AddPeer("rx", nil)
 	rx := NewStore()
 

@@ -50,32 +50,19 @@ type Config struct {
 	Classroom protocol.ClassroomID
 	// TickHz is the replication tick rate (default 30).
 	TickHz float64
-	// SeatRows, SeatCols describe the room's seating grid (default 6 x 8);
-	// seats are seatPitch apart.
-	SeatRows, SeatCols int
-	// StaleAfter despawns a local participant whose sensors went quiet
-	// (default 2 s).
-	StaleAfter time.Duration
 	// Interest is the client fan-out policy (nil = broadcast). Edge servers
 	// replicate to server peers unfiltered either way; the policy takes
 	// effect only if VR clients are attached to this node directly.
 	Interest *interest.Policy
 }
 
-// seatPitch is the distance between neighbouring seats in meters.
-const seatPitch = 1.2
-
-func (c *Config) applyDefaults() {
-	if c.SeatRows <= 0 {
-		c.SeatRows = 6
-	}
-	if c.SeatCols <= 0 {
-		c.SeatCols = 8
-	}
-	if c.StaleAfter <= 0 {
-		c.StaleAfter = 2 * time.Second
-	}
-}
+// The room's seating grid is seatRows x seatCols seats, seatPitch meters
+// apart. staleAfter despawns a local participant whose sensors went quiet.
+const (
+	seatRows, seatCols = 6, 8
+	seatPitch          = 1.2
+	staleAfter         = 2 * time.Second
+)
 
 // Server is a classroom edge server: the sensing and seat-correction policy
 // over the shared node runtime.
@@ -102,7 +89,6 @@ type Server struct {
 // send path, and receive dispatch all come from tr, so the same construction
 // works over netsim and TCP.
 func New(sim *vclock.Sim, tr endpoint.Transport, cfg Config) (*Server, error) {
-	cfg.applyDefaults()
 	if cfg.Classroom == 0 {
 		return nil, errors.New("edge: classroom ID must be nonzero")
 	}
@@ -110,7 +96,6 @@ func New(sim *vclock.Sim, tr endpoint.Transport, cfg Config) (*Server, error) {
 		TickHz:    cfg.TickHz,
 		Interest:  cfg.Interest,
 		CountRecv: true,
-		AutoPong:  true,
 	})
 	if err != nil {
 		return nil, err
@@ -122,7 +107,7 @@ func New(sim *vclock.Sim, tr endpoint.Transport, cfg Config) (*Server, error) {
 		exprs:       make(map[protocol.ParticipantID][]byte),
 		flags:       make(map[protocol.ParticipantID]uint8),
 		corrections: make(map[endpoint.Addr]map[protocol.ParticipantID]mathx.Transform),
-		seats:       seat.NewGrid(cfg.Classroom, cfg.SeatRows, cfg.SeatCols, seatPitch),
+		seats:       seat.NewGrid(cfg.Classroom, seatRows, seatCols, seatPitch),
 		avatars:     avatar.NewRegistry(),
 	}
 	s.mLocalDespawn = rt.Metrics().Counter("local.despawned")
@@ -155,7 +140,7 @@ func (s *Server) RegisterLocal(av avatar.Avatar, seatIdx uint16) error {
 		_ = s.avatars.Remove(av.Participant)
 		return err
 	}
-	s.fusers[av.Participant] = fusion.New(fusion.Config{})
+	s.fusers[av.Participant] = fusion.New()
 	return nil
 }
 
@@ -280,7 +265,7 @@ func (s *Server) authorLocals() {
 	s.idScratch = ids
 	for _, id := range ids {
 		f := s.fusers[id]
-		if f.Stale(now, s.cfg.StaleAfter) {
+		if f.Stale(now, staleAfter) {
 			if _, present := local.Get(id); present {
 				local.Remove(id)
 				s.mLocalDespawn.Inc()

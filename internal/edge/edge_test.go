@@ -169,7 +169,7 @@ func TestEdgeReplicatesToPeer(t *testing.T) {
 func TestEdgeStaleDespawn(t *testing.T) {
 	sim := vclock.New(3)
 	net := netsim.New(sim)
-	s, err := New(sim, net.Endpoint("e"), Config{Classroom: 1, StaleAfter: 500 * time.Millisecond})
+	s, err := New(sim, net.Endpoint("e"), Config{Classroom: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestEdgeStaleDespawn(t *testing.T) {
 	}
 	// Headset dies (wearer took it off / left coverage).
 	h.Stop()
-	_ = sim.Run(2 * time.Second)
+	_ = sim.Run(time.Second + staleAfter + 500*time.Millisecond)
 	if _, ok := s.LocalStore().Get(10); ok {
 		t.Error("stale participant not despawned")
 	}
@@ -195,11 +195,7 @@ func TestEdgeStaleDespawn(t *testing.T) {
 func TestEdgeSeatExhaustionFallsBackToIdentity(t *testing.T) {
 	sim := vclock.New(4)
 	net := netsim.New(sim)
-	// 1x1 grid: a single seat, taken by the local participant.
-	a, err := New(sim, net.Endpoint("a"), Config{Classroom: 1, SeatRows: 1, SeatCols: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newEdge(t, sim, net, 1, "a")
 	b := newEdge(t, sim, net, 2, "b")
 	if err := net.ConnectBoth("a", "b", netsim.InterCampus()); err != nil {
 		t.Fatal(err)
@@ -210,12 +206,15 @@ func TestEdgeSeatExhaustionFallsBackToIdentity(t *testing.T) {
 	if err := b.ConnectPeer("a"); err != nil {
 		t.Fatal(err)
 	}
-	wireParticipant(t, sim, a, 1, 0, trace.Seated{})
+	// Local participants 100.. take every one of A's seats.
+	for i := 0; i < seatRows*seatCols; i++ {
+		wireParticipant(t, sim, a, protocol.ParticipantID(100+i), uint16(i), trace.Seated{})
+	}
 	wireParticipant(t, sim, b, 2, 0, trace.Seated{Anchor: mathx.V3(2, 0, 2)})
 	_ = a.Start()
 	_ = b.Start()
 	_ = sim.Run(2 * time.Second)
-	// A's one seat is occupied by participant 1; the visitor still displays.
+	// A's seats are all occupied by its locals; the visitor still displays.
 	if got := a.Metrics().Counter("seats.exhausted").Value(); got != 1 {
 		t.Errorf("seats.exhausted = %d, want 1", got)
 	}
@@ -290,12 +289,12 @@ func TestEdgeIgnoresGarbageMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Garbage bytes and a snapshot from an unknown peer.
-	_ = net.Send("evil", "e", []byte{1, 2, 3})
+	_ = net.SendFrame("evil", "e", protocol.CopyFrame([]byte{1, 2, 3}))
 	frame, err := protocol.Encode(&protocol.Snapshot{Tick: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = net.Send("evil", "e", frame)
+	_ = net.SendFrame("evil", "e", protocol.CopyFrame(frame))
 	_ = sim.RunAll()
 	if got := s.Metrics().Counter("recv.decode_errors").Value(); got != 1 {
 		t.Errorf("recv.decode_errors = %d, want 1", got)

@@ -23,7 +23,8 @@ func fanoutEntity(id protocol.ParticipantID, x float64) protocol.EntityState {
 
 // TestFrameCacheRefcountsMatchRecipients is the fan-out frame ownership
 // property test: for random store churn, peer populations (filtered and
-// unfiltered), and ack patterns, every frame Fanout hands a recording
+// unfiltered), and ack patterns (one peer acking so rarely that it falls past
+// the delta window into keyframes), every frame Fanout hands a recording
 // transport is its own frame holding exactly one reference — the
 // transport's — with the plan entry's bytes, and once the transport releases
 // them no frame is live.
@@ -32,7 +33,7 @@ func TestFrameCacheRefcountsMatchRecipients(t *testing.T) {
 	live0 := protocol.LiveFrames()
 
 	s := core.NewStore()
-	repl := core.NewReplicator(s, core.ReplConfig{MaxDeltaWindow: 20, SnapshotEvery: 37})
+	repl := core.NewReplicator(s, core.ReplConfig{})
 	tr := &frameRecorder{addr: "node"}
 	d, err := endpoint.NewDispatcher(tr, metrics.NewRegistry("node"), endpoint.Config{})
 	if err != nil {
@@ -54,9 +55,10 @@ func TestFrameCacheRefcountsMatchRecipients(t *testing.T) {
 		addPeer()
 	}
 
+	const slowPeer = "peer-001" // acks once every 200 ticks
 	var peerScratch []string
-	sent := 0
-	for tick := 0; tick < 120; tick++ {
+	sent, keyframes := 0, 0
+	for tick := 0; tick < 420; tick++ {
 		s.BeginTick()
 		for i := 0; i < 4; i++ {
 			id := protocol.ParticipantID(rng.Intn(40) + 1)
@@ -70,7 +72,17 @@ func TestFrameCacheRefcountsMatchRecipients(t *testing.T) {
 			addPeer()
 		}
 
+		acked := map[string]bool{}
+		for _, id := range repl.PeersAppend(peerScratch[:0]) {
+			st, _ := repl.StatsOf(id)
+			acked[id] = st.Acked
+		}
 		plan := repl.PlanTick()
+		for _, pm := range plan {
+			if _, ok := pm.Msg.(*protocol.Snapshot); ok && acked[pm.Peer] {
+				keyframes++ // an acked peer gets a snapshot only past the delta window
+			}
+		}
 		tr.frames, tr.to = tr.frames[:0], tr.to[:0]
 		d.Fanout(plan)
 		if len(tr.frames) != len(plan) {
@@ -97,13 +109,20 @@ func TestFrameCacheRefcountsMatchRecipients(t *testing.T) {
 		// Random subset of peers ack, creating mixed baselines next tick.
 		peerScratch = repl.PeersAppend(peerScratch[:0])
 		for _, id := range peerScratch {
-			if rng.Float64() < 0.6 {
+			if id == slowPeer {
+				if tick%200 == 0 {
+					_ = repl.Ack(id, s.Tick())
+				}
+			} else if rng.Float64() < 0.6 {
 				_ = repl.Ack(id, s.Tick())
 			}
 		}
 	}
 	if sent == 0 {
 		t.Fatal("test drove no fan-out")
+	}
+	if keyframes == 0 {
+		t.Fatal("no acked peer fell past the delta window")
 	}
 	if live := protocol.LiveFrames(); live != live0 {
 		t.Fatalf("%d frames leaked across random plans", live-live0)

@@ -61,7 +61,7 @@ func churnFingerprint(t *testing.T, seed int64) string {
 	cloudLink.Bandwidth = 4e6
 	cloudLink.QueueLimit = 32 << 10
 	d, err := classroom.NewDeployment(classroom.Config{
-		Seed: seed, EnableInterest: true, CloudLink: &cloudLink,
+		Seed: seed, EnableInterest: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,6 +70,7 @@ func churnFingerprint(t *testing.T, seed int64) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	shapeCloudLinks(t, d, cloudLink, "edge-gz")
 	if _, err := gz.AddEducator("prof", trace.Lecturer{
 		Left: mathx.V3(-3, 0, 0), Right: mathx.V3(3, 0, 0)}); err != nil {
 		t.Fatal(err)

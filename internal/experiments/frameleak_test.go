@@ -40,7 +40,7 @@ func TestDeploymentLeaksNoFrames(t *testing.T) {
 	cloudLink.Bandwidth = 2e6 // tight enough to queue under fan-out bursts
 	cloudLink.QueueLimit = 16 << 10
 	d, err := classroom.NewDeployment(classroom.Config{
-		Seed: 7, EnableInterest: true, CloudLink: &cloudLink,
+		Seed: 7, EnableInterest: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,6 +56,7 @@ func TestDeploymentLeaksNoFrames(t *testing.T) {
 	if err := d.ConnectCampuses(gz, cwb); err != nil {
 		t.Fatal(err)
 	}
+	shapeCloudLinks(t, d, cloudLink, "edge-gz", "edge-cwb")
 	if _, err := gz.AddEducator("prof", trace.Lecturer{
 		Left: mathx.V3(-3, 0, 0), Right: mathx.V3(3, 0, 0)}); err != nil {
 		t.Fatal(err)
@@ -140,5 +141,19 @@ func TestNetworkCloseMidRunLeaksNoFrames(t *testing.T) {
 	drainDeployment(t, d)
 	if live := protocol.LiveFrames(); live != live0 {
 		t.Fatalf("%d frames leaked across mid-run network close", live-live0)
+	}
+}
+
+// shapeCloudLinks gives each named edge's links to and from the cloud the
+// profile cfg, before the deployment runs.
+func shapeCloudLinks(t *testing.T, d *classroom.Deployment, cfg netsim.LinkConfig, edges ...netsim.Addr) {
+	t.Helper()
+	for _, e := range edges {
+		if err := d.Network().SetLink(e, "cloud", cfg); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Network().SetLink("cloud", e, cfg); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

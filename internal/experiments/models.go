@@ -107,15 +107,15 @@ func runVideoPoint(seed int64, strat video.Strategy, link netsim.LinkConfig) (vi
 	var sender *video.Sender
 	var receiver *video.Receiver
 	sender = video.NewSender(sim, cfg, func(c *protocol.VideoChunk) {
-		if frame, err := protocol.Encode(c); err == nil {
-			_ = net.Send("tx", "rx", frame)
+		if f, err := protocol.EncodeFrame(c); err == nil {
+			_ = net.SendFrame("tx", "rx", f)
 		}
 	})
 	var nack func(*protocol.Nack)
 	if strat == video.StrategyARQ || strat == video.StrategyAdaptive {
 		nack = func(n *protocol.Nack) {
-			if frame, err := protocol.Encode(n); err == nil {
-				_ = net.Send("rx", "tx", frame)
+			if f, err := protocol.EncodeFrame(n); err == nil {
+				_ = net.SendFrame("rx", "tx", f)
 			}
 		}
 	}
@@ -146,6 +146,7 @@ func runVideoPoint(seed int64, strat video.Strategy, link netsim.LinkConfig) (vi
 	_ = sim.Run(12 * time.Second)
 	sender.Stop()
 	_ = sim.Run(14 * time.Second)
+	net.Close() // releases the frames still in flight
 	return sender.Stats(), receiver.Stats()
 }
 
@@ -193,7 +194,7 @@ func E8Sickness(seed int64) Table {
 func fusionPoint(seed int64, useHeadset, useRoom bool, occlusion float64) float64 {
 	sim := vclock.New(seed)
 	script := trace.Seated{Anchor: mathx.V3(1, 0, 2), Phase: 0.4}
-	f := fusion.New(fusion.Config{})
+	f := fusion.New()
 	sink := func(o sensors.Observation) { f.Observe(o) }
 	if useHeadset {
 		h := sensors.NewHeadset("p", sim, script, sensors.HeadsetConfig{DriftRate: 0.02}, sink)

@@ -19,33 +19,20 @@ import (
 	"metaclass/internal/sensors"
 )
 
-// Config tunes the fuser.
-type Config struct {
-	// GateThreshold is the normalized-innovation-squared rejection bound
-	// (default 25 — i.e. 5 sigma). Observations above it are discarded,
-	// except that gating is suspended while the filter is cold.
-	GateThreshold float64
-	// ColdSamples is how many initial accepted samples bypass the gate
-	// (default 10).
-	ColdSamples int
-}
-
-func (c *Config) applyDefaults() {
-	if c.GateThreshold <= 0 {
-		c.GateThreshold = 25
-	}
-	if c.ColdSamples <= 0 {
-		c.ColdSamples = 10
-	}
-}
-
 // processNoise is the Kalman acceleration intensity: classroom-scale motion.
-const processNoise = 2.0
+// gateThreshold is the normalized-innovation-squared rejection bound (25, i.e.
+// 5 sigma): observations above it are discarded, except that gating is
+// suspended for the first coldSamples accepted samples, while the filter is
+// cold.
+const (
+	processNoise  = 2.0
+	gateThreshold = 25
+	coldSamples   = 10
+)
 
 // Fuser fuses observations for one participant.
 type Fuser struct {
-	cfg Config
-	kf  *pose.Kalman3D
+	kf *pose.Kalman3D
 
 	yaw       float64
 	yawPrimed bool
@@ -56,9 +43,8 @@ type Fuser struct {
 }
 
 // New creates a fuser.
-func New(cfg Config) *Fuser {
-	cfg.applyDefaults()
-	return &Fuser{cfg: cfg, kf: pose.NewKalman3D(processNoise)}
+func New() *Fuser {
+	return &Fuser{kf: pose.NewKalman3D(processNoise)}
 }
 
 // Observe feeds one sensor observation. It returns true if the observation
@@ -68,11 +54,11 @@ func (f *Fuser) Observe(o sensors.Observation) bool {
 	if variance <= 0 {
 		variance = 1e-6
 	}
-	if f.kf.Primed() && f.accepted >= uint64(f.cfg.ColdSamples) {
+	if f.kf.Primed() && f.accepted >= coldSamples {
 		// Gate on predicted innovation before committing the update.
 		pred := f.kf.Predict(o.Time)
 		nis := pred.Sub(o.Position).LenSq() / (f.kf.Variance() + variance)
-		if nis > f.cfg.GateThreshold {
+		if nis > gateThreshold {
 			f.rejected++
 			return false
 		}

@@ -16,7 +16,7 @@ import (
 func runScenario(t *testing.T, seed int64, useHeadset, useRoom bool, script trace.MotionScript, dur time.Duration) *Fuser {
 	t.Helper()
 	sim := vclock.New(seed)
-	f := New(Config{})
+	f := New()
 	sink := func(o sensors.Observation) { f.Observe(o) }
 	if useHeadset {
 		h := sensors.NewHeadset("p", sim, script, sensors.HeadsetConfig{DriftRate: 0.02}, sink)
@@ -57,7 +57,7 @@ func TestFusedBeatsSingleSource(t *testing.T) {
 }
 
 func TestEstimateUnprimed(t *testing.T) {
-	f := New(Config{})
+	f := New()
 	if _, ok := f.Estimate(time.Second); ok {
 		t.Error("unprimed fuser returned estimate")
 	}
@@ -67,7 +67,7 @@ func TestEstimateUnprimed(t *testing.T) {
 }
 
 func TestOutlierGate(t *testing.T) {
-	f := New(Config{GateThreshold: 25, ColdSamples: 5})
+	f := New()
 	// Steady stream at the origin.
 	for i := 0; i < 100; i++ {
 		ok := f.Observe(sensors.Observation{
@@ -98,9 +98,13 @@ func TestOutlierGate(t *testing.T) {
 }
 
 func TestColdStartBypassesGate(t *testing.T) {
-	f := New(Config{ColdSamples: 3})
-	// Wildly scattered first samples must all be accepted (no prior yet).
-	positions := []mathx.Vec3{{X: 0}, {X: 10}, {X: -5}}
+	f := New()
+	// Wildly scattered first samples must all be accepted (no prior yet):
+	// the gate opens only after coldSamples of them.
+	positions := []mathx.Vec3{{X: 0}, {X: 10}, {X: -5}, {X: 7}, {X: -12}, {X: 3}, {X: 15}, {X: -8}, {X: 20}, {X: -3}}
+	if len(positions) != coldSamples {
+		t.Fatalf("%d cold samples fed, the gate opens after %d", len(positions), coldSamples)
+	}
 	for i, p := range positions {
 		if !f.Observe(sensors.Observation{Time: time.Duration(i) * time.Second, Position: p, PosStdDev: 0.01}) {
 			t.Errorf("cold sample %d rejected", i)
@@ -109,7 +113,7 @@ func TestColdStartBypassesGate(t *testing.T) {
 }
 
 func TestYawFusionPrefersHeadset(t *testing.T) {
-	f := New(Config{})
+	f := New()
 	// Headset says yaw=1.0, room says yaw=0.0, alternating.
 	for i := 0; i < 200; i++ {
 		tm := time.Duration(i) * 20 * time.Millisecond
@@ -126,7 +130,7 @@ func TestYawFusionPrefersHeadset(t *testing.T) {
 }
 
 func TestStaleDetection(t *testing.T) {
-	f := New(Config{})
+	f := New()
 	f.Observe(sensors.Observation{Time: time.Second, Position: mathx.V3(0, 1, 0), PosStdDev: 0.01})
 	if f.Stale(time.Second+100*time.Millisecond, time.Second) {
 		t.Error("fresh fuser reported stale")
@@ -140,7 +144,7 @@ func TestStaleDetection(t *testing.T) {
 }
 
 func TestEstimateExtrapolatesVelocity(t *testing.T) {
-	f := New(Config{})
+	f := New()
 	// Constant velocity 1 m/s along X.
 	for i := 0; i <= 100; i++ {
 		tm := time.Duration(i) * 20 * time.Millisecond

@@ -32,9 +32,8 @@ func (e *Endpoint) SendFrame(to endpoint.Addr, f *protocol.Frame) error {
 }
 
 // receiverHandler adapts an endpoint.Receiver to the fabric's Handler
-// surface. When the receiver understands frames, frame-backed deliveries are
-// handed over with the retainable handle; raw Send deliveries and plain
-// receivers keep the borrowed-payload path.
+// surface. When the receiver understands frames, deliveries are handed over
+// with the retainable handle; plain receivers keep the borrowed-payload path.
 type receiverHandler struct {
 	r  endpoint.Receiver
 	fr endpoint.FrameReceiver // r's FrameReceiver view, nil if unsupported

@@ -38,10 +38,9 @@ var (
 type Addr string
 
 // Handler receives messages delivered to a host. from is the sending host;
-// payload is the raw message bytes, borrowed for the duration of the call:
-// frame-backed payloads (SendFrame) are recycled as soon as the handler
-// returns, so a handler that wants to keep bytes must copy them (e.g. into
-// a protocol.CopyFrame).
+// payload is the delivered frame's bytes, borrowed for the duration of the
+// call: the frame is recycled as soon as the handler returns, so a handler
+// that wants to keep bytes must copy them (e.g. into a protocol.CopyFrame).
 type Handler interface {
 	HandleMessage(from Addr, payload []byte)
 }
@@ -53,12 +52,11 @@ type HandlerFunc func(from Addr, payload []byte)
 func (f HandlerFunc) HandleMessage(from Addr, payload []byte) { f(from, payload) }
 
 // FrameHandler is an optional extension of Handler for receivers that want
-// the refcounted frame behind a SendFrame delivery (the retainable
-// receive-frame handle). The frame is borrowed for the duration of the call —
-// the network still releases its delivery reference when the handler returns
-// — so a handler that wants to keep or forward the bytes zero-copy must
-// Retain the frame and release its own reference later. Raw Send deliveries
-// have no frame and always arrive via HandleMessage.
+// the refcounted frame behind a delivery (the retainable receive-frame
+// handle). The frame is borrowed for the duration of the call — the network
+// still releases its delivery reference when the handler returns — so a
+// handler that wants to keep or forward the bytes zero-copy must Retain the
+// frame and release its own reference later.
 type FrameHandler interface {
 	Handler
 	HandleFrame(from Addr, f *protocol.Frame)
@@ -124,19 +122,18 @@ func (h *host) bind(hd Handler) {
 	h.frameHandler, _ = hd.(FrameHandler)
 }
 
-// delivery is the in-flight state of one Send, recycled through the
+// delivery is the in-flight state of one SendFrame, recycled through the
 // network's freelist so steady-state traffic allocates neither a closure nor
 // a timer event per message (it rides vclock's pooled AfterCall path).
 type delivery struct {
-	n       *Network
-	l       *link
-	src     Addr
-	dst     Addr
-	payload []byte
-	// frame is the refcounted owner of payload for SendFrame traffic (nil
-	// for raw Send). The delivery holds one reference, taken at frameGen,
-	// and releases it after the handler returns — or without delivering when
-	// the delivery is cancelled (host removal, link removal, network close).
+	n   *Network
+	l   *link
+	src Addr
+	dst Addr
+	// frame holds the message. The delivery holds one reference, taken at
+	// frameGen, and releases it after the handler returns — or without
+	// delivering when the delivery is cancelled (host removal, link removal,
+	// network close).
 	frame    *protocol.Frame
 	frameGen uint32
 	sentAt   time.Duration
@@ -161,13 +158,11 @@ func runDelivery(a any) {
 	if d.queued {
 		d.l.queued -= d.size
 	}
-	n.deliver(d.src, d.dst, d.payload, d.frame, d.sentAt)
-	if d.frame != nil {
-		// The handler has returned (or the destination is gone): the
-		// delivery's reference — and with it the payload bytes — goes back.
-		// A handler that retained the frame keeps it alive past this point.
-		d.frame.ReleaseGen(d.frameGen)
-	}
+	n.deliver(d.src, d.dst, d.frame, d.sentAt)
+	// The handler has returned (or the destination is gone): the delivery's
+	// reference — and with it the bytes — goes back. A handler that retained
+	// the frame keeps it alive past this point.
+	d.frame.ReleaseGen(d.frameGen)
 	n.recycle(d)
 }
 
@@ -189,17 +184,15 @@ func (n *Network) recycle(d *delivery) {
 
 // cancel reclaims one in-flight delivery without delivering it: the timer
 // event comes off the heap, the link's serialization queue is credited, and
-// the frame reference (if any) is released — exactly the once the SendFrame
-// contract owes. The destination handler is never invoked.
+// the frame reference is released — exactly the once the SendFrame contract
+// owes. The destination handler is never invoked.
 func (n *Network) cancel(d *delivery) {
 	n.sim.CancelCall(d.ev, d.evGen)
 	n.untrack(d)
 	if d.queued {
 		d.l.queued -= d.size
 	}
-	if d.frame != nil {
-		d.frame.ReleaseGen(d.frameGen)
-	}
+	d.frame.ReleaseGen(d.frameGen)
 	n.recycle(d)
 }
 
@@ -327,64 +320,40 @@ func (n *Network) LinkConfigOf(src, dst Addr) (LinkConfig, error) {
 	return l.cfg, nil
 }
 
-// Send transmits payload from src to dst over the direct link. The payload
-// is delivered (or dropped) asynchronously; Send itself never blocks. The
-// network borrows the payload slice until delivery completes, so the caller
-// must not modify or reuse it after Send; it is never handed back. Callers
-// that want their buffer returned send a refcounted frame via SendFrame
-// instead.
-func (n *Network) Send(src, dst Addr, payload []byte) error {
-	return n.send(src, dst, payload, nil, 0)
-}
-
-// SendFrame transmits f's bytes from src to dst, consuming exactly one of
-// the caller's references: whether the message is delivered, lost at
-// ingress, tail-dropped at the serialization queue, refused (closed
-// network, unknown host, no route), or cancelled in flight (destination
-// removed, link disconnected, network closed), the network releases that
-// reference exactly once. Timing, loss, and metrics behavior is identical
-// to Send.
+// SendFrame transmits f's bytes from src to dst over the direct link,
+// consuming exactly one of the caller's references. The message is delivered
+// (or dropped) asynchronously; SendFrame itself never blocks. Whether the
+// message is delivered, lost at ingress, tail-dropped at the serialization
+// queue, refused (closed network, unknown host, no route), or cancelled in
+// flight (destination removed, link disconnected, network closed), the
+// network releases that reference exactly once.
 func (n *Network) SendFrame(src, dst Addr, f *protocol.Frame) error {
-	return n.send(src, dst, f.Bytes(), f, f.Gen())
-}
-
-func (n *Network) send(src, dst Addr, payload []byte, f *protocol.Frame, gen uint32) error {
+	size, gen := f.Len(), f.Gen()
 	if n.closed {
-		if f != nil {
-			f.ReleaseGen(gen)
-		}
+		f.ReleaseGen(gen)
 		return ErrNetworkClosed
 	}
 	s, ok := n.hosts[src]
 	if !ok {
-		if f != nil {
-			f.ReleaseGen(gen)
-		}
+		f.ReleaseGen(gen)
 		return fmt.Errorf("%w: %s", ErrUnknownHost, src)
 	}
 	if _, ok := n.hosts[dst]; !ok {
 		// A removed destination is unknown, not unrouted: the distinction
 		// lets senders tell a departed peer from a topology gap.
-		if f != nil {
-			f.ReleaseGen(gen)
-		}
+		f.ReleaseGen(gen)
 		return fmt.Errorf("%w: %s", ErrUnknownHost, dst)
 	}
 	l, ok := s.links[dst]
 	if !ok {
-		if f != nil {
-			f.ReleaseGen(gen)
-		}
+		f.ReleaseGen(gen)
 		return fmt.Errorf("%w: %s->%s", ErrNoRoute, src, dst)
 	}
-	size := len(payload)
 
 	// Bernoulli loss applies at ingress (models air interface / congestion).
 	if l.cfg.LossRate > 0 && n.sim.Rand().Float64() < l.cfg.LossRate {
 		l.dropped.Inc()
-		if f != nil {
-			f.ReleaseGen(gen)
-		}
+		f.ReleaseGen(gen)
 		return nil
 	}
 
@@ -394,9 +363,7 @@ func (n *Network) send(src, dst Addr, payload []byte, f *protocol.Frame, gen uin
 	if l.cfg.Bandwidth > 0 {
 		if l.cfg.QueueLimit > 0 && l.queued+size > l.cfg.QueueLimit {
 			l.dropped.Inc()
-			if f != nil {
-				f.ReleaseGen(gen)
-			}
+			f.ReleaseGen(gen)
 			return nil
 		}
 		txTime := time.Duration(float64(size*8) / float64(l.cfg.Bandwidth) * float64(time.Second))
@@ -424,7 +391,7 @@ func (n *Network) send(src, dst Addr, payload []byte, f *protocol.Frame, gen uin
 		n.allocated++
 	}
 	*d = delivery{
-		n: n, l: l, src: src, dst: dst, payload: payload,
+		n: n, l: l, src: src, dst: dst,
 		frame: f, frameGen: gen,
 		sentAt: now, size: size, queued: l.cfg.Bandwidth > 0,
 	}
@@ -434,7 +401,9 @@ func (n *Network) send(src, dst Addr, payload []byte, f *protocol.Frame, gen uin
 	return nil
 }
 
-func (n *Network) deliver(src, dst Addr, payload []byte, f *protocol.Frame, sentAt time.Duration) {
+// deliver hands f to dst's handler: HandleFrame for a FrameHandler, the
+// frame's bytes to HandleMessage otherwise.
+func (n *Network) deliver(src, dst Addr, f *protocol.Frame, sentAt time.Duration) {
 	if n.closed {
 		return
 	}
@@ -444,11 +413,11 @@ func (n *Network) deliver(src, dst Addr, payload []byte, f *protocol.Frame, sent
 	}
 	n.delivered.Inc()
 	n.latency.Observe(n.sim.Now() - sentAt)
-	if f != nil && d.frameHandler != nil {
+	if d.frameHandler != nil {
 		d.frameHandler.HandleFrame(src, f)
 		return
 	}
-	d.handler.HandleMessage(src, payload)
+	d.handler.HandleMessage(src, f.Bytes())
 }
 
 // retire folds a link's drop/byte counters into the network-level retired

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"metaclass/internal/protocol"
 	"metaclass/internal/vclock"
 )
 
@@ -35,7 +36,7 @@ func TestSendDeliversWithLatency(t *testing.T) {
 	if err := n.Connect("a", "b", LinkConfig{Latency: 10 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Send("a", "b", []byte("hello")); err != nil {
+	if err := n.SendFrame("a", "b", protocol.CopyFrame([]byte("hello"))); err != nil {
 		t.Fatal(err)
 	}
 	if err := sim.RunAll(); err != nil {
@@ -56,11 +57,11 @@ func TestNoRoute(t *testing.T) {
 	_, n := newNet(t)
 	mustAdd(t, n, "a", nil)
 	mustAdd(t, n, "b", nil)
-	err := n.Send("a", "b", []byte("x"))
+	err := n.SendFrame("a", "b", protocol.CopyFrame([]byte("x")))
 	if !errors.Is(err, ErrNoRoute) {
 		t.Fatalf("err = %v, want ErrNoRoute", err)
 	}
-	err = n.Send("ghost", "b", nil)
+	err = n.SendFrame("ghost", "b", protocol.CopyFrame(nil))
 	if !errors.Is(err, ErrUnknownHost) {
 		t.Fatalf("err = %v, want ErrUnknownHost", err)
 	}
@@ -117,7 +118,7 @@ func TestLossDropsAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if err := n.Send("a", "b", []byte{1}); err != nil {
+		if err := n.SendFrame("a", "b", protocol.CopyFrame([]byte{1})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,7 +145,7 @@ func TestLossRateApproximate(t *testing.T) {
 	}
 	const total = 10000
 	for i := 0; i < total; i++ {
-		_ = n.Send("a", "b", []byte{1})
+		_ = n.SendFrame("a", "b", protocol.CopyFrame([]byte{1}))
 	}
 	_ = sim.RunAll()
 	got := float64(len(rx.payload)) / total
@@ -163,8 +164,8 @@ func TestBandwidthSerialization(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := make([]byte, 1000)
-	_ = n.Send("a", "b", payload)
-	_ = n.Send("a", "b", payload)
+	_ = n.SendFrame("a", "b", protocol.CopyFrame(payload))
+	_ = n.SendFrame("a", "b", protocol.CopyFrame(payload))
 	_ = sim.RunAll()
 	if len(rx.at) != 2 {
 		t.Fatalf("deliveries = %d, want 2", len(rx.at))
@@ -187,8 +188,8 @@ func TestQueueLimitTailDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := make([]byte, 1000)
-	_ = n.Send("a", "b", payload) // queued: 1000
-	_ = n.Send("a", "b", payload) // would make 2000 > 1500: dropped
+	_ = n.SendFrame("a", "b", protocol.CopyFrame(payload)) // queued: 1000
+	_ = n.SendFrame("a", "b", protocol.CopyFrame(payload)) // would make 2000 > 1500: dropped
 	_ = sim.RunAll()
 	if len(rx.at) != 1 {
 		t.Fatalf("deliveries = %d, want 1", len(rx.at))
@@ -209,9 +210,9 @@ func TestQueueDrainsOverTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := make([]byte, 1000)
-	_ = n.Send("a", "b", payload)
+	_ = n.SendFrame("a", "b", protocol.CopyFrame(payload))
 	_ = sim.Run(2 * time.Second) // first message fully delivered, queue empty
-	_ = n.Send("a", "b", payload)
+	_ = n.SendFrame("a", "b", protocol.CopyFrame(payload))
 	_ = sim.RunAll()
 	if len(rx.at) != 2 {
 		t.Fatalf("deliveries = %d, want 2 (queue should drain)", len(rx.at))
@@ -228,7 +229,7 @@ func TestJitterBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		_ = n.Send("a", "b", []byte{1})
+		_ = n.SendFrame("a", "b", protocol.CopyFrame([]byte{1}))
 	}
 	_ = sim.RunAll()
 	var sawJitter bool
@@ -254,8 +255,8 @@ func TestConnectBothAndSetLink(t *testing.T) {
 	if err := n.ConnectBoth("a", "b", LinkConfig{Latency: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	_ = n.Send("a", "b", []byte("to-b"))
-	_ = n.Send("b", "a", []byte("to-a"))
+	_ = n.SendFrame("a", "b", protocol.CopyFrame([]byte("to-b")))
+	_ = n.SendFrame("b", "a", protocol.CopyFrame([]byte("to-a")))
 	_ = sim.RunAll()
 	if len(rxa.payload) != 1 || len(rxb.payload) != 1 {
 		t.Fatal("bidirectional delivery failed")
@@ -282,14 +283,14 @@ func TestBindLateHandler(t *testing.T) {
 	if err := n.Connect("a", "b", LinkConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	_ = n.Send("a", "b", []byte{1})
+	_ = n.SendFrame("a", "b", protocol.CopyFrame([]byte{1}))
 	_ = sim.RunAll()
 
 	rx := &capture{sim: sim}
 	if err := n.Bind("b", rx); err != nil {
 		t.Fatal(err)
 	}
-	_ = n.Send("a", "b", []byte{2})
+	_ = n.SendFrame("a", "b", protocol.CopyFrame([]byte{2}))
 	_ = sim.RunAll()
 	if len(rx.payload) != 1 || rx.payload[0][0] != 2 {
 		t.Fatalf("late-bound handler got %v", rx.payload)
@@ -307,13 +308,13 @@ func TestCloseStopsDelivery(t *testing.T) {
 	if err := n.Connect("a", "b", LinkConfig{Latency: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	_ = n.Send("a", "b", []byte{1})
+	_ = n.SendFrame("a", "b", protocol.CopyFrame([]byte{1}))
 	n.Close()
 	_ = sim.RunAll()
 	if len(rx.payload) != 0 {
 		t.Error("delivery after Close")
 	}
-	if err := n.Send("a", "b", []byte{2}); !errors.Is(err, ErrNetworkClosed) {
+	if err := n.SendFrame("a", "b", protocol.CopyFrame([]byte{2})); !errors.Is(err, ErrNetworkClosed) {
 		t.Errorf("Send after close err = %v", err)
 	}
 }
@@ -327,7 +328,7 @@ func TestStatsAggregate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		_ = n.Send("a", "b", make([]byte, 100))
+		_ = n.SendFrame("a", "b", protocol.CopyFrame(make([]byte, 100)))
 	}
 	_ = sim.RunAll()
 	st := n.Stats()
@@ -385,7 +386,7 @@ func BenchmarkSendDeliver(b *testing.B) {
 	payload := make([]byte, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = n.Send("a", "b", payload)
+		_ = n.SendFrame("a", "b", protocol.CopyFrame(payload))
 		sim.Step()
 	}
 }

@@ -52,7 +52,7 @@ func TestSendToRemovedHost(t *testing.T) {
 	if err := n.SendFrame("a", "b", f); !errors.Is(err, ErrUnknownHost) {
 		t.Fatalf("SendFrame to removed host: %v, want ErrUnknownHost", err)
 	}
-	if err := n.Send("a", "b", []byte{1}); !errors.Is(err, ErrUnknownHost) {
+	if err := n.SendFrame("a", "b", protocol.CopyFrame([]byte{1})); !errors.Is(err, ErrUnknownHost) {
 		t.Fatalf("Send to removed host: %v, want ErrUnknownHost", err)
 	}
 	if err := sim.Run(time.Second); err != nil {
@@ -134,13 +134,13 @@ func TestRemoveThenReAdd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No ghost link: the old a->b path is gone until reconnected.
-	if err := n.Send("a", "b", []byte{1}); !errors.Is(err, ErrNoRoute) {
+	if err := n.SendFrame("a", "b", protocol.CopyFrame([]byte{1})); !errors.Is(err, ErrNoRoute) {
 		t.Fatalf("send over ghost link: %v, want ErrNoRoute", err)
 	}
 	if err := n.Connect("a", "b", LinkConfig{Latency: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Send("a", "b", []byte{1}); err != nil {
+	if err := n.SendFrame("a", "b", protocol.CopyFrame([]byte{1})); err != nil {
 		t.Fatal(err)
 	}
 	if err := sim.Run(time.Second); err != nil {

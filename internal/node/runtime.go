@@ -46,9 +46,9 @@ type Config struct {
 	// Interest is the client fan-out policy; nil disables interest
 	// management (broadcast).
 	Interest *interest.Policy
-	// CountRecv and AutoPong configure the dispatcher (see endpoint.Config).
+	// CountRecv configures the dispatcher (see endpoint.Config). Every node
+	// answers pings.
 	CountRecv bool
-	AutoPong  bool
 }
 
 func (c *Config) applyDefaults() {
@@ -56,10 +56,6 @@ func (c *Config) applyDefaults() {
 		c.TickHz = 30
 	}
 }
-
-// interpDelay is the playout delay of sync-peer replicas. It also sets how
-// much history each playout buffer keeps (core.NewReplica).
-const interpDelay = 100 * time.Millisecond
 
 // SyncPeer is one inbound sync partner (a campus edge at the cloud, the
 // cloud at a relay or edge, a peer edge) whose Snapshot/Delta traffic lands
@@ -147,7 +143,7 @@ func New(sim *vclock.Sim, tr endpoint.Transport, cfg Config) (*Runtime, error) {
 	ep, err := endpoint.NewDispatcher(tr, r.reg, endpoint.Config{
 		Now:       sim.Now,
 		CountRecv: cfg.CountRecv,
-		AutoPong:  cfg.AutoPong,
+		AutoPong:  true,
 		Pool:      r.pool,
 	})
 	if err != nil {
@@ -206,7 +202,7 @@ func (r *Runtime) ConnectReplica(addr endpoint.Addr, ageHist string) (*SyncPeer,
 	if _, ok := r.peers[addr]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrPeerExists, addr)
 	}
-	p := &SyncPeer{Addr: addr, Replica: core.NewReplica(interpDelay, pose.Linear{})}
+	p := &SyncPeer{Addr: addr, Replica: core.NewReplica(core.PlayoutDelay, pose.Linear{})}
 	p.Replica.Latency = r.reg.Histogram(ageHist)
 	r.peers[addr] = p
 	r.peersDirty = true

@@ -129,21 +129,11 @@ func parseFrame(frame []byte) (t MsgType, payload []byte, size int, err error) {
 // Decode parses a frame produced by Encode, validating magic, version,
 // length, and checksum. It returns the decoded message and the total frame
 // size consumed, allowing streams of concatenated frames to be parsed.
-// The message is freshly allocated; receive loops that can respect the
-// Decoder contract should prefer Decoder.Decode, which allocates nothing.
+// It decodes with a Decoder of its own, so the message is the caller's to
+// keep; receive loops that can respect the Decoder contract should reuse a
+// Decoder instead, which allocates nothing.
 func Decode(frame []byte) (Message, int, error) {
-	t, payload, size, err := parseFrame(frame)
-	if err != nil {
-		return nil, 0, err
-	}
-	msg, err := newMessage(t)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := msg.decode(NewReader(payload)); err != nil {
-		return nil, 0, fmt.Errorf("decoding %v: %w", t, err)
-	}
-	return msg, size, nil
+	return new(Decoder).Decode(frame)
 }
 
 // Decoder is the pooled receive path: it owns one reusable message value per
@@ -208,8 +198,8 @@ func (d *Decoder) message(t MsgType) (Message, error) {
 	}
 }
 
-// Decode parses a frame like the package-level Decode but into the Decoder's
-// reusable message values. Message decode methods reuse slice capacity
+// Decode parses a frame, validating it as the package-level Decode
+// describes, into the Decoder's reusable message values. Message decode methods reuse slice capacity
 // (Snapshot.Entities, Delta.Changed/Removed) across calls, so the hot
 // replication receive path performs zero allocations per frame.
 func (d *Decoder) Decode(frame []byte) (Message, int, error) {

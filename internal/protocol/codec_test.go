@@ -73,8 +73,8 @@ func TestEveryTypeHasName(t *testing.T) {
 		if tt.String() == "" || tt.String()[0] == 'M' && tt.String()[1] == 's' {
 			t.Errorf("type %d missing name: %s", tt, tt)
 		}
-		if _, err := newMessage(tt); err != nil {
-			t.Errorf("newMessage(%v): %v", tt, err)
+		if _, err := new(Decoder).message(tt); err != nil {
+			t.Errorf("Decoder.message(%v): %v", tt, err)
 		}
 	}
 	if MsgType(0).Valid() || typeMax.Valid() {
@@ -337,29 +337,24 @@ func BenchmarkEncodeSnapshot100(b *testing.B) {
 	}
 }
 
-// TestDecoderCoversAllWireTypes locks the pooled Decoder's type dispatch to
-// newMessage's: a wire type added to one but not the other (which would make
-// every production receive loop reject it while one-shot tests pass) fails
-// here instead of silently drifting.
+// TestDecoderCoversAllWireTypes locks the Decoder's type table, the one both
+// Decode entry points dispatch through: every live wire type answers with a
+// message of its own type, and an unknown type is refused.
 func TestDecoderCoversAllWireTypes(t *testing.T) {
 	var dec Decoder
 	for mt := TypeHello; mt < typeMax; mt++ {
 		if slices.Contains(retiredTypes, mt) {
 			continue // TestWireTypeNumbersPinned holds these to a refusal
 		}
-		m1, err1 := newMessage(mt)
-		m2, err2 := dec.message(mt)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("type %v: newMessage err=%v, Decoder.message err=%v", mt, err1, err2)
+		m, err := dec.message(mt)
+		if err != nil {
+			t.Fatalf("type %v: Decoder.message err=%v", mt, err)
 		}
-		if m1.Type() != mt || m2.Type() != mt {
-			t.Fatalf("type %v: newMessage -> %v, Decoder.message -> %v", mt, m1.Type(), m2.Type())
+		if m.Type() != mt {
+			t.Fatalf("type %v: Decoder.message -> %v", mt, m.Type())
 		}
 	}
 	if _, err := dec.message(typeMax); err == nil {
 		t.Error("Decoder.message accepted an unknown type")
-	}
-	if _, err := newMessage(typeMax); err == nil {
-		t.Error("newMessage accepted an unknown type")
 	}
 }

@@ -733,39 +733,3 @@ func (m *Nack) decode(r *Reader) error {
 	m.Missing = r.BytesVar()
 	return r.ExpectEOF()
 }
-
-// newMessage returns a zero message value for a wire type.
-func newMessage(t MsgType) (Message, error) {
-	switch t {
-	case TypeHello:
-		return &Hello{}, nil
-	case TypeHelloAck:
-		return &HelloAck{}, nil
-	case TypeLeave:
-		return &Leave{}, nil
-	case TypePoseUpdate:
-		return &PoseUpdate{}, nil
-	case TypeExpressionUpdate:
-		return &ExpressionUpdate{}, nil
-	case TypeSnapshot:
-		return &Snapshot{}, nil
-	case TypeDelta:
-		return &Delta{}, nil
-	case TypeAck:
-		return &Ack{}, nil
-	case TypePing:
-		return &Ping{}, nil
-	case TypePong:
-		return &Pong{}, nil
-	case TypeVideoChunk:
-		return &VideoChunk{}, nil
-	case TypeAudioFrame:
-		return &AudioFrame{}, nil
-	case TypeActivityEvent:
-		return &ActivityEvent{}, nil
-	case TypeNack:
-		return &Nack{}, nil
-	default:
-		return nil, fmt.Errorf("%w: unknown type %d", ErrBadMessage, uint8(t))
-	}
-}

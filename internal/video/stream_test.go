@@ -160,7 +160,7 @@ func runStream(t *testing.T, cfg StreamConfig, link netsim.LinkConfig, dur time.
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		_ = net.Send("tx", "rx", frame)
+		_ = net.SendFrame("tx", "rx", protocol.CopyFrame(frame))
 	})
 	var nack func(*protocol.Nack)
 	if cfg.Strategy == StrategyARQ || cfg.Strategy == StrategyAdaptive {
@@ -169,7 +169,7 @@ func runStream(t *testing.T, cfg StreamConfig, link netsim.LinkConfig, dur time.
 			if err != nil {
 				t.Fatalf("encode nack: %v", err)
 			}
-			_ = net.Send("rx", "tx", frame)
+			_ = net.SendFrame("rx", "tx", protocol.CopyFrame(frame))
 		}
 	}
 	receiver = NewReceiver(sim, cfg, nack)

@@ -10,7 +10,6 @@ import (
 	"metaclass/internal/core"
 	"metaclass/internal/edge"
 	"metaclass/internal/endpoint"
-	"metaclass/internal/fusion"
 	"metaclass/internal/geo"
 	"metaclass/internal/netsim"
 	"metaclass/internal/node"
@@ -32,17 +31,16 @@ func TestOptionCensus(t *testing.T) {
 		cfg  any
 		want int
 	}{
-		{classroom.Config{}, 7},
-		{client.VRConfig{}, 7},
+		{classroom.Config{}, 6},
+		{client.VRConfig{}, 6},
 		{cloud.Config{}, 5},
 		{cloud.RelayConfig{}, 3},
-		{core.ReplConfig{}, 4},
-		{edge.Config{}, 6},
+		{core.ReplConfig{}, 1},
+		{edge.Config{}, 3},
 		{endpoint.Config{}, 5},
-		{fusion.Config{}, 2},
 		{geo.Config{}, 7},
 		{netsim.LinkConfig{}, 5},
-		{node.Config{}, 4},
+		{node.Config{}, 3},
 		{render.PipelineConfig{}, 1},
 		{rig.Config{}, 3},
 		{sensors.HeadsetConfig{}, 3},
