@@ -174,11 +174,9 @@ func TestLostCarrierConverges(t *testing.T) {
 					t.Fatalf("tick %d planned %d messages, want 1", src.Tick(), len(plan))
 				}
 				if hold {
-					d := *plan[0].Msg.(*protocol.Delta) // the plan's scratch is reused next tick
-					d.Changed = append([]protocol.EntityState(nil), d.Changed...)
-					return &d
+					return decoded(t, plan[0].Msg)
 				}
-				apply(plan[0].Msg)
+				apply(decoded(t, plan[0].Msg))
 				return nil
 			}
 			for i := 0; i < 5; i++ {
@@ -227,7 +225,7 @@ func TestStaleRemovalDoesNotEraseReAdd(t *testing.T) {
 		if len(plan) != 1 {
 			t.Fatalf("tick %d planned %d messages, want 1", src.Tick(), len(plan))
 		}
-		ack, ok := rx.Apply(plan[0].Msg, 0)
+		ack, ok := rx.Apply(decoded(t, plan[0].Msg), 0)
 		if !ok {
 			t.Fatalf("tick %d message rejected", src.Tick())
 		}

@@ -78,9 +78,9 @@ func randEntity(rng *rand.Rand, id protocol.ParticipantID) protocol.EntityState 
 // apply/remove/touch/ack sequences through the real Store and the shadow
 // reference in lockstep, asserting every DeltaSinceInto — recent and ancient
 // baselines, filtered and unfiltered — is identical. Each probe is also built
-// the way the replicator builds an unfiltered peer's, by DeltaSinceOwedInto
-// on a persistent owed set nothing marks, and must equal the unfiltered
-// reference; so must SnapshotOwedInto's snapshot.
+// the way the replicator builds an unfiltered peer's, by the encode pass and
+// DeltaSinceOwedInto on a persistent owed set nothing marks, and must decode
+// to the unfiltered reference; so must SnapshotOwedInto's snapshot.
 func TestDeltaSincePropertyMatchesNaiveReference(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1234} {
 		rng := rand.New(rand.NewSource(seed))
@@ -88,8 +88,8 @@ func TestDeltaSincePropertyMatchesNaiveReference(t *testing.T) {
 		ref := newShadowStore()
 		const universe = 40
 		var owed OwedSet
-		var owedDelta protocol.Delta
-		var owedSnap protocol.Snapshot
+		var wireDelta protocol.WireDelta
+		var wireSnap protocol.WireSnapshot
 
 		for step := 0; step < 4000; step++ {
 			s.BeginTick()
@@ -132,6 +132,7 @@ func TestDeltaSincePropertyMatchesNaiveReference(t *testing.T) {
 				ref.prune(minAck)
 			}
 
+			s.encodeChanged()
 			// Probe deltas across the whole baseline range: the previous tick,
 			// a horizon up to 316 ticks back (past the replicator's
 			// maxDeltaWindow of 150), and everything.
@@ -160,7 +161,8 @@ func TestDeltaSincePropertyMatchesNaiveReference(t *testing.T) {
 						seed, step, base, got.Removed, want.Removed)
 				}
 
-				s.DeltaSinceOwedInto(base, nil, &owedDelta, &owed, 8)
+				s.DeltaSinceOwedInto(base, nil, &wireDelta, &owed, 8)
+				owedDelta := decoded(t, &wireDelta).(*protocol.Delta)
 				all := ref.deltaSince(base, nil)
 				if owedDelta.BaseTick != all.BaseTick || owedDelta.Tick != all.Tick ||
 					!slices.EqualFunc(owedDelta.Changed, all.Changed, entityEqual) || !slices.Equal(owedDelta.Removed, all.Removed) {
@@ -173,7 +175,8 @@ func TestDeltaSincePropertyMatchesNaiveReference(t *testing.T) {
 			// clears the removal log; later deltas must stay correct.
 			if rng.Intn(400) == 0 {
 				snap := snapshotOf(s, nil)
-				s.SnapshotOwedInto(nil, &owedSnap, &owed)
+				s.SnapshotOwedInto(nil, &wireSnap, &owed)
+				owedSnap := decoded(t, &wireSnap).(*protocol.Snapshot)
 				if owedSnap.Tick != snap.Tick || !slices.EqualFunc(owedSnap.Entities, snap.Entities, entityEqual) {
 					t.Fatalf("seed %d step %d: owed snapshot %v != reference %v", seed, step, ids(owedSnap.Entities), ids(snap.Entities))
 				}

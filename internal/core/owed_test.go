@@ -48,7 +48,7 @@ func TestDecimatedChangeEventuallyDelivered(t *testing.T) {
 
 	deliver := func() {
 		for _, pm := range repl.PlanTick() {
-			switch m := pm.Msg.(type) {
+			switch m := decoded(t, pm.Msg).(type) {
 			case *protocol.Snapshot:
 				recv.ApplySnapshot(m)
 			case *protocol.Delta:
@@ -159,13 +159,14 @@ func TestOwedConvergenceProperty(t *testing.T) {
 			deliver := func(lossy bool) {
 				st, _ := repl.StatsOf("recv")
 				for _, pm := range repl.PlanTick() {
-					if _, ok := pm.Msg.(*protocol.Snapshot); ok && st.Acked {
+					msg := decoded(t, pm.Msg)
+					if _, ok := msg.(*protocol.Snapshot); ok && st.Acked {
 						keyframes++
 					}
 					if lossy && rng.Float64() < 0.3 {
 						continue // the frame never arrives
 					}
-					switch m := pm.Msg.(type) {
+					switch m := msg.(type) {
 					case *protocol.Snapshot:
 						clear(recvState)
 						for _, e := range m.Entities {
@@ -316,7 +317,7 @@ func TestFilteredSnapshotOwesOmitted(t *testing.T) {
 	if len(plan) != 1 {
 		t.Fatalf("plan = %d messages, want 1", len(plan))
 	}
-	snap, ok := plan[0].Msg.(*protocol.Snapshot)
+	snap, ok := decoded(t, plan[0].Msg).(*protocol.Snapshot)
 	if !ok {
 		t.Fatalf("planned %T, want snapshot", plan[0].Msg)
 	}
@@ -343,7 +344,7 @@ func TestFilteredSnapshotOwesOmitted(t *testing.T) {
 	if len(plan) != 1 {
 		t.Fatalf("plan = %d messages, want 1", len(plan))
 	}
-	delta, ok := plan[0].Msg.(*protocol.Delta)
+	delta, ok := decoded(t, plan[0].Msg).(*protocol.Delta)
 	if !ok {
 		t.Fatalf("planned %T, want delta", plan[0].Msg)
 	}
@@ -406,7 +407,7 @@ func TestOwedAckExactMatchOnly(t *testing.T) {
 	admit = true
 	store.Upsert(protocol.EntityState{Participant: 1}) // keep the stream non-empty
 	plan := repl.PlanTick()
-	d := plan[0].Msg.(*protocol.Delta)
+	d := decoded(t, plan[0].Msg).(*protocol.Delta)
 	if len(d.Changed) != 2 {
 		t.Fatalf("tick-%d delta carried %d entities, want 2 (mover + owed sleeper)", t0, len(d.Changed))
 	}
@@ -417,7 +418,7 @@ func TestOwedAckExactMatchOnly(t *testing.T) {
 	store.BeginTick()
 	store.Upsert(protocol.EntityState{Participant: 1})
 	plan = repl.PlanTick()
-	d = plan[0].Msg.(*protocol.Delta)
+	d = decoded(t, plan[0].Msg).(*protocol.Delta)
 	if len(d.Changed) != 1 {
 		t.Fatalf("tick-%d delta carried %d entities, want 1 (no premature retransmit)", t0+1, len(d.Changed))
 	}
@@ -435,7 +436,7 @@ func TestOwedAckExactMatchOnly(t *testing.T) {
 	store.BeginTick()
 	store.Upsert(protocol.EntityState{Participant: 1})
 	plan = repl.PlanTick()
-	d = plan[0].Msg.(*protocol.Delta)
+	d = decoded(t, plan[0].Msg).(*protocol.Delta)
 	if len(d.Changed) != 2 {
 		t.Fatalf("tick-%d delta carried %d entities, want 2 (sleeper retransmitted)", t0+2, len(d.Changed))
 	}
@@ -472,7 +473,7 @@ func TestOwedSettleGate(t *testing.T) {
 
 	carried := func(plan []PeerMessage, id protocol.ParticipantID) bool {
 		for _, pm := range plan {
-			d, ok := pm.Msg.(*protocol.Delta)
+			d, ok := decoded(t, pm.Msg).(*protocol.Delta)
 			if !ok {
 				continue
 			}
@@ -551,7 +552,7 @@ func TestUnfilteredPeerCarriesDebt(t *testing.T) {
 	if err := repl.AddPeer("srv", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := repl.PlanTick()[0].Msg.(*protocol.Snapshot); !ok {
+	if _, ok := decoded(t, repl.PlanTick()[0].Msg).(*protocol.Snapshot); !ok {
 		t.Fatal("first contact is not a snapshot")
 	}
 	if err := repl.Ack("srv", 1); err != nil {
@@ -570,7 +571,7 @@ func TestUnfilteredPeerCarriesDebt(t *testing.T) {
 	if st, _ := repl.StatsOf("srv"); st.Owed != 1 {
 		t.Fatalf("owed = %d after Owe, want 1", st.Owed)
 	}
-	d := repl.PlanTick()[0].Msg.(*protocol.Delta)
+	d := decoded(t, repl.PlanTick()[0].Msg).(*protocol.Delta)
 	if got := ids(d.Changed); !slices.Equal(got, []protocol.ParticipantID{1, 2}) {
 		t.Fatalf("delta after Owe carried %v, want [1 2] (the owed entity swept)", got)
 	}
@@ -596,7 +597,7 @@ func TestUnfilteredPeerCarriesDebt(t *testing.T) {
 		if m.Peer != "next" {
 			continue
 		}
-		d, ok := m.Msg.(*protocol.Delta)
+		d, ok := decoded(t, m.Msg).(*protocol.Delta)
 		if !ok {
 			t.Fatalf("import with a covered floor and debt planned %T, want a delta", m.Msg)
 		}

@@ -110,7 +110,7 @@ func TestRefusedFuncMatchesFilter(t *testing.T) {
 			t.Fatalf("tick %d: refused-list plan has %d messages, filter plan %d", tick, len(got), len(want))
 		}
 		for _, pm := range want {
-			if _, ok := pm.Msg.(*protocol.Snapshot); ok {
+			if _, ok := decoded(t, pm.Msg).(*protocol.Snapshot); ok {
 				snapshots++
 			}
 		}

@@ -48,7 +48,7 @@ type ReplConfig struct {
 	// A peer's RefusedFunc is called once per build, into its worker's
 	// scratch, concurrently with other peers' (never with itself): it must
 	// read only state immutable for the duration of PlanTick plus state owned
-	// by its own peer. The store itself is read-only inside PlanTick.
+	// by its own peer. The store itself is read-only while the builds run.
 	Pool *work.Pool
 }
 
@@ -59,9 +59,9 @@ type peerState struct {
 	deltas    uint64
 	// refused is the peer's interest (nil refuses nothing).
 	refused RefusedFunc
-	// scratch is the peer's reusable Delta, valid until its next planned
+	// scratch is the peer's reusable delta, valid until its next planned
 	// delta, matching the PlanTick result contract.
-	scratch *protocol.Delta
+	scratch *protocol.WireDelta
 	// owed tracks the entities this peer may not hold the latest state of:
 	// changes its filter suppressed, and debt marked by handoff. Owned
 	// exclusively by this peer's builds and acks — see OwedSet for the
@@ -152,7 +152,7 @@ func (p *peerState) reset() {
 	p.snapshots, p.deltas = 0, 0
 	p.refused = nil
 	if p.scratch != nil {
-		p.scratch.Changed = p.scratch.Changed[:0]
+		p.scratch.Count, p.scratch.Changed = 0, p.scratch.Changed[:0]
 		p.scratch.Removed = p.scratch.Removed[:0]
 	}
 	p.owed.Reset()
@@ -177,7 +177,7 @@ type Replicator struct {
 	// again only if it falls past the delta window; a world-sized message of
 	// its own would sit idle for the rest of its life.)
 	plan      []PeerMessage
-	peerSnaps []*protocol.Snapshot
+	peerSnaps []*protocol.WireSnapshot
 
 	// pruneDirty defers removal-log pruning to once per PlanTick: acks only
 	// record their tick, so a fully-acking classroom costs O(peers) per tick
@@ -209,7 +209,7 @@ type Replicator struct {
 type planJob struct {
 	id   string
 	peer *peerState
-	snap *protocol.Snapshot
+	snap *protocol.WireSnapshot
 }
 
 // NewReplicator creates a replicator over store.
@@ -454,7 +454,8 @@ func (r *Replicator) Owe(peer string, id protocol.ParticipantID) error {
 	return nil
 }
 
-// PeerMessage is one planned transmission: the message built for Peer.
+// PeerMessage is one planned transmission: the message built for Peer, a
+// send-only *protocol.WireSnapshot or *protocol.WireDelta.
 type PeerMessage struct {
 	Peer string
 	Msg  protocol.Message
@@ -473,10 +474,11 @@ type PeerMessage struct {
 //
 //	1 (owner) walk sorted peers, decide snapshot-vs-delta, and queue one
 //	          build job per peer.
-//	2 (pool)  execute the jobs on ReplConfig.Pool. Each job writes only its
-//	          own target message, its peer's owed set and its worker's
-//	          refused list; the store is read-only and its lazy walk order
-//	          is warmed before the fan-out.
+//	2 (pool)  encode each entity written since the last plan once, on the
+//	          owner, then execute the jobs on ReplConfig.Pool. Each job
+//	          copies wire bytes and writes only its own target message, its
+//	          peer's owed set and its worker's refused list; the store is
+//	          read-only and its lazy walk order is warmed before the fan-out.
 //	3 (owner) walk the jobs in order, dropping empty deltas and bumping the
 //	          per-peer counters.
 //
@@ -495,20 +497,23 @@ func (r *Replicator) PlanTick() []PeerMessage {
 		j := planJob{id: id, peer: p}
 		if r.wantSnapshot(p, tick) {
 			if snaps == len(r.peerSnaps) {
-				r.peerSnaps = append(r.peerSnaps, &protocol.Snapshot{})
+				r.peerSnaps = append(r.peerSnaps, &protocol.WireSnapshot{})
 			}
 			j.snap = r.peerSnaps[snaps]
 			snaps++
 		} else if p.scratch == nil {
-			p.scratch = &protocol.Delta{}
+			p.scratch = &protocol.WireDelta{}
 		}
 		jobs = append(jobs, j)
 	}
 	r.jobs = jobs
 
-	// Pass 2: execute the builds on the pool. Warm the store's lazy walk
-	// order first so concurrent scans only read it.
-	r.store.ordered()
+	// Pass 2: encode what was written since the last plan, once for every
+	// peer (none, if there is no peer), then execute the builds on the pool.
+	// The encode also warms the walk order, so concurrent scans only read it.
+	if len(jobs) > 0 {
+		r.store.encodeChanged()
+	}
 	if r.runJob == nil {
 		r.runJob = r.execJob
 	}
@@ -524,7 +529,7 @@ func (r *Replicator) PlanTick() []PeerMessage {
 			out = append(out, PeerMessage{Peer: j.id, Msg: j.snap})
 			continue
 		}
-		if len(p.scratch.Changed) == 0 && len(p.scratch.Removed) == 0 {
+		if p.scratch.Count == 0 && len(p.scratch.Removed) == 0 {
 			continue
 		}
 		p.deltas++

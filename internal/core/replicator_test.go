@@ -9,6 +9,23 @@ import (
 	"metaclass/internal/protocol"
 )
 
+// decoded is what the receiver of a planned message gets: the message
+// encoded into a frame and decoded again, a *protocol.Snapshot or
+// *protocol.Delta of the caller's own.
+func decoded(t testing.TB, m protocol.Message) protocol.Message {
+	t.Helper()
+	f, err := protocol.EncodeFrame(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Release()
+	msg, _, err := protocol.Decode(f.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return msg
+}
+
 func TestReplicatorFirstContactIsSnapshot(t *testing.T) {
 	s := NewStore()
 	r := NewReplicator(s, ReplConfig{})
@@ -21,7 +38,7 @@ func TestReplicatorFirstContactIsSnapshot(t *testing.T) {
 	if len(msgs) != 1 {
 		t.Fatalf("msgs = %d", len(msgs))
 	}
-	if _, ok := msgs[0].Msg.(*protocol.Snapshot); !ok {
+	if _, ok := decoded(t, msgs[0].Msg).(*protocol.Snapshot); !ok {
 		t.Fatalf("first message = %T, want Snapshot", msgs[0].Msg)
 	}
 }
@@ -42,7 +59,7 @@ func TestReplicatorDeltaAfterAck(t *testing.T) {
 	if len(msgs) != 1 {
 		t.Fatalf("msgs = %d", len(msgs))
 	}
-	d, ok := msgs[0].Msg.(*protocol.Delta)
+	d, ok := decoded(t, msgs[0].Msg).(*protocol.Delta)
 	if !ok {
 		t.Fatalf("message = %T, want Delta", msgs[0].Msg)
 	}
@@ -78,7 +95,7 @@ func TestReplicatorStaleAckFallsBackToSnapshot(t *testing.T) {
 		s.Upsert(ent(1, float64(i)))
 	}
 	msgs := r.PlanTick()
-	if _, ok := msgs[0].Msg.(*protocol.Snapshot); !ok {
+	if _, ok := decoded(t, msgs[0].Msg).(*protocol.Snapshot); !ok {
 		t.Fatalf("stale peer got %T, want Snapshot", msgs[0].Msg)
 	}
 }
@@ -172,7 +189,7 @@ func TestReplicatorInterestFilter(t *testing.T) {
 		s.Upsert(ent(protocol.ParticipantID(i), 0))
 	}
 	msgs := r.PlanTick()
-	snap := msgs[0].Msg.(*protocol.Snapshot)
+	snap := decoded(t, msgs[0].Msg).(*protocol.Snapshot)
 	if len(snap.Entities) != 2 {
 		t.Fatalf("filtered snapshot = %d entities, want 2", len(snap.Entities))
 	}
@@ -197,7 +214,7 @@ func TestReplicatorRemovalsBypassFilter(t *testing.T) {
 	if len(msgs) != 1 {
 		t.Fatalf("msgs = %d", len(msgs))
 	}
-	d := msgs[0].Msg.(*protocol.Delta)
+	d := decoded(t, msgs[0].Msg).(*protocol.Delta)
 	if len(d.Removed) != 1 {
 		t.Error("removal filtered out")
 	}
@@ -239,7 +256,7 @@ func TestEndToEndConvergence(t *testing.T) {
 			if rng.Float64() < 0.3 {
 				continue // lost
 			}
-			switch m := pm.Msg.(type) {
+			switch m := decoded(t, pm.Msg).(type) {
 			case *protocol.Snapshot:
 				rx.ApplySnapshot(m)
 				_ = repl.Ack("rx", m.Tick)
@@ -268,7 +285,7 @@ func TestEndToEndConvergence(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		src.BeginTick()
 		for _, pm := range repl.PlanTick() {
-			switch m := pm.Msg.(type) {
+			switch m := decoded(t, pm.Msg).(type) {
 			case *protocol.Snapshot:
 				rx.ApplySnapshot(m)
 				_ = repl.Ack("rx", m.Tick)

@@ -30,11 +30,14 @@ import (
 
 // record is one slot of the store's entity table. gen advances when the slot
 // is vacated, so slot-indexed state kept elsewhere (a peer's OwedSet) can tell
-// the entity it was written for from whoever holds the slot now.
+// the entity it was written for from whoever holds the slot now. encoded
+// says the slot's wire bytes are state's. Every write clears it: a stamp
+// cannot tell, as content authored after a tick's plan is stamped that tick.
 type record struct {
 	state       protocol.EntityState
 	changedTick uint64
 	gen         uint32
+	encoded     bool
 }
 
 // idSlot is one entry of the store's ascending-ID walk order.
@@ -55,10 +58,15 @@ type removal struct {
 // ascending (id, slot) order indexing it by slot. Slots do not leave this
 // package. Not safe for concurrent use: each server owns one on its
 // simulation goroutine (PlanTick's concurrent builds only read it).
+//
+// The store keeps each record's wire bytes, encoded once per write, so a
+// record's Expression bytes are never mutated in place after the write: a new
+// expression is a new slice (expression.Quantize, Reader.BytesVar).
 type Store struct {
 	tick     uint64
 	slots    map[protocol.ParticipantID]uint32
 	recs     []record
+	wire     [][]byte // wire[slot]: recs[slot].state encoded; sized by the first encode
 	free     []uint32
 	removals []removal // ascending by tick
 
@@ -119,7 +127,7 @@ func (s *Store) vacate(id protocol.ParticipantID, slot uint32) {
 // current tick.
 func (s *Store) Upsert(e protocol.EntityState) {
 	r := &s.recs[s.slotOf(e.Participant)]
-	r.state, r.changedTick = e, s.tick
+	r.state, r.changedTick, r.encoded = e, s.tick, false
 }
 
 // UpsertIfChanged inserts or replaces an entity only if its state actually
@@ -261,6 +269,22 @@ func (s *Store) removedSince(base uint64) []removal {
 	return s.removals[sort.Search(len(s.removals), func(i int) bool { return s.removals[i].tick > base }):]
 }
 
+// encodeChanged encodes each live record written since its last encode into
+// its slot's wire bytes, once however many peers are sent it. The owed builds
+// copy those bytes, so the owner runs it between the last write and the
+// builds; it also materialises the walk order the builds share.
+func (s *Store) encodeChanged() {
+	if n := len(s.recs) - len(s.wire); n > 0 {
+		s.wire = append(s.wire, make([][]byte, n)...)
+	}
+	for _, is := range s.ordered() {
+		if r := &s.recs[is.slot]; !r.encoded {
+			s.wire[is.slot] = protocol.AppendEntity(s.wire[is.slot][:0], &r.state)
+			r.encoded = true
+		}
+	}
+}
+
 // refusedList is a peer's ascending refused IDs, read as a cursor by one
 // ascending walk: admits drops the entries below id for good, stepping over
 // IDs the store does not hold, and reports whether id is absent.
@@ -275,10 +299,11 @@ func (l *refusedList) admits(id protocol.ParticipantID) bool {
 
 // DeltaSinceOwedInto builds a peer's delta with owed-change tracking: the
 // decimation-safe variant of DeltaSinceInto, and the one the replicator plans
-// every peer with. owed must be non-nil; refused lists, ascending, what the
-// peer refuses at the store's tick, which is the plan's. It is one pass over
-// the ascending (id, slot) list, testing per slot "changed after base, or
-// owed"; beyond the plain filtered build it
+// every peer with, from the wire bytes of encodeChanged. owed must be
+// non-nil; refused lists, ascending, what the peer refuses at the store's
+// tick, which is the plan's. It is one pass over the ascending (id, slot)
+// list, testing per slot "changed after base, or owed"; beyond the plain
+// filtered build it
 //
 //   - marks a changed entity the peer refuses as owed when its change is
 //     newer than the last planned message that carried it (the peer's ack can
@@ -300,9 +325,9 @@ func (l *refusedList) admits(id protocol.ParticipantID) bool {
 // refused (no call per entity), so Changed is ascending and byte-identical
 // across runs and worker counts. Removals are never owed, and filtered in one
 // case only (below). Concurrency: as DeltaSinceInto, for distinct owed sets.
-func (s *Store) DeltaSinceOwedInto(base uint64, refused []protocol.ParticipantID, msg *protocol.Delta, owed *OwedSet, settle uint64) {
+func (s *Store) DeltaSinceOwedInto(base uint64, refused []protocol.ParticipantID, msg *protocol.WireDelta, owed *OwedSet, settle uint64) {
 	msg.BaseTick, msg.Tick = base, s.tick
-	msg.Changed = msg.Changed[:0]
+	msg.Count, msg.Changed = 0, msg.Changed[:0]
 	msg.Removed = msg.Removed[:0]
 
 	owed.begin(s)
@@ -313,7 +338,8 @@ func (s *Store) DeltaSinceOwedInto(base uint64, refused []protocol.ParticipantID
 		if r.changedTick > base {
 			// Changed inside the window: this walk subsumes the sweep.
 			if cursor.admits(is.id) {
-				msg.Changed = append(msg.Changed, r.state)
+				msg.Count++
+				msg.Changed = append(msg.Changed, s.wire[is.slot]...)
 				if e.owed {
 					owed.markSent(is.slot, s.tick)
 				}
@@ -326,40 +352,35 @@ func (s *Store) DeltaSinceOwedInto(base uint64, refused []protocol.ParticipantID
 			continue // nothing owed, or still moving: a later walk supersedes this
 		}
 		if cursor.admits(is.id) && (e.last == 0 || base >= e.last) {
-			msg.Changed = append(msg.Changed, r.state)
+			msg.Count++
+			msg.Changed = append(msg.Changed, s.wire[is.slot]...)
 			owed.markSent(is.slot, s.tick)
 		}
 	}
 	for _, rm := range s.removedSince(base) {
 		// A removed ID that is live again was re-added inside the window, so
-		// the walk above met it as a changed entity. If the peer refused it,
-		// the removal must wait too: an earlier message on this base may
-		// already have delivered the re-add, and a bare removal would erase it
-		// at the receiver after that message's ack has settled the debt.
-		if _, live := s.slots[rm.id]; live && !carries(msg.Changed, rm.id) {
+		// the walk above met it as a changed entity and carried it exactly
+		// when the peer admits it. If the peer refused it, the removal must
+		// wait too: an earlier message on this base may already have delivered
+		// the re-add, and a bare removal would erase it at the receiver after
+		// that message's ack has settled the debt.
+		_, live := s.slots[rm.id]
+		if _, refusedNow := slices.BinarySearch(refused, rm.id); live && refusedNow {
 			continue
 		}
 		msg.Removed = append(msg.Removed, rm.id)
 	}
 }
 
-// carries reports whether the ascending changed list includes id.
-func carries(changed []protocol.EntityState, id protocol.ParticipantID) bool {
-	_, ok := slices.BinarySearchFunc(changed, id, func(e protocol.EntityState, id protocol.ParticipantID) int {
-		return cmp.Compare(e.Participant, id)
-	})
-	return ok
-}
-
 // SnapshotOwedInto is SnapshotInto with owed tracking (owed non-nil), gated
-// by refused as DeltaSinceOwedInto is. A snapshot resets the peer's baseline
-// to the current tick, so every live entity refused becomes owed — its
-// changedTick, whatever it was, is now at or before the baseline and no delta
-// window will ever surface it again. Included entities that were owed become
-// pending on the snapshot's tick.
-func (s *Store) SnapshotOwedInto(refused []protocol.ParticipantID, msg *protocol.Snapshot, owed *OwedSet) {
+// by refused and built from the wire bytes as DeltaSinceOwedInto is. A
+// snapshot resets the peer's baseline to the current tick, so every live
+// entity refused becomes owed — its changedTick, whatever it was, is now at
+// or before the baseline and no delta window will ever surface it again.
+// Included entities that were owed become pending on the snapshot's tick.
+func (s *Store) SnapshotOwedInto(refused []protocol.ParticipantID, msg *protocol.WireSnapshot, owed *OwedSet) {
 	msg.Tick = s.tick
-	msg.Entities = msg.Entities[:0]
+	msg.Count, msg.Entities = 0, msg.Entities[:0]
 	owed.begin(s)
 	cursor := refusedList(refused)
 	for _, is := range s.ordered() {
@@ -369,7 +390,8 @@ func (s *Store) SnapshotOwedInto(refused []protocol.ParticipantID, msg *protocol
 			e.mark()
 			continue
 		}
-		msg.Entities = append(msg.Entities, r.state)
+		msg.Count++
+		msg.Entities = append(msg.Entities, s.wire[is.slot]...)
 		if e.owed {
 			owed.markSent(is.slot, s.tick)
 		}
@@ -497,7 +519,7 @@ func (s *Store) merge(ents []protocol.EntityState, r *Replica, now time.Duration
 			slot = s.slotOf(e.Participant)
 		}
 		rec := &s.recs[slot]
-		rec.state, rec.changedTick = *e, s.tick
+		rec.state, rec.changedTick, rec.encoded = *e, s.tick, false
 		if r != nil {
 			r.noteEntity(slot, e, now)
 		}

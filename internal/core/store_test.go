@@ -251,3 +251,92 @@ func TestStoreTickAllocationFree(t *testing.T) {
 		t.Errorf("steady-state store tick allocates %.2f objects, want 0", allocs)
 	}
 }
+
+// TestWriteAfterPlanIsReEncoded: content authored between a tick's plan and
+// the next BeginTick is a second write stamped with the planned tick. The next
+// delta must carry it, not the bytes encoded for the plan; a wire cache keyed
+// by changedTick sends the first write's bytes here.
+func TestWriteAfterPlanIsReEncoded(t *testing.T) {
+	s := NewStore()
+	r := NewReplicator(s, ReplConfig{})
+	if err := r.AddPeer("p", nil); err != nil {
+		t.Fatal(err)
+	}
+	s.BeginTick()
+	s.Upsert(ent(1, 0))
+	_ = r.PlanTick()
+	if err := r.Ack("p", 1); err != nil {
+		t.Fatal(err)
+	}
+	s.BeginTick()
+	s.Upsert(ent(1, 1))
+	_ = r.PlanTick() // encodes entity 1 as stamped with tick 2
+	second := ent(1, 2)
+	second.Expression = []byte{9}
+	s.Upsert(second) // stamped with tick 2 again
+	s.BeginTick()
+	plan := r.PlanTick()
+	if len(plan) != 1 {
+		t.Fatalf("planned %d messages, want 1", len(plan))
+	}
+	d := decoded(t, plan[0].Msg).(*protocol.Delta)
+	if len(d.Changed) != 1 || !entityEqual(d.Changed[0], second) {
+		t.Fatalf("tick-3 delta carried %+v, want the second write %+v", d.Changed, second)
+	}
+}
+
+// TestReseatedSlotNeverSendsOldTenantBytes: a slot vacated and reseated by a
+// new ID — here in the tick its old tenant was encoded, so the stamps match —
+// carries the new tenant's bytes.
+func TestReseatedSlotNeverSendsOldTenantBytes(t *testing.T) {
+	s := NewStore()
+	r := NewReplicator(s, ReplConfig{})
+	if err := r.AddPeer("p", nil); err != nil {
+		t.Fatal(err)
+	}
+	s.BeginTick()
+	s.Upsert(ent(1, 0))
+	_ = r.PlanTick() // encodes entity 1 into its slot
+	s.Remove(1)
+	tenant := ent(2, 3)
+	s.Upsert(tenant)
+	if s.slots[2] != 0 {
+		t.Fatalf("entity 2 seated in slot %d, want the vacated slot 0", s.slots[2])
+	}
+	s.BeginTick()
+	snap := decoded(t, r.PlanTick()[0].Msg).(*protocol.Snapshot) // never acked: a snapshot
+	if len(snap.Entities) != 1 || !entityEqual(snap.Entities[0], tenant) {
+		t.Fatalf("snapshot carried %+v, want only the new tenant %+v", snap.Entities, tenant)
+	}
+}
+
+// TestPeerlessStoreEncodesNothing: a store whose replicator has no peer — a
+// relay with no clients yet, or after its last client left — fills no wire
+// bytes; its first peer's plan encodes what it sends.
+func TestPeerlessStoreEncodesNothing(t *testing.T) {
+	s := NewStore()
+	r := NewReplicator(s, ReplConfig{})
+	for tick := 0; tick < 3; tick++ {
+		s.BeginTick()
+		s.Upsert(ent(1, float64(tick)))
+		s.Upsert(ent(2, float64(tick)))
+		if plan := r.PlanTick(); len(plan) != 0 {
+			t.Fatalf("a peerless replicator planned %d messages", len(plan))
+		}
+	}
+	if len(s.wire) != 0 {
+		t.Fatalf("the store holds wire bytes for %d slots with no peer to send them to", len(s.wire))
+	}
+	for slot := range s.recs {
+		if s.recs[slot].encoded {
+			t.Fatalf("slot %d is marked encoded with no peer to send it to", slot)
+		}
+	}
+	if err := r.AddPeer("p", nil); err != nil {
+		t.Fatal(err)
+	}
+	snap := decoded(t, r.PlanTick()[0].Msg).(*protocol.Snapshot)
+	if len(snap.Entities) != 2 || !entityEqual(snap.Entities[1], ent(2, 2)) {
+		t.Fatalf("first peer's snapshot carried %+v", snap.Entities)
+	}
+}

@@ -79,7 +79,7 @@ func TestFrameCacheRefcountsMatchRecipients(t *testing.T) {
 		}
 		plan := repl.PlanTick()
 		for _, pm := range plan {
-			if _, ok := pm.Msg.(*protocol.Snapshot); ok && acked[pm.Peer] {
+			if pm.Msg.Type() == protocol.TypeSnapshot && acked[pm.Peer] {
 				keyframes++ // an acked peer gets a snapshot only past the delta window
 			}
 		}

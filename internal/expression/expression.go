@@ -1,13 +1,11 @@
 // Package expression models facial expression state for avatars: a compact
 // blendshape weight vector captured by MR headsets (the paper's Fig. 3
-// tracks "facial expressions" alongside pose), quantized for the wire and
-// smoothed on receive.
+// tracks "facial expressions" alongside pose), quantized for the wire.
 package expression
 
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Channel enumerates the tracked blendshape channels — the subset of ARKit-
@@ -141,39 +139,3 @@ func Dequantize(b []byte) Expression {
 	}
 	return e
 }
-
-// Smoother applies exponential smoothing to a received expression stream,
-// hiding network-rate steps on the rendered face.
-type Smoother struct {
-	state  Expression
-	tau    time.Duration
-	last   time.Duration
-	primed bool
-}
-
-// NewSmoother creates a smoother with time constant tau (default 80 ms).
-func NewSmoother(tau time.Duration) *Smoother {
-	if tau <= 0 {
-		tau = 80 * time.Millisecond
-	}
-	return &Smoother{tau: tau}
-}
-
-// Update feeds a target expression at time t and returns the smoothed state.
-func (s *Smoother) Update(t time.Duration, target Expression) Expression {
-	if !s.primed {
-		s.state, s.last, s.primed = target, t, true
-		return s.state
-	}
-	dt := (t - s.last).Seconds()
-	if dt < 0 {
-		dt = 0
-	}
-	s.last = t
-	alpha := 1 - math.Exp(-dt/s.tau.Seconds())
-	s.state = s.state.Lerp(target, alpha)
-	return s.state
-}
-
-// Value returns the current smoothed expression.
-func (s *Smoother) Value() Expression { return s.state }

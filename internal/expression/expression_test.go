@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestChannelNames(t *testing.T) {
@@ -85,46 +84,5 @@ func TestLerp(t *testing.T) {
 	mid := a.Lerp(b, 0.5)
 	if math.Abs(mid.Weights[ChanSmile]-0.45) > 1e-12 {
 		t.Errorf("lerp smile = %v, want 0.45", mid.Weights[ChanSmile])
-	}
-}
-
-func TestSmootherConverges(t *testing.T) {
-	s := NewSmoother(50 * time.Millisecond)
-	target := PresetSurprised.Make()
-	s.Update(0, Neutral())
-	var last Expression
-	for i := 1; i <= 50; i++ {
-		last = s.Update(time.Duration(i)*20*time.Millisecond, target)
-	}
-	if last.Distance(target) > 0.01 {
-		t.Errorf("smoother did not converge: dist=%v", last.Distance(target))
-	}
-	if s.Value().Distance(last) != 0 {
-		t.Error("Value() disagrees with last Update")
-	}
-}
-
-func TestSmootherIsGradual(t *testing.T) {
-	s := NewSmoother(200 * time.Millisecond)
-	s.Update(0, Neutral())
-	one := s.Update(20*time.Millisecond, PresetSmile.Make())
-	if one.Weights[ChanSmile] > 0.5 {
-		t.Errorf("single step jumped to %v, want gradual", one.Weights[ChanSmile])
-	}
-	if one.Weights[ChanSmile] <= 0 {
-		t.Error("smoother did not move at all")
-	}
-}
-
-func TestSmootherFirstSampleSnaps(t *testing.T) {
-	s := NewSmoother(0) // default tau
-	got := s.Update(time.Second, PresetSmile.Make())
-	if got.Distance(PresetSmile.Make()) != 0 {
-		t.Error("first sample should snap to target")
-	}
-	// Non-monotonic time is tolerated.
-	got = s.Update(500*time.Millisecond, Neutral())
-	if got.Distance(PresetSmile.Make()) != 0 {
-		t.Error("backwards time should not move state")
 	}
 }

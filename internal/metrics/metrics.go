@@ -291,39 +291,6 @@ func (g *Gauge) Min() float64 { return g.min }
 // Max returns the largest value ever set.
 func (g *Gauge) Max() float64 { return g.max }
 
-// Series is an append-only (time, value) sequence used to record experiment
-// curves such as error-vs-latency sweeps.
-type Series struct {
-	name   string
-	times  []time.Duration
-	values []float64
-}
-
-// NewSeries creates a named series.
-func NewSeries(name string) *Series { return &Series{name: name} }
-
-// Name returns the series name.
-func (s *Series) Name() string { return s.name }
-
-// Append records a point.
-func (s *Series) Append(t time.Duration, v float64) {
-	s.times = append(s.times, t)
-	s.values = append(s.values, v)
-}
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.values) }
-
-// Values returns a copy of the recorded values.
-func (s *Series) Values() []float64 {
-	out := make([]float64, len(s.values))
-	copy(out, s.values)
-	return out
-}
-
-// At returns the i-th point.
-func (s *Series) At(i int) (time.Duration, float64) { return s.times[i], s.values[i] }
-
 // Registry is a named collection of metrics, one per server/component.
 type Registry struct {
 	name  string

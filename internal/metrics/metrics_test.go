@@ -158,24 +158,6 @@ func TestCounterAndGauge(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	s := NewSeries("err")
-	s.Append(time.Second, 0.5)
-	s.Append(2*time.Second, 0.7)
-	if s.Name() != "err" || s.Len() != 2 {
-		t.Fatalf("series basics wrong: %q len=%d", s.Name(), s.Len())
-	}
-	ts, v := s.At(1)
-	if ts != 2*time.Second || v != 0.7 {
-		t.Errorf("At(1) = %v, %v", ts, v)
-	}
-	vals := s.Values()
-	vals[0] = 99
-	if v2 := s.Values()[0]; v2 != 0.5 {
-		t.Error("Values leaked internal slice")
-	}
-}
-
 func TestRegistry(t *testing.T) {
 	r := NewRegistry("edge-gz")
 	r.Counter("msgs.sent").Add(10)

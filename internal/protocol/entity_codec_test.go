@@ -203,7 +203,17 @@ func TestEntityCodecMatchesReference(t *testing.T) {
 	for i := 0; i < len(sweep); i += 5 { // runs of five: most entities have neighbours on both sides
 		lists = append(lists, sweep[i:min(i+5, len(sweep))])
 	}
-	for _, list := range lists {
+	for n := 0; n < 256; n += 5 { // every expression length, one- and two-byte length prefixes
+		var list []EntityState
+		for l := n; l < min(n+5, 256); l++ {
+			e := sweep[l%len(sweep)]
+			e.Expression = bytes.Repeat([]byte{byte(l)}, l)
+			list = append(list, e)
+		}
+		lists = append(lists, list)
+	}
+	var dec Decoder
+	for li, list := range lists {
 		payload := referencePayload(list)
 		// (a) Encoding: each entity alone against the reference at every
 		// interesting amount of spare capacity, then the whole list.
@@ -233,6 +243,37 @@ func TestEntityCodecMatchesReference(t *testing.T) {
 			}
 			if !sameEntity(&got[i], &want) {
 				t.Fatalf("entity %d round trip:\n got  %+v\n want %+v", i, got[i], want)
+			}
+		}
+		// (c) The sender form: the list's AppendEntity spans under a
+		// WireSnapshot and a WireDelta header (0–3 removals) frame exactly as
+		// the Snapshot and Delta of the list, and decode as those.
+		var spans []byte
+		for i := range list {
+			spans = AppendEntity(spans, &list[i])
+		}
+		if !bytes.Equal(spans, payload) {
+			t.Fatalf("AppendEntity spans of %d entities diverged from the reference", len(list))
+		}
+		removed := []ParticipantID{7, 0x01020304, 1 << 31}[:li%4]
+		for _, m := range []struct{ wire, ref Message }{
+			{&WireSnapshot{Tick: 7, Count: len(list), Entities: spans}, &Snapshot{Tick: 7, Entities: list}},
+			{&WireDelta{BaseTick: 300, Tick: 1 << 40, Count: len(list), Changed: spans, Removed: removed},
+				&Delta{BaseTick: 300, Tick: 1 << 40, Changed: list, Removed: removed}},
+		} {
+			got, err := AppendEncode(nil, m.wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := AppendEncode(nil, m.ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%T of %d entities, %d removals:\n got  %x\n want %x", m.wire, len(list), len(removed), got, want)
+			}
+			if msg, _, err := dec.Decode(got); err != nil || fmt.Sprintf("%T", msg) != fmt.Sprintf("%T", m.ref) {
+				t.Fatalf("%T frame decoded as %T, %v; want %T", m.wire, msg, err, m.ref)
 			}
 		}
 	}
