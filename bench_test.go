@@ -689,10 +689,11 @@ func BenchmarkPlanTick(b *testing.B) {
 	}
 }
 
-// BenchmarkFanout measures the dispatcher's encode + send walk over one
-// fixed plan of the fixture (a message per peer) at pool widths 1, 2, and 4,
-// against a sink transport. Wider pools encode the messages in parallel; the
-// send walk stays in plan order on the caller.
+// BenchmarkFanout measures the dispatcher's send walk over a plan of the
+// fixture (a frame per peer, built by PlanTick on a pool of width 1, 2 or 4)
+// against a sink transport. Fanout consumes its plan, so every iteration
+// plans a fresh tick with the timer stopped; the walk itself runs in plan
+// order on the caller at every width.
 func BenchmarkFanout(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -700,22 +701,23 @@ func BenchmarkFanout(b *testing.B) {
 			defer pool.Close()
 			r, step := buildPlanFixture(b, pool)
 			sink := &sinkTransport{}
-			d, err := endpoint.NewDispatcher(sink, metrics.NewRegistry("bench"), endpoint.Config{Pool: pool})
+			d, err := endpoint.NewDispatcher(sink, metrics.NewRegistry("bench"), endpoint.Config{})
 			if err != nil {
 				b.Fatal(err)
-			}
-			step()
-			plan := r.PlanTick()
-			if len(plan) == 0 {
-				b.Fatal("empty plan")
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				step()
+				plan := r.PlanTick()
+				if len(plan) == 0 {
+					b.Fatal("empty plan")
+				}
+				b.StartTimer()
 				d.Fanout(plan)
 			}
 			b.StopTimer()
-			d.ReleaseFrames()
 			if sink.frames == 0 {
 				b.Fatal("fanout sent nothing")
 			}
@@ -736,11 +738,10 @@ func TestPlanTickAllocationFree(t *testing.T) {
 			pool := work.New(workers)
 			defer pool.Close()
 			r, step := buildPlanFixture(t, pool)
-			d, err := endpoint.NewDispatcher(&sinkTransport{}, metrics.NewRegistry("allocs"), endpoint.Config{Pool: pool})
+			d, err := endpoint.NewDispatcher(&sinkTransport{}, metrics.NewRegistry("allocs"), endpoint.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer d.ReleaseFrames()
 			tick := func() {
 				step()
 				d.Fanout(r.PlanTick())

@@ -30,23 +30,19 @@ func measureReplicationBytes(t testing.TB, snapshotOnly bool, entities, ticks in
 			id := protocol.ParticipantID((tick*7 + i) % entities)
 			s.Upsert(ent(id, float64(tick)))
 		}
-		var msgs []protocol.Message
-		if snapshotOnly {
-			s.SnapshotInto(nil, &snap)
-			msgs = append(msgs, &snap)
-		} else {
+		if !snapshotOnly {
 			for _, pm := range r.PlanTick() {
-				msgs = append(msgs, pm.Msg)
+				total += pm.Msg.Len()
 				_ = r.Ack("p", s.Tick())
 			}
+			continue
 		}
-		for _, m := range msgs {
-			frame, err := protocol.AppendEncode(nil, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			total += len(frame)
+		s.SnapshotInto(nil, &snap)
+		frame, err := protocol.AppendEncode(nil, &snap)
+		if err != nil {
+			t.Fatal(err)
 		}
+		total += len(frame)
 	}
 	return total
 }

@@ -88,8 +88,6 @@ func TestDeltaSincePropertyMatchesNaiveReference(t *testing.T) {
 		ref := newShadowStore()
 		const universe = 40
 		var owed OwedSet
-		var wireDelta protocol.WireDelta
-		var wireSnap protocol.WireSnapshot
 
 		for step := 0; step < 4000; step++ {
 			s.BeginTick()
@@ -161,9 +159,17 @@ func TestDeltaSincePropertyMatchesNaiveReference(t *testing.T) {
 						seed, step, base, got.Removed, want.Removed)
 				}
 
-				s.DeltaSinceOwedInto(base, nil, &wireDelta, &owed, 8)
-				owedDelta := decoded(t, &wireDelta).(*protocol.Delta)
+				f := protocol.AcquireBody()
+				empty, err := s.DeltaSinceOwedInto(base, nil, f, &owed, 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				owedDelta := decoded(t, f).(*protocol.Delta)
+				f.Release()
 				all := ref.deltaSince(base, nil)
+				if empty != (len(all.Changed) == 0 && len(all.Removed) == 0) {
+					t.Fatalf("seed %d step %d base %d: owed build reports empty=%v for %d changes, %d removals", seed, step, base, empty, len(all.Changed), len(all.Removed))
+				}
 				if owedDelta.BaseTick != all.BaseTick || owedDelta.Tick != all.Tick ||
 					!slices.EqualFunc(owedDelta.Changed, all.Changed, entityEqual) || !slices.Equal(owedDelta.Removed, all.Removed) {
 					t.Fatalf("seed %d step %d base %d: owed build (%d,%d) %v -%v != reference (%d,%d) %v -%v", seed, step, base,
@@ -175,8 +181,12 @@ func TestDeltaSincePropertyMatchesNaiveReference(t *testing.T) {
 			// clears the removal log; later deltas must stay correct.
 			if rng.Intn(400) == 0 {
 				snap := snapshotOf(s, nil)
-				s.SnapshotOwedInto(nil, &wireSnap, &owed)
-				owedSnap := decoded(t, &wireSnap).(*protocol.Snapshot)
+				f := protocol.AcquireBody()
+				if err := s.SnapshotOwedInto(nil, f, &owed); err != nil {
+					t.Fatal(err)
+				}
+				owedSnap := decoded(t, f).(*protocol.Snapshot)
+				f.Release()
 				if owedSnap.Tick != snap.Tick || !slices.EqualFunc(owedSnap.Entities, snap.Entities, entityEqual) {
 					t.Fatalf("seed %d step %d: owed snapshot %v != reference %v", seed, step, ids(owedSnap.Entities), ids(snap.Entities))
 				}

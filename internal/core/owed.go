@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sort"
 
 	"metaclass/internal/protocol"
 )
@@ -36,10 +35,16 @@ import (
 //   - Builds walk the store's ascending (id, slot) list, so message bytes
 //     are identical across runs and worker counts.
 //   - An entry's last is the tick of the newest planned message that
-//     included the entity (0 = none since it became owed). AckDrop settles
+//     included the entity (0 = none since it became owed). An ack settles
 //     entries only on an exact tick match: an ack for tick T proves receipt
 //     of the tick-T message, while an ack for a later tick proves nothing
 //     about T (the T message may have been lost on the way).
+//   - AckDrop only queues its tick; the queue is settled, in arrival order,
+//     by whatever reads or writes the set next — the peer's build (begin),
+//     a handoff mark (markID), a count or export (each) — or by AckDrop
+//     itself when the queue is full. Settling late changes nothing a reader
+//     can see, and it moves the settle work off the ack path onto the
+//     peer's build job.
 type OwedSet struct {
 	ents []owedEntry // indexed by store slot
 	// absent holds, ascending, the IDs marked owed while the store had no
@@ -47,7 +52,14 @@ type OwedSet struct {
 	// mirror may lag). The next build keeps those that have arrived by then.
 	absent []protocol.ParticipantID
 	sent   []sentRec
+	// acks holds the acknowledged ticks not yet settled, in arrival order.
+	acks []uint64
 }
+
+// maxQueuedAcks bounds a set's unsettled acks. A peer acks about one message
+// a tick and is built every tick, so the queue rarely holds more than a few;
+// a flood between two builds settles inline instead of growing it.
+const maxQueuedAcks = 32
 
 // owedEntry is one slot's debt. It is valid for the tenant whose generation
 // it carries; OwedSet.at empties it for any other.
@@ -59,10 +71,10 @@ type owedEntry struct {
 
 // sentRec is one owed entity carried by the message planned at tick,
 // awaiting that tick's exact ack. Plan ticks are monotonic, so the list is
-// tick-sorted by construction and AckDrop settles an ack with one binary
-// search instead of walking every owed entry. The slot needs no generation
-// beside it: a build visits a slot once, so no later tenant's entry can carry
-// this tick as its last.
+// tick-sorted by construction and one merge pass settles a run of acks
+// instead of walking every owed entry. The slot needs no generation beside
+// it: a build visits a slot once, so no later tenant's entry can carry this
+// tick as its last.
 type sentRec struct {
 	slot uint32
 	tick uint64
@@ -70,7 +82,9 @@ type sentRec struct {
 
 // Reset empties the set for reuse by another peer (peer state is pooled
 // across join/leave churn). The slices keep their capacity.
-func (o *OwedSet) Reset() { *o = OwedSet{ents: o.ents[:0], absent: o.absent[:0], sent: o.sent[:0]} }
+func (o *OwedSet) Reset() {
+	*o = OwedSet{ents: o.ents[:0], absent: o.absent[:0], sent: o.sent[:0], acks: o.acks[:0]}
+}
 
 // fit grows the set to one entry per store slot.
 func (o *OwedSet) fit(s *Store) {
@@ -79,9 +93,11 @@ func (o *OwedSet) fit(s *Store) {
 	}
 }
 
-// begin readies the set for a build against s: fit to its table, and each
-// absent mark resolved — owed-unsent if the entity has arrived, else forgotten.
+// begin readies the set for a build against s: queued acks settled, fit to
+// its table, and each absent mark resolved — owed-unsent if the entity has
+// arrived, else forgotten.
 func (o *OwedSet) begin(s *Store) {
+	o.settle()
 	o.fit(s)
 	for _, id := range o.absent {
 		if slot, ok := s.slots[id]; ok {
@@ -126,6 +142,7 @@ func (e *owedEntry) mark() { e.owed, e.last = true, 0 }
 // markID is mark by ID, from outside a build (handoff). An ID the store does
 // not hold is remembered in absent until the next build.
 func (o *OwedSet) markID(s *Store, id protocol.ParticipantID) {
+	o.settle()
 	slot, ok := s.slots[id]
 	if !ok {
 		if i, found := slices.BinarySearch(o.absent, id); !found {
@@ -168,34 +185,57 @@ func (o *OwedSet) awaits(rec sentRec) bool {
 	return e.owed && e.last == rec.tick
 }
 
-// AckDrop settles every owed entry whose last-included tick exactly matches
-// the acknowledged tick: the peer provably received that message and with it
-// the entity's then-current state. Any newer change would have re-marked the
-// entry (last 0) or been re-included at a later tick, so an exact match
-// means the peer is up to date. Regressed or duplicate acks are fine —
-// receipt is receipt regardless of arrival order.
+// AckDrop records that the peer acknowledged tick. When the set is next
+// settled, every owed entry whose last-included tick exactly matches it is
+// dropped: the peer provably received that message and with it the entity's
+// then-current state. Any newer change would have re-marked the entry (last
+// 0) or been re-included at a later tick, so an exact match means the peer is
+// up to date. Regressed or duplicate acks are fine — receipt is receipt
+// regardless of arrival order.
 func (o *OwedSet) AckDrop(tick uint64) {
 	if tick == 0 || len(o.sent) == 0 {
+		return // nothing awaits an ack, and only a build adds a record
+	}
+	if len(o.acks) == maxQueuedAcks {
+		o.settle()
+	}
+	o.acks = append(o.acks, tick)
+}
+
+// settle applies the queued acks in arrival order. Each ack settles the
+// records of its tick and drops every record at or below it, so an ack at or
+// below an earlier one in the queue finds nothing left: the acks that settle
+// anything ascend, and one merge pass over the tick-sorted records applies
+// them all. A regressed ack for an already-dropped tick settles nothing —
+// harmless: the entry stays owed and the retransmit gate re-includes it,
+// which is only redundant traffic, never a wrong settle.
+func (o *OwedSet) settle() {
+	if len(o.acks) == 0 {
 		return
 	}
-	lo := sort.Search(len(o.sent), func(i int) bool { return o.sent[i].tick >= tick })
-	hi := lo
-	for hi < len(o.sent) && o.sent[hi].tick == tick {
-		if rec := o.sent[hi]; o.awaits(rec) {
-			o.ents[rec.slot].owed = false
+	n, floor := 0, uint64(0)
+	for _, tick := range o.acks {
+		if tick <= floor {
+			continue
 		}
-		hi++
+		floor = tick
+		for n < len(o.sent) && o.sent[n].tick < tick {
+			n++
+		}
+		for ; n < len(o.sent) && o.sent[n].tick == tick; n++ {
+			if rec := o.sent[n]; o.awaits(rec) {
+				o.ents[rec.slot].owed = false
+			}
+		}
 	}
-	// Drop every record at or below the ack floor. A regressed ack for an
-	// already-pruned tick then settles nothing — harmless: the entry stays
-	// owed and the retransmit gate re-includes it, which is only redundant
-	// traffic, never a wrong settle.
-	o.sent = o.sent[:copy(o.sent, o.sent[hi:])]
+	o.sent = o.sent[:copy(o.sent, o.sent[n:])]
+	o.acks = o.acks[:0]
 }
 
 // each calls fn for every ID currently owed: the live entities of s with a
 // debt, ascending, then the absent marks no live debt covers. Off the tick path.
 func (o *OwedSet) each(s *Store, fn func(id protocol.ParticipantID)) {
+	o.settle()
 	debt := func(slot uint32) bool {
 		return int(slot) < len(o.ents) && o.ents[slot].owed && o.ents[slot].gen == s.recs[slot].gen
 	}

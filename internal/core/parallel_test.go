@@ -96,15 +96,7 @@ func drivePooledVsInline(t *testing.T, workers, ticks int) {
 				t.Fatalf("workers=%d tick %d msg %d: peer %s, inline %s",
 					workers, tick, i, planPar[i].Peer, planSer[i].Peer)
 			}
-			got, err := protocol.Encode(planPar[i].Msg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := protocol.Encode(planSer[i].Msg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
+			if !bytes.Equal(planPar[i].Msg.Bytes(), planSer[i].Msg.Bytes()) {
 				t.Fatalf("workers=%d tick %d: frame to %s diverged from inline plan",
 					workers, tick, planPar[i].Peer)
 			}

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"metaclass/internal/protocol"
@@ -101,13 +101,14 @@ func TestRefusedFuncMatchesFilter(t *testing.T) {
 			}
 		}
 		want, got := byFilter.PlanTick(), byList.PlanTick()
-		if !reflect.DeepEqual(got, want) {
-			for i := range min(len(got), len(want)) {
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Fatalf("tick %d, message %d to %s: refused-list plan %+v, filter plan %+v", tick, i, want[i].Peer, got[i].Msg, want[i].Msg)
-				}
-			}
+		if len(got) != len(want) {
 			t.Fatalf("tick %d: refused-list plan has %d messages, filter plan %d", tick, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Peer != want[i].Peer || !bytes.Equal(got[i].Msg.Bytes(), want[i].Msg.Bytes()) {
+				t.Fatalf("tick %d, message %d to %s: refused-list plan %+v, filter plan %+v",
+					tick, i, want[i].Peer, decoded(t, got[i].Msg), decoded(t, want[i].Msg))
+			}
 		}
 		for _, pm := range want {
 			if _, ok := decoded(t, pm.Msg).(*protocol.Snapshot); ok {

@@ -40,10 +40,10 @@ const owedSettleTicks = 8
 
 // ReplConfig tunes replication behavior.
 type ReplConfig struct {
-	// Pool runs PlanTick's independent builds — one snapshot or delta per
-	// peer — on its workers; the results merge back in sorted-peer order, so
-	// the plan is the same at every width. nil runs the builds inline on the
-	// caller.
+	// Pool runs PlanTick's independent builds — one per peer: settle its
+	// queued acks, then its snapshot or delta, framed and checksummed — on
+	// its workers; the results merge back in sorted-peer order, so the plan is
+	// the same at every width. nil runs the builds inline on the caller.
 	//
 	// A peer's RefusedFunc is called once per build, into its worker's
 	// scratch, concurrently with other peers' (never with itself): it must
@@ -59,9 +59,6 @@ type peerState struct {
 	deltas    uint64
 	// refused is the peer's interest (nil refuses nothing).
 	refused RefusedFunc
-	// scratch is the peer's reusable delta, valid until its next planned
-	// delta, matching the PlanTick result contract.
-	scratch *protocol.WireDelta
 	// owed tracks the entities this peer may not hold the latest state of:
 	// changes its filter suppressed, and debt marked by handoff. Owned
 	// exclusively by this peer's builds and acks — see OwedSet for the
@@ -145,16 +142,12 @@ func (p *peerState) resolveAck(tick uint64) (uint64, bool) {
 }
 
 // reset clears a peer's replication state for reuse while keeping its
-// allocated scratch (the delta's entity slices, the owed set), so onboarding
-// a client after a departure allocates nothing.
+// allocated scratch (the owed set, the send log), so onboarding a client
+// after a departure allocates nothing.
 func (p *peerState) reset() {
 	p.ackTick, p.acked, p.newestAck = 0, false, 0
 	p.snapshots, p.deltas = 0, 0
 	p.refused = nil
-	if p.scratch != nil {
-		p.scratch.Count, p.scratch.Changed = 0, p.scratch.Changed[:0]
-		p.scratch.Removed = p.scratch.Removed[:0]
-	}
 	p.owed.Reset()
 	p.sent = p.sent[:0]
 }
@@ -170,14 +163,10 @@ type Replicator struct {
 	sortedIDs []string
 	idsDirty  bool
 
-	// plan is per-tick scratch, reused across PlanTick calls to keep the hot
-	// path allocation-free. peerSnaps holds the tick's snapshots: the tick's
-	// i-th is built into the i-th message, so the list is as long as the
-	// busiest tick's snapshots were many. (A peer snapshots at its join and
-	// again only if it falls past the delta window; a world-sized message of
-	// its own would sit idle for the rest of its life.)
-	plan      []PeerMessage
-	peerSnaps []*protocol.WireSnapshot
+	// plan is the last PlanTick's result, reused across calls to keep the hot
+	// path allocation-free. Its entries hold their frames until Fanout takes
+	// them or ReleasePlan (the next PlanTick's first step) releases them.
+	plan []PeerMessage
 
 	// pruneDirty defers removal-log pruning to once per PlanTick: acks only
 	// record their tick, so a fully-acking classroom costs O(peers) per tick
@@ -191,7 +180,7 @@ type Replicator struct {
 	prunedTo uint64
 
 	// freePeers pools peer states released by RemovePeer so a join/leave
-	// storm (E11 churn) reuses scratch deltas and owed sets instead of
+	// storm (E11 churn) reuses owed sets and send logs instead of
 	// reallocating them per onboarding.
 	freePeers []*peerState
 
@@ -202,14 +191,18 @@ type Replicator struct {
 	refused [][]protocol.ParticipantID
 }
 
-// planJob is one peer's build in a PlanTick: a snapshot into snap when snap
-// is non-nil, otherwise a delta into the peer's scratch. Each job writes only
-// its own target message (plus its peer's owed set), so jobs are safe to
-// execute concurrently.
+// planJob is one peer's build in a PlanTick: a snapshot when snap is set,
+// otherwise a delta, into a frame of its own. Each job writes only its own
+// fields (plus its peer's owed set), so jobs are safe to execute
+// concurrently.
 type planJob struct {
 	id   string
 	peer *peerState
-	snap *protocol.WireSnapshot
+	snap bool
+	// frame is the build's sealed frame, nil when sealing failed; empty is a
+	// delta that carries nothing, whose frame the job has already released.
+	frame *protocol.Frame
+	empty bool
 }
 
 // NewReplicator creates a replicator over store.
@@ -333,7 +326,8 @@ func (r *Replicator) Ack(peer string, tick uint64) error {
 		return fmt.Errorf("%w: %s", ErrUnknownPeer, peer)
 	}
 	// Receipt is receipt regardless of ordering: even a regressed ack proves
-	// the tick's message arrived, settling any owed entities it carried.
+	// the tick's message arrived, settling any owed entities it carried. The
+	// settling itself waits for the peer's next build (OwedSet.AckDrop).
 	p.owed.AckDrop(tick)
 	if tick <= p.newestAck {
 		return nil
@@ -454,11 +448,15 @@ func (r *Replicator) Owe(peer string, id protocol.ParticipantID) error {
 	return nil
 }
 
-// PeerMessage is one planned transmission: the message built for Peer, a
-// send-only *protocol.WireSnapshot or *protocol.WireDelta.
+// PeerMessage is one planned transmission: the framed Snapshot or Delta
+// built for Peer. Msg holds the frame's one reference, nil when the message
+// could not be framed (it exceeds protocol.MaxPayload). Whoever sends the
+// frame takes that reference and zeroes the entry (Dispatcher.Fanout);
+// a frame still in the plan at the next PlanTick or at ReleasePlan is
+// released there.
 type PeerMessage struct {
 	Peer string
-	Msg  protocol.Message
+	Msg  *protocol.Frame
 }
 
 // PlanTick builds the replication message for every peer at the store's
@@ -467,8 +465,8 @@ type PeerMessage struct {
 // delta) are skipped. Every peer's message is gated by its interest, asked
 // once per build (nil refuses nothing), and settles its owed set.
 //
-// The returned slice and its Messages are valid until the next PlanTick
-// call; callers must not mutate the Messages.
+// The returned slice is valid until the next PlanTick call, which first
+// releases every frame of it no one has taken (ReleasePlan).
 //
 // The plan runs in three passes:
 //
@@ -476,35 +474,26 @@ type PeerMessage struct {
 //	          build job per peer.
 //	2 (pool)  encode each entity written since the last plan once, on the
 //	          owner, then execute the jobs on ReplConfig.Pool. Each job
-//	          copies wire bytes and writes only its own target message, its
-//	          peer's owed set and its worker's refused list; the store is
-//	          read-only and its lazy walk order is warmed before the fan-out.
+//	          settles its peer's queued acks, copies wire bytes into a pooled
+//	          frame and seals it, writing only its own job, its peer's owed
+//	          set and its worker's refused list; the store is read-only and
+//	          its lazy walk order is warmed before the fan-out.
 //	3 (owner) walk the jobs in order, dropping empty deltas and bumping the
 //	          per-peer counters.
 //
-// Because pass 3 counts in sorted-peer order over prebuilt messages, the
-// returned plan — ordering, message contents, counters — does not depend on
-// the worker count or on the order the pool scheduled the jobs in.
+// Because pass 3 counts in sorted-peer order over prebuilt frames, the
+// returned plan — ordering, frame bytes, counters — does not depend on the
+// worker count or on the order the pool scheduled the jobs in.
 func (r *Replicator) PlanTick() []PeerMessage {
+	r.ReleasePlan()
 	tick := r.store.Tick()
 	r.prune()
 
 	// Pass 1: queue one build per peer.
 	jobs := r.jobs[:0]
-	snaps := 0
 	for _, id := range r.sortedPeerIDs() {
 		p := r.peers[id]
-		j := planJob{id: id, peer: p}
-		if r.wantSnapshot(p, tick) {
-			if snaps == len(r.peerSnaps) {
-				r.peerSnaps = append(r.peerSnaps, &protocol.WireSnapshot{})
-			}
-			j.snap = r.peerSnaps[snaps]
-			snaps++
-		} else if p.scratch == nil {
-			p.scratch = &protocol.WireDelta{}
-		}
-		jobs = append(jobs, j)
+		jobs = append(jobs, planJob{id: id, peer: p, snap: r.wantSnapshot(p, tick)})
 	}
 	r.jobs = jobs
 
@@ -521,23 +510,35 @@ func (r *Replicator) PlanTick() []PeerMessage {
 
 	// Pass 3: merge in sorted-peer order.
 	out := r.plan[:0]
-	for _, j := range jobs {
+	for i := range jobs {
+		j := &jobs[i]
+		if j.empty {
+			continue
+		}
 		p := j.peer
-		if j.snap != nil {
+		if j.snap {
 			p.snapshots++
-			p.noteSent(tick, p.ackTick, true)
-			out = append(out, PeerMessage{Peer: j.id, Msg: j.snap})
-			continue
+		} else {
+			p.deltas++
 		}
-		if p.scratch.Count == 0 && len(p.scratch.Removed) == 0 {
-			continue
-		}
-		p.deltas++
-		p.noteSent(tick, p.ackTick, false)
-		out = append(out, PeerMessage{Peer: j.id, Msg: p.scratch})
+		p.noteSent(tick, p.ackTick, j.snap)
+		out = append(out, PeerMessage{Peer: j.id, Msg: j.frame})
+		j.frame = nil
 	}
 	r.plan = out
 	return out
+}
+
+// ReleasePlan releases every frame of the last plan that no sender has
+// taken, and empties its entries. PlanTick calls it first; a node calls it
+// when it stops, so a plan that is never fanned out holds no frame.
+func (r *Replicator) ReleasePlan() {
+	for i := range r.plan {
+		if f := r.plan[i].Msg; f != nil {
+			f.Release()
+		}
+		r.plan[i] = PeerMessage{}
+	}
 }
 
 // wantSnapshot is the snapshot-vs-delta decision for one peer at tick.
@@ -546,8 +547,9 @@ func (r *Replicator) wantSnapshot(p *peerState, tick uint64) bool {
 }
 
 // execJob runs one build of pass 2, asking the peer's interest once into its
-// worker's refused list. It writes only that list, its own target message and
-// its peer's owed set, honoring the pool's ownership rules (see package work).
+// worker's refused list. It writes only that list, its own job, the frame it
+// acquires and its peer's owed set, honoring the pool's ownership rules (see
+// package work).
 func (r *Replicator) execJob(w, i int) {
 	j := &r.jobs[i]
 	p := j.peer
@@ -556,11 +558,18 @@ func (r *Replicator) execJob(w, i int) {
 		refused = p.refused(r.store.Tick(), refused)
 		r.refused[w] = refused
 	}
-	if j.snap != nil {
-		r.store.SnapshotOwedInto(refused, j.snap, &p.owed)
+	f := protocol.AcquireBody()
+	var err error
+	if j.snap {
+		err = r.store.SnapshotOwedInto(refused, f, &p.owed)
 	} else {
-		r.store.DeltaSinceOwedInto(p.ackTick, refused, p.scratch, &p.owed, owedSettleTicks)
+		j.empty, err = r.store.DeltaSinceOwedInto(p.ackTick, refused, f, &p.owed, owedSettleTicks)
 	}
+	if err != nil || j.empty {
+		f.Release()
+		f = nil
+	}
+	j.frame = f
 }
 
 // PeerStats reports replication counters for a peer.

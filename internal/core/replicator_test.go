@@ -9,16 +9,10 @@ import (
 	"metaclass/internal/protocol"
 )
 
-// decoded is what the receiver of a planned message gets: the message
-// encoded into a frame and decoded again, a *protocol.Snapshot or
-// *protocol.Delta of the caller's own.
-func decoded(t testing.TB, m protocol.Message) protocol.Message {
+// decoded is what the receiver of a planned frame gets: a *protocol.Snapshot
+// or *protocol.Delta of the caller's own.
+func decoded(t testing.TB, f *protocol.Frame) protocol.Message {
 	t.Helper()
-	f, err := protocol.EncodeFrame(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Release()
 	msg, _, err := protocol.Decode(f.Bytes())
 	if err != nil {
 		t.Fatal(err)

@@ -297,7 +297,9 @@ func (l *refusedList) admits(id protocol.ParticipantID) bool {
 	return len(*l) == 0 || (*l)[0] != id
 }
 
-// DeltaSinceOwedInto builds a peer's delta with owed-change tracking: the
+// DeltaSinceOwedInto builds a peer's delta with owed-change tracking into f,
+// a frame from protocol.AcquireBody, and seals it; empty reports a delta that
+// carries nothing, which the replicator does not send. It is the
 // decimation-safe variant of DeltaSinceInto, and the one the replicator plans
 // every peer with, from the wire bytes of encodeChanged. owed must be
 // non-nil; refused lists, ascending, what the peer refuses at the store's
@@ -322,15 +324,14 @@ func (l *refusedList) admits(id protocol.ParticipantID) bool {
 //     the exact ack for L arriving (the tick-L message is then presumed lost).
 //
 // Each entity is visited once, in ascending ID order, and merge-joined with
-// refused (no call per entity), so Changed is ascending and byte-identical
-// across runs and worker counts. Removals are never owed, and filtered in one
-// case only (below). Concurrency: as DeltaSinceInto, for distinct owed sets.
-func (s *Store) DeltaSinceOwedInto(base uint64, refused []protocol.ParticipantID, msg *protocol.WireDelta, owed *OwedSet, settle uint64) {
-	msg.BaseTick, msg.Tick = base, s.tick
-	msg.Count, msg.Changed = 0, msg.Changed[:0]
-	msg.Removed = msg.Removed[:0]
-
+// refused (no call per entity), so the carried entities are ascending and
+// byte-identical across runs and worker counts. Removals are never owed, and
+// filtered in one case only (below). The build settles the peer's queued acks
+// first (OwedSet.begin). Concurrency: as DeltaSinceInto, for distinct owed
+// sets and frames.
+func (s *Store) DeltaSinceOwedInto(base uint64, refused []protocol.ParticipantID, f *protocol.Frame, owed *OwedSet, settle uint64) (empty bool, err error) {
 	owed.begin(s)
+	count, removed := 0, 0
 	cursor := refusedList(refused)
 	for _, is := range s.ordered() {
 		r := &s.recs[is.slot]
@@ -338,8 +339,8 @@ func (s *Store) DeltaSinceOwedInto(base uint64, refused []protocol.ParticipantID
 		if r.changedTick > base {
 			// Changed inside the window: this walk subsumes the sweep.
 			if cursor.admits(is.id) {
-				msg.Count++
-				msg.Changed = append(msg.Changed, s.wire[is.slot]...)
+				count++
+				f.AppendSpan(s.wire[is.slot])
 				if e.owed {
 					owed.markSent(is.slot, s.tick)
 				}
@@ -352,8 +353,8 @@ func (s *Store) DeltaSinceOwedInto(base uint64, refused []protocol.ParticipantID
 			continue // nothing owed, or still moving: a later walk supersedes this
 		}
 		if cursor.admits(is.id) && (e.last == 0 || base >= e.last) {
-			msg.Count++
-			msg.Changed = append(msg.Changed, s.wire[is.slot]...)
+			count++
+			f.AppendSpan(s.wire[is.slot])
 			owed.markSent(is.slot, s.tick)
 		}
 	}
@@ -368,20 +369,22 @@ func (s *Store) DeltaSinceOwedInto(base uint64, refused []protocol.ParticipantID
 		if _, refusedNow := slices.BinarySearch(refused, rm.id); live && refusedNow {
 			continue
 		}
-		msg.Removed = append(msg.Removed, rm.id)
+		removed++
+		f.AppendRemoved(rm.id)
 	}
+	return count == 0 && removed == 0, f.SealDelta(base, s.tick, count, removed)
 }
 
 // SnapshotOwedInto is SnapshotInto with owed tracking (owed non-nil), gated
-// by refused and built from the wire bytes as DeltaSinceOwedInto is. A
-// snapshot resets the peer's baseline to the current tick, so every live
-// entity refused becomes owed — its changedTick, whatever it was, is now at
-// or before the baseline and no delta window will ever surface it again.
-// Included entities that were owed become pending on the snapshot's tick.
-func (s *Store) SnapshotOwedInto(refused []protocol.ParticipantID, msg *protocol.WireSnapshot, owed *OwedSet) {
-	msg.Tick = s.tick
-	msg.Count, msg.Entities = 0, msg.Entities[:0]
+// by refused and built from the wire bytes into f, which it seals, as
+// DeltaSinceOwedInto is. A snapshot resets the peer's baseline to the current
+// tick, so every live entity refused becomes owed — its changedTick, whatever
+// it was, is now at or before the baseline and no delta window will ever
+// surface it again. Included entities that were owed become pending on the
+// snapshot's tick.
+func (s *Store) SnapshotOwedInto(refused []protocol.ParticipantID, f *protocol.Frame, owed *OwedSet) error {
 	owed.begin(s)
+	count := 0
 	cursor := refusedList(refused)
 	for _, is := range s.ordered() {
 		r := &s.recs[is.slot]
@@ -390,12 +393,13 @@ func (s *Store) SnapshotOwedInto(refused []protocol.ParticipantID, msg *protocol
 			e.mark()
 			continue
 		}
-		msg.Count++
-		msg.Entities = append(msg.Entities, s.wire[is.slot]...)
+		count++
+		f.AppendSpan(s.wire[is.slot])
 		if e.owed {
 			owed.markSent(is.slot, s.tick)
 		}
 	}
+	return f.SealSnapshot(s.tick, count)
 }
 
 // PruneRemovals discards removal log entries at or before minAck (the

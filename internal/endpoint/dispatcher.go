@@ -23,14 +23,15 @@ type Config struct {
 	// AutoPong answers Ping frames with a Pong echoing nonce and send time
 	// (server endpoints; clients count stray pings as unhandled instead).
 	AutoPong bool
-	// Pool runs Fanout's per-peer encodes on its workers before the in-order
-	// send walk; nil encodes them inline on the caller.
+	// Pool is unused: the plan's frames are built and checksummed by the
+	// replicator's pool (core.ReplConfig.Pool), and Fanout only sends. It
+	// remains for callers in bench/, like ReleaseFrames.
 	Pool *work.Pool
 }
 
 // Dispatcher is the shared receive/reply surface of every node: it owns the
-// pooled protocol.Decoder, the fan-out's per-peer frame slots, the
-// ack/pong reply scratch, and the recv-side metric family — so the four node
+// pooled protocol.Decoder, the tick's send walk, the ack/pong reply scratch,
+// and the recv-side metric family — so the four node
 // types carry no decode switch, no scratch duplication, and no drifting
 // counter names of their own.
 //
@@ -52,14 +53,7 @@ type Dispatcher struct {
 	reg     *metrics.Registry
 	cfg     Config
 
-	dec protocol.Decoder
-	// plan and frames are Fanout's scratch: frames[i] is plan entry i's
-	// encoded frame (nil when the encode failed) while the call runs;
-	// encode is the hoisted job body, built once so pool runs allocate
-	// nothing.
-	plan        []core.PeerMessage
-	frames      []*protocol.Frame
-	encode      func(worker, i int)
+	dec         protocol.Decoder
 	ackScratch  protocol.Ack
 	pongScratch protocol.Pong
 	// recvFrame is the refcounted frame backing the payload currently being
@@ -248,38 +242,32 @@ func (d *Dispatcher) reply(to Addr, msg protocol.Message) {
 	}
 }
 
-// Fanout encodes and transmits one tick's replication plan: every entry is
-// encoded into its own pooled frame, whose single reference the transport
-// consumes on delivery, loss, drop, or error. Call once per tick with the
-// node's PlanTick result. On a batching transport the whole plan is queued
-// and flushed with one vectored write per touched connection — one flush per
-// tick per conn — instead of one flush per send. The encodes run on
-// Config.Pool first, entry i into slot i; sends always stay in plan order on
-// this goroutine, so the wire traffic is identical at every worker count. No
-// frame reference outlives the call.
+// Fanout transmits one tick's replication plan, in plan order: each entry's
+// frame, built and checksummed by PlanTick, has its one reference handed to
+// the transport, which consumes it on delivery, loss, drop, or error. Call
+// once per tick with the node's PlanTick result. Fanout encodes nothing; an
+// entry without a frame (its message exceeded protocol.MaxPayload) counts
+// encode.errors. Each entry is zeroed as it is taken and zero entries are
+// skipped, so a plan fanned out twice is sent once. On a batching transport
+// the whole plan is queued and flushed with one vectored write per touched
+// connection — one flush per tick per conn — instead of one flush per send.
 func (d *Dispatcher) Fanout(plan []core.PeerMessage) {
-	d.plan = plan
-	for len(d.frames) < len(plan) {
-		d.frames = append(d.frames, nil)
-	}
-	if d.encode == nil {
-		d.encode = d.encodeAt
-	}
-	d.cfg.Pool.Run(len(plan), d.encode)
-	d.plan = nil // do not pin the plan's messages past the tick
 	if d.batcher != nil {
 		d.batcher.BeginBatch()
 	}
-	for i, pm := range plan {
-		frame := d.frames[i]
-		d.frames[i] = nil
-		if frame == nil {
+	for i := range plan {
+		pm := plan[i]
+		if pm == (core.PeerMessage{}) {
+			continue // taken by an earlier Fanout
+		}
+		plan[i] = core.PeerMessage{}
+		if pm.Msg == nil {
 			d.mEncodeErrors.Inc()
 			continue
 		}
 		d.mMsgsSent.Inc()
-		d.mBytesSent.Add(uint64(frame.Len()))
-		if err := d.tr.SendFrame(Addr(pm.Peer), frame); err != nil {
+		d.mBytesSent.Add(uint64(pm.Msg.Len()))
+		if err := d.tr.SendFrame(Addr(pm.Peer), pm.Msg); err != nil {
 			d.mSendErrors.Inc()
 		}
 	}
@@ -290,15 +278,10 @@ func (d *Dispatcher) Fanout(plan []core.PeerMessage) {
 	}
 }
 
-// encodeAt encodes plan entry i into frame slot i (nil on failure:
-// EncodeFrame returns no frame with an error).
-func (d *Dispatcher) encodeAt(_, i int) {
-	d.frames[i], _ = protocol.EncodeFrame(d.plan[i].Msg)
-}
-
 // ReleaseFrames does nothing: Fanout hands every frame's only reference to
-// the transport, so no frame outlives the call. It remains for callers
-// written against the earlier shared-frame fan-out.
+// the transport, and a plan's untaken frames are the replicator's to release
+// (core.Replicator.ReleasePlan). It remains for callers written against the
+// earlier shared-frame fan-out.
 func (d *Dispatcher) ReleaseFrames() {}
 
 // Send encodes msg into a pooled frame and transmits it — the one-off path

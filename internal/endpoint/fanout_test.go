@@ -78,10 +78,17 @@ func TestFrameCacheRefcountsMatchRecipients(t *testing.T) {
 			acked[id] = st.Acked
 		}
 		plan := repl.PlanTick()
-		for _, pm := range plan {
-			if pm.Msg.Type() == protocol.TypeSnapshot && acked[pm.Peer] {
+		// What each entry must carry: its message, decoded and encoded again.
+		peers, wants := make([]string, len(plan)), make([][]byte, len(plan))
+		for i, pm := range plan {
+			msg, _, err := protocol.Decode(pm.Msg.Bytes())
+			if err != nil {
+				t.Fatalf("tick %d: planned frame to %s does not decode: %v", tick, pm.Peer, err)
+			}
+			if msg.Type() == protocol.TypeSnapshot && acked[pm.Peer] {
 				keyframes++ // an acked peer gets a snapshot only past the delta window
 			}
+			peers[i], wants[i] = pm.Peer, encodeMsg(t, msg)
 		}
 		tr.frames, tr.to = tr.frames[:0], tr.to[:0]
 		d.Fanout(plan)
@@ -97,8 +104,8 @@ func TestFrameCacheRefcountsMatchRecipients(t *testing.T) {
 			if got := f.Refs(); got != 1 {
 				t.Fatalf("tick %d: frame to %s holds %d references, want 1", tick, tr.to[i], got)
 			}
-			if want := encodeMsg(t, plan[i].Msg); tr.to[i] != endpoint.Addr(plan[i].Peer) || !bytes.Equal(f.Bytes(), want) {
-				t.Fatalf("tick %d: entry %d to %s does not carry %s's message", tick, i, tr.to[i], plan[i].Peer)
+			if tr.to[i] != endpoint.Addr(peers[i]) || !bytes.Equal(f.Bytes(), wants[i]) {
+				t.Fatalf("tick %d: entry %d to %s does not carry %s's message", tick, i, tr.to[i], peers[i])
 			}
 		}
 		// Consume the transport's references, as delivery would.
@@ -129,8 +136,8 @@ func TestFrameCacheRefcountsMatchRecipients(t *testing.T) {
 	}
 }
 
-// TestParallelEncodeFailureLeaksNoFrames drives Fanout at widths 1 and 4 over
-// a plan where one peer's payload exceeds protocol.MaxPayload: that entry
+// TestParallelEncodeFailureLeaksNoFrames plans at widths 1 and 4 a tick where
+// one peer's payload exceeds protocol.MaxPayload, and fans it out: that entry
 // must count one encode error and send nothing, the healthy entries must
 // still go out, and no pooled frame may leak.
 func TestParallelEncodeFailureLeaksNoFrames(t *testing.T) {
@@ -188,46 +195,44 @@ func TestParallelEncodeFailureLeaksNoFrames(t *testing.T) {
 	}
 }
 
-// TestParallelFanoutFramesMatchLazy fans the same plan out at width 4 and at
-// width 1 (inline on the caller) and checks the transport receives identical
-// wire bytes, frame for frame, in the same order.
+// TestParallelFanoutFramesMatchLazy plans the same tick at width 4 and at
+// width 1 (inline on the caller), where the frames are built and
+// checksummed, fans each plan out, and checks the transport receives
+// identical wire bytes, frame for frame, in the same order.
 func TestParallelFanoutFramesMatchLazy(t *testing.T) {
 	live0 := protocol.LiveFrames()
-	s := core.NewStore()
-	r := core.NewReplicator(s, core.ReplConfig{})
 	evens := func(id protocol.ParticipantID, _ uint64) bool { return id%2 == 0 }
-	for i := 0; i < 6; i++ {
-		var f core.FilterFunc
-		if i%3 == 0 {
-			f = evens
-		}
-		if err := r.AddPeer(fmt.Sprintf("peer-%d", i), f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.BeginTick()
-	for i := 1; i <= 9; i++ {
-		s.Upsert(fanoutEntity(protocol.ParticipantID(i), float64(i)))
-	}
-	plan := r.PlanTick()
-
 	fanout := func(workers int) *frameRecorder {
 		pool := work.New(workers)
 		defer pool.Close()
+		s := core.NewStore()
+		r := core.NewReplicator(s, core.ReplConfig{Pool: pool})
+		for i := 0; i < 6; i++ {
+			var f core.FilterFunc
+			if i%3 == 0 {
+				f = evens
+			}
+			if err := r.AddPeer(fmt.Sprintf("peer-%d", i), f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.BeginTick()
+		for i := 1; i <= 9; i++ {
+			s.Upsert(fanoutEntity(protocol.ParticipantID(i), float64(i)))
+		}
 		tr := &frameRecorder{addr: "node"}
-		d, err := endpoint.NewDispatcher(tr, metrics.NewRegistry("node"), endpoint.Config{Pool: pool})
+		d, err := endpoint.NewDispatcher(tr, metrics.NewRegistry("node"), endpoint.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.Fanout(plan)
+		d.Fanout(r.PlanTick())
 		return tr
 	}
 	wide, inline := fanout(4), fanout(1)
-	if len(wide.frames) != len(plan) || len(inline.frames) != len(plan) {
-		t.Fatalf("sent %d (width 4) and %d (width 1) frames for %d plan entries",
-			len(wide.frames), len(inline.frames), len(plan))
+	if len(wide.frames) != 6 || len(inline.frames) != 6 {
+		t.Fatalf("sent %d (width 4) and %d (width 1) frames, want one per peer", len(wide.frames), len(inline.frames))
 	}
-	for i := range plan {
+	for i := range wide.frames {
 		if wide.to[i] != inline.to[i] || !bytes.Equal(wide.frames[i].Bytes(), inline.frames[i].Bytes()) {
 			t.Fatalf("width-4 frame %d to %s differs from the width-1 fan-out", i, wide.to[i])
 		}

@@ -82,10 +82,41 @@ func (p *geoParityPass) counts() map[string]uint64 {
 	return out
 }
 
-// run drives the schedule: one join per round for nine rounds (kr, then
-// us-east, then sa-poor cohorts), deploy before round 11, roam before round
-// 13, drain us-east before round 16. Returns the concatenated fingerprint.
+// run drives the schedule (rounds) and stops the deployment. Returns the
+// concatenated fingerprint.
 func (p *geoParityPass) run(t *testing.T) string {
+	t.Helper()
+	p.rounds(t)
+	p.d.Stop()
+
+	var b strings.Builder
+	b.WriteString(p.d.Cloud().Metrics().String())
+	everRegions := make([]region.ID, 0, len(p.everRelays))
+	for rr := range p.everRelays {
+		everRegions = append(everRegions, rr)
+	}
+	for i := range everRegions { // tiny fixed set: insertion sort is plenty
+		for j := i + 1; j < len(everRegions); j++ {
+			if everRegions[j] < everRegions[i] {
+				everRegions[i], everRegions[j] = everRegions[j], everRegions[i]
+			}
+		}
+	}
+	for _, rr := range everRegions {
+		b.WriteString(p.everRelays[rr].Metrics().String())
+	}
+	for _, id := range p.d.SessionIDs() {
+		s, _ := p.d.Session(id)
+		b.WriteString(s.VR.Metrics().String())
+	}
+	b.WriteString(p.d.Metrics().String())
+	return b.String()
+}
+
+// rounds starts the deployment and drives the schedule: one join per round
+// for nine rounds (kr, then us-east, then sa-poor cohorts), deploy before
+// round 11, roam before round 13, drain us-east before round 16.
+func (p *geoParityPass) rounds(t *testing.T) {
 	t.Helper()
 	const tick = time.Second / 30
 	regions := []region.ID{"kr", "us-east", "sa-poor"}
@@ -122,30 +153,47 @@ func (p *geoParityPass) run(t *testing.T) string {
 		}
 		p.settle(t, round)
 	}
-	p.d.Stop()
+}
 
-	var b strings.Builder
-	b.WriteString(p.d.Cloud().Metrics().String())
-	everRegions := make([]region.ID, 0, len(p.everRelays))
-	for rr := range p.everRelays {
-		everRegions = append(everRegions, rr)
+// TestEarlyAckStrandsNoContent pins the early-ack hole (PERFORMANCE.md "The
+// ack contract / Still open"): on zero-latency links an ack of tick T reaches
+// the serving node before T+1 is planned, so delta T+1 is built on base T and
+// content stamped T after T's plan is in nobody's window. The parity schedule
+// runs on netsim at sim seed 3, the publishers stop after its last round, and
+// the deployment quiesces for 3 s; every (session, entity) pair must then
+// hold the cloud world's state. It is skipped until the fix lands: 32 pairs
+// stay one publish behind.
+func TestEarlyAckStrandsNoContent(t *testing.T) {
+	t.Skip("early ack: 32 (session, entity) pairs stay one publish behind after the quiesce")
+	sim := vclock.New(3)
+	p := newGeoParityPass(t, sim, &rig.NetsimFabric{Net: netsim.New(sim)})
+	p.settle = func(*testing.T, int) {}
+	p.rounds(t)
+	for _, id := range p.d.SessionIDs() {
+		s, _ := p.d.Session(id)
+		s.VR.Stop()
 	}
-	for i := range everRegions { // tiny fixed set: insertion sort is plenty
-		for j := i + 1; j < len(everRegions); j++ {
-			if everRegions[j] < everRegions[i] {
-				everRegions[i], everRegions[j] = everRegions[j], everRegions[i]
+	if err := sim.Run(sim.Now() + 3*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	p.d.Stop()
+	world := p.d.Cloud().World()
+	stranded := 0
+	for _, id := range p.d.SessionIDs() {
+		s, _ := p.d.Session(id)
+		for _, eid := range world.IDs() {
+			if eid == id {
+				continue
+			}
+			want, _ := world.Get(eid)
+			if got, ok := s.VR.ReplicaStore().Get(eid); !ok || got.CapturedAt != want.CapturedAt || got.Pose != want.Pose {
+				stranded++
 			}
 		}
 	}
-	for _, rr := range everRegions {
-		b.WriteString(p.everRelays[rr].Metrics().String())
+	if stranded != 0 {
+		t.Fatalf("%d (session, entity) pairs differ from the cloud world after a 3 s quiesce (Converged: %v)", stranded, p.d.Converged())
 	}
-	for _, id := range p.d.SessionIDs() {
-		s, _ := p.d.Session(id)
-		b.WriteString(s.VR.Metrics().String())
-	}
-	b.WriteString(p.d.Metrics().String())
-	return b.String()
 }
 
 // diffFP renders the first mismatching lines of two fingerprints.

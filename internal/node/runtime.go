@@ -109,9 +109,9 @@ type Runtime struct {
 	liveScratch   map[protocol.ParticipantID]bool
 	removeScratch []protocol.ParticipantID
 
-	// pool runs the tick's per-peer plan builds and encodes; its width is
-	// GOMAXPROCS at construction. Width is proven not to change the output
-	// and has not been shown to shorten the tick (see package work).
+	// pool runs the tick's per-peer jobs — ack settling, the build, its
+	// frame and checksum; its width is GOMAXPROCS at construction. Width is
+	// proven not to change the output (see package work).
 	pool *work.Pool
 
 	cancel func()
@@ -144,7 +144,6 @@ func New(sim *vclock.Sim, tr endpoint.Transport, cfg Config) (*Runtime, error) {
 		Now:       sim.Now,
 		CountRecv: cfg.CountRecv,
 		AutoPong:  true,
-		Pool:      r.pool,
 	})
 	if err != nil {
 		return nil, err
@@ -489,13 +488,15 @@ func (r *Runtime) Start(onTick func()) error {
 // Started reports whether the tick loop is running.
 func (r *Runtime) Started() bool { return r.cancel != nil }
 
-// Stop halts the tick loop and parks the worker pool's helper goroutines (a
-// later Start revives them lazily). Safe to call repeatedly.
+// Stop halts the tick loop, releases the frames of a plan that was never
+// fanned out, and parks the worker pool's helper goroutines (a later Start
+// revives them lazily). Safe to call repeatedly.
 func (r *Runtime) Stop() {
 	if r.cancel != nil {
 		r.cancel()
 		r.cancel = nil
 	}
+	r.repl.ReleasePlan()
 	r.pool.Close()
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"metaclass/internal/core"
 	"metaclass/internal/endpoint"
 	"metaclass/internal/interest"
 	"metaclass/internal/mathx"
@@ -109,6 +110,67 @@ func TestRuntimeOnboardingAllocationFlat(t *testing.T) {
 	if allocs > 3 {
 		t.Fatalf("join/tick/leave cycle allocates %.1f objects/op, want ~0", allocs)
 	}
+}
+
+// TestUnsentPlanFramesAreReleased covers the frames a plan holds until
+// Fanout takes them, on the three paths where Fanout does not: a second plan
+// with no fan-out in between, a client removed between plan and fan-out, and
+// Stop right after a plan. Each returns protocol.LiveFrames to its baseline.
+func TestUnsentPlanFramesAreReleased(t *testing.T) {
+	live0 := protocol.LiveFrames()
+	rt, tr := newRuntime(t, Config{Interest: interest.NewPolicy()})
+	const clients = 8
+	plan := func() []core.PeerMessage {
+		tick := rt.Store().BeginTick()
+		for i := 1; i <= clients; i++ {
+			id := protocol.ParticipantID(i)
+			pos := mathx.V3(3.2*float64(i)+0.01*float64(tick%7), 0, 0)
+			rt.Store().Upsert(protocol.EntityState{Participant: id, Pose: protocol.QuantizePose(pos, mathx.QuatIdentity())})
+			rt.Grid().Update(id, pos)
+		}
+		p := rt.Replicator().PlanTick()
+		if len(p) == 0 {
+			t.Fatal("empty plan")
+		}
+		return p
+	}
+	held := func(path string, want int) {
+		t.Helper()
+		if live := protocol.LiveFrames() - live0; live != int64(want) {
+			t.Fatalf("%s: %d frames live, want %d", path, live, want)
+		}
+	}
+	for i := 1; i <= clients; i++ {
+		if err := rt.AddClient(protocol.ParticipantID(i), endpoint.Addr(fmt.Sprintf("c%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	first := len(plan())
+	held("a plan", first)
+	second := plan()
+	held("a second plan with no fan-out in between", len(second))
+	rt.Dispatcher().Fanout(second)
+	held("the second plan fanned out", 0)
+
+	third := plan()
+	if _, err := rt.RemoveClient(1); err != nil {
+		t.Fatal(err)
+	}
+	sent := tr.sent
+	rt.Dispatcher().Fanout(third)
+	if tr.sent-sent != len(third) {
+		t.Fatalf("fan-out after a removal sent %d of %d frames", tr.sent-sent, len(third))
+	}
+	held("a client removed between plan and fan-out", 0)
+	plan()
+	if _, err := rt.RemoveClient(2); err != nil {
+		t.Fatal(err)
+	}
+	held("a client removed, then a plan with no fan-out", len(plan()))
+
+	rt.Stop()
+	held("Stop right after a plan", 0)
 }
 
 func TestRuntimeSyncPeerAddrsSortedAndAckPolicy(t *testing.T) {

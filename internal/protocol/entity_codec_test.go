@@ -245,8 +245,8 @@ func TestEntityCodecMatchesReference(t *testing.T) {
 				t.Fatalf("entity %d round trip:\n got  %+v\n want %+v", i, got[i], want)
 			}
 		}
-		// (c) The sender form: the list's AppendEntity spans under a
-		// WireSnapshot and a WireDelta header (0–3 removals) frame exactly as
+		// (c) The sender form: the list's AppendEntity spans in a body frame,
+		// sealed as a Snapshot and as a Delta (0–3 removals), frame exactly as
 		// the Snapshot and Delta of the list, and decode as those.
 		var spans []byte
 		for i := range list {
@@ -256,25 +256,42 @@ func TestEntityCodecMatchesReference(t *testing.T) {
 			t.Fatalf("AppendEntity spans of %d entities diverged from the reference", len(list))
 		}
 		removed := []ParticipantID{7, 0x01020304, 1 << 31}[:li%4]
-		for _, m := range []struct{ wire, ref Message }{
-			{&WireSnapshot{Tick: 7, Count: len(list), Entities: spans}, &Snapshot{Tick: 7, Entities: list}},
-			{&WireDelta{BaseTick: 300, Tick: 1 << 40, Count: len(list), Changed: spans, Removed: removed},
-				&Delta{BaseTick: 300, Tick: 1 << 40, Changed: list, Removed: removed}},
-		} {
-			got, err := AppendEncode(nil, m.wire)
-			if err != nil {
-				t.Fatal(err)
+		body := func() *Frame {
+			f := AcquireBody()
+			for i := range list {
+				f.AppendSpan(AppendEntity(nil, &list[i]))
 			}
+			return f
+		}
+		snap, delta := body(), body()
+		for _, id := range removed {
+			delta.AppendRemoved(id)
+		}
+		if err := snap.SealSnapshot(7, len(list)); err != nil {
+			t.Fatal(err)
+		}
+		if err := delta.SealDelta(300, 1<<40, len(list), len(removed)); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []struct {
+			wire *Frame
+			ref  Message
+		}{
+			{snap, &Snapshot{Tick: 7, Entities: list}},
+			{delta, &Delta{BaseTick: 300, Tick: 1 << 40, Changed: list, Removed: removed}},
+		} {
+			got := m.wire.Bytes()
 			want, err := AppendEncode(nil, m.ref)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("%T of %d entities, %d removals:\n got  %x\n want %x", m.wire, len(list), len(removed), got, want)
+				t.Fatalf("sealed %T of %d entities, %d removals:\n got  %x\n want %x", m.ref, len(list), len(removed), got, want)
 			}
 			if msg, _, err := dec.Decode(got); err != nil || fmt.Sprintf("%T", msg) != fmt.Sprintf("%T", m.ref) {
-				t.Fatalf("%T frame decoded as %T, %v; want %T", m.wire, msg, err, m.ref)
+				t.Fatalf("sealed %T frame decoded as %T, %v", m.ref, msg, err)
 			}
+			m.wire.Release()
 		}
 	}
 }

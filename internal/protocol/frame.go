@@ -1,7 +1,9 @@
 package protocol
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -29,6 +31,7 @@ import (
 // the first hand-off.
 type Frame struct {
 	buf  []byte
+	off  int // where the frame's bytes start in buf (after a body's unused header room)
 	refs atomic.Int32
 	gen  atomic.Uint32
 }
@@ -63,7 +66,7 @@ func LiveFrames() int64 {
 // caller.
 func AcquireFrame() *Frame {
 	f := framePool.Get().(*Frame)
-	f.buf = f.buf[:0]
+	f.buf, f.off = f.buf[:0], 0
 	f.refs.Store(1)
 	framesAcquired.Add(1)
 	return f
@@ -111,13 +114,84 @@ func EncodeFrame(msg Message) (*Frame, error) {
 	return f, nil
 }
 
+// bodyRoom is what AcquireBody leaves in front of a body: the widest header
+// a Snapshot or Delta takes — the frame header with the widest length varint
+// a legal frame needs, then up to three uvarints (a Delta's base tick, tick
+// and entity count).
+const bodyRoom = headerSize + maxLenVarint + 3*binary.MaxVarintLen64
+
+// AcquireBody returns a pooled frame, one reference held by the caller, for a
+// Snapshot or Delta written body first by a sender that keeps each entity's
+// AppendEntity span: AppendSpan each carried entity, then a Delta's removals
+// with AppendRemoved, then SealSnapshot or SealDelta. Sealing writes the
+// header right-aligned in front of the body and the checksum behind it, so
+// nothing is moved, and the frame is byte for byte EncodeFrame's of the
+// Snapshot or Delta of the same entities. Until it is sealed the frame is not
+// a frame; a seal that fails leaves it to be released.
+func AcquireBody() *Frame {
+	f := AcquireFrame()
+	f.buf = append(f.buf, make([]byte, bodyRoom)...)
+	f.off = bodyRoom
+	return f
+}
+
+// AppendSpan appends one entity's AppendEntity span to a body.
+func (f *Frame) AppendSpan(span []byte) { f.buf = append(f.buf, span...) }
+
+// AppendRemoved appends one removed ID to a Delta body, after its spans.
+func (f *Frame) AppendRemoved(id ParticipantID) {
+	f.buf = binary.BigEndian.AppendUint32(f.buf, uint32(id))
+}
+
+// SealSnapshot makes the body the frame of a Snapshot at tick carrying its
+// count spans.
+func (f *Frame) SealSnapshot(tick uint64, count int) error {
+	return f.seal(TypeSnapshot, tick, uint64(count))
+}
+
+// SealDelta makes the body the frame of a Delta from base to tick carrying its
+// count spans and, behind them, its removed IDs. The removal count goes in
+// front of the IDs; a delta rarely carries any, so that is the one move.
+func (f *Frame) SealDelta(base, tick uint64, count, removed int) error {
+	ids := len(f.buf) - 4*removed
+	var n [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(n[:], uint64(removed))
+	f.buf = append(f.buf, n[:k]...)
+	copy(f.buf[ids+k:], f.buf[ids:len(f.buf)-k])
+	copy(f.buf[ids:], n[:k])
+	return f.seal(TypeDelta, base, tick, uint64(count))
+}
+
+// seal writes the header of a message of type t — the frame header, then the
+// payload's leading uvarints — right-aligned in front of the body, and the
+// checksum behind it.
+func (f *Frame) seal(t MsgType, lead ...uint64) error {
+	var head [3 * binary.MaxVarintLen64]byte
+	n := 0
+	for _, v := range lead {
+		n += binary.PutUvarint(head[n:], v)
+	}
+	plen := n + len(f.buf) - bodyRoom
+	if plen > MaxPayload {
+		return fmt.Errorf("%w: %d bytes", ErrTooLarge, plen)
+	}
+	start := bodyRoom - n - sizeUvarint(uint64(plen)) - headerSize
+	h := f.buf[start:bodyRoom]
+	binary.BigEndian.PutUint16(h, Magic)
+	h[2], h[3] = Version, uint8(t)
+	copy(h[headerSize+binary.PutUvarint(h[headerSize:], uint64(plen)):], head[:n])
+	f.off = start
+	f.buf = binary.BigEndian.AppendUint32(f.buf, crc32.ChecksumIEEE(f.buf[start:]))
+	return nil
+}
+
 // Bytes returns the frame's contents. The slice is valid only while the
 // caller holds a reference.
 func (f *Frame) Bytes() []byte {
 	if f.refs.Load() <= 0 {
 		panic(fmt.Sprintf("protocol: Frame use-after-release (gen %d)", f.gen.Load()))
 	}
-	return f.buf
+	return f.buf[f.off:]
 }
 
 // Len returns the frame's length in bytes.

@@ -509,12 +509,8 @@ func (m *Delta) encode(w *Writer) {
 	for i := range m.Changed {
 		m.Changed[i].encode(w)
 	}
-	encodeRemoved(w, m.Removed)
-}
-
-func encodeRemoved(w *Writer, ids []ParticipantID) {
-	w.UVarint(uint64(len(ids)))
-	for _, id := range ids {
+	w.UVarint(uint64(len(m.Removed)))
+	for _, id := range m.Removed {
 		w.U32(uint32(id))
 	}
 }
@@ -565,50 +561,6 @@ func AppendEntity(dst []byte, e *EntityState) []byte {
 	e.encode(&w)
 	return w.buf
 }
-
-// WireSnapshot is the send-only form of a Snapshot whose entities are already
-// encoded: Entities holds Count AppendEntity spans back to back. Its frame is
-// byte-identical to the Snapshot of those entities and decodes as one.
-type WireSnapshot struct {
-	Tick     uint64
-	Count    int
-	Entities []byte
-}
-
-// Type implements Message.
-func (*WireSnapshot) Type() MsgType { return TypeSnapshot }
-
-func (m *WireSnapshot) encode(w *Writer) {
-	w.UVarint(m.Tick)
-	w.UVarint(uint64(m.Count))
-	w.Raw(m.Entities)
-}
-
-func (*WireSnapshot) decode(*Reader) error { return ErrBadMessage } // a Decoder decodes a Snapshot
-
-// WireDelta is the send-only form of a Delta whose changed entities are
-// already encoded: Changed holds Count AppendEntity spans back to back. Its
-// frame is byte-identical to the Delta of those entities and decodes as one.
-type WireDelta struct {
-	BaseTick uint64
-	Tick     uint64
-	Count    int
-	Changed  []byte
-	Removed  []ParticipantID
-}
-
-// Type implements Message.
-func (*WireDelta) Type() MsgType { return TypeDelta }
-
-func (m *WireDelta) encode(w *Writer) {
-	w.UVarint(m.BaseTick)
-	w.UVarint(m.Tick)
-	w.UVarint(uint64(m.Count))
-	w.Raw(m.Changed)
-	encodeRemoved(w, m.Removed)
-}
-
-func (*WireDelta) decode(*Reader) error { return ErrBadMessage } // a Decoder decodes a Delta
 
 // Ack confirms receipt of replicated state up to Tick.
 type Ack struct {

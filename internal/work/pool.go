@@ -1,7 +1,7 @@
 // Package work provides the bounded worker pool the tick runs on: the
-// replicator's per-peer plan builds (which include each filtered client's
-// interest classification) and the dispatcher's per-peer frame encodes
-// shard across one Pool while the node itself stays single-threaded
+// replicator's per-peer jobs (each settles its peer's acks, asks its interest
+// and builds, frames and checksums its message) shard across one Pool while
+// the node itself stays single-threaded
 // by contract — Run is synchronous, so by the time it returns every job has
 // finished and the owner goroutine is again the only one touching node
 // state. Callers do not branch on the pool's width: the same code runs
@@ -15,9 +15,9 @@
 // Ownership rules for pooled scratch handed across goroutines (see
 // PERFORMANCE.md "The tick pipeline"):
 //
-//   - A job may write only state owned by its own index (its peer's scratch
-//     message and interest set, its plan entry's frame slot) plus the
-//     per-worker arena keyed by the worker argument.
+//   - A job may write only state owned by its own index (its peer's owed set
+//     and interest set, the frame it acquires) plus the per-worker arena
+//     keyed by the worker argument.
 //   - Everything shared (the Store, the interest grid, policy tables) is
 //     read-only for the duration of Run; lazily-built caches must be
 //     materialized by the owner before Run starts.
