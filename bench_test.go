@@ -464,7 +464,7 @@ func benchVideoSecond(b *testing.B) {
 	cfg := video.StreamConfig{Strategy: video.StrategyFEC, K: 8, R: 3}
 	var receiver *video.Receiver
 	sender := video.NewSender(sim, cfg, func(c *protocol.VideoChunk) {
-		if frame, err := protocol.Encode(c); err == nil {
+		if frame, err := protocol.AppendEncode(nil, c); err == nil {
 			_ = net.SendFrame("tx", "rx", protocol.CopyFrame(frame))
 		}
 	})

@@ -46,7 +46,7 @@ func newFakeServer(t *testing.T, sim *vclock.Sim, net *netsim.Network) *fakeServ
 
 func (fs *fakeServer) push(t *testing.T, msg protocol.Message) {
 	t.Helper()
-	frame, err := protocol.Encode(msg)
+	frame, err := protocol.AppendEncode(nil, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestVRPingMeasuresRTT(t *testing.T) {
 			return
 		}
 		if ping, ok := msg.(*protocol.Ping); ok {
-			if frame, err := protocol.Encode(&protocol.Pong{Nonce: ping.Nonce, SentAt: ping.SentAt}); err == nil {
+			if frame, err := protocol.AppendEncode(nil, &protocol.Pong{Nonce: ping.Nonce, SentAt: ping.SentAt}); err == nil {
 				_ = net.SendFrame("srv", from, protocol.CopyFrame(frame))
 			}
 		}

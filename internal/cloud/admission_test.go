@@ -51,7 +51,7 @@ func TestAdmissionPolicy(t *testing.T) {
 	// send delivers one message and whatever it provokes, firing no tick.
 	send := func(from netsim.Addr, msg protocol.Message) {
 		t.Helper()
-		b, err := protocol.Encode(msg)
+		b, err := protocol.AppendEncode(nil, msg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,7 +35,7 @@ func addClientHost(t *testing.T, net *netsim.Network, addr netsim.Addr, h netsim
 }
 
 func clientPose(id protocol.ParticipantID, seq uint32, at time.Duration, x float64) []byte {
-	frame, err := protocol.Encode(&protocol.PoseUpdate{
+	frame, err := protocol.AppendEncode(nil, &protocol.PoseUpdate{
 		Participant: id, Seq: seq, CapturedAt: at,
 		Pose: protocol.QuantizePose(mathx.V3(x, 1.2, 0), mathx.QuatIdentity()),
 	})
@@ -330,7 +330,7 @@ func TestCloudEdgeFilterOnlySendsVRUsers(t *testing.T) {
 		Pose: protocol.QuantizePose(mathx.V3(1, 1, 1), mathx.QuatIdentity())})
 	edgeSnap := &protocol.Snapshot{}
 	edgeStore.SnapshotInto(nil, edgeSnap)
-	snap, err := protocol.Encode(edgeSnap)
+	snap, err := protocol.AppendEncode(nil, edgeSnap)
 	if err != nil {
 		t.Fatal(err)
 	}

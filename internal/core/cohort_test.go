@@ -104,7 +104,7 @@ func TestCohortPlanMatchesPerPeerPlanBroadcast(t *testing.T) {
 				t.Fatalf("tick %d: message %d to %s, reference to %s", tick, i, plan[i].Peer, ref[i].Peer)
 			}
 			got := plan[i].Msg.Bytes()
-			want, err := protocol.Encode(ref[i].Msg)
+			want, err := protocol.AppendEncode(nil, ref[i].Msg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -290,7 +290,7 @@ func TestEdgeIgnoresGarbageMessages(t *testing.T) {
 	}
 	// Garbage bytes and a snapshot from an unknown peer.
 	_ = net.SendFrame("evil", "e", protocol.CopyFrame([]byte{1, 2, 3}))
-	frame, err := protocol.Encode(&protocol.Snapshot{Tick: 1})
+	frame, err := protocol.AppendEncode(nil, &protocol.Snapshot{Tick: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

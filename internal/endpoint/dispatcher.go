@@ -187,7 +187,7 @@ func (d *Dispatcher) Receive(from Addr, payload []byte) {
 			d.onApplied(from, ackTick)
 		}
 		d.ackScratch = protocol.Ack{Participant: d.cfg.AckParticipant, Tick: ackTick}
-		d.reply(from, &d.ackScratch)
+		_ = d.Send(from, &d.ackScratch)
 	case *protocol.Ack:
 		if d.onAck == nil {
 			d.unhandled(from, payload, msg)
@@ -214,7 +214,7 @@ func (d *Dispatcher) Receive(from Addr, payload []byte) {
 			return
 		}
 		d.pongScratch = protocol.Pong{Nonce: m.Nonce, SentAt: m.SentAt}
-		d.reply(from, &d.pongScratch)
+		_ = d.Send(from, &d.pongScratch)
 	case *protocol.Pong:
 		if d.onPong == nil {
 			d.unhandled(from, payload, msg)
@@ -232,14 +232,6 @@ func (d *Dispatcher) unhandled(from Addr, payload []byte, msg protocol.Message) 
 		return
 	}
 	d.mUnhandled.Inc()
-}
-
-// reply encodes a pooled auto-reply (ack, pong) and sends it; the transport
-// consumes the frame's reference on every outcome.
-func (d *Dispatcher) reply(to Addr, msg protocol.Message) {
-	if frame, err := protocol.EncodeFrame(msg); err == nil {
-		_ = d.tr.SendFrame(to, frame)
-	}
 }
 
 // Fanout transmits one tick's replication plan, in plan order: each entry's
@@ -285,7 +277,8 @@ func (d *Dispatcher) Fanout(plan []core.PeerMessage) {
 func (d *Dispatcher) ReleaseFrames() {}
 
 // Send encodes msg into a pooled frame and transmits it — the one-off path
-// outside the tick fan-out (pose publishes, pings). The frame's reference is
+// outside the tick fan-out (pose publishes, pings, and the auto-replies: acks
+// and pongs, whose send errors Receive drops). The frame's reference is
 // consumed on every outcome.
 func (d *Dispatcher) Send(to Addr, msg protocol.Message) error {
 	frame, err := protocol.EncodeFrame(msg)

@@ -40,7 +40,7 @@ func (s *sinkTransport) Close() error                   { return nil }
 
 func encodeMsg(t testing.TB, msg protocol.Message) []byte {
 	t.Helper()
-	b, err := protocol.Encode(msg)
+	b, err := protocol.AppendEncode(nil, msg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func TestForwardZeroCopyRetainsReceiveFrame(t *testing.T) {
 	}
 
 	// A frameless receive still forwards correctly, by re-owning the bytes.
-	raw, err := protocol.Encode(&protocol.PoseUpdate{Participant: 9, Seq: 2})
+	raw, err := protocol.AppendEncode(nil, &protocol.PoseUpdate{Participant: 9, Seq: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func FuzzDispatch(f *testing.F) {
 		&protocol.HelloAck{Participant: 5, TickRateHz: 30, ServerTick: 7},
 	}
 	for _, msg := range seeds {
-		frame, err := protocol.Encode(msg)
+		frame, err := protocol.AppendEncode(nil, msg)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -391,11 +391,12 @@ func poseUpdateWireSize() int {
 		Pose:   protocol.QuantizePose(mathx.V3(3, 1.2, 4), mathx.QuatIdentity()),
 		VelMMS: [3]int64{1200, 50, 900},
 	}
-	frame, err := protocol.AppendEncode(nil, m)
+	frame, err := protocol.EncodeFrame(m)
 	if err != nil {
 		return 0
 	}
-	return len(frame)
+	defer frame.Release()
+	return frame.Len()
 }
 
 func deadReckonPoint(script trace.MotionScript, hz float64, ex pose.Extrapolator) (rms, maxErr float64) {

@@ -433,6 +433,7 @@ func (d *Deployment) Stop() { d.rig.Stop() }
 // divergence: the session, the server serving it, and the entity.
 func (d *Deployment) Converged() error {
 	world := d.Cloud().World()
+	var gotSpan, wantSpan []byte
 	for _, id := range d.SessionIDs() {
 		s, _ := d.Session(id)
 		store := s.VR.ReplicaStore()
@@ -445,11 +446,10 @@ func (d *Deployment) Converged() error {
 			if !ok {
 				return fmt.Errorf("geo: session %d (served %q): entity %d missing from replica", id, s.ServedBy(), eid)
 			}
-			if got.CapturedAt != want.CapturedAt || got.Pose != want.Pose ||
-				got.VelMMS != want.VelMMS || got.Seat != want.Seat ||
-				got.Flags != want.Flags || !bytes.Equal(got.Expression, want.Expression) {
-				return fmt.Errorf("geo: session %d (served %q): entity %d diverged: got CapturedAt=%v want %v",
-					id, s.ServedBy(), eid, got.CapturedAt, want.CapturedAt)
+			gotSpan, wantSpan = protocol.AppendEntity(gotSpan[:0], &got), protocol.AppendEntity(wantSpan[:0], &want)
+			if !bytes.Equal(gotSpan, wantSpan) {
+				return fmt.Errorf("geo: session %d (served %q): entity %d diverged: got %+v want %+v",
+					id, s.ServedBy(), eid, got, want)
 			}
 		}
 		for _, eid := range store.IDs() {

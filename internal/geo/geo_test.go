@@ -150,3 +150,28 @@ func TestGeoDeployRoamDrain(t *testing.T) {
 		t.Fatalf("%d frames leaked", leaked)
 	}
 }
+
+// Converged compares whole entities, every field of the wire encoding: a
+// replica that differs from the world only in Home is not converged.
+func TestConvergedComparesEveryField(t *testing.T) {
+	sim, d := testDeployment(t, 42)
+	if err := d.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	run(t, sim, 2*time.Second)
+	quiesce(t, d)
+	if err := d.Converged(); err != nil {
+		t.Fatalf("before the edit: %v", err)
+	}
+	s, _ := d.Session(1)
+	store := s.VR.ReplicaStore()
+	e, ok := store.Get(2)
+	if !ok {
+		t.Fatal("session 1's replica does not hold entity 2")
+	}
+	e.Home++
+	store.Upsert(e)
+	if err := d.Converged(); err == nil || !strings.Contains(err.Error(), "entity 2 diverged") {
+		t.Fatalf("Converged after a wrong Home = %v, want entity 2 diverged", err)
+	}
+}

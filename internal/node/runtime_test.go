@@ -191,7 +191,7 @@ func TestRuntimeSyncPeerAddrsSortedAndAckPolicy(t *testing.T) {
 	if err := rt.Replicate("alpha", nil); err != nil {
 		t.Fatal(err)
 	}
-	ack, err := protocol.Encode(&protocol.Ack{Tick: 1})
+	ack, err := protocol.AppendEncode(nil, &protocol.Ack{Tick: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

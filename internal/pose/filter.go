@@ -6,56 +6,10 @@ import (
 	"metaclass/internal/mathx"
 )
 
-// AlphaBeta is an alpha-beta tracking filter over 3D position: a fixed-gain
-// steady-state Kalman filter that estimates position and velocity from noisy
-// position observations. It is the per-source smoother the edge server runs
-// on raw headset and room-sensor streams before fusion.
-//
-// The zero value is unusable; construct with NewAlphaBeta. Alpha and beta
-// follow the critically-damped relationship beta = alpha^2 / (2 - alpha).
-type AlphaBeta struct {
-	alpha, beta float64
-	pos         mathx.Vec3
-	vel         mathx.Vec3
-	last        time.Duration
-	primed      bool
-}
-
-// NewAlphaBeta creates a filter with the given alpha in (0, 1]. Larger alpha
-// tracks faster but smooths less.
-func NewAlphaBeta(alpha float64) *AlphaBeta {
-	alpha = mathx.ClampF(alpha, 1e-3, 1)
-	return &AlphaBeta{alpha: alpha, beta: alpha * alpha / (2 - alpha)}
-}
-
-// Update feeds an observation at time t and returns the filtered position.
-func (f *AlphaBeta) Update(t time.Duration, observed mathx.Vec3) mathx.Vec3 {
-	if !f.primed {
-		f.pos, f.vel, f.last, f.primed = observed, mathx.Vec3{}, t, true
-		return f.pos
-	}
-	dt := (t - f.last).Seconds()
-	if dt <= 0 {
-		dt = 1e-3
-	}
-	f.last = t
-	pred := f.pos.Add(f.vel.Scale(dt))
-	residual := observed.Sub(pred)
-	f.pos = pred.Add(residual.Scale(f.alpha))
-	f.vel = f.vel.Add(residual.Scale(f.beta / dt))
-	return f.pos
-}
-
-// Velocity returns the current velocity estimate.
-func (f *AlphaBeta) Velocity() mathx.Vec3 { return f.vel }
-
-// Primed reports whether the filter has seen at least one observation.
-func (f *AlphaBeta) Primed() bool { return f.primed }
-
 // Kalman1D is a constant-velocity Kalman filter on a single axis, used three
-// per participant by the fusion stage. Unlike AlphaBeta its gain adapts to
-// per-observation noise, which is what lets fusion weight the (precise but
-// occluding) room sensors against the (always-on but drifting) headset.
+// per participant by the fusion stage. Its gain adapts to per-observation
+// noise, which is what lets fusion weight the (precise but occluding) room
+// sensors against the (always-on but drifting) headset.
 type Kalman1D struct {
 	// State: position x, velocity v; covariance P (2x2 symmetric).
 	x, v          float64

@@ -9,68 +9,6 @@ import (
 	"metaclass/internal/mathx"
 )
 
-func TestAlphaBetaReducesNoise(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	f := NewAlphaBeta(0.3)
-	const noise = 0.05
-	var rawErr, filtErr float64
-	n := 0
-	for i := 0; i < 500; i++ {
-		tm := time.Duration(i) * 20 * time.Millisecond
-		truth := mathx.V3(float64(i)*0.02, 1.2, 0) // walking at 1 m/s
-		obs := truth.Add(mathx.V3(rng.NormFloat64()*noise, rng.NormFloat64()*noise, rng.NormFloat64()*noise))
-		est := f.Update(tm, obs)
-		if i > 50 { // after convergence
-			rawErr += obs.Dist(truth)
-			filtErr += est.Dist(truth)
-			n++
-		}
-	}
-	rawErr /= float64(n)
-	filtErr /= float64(n)
-	if filtErr >= rawErr {
-		t.Errorf("filter error %v not below raw error %v", filtErr, rawErr)
-	}
-}
-
-func TestAlphaBetaEstimatesVelocity(t *testing.T) {
-	f := NewAlphaBeta(0.5)
-	for i := 0; i < 200; i++ {
-		tm := time.Duration(i) * 20 * time.Millisecond
-		f.Update(tm, mathx.V3(float64(i)*0.02, 0, 0)) // exactly 1 m/s
-	}
-	v := f.Velocity()
-	if math.Abs(v.X-1) > 0.05 {
-		t.Errorf("velocity estimate = %v, want ~1 m/s", v.X)
-	}
-}
-
-func TestAlphaBetaFirstSamplePassThrough(t *testing.T) {
-	f := NewAlphaBeta(0.3)
-	if f.Primed() {
-		t.Error("fresh filter reports primed")
-	}
-	obs := mathx.V3(5, 6, 7)
-	if got := f.Update(time.Second, obs); !got.NearEq(obs, 1e-12) {
-		t.Errorf("first sample = %v, want %v", got, obs)
-	}
-	if !f.Primed() {
-		t.Error("filter not primed after first sample")
-	}
-}
-
-func TestAlphaBetaClampedAlpha(t *testing.T) {
-	// Out-of-range alphas are clamped, not rejected.
-	for _, a := range []float64{-1, 0, 2} {
-		f := NewAlphaBeta(a)
-		f.Update(0, mathx.V3(1, 1, 1))
-		got := f.Update(20*time.Millisecond, mathx.V3(1, 1, 1))
-		if !got.IsFinite() {
-			t.Errorf("alpha=%v produced non-finite output", a)
-		}
-	}
-}
-
 func TestKalman1DConvergesToTruth(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	k := NewKalman1D(1)

@@ -4,90 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sync"
 )
-
-// headerSize is magic(2) + version(1) + type(1); the length varint and
-// trailing crc32(4) are variable/fixed additions.
-const headerSize = 4
-
-// maxLenVarint is the widest length varint a legal frame can carry:
-// MaxPayload (1<<20) fits in 3 varint bytes. The encoder reserves this many
-// bytes for the length field and shifts the payload down when the actual
-// varint is shorter, keeping the wire format's minimal-varint encoding.
-const maxLenVarint = 3
-
-// lenReserve is the placeholder written where the length varint will go.
-var lenReserve [maxLenVarint]byte
-
-// writerPool recycles encode scratch so steady-state encoding does not
-// allocate intermediate buffers. Writers grow to the largest frame seen and
-// are reused across all messages via the goroutine-safe pool.
-var writerPool = sync.Pool{New: func() any { return &Writer{} }}
-
-// appendFrame writes msg as one frame at the end of w.buf (which must start
-// at offset base for this frame). It is single-pass: header and payload go
-// into the same buffer, and the payload-length varint is patched in place.
-// On error w.buf is truncated back to base.
-func appendFrame(w *Writer, msg Message, base int) error {
-	w.U16(Magic)
-	w.U8(Version)
-	w.U8(uint8(msg.Type()))
-	lenOff := w.Len()
-	w.Raw(lenReserve[:])
-	payStart := w.Len()
-	msg.encode(w)
-	plen := w.Len() - payStart
-	if plen > MaxPayload {
-		w.buf = w.buf[:base]
-		return fmt.Errorf("%w: %d bytes", ErrTooLarge, plen)
-	}
-	buf := w.buf
-	if n := sizeUvarint(uint64(plen)); n < maxLenVarint {
-		// Shift the payload down over the unused reserved bytes so the
-		// length varint stays minimal (byte-identical to the two-pass form).
-		copy(buf[lenOff+n:], buf[payStart:])
-		buf = buf[:len(buf)-(maxLenVarint-n)]
-	}
-	binary.PutUvarint(buf[lenOff:], uint64(plen))
-	sum := crc32.ChecksumIEEE(buf[base:])
-	w.buf = binary.BigEndian.AppendUint32(buf, sum)
-	return nil
-}
-
-// AppendEncode serializes msg into a self-delimiting, checksummed frame
-// appended to dst, returning the extended slice. On error dst is returned
-// unchanged. Callers that reuse dst across ticks get allocation-free
-// encoding once the buffer has grown to the working frame size.
-func AppendEncode(dst []byte, msg Message) ([]byte, error) {
-	w := writerPool.Get().(*Writer)
-	w.buf = dst
-	err := appendFrame(w, msg, len(dst))
-	out := w.buf
-	w.buf = nil // never retain caller memory in the pool
-	writerPool.Put(w)
-	if err != nil {
-		return dst, err
-	}
-	return out, nil
-}
-
-// Encode serializes msg into a self-delimiting, checksummed frame. The frame
-// is built in pooled scratch and copied into one exact-size allocation, so
-// the returned slice never aliases pool memory.
-func Encode(msg Message) ([]byte, error) {
-	w := writerPool.Get().(*Writer)
-	w.buf = w.buf[:0]
-	err := appendFrame(w, msg, 0)
-	if err != nil {
-		writerPool.Put(w)
-		return nil, err
-	}
-	out := make([]byte, len(w.buf))
-	copy(out, w.buf)
-	writerPool.Put(w)
-	return out, nil
-}
 
 // parseFrame validates a frame's magic, version, length, and checksum,
 // returning the message type, the payload bytes (aliasing frame), and the
@@ -126,7 +43,7 @@ func parseFrame(frame []byte) (t MsgType, payload []byte, size int, err error) {
 	return t, payload, bodyEnd + 4, nil
 }
 
-// Decode parses a frame produced by Encode, validating magic, version,
+// Decode parses a frame produced by EncodeFrame, validating magic, version,
 // length, and checksum. It returns the decoded message and the total frame
 // size consumed, allowing streams of concatenated frames to be parsed.
 // It decodes with a Decoder of its own, so the message is the caller's to

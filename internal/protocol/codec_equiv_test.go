@@ -11,8 +11,9 @@ import (
 )
 
 // referenceEncode is the original two-buffer seed encoder (payload writer,
-// then header writer plus copy). The pooled single-pass encoder must stay
-// byte-identical to it for every message.
+// then header writer plus copy). EncodeFrame, which writes the payload first
+// and seals the header in front of it, must stay byte-identical to it for
+// every message.
 func referenceEncode(t testing.TB, msg Message) []byte {
 	t.Helper()
 	var payload Writer
@@ -35,7 +36,7 @@ func TestEncodeMatchesReferenceAllTypes(t *testing.T) {
 	for _, msg := range allMessages() {
 		t.Run(msg.Type().String(), func(t *testing.T) {
 			want := referenceEncode(t, msg)
-			got, err := Encode(msg)
+			got, err := AppendEncode(nil, msg)
 			if err != nil {
 				t.Fatalf("Encode: %v", err)
 			}
@@ -82,7 +83,7 @@ func TestQuickEncodeEquivalence(t *testing.T) {
 		}
 		for _, m := range msgs {
 			want := referenceEncode(t, m)
-			got, err := Encode(m)
+			got, err := AppendEncode(nil, m)
 			if err != nil || !bytes.Equal(want, got) {
 				return false
 			}
@@ -98,15 +99,15 @@ func TestQuickEncodeEquivalence(t *testing.T) {
 	}
 }
 
-// Frames returned by Encode must never alias pooled scratch: later encodes
-// (which reuse the pool) must not disturb earlier frames, and corrupting a
-// returned frame must not poison later encodes.
+// Frames returned by AppendEncode must never alias a pooled frame: later
+// encodes (which reuse the pool) must not disturb earlier frames, and
+// corrupting a returned frame must not poison later encodes.
 func TestEncodeFramesDoNotAliasPool(t *testing.T) {
 	msgs := allMessages()
 	frames := make([][]byte, len(msgs))
 	copies := make([][]byte, len(msgs))
 	for i, m := range msgs {
-		frame, err := Encode(m)
+		frame, err := AppendEncode(nil, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,19 +116,19 @@ func TestEncodeFramesDoNotAliasPool(t *testing.T) {
 	}
 	for i := range frames {
 		if !bytes.Equal(frames[i], copies[i]) {
-			t.Fatalf("frame %d mutated by a later Encode (aliases pool scratch)", i)
+			t.Fatalf("frame %d mutated by a later AppendEncode (aliases a pooled frame)", i)
 		}
 	}
 	// Scribble over a returned frame, then re-encode: output must be clean.
 	for i := range frames[0] {
 		frames[0][i] = 0xFF
 	}
-	clean, err := Encode(msgs[0])
+	clean, err := AppendEncode(nil, msgs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(clean, copies[0]) {
-		t.Error("Encode output polluted by a mutated earlier frame")
+		t.Error("AppendEncode output polluted by a mutated earlier frame")
 	}
 }
 

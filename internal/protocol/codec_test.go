@@ -44,7 +44,7 @@ func allMessages() []Message {
 func TestRoundTripAllTypes(t *testing.T) {
 	for _, msg := range allMessages() {
 		t.Run(msg.Type().String(), func(t *testing.T) {
-			frame, err := Encode(msg)
+			frame, err := AppendEncode(nil, msg)
 			if err != nil {
 				t.Fatalf("Encode: %v", err)
 			}
@@ -133,7 +133,7 @@ func TestDecodeStreamOfFrames(t *testing.T) {
 	var stream []byte
 	msgs := allMessages()
 	for _, m := range msgs {
-		frame, err := Encode(m)
+		frame, err := AppendEncode(nil, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestDecodeStreamOfFrames(t *testing.T) {
 }
 
 func TestDecodeCorruption(t *testing.T) {
-	frame, err := Encode(&Ack{Participant: 1, Tick: 5})
+	frame, err := AppendEncode(nil, &Ack{Participant: 1, Tick: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestDecodeCorruption(t *testing.T) {
 
 func TestOversizePayloadRejected(t *testing.T) {
 	m := &VideoChunk{Data: make([]byte, MaxPayload+1)}
-	if _, err := Encode(m); !errors.Is(err, ErrTooLarge) {
+	if _, err := AppendEncode(nil, m); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("Encode oversize err = %v, want ErrTooLarge", err)
 	}
 }
@@ -222,7 +222,7 @@ func TestPoseUpdateCompact(t *testing.T) {
 	// update near the origin should encode in well under 50 bytes.
 	m := &PoseUpdate{Participant: 1, Seq: 100, CapturedAt: time.Second,
 		Pose: QuantizePose(mathx.V3(2, 1, 3), mathx.QuatIdentity())}
-	frame, err := Encode(m)
+	frame, err := AppendEncode(nil, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func BenchmarkEncodePoseUpdate(b *testing.B) {
 		Pose: QuantizePose(mathx.V3(2, 1, 3), mathx.QuatIdentity())}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Encode(m); err != nil {
+		if _, err := AppendEncode(nil, m); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -309,7 +309,7 @@ func BenchmarkEncodePoseUpdate(b *testing.B) {
 func BenchmarkDecodePoseUpdate(b *testing.B) {
 	m := &PoseUpdate{Participant: 1, Seq: 100,
 		Pose: QuantizePose(mathx.V3(2, 1, 3), mathx.QuatIdentity())}
-	frame, err := Encode(m)
+	frame, err := AppendEncode(nil, m)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func BenchmarkEncodeSnapshot100(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Encode(snap); err != nil {
+		if _, err := AppendEncode(nil, snap); err != nil {
 			b.Fatal(err)
 		}
 	}

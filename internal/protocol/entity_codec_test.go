@@ -517,7 +517,7 @@ func wireShapedDelta(exprLen int) *Delta {
 func BenchmarkDecoderDeltaWire33(b *testing.B) {
 	for _, exprLen := range []int{0, 64} {
 		b.Run(fmt.Sprintf("expr=%d", exprLen), func(b *testing.B) {
-			frame, err := Encode(wireShapedDelta(exprLen))
+			frame, err := AppendEncode(nil, wireShapedDelta(exprLen))
 			if err != nil {
 				b.Fatal(err)
 			}

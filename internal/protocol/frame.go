@@ -30,8 +30,8 @@ import (
 // loops); the byte contents themselves are written only between acquire and
 // the first hand-off.
 type Frame struct {
-	buf  []byte
-	off  int // where the frame's bytes start in buf (after a body's unused header room)
+	w    Writer // the frame's bytes are w.buf[off:]
+	off  int    // where the frame's bytes start in w.buf (after a body's unused header room)
 	refs atomic.Int32
 	gen  atomic.Uint32
 }
@@ -66,7 +66,7 @@ func LiveFrames() int64 {
 // caller.
 func AcquireFrame() *Frame {
 	f := framePool.Get().(*Frame)
-	f.buf, f.off = f.buf[:0], 0
+	f.w.buf, f.off = f.w.buf[:0], 0
 	f.refs.Store(1)
 	framesAcquired.Add(1)
 	return f
@@ -77,7 +77,7 @@ func AcquireFrame() *Frame {
 // payload it only borrows for the duration of the receive callback).
 func CopyFrame(b []byte) *Frame {
 	f := AcquireFrame()
-	f.buf = append(f.buf, b...)
+	f.w.buf = append(f.w.buf, b...)
 	return f
 }
 
@@ -88,60 +88,83 @@ func CopyFrame(b []byte) *Frame {
 // frame is released and the read error returned.
 func FillFrame(r io.Reader, n int) (*Frame, error) {
 	f := AcquireFrame()
-	if cap(f.buf) < n {
-		f.buf = make([]byte, n)
+	if cap(f.w.buf) < n {
+		f.w.buf = make([]byte, n)
 	} else {
-		f.buf = f.buf[:n]
+		f.w.buf = f.w.buf[:n]
 	}
-	if _, err := io.ReadFull(r, f.buf); err != nil {
+	if _, err := io.ReadFull(r, f.w.buf); err != nil {
 		f.Release()
 		return nil, err
 	}
 	return f, nil
 }
 
-// EncodeFrame serializes msg like Encode but into a pooled frame, returning
-// it with one reference held by the caller. Steady-state encoding allocates
-// nothing once the pool's buffers have grown to the working frame size.
+// EncodeFrame serializes msg into a self-delimiting, checksummed frame in a
+// pooled buffer, returning it with one reference held by the caller: the
+// payload is encoded as a body, then sealed like any other. Steady-state
+// encoding allocates nothing once the pool's buffers have grown to the
+// working frame size.
 func EncodeFrame(msg Message) (*Frame, error) {
-	f := AcquireFrame()
-	buf, err := AppendEncode(f.buf, msg)
-	if err != nil {
+	f := AcquireBody()
+	msg.encode(&f.w)
+	if err := f.seal(msg.Type()); err != nil {
 		f.Release()
 		return nil, err
 	}
-	f.buf = buf
 	return f, nil
 }
+
+// AppendEncode appends msg's EncodeFrame bytes to dst and releases the frame,
+// returning the extended slice; on error dst is returned unchanged. It is a
+// copy-out wrapper kept only for the benchmark's encode kernel
+// (bench/kernels.go); ROADMAP item 4 removes it. Senders use EncodeFrame.
+func AppendEncode(dst []byte, msg Message) ([]byte, error) {
+	f, err := EncodeFrame(msg)
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, f.Bytes()...)
+	f.Release()
+	return dst, nil
+}
+
+// headerSize is magic(2) + version(1) + type(1); the length varint and
+// trailing crc32(4) are variable/fixed additions.
+const headerSize = 4
+
+// maxLenVarint is the widest length varint a legal frame can carry:
+// MaxPayload (1<<20) fits in 3 varint bytes.
+const maxLenVarint = 3
 
 // bodyRoom is what AcquireBody leaves in front of a body: the widest header
-// a Snapshot or Delta takes — the frame header with the widest length varint
-// a legal frame needs, then up to three uvarints (a Delta's base tick, tick
-// and entity count).
+// any message takes — the frame header with the widest length varint a legal
+// frame needs, then up to three uvarints a sealer writes ahead of the body (a
+// Delta's base tick, tick and entity count).
 const bodyRoom = headerSize + maxLenVarint + 3*binary.MaxVarintLen64
 
-// AcquireBody returns a pooled frame, one reference held by the caller, for a
-// Snapshot or Delta written body first by a sender that keeps each entity's
-// AppendEntity span: AppendSpan each carried entity, then a Delta's removals
-// with AppendRemoved, then SealSnapshot or SealDelta. Sealing writes the
-// header right-aligned in front of the body and the checksum behind it, so
-// nothing is moved, and the frame is byte for byte EncodeFrame's of the
-// Snapshot or Delta of the same entities. Until it is sealed the frame is not
-// a frame; a seal that fails leaves it to be released.
+// AcquireBody returns a pooled frame, one reference held by the caller, whose
+// payload is written first and its header last. EncodeFrame writes a whole
+// payload into it. A sender that keeps each entity's AppendEntity span writes
+// a Snapshot or Delta without its leading uvarints instead: AppendSpan each
+// carried entity, then a Delta's removals with AppendRemoved, then
+// SealSnapshot or SealDelta, and the frame is byte for byte EncodeFrame's of
+// the Snapshot or Delta of the same entities. Sealing writes the header
+// right-aligned in front of the body and the checksum behind it, so nothing is
+// moved. Until it is sealed the frame is not a frame; a seal that fails leaves
+// it to be released.
 func AcquireBody() *Frame {
 	f := AcquireFrame()
-	f.buf = append(f.buf, make([]byte, bodyRoom)...)
+	f.w.buf = append(f.w.buf, make([]byte, bodyRoom)...)
 	f.off = bodyRoom
 	return f
 }
 
 // AppendSpan appends one entity's AppendEntity span to a body.
-func (f *Frame) AppendSpan(span []byte) { f.buf = append(f.buf, span...) }
+func (f *Frame) AppendSpan(span []byte) { f.w.Raw(span) }
 
 // AppendRemoved appends one removed ID to a Delta body, after its spans.
-func (f *Frame) AppendRemoved(id ParticipantID) {
-	f.buf = binary.BigEndian.AppendUint32(f.buf, uint32(id))
-}
+func (f *Frame) AppendRemoved(id ParticipantID) { f.w.U32(uint32(id)) }
 
 // SealSnapshot makes the body the frame of a Snapshot at tick carrying its
 // count spans.
@@ -153,35 +176,36 @@ func (f *Frame) SealSnapshot(tick uint64, count int) error {
 // count spans and, behind them, its removed IDs. The removal count goes in
 // front of the IDs; a delta rarely carries any, so that is the one move.
 func (f *Frame) SealDelta(base, tick uint64, count, removed int) error {
-	ids := len(f.buf) - 4*removed
+	ids := len(f.w.buf) - 4*removed
 	var n [binary.MaxVarintLen64]byte
 	k := binary.PutUvarint(n[:], uint64(removed))
-	f.buf = append(f.buf, n[:k]...)
-	copy(f.buf[ids+k:], f.buf[ids:len(f.buf)-k])
-	copy(f.buf[ids:], n[:k])
+	f.w.buf = append(f.w.buf, n[:k]...)
+	copy(f.w.buf[ids+k:], f.w.buf[ids:len(f.w.buf)-k])
+	copy(f.w.buf[ids:], n[:k])
 	return f.seal(TypeDelta, base, tick, uint64(count))
 }
 
 // seal writes the header of a message of type t — the frame header, then the
-// payload's leading uvarints — right-aligned in front of the body, and the
-// checksum behind it.
+// payload's leading uvarints, if the body was written without them —
+// right-aligned in front of the body, and the checksum behind it. It is the
+// one writer of a frame's header and checksum.
 func (f *Frame) seal(t MsgType, lead ...uint64) error {
 	var head [3 * binary.MaxVarintLen64]byte
 	n := 0
 	for _, v := range lead {
 		n += binary.PutUvarint(head[n:], v)
 	}
-	plen := n + len(f.buf) - bodyRoom
+	plen := n + len(f.w.buf) - bodyRoom
 	if plen > MaxPayload {
 		return fmt.Errorf("%w: %d bytes", ErrTooLarge, plen)
 	}
 	start := bodyRoom - n - sizeUvarint(uint64(plen)) - headerSize
-	h := f.buf[start:bodyRoom]
+	h := f.w.buf[start:bodyRoom]
 	binary.BigEndian.PutUint16(h, Magic)
 	h[2], h[3] = Version, uint8(t)
 	copy(h[headerSize+binary.PutUvarint(h[headerSize:], uint64(plen)):], head[:n])
 	f.off = start
-	f.buf = binary.BigEndian.AppendUint32(f.buf, crc32.ChecksumIEEE(f.buf[start:]))
+	f.w.U32(crc32.ChecksumIEEE(f.w.buf[start:]))
 	return nil
 }
 
@@ -191,7 +215,7 @@ func (f *Frame) Bytes() []byte {
 	if f.refs.Load() <= 0 {
 		panic(fmt.Sprintf("protocol: Frame use-after-release (gen %d)", f.gen.Load()))
 	}
-	return f.buf[f.off:]
+	return f.w.buf[f.off:]
 }
 
 // Len returns the frame's length in bytes.

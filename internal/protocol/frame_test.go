@@ -37,12 +37,8 @@ func TestFrameLifecycle(t *testing.T) {
 	if f.Refs() != 1 {
 		t.Fatalf("fresh frame refs = %d, want 1", f.Refs())
 	}
-	one, err := Encode(&Ack{Participant: 9, Tick: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(f.Bytes(), one) {
-		t.Fatalf("EncodeFrame bytes differ from Encode:\n%x\n%x", f.Bytes(), one)
+	if one := referenceEncode(t, &Ack{Participant: 9, Tick: 42}); !bytes.Equal(f.Bytes(), one) {
+		t.Fatalf("EncodeFrame bytes differ from the reference encoder:\n%x\n%x", f.Bytes(), one)
 	}
 	f.Retain()
 	f.Retain()
@@ -120,9 +116,8 @@ func TestEncodeFrameReusesPooledBuffer(t *testing.T) {
 	}
 }
 
-// BenchmarkEncodeFramePoseUpdate is the pooled counterpart of
-// BenchmarkEncodePoseUpdate: acquire → encode → release, zero allocations
-// in steady state (vs one exact-size allocation per Encode frame).
+// BenchmarkEncodeFramePoseUpdate times the send path of every one-off frame:
+// acquire → encode → seal → release, zero allocations in steady state.
 func BenchmarkEncodeFramePoseUpdate(b *testing.B) {
 	msg := &PoseUpdate{
 		Participant: 3, Seq: 1000, CapturedAt: 90 * time.Second,

@@ -87,7 +87,7 @@ func addSeedFrames(f *testing.F) {
 	f.Helper()
 	frames := slices.Clone(retiredTypeFrames)
 	for _, msg := range append(fuzzSeedMessages(), fuzzBoundarySeedMessages()...) {
-		frame, err := Encode(msg)
+		frame, err := AppendEncode(nil, msg)
 		if err != nil {
 			f.Fatalf("encoding %v seed: %v", msg.Type(), err)
 		}
@@ -130,8 +130,8 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("Decode type %v != Decoder type %v", msg.Type(), pmsg.Type())
 		}
 		// Both decodes of the same frame must re-encode identically.
-		f1, err1 := Encode(msg)
-		f2, err2 := Encode(pmsg)
+		f1, err1 := AppendEncode(nil, msg)
+		f2, err2 := AppendEncode(nil, pmsg)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("re-encode failed: %v / %v", err1, err2)
 		}
@@ -152,7 +152,7 @@ func FuzzRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
-		f1, err := Encode(msg)
+		f1, err := AppendEncode(nil, msg)
 		if err != nil {
 			// A decoded message always fits MaxPayload; re-encode cannot fail.
 			t.Fatalf("re-encoding decoded %v: %v", msg.Type(), err)
@@ -164,7 +164,7 @@ func FuzzRoundTrip(f *testing.F) {
 		if n2 != len(f1) {
 			t.Fatalf("re-encoded frame is %d bytes but decode consumed %d", len(f1), n2)
 		}
-		f2, err := Encode(msg2)
+		f2, err := AppendEncode(nil, msg2)
 		if err != nil {
 			t.Fatalf("second re-encode of %v: %v", msg.Type(), err)
 		}
@@ -200,7 +200,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if n != fr.Len() {
 			t.Fatalf("pooled frame is %d bytes, decode consumed %d", fr.Len(), n)
 		}
-		before, err := Encode(msg)
+		before, err := AppendEncode(nil, msg)
 		if err != nil {
 			t.Fatalf("re-encoding decoded message: %v", err)
 		}
@@ -214,7 +214,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		after, err := Encode(msg)
+		after, err := AppendEncode(nil, msg)
 		scribble.Release()
 		if err != nil {
 			t.Fatalf("re-encoding after pool reuse: %v", err)
@@ -231,7 +231,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 
 func mustEncode(t *testing.T, msg Message) []byte {
 	t.Helper()
-	b, err := Encode(msg)
+	b, err := AppendEncode(nil, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func benchDeltaFrame(b *testing.B) []byte {
 			VelMMS:      [3]int64{100, 0, -100},
 		})
 	}
-	frame, err := Encode(d)
+	frame, err := AppendEncode(nil, d)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -320,8 +320,7 @@ const (
 // those writes in bounds. The expression, then seat and flags, are plain
 // appends. A buffer too small grows the way it did when every field was an
 // append, by one byte past its capacity, so a pooled frame's capacity climbs
-// the same size classes; like any append, growing moves off memory the caller
-// lent (AppendEncode's dst) and leaves that memory as it was.
+// the same size classes.
 func (e *EntityState) encode(w *Writer) {
 	i := len(w.buf)
 	for cap(w.buf)-i < maxEntityFixed {

@@ -19,7 +19,7 @@ func TestQuickRoundTripPoseUpdate(t *testing.T) {
 			Pose:       WirePose{PosMM: pos, Quat: quat},
 			VelMMS:     vel,
 		}
-		frame, err := Encode(m)
+		frame, err := AppendEncode(nil, m)
 		if err != nil {
 			return false
 		}
@@ -47,7 +47,7 @@ func TestQuickRoundTripEntityStateViaDelta(t *testing.T) {
 		for _, r := range removed {
 			m.Removed = append(m.Removed, ParticipantID(r))
 		}
-		frame, err := Encode(m)
+		frame, err := AppendEncode(nil, m)
 		if err != nil {
 			return false
 		}
@@ -64,7 +64,7 @@ func TestQuickRoundTripStrings(t *testing.T) {
 		hello := &Hello{Participant: ParticipantID(p), Role: RoleGuest, Name: name}
 		leave := &Leave{Participant: ParticipantID(p), Reason: reason}
 		for _, m := range []Message{hello, leave} {
-			frame, err := Encode(m)
+			frame, err := AppendEncode(nil, m)
 			if err != nil {
 				return false
 			}
@@ -102,7 +102,7 @@ func TestQuickDecodeNeverPanics(t *testing.T) {
 // never — yields a different message silently. (CRC must catch it.)
 func TestQuickCorruptionDetected(t *testing.T) {
 	base := &Ack{Participant: 42, Tick: 777}
-	frame, err := Encode(base)
+	frame, err := AppendEncode(nil, base)
 	if err != nil {
 		t.Fatal(err)
 	}

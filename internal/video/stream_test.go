@@ -156,7 +156,7 @@ func runStream(t *testing.T, cfg StreamConfig, link netsim.LinkConfig, dur time.
 	var receiver *Receiver
 
 	sender = NewSender(sim, cfg, func(c *protocol.VideoChunk) {
-		frame, err := protocol.Encode(c)
+		frame, err := protocol.AppendEncode(nil, c)
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
@@ -165,7 +165,7 @@ func runStream(t *testing.T, cfg StreamConfig, link netsim.LinkConfig, dur time.
 	var nack func(*protocol.Nack)
 	if cfg.Strategy == StrategyARQ || cfg.Strategy == StrategyAdaptive {
 		nack = func(n *protocol.Nack) {
-			frame, err := protocol.Encode(n)
+			frame, err := protocol.AppendEncode(nil, n)
 			if err != nil {
 				t.Fatalf("encode nack: %v", err)
 			}
