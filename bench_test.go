@@ -251,7 +251,7 @@ func benchOnboard(b *testing.B, storm int) {
 // update (client.VR.FirstSyncAt), and leaves again. The headline metric is
 // the mean join-to-first-sync latency; the allocation count covers the
 // client's first full world apply — the path the pose.InterpPool exists for
-// (one pooled playout buffer per visible entity instead of one allocation
+// (one pooled playout ring per visible entity instead of one allocation
 // each). Migration re-joins make both numbers load-bearing: every geo
 // handoff that falls back to a snapshot pays exactly this path.
 // scripts/bench.sh gates cold-join-ms alongside the alloc/ns floors.

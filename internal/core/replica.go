@@ -19,11 +19,14 @@ type Replica struct {
 	extrap pose.Extrapolator
 
 	// playout is indexed by the store's slot: the playout buffer of the slot's
-	// tenant (nil while the slot is vacant) and whether a snapshot omission is
-	// holding the tenant as retained. The store's apply walk hands every
-	// entity's slot to noteEntity, and a buffer is dropped before its slot is
-	// vacated, so a slot's next tenant always starts with none. nRetained
-	// counts the retained marks.
+	// tenant, held by value (live while the slot has a tenant), and whether a
+	// snapshot omission is holding the tenant as retained. The store's apply
+	// walk hands every entity's slot to noteEntity, and a buffer is released
+	// before its slot is vacated, so a slot's next tenant always starts with
+	// an empty one. The table is as long as the store's record capacity and
+	// is reallocated when that grows, moving every header: nothing keeps a
+	// pointer into it past the call that took it. nRetained counts the
+	// retained marks.
 	playout   []playoutSlot
 	nRetained int
 
@@ -53,9 +56,9 @@ type Replica struct {
 	retained   uint64
 	clamped    uint64 // of buffers since dropped; the live ones are summed in Stats
 
-	// bufPool recycles playout buffers (slab-allocated) so a cold join into a
-	// large world costs a few slab allocations instead of one buffer + ring
-	// per entity, and churn after the join recycles instead of reallocating.
+	// bufPool recycles playout rings (slab-allocated) so a cold join into a
+	// large world costs a few slab allocations instead of one ring per
+	// entity, and churn after the join recycles instead of reallocating.
 	// Built lazily on the first entity so an idle replica allocates nothing.
 	bufPool *pose.InterpPool
 }
@@ -141,24 +144,31 @@ func (r *Replica) Apply(msg protocol.Message, now time.Duration) (uint64, bool) 
 	}
 }
 
-// playoutSlot is one entry of Replica.playout.
+// playoutSlot is one entry of Replica.playout. The flags come first so an
+// apply's reads of a slot (flags, then the buffer's ring, count and newest
+// stamp) lie in its first 56 bytes.
 type playoutSlot struct {
-	buf      *pose.InterpBuffer
-	retained bool
+	live, retained bool
+	buf            pose.InterpBuffer
 }
 
 // noteEntity is the store's apply walk handing over an entity it has just
-// written to slot: the first one a slot's tenant receives creates its buffer.
+// written to slot: the first one a slot's tenant receives fills its buffer.
 func (r *Replica) noteEntity(slot uint32, e *protocol.EntityState, now time.Duration) {
 	if int(slot) >= len(r.playout) { // a slot the store has just added
-		r.playout = append(r.playout, make([]playoutSlot, len(r.store.recs)-len(r.playout))...)
+		// To the store's capacity, so the table grows when the store's does:
+		// by an eighth, not append's doubling.
+		grown := make([]playoutSlot, cap(r.store.recs))
+		copy(grown, r.playout)
+		r.playout = grown
 	}
 	ps := &r.playout[slot]
-	if ps.buf == nil {
+	if !ps.live {
 		if r.bufPool == nil {
 			r.bufPool = pose.NewInterpPool(r.delay, playoutDepth(r.delay), r.extrap, 64)
 		}
-		ps.buf = r.bufPool.Get()
+		r.bufPool.Acquire(&ps.buf)
+		ps.live = true
 		r.bufCreates++
 		if r.OnNew != nil {
 			r.OnNew(*e)
@@ -209,8 +219,8 @@ func (r *Replica) dropBuffer(id protocol.ParticipantID, slot uint32) {
 		r.nRetained--
 	}
 	r.clamped += p.buf.Clamped()
-	r.bufPool.Put(p.buf)
-	p.buf = nil
+	r.bufPool.Release(&p.buf)
+	p.live = false
 	r.bufDrops++
 	if r.OnRemove != nil {
 		r.OnRemove(id)
@@ -279,8 +289,8 @@ func (r *Replica) Stats() ReplicaStats {
 		Clamped: r.clamped,
 	}
 	for i := range r.playout {
-		if b := r.playout[i].buf; b != nil {
-			st.Clamped += b.Clamped()
+		if p := &r.playout[i]; p.live {
+			st.Clamped += p.buf.Clamped()
 		}
 	}
 	return st

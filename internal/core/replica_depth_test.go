@@ -165,10 +165,10 @@ func TestPlayoutDepthCoversReach(t *testing.T) {
 
 // TestReplicaPlayoutFootprint bounds what a lecture's learners hold in
 // playout history: 64 replicas of 100 entities at the default delay, warmed
-// past a full ring, fit in 8.5 MB of post-GC heap. They take 8.06 MB: 6.0 MB of
-// rings (two 64-buffer slabs of 8 samples each), the rest buffer headers and
-// the store's tables — the issue's 8 MB counted the rings alone. One more
-// sample per ring is 9.06 MB and fails; 64-sample rings took 50.0 MB.
+// past a full ring, fit in 8.5 MB of post-GC heap. They take 8.00 MB: 6.0 MB of
+// rings (two 64-ring slabs of 8 samples each), the rest the playout tables,
+// which hold the buffer headers inline, and the store's tables. One more
+// sample per ring fails; 64-sample rings took 50.0 MB.
 func TestReplicaPlayoutFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory is not the replica's")

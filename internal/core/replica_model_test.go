@@ -372,7 +372,7 @@ func liveBuffers(t testing.TB, r *Replica) int {
 		if p.retained {
 			marks++
 		}
-		if p.buf == nil {
+		if !p.live {
 			if p.retained {
 				t.Fatalf("slot %d: retained mark without a buffer", slot)
 			}

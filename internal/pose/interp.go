@@ -17,8 +17,11 @@ type InterpBuffer struct {
 	// ring[head] (the oldest) and wrapping; len(ring) is the capacity.
 	ring    []Pose
 	head, n int
-	delay   time.Duration
-	extrap  Extrapolator
+	// newest is the stamp of the newest sample, ring[slot(n-1)].Time, valid
+	// while n > 0: the in-order test reads it from the header, not the ring.
+	newest time.Duration
+	delay  time.Duration
+	extrap Extrapolator
 
 	interpolated uint64
 	extrapolated uint64
@@ -51,16 +54,19 @@ func (b *InterpBuffer) slot(i int) int {
 // (fresh information, as opposed to a redelivery or a late arrival). A full
 // buffer evicts its oldest sample. Out-of-order samples older than the newest
 // are inserted in order; duplicates by timestamp replace the stored sample.
+// Only the fast path moves the newest stamp: a late arrival, a duplicate and
+// an evictee all leave it where it was.
 func (b *InterpBuffer) Push(p Pose) bool {
 	full := b.n == len(b.ring)
-	// Fast path: newest sample, one slot written.
-	if b.n == 0 || p.Time > b.ring[b.slot(b.n-1)].Time {
+	// Fast path: newest sample, one slot written and no sample read.
+	if b.n == 0 || p.Time > b.newest {
 		if full {
 			b.head = b.slot(1)
 		} else {
 			b.n++
 		}
 		b.ring[b.slot(b.n-1)] = p
+		b.newest = p.Time
 		return true
 	}
 	// Late arrival: i counts the buffered samples older than p (they land
@@ -157,43 +163,27 @@ func (b *InterpBuffer) Stats() (interpolated, extrapolated uint64) {
 // buffer still filling holds its first sample the same way, uncounted.
 func (b *InterpBuffer) Clamped() uint64 { return b.clamped }
 
-// PruneBefore discards samples older than t (e.g. after a seat reassignment
-// invalidates the motion history).
-func (b *InterpBuffer) PruneBefore(t time.Duration) {
-	for b.n > 0 && b.ring[b.head].Time < t {
-		b.head = b.slot(1)
-		b.n--
-	}
-}
-
-// Reset clears the buffer's samples and counters for reuse, keeping its ring
-// capacity, delay, and extrapolator. It is the pooling hook: a recycled
-// buffer must carry no motion history or stats from its previous entity.
-func (b *InterpBuffer) Reset() {
-	b.head, b.n = 0, 0
-	b.interpolated, b.extrapolated, b.clamped = 0, 0, 0
-}
-
-// InterpPool recycles InterpBuffers for one receiver's cold-join path. A
-// client first seeing an N-entity world otherwise allocates N buffers plus N
-// sample rings one at a time; the pool carves both from slab allocations
-// (one []InterpBuffer, one shared []Pose backing) so a cold join costs a few
-// slab allocations instead of O(entities), and entity churn after the join
-// (interest flicker, seat reuse, migration re-joins) recycles buffers
-// instead of minting garbage.
+// InterpPool recycles sample rings for one receiver's playout buffers. A
+// client first seeing an N-entity world otherwise allocates N rings one at a
+// time; the pool carves them from slab allocations (one shared []Pose backing
+// per slab) so a cold join costs a few slab allocations instead of
+// O(entities), and entity churn after the join (interest flicker, seat reuse,
+// migration re-joins) recycles rings instead of minting garbage. The buffer
+// headers are the caller's: Acquire fills one in place, Release empties it.
 //
-// All buffers from one pool share the pool's delay and extrapolator. Not
-// safe for concurrent use — single-goroutine, like the Replica that owns it.
+// All buffers filled from one pool share the pool's delay and extrapolator.
+// Not safe for concurrent use — single-goroutine, like the Replica that owns
+// it.
 type InterpPool struct {
 	delay  time.Duration
 	cap    int
 	slab   int
 	extrap Extrapolator
-	free   []*InterpBuffer
+	free   [][]Pose
 }
 
-// NewInterpPool creates a pool of buffers equivalent to
-// NewInterpBuffer(delay, capacity, extrap). slab is the number of buffers
+// NewInterpPool creates a pool filling buffers equivalent to
+// NewInterpBuffer(delay, capacity, extrap). slab is the number of rings
 // carved per slab allocation (min 8; default 64 when <= 0).
 func NewInterpPool(delay time.Duration, capacity int, extrap Extrapolator, slab int) *InterpPool {
 	if capacity < 2 {
@@ -208,43 +198,35 @@ func NewInterpPool(delay time.Duration, capacity int, extrap Extrapolator, slab 
 	if slab < 8 {
 		slab = 8
 	}
-	p := &InterpPool{delay: delay, cap: capacity, slab: slab, extrap: extrap}
-	p.free = make([]*InterpBuffer, 0, slab)
-	return p
+	return &InterpPool{delay: delay, cap: capacity, slab: slab, extrap: extrap, free: make([][]Pose, 0, slab)}
 }
 
-// Get returns a reset buffer, growing the pool by one slab when empty.
-func (p *InterpPool) Get() *InterpBuffer {
-	if n := len(p.free); n > 0 {
-		b := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		return b
+// Acquire makes *b an empty buffer with a pooled ring and the pool's delay
+// and extrapolator, carving a slab when no ring is free. Whatever *b held is
+// overwritten: it must hold no ring of its own.
+func (p *InterpPool) Acquire(b *InterpBuffer) {
+	if len(p.free) == 0 {
+		p.grow()
 	}
-	p.grow()
-	return p.Get()
+	n := len(p.free) - 1
+	*b = InterpBuffer{ring: p.free[n], delay: p.delay, extrap: p.extrap}
+	p.free[n] = nil
+	p.free = p.free[:n]
 }
 
-// Put returns a buffer to the pool. Only buffers obtained from this pool may
-// be returned (they share its configuration); the buffer is reset
-// immediately so pooled buffers never pin old sample data semantically.
-func (p *InterpPool) Put(b *InterpBuffer) {
-	if b == nil {
-		return
-	}
-	b.Reset()
-	p.free = append(p.free, b)
+// Release takes b's ring back and zeroes *b. Only a buffer filled by this
+// pool's Acquire may be released, once; the zeroed header keeps no ring, so
+// a copy of it can never write into the ring's next holder.
+func (p *InterpPool) Release(b *InterpBuffer) {
+	p.free = append(p.free, b.ring)
+	*b = InterpBuffer{}
 }
 
-// grow carves one slab of buffers: a single []InterpBuffer allocation plus a
-// single shared []Pose backing array sliced into per-buffer rings of cap
+// grow carves one slab: a single []Pose backing sliced into rings of cap
 // samples each (three-index slices, so no ring can reach its neighbour's).
 func (p *InterpPool) grow() {
-	bufs := make([]InterpBuffer, p.slab)
 	backing := make([]Pose, p.slab*p.cap)
-	for i := range bufs {
-		lo, hi := i*p.cap, (i+1)*p.cap
-		bufs[i] = InterpBuffer{ring: backing[lo:hi:hi], delay: p.delay, extrap: p.extrap}
-		p.free = append(p.free, &bufs[i])
+	for lo := 0; lo < len(backing); lo += p.cap {
+		p.free = append(p.free, backing[lo:lo+p.cap:lo+p.cap])
 	}
 }

@@ -68,19 +68,6 @@ func (o *sliceOracle) sample(now time.Duration) (Pose, bool) {
 	return LerpPose(a, c, float64(target-a.Time)/float64(c.Time-a.Time)).At(now), true
 }
 
-func (o *sliceOracle) pruneBefore(t time.Duration) {
-	i := 0
-	for i < len(o.samples) && o.samples[i].Time < t {
-		i++
-	}
-	o.samples = o.samples[i:]
-}
-
-func (o *sliceOracle) reset() {
-	o.samples = o.samples[:0]
-	o.interpolated, o.extrapolated = 0, 0
-}
-
 // TestInterpBufferMatchesSliceModel drives random operation sequences through
 // the ring and the oracle and requires every observable to agree after every
 // step. Stamps advance by a millisecond per step on average, so head wraps
@@ -107,15 +94,6 @@ func TestInterpBufferMatchesSliceModel(t *testing.T) {
 					stamp = clock
 				case r < 82: // older than anything buffered
 					stamp = clock - 2*span - time.Duration(rng.Intn(5))*time.Millisecond
-				case r < 90:
-					op = "prune"
-					at := clock - time.Duration(rng.Int63n(int64(span)))
-					b.PruneBefore(at)
-					o.pruneBefore(at)
-				case r < 91:
-					op = "reset"
-					b.Reset()
-					o.reset()
 				default:
 					op = "sample"
 				}
@@ -132,6 +110,9 @@ func TestInterpBufferMatchesSliceModel(t *testing.T) {
 				wantNew, wantOK := o.newest()
 				if gotNew != wantNew || gotOK != wantOK {
 					t.Fatalf("step %d (%s): Newest = %v,%v, oracle %v,%v", step, op, gotNew, gotOK, wantNew, wantOK)
+				}
+				if wantOK && b.newest != wantNew.Time {
+					t.Fatalf("step %d (%s): newest stamp = %v, oracle %v", step, op, b.newest, wantNew.Time)
 				}
 				for i, want := range o.samples {
 					if got := b.ring[b.slot(i)]; got != want {
@@ -167,18 +148,19 @@ func ringImage(b *InterpBuffer) []Pose { return append([]Pose(nil), b.ring...) }
 func TestInterpPoolNeighboursNeverAlias(t *testing.T) {
 	const capacity, slab = 4, 8
 	p := NewInterpPool(0, capacity, nil, slab)
-	bufs := make([]*InterpBuffer, slab)
+	bufs := make([]InterpBuffer, slab)
 	for i := range bufs {
-		bufs[i] = p.Get()
+		p.Acquire(&bufs[i])
 		if len(bufs[i].ring) != capacity || cap(bufs[i].ring) != capacity {
 			t.Fatalf("buffer %d: ring len/cap = %d/%d, want %d/%d",
 				i, len(bufs[i].ring), cap(bufs[i].ring), capacity, capacity)
 		}
 	}
-	for i, b := range bufs {
+	for i := range bufs {
+		b := &bufs[i]
 		before := make([][]Pose, slab)
 		for j := range bufs {
-			before[j] = ringImage(bufs[j])
+			before[j] = ringImage(&bufs[j])
 		}
 		// Past wrap, plus late arrivals that shift across the wrap point.
 		for k := 0; k < 3*capacity; k++ {
@@ -203,16 +185,23 @@ func TestInterpPoolNeighboursNeverAlias(t *testing.T) {
 
 func TestInterpPoolGetAfterPutIsClean(t *testing.T) {
 	p := NewInterpPool(10*time.Millisecond, 4, nil, 8)
-	b := p.Get()
+	var b InterpBuffer
+	p.Acquire(&b)
 	for k := 0; k < 7; k++ { // leaves head mid-ring
 		b.Push(sampleAt(time.Duration(k)*time.Millisecond, float64(k)))
 	}
 	b.Sample(5 * time.Millisecond)
 	b.Sample(time.Second)
-	p.Put(b)
-	got := p.Get()
-	if got != b {
-		t.Fatal("Get after Put did not recycle the buffer")
+	ring := b.ring
+	p.Release(&b)
+	if b.ring != nil || b.head != 0 || b.n != 0 || b.newest != 0 || b.delay != 0 || b.extrap != nil ||
+		b.interpolated != 0 || b.extrapolated != 0 || b.clamped != 0 {
+		t.Fatalf("released header not zeroed: %+v", b)
+	}
+	var got InterpBuffer
+	p.Acquire(&got)
+	if &got.ring[0] != &ring[0] {
+		t.Fatal("Acquire after Release did not recycle the ring")
 	}
 	if got.Len() != 0 {
 		t.Errorf("recycled Len = %d, want 0", got.Len())
@@ -234,29 +223,30 @@ func TestInterpPoolGetAfterPutIsClean(t *testing.T) {
 	}
 }
 
-// TestInterpPoolSlabSizeHonoured: a mass Put grows the free list's capacity
-// by append; the next slab must still be the constructor's size.
+// TestInterpPoolSlabSizeHonoured: a mass Release grows the free list's
+// capacity by append; the next slab must still be the constructor's size.
 func TestInterpPoolSlabSizeHonoured(t *testing.T) {
 	const slab = 8
 	p := NewInterpPool(0, 4, nil, slab)
-	var out []*InterpBuffer
-	for i := 0; i < 5*slab; i++ {
-		out = append(out, p.Get())
+	out := make([]InterpBuffer, 5*slab)
+	for i := range out {
+		p.Acquire(&out[i])
 	}
-	for _, b := range out {
-		p.Put(b)
+	for i := range out {
+		p.Release(&out[i])
 	}
 	if len(p.free) != 5*slab {
-		t.Fatalf("free = %d after mass Put, want %d", len(p.free), 5*slab)
+		t.Fatalf("free = %d after mass Release, want %d", len(p.free), 5*slab)
 	}
-	for range out {
-		p.Get()
+	for i := range out {
+		p.Acquire(&out[i])
 	}
 	if len(p.free) != 0 {
 		t.Fatalf("free = %d after draining, want 0", len(p.free))
 	}
-	p.Get()
+	var extra InterpBuffer
+	p.Acquire(&extra)
 	if got := len(p.free) + 1; got != slab {
-		t.Fatalf("slab after a mass Put/Get cycle carved %d buffers, want %d", got, slab)
+		t.Fatalf("slab after a mass Release/Acquire cycle carved %d rings, want %d", got, slab)
 	}
 }

@@ -107,21 +107,6 @@ func TestInterpBufferCapacityEviction(t *testing.T) {
 	}
 }
 
-func TestInterpBufferPrune(t *testing.T) {
-	b := NewInterpBuffer(0, 16, nil)
-	for i := 0; i < 5; i++ {
-		b.Push(sampleAt(time.Duration(i)*time.Second, float64(i)))
-	}
-	b.PruneBefore(3 * time.Second)
-	if b.Len() != 2 {
-		t.Errorf("len after prune = %d, want 2", b.Len())
-	}
-	b.PruneBefore(100 * time.Second)
-	if b.Len() != 0 {
-		t.Errorf("len after full prune = %d, want 0", b.Len())
-	}
-}
-
 func TestInterpBufferOrderInvariant(t *testing.T) {
 	// Property: no matter the push order, samples end up time-sorted.
 	f := func(offsets []uint16) bool {
@@ -155,8 +140,9 @@ func TestInterpBufferDefaults(t *testing.T) {
 // BenchmarkInterpBufferPushFull is the steady-state receive path: an in-order
 // push into a buffer that is already full, so every push evicts the oldest
 // sample. hot reuses one buffer (ring in L1); cold cycles 4,096 buffers from
-// one pool (~25 MB of rings), so each push finds its ring in memory — a
-// client replaying a large class.
+// one pool (~25 MB of rings) whose headers sit inline in one table, as a
+// replica's do, so each push finds its ring in memory — a client replaying a
+// large class.
 func BenchmarkInterpBufferPushFull(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -164,9 +150,9 @@ func BenchmarkInterpBufferPushFull(b *testing.B) {
 	}{{"hot", 1}, {"cold", 4096}} {
 		b.Run(bc.name, func(b *testing.B) {
 			pool := NewInterpPool(100*time.Millisecond, 64, nil, 64)
-			bufs := make([]*InterpBuffer, bc.bufs)
+			bufs := make([]InterpBuffer, bc.bufs)
 			for i := range bufs {
-				bufs[i] = pool.Get()
+				pool.Acquire(&bufs[i])
 				for k := 0; k < 64; k++ {
 					bufs[i].Push(sampleAt(time.Duration(k)*time.Millisecond, float64(k)))
 				}
