@@ -1,6 +1,6 @@
-// Root benchmark suite: one benchmark per experiment in DESIGN.md §4.
+// Root benchmark suite: one benchmark per experiment in experiments.All.
 // Each bench regenerates (a reduced-duration version of) the corresponding
-// EXPERIMENTS.md table and reports its headline metric, so
+// table and reports its headline metric, so
 //
 //	go test -bench=. -benchmem
 //

@@ -1,5 +1,5 @@
 // Command metaclass runs the experiment suite that reproduces the paper's
-// figures and §III-C claims (see DESIGN.md §4 and EXPERIMENTS.md).
+// figures and §III-C claims (the list is experiments.All).
 //
 // Usage:
 //

@@ -93,9 +93,8 @@ type Server struct {
 func New(sim *vclock.Sim, tr endpoint.Transport, cfg Config) (*Server, error) {
 	cfg.applyDefaults()
 	rt, err := node.New(sim, tr, node.Config{
-		TickHz:    cfg.TickHz,
-		Interest:  cfg.Interest,
-		CountRecv: true,
+		TickHz:   cfg.TickHz,
+		Interest: cfg.Interest,
 	})
 	if err != nil {
 		return nil, err

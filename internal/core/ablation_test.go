@@ -7,8 +7,8 @@ import (
 )
 
 // measureReplicationBytes drives a replicator over a churning store and
-// returns total encoded bytes sent — the DESIGN.md §5 "snapshot-only vs
-// delta" ablation. The snapshot-only side encodes the store's full snapshot
+// returns total encoded bytes sent — the "snapshot-only vs delta"
+// ablation. The snapshot-only side encodes the store's full snapshot
 // every tick instead of the replicator's plan.
 func measureReplicationBytes(t testing.TB, snapshotOnly bool, entities, ticks int) int {
 	t.Helper()

@@ -15,8 +15,10 @@ import (
 // each tick, a peer that admits an eighth of them per tick, so entities go
 // quiet with their last change owed, the owed sweep carries them and exact
 // acks settle them — and then sends each 1,000 acks between two plans: an
-// exact ack of the newest plan, then one of the plan before, which must
-// settle nothing, then regressed ones. One replicator leaves its acks
+// exact ack of the newest plan, then one of the plan before, then regressed
+// ones. Only an ack above every earlier ack settles debt, so none of the
+// 999 after the first may settle anything, though the plan before had
+// records of its own. One replicator leaves its acks
 // queued for the next build; the other settles each at once, as AckDrop did
 // before it queued. The queue must never hold more than maxQueuedAcks (and
 // must reach it), every plan must be byte-identical, and the two owed sets
@@ -97,7 +99,7 @@ func TestAckFloodKeepsQueueBoundedAndMatchesEagerSettle(t *testing.T) {
 		t.Fatal("no ack settled a debt: the schedule does not exercise settling")
 	}
 
-	top, deepest := lazyStore.Tick(), 0
+	top, deepest, settledByTop := lazyStore.Tick(), 0, 0
 	for i := 0; i < 1000; i++ {
 		tick := 1 + uint64(rng.Intn(int(top)-3)) // regressed: below every record
 		switch i {
@@ -107,11 +109,17 @@ func TestAckFloodKeepsQueueBoundedAndMatchesEagerSettle(t *testing.T) {
 			tick = top - 1 // arrives after top's ack: its records are gone
 		}
 		ack(tick)
+		if i == 0 {
+			settledByTop = settled
+		}
 		if n := len(lazyOwed.acks); n > maxQueuedAcks {
 			t.Fatalf("ack %d: %d acks queued, bound %d", i, n, maxQueuedAcks)
 		} else if n > deepest {
 			deepest = n
 		}
+	}
+	if settled != settledByTop {
+		t.Fatalf("acks at or below an earlier ack settled %d debts, want 0", settled-settledByTop)
 	}
 	if deepest != maxQueuedAcks {
 		t.Fatalf("the queue peaked at %d acks, never at its bound %d: the flood did not exercise it", deepest, maxQueuedAcks)

@@ -190,8 +190,10 @@ func (o *OwedSet) awaits(rec sentRec) bool {
 // dropped: the peer provably received that message and with it the entity's
 // then-current state. Any newer change would have re-marked the entry (last
 // 0) or been re-included at a later tick, so an exact match means the peer is
-// up to date. Regressed or duplicate acks are fine — receipt is receipt
-// regardless of arrival order.
+// up to date. Only an ack above every earlier ack settles debt: settling an
+// ack drops every record at or below it, and a build records only its own
+// plan tick, above every acked tick, so a regressed or duplicate ack finds
+// nothing (TestAckFloodKeepsQueueBoundedAndMatchesEagerSettle).
 func (o *OwedSet) AckDrop(tick uint64) {
 	if tick == 0 || len(o.sent) == 0 {
 		return // nothing awaits an ack, and only a build adds a record

@@ -325,9 +325,9 @@ func (r *Replicator) Ack(peer string, tick uint64) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownPeer, peer)
 	}
-	// Receipt is receipt regardless of ordering: even a regressed ack proves
-	// the tick's message arrived, settling any owed entities it carried. The
-	// settling itself waits for the peer's next build (OwedSet.AckDrop).
+	// Only an ack above every earlier ack settles owed debt: a regressed or
+	// duplicate one finds no send record left (OwedSet.settle). The settling
+	// itself waits for the peer's next build (OwedSet.AckDrop).
 	p.owed.AckDrop(tick)
 	if tick <= p.newestAck {
 		return nil

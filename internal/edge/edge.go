@@ -93,9 +93,8 @@ func New(sim *vclock.Sim, tr endpoint.Transport, cfg Config) (*Server, error) {
 		return nil, errors.New("edge: classroom ID must be nonzero")
 	}
 	rt, err := node.New(sim, tr, node.Config{
-		TickHz:    cfg.TickHz,
-		Interest:  cfg.Interest,
-		CountRecv: true,
+		TickHz:   cfg.TickHz,
+		Interest: cfg.Interest,
 	})
 	if err != nil {
 		return nil, err

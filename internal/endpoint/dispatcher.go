@@ -17,12 +17,6 @@ type Config struct {
 	// AckParticipant, when nonzero, stamps auto-acks with the node's own
 	// participant ID (clients set it; servers ack anonymously).
 	AckParticipant protocol.ParticipantID
-	// CountRecv maintains the sync.msgs.recv counter per decoded message
-	// (the cloud/edge server convention; relays and clients leave it off).
-	CountRecv bool
-	// AutoPong answers Ping frames with a Pong echoing nonce and send time
-	// (server endpoints; clients count stray pings as unhandled instead).
-	AutoPong bool
 	// Pool is unused: the plan's frames are built and checksummed by the
 	// replicator's pool (core.ReplConfig.Pool), and Fanout only sends. It
 	// remains for callers in bench/, like ReleaseFrames.
@@ -33,7 +27,8 @@ type Config struct {
 // pooled protocol.Decoder, the tick's send walk, the ack/pong reply scratch,
 // and the recv-side metric family — so the four node
 // types carry no decode switch, no scratch duplication, and no drifting
-// counter names of their own.
+// counter names of their own. Every dispatcher answers a Ping with a Pong
+// echoing its nonce and send time.
 //
 // Shared metric names:
 //
@@ -41,7 +36,7 @@ type Config struct {
 //	recv.unknown_peer    sync/ack from an unknown source
 //	recv.gaps            replica rejected the update
 //	recv.unhandled       no handler for the message type
-//	sync.msgs.recv       decoded messages (CountRecv)
+//	sync.msgs.recv       decoded messages
 //	encode.errors, sync.msgs.sent, sync.bytes.sent, send.errors   (Fanout)
 //
 // A Dispatcher is single-threaded, like the nodes it serves: Receive must be
@@ -92,9 +87,7 @@ func NewDispatcher(tr Transport, reg *metrics.Registry, cfg Config) (*Dispatcher
 	d.mUnknownPeer = reg.Counter("recv.unknown_peer")
 	d.mGaps = reg.Counter("recv.gaps")
 	d.mUnhandled = reg.Counter("recv.unhandled")
-	if cfg.CountRecv {
-		d.mMsgsRecv = reg.Counter("sync.msgs.recv")
-	}
+	d.mMsgsRecv = reg.Counter("sync.msgs.recv")
 	d.mEncodeErrors = reg.Counter("encode.errors")
 	d.mMsgsSent = reg.Counter("sync.msgs.sent")
 	d.mBytesSent = reg.Counter("sync.bytes.sent")
@@ -209,10 +202,6 @@ func (d *Dispatcher) Receive(from Addr, payload []byte) {
 		}
 		d.onExpr(from, m)
 	case *protocol.Ping:
-		if !d.cfg.AutoPong {
-			d.unhandled(from, payload, msg)
-			return
-		}
 		d.pongScratch = protocol.Pong{Nonce: m.Nonce, SentAt: m.SentAt}
 		_ = d.Send(from, &d.pongScratch)
 	case *protocol.Pong:

@@ -106,7 +106,7 @@ func TestDispatcherSyncAppliesAndAcks(t *testing.T) {
 }
 
 func TestDispatcherAutoPongAndTypedHooks(t *testing.T) {
-	d, tr, reg := newTestDispatcher(t, endpoint.Config{AutoPong: true, CountRecv: true})
+	d, tr, reg := newTestDispatcher(t, endpoint.Config{})
 	var ackErr error
 	var poses, exprs int
 	d.OnAck(func(endpoint.Addr, *protocol.Ack) error { return ackErr })
@@ -135,7 +135,7 @@ func TestDispatcherAutoPongAndTypedHooks(t *testing.T) {
 	if got := reg.Counter("recv.unknown_peer").Value(); got != 1 {
 		t.Fatalf("failed ack not counted: %d", got)
 	}
-	// Every decoded message counted under CountRecv.
+	// Every decoded message counted.
 	if got := reg.Counter("sync.msgs.recv").Value(); got != 5 {
 		t.Fatalf("sync.msgs.recv = %d, want 5", got)
 	}
@@ -148,10 +148,9 @@ func TestDispatcherAutoPongAndTypedHooks(t *testing.T) {
 
 func TestDispatcherUnhandledAndFallback(t *testing.T) {
 	d, _, reg := newTestDispatcher(t, endpoint.Config{})
-	d.Receive("c", encodeMsg(t, &protocol.Ping{Nonce: 1})) // no AutoPong
 	d.Receive("c", encodeMsg(t, &protocol.AudioFrame{Participant: 1, Data: []byte{1}}))
-	if got := reg.Counter("recv.unhandled").Value(); got != 2 {
-		t.Fatalf("recv.unhandled = %d, want 2", got)
+	if got := reg.Counter("recv.unhandled").Value(); got != 1 {
+		t.Fatalf("recv.unhandled = %d, want 1", got)
 	}
 
 	// With a fallback, unclaimed traffic routes there instead.

@@ -58,8 +58,7 @@ func FuzzDispatch(f *testing.F) {
 	rep := core.NewReplica(0, pose.Linear{})
 	now := time.Duration(0)
 	d, err := endpoint.NewDispatcher(tr, reg, endpoint.Config{
-		Now:      func() time.Duration { return now },
-		AutoPong: true,
+		Now: func() time.Duration { return now },
 	})
 	if err != nil {
 		f.Fatal(err)

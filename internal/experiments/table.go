@@ -1,4 +1,4 @@
-// Package experiments regenerates every experiment in DESIGN.md §4 — the
+// Package experiments regenerates every experiment listed by All — the
 // reproductions of the paper's Fig. 2/3 behaviours and the quantitative
 // claims of §III-C. Each Ei function returns a Table; cmd/metaclass and the
 // root bench suite print them.

@@ -159,27 +159,6 @@ func (h *Histogram) P95() time.Duration { return h.Quantile(0.95) }
 // P99 returns the 99th percentile estimate.
 func (h *Histogram) P99() time.Duration { return h.Quantile(0.99) }
 
-// Merge adds all samples of other into h (bucket-wise; min/max/sum exact).
-func (h *Histogram) Merge(other *Histogram) {
-	if other.count == 0 {
-		return
-	}
-	for i, c := range other.buckets {
-		h.buckets[i] += c
-	}
-	if h.count == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-	h.count += other.count
-	h.sum += other.sum
-}
-
-// Reset clears all samples.
-func (h *Histogram) Reset() { *h = Histogram{} }
-
 // Delta returns the distribution of samples observed since prev, where prev
 // is an earlier copy of h (histograms are value types, so `w := *h` takes a
 // cut point). Buckets and count/sum subtract exactly; min/max cannot be

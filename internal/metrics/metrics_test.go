@@ -87,42 +87,6 @@ func exactQuantile(samples []time.Duration, q float64) time.Duration {
 	return s[idx]
 }
 
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	a.Observe(time.Millisecond)
-	b.Observe(5 * time.Millisecond)
-	b.Observe(10 * time.Millisecond)
-	a.Merge(&b)
-	if a.Count() != 3 {
-		t.Errorf("merged count = %d, want 3", a.Count())
-	}
-	if a.Min() != time.Millisecond || a.Max() != 10*time.Millisecond {
-		t.Errorf("merged min/max = %v/%v", a.Min(), a.Max())
-	}
-	// Merging an empty histogram changes nothing.
-	var empty Histogram
-	before := a.Count()
-	a.Merge(&empty)
-	if a.Count() != before {
-		t.Error("merge of empty changed count")
-	}
-	// Merging into an empty histogram copies min correctly.
-	var c Histogram
-	c.Merge(&a)
-	if c.Min() != a.Min() {
-		t.Errorf("min after merge into empty = %v, want %v", c.Min(), a.Min())
-	}
-}
-
-func TestHistogramReset(t *testing.T) {
-	var h Histogram
-	h.Observe(time.Second)
-	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 {
-		t.Error("reset did not clear histogram")
-	}
-}
-
 func TestSafeHistogramConcurrent(t *testing.T) {
 	var sh SafeHistogram
 	var wg sync.WaitGroup

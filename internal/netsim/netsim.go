@@ -124,7 +124,7 @@ func (h *host) bind(hd Handler) {
 
 // delivery is the in-flight state of one SendFrame, recycled through the
 // network's freelist so steady-state traffic allocates neither a closure nor
-// a timer event per message (it rides vclock's pooled AfterCall path).
+// a timer event per message (vclock recycles the event behind AfterCall).
 type delivery struct {
 	n   *Network
 	l   *link
@@ -140,16 +140,15 @@ type delivery struct {
 	size     int
 	queued   bool // size was added to the link's serialization queue
 
-	// ev/evGen is the pooled timer behind this delivery and idx its slot in
-	// the network's in-flight index, so cancellation reclaims the timer, the
+	// timer is the clock event behind this delivery and idx its slot in the
+	// network's in-flight index, so cancellation reclaims the event, the
 	// frame reference, and the delivery object immediately — no waiting for
 	// the simulation to advance past the due time.
-	ev    *vclock.Event
-	evGen uint64
+	timer vclock.Timer
 	idx   int
 }
 
-// runDelivery is the shared pooled-event callback: a package-level function
+// runDelivery is the shared delivery callback: a package-level function
 // (no capture), with the per-message state threaded through the argument.
 func runDelivery(a any) {
 	d := a.(*delivery)
@@ -187,7 +186,7 @@ func (n *Network) recycle(d *delivery) {
 // the frame reference is released — exactly the once the SendFrame contract
 // owes. The destination handler is never invoked.
 func (n *Network) cancel(d *delivery) {
-	n.sim.CancelCall(d.ev, d.evGen)
+	n.sim.Cancel(d.timer)
 	n.untrack(d)
 	if d.queued {
 		d.l.queued -= d.size
@@ -395,7 +394,7 @@ func (n *Network) SendFrame(src, dst Addr, f *protocol.Frame) error {
 		frame: f, frameGen: gen,
 		sentAt: now, size: size, queued: l.cfg.Bandwidth > 0,
 	}
-	d.ev, d.evGen = n.sim.AfterCallEvent(delay, runDelivery, d)
+	d.timer = n.sim.AfterCall(delay, runDelivery, d)
 	d.idx = len(n.inflight)
 	n.inflight = append(n.inflight, d)
 	return nil

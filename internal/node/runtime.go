@@ -46,9 +46,6 @@ type Config struct {
 	// Interest is the client fan-out policy; nil disables interest
 	// management (broadcast).
 	Interest *interest.Policy
-	// CountRecv configures the dispatcher (see endpoint.Config). Every node
-	// answers pings.
-	CountRecv bool
 }
 
 func (c *Config) applyDefaults() {
@@ -140,11 +137,7 @@ func New(sim *vclock.Sim, tr endpoint.Transport, cfg Config) (*Runtime, error) {
 	}
 	r.pool = work.New(0)
 	r.repl = core.NewReplicator(r.store, core.ReplConfig{Pool: r.pool})
-	ep, err := endpoint.NewDispatcher(tr, r.reg, endpoint.Config{
-		Now:       sim.Now,
-		CountRecv: cfg.CountRecv,
-		AutoPong:  true,
-	})
+	ep, err := endpoint.NewDispatcher(tr, r.reg, endpoint.Config{Now: sim.Now})
 	if err != nil {
 		return nil, err
 	}

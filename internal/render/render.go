@@ -64,16 +64,6 @@ func (d DeviceClass) FrameTime(triangles int64) time.Duration {
 	return s.overhead + time.Duration(float64(triangles)/s.trisPerSec*float64(time.Second))
 }
 
-// MeetsBudget reports whether the device holds the target refresh rate for
-// the scene.
-func (d DeviceClass) MeetsBudget(triangles int64, refreshHz float64) bool {
-	if refreshHz <= 0 {
-		return false
-	}
-	budget := time.Duration(float64(time.Second) / refreshHz)
-	return d.FrameTime(triangles) <= budget
-}
-
 // Plan selects the rendering architecture.
 type Plan uint8
 

@@ -26,23 +26,6 @@ func TestDeviceClassSpecs(t *testing.T) {
 	}
 }
 
-func TestMeetsBudget(t *testing.T) {
-	// A standalone headset at 90 Hz has ~11.1 ms; with 3 ms overhead and
-	// 120 Mtri/s it can hold ~970k triangles.
-	if !DeviceStandalone.MeetsBudget(500_000, 90) {
-		t.Error("standalone should hold 500k tris at 90 Hz")
-	}
-	if DeviceStandalone.MeetsBudget(5_000_000, 90) {
-		t.Error("standalone should fail 5M tris at 90 Hz")
-	}
-	if DeviceCloudGPU.MeetsBudget(5_000_000, 90) != true {
-		t.Error("cloud should hold 5M tris at 90 Hz")
-	}
-	if DeviceStandalone.MeetsBudget(1, 0) {
-		t.Error("zero refresh accepted")
-	}
-}
-
 func TestDeviceOnlyScalesWithComplexity(t *testing.T) {
 	small := Evaluate(PlanDeviceOnly, DeviceStandalone, 10_000, 0, PipelineConfig{}, 0)
 	big := Evaluate(PlanDeviceOnly, DeviceStandalone, 10_000_000, 0, PipelineConfig{}, 0)

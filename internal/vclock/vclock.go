@@ -24,31 +24,38 @@ import (
 // ErrStopped is returned by Run when the simulation was stopped explicitly.
 var ErrStopped = errors.New("vclock: simulation stopped")
 
-// Event is a scheduled callback. The callback runs with the clock set to the
+// event is a scheduled callback. The callback runs with the clock set to the
 // event's due time.
 //
-// Events come in two flavors: handle events (returned by At/After, never
-// recycled, cancellable via Cancel) and pooled events (scheduled by
-// AtCall/AfterCall/Ticker, recycled through the simulator's freelist after
-// firing). Pooled events never escape to callers, so a recycled Event can
-// only ever be reached through the generation-checked internal cancel path.
-type Event struct {
-	due time.Duration
-	seq uint64 // insertion order, tie-break for equal due times
-	// Exactly one of fn / fnArg is set. fnArg(arg) avoids a closure
-	// allocation for callers that thread their state through arg.
-	fn     func()
-	fnArg  func(any)
+// Every event lives one way: it is drawn from the simulator's freelist when
+// scheduled and goes back to it when it fires (one-shot) or is cancelled, and
+// each return bumps its generation. A caller that must cancel holds a Timer,
+// which names the event together with the generation it was scheduled under,
+// so a stale Timer never reaches a recycled event. A periodic event (a
+// ticker) is never recycled while it runs: Step puts it back on the queue one
+// period later.
+type event struct {
+	due    time.Duration
+	seq    uint64 // insertion order, tie-break for equal due times
+	fn     func(any)
 	arg    any
-	index  int    // heap index, -1 when popped or cancelled
-	gen    uint64 // incremented each recycle; guards stale pooled handles
-	pooled bool   // recycle into the freelist after firing/cancelling
+	period time.Duration // > 0 for a ticker
+	index  int           // heap index, -1 when popped or cancelled
+	gen    uint64        // incremented each recycle; guards stale Timers
 }
 
-// Cancelled reports whether the event was cancelled or already fired.
-func (e *Event) Cancelled() bool { return e.index < 0 }
+// Timer is a handle on a scheduled event, returned by AfterCall and taken by
+// Cancel. The zero Timer is valid and cancels nothing.
+type Timer struct {
+	e   *event
+	gen uint64
+}
 
-type eventHeap []*Event
+// call is the callback of every At/After event: the caller's func() rides in
+// arg (a func value boxes into any without allocating).
+func call(fn any) { fn.(func())() }
+
+type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
@@ -63,7 +70,7 @@ func (h eventHeap) Swap(i, j int) {
 	h[j].index = j
 }
 func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
+	e := x.(*event)
 	e.index = len(*h)
 	*h = append(*h, e)
 }
@@ -89,9 +96,9 @@ type Sim struct {
 	stopped bool
 	fired   uint64
 
-	// free recycles pooled events so steady-state schedulers (tickers, the
-	// network simulator's deliveries) allocate no timer state per event.
-	free []*Event
+	// free recycles events so a steady-state scheduler allocates no timer
+	// state per event.
+	free []*event
 }
 
 // New creates a simulator with virtual time zero and an RNG seeded with seed.
@@ -112,31 +119,29 @@ func (s *Sim) Fired() uint64 { return s.fired }
 // Pending returns the number of events waiting in the queue.
 func (s *Sim) Pending() int { return len(s.queue) }
 
-// schedule is the single enqueue path. Pooled events are drawn from the
-// freelist; handle events are freshly allocated so the returned pointer stays
-// valid (and Cancel-safe) forever.
-func (s *Sim) schedule(due time.Duration, fn func(), fnArg func(any), arg any, pooled bool) *Event {
+// schedule is the single enqueue path: it draws an event from the freelist
+// (or allocates one when the list is empty) and queues it.
+func (s *Sim) schedule(due time.Duration, fn func(any), arg any) *event {
 	if due < s.now {
 		panic(fmt.Sprintf("vclock: scheduling at %v before now %v", due, s.now))
 	}
-	var e *Event
-	if pooled && len(s.free) > 0 {
-		e = s.free[len(s.free)-1]
-		s.free = s.free[:len(s.free)-1]
+	var e *event
+	if k := len(s.free); k > 0 {
+		e = s.free[k-1]
+		s.free = s.free[:k-1]
 	} else {
-		e = &Event{}
+		e = &event{}
 	}
-	e.due, e.seq, e.fn, e.fnArg, e.arg, e.pooled = due, s.seq, fn, fnArg, arg, pooled
+	e.due, e.seq, e.fn, e.arg = due, s.seq, fn, arg
 	s.seq++
 	heap.Push(&s.queue, e)
 	return e
 }
 
-// recycle returns a popped/cancelled pooled event to the freelist, releasing
-// any captured callback state and bumping the generation so stale internal
-// handles can never reach the reused event.
-func (s *Sim) recycle(e *Event) {
-	e.fn, e.fnArg, e.arg = nil, nil, nil
+// recycle returns a popped or cancelled event to the freelist, releasing its
+// callback state and bumping the generation so no earlier Timer reaches it.
+func (s *Sim) recycle(e *event) {
+	e.fn, e.arg, e.period = nil, nil, 0
 	e.gen++
 	s.free = append(s.free, e)
 }
@@ -144,77 +149,32 @@ func (s *Sim) recycle(e *Event) {
 // At schedules fn to run at absolute virtual time due. Scheduling in the past
 // (before Now) is an error in the model and panics: it always indicates a bug
 // in a component rather than a recoverable condition.
-func (s *Sim) At(due time.Duration, fn func()) *Event {
-	return s.schedule(due, fn, nil, nil, false)
+func (s *Sim) At(due time.Duration, fn func()) {
+	s.schedule(due, call, fn)
 }
 
 // After schedules fn to run delay after the current virtual time.
-func (s *Sim) After(delay time.Duration, fn func()) *Event {
-	if delay < 0 {
-		delay = 0
-	}
-	return s.At(s.now+delay, fn)
+func (s *Sim) After(delay time.Duration, fn func()) {
+	s.At(s.now+max(delay, 0), fn)
 }
 
-// AtCall schedules fn(arg) at absolute virtual time due on a pooled timer
-// event: after firing, the event is recycled, so steady-state callers
-// allocate nothing here. No handle is returned — pooled events cannot be
-// cancelled by callers. Passing state through arg (a pointer boxes
-// allocation-free) instead of capturing it keeps the callback itself
-// closure-free too.
-func (s *Sim) AtCall(due time.Duration, fn func(any), arg any) {
-	s.schedule(due, nil, fn, arg, true)
+// AfterCall schedules fn(arg) delay after the current virtual time and
+// returns a Timer that cancels it. Passing state through arg (a pointer boxes
+// allocation-free) instead of capturing it keeps the callback closure-free.
+func (s *Sim) AfterCall(delay time.Duration, fn func(any), arg any) Timer {
+	e := s.schedule(s.now+max(delay, 0), fn, arg)
+	return Timer{e, e.gen}
 }
 
-// AfterCall schedules fn(arg) delay after the current virtual time on a
-// pooled timer event (see AtCall).
-func (s *Sim) AfterCall(delay time.Duration, fn func(any), arg any) {
-	if delay < 0 {
-		delay = 0
-	}
-	s.AtCall(s.now+delay, fn, arg)
-}
-
-// AfterCallEvent schedules fn(arg) like AfterCall but returns the pooled
-// event together with its generation, so the caller can CancelCall it before
-// it fires (the network simulator cancels in-flight deliveries to removed
-// hosts this way). The handle is only meaningful paired with the returned
-// generation: once the event fires or is cancelled it recycles, and a stale
-// (event, gen) pair is silently ignored by CancelCall.
-func (s *Sim) AfterCallEvent(delay time.Duration, fn func(any), arg any) (*Event, uint64) {
-	if delay < 0 {
-		delay = 0
-	}
-	e := s.schedule(s.now+delay, nil, fn, arg, true)
-	return e, e.gen
-}
-
-// CancelCall cancels a pooled event scheduled with AfterCallEvent, recycling
-// it immediately. Stale handles — the event already fired, was cancelled, or
-// has been recycled into a new timer (generation mismatch) — are no-ops, so
-// cancellation is always safe.
-func (s *Sim) CancelCall(e *Event, gen uint64) { s.cancelPooled(e, gen) }
-
-// Cancel removes a scheduled event. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (s *Sim) Cancel(e *Event) {
-	if e == nil || e.index < 0 {
+// Cancel removes the timer's event from the queue and recycles it. It is a
+// no-op for the zero Timer and for a stale one: an event that fired or was
+// cancelled has been recycled, so its generation no longer matches.
+func (s *Sim) Cancel(t Timer) {
+	if t.e == nil || t.e.gen != t.gen {
 		return
 	}
-	heap.Remove(&s.queue, e.index)
-	e.index = -1
-	if e.pooled {
-		s.recycle(e)
-	}
-}
-
-// cancelPooled cancels a pooled event only if it is still the same logical
-// timer the caller scheduled (the generation matches) and it has not fired.
-func (s *Sim) cancelPooled(e *Event, gen uint64) {
-	if e == nil || e.gen != gen || e.index < 0 {
-		return
-	}
-	s.Cancel(e)
+	heap.Remove(&s.queue, t.e.index)
+	s.recycle(t.e)
 }
 
 // Stop makes Run return ErrStopped after the current event completes.
@@ -226,20 +186,22 @@ func (s *Sim) Step() bool {
 	if len(s.queue) == 0 {
 		return false
 	}
-	e := heap.Pop(&s.queue).(*Event)
+	e := heap.Pop(&s.queue).(*event)
 	s.now = e.due
 	s.fired++
-	fn, fnArg, arg := e.fn, e.fnArg, e.arg
-	if e.pooled {
-		// Recycle before running the callback: the event is already off the
-		// heap, so a callback that schedules immediately reuses this slot.
+	fn, arg := e.fn, e.arg
+	// Requeue or recycle before running the callback: a ticker's next tick is
+	// queued before fn runs, so fn may stop it, and a callback that schedules
+	// at once reuses a one-shot's event.
+	if e.period > 0 {
+		e.due += e.period
+		e.seq = s.seq
+		s.seq++
+		heap.Push(&s.queue, e)
+	} else {
 		s.recycle(e)
 	}
-	if fn != nil {
-		fn()
-	} else {
-		fnArg(arg)
-	}
+	fn(arg)
 	return true
 }
 
@@ -279,34 +241,15 @@ func (s *Sim) RunAll() error {
 }
 
 // Ticker invokes fn every interval of virtual time, starting one interval
-// from now, until cancelled. It returns a cancel function. The next tick is
-// scheduled before fn runs, so fn may safely stop the ticker.
-//
-// Tick timer events ride the pooled freelist: a steady-state ticker allocates
-// nothing per tick. The pending event is tracked with its generation so
-// cancel removes exactly the tick it scheduled and never a recycled reuse.
+// from now, until cancelled. It returns a cancel function. The ticker is one
+// periodic event that Step requeues before fn runs, so fn may safely stop the
+// ticker, and a steady-state ticker allocates nothing per tick.
 func (s *Sim) Ticker(interval time.Duration, fn func()) (cancel func()) {
 	if interval <= 0 {
 		panic("vclock: non-positive ticker interval")
 	}
-	var (
-		ev      *Event
-		gen     uint64
-		stopped bool
-	)
-	var tick func(any)
-	tick = func(any) {
-		if stopped {
-			return
-		}
-		ev = s.schedule(s.now+interval, nil, tick, nil, true)
-		gen = ev.gen
-		fn()
-	}
-	ev = s.schedule(s.now+interval, nil, tick, nil, true)
-	gen = ev.gen
-	return func() {
-		stopped = true
-		s.cancelPooled(ev, gen)
-	}
+	e := s.schedule(s.now+interval, call, fn)
+	e.period = interval
+	t := Timer{e, e.gen}
+	return func() { s.Cancel(t) }
 }

@@ -96,20 +96,20 @@ func TestRunIdlesToHorizon(t *testing.T) {
 func TestCancel(t *testing.T) {
 	s := New(1)
 	fired := false
-	e := s.At(10*time.Millisecond, func() { fired = true })
-	s.Cancel(e)
+	tm := s.AfterCall(10*time.Millisecond, func(any) { fired = true }, nil)
+	s.Cancel(tm)
+	if s.Pending() != 0 {
+		t.Errorf("Pending = %d after cancel, want 0", s.Pending())
+	}
 	if err := s.RunAll(); err != nil {
 		t.Fatal(err)
 	}
 	if fired {
 		t.Error("cancelled event fired")
 	}
-	if !e.Cancelled() {
-		t.Error("event does not report cancelled")
-	}
-	// Double cancel and nil cancel are no-ops.
-	s.Cancel(e)
-	s.Cancel(nil)
+	// Double cancel and zero-Timer cancel are no-ops.
+	s.Cancel(tm)
+	s.Cancel(Timer{})
 }
 
 func TestStop(t *testing.T) {
@@ -218,8 +218,8 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 func TestAfterCallEventCancel(t *testing.T) {
 	s := New(1)
 	fired := 0
-	ev, gen := s.AfterCallEvent(10*time.Millisecond, func(any) { fired++ }, nil)
-	s.CancelCall(ev, gen)
+	tm := s.AfterCall(10*time.Millisecond, func(any) { fired++ }, nil)
+	s.Cancel(tm)
 	if err := s.RunAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -227,30 +227,79 @@ func TestAfterCallEventCancel(t *testing.T) {
 		t.Fatalf("cancelled event fired %d times", fired)
 	}
 	// Cancelling again with the stale handle must be a no-op even after the
-	// event slot has been recycled into a new timer.
-	ev2, gen2 := s.AfterCallEvent(10*time.Millisecond, func(any) { fired++ }, nil)
-	if ev2 != ev {
+	// event has been recycled into a new timer.
+	tm2 := s.AfterCall(10*time.Millisecond, func(any) { fired++ }, nil)
+	if tm2.e != tm.e {
 		t.Fatalf("expected the cancelled event to be recycled")
 	}
-	s.CancelCall(ev, gen) // stale generation: must not cancel ev2
+	s.Cancel(tm) // stale generation: must not cancel tm2
 	if err := s.RunAll(); err != nil {
 		t.Fatal(err)
 	}
 	if fired != 1 {
 		t.Fatalf("recycled timer fired %d times, want 1", fired)
 	}
-	s.CancelCall(ev2, gen2) // already fired: no-op
+	s.Cancel(tm2) // already fired: no-op
+
+	// A Timer whose event fired and was reused by At cancels nothing.
+	s.At(s.Now()+time.Millisecond, func() { fired++ })
+	if s.queue[0] != tm2.e {
+		t.Fatalf("expected At to reuse the fired event")
+	}
+	s.Cancel(tm2)
+	if err := s.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if fired != 2 {
+		t.Fatalf("At on a reused event fired %d times in total, want 2", fired)
+	}
+
+	// A ticker cancelled from outside its fn stops at once.
+	ticks := 0
+	cancel := s.Ticker(10*time.Millisecond, func() { ticks++ })
+	if err := s.Run(s.Now() + 25*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if s.Pending() != 0 {
+		t.Fatalf("Pending = %d after cancelling the ticker, want 0", s.Pending())
+	}
+	if err := s.Run(s.Now() + time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if ticks != 2 {
+		t.Fatalf("ticks = %d, want 2", ticks)
+	}
+	cancel() // a second cancel is a no-op
 }
 
 func TestAfterCallEventFiresWithArg(t *testing.T) {
 	s := New(1)
 	var got any
 	arg := new(int)
-	_, _ = s.AfterCallEvent(5*time.Millisecond, func(a any) { got = a }, arg)
+	s.AfterCall(5*time.Millisecond, func(a any) { got = a }, arg)
 	if err := s.RunAll(); err != nil {
 		t.Fatal(err)
 	}
 	if got != arg {
 		t.Fatalf("callback arg = %v, want %v", got, arg)
+	}
+}
+
+// TestScheduleAllocationFree pins the one event lifetime: a one-shot At and a
+// running ticker's tick reuse recycled events, so neither allocates.
+func TestScheduleAllocationFree(t *testing.T) {
+	s := New(1)
+	fn := func() {}
+	if n := testing.AllocsPerRun(100, func() {
+		s.At(s.Now()+1, fn)
+		s.Step()
+	}); n != 0 {
+		t.Errorf("At+Step allocs = %v, want 0", n)
+	}
+	cancel := s.Ticker(time.Millisecond, fn)
+	defer cancel()
+	if n := testing.AllocsPerRun(100, func() { s.Step() }); n != 0 {
+		t.Errorf("ticker Step allocs = %v, want 0", n)
 	}
 }

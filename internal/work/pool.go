@@ -7,10 +7,12 @@
 // state. Callers do not branch on the pool's width: the same code runs
 // inline at width 1 and sharded above it.
 //
-// What is established about width is that it cannot change a byte of output
-// (TestPlanTickWidthInvariant, the cross-width goldens), not that it helps:
-// on the 2-vCPU hosts every number in PERFORMANCE.md comes from, each
-// PlanTick/workers=N row above 1 has measured as overhead only.
+// Width cannot change a byte of output (TestPlanTickWidthInvariant, the
+// cross-width goldens). What it is worth was measured once, end to end on a
+// 2-vCPU host (PERFORMANCE.md "Measured: one job per peer"): venue256_direct
+// at GOMAXPROCS=1 took 42.6 % longer per step than at the default width of
+// 2. GOMAXPROCS also sets the runtime's and the collector's threads, so that
+// is an upper bound on what the pool's width alone is worth.
 //
 // Ownership rules for pooled scratch handed across goroutines (see
 // PERFORMANCE.md "The tick pipeline"):

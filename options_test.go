@@ -37,10 +37,10 @@ func TestOptionCensus(t *testing.T) {
 		{cloud.RelayConfig{}, 3},
 		{core.ReplConfig{}, 1},
 		{edge.Config{}, 3},
-		{endpoint.Config{}, 5},
+		{endpoint.Config{}, 3},
 		{geo.Config{}, 7},
 		{netsim.LinkConfig{}, 5},
-		{node.Config{}, 3},
+		{node.Config{}, 2},
 		{render.PipelineConfig{}, 1},
 		{rig.Config{}, 3},
 		{sensors.HeadsetConfig{}, 3},
