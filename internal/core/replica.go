@@ -32,7 +32,8 @@ type Replica struct {
 
 	// OnNew fires when a participant first appears (seat assignment hook).
 	OnNew func(e protocol.EntityState)
-	// OnRemove fires when a participant is removed.
+	// OnRemove fires when a participant is removed. Both hooks run inside
+	// Apply's walk of the store, so neither may read the store.
 	OnRemove func(id protocol.ParticipantID)
 	// Latency, if set, records capture-to-apply age of every entity update.
 	Latency *metrics.Histogram
@@ -210,10 +211,9 @@ func (r *Replica) retain(slot uint32) bool {
 	return true
 }
 
-// dropBuffer releases the buffer of slot's tenant id, which is about to leave
-// the store.
-func (r *Replica) dropBuffer(id protocol.ParticipantID, slot uint32) {
-	p := &r.playout[slot]
+// dropBuffer releases the buffer of is, which is about to leave the store.
+func (r *Replica) dropBuffer(is idSlot) {
+	p := &r.playout[is.slot]
 	if p.retained {
 		p.retained = false
 		r.nRetained--
@@ -223,7 +223,7 @@ func (r *Replica) dropBuffer(id protocol.ParticipantID, slot uint32) {
 	p.live = false
 	r.bufDrops++
 	if r.OnRemove != nil {
-		r.OnRemove(id)
+		r.OnRemove(is.id)
 	}
 }
 
@@ -232,17 +232,19 @@ func (r *Replica) dropBuffer(id protocol.ParticipantID, slot uint32) {
 // sender pruned it from the delta log), so without this sweep they would
 // dead-reckon as ghosts forever. Runs on every apply; nothing is retained in
 // steady state. Ascending by ID; each entity's verdict depends only on its
-// own newest capture stamp.
+// own newest capture stamp. A drop shifts the next entry into i.
 func (r *Replica) expireRetained(now time.Duration) {
 	if r.nRetained == 0 {
 		return
 	}
-	for _, is := range r.store.ordered() {
-		if p := &r.playout[is.slot]; p.retained {
+	for i := 0; i < len(r.store.order); {
+		if p := &r.playout[r.store.order[i].slot]; p.retained {
 			if newest, _ := p.buf.Newest(); now-newest.Time > retainFor {
-				r.store.drop(is.id, is.slot, r)
+				r.store.drop(i, r)
+				continue
 			}
 		}
+		i++
 	}
 }
 

@@ -405,6 +405,24 @@ func liveBuffers(t testing.TB, r *Replica) int {
 //     its buffer after the merge (the order the map version could afford): a
 //     re-added ID is seated in the slot its old buffer still occupies, gets
 //     no OnNew, and loses the buffer afterwards — seed 1 stops at step 3.
+//
+// And on seeded mutations of the walk order the store keeps sorted in place:
+//   - Store.slotOf appending a newly seated entry instead of inserting it at
+//     its searched position: retain=false seed 1 stops at step 2, seeds 2
+//     and 3 at step 1, Participants out of order;
+//   - Store.applySnapshot's compaction keeping the entries of omitted
+//     entities: seed 1 stops at step 4, seeds 2 and 3 at step 5 (seed 1
+//     stops at step 4 with only the walk's tail loop mutated too),
+//     Participants listing departed IDs;
+//   - Replica.expireRetained stepping past the entry that moves into a
+//     dropped one's index: retain=true seed 2 stops at step 925, seed 3 at
+//     step 1358, an expired neighbour never removed (seed 1 passes).
+//
+// Two more were tried and survive, as they must, because the cursor only
+// saves probes: Store.merge not stepping its cursor over a newly seated
+// entry (the skip loop steps over it at the next ID), and Store.merge not
+// reloading order after a seat (a stale copy still names every slot right,
+// and an entry it no longer shows falls to the slotOf probe).
 func TestReplicaMatchesMapModel(t *testing.T) {
 	const delay = 20 * time.Millisecond
 	for _, retain := range []bool{false, true} {
@@ -478,8 +496,9 @@ func TestReplicaMatchesMapModel(t *testing.T) {
 
 // FuzzReplicaApply: any sequence of well-formed snapshots and deltas applies
 // without a panic, every live entity has exactly one playout buffer and no
-// vacant slot has one (creates − drops = buffers held = entities), and no
-// pooled frame is touched.
+// vacant slot has one (creates − drops = buffers held = entities), the walk
+// order is strictly ascending and names the slot the ID→slot map holds for
+// every live entity, and no pooled frame is touched.
 func FuzzReplicaApply(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		f.Add(seed%2 == 0, encodeScript(replicaScript(seed, 24)))
@@ -498,6 +517,18 @@ func FuzzReplicaApply(f *testing.F) {
 			for _, id := range r.Participants() {
 				if _, ok := r.Pose(id, step.now); !ok {
 					t.Fatalf("message %d: live entity %d has no pose", i, id)
+				}
+			}
+			order := r.store.ordered()
+			if len(order) != len(r.store.slots) {
+				t.Fatalf("message %d: %d walk-order entries, %d live entities", i, len(order), len(r.store.slots))
+			}
+			for k, is := range order {
+				if k > 0 && is.id <= order[k-1].id {
+					t.Fatalf("message %d: walk order not ascending at %d: %d after %d", i, k, is.id, order[k-1].id)
+				}
+				if slot, ok := r.store.slots[is.id]; !ok || slot != is.slot {
+					t.Fatalf("message %d: walk order puts %d in slot %d, map says %d (%v)", i, is.id, is.slot, slot, ok)
 				}
 			}
 		}

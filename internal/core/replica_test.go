@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -217,6 +218,41 @@ func BenchmarkReplicaApplyDelta(b *testing.B) {
 				d.BaseTick, d.Tick = round-1, round
 				if _, ok := reps[i%len(reps)].Apply(d, now); !ok {
 					b.Fatal("delta rejected")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReplicaApplyJoinLeave is one arrival and one departure in a
+// replica of n entities: a delta that seats a new ID halfway along the walk
+// order, then a delta that removes it. n=80 is churn48_sim's mean replica;
+// n=1024 shows what the walk order's insert and delete cost when they move
+// a long list.
+func BenchmarkReplicaApplyJoinLeave(b *testing.B) {
+	for _, n := range []int{80, 1024} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			r := NewReplica(100*ms, nil)
+			ents := make([]protocol.EntityState, n)
+			for i := range ents {
+				ents[i] = entAt(protocol.ParticipantID(2*(i+1)), 0)
+			}
+			r.Apply(&protocol.Snapshot{Tick: 1, Entities: ents}, 0)
+			join := &protocol.Delta{Changed: []protocol.EntityState{entAt(protocol.ParticipantID(n+1), 0)}}
+			leave := &protocol.Delta{Removed: []protocol.ParticipantID{protocol.ParticipantID(n + 1)}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tick := uint64(2*i) + 2
+				now := time.Duration(tick) * 33 * ms
+				join.Changed[0].CapturedAt = now
+				join.BaseTick, join.Tick = tick-1, tick
+				leave.BaseTick, leave.Tick = tick, tick+1
+				if _, ok := r.Apply(join, now); !ok {
+					b.Fatal("join rejected")
+				}
+				if _, ok := r.Apply(leave, now); !ok {
+					b.Fatal("leave rejected")
 				}
 			}
 		})

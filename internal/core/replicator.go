@@ -291,12 +291,6 @@ func (r *Replicator) sortedPeerIDs() []string {
 	return r.sortedIDs
 }
 
-// Peers returns registered peer IDs, sorted. Each call allocates a fresh
-// slice; hot paths should use PeersAppend with a reused buffer instead.
-func (r *Replicator) Peers() []string {
-	return r.PeersAppend(nil)
-}
-
 // PeersAppend appends the registered peer IDs, sorted, to dst and returns
 // the extended slice. With a reused dst it allocates nothing, so per-tick
 // peer sweeps stay allocation-flat.
@@ -476,8 +470,7 @@ type PeerMessage struct {
 //	          owner, then execute the jobs on ReplConfig.Pool. Each job
 //	          settles its peer's queued acks, copies wire bytes into a pooled
 //	          frame and seals it, writing only its own job, its peer's owed
-//	          set and its worker's refused list; the store is read-only and
-//	          its lazy walk order is warmed before the fan-out.
+//	          set and its worker's refused list; the store is read-only.
 //	3 (owner) walk the jobs in order, dropping empty deltas and bumping the
 //	          per-peer counters.
 //
@@ -499,7 +492,6 @@ func (r *Replicator) PlanTick() []PeerMessage {
 
 	// Pass 2: encode what was written since the last plan, once for every
 	// peer (none, if there is no peer), then execute the builds on the pool.
-	// The encode also warms the walk order, so concurrent scans only read it.
 	if len(jobs) > 0 {
 		r.store.encodeChanged()
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"metaclass/internal/mathx"
@@ -65,6 +67,10 @@ func TestStoreRemoveLogsRemoval(t *testing.T) {
 	}
 }
 
+// TestStoreIDsSorted holds the server side's walk order to a map model: 2,000
+// seeded Upsert / UpsertIfChanged / Remove calls over a pool of 64 IDs, re-adds
+// landing in recycled slots included, and after every call ordered() must be
+// the model's sorted keys, each entry naming the slot the ID→slot map holds.
 func TestStoreIDsSorted(t *testing.T) {
 	s := NewStore()
 	s.BeginTick()
@@ -76,6 +82,56 @@ func TestStoreIDsSorted(t *testing.T) {
 		if ids[i] <= ids[i-1] {
 			t.Fatalf("IDs not sorted: %v", ids)
 		}
+	}
+
+	s = NewStore()
+	model := make(map[protocol.ParticipantID]bool)
+	rng := rand.New(rand.NewSource(7))
+	reseated := 0
+	for step := 0; step < 2000; step++ {
+		if step%16 == 0 {
+			s.BeginTick()
+		}
+		id := protocol.ParticipantID(1 + rng.Intn(64))
+		switch op := rng.Intn(3); {
+		case op == 0:
+			if !model[id] && len(s.free) > 0 {
+				reseated++
+			}
+			s.Upsert(ent(id, float64(rng.Intn(4))))
+			model[id] = true
+		case op == 1:
+			if !model[id] && len(s.free) > 0 {
+				reseated++
+			}
+			s.UpsertIfChanged(ent(id, float64(rng.Intn(4))))
+			model[id] = true
+		default:
+			if got := s.Remove(id); got != model[id] {
+				t.Fatalf("step %d: Remove(%d) = %v, model holds it: %v", step, id, got, model[id])
+			}
+			delete(model, id)
+		}
+		want := make([]protocol.ParticipantID, 0, len(model))
+		for id := range model {
+			want = append(want, id)
+		}
+		slices.Sort(want)
+		order := s.ordered()
+		if len(order) != len(want) || len(s.slots) != len(want) {
+			t.Fatalf("step %d: %d order entries, %d mapped, model %d", step, len(order), len(s.slots), len(want))
+		}
+		for i, is := range order {
+			if is.id != want[i] {
+				t.Fatalf("step %d: order[%d] = %d, model %d", step, i, is.id, want[i])
+			}
+			if slot := s.slots[is.id]; slot != is.slot {
+				t.Fatalf("step %d: order says %d is in slot %d, map %d", step, is.id, is.slot, slot)
+			}
+		}
+	}
+	if reseated < 100 {
+		t.Fatalf("only %d seats reused a vacated slot", reseated)
 	}
 }
 
