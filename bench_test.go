@@ -383,7 +383,7 @@ func benchChurnScenario(b *testing.B) float64 {
 
 // BenchmarkE12MegaEvent measures steady tiered fan-out for the mega-event
 // venue: 256 remote users on a 16x16 seat grid at 3.2 m pitch (nearly every
-// pair beyond NearRadius), the first user pinned focus as the performer,
+// pair beyond the 8 m near radius), the first user pinned focus as the performer,
 // fan-out ticking at the clients' 20 Hz upload rate. cloud-egress-KB/s is
 // the gated headline: it must stay at the decimated tier mix (far 1/4,
 // ambient 1/8 with per-source phase stagger), a fraction of the broadcast

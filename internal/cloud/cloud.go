@@ -135,8 +135,13 @@ func (s *Server) Runtime() *node.Runtime { return s.rt }
 
 // ConnectEdge links a campus edge server. The cloud replicates back only
 // entities the edge does not already author (cloud-authored VR users and
-// other campuses' participants arrive at edges via their own links).
+// other campuses' participants arrive at edges via their own links). An
+// address that is already a replication peer is refused, and nothing is
+// registered for it.
 func (s *Server) ConnectEdge(addr endpoint.Addr, classroom protocol.ClassroomID) error {
+	if s.rt.Replicator().HasPeer(string(addr)) {
+		return fmt.Errorf("%w: %s", ErrPeerExists, addr)
+	}
 	if _, err := s.rt.ConnectReplica(addr, "edge.pose.age"); err != nil {
 		return err
 	}

@@ -299,6 +299,23 @@ func TestRelayForwardsClientPosesUpstream(t *testing.T) {
 	}
 }
 
+// TestConnectEdgeRefusesReplicationPeer: an address already replicated to
+// as a relay cannot also become an edge, and the refusal leaves no sync peer
+// behind for it.
+func TestConnectEdgeRefusesReplicationPeer(t *testing.T) {
+	sim := vclock.New(7)
+	s := newCloud(t, sim, netsim.New(sim), nil)
+	if err := s.AddRelay("x"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ConnectEdge("x", 1); !errors.Is(err, ErrPeerExists) {
+		t.Errorf("ConnectEdge over a relay: err = %v, want ErrPeerExists", err)
+	}
+	if s.Runtime().HasSyncPeer("x") {
+		t.Error("refused ConnectEdge left a sync peer registered")
+	}
+}
+
 func TestCloudEdgeFilterOnlySendsVRUsers(t *testing.T) {
 	sim := vclock.New(7)
 	net := netsim.New(sim)

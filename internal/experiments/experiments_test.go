@@ -149,10 +149,24 @@ func TestE6ShapeSplitAlwaysHolds(t *testing.T) {
 // TestRunVideoPointDeterministic guards the experiment harness itself.
 func TestRunVideoPointDeterministic(t *testing.T) {
 	link := netsim.LinkConfig{Latency: 40 * time.Millisecond, LossRate: 0.05}
-	a1, b1 := runVideoPoint(5, video.StrategyFEC, link)
-	a2, b2 := runVideoPoint(5, video.StrategyFEC, link)
+	a1, b1, err1 := runVideoPoint(5, video.StrategyFEC, link)
+	a2, b2, err2 := runVideoPoint(5, video.StrategyFEC, link)
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
 	if a1 != a2 || b1 != b2 {
 		t.Error("video experiment point not deterministic")
+	}
+}
+
+// TestFailedPointReturnsError: a point whose setup fails reports the error,
+// not zeros that would read as a perfect result.
+func TestFailedPointReturnsError(t *testing.T) {
+	if _, _, err := runLatencyPoint(5, -time.Millisecond); err == nil {
+		t.Error("runLatencyPoint on a negative-latency link: no error")
+	}
+	if _, _, err := runVideoPoint(5, video.StrategyFEC, netsim.LinkConfig{Latency: -time.Millisecond}); err == nil {
+		t.Error("runVideoPoint on a negative-latency link: no error")
 	}
 }
 

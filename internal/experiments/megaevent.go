@@ -12,7 +12,7 @@ import (
 )
 
 // E12MegaEvent reproduces claim C2's mega-event dimension: one venue packed
-// with hundreds of avatars, almost all of them beyond NearRadius of any
+// with hundreds of avatars, almost all of them beyond the near radius of any
 // given viewer. Broadcast fan-out must carry every avatar to every viewer
 // at full tick rate; tiered fan-out decimates the far/ambient crowd to 1/4
 // and 1/8 rate (phase-staggered per source) while the pinned performer and

@@ -73,7 +73,7 @@ func TestE12CrossWidthDeterminism(t *testing.T) {
 }
 
 // TestE12TierReduction is the headline claim gate: with most of the
-// audience beyond NearRadius, tier-rate decimation must cut cloud egress by
+// audience beyond the near radius, tier-rate decimation must cut cloud egress by
 // at least 4x against broadcast (the far/ambient crowd replicates at 1/4
 // and 1/8 rate). It reads the vs.broadcast column of the shared run, so a
 // regression that quietly re-admits the crowd at full rate fails here even

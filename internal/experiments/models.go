@@ -78,7 +78,11 @@ func E7Video(seed int64) Table {
 	for _, c := range cases {
 		link := netsim.LinkConfig{Latency: c.oneWay, Jitter: 5 * time.Millisecond, LossRate: c.loss}
 		for _, strat := range []video.Strategy{video.StrategyARQ, video.StrategyFEC, video.StrategyAdaptive} {
-			ss, rs := runVideoPoint(seed, strat, link)
+			ss, rs, err := runVideoPoint(seed, strat, link)
+			if err != nil {
+				t.Notes = append(t.Notes, fmt.Sprintf("%.0f%% %v %s failed: %v", c.loss*100, c.oneWay, strat, err))
+				continue
+			}
 			overhead := "0%"
 			if ss.FramesSent > 0 {
 				perFrame := float64(ss.ChunksSent) / float64(ss.FramesSent)
@@ -95,13 +99,13 @@ func E7Video(seed int64) Table {
 	return t
 }
 
-func runVideoPoint(seed int64, strat video.Strategy, link netsim.LinkConfig) (video.SenderStats, video.ReceiverStats) {
+func runVideoPoint(seed int64, strat video.Strategy, link netsim.LinkConfig) (video.SenderStats, video.ReceiverStats, error) {
 	sim := vclock.New(seed)
 	net := netsim.New(sim)
 	_ = net.AddHost("tx", nil)
 	_ = net.AddHost("rx", nil)
 	if err := net.ConnectBoth("tx", "rx", link); err != nil {
-		return video.SenderStats{}, video.ReceiverStats{}
+		return video.SenderStats{}, video.ReceiverStats{}, err
 	}
 	cfg := video.StreamConfig{Strategy: strat, K: 8, R: 3}
 	var sender *video.Sender
@@ -143,11 +147,13 @@ func runVideoPoint(seed int64, strat video.Strategy, link netsim.LinkConfig) (vi
 		})
 	}
 	sender.Start()
-	_ = sim.Run(12 * time.Second)
+	err := sim.Run(12 * time.Second)
 	sender.Stop()
-	_ = sim.Run(14 * time.Second)
+	if err == nil {
+		err = sim.Run(14 * time.Second)
+	}
 	net.Close() // releases the frames still in flight
-	return sender.Stats(), receiver.Stats()
+	return sender.Stats(), receiver.Stats(), err
 }
 
 // E8Sickness reproduces claim C5: the fuzzy-logic cybersickness surface
@@ -191,7 +197,7 @@ func E8Sickness(seed int64) Table {
 
 // fusionPoint measures pose-estimation RMS error for one sensing mix
 // (shared by E10).
-func fusionPoint(seed int64, useHeadset, useRoom bool, occlusion float64) float64 {
+func fusionPoint(seed int64, useHeadset, useRoom bool, occlusion float64) (float64, error) {
 	sim := vclock.New(seed)
 	script := trace.Seated{Anchor: mathx.V3(1, 0, 2), Phase: 0.4}
 	f := fusion.New()
@@ -207,9 +213,9 @@ func fusionPoint(seed int64, useHeadset, useRoom bool, occlusion float64) float6
 	}
 	const dur = 30 * time.Second
 	if err := sim.Run(dur); err != nil {
-		return 0
+		return 0, err
 	}
 	return fusion.RMSError(f,
 		func(t time.Duration) mathx.Vec3 { return script.PoseAt(t).Position },
-		5*time.Second, dur, 50*time.Millisecond)
+		5*time.Second, dur, 50*time.Millisecond), nil
 }

@@ -164,8 +164,11 @@ func E3LatencySweep(seed int64) Table {
 	}
 	base := -1.0
 	for _, oneWay := range []time.Duration{10, 25, 50, 75, 100, 150, 200, 300} {
-		lat := oneWay * time.Millisecond
-		rms, p95 := runLatencyPoint(seed, lat)
+		rms, p95, err := runLatencyPoint(seed, oneWay*time.Millisecond)
+		if err != nil {
+			t.Notes = append(t.Notes, fmt.Sprintf("%dms failed: %v", oneWay, err))
+			continue
+		}
 		if base < 0 {
 			base = rms
 		}
@@ -186,25 +189,25 @@ func E3LatencySweep(seed int64) Table {
 	return t
 }
 
-func runLatencyPoint(seed int64, oneWay time.Duration) (rms float64, p95 time.Duration) {
+func runLatencyPoint(seed int64, oneWay time.Duration) (rms float64, p95 time.Duration, err error) {
 	d, err := classroom.NewDeployment(classroom.Config{Seed: seed})
 	if err != nil {
-		return 0, 0
+		return 0, 0, err
 	}
 	gz, err := d.AddCampus("gz", 1)
 	if err != nil {
-		return 0, 0
+		return 0, 0, err
 	}
 	teacherScript := trace.Lecturer{Left: mathx.V3(-3, 0, 0), Right: mathx.V3(3, 0, 0), PeriodS: 12}
 	teacher, err := gz.AddEducator("prof", teacherScript)
 	if err != nil {
-		return 0, 0
+		return 0, 0, err
 	}
 	link := netsim.ResidentialBroadband(oneWay)
 	link.Jitter = oneWay / 10
 	v, _, err := d.AddRemoteLearner("viewer", trace.Seated{}, link)
 	if err != nil {
-		return 0, 0
+		return 0, 0, err
 	}
 	// Measure online: every 50 ms compare what the display shows *now*
 	// against where the lecturer truly is *now* — the error a student
@@ -222,9 +225,9 @@ func runLatencyPoint(seed int64, oneWay time.Duration) (rms float64, p95 time.Du
 		errs = append(errs, p.PositionError(teacherScript.PoseAt(now)))
 	})
 	if err := d.Run(20 * time.Second); err != nil {
-		return 0, 0
+		return 0, 0, err
 	}
-	return mathx.RMS(errs), v.Metrics().Histogram("pose.age").P95()
+	return mathx.RMS(errs), v.Metrics().Histogram("pose.age").P95(), nil
 }
 
 // E4Scale reproduces claim C2's scale dimension: cloud egress vs number of
@@ -237,10 +240,14 @@ func E4Scale(seed int64) Table {
 	}
 	for _, n := range []int{10, 50, 100, 250} {
 		for _, interest := range []bool{false, true} {
-			bytesPerSec, msgsPerSec := runScalePoint(seed, n, interest)
 			mode := "broadcast"
 			if interest {
 				mode = "interest"
+			}
+			bytesPerSec, msgsPerSec, err := runScalePoint(seed, n, interest)
+			if err != nil {
+				t.Notes = append(t.Notes, fmt.Sprintf("%d %s failed: %v", n, mode, err))
+				continue
 			}
 			t.AddRow(fmt.Sprint(n), mode,
 				fmt.Sprintf("%.0f", bytesPerSec/1024),
@@ -254,10 +261,10 @@ func E4Scale(seed int64) Table {
 	return t
 }
 
-func runScalePoint(seed int64, n int, interest bool) (bytesPerSec, msgsPerSec float64) {
+func runScalePoint(seed int64, n int, interest bool) (bytesPerSec, msgsPerSec float64, err error) {
 	d, err := classroom.NewDeployment(classroom.Config{Seed: seed, EnableInterest: interest})
 	if err != nil {
-		return 0, 0
+		return 0, 0, err
 	}
 	for i := 0; i < n; i++ {
 		// Spread users through the big VR auditorium so interest tiers bite.
@@ -265,16 +272,16 @@ func runScalePoint(seed int64, n int, interest bool) (bytesPerSec, msgsPerSec fl
 			Anchor: mathx.V3(float64(i%25)*1.2, 0, float64(i/25)*1.2), Phase: float64(i),
 		}, netsim.ResidentialBroadband(25*time.Millisecond))
 		if err != nil {
-			return 0, 0
+			return 0, 0, err
 		}
 	}
 	const dur = 5 * time.Second
 	if err := d.Run(dur); err != nil {
-		return 0, 0
+		return 0, 0, err
 	}
 	m := d.Cloud().Metrics()
 	return float64(m.Counter("sync.bytes.sent").Value()) / dur.Seconds(),
-		float64(m.Counter("sync.msgs.sent").Value()) / dur.Seconds()
+		float64(m.Counter("sync.msgs.sent").Value()) / dur.Seconds(), nil
 }
 
 // E5Regional reproduces claim C2's geography dimension: poorly-peered users
@@ -299,7 +306,11 @@ func E5Regional(seed int64) Table {
 	}
 	for _, mode := range []string{"single-cloud", "regional-relay"} {
 		for _, c := range clients {
-			p95 := runRegionalPoint(seed, c.oneWay, mode == "regional-relay")
+			p95, err := runRegionalPoint(seed, c.oneWay, mode == "regional-relay")
+			if err != nil {
+				t.Notes = append(t.Notes, fmt.Sprintf("%s %s failed: %v", c.region, mode, err))
+				continue
+			}
 			t.AddRow(c.region, fmt.Sprint(c.oneWay), mode, fmtMS(p95))
 		}
 	}
@@ -309,19 +320,19 @@ func E5Regional(seed int64) Table {
 	return t
 }
 
-func runRegionalPoint(seed int64, cloudOneWay time.Duration, viaRelay bool) time.Duration {
+func runRegionalPoint(seed int64, cloudOneWay time.Duration, viaRelay bool) (time.Duration, error) {
 	d, err := classroom.NewDeployment(classroom.Config{Seed: seed})
 	if err != nil {
-		return 0
+		return 0, err
 	}
 	gz, err := d.AddCampus("gz", 1)
 	if err != nil {
-		return 0
+		return 0, err
 	}
 	if _, err := gz.AddEducator("prof", trace.Lecturer{
 		Left: mathx.V3(-3, 0, 0), Right: mathx.V3(3, 0, 0),
 	}); err != nil {
-		return 0
+		return 0, err
 	}
 	if viaRelay {
 		// Relay in the client's region: the long haul rides dedicated
@@ -332,17 +343,17 @@ func runRegionalPoint(seed int64, cloudOneWay time.Duration, viaRelay bool) time
 			LossRate: 0.0005, Bandwidth: 10e9,
 		})
 		if err != nil {
-			return 0
+			return 0, err
 		}
 		access := netsim.ResidentialBroadband(8 * time.Millisecond)
 		cl, _, err := d.AddRemoteLearnerVia(relay, "u", trace.Seated{}, access)
 		if err != nil {
-			return 0
+			return 0, err
 		}
 		if err := d.Run(15 * time.Second); err != nil {
-			return 0
+			return 0, err
 		}
-		return cl.Metrics().Histogram("pose.age").P95()
+		return cl.Metrics().Histogram("pose.age").P95(), nil
 	}
 	// Single cloud: the whole path is the consumer internet — the paper's
 	// poorly-interconnected case, with jitter and loss scaling with the
@@ -352,12 +363,12 @@ func runRegionalPoint(seed int64, cloudOneWay time.Duration, viaRelay bool) time
 	long.LossRate = 0.02
 	cl, _, err := d.AddRemoteLearner("u", trace.Seated{}, long)
 	if err != nil {
-		return 0
+		return 0, err
 	}
 	if err := d.Run(15 * time.Second); err != nil {
-		return 0
+		return 0, err
 	}
-	return cl.Metrics().Histogram("pose.age").P95()
+	return cl.Metrics().Histogram("pose.age").P95(), nil
 }
 
 // E9DeadReckoning reproduces claim C8: synchronization traffic is tiny next
@@ -434,18 +445,31 @@ func E10Fusion(seed int64) Table {
 		Title:   "C6 — pose-estimation RMS error: headset vs room array vs fused",
 		Columns: []string{"occlusion", "headset.only", "room.only", "fused", "fused.gain"},
 	}
-	avg := func(useHeadset, useRoom bool, occ float64) float64 {
+	avg := func(useHeadset, useRoom bool, occ float64) (float64, error) {
 		var sum float64
 		const runs = 3
 		for i := int64(0); i < runs; i++ {
-			sum += fusionPoint(seed+i, useHeadset, useRoom, occ)
+			rms, err := fusionPoint(seed+i, useHeadset, useRoom, occ)
+			if err != nil {
+				return 0, err
+			}
+			sum += rms
 		}
-		return sum / runs
+		return sum / runs, nil
 	}
 	for _, occ := range []float64{0.05, 0.5, 0.8, 0.95} {
-		h := avg(true, false, occ)
-		r := avg(false, true, occ)
-		f := avg(true, true, occ)
+		h, err := avg(true, false, occ)
+		var r, f float64
+		if err == nil {
+			r, err = avg(false, true, occ)
+		}
+		if err == nil {
+			f, err = avg(true, true, occ)
+		}
+		if err != nil {
+			t.Notes = append(t.Notes, fmt.Sprintf("%.0f%% failed: %v", occ*100, err))
+			continue
+		}
 		best := h
 		if r < best {
 			best = r

@@ -1,9 +1,9 @@
 // Package geo is the deployment layer that turns the paper's regional-server
 // answer to challenge C2 into a running system: it takes a region.Topology
-// plus a client census, runs the greedy k-center PlaceRelays/Assign
-// placement, and stands up one node.Runtime-backed relay per placed region
-// over the endpoint.Transport API — identically on the deterministic netsim
-// fabric (links derived from the latency matrix) and on real TCP sockets.
+// plus a client census, runs the greedy k-center PlaceRelays placement, and
+// stands up one node.Runtime-backed relay per placed region over the
+// endpoint.Transport API — identically on the deterministic netsim fabric
+// (links derived from the latency matrix) and on real TCP sockets.
 //
 // On top of the static topology it drives live session handoff: Migrate
 // moves a joined client between relays (or between the cloud and a relay)
@@ -36,7 +36,6 @@ import (
 	"metaclass/internal/interest"
 	"metaclass/internal/mathx"
 	"metaclass/internal/metrics"
-	"metaclass/internal/netsim"
 	"metaclass/internal/protocol"
 	"metaclass/internal/region"
 	"metaclass/internal/rig"
@@ -63,12 +62,6 @@ type Config struct {
 	PublishHz float64
 	// Interest is the client fan-out policy (nil = broadcast).
 	Interest *interest.Policy
-	// AccessLink maps a client's one-way backbone latency to its access-path
-	// link model (default AccessLink). Ignored by fabrics that shape nothing.
-	AccessLink func(oneWay time.Duration) netsim.LinkConfig
-	// BackboneLink maps the cloud-relay one-way latency to the provisioned
-	// backbone link model (default BackboneLink).
-	BackboneLink func(oneWay time.Duration) netsim.LinkConfig
 }
 
 // roamHysteresis is how much better (one-way) another server must be before
@@ -81,12 +74,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.PublishHz <= 0 {
 		c.PublishHz = 20
-	}
-	if c.AccessLink == nil {
-		c.AccessLink = AccessLink
-	}
-	if c.BackboneLink == nil {
-		c.BackboneLink = BackboneLink
 	}
 }
 
@@ -248,7 +235,7 @@ func (d *Deployment) Join(id protocol.ParticipantID, reg region.ID) (*Session, e
 	}
 	addr := endpoint.Addr(fmt.Sprintf("geo-vr-%04d", id))
 	// d.relays[""] is nil: the cloud serves until relays are deployed.
-	vr, err := d.rig.Join(id, addr, seatedScript(id), d.relays[served], d.cfg.AccessLink(lat))
+	vr, err := d.rig.Join(id, addr, seatedScript(id), d.relays[served], AccessLink(lat))
 	if err != nil {
 		return nil, err
 	}
@@ -303,7 +290,7 @@ func (d *Deployment) deployRelay(rr region.ID) error {
 	if err != nil {
 		return err
 	}
-	rel, err := d.rig.AddRelay(endpoint.Addr("geo-relay-"+string(rr)), d.cfg.BackboneLink(lat))
+	rel, err := d.rig.AddRelay(endpoint.Addr("geo-relay-"+string(rr)), BackboneLink(lat))
 	if err != nil {
 		return err
 	}
@@ -332,7 +319,7 @@ func (d *Deployment) Migrate(id protocol.ParticipantID, to region.ID) error {
 	if err != nil {
 		return err
 	}
-	if err := d.rig.Handoff(id, d.relays[to], d.cfg.AccessLink(accessLat)); err != nil {
+	if err := d.rig.Handoff(id, d.relays[to], AccessLink(accessLat)); err != nil {
 		return err
 	}
 	s.served = to
@@ -401,7 +388,7 @@ func (d *Deployment) Drain(reg region.ID) error {
 // placement dropped drain. Returns the regions added and retired and how
 // many sessions moved.
 func (d *Deployment) Rebalance(k int) (added, retired []region.ID, moved int, err error) {
-	add, retire, _, err := d.cfg.Topology.Replan(d.RelayRegions(), k, d.census)
+	add, retire, err := d.cfg.Topology.Replan(d.RelayRegions(), k, d.census)
 	if err != nil {
 		return nil, nil, 0, err
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"metaclass/internal/cloud"
+	"metaclass/internal/endpoint"
 	"metaclass/internal/netsim"
 	"metaclass/internal/protocol"
 	"metaclass/internal/region"
@@ -38,17 +39,19 @@ type geoParityPass struct {
 
 // flatLinks makes every path zero-latency and lossless so netsim delivers
 // at the send instant and parity with pumped TCP holds exactly.
-func flatLinks(time.Duration) netsim.LinkConfig { return netsim.LinkConfig{} }
+type flatLinks struct{ rig.Fabric }
+
+func (f flatLinks) Link(a, b endpoint.Addr, _ netsim.LinkConfig) error {
+	return f.Fabric.Link(a, b, netsim.LinkConfig{})
+}
 
 func newGeoParityPass(t *testing.T, sim *vclock.Sim, fab rig.Fabric) *geoParityPass {
 	t.Helper()
-	d, err := New(sim, fab, Config{
-		Topology:     region.GlobalCampus(),
-		CloudRegion:  "hk",
-		TickHz:       30,
-		PublishHz:    30,
-		AccessLink:   flatLinks,
-		BackboneLink: flatLinks,
+	d, err := New(sim, flatLinks{fab}, Config{
+		Topology:    region.GlobalCampus(),
+		CloudRegion: "hk",
+		TickHz:      30,
+		PublishHz:   30,
 	})
 	if err != nil {
 		t.Fatal(err)

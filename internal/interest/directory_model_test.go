@@ -62,7 +62,7 @@ func (s *mapSet) refresh(m *mapGrid, p *Policy, recv protocol.ParticipantID, tic
 	s.seen, s.allowed = m.seated, map[uint32]bool{}
 	for id, slot := range m.slots {
 		dx, dz := m.pos[slot].X-m.pos[at].X, m.pos[slot].Z-m.pos[at].Z
-		if p.tierSq(dx*dx+dz*dz).due(Phase(id), tick) {
+		if tierSq(dx*dx+dz*dz).due(Phase(id), tick) {
 			s.allowed[slot] = true
 		}
 	}
@@ -158,8 +158,7 @@ func (h *directoryModel) refresh() {
 }
 
 // check compares the directory with the map, and every receiver's Allows
-// with its oracle's over five call orders: the set carries its cursor from
-// one order into the next, as it does from one tick's walk into the next.
+// with its oracle's over five call orders.
 func (h *directoryModel) check(step int) {
 	h.t.Helper()
 	g, m := h.g, h.m
@@ -210,14 +209,14 @@ func (h *directoryModel) check(step int) {
 }
 
 // TestSetAllowsMatchesMapModel is the model test for the grid's ID directory
-// and the Set's cursor, with the deleted ID→slot map as the oracle: a seeded
+// and the Set's answers, with the deleted ID→slot map as the oracle: a seeded
 // schedule of joins (fresh slots and recycled ones), moves inside a cell and
 // across cells, leaves, pin churn and refreshes at advancing ticks, and after
 // every step — most of them with the sets stale, so the tenant test carries
 // answers — Allows for an indexed, a pinned and an unindexed receiver over
 // indexed and unindexed IDs in five call orders. Checked to fail when Allows
-// trusts the entry its cursor steps stop on without comparing IDs, and when
-// Remove leaves the directory entry behind.
+// reads the entry seatOf stops on without asking whether it is the ID's, and
+// when Remove leaves the directory entry behind.
 func TestSetAllowsMatchesMapModel(t *testing.T) {
 	h := newDirectoryModel(t, 31)
 	h.refresh()
@@ -255,8 +254,8 @@ func TestSetAllowsMatchesMapModel(t *testing.T) {
 		t.Fatalf("only %d joins took a recycled slot: the schedule does not exercise the tenant test", recycled)
 	}
 
-	// A cursor left at the end of a directory that then loses half its
-	// entries, with no refresh in between: stale in every way it can be.
+	// A walk to the end of a directory that then loses half its entries,
+	// with no refresh in between: stale in every way it can be.
 	t.Run("shrunk under the cursor", func(t *testing.T) {
 		h := newDirectoryModel(t, 37)
 		for _, id := range h.pool {
@@ -269,9 +268,6 @@ func TestSetAllowsMatchesMapModel(t *testing.T) {
 				if got, want := h.sets[r].Allows(h.g, id), h.refs[r].allows(h.m, id); got != want {
 					t.Fatalf("recv %d source %#x: Allows = %v, the map model %v", r, id, got, want)
 				}
-			}
-			if at, end := h.sets[r].next, len(h.g.ids); at != end {
-				t.Fatalf("recv %d: cursor at %d after a walk to the directory's end (%d)", r, at, end)
 			}
 		}
 		for i, id := range h.pool {

@@ -295,23 +295,26 @@ func (t Tier) due(phase, tick uint64) bool {
 	return d != 0 && (tick^phase)&(d-1) == 0
 }
 
+// The tier boundaries in meters: beyond farRadius but inside cullRadius is
+// ambient, and beyond cullRadius a source is dropped entirely.
+const focusRadius, nearRadius, farRadius, cullRadius = 3, 8, 20, 60
+
+// reach holds the squared tier radii in tier order: the table Set.RefreshOwned
+// indexes by a source's trailing-zero count.
+var reach = [4]float64{
+	focusRadius * focusRadius, nearRadius * nearRadius,
+	farRadius * farRadius, cullRadius * cullRadius,
+}
+
 // Policy maps receiver-to-source geometry (and social pins) to tiers.
 type Policy struct {
-	// FocusRadius, NearRadius, FarRadius are the tier boundaries in meters
-	// (defaults 3/8/20). Beyond FarRadius but inside CullRadius is ambient.
-	FocusRadius, NearRadius, FarRadius float64
-	// CullRadius drops sources entirely (default 60).
-	CullRadius float64
 	// Pinned sources (the lecturer, the current speaker) are always focus.
 	Pinned map[protocol.ParticipantID]bool
 }
 
-// NewPolicy returns a policy with classroom-scale defaults.
+// NewPolicy returns a policy with no pins.
 func NewPolicy() *Policy {
-	return &Policy{
-		FocusRadius: 3, NearRadius: 8, FarRadius: 20, CullRadius: 60,
-		Pinned: make(map[protocol.ParticipantID]bool),
-	}
+	return &Policy{Pinned: make(map[protocol.ParticipantID]bool)}
 }
 
 // Pin marks a source as always-focus for every receiver (e.g. the educator:
@@ -336,20 +339,20 @@ func (p *Policy) ClassifySq(source protocol.ParticipantID, distSq float64) Tier 
 	if p.Pinned[source] {
 		return TierFocus
 	}
-	return p.tierSq(distSq)
+	return tierSq(distSq)
 }
 
 // tierSq is the distance half of ClassifySq: the tier of an unpinned source
 // at the given squared distance.
-func (p *Policy) tierSq(distSq float64) Tier {
+func tierSq(distSq float64) Tier {
 	switch {
-	case distSq <= p.FocusRadius*p.FocusRadius:
+	case distSq <= focusRadius*focusRadius:
 		return TierFocus
-	case distSq <= p.NearRadius*p.NearRadius:
+	case distSq <= nearRadius*nearRadius:
 		return TierNear
-	case distSq <= p.FarRadius*p.FarRadius:
+	case distSq <= farRadius*farRadius:
 		return TierFar
-	case distSq <= p.CullRadius*p.CullRadius:
+	case distSq <= cullRadius*cullRadius:
 		return TierAmbient
 	default:
 		return TierCulled
@@ -387,23 +390,17 @@ func ShouldSend(t Tier, source protocol.ParticipantID, tick uint64) bool {
 // sends a source on the ticks where tick^phase ends in at least t zero bits,
 // so a source whose tick^phase ends in z of them (3 or more counting as 3, the
 // slowest tier) is due exactly when some tier 0…z takes its distance — when it
-// stands within the widest of those tiers' radii, and inside the cull radius.
-// That is one compare per neighbour against a four-entry table, and it must
-// agree bit for bit with naming the tier first, one source at a time:
+// stands within reach[z], the widest of those tiers' radii. That is one
+// compare per neighbour against a four-entry table, and it must agree bit for
+// bit with naming the tier first, one source at a time:
 // ShouldSend(p.ClassifySq(id, d²), id, tick). Servers keep one Set per
 // subscribed client.
 //
 // The build asks a set once per tick: AppendRefused lists every source it
 // refuses in one pass over the grid's ascending ID directory. Allows answers
-// one source at a time, the statement AppendRefused is tested against: it
-// steps a cursor a few entries on from the one it answered last and
-// binary-searches for anything the steps do not reach: a first call, a
-// repeated or descending ID, a source the grid does not index, a directory
-// that shrank under the cursor. The entry found is always checked against the
-// ID asked for, so call order decides the speed of an answer and never the
-// answer. The cursor makes Allows a write to the set (to nothing else: the
-// grid is only read): one set's refresh and Allows calls must not run
-// concurrently with each other, while distinct sets still share nothing.
+// one source at a time, the statement AppendRefused is tested against.
+// Neither writes to the set or the grid; a set's refresh must not run
+// concurrently with its answers, while distinct sets share nothing.
 type Set struct {
 	allowed  []uint64 // bit per grid slot
 	allowAll bool
@@ -412,16 +409,7 @@ type Set struct {
 	// seen is Grid.seated at the last rebuild: a slot whose tenant was seated
 	// later was never classified, whatever bit its predecessor left behind.
 	seen uint64
-	// next is the directory index one past the entry Allows last answered
-	// from: where the next source of an ascending walk is expected.
-	next int
 }
-
-// cursorReach is how many directory entries Allows steps over before it
-// gives up on the cursor: enough for the receiver's own entry and the
-// entities a delta walk skips as unchanged, few enough that a jump costs
-// less than the binary search it falls back to.
-const cursorReach = 4
 
 // NewSet returns an empty, ready-to-refresh set.
 func NewSet() *Set { return &Set{} }
@@ -441,14 +429,6 @@ func (s *Set) Reset() { *s = Set{allowed: s.allowed[:0]} }
 // until placed. The receiver itself is never admitted:
 // `Allows(g, recv) == false` is part of the contract, even in
 // admit-everything mode and even when recv is pinned.
-//
-// reach[z] is min(Cull², max(R₀²…R_z²)) over the policy's four radii in tier
-// order, built once per refresh. The running maximum is what makes the table
-// exact for any radii, ordered or not: ClassifySq names the first tier whose
-// radius takes the distance, that tier is among 0…z iff any of those radii
-// takes it, and "any" is "the widest". The minimum keeps the cull gate for a
-// policy whose inner radii exceed it, and a negative cull radius admits
-// nothing because the walk visits nothing.
 func (s *Set) RefreshOwned(g *Grid, p *Policy, recv protocol.ParticipantID, tick uint64) {
 	s.recv = recv
 	if s.tick == tick {
@@ -468,17 +448,11 @@ func (s *Set) RefreshOwned(g *Grid, p *Policy, recv protocol.ParticipantID, tick
 	}
 	s.allowed = s.allowed[:words]
 	clear(s.allowed)
-	var reach [4]float64
-	widest, cull := 0.0, p.CullRadius*p.CullRadius
-	for z, r := range [4]float64{p.FocusRadius, p.NearRadius, p.FarRadius, p.CullRadius} {
-		widest = max(widest, r*r)
-		reach[z] = min(cull, widest)
-	}
 	// Distance alone decides here: a pinned neighbour is force-set below, and
 	// setting bits is order-independent. The walk includes the receiver and
 	// the pinned loop may: Allows answers for recv before it reads a bit.
 	center := g.ents[g.ids[at].slot].pos
-	for slots := range g.occupied(center, p.CullRadius) {
+	for slots := range g.occupied(center, cullRadius) {
 		for _, slot := range slots {
 			e := &g.ents[slot]
 			dx, dz := e.pos.X-center.X, e.pos.Z-center.Z
@@ -509,16 +483,10 @@ func (s *Set) Allows(g *Grid, id protocol.ParticipantID) bool {
 	if s.allowAll {
 		return true
 	}
-	at := s.next
-	for end := at + cursorReach; at < end && at < len(g.ids) && g.ids[at].id < id; at++ {
+	at, indexed := g.seatOf(id)
+	if !indexed {
+		return true
 	}
-	if at >= len(g.ids) || g.ids[at].id != id {
-		var indexed bool
-		if at, indexed = g.seatOf(id); !indexed {
-			return true
-		}
-	}
-	s.next = at + 1
 	e := g.ids[at]
 	if e.born > s.seen {
 		return false

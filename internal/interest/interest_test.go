@@ -371,28 +371,19 @@ func TestClassifySqMatchesClassify(t *testing.T) {
 			t.Fatalf("boundary %v: ClassifySq = %v, Classify = %v", d, got, want)
 		}
 	}
-	// Random radii, including distances engineered to sit on the boundary:
-	// d <= r and d*d <= r*r can round differently in float64, so Classify
-	// must delegate to ClassifySq rather than reimplement the comparison.
-	rng = rand.New(rand.NewSource(12))
-	for i := 0; i < 20000; i++ {
-		q := &Policy{Pinned: map[protocol.ParticipantID]bool{}}
-		q.FocusRadius = rng.Float64() * 10
-		q.NearRadius = q.FocusRadius + rng.Float64()*10
-		q.FarRadius = q.NearRadius + rng.Float64()*20
-		q.CullRadius = q.FarRadius + rng.Float64()*50
-		var d float64
-		switch rng.Intn(3) {
-		case 0:
-			d = rng.Float64() * q.CullRadius * 1.2
-		case 1: // exactly on a boundary
-			d = [4]float64{q.FocusRadius, q.NearRadius, q.FarRadius, q.CullRadius}[rng.Intn(4)]
-		case 2: // one ulp around a boundary
-			b := [4]float64{q.FocusRadius, q.NearRadius, q.FarRadius, q.CullRadius}[rng.Intn(4)]
-			d = math.Nextafter(b, b+float64(rng.Intn(3)-1))
+	// Sixteen ulps either side of every boundary: d <= r and d*d <= r*r can
+	// round differently in float64, so Classify must delegate to ClassifySq
+	// rather than reimplement the comparison.
+	for _, r := range []float64{focusRadius, nearRadius, farRadius, cullRadius} {
+		d := r
+		for range 16 {
+			d = math.Nextafter(d, 0)
 		}
-		if got, want := q.ClassifySq(1, d*d), q.Classify(1, d); got != want {
-			t.Fatalf("policy %+v d=%v: ClassifySq = %v, Classify = %v", q, d, got, want)
+		for range 33 {
+			if got, want := p.ClassifySq(1, d*d), p.Classify(1, d); got != want {
+				t.Fatalf("d=%v near %v: ClassifySq = %v, Classify = %v", d, r, got, want)
+			}
+			d = math.Nextafter(d, math.Inf(1))
 		}
 	}
 }
@@ -546,47 +537,21 @@ func has(w world, id protocol.ParticipantID) bool { _, ok := w[id]; return ok }
 // TestRefreshMatchesPlanForAnyPolicy: the refresh never names a tier — it
 // compares each neighbour's distance with reach[trailing zeros of tick^phase]
 // — so its agreement with the spec (world.plan: ShouldSend of ClassifySq, one
-// source at a time, behind the cull radius the refresh queries with) rests on
-// an argument about the order of the radii. The argument is checked here on
-// seeded random policies beside NewPolicy(): ordered radii, unordered ones
-// (Near < Focus, Far > Cull), equal ones, a zero, a negative CullRadius; with
-// and without pins; sources exactly on every boundary of the receiver at the
+// source at a time) rests on the table. The table is checked here on seeded
+// policies beside NewPolicy(), with and without pins (placed, unplaced, the
+// receiver itself); sources exactly on every boundary of the receiver at the
 // origin (d² == R²); and 16 consecutive ticks, so every residue of tick&7
 // meets every phase class. Checked to fail on two mutations of RefreshOwned:
 //
 //	reach[bits.TrailingZeros64(tick^e.phase)]   // the clamp "| 8" dropped: z exceeds 3
-//	reach[z] = min(cull, r*r)                   // R_z² alone for the running max
+//	g.occupied(center, farRadius)               // the walk stops short of the cull radius
 func TestRefreshMatchesPlanForAnyPolicy(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	radius := func() float64 { return rng.Float64() * 30 }
-	policies := []*Policy{NewPolicy()}
-	for i := 0; i < 240; i++ {
-		p := &Policy{Pinned: map[protocol.ParticipantID]bool{}}
-		r := [4]float64{radius(), radius(), radius(), radius()}
-		switch i % 6 {
-		case 0: // ordered
-			slices.Sort(r[:])
-		case 1: // whatever order they came in
-		case 2: // all equal, or equal in pairs
-			r[1], r[3] = r[0], r[2]
-			if rng.Intn(2) == 0 {
-				r[2] = r[0]
-				r[3] = r[0]
-			}
-		case 3:
-			r[rng.Intn(4)] = 0
-		case 4:
-			r[3] = -r[3] - 1
-		case 5: // Near < Focus and Far > Cull
-			slices.Sort(r[:])
-			r[0], r[1], r[2], r[3] = r[1], r[0], r[3], r[2]
-		}
-		p.FocusRadius, p.NearRadius, p.FarRadius, p.CullRadius = r[0], r[1], r[2], r[3]
-		policies = append(policies, p)
-	}
+	radii := [4]float64{focusRadius, nearRadius, farRadius, cullRadius}
+	span := 1.3 * cullRadius
 	phases, admittedTotal, onBoundary := map[uint64]bool{}, 0, 0
-	for pi, p := range policies {
-		g, w := NewGrid(4), world{}
+	for pi := range 241 {
+		p, g, w := NewPolicy(), NewGrid(4), world{}
 		place := func(pos mathx.Vec3) protocol.ParticipantID {
 			id := protocol.ParticipantID(rng.Intn(1 << 20))
 			for has(w, id) {
@@ -598,14 +563,12 @@ func TestRefreshMatchesPlanForAnyPolicy(t *testing.T) {
 			return id
 		}
 		origin := place(mathx.Vec3{})
-		radii := [4]float64{p.FocusRadius, p.NearRadius, p.FarRadius, p.CullRadius}
 		boundary := map[protocol.ParticipantID]bool{}
 		for _, r := range radii {
 			// From the origin dx is ±r exactly and dz zero, so d² == r².
 			boundary[place(mathx.V3(r, 0, 0))] = true
 			boundary[place(mathx.V3(0, 0, -r))] = true
 		}
-		span := 1.3 * max(math.Abs(radii[0]), math.Abs(radii[1]), math.Abs(radii[2]), math.Abs(radii[3]), 1)
 		recvs := []protocol.ParticipantID{origin}
 		for i := 0; i < 32; i++ {
 			id := place(mathx.V3((rng.Float64()*2-1)*span, rng.Float64()*3, (rng.Float64()*2-1)*span))
@@ -619,15 +582,10 @@ func TestRefreshMatchesPlanForAnyPolicy(t *testing.T) {
 			p.Pin(recvs[1])
 			p.Pin(protocol.ParticipantID(1 << 21)) // never placed
 		}
-		cull := p.CullRadius * p.CullRadius
 		first := uint64(rng.Intn(1 << 30))
 		for tick := first; tick < first+16; tick++ {
 			for _, recv := range recvs {
-				at := w[recv]
-				want := slices.DeleteFunc(w.plan(p, recv, tick), func(id protocol.ParticipantID) bool {
-					dx, dz := w[id].X-at.X, w[id].Z-at.Z
-					return !p.Pinned[id] && !(p.CullRadius >= 0 && dx*dx+dz*dz <= cull)
-				})
+				want := w.plan(p, recv, tick)
 				got := admitted(g, p, recv, tick)
 				if !slices.Equal(got, want) {
 					t.Fatalf("policy %d %+v tick %d recv %d: refresh admits %v, brute force %v", pi, *p, tick, recv, got, want)
@@ -699,7 +657,7 @@ func benchRefreshOwned(b *testing.B, n, wide int, pitch float64) {
 // the refresh: one op is one receiver's filter walk over the venue's 256
 // sources. ascending is the venue's own walk (every ID, in store order),
 // two-thirds the lecture's (in order, every third entity unchanged and never
-// offered), shuffled the binary-search fallback on every call.
+// offered), shuffled no order at all.
 func BenchmarkAllows256(b *testing.B) {
 	g, p, seats := venueGrid(256)
 	s := NewSet()

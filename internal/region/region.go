@@ -4,8 +4,8 @@
 //
 // A Topology is a set of named regions with a pairwise one-way latency
 // matrix, including poor-peering penalties for badly interconnected pairs.
-// PlaceRelays runs greedy k-center over that matrix to choose relay regions;
-// Assign maps each client region to its nearest relay.
+// PlaceRelays runs greedy k-center over that matrix to choose relay regions,
+// and Replan diffs a new placement against the relays deployed.
 package region
 
 import (
@@ -175,56 +175,16 @@ func (t *Topology) PlaceRelays(k int, clientCount map[ID]int) ([]ID, error) {
 	return out, nil
 }
 
-// Assign maps every client region to its lowest-latency relay.
-func (t *Topology) Assign(relays []ID, clientRegions []ID) (map[ID]ID, error) {
-	if len(relays) == 0 {
-		return nil, errors.New("region: no relays to assign to")
-	}
-	ridx := make([]int, len(relays))
-	for i, r := range relays {
-		idx, ok := t.index[r]
-		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrUnknownRegion, r)
-		}
-		ridx[i] = idx
-	}
-	out := make(map[ID]ID, len(clientRegions))
-	for _, c := range clientRegions {
-		ci, ok := t.index[c]
-		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrUnknownRegion, c)
-		}
-		best, bestLat := relays[0], t.lat[ci][ridx[0]]
-		for i := 1; i < len(relays); i++ {
-			if d := t.lat[ci][ridx[i]]; d < bestLat {
-				best, bestLat = relays[i], d
-			}
-		}
-		out[c] = best
-	}
-	return out, nil
-}
-
 // Replan diffs a fresh k-center placement for the given census against the
 // currently deployed relay set: add lists regions that should gain a relay,
-// retire lists deployed relays the new placement drops, and assign maps
-// every census region to its relay under the new placement. Both lists are
+// and retire lists deployed relays the new placement drops. Both lists are
 // sorted ascending, so a deployment layer applying them (stand up adds,
 // migrate clients, drain retires) stays deterministic. A region present in
 // both placements appears in neither list.
-func (t *Topology) Replan(current []ID, k int, census map[ID]int) (add, retire []ID, assign map[ID]ID, err error) {
+func (t *Topology) Replan(current []ID, k int, census map[ID]int) (add, retire []ID, err error) {
 	placed, err := t.PlaceRelays(k, census)
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	regions := make([]ID, 0, len(census))
-	for r := range census {
-		regions = append(regions, r)
-	}
-	sort.Slice(regions, func(i, j int) bool { return regions[i] < regions[j] })
-	assign, err = t.Assign(placed, regions)
-	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	have := make(map[ID]bool, len(current))
 	for _, r := range current {
@@ -244,23 +204,7 @@ func (t *Topology) Replan(current []ID, k int, census map[ID]int) (add, retire [
 	}
 	sort.Slice(add, func(i, j int) bool { return add[i] < add[j] })
 	sort.Slice(retire, func(i, j int) bool { return retire[i] < retire[j] })
-	return add, retire, assign, nil
-}
-
-// WorstClientLatency returns the maximum client-to-assigned-relay one-way
-// latency under an assignment.
-func (t *Topology) WorstClientLatency(assign map[ID]ID) (time.Duration, error) {
-	var worst time.Duration
-	for c, r := range assign {
-		d, err := t.Latency(c, r)
-		if err != nil {
-			return 0, err
-		}
-		if d > worst {
-			worst = d
-		}
-	}
-	return worst, nil
+	return add, retire, nil
 }
 
 // GlobalCampus returns the paper's world: the two HKUST campuses plus the

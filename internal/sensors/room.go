@@ -14,33 +14,26 @@ import (
 type RoomSensorConfig struct {
 	// Position is the sensor mount point in classroom coordinates.
 	Position mathx.Vec3
-	// RateHz is the estimation rate (default 15 — vision pipelines are
-	// slower than headset IMUs).
-	RateHz float64
-	// BaseNoiseStd is the position noise at 1 m distance (default 0.01).
-	// Noise grows linearly with distance.
-	BaseNoiseStd float64
-	// Range is the maximum usable distance (default 12 m).
-	Range float64
 	// OcclusionRate is the probability any given sample is lost to
 	// occlusion by furniture/other participants (default 0.1).
 	OcclusionRate float64
 }
 
-// roomYawNoiseStd is a room sensor's heading estimation noise in radians:
-// body orientation from vision is coarse.
-const roomYawNoiseStd = 0.05
+const (
+	// roomRateHz is a room sensor's estimation rate: vision pipelines are
+	// slower than headset IMUs.
+	roomRateHz = 15
+	// roomBaseNoiseStd is the position noise in meters at 1 m distance;
+	// noise grows linearly with distance.
+	roomBaseNoiseStd = 0.01
+	// roomRange is the maximum usable distance in meters.
+	roomRange = 12
+	// roomYawNoiseStd is a room sensor's heading estimation noise in radians:
+	// body orientation from vision is coarse.
+	roomYawNoiseStd = 0.05
+)
 
 func (c *RoomSensorConfig) applyDefaults() {
-	if c.RateHz <= 0 {
-		c.RateHz = 15
-	}
-	if c.BaseNoiseStd <= 0 {
-		c.BaseNoiseStd = 0.01
-	}
-	if c.Range <= 0 {
-		c.Range = 12
-	}
 	if c.OcclusionRate < 0 {
 		c.OcclusionRate = 0
 	} else if c.OcclusionRate == 0 {
@@ -83,8 +76,7 @@ func (s *RoomSensor) Start() {
 	if s.cancel != nil {
 		return
 	}
-	interval := time.Duration(float64(time.Second) / s.cfg.RateHz)
-	s.cancel = s.sim.Ticker(interval, s.sample)
+	s.cancel = s.sim.Ticker(time.Second/roomRateHz, s.sample)
 }
 
 // Stop halts sampling.
@@ -110,7 +102,7 @@ func (s *RoomSensor) sample() {
 		script := s.targets[pid]
 		truth := script.PoseAt(now)
 		dist := truth.Position.Dist(s.cfg.Position)
-		if dist > s.cfg.Range {
+		if dist > roomRange {
 			s.occluded++
 			continue
 		}
@@ -118,7 +110,7 @@ func (s *RoomSensor) sample() {
 			s.occluded++
 			continue
 		}
-		noise := s.cfg.BaseNoiseStd * math.Max(dist, 1)
+		noise := roomBaseNoiseStd * math.Max(dist, 1)
 		obs := Observation{
 			Kind:     KindRoomSensor,
 			SensorID: fmt.Sprintf("%s/%s", s.id, pid),

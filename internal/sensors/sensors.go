@@ -60,23 +60,22 @@ type ObservationSink func(Observation)
 type HeadsetConfig struct {
 	// RateHz is the tracking sample rate (default 60).
 	RateHz float64
-	// NoiseStd is the per-sample Gaussian position noise in meters
-	// (default 0.005 — five millimeters, inside-out tracking grade).
-	NoiseStd float64
 	// DriftRate is the bias random-walk intensity in m/sqrt(s)
 	// (default 0.002). Drift is what room sensors correct.
 	DriftRate float64
 }
 
-// headsetYawNoiseStd is a headset's heading noise in radians.
-const headsetYawNoiseStd = 0.01
+const (
+	// headsetNoiseStd is the per-sample Gaussian position noise in meters:
+	// five millimeters, inside-out tracking grade.
+	headsetNoiseStd = 0.005
+	// headsetYawNoiseStd is a headset's heading noise in radians.
+	headsetYawNoiseStd = 0.01
+)
 
 func (c *HeadsetConfig) applyDefaults() {
 	if c.RateHz <= 0 {
 		c.RateHz = 60
-	}
-	if c.NoiseStd <= 0 {
-		c.NoiseStd = 0.005
 	}
 	if c.DriftRate < 0 {
 		c.DriftRate = 0
@@ -153,12 +152,12 @@ func (h *Headset) sample() {
 		SensorID: h.id,
 		Time:     now,
 		Position: truth.Position.Add(h.bias).Add(mathx.V3(
-			rng.NormFloat64()*h.cfg.NoiseStd,
-			rng.NormFloat64()*h.cfg.NoiseStd,
-			rng.NormFloat64()*h.cfg.NoiseStd,
+			rng.NormFloat64()*headsetNoiseStd,
+			rng.NormFloat64()*headsetNoiseStd,
+			rng.NormFloat64()*headsetNoiseStd,
 		)),
 		Yaw:       truth.Rotation.Yaw() + rng.NormFloat64()*headsetYawNoiseStd,
-		PosStdDev: h.cfg.NoiseStd + h.bias.Len(), // honest about drift uncertainty
+		PosStdDev: headsetNoiseStd + h.bias.Len(), // honest about drift uncertainty
 	}
 	h.emits++
 	if h.sink != nil {

@@ -37,7 +37,7 @@ func TestHeadsetObservationsNearTruth(t *testing.T) {
 	sim := vclock.New(2)
 	script := trace.Seated{Anchor: mathx.V3(0, 0, 0)}
 	var worst float64
-	h := NewHeadset("p1", sim, script, HeadsetConfig{NoiseStd: 0.005, DriftRate: 0.001}, func(o Observation) {
+	h := NewHeadset("p1", sim, script, HeadsetConfig{DriftRate: 0.001}, func(o Observation) {
 		truth := script.PoseAt(o.Time)
 		if d := o.Position.Dist(truth.Position); d > worst {
 			worst = d
@@ -108,13 +108,13 @@ func TestRoomSensorObservesTrackedOnly(t *testing.T) {
 	sim := vclock.New(6)
 	var got []Observation
 	s := NewRoomSensor("cam0", sim, RoomSensorConfig{
-		Position: mathx.V3(0, 2.5, 0), RateHz: 10, OcclusionRate: 1e-9,
+		Position: mathx.V3(0, 2.5, 0), OcclusionRate: 1e-9,
 	}, func(o Observation) { got = append(got, o) })
 	s.Track("alice", trace.Still{Anchor: mathx.V3(1, 1.2, 1)})
 	s.Start()
 	_ = sim.Run(time.Second)
-	if len(got) != 10 {
-		t.Fatalf("observations = %d, want 10", len(got))
+	if len(got) != roomRateHz {
+		t.Fatalf("observations = %d, want %d", len(got), roomRateHz)
 	}
 	s.Untrack("alice")
 	before := len(got)
@@ -128,7 +128,7 @@ func TestRoomSensorRangeLimit(t *testing.T) {
 	sim := vclock.New(7)
 	count := 0
 	s := NewRoomSensor("cam0", sim, RoomSensorConfig{
-		Position: mathx.V3(0, 2.5, 0), Range: 5, OcclusionRate: 1e-9,
+		Position: mathx.V3(0, 2.5, 0), OcclusionRate: 1e-9,
 	}, func(Observation) { count++ })
 	s.Track("far", trace.Still{Anchor: mathx.V3(100, 1.2, 0)})
 	s.Start()
@@ -145,11 +145,11 @@ func TestRoomSensorOcclusionRate(t *testing.T) {
 	sim := vclock.New(8)
 	count := 0
 	s := NewRoomSensor("cam0", sim, RoomSensorConfig{
-		Position: mathx.V3(0, 2.5, 0), RateHz: 100, OcclusionRate: 0.5,
+		Position: mathx.V3(0, 2.5, 0), OcclusionRate: 0.5,
 	}, func(Observation) { count++ })
 	s.Track("p", trace.Still{Anchor: mathx.V3(1, 1.2, 0)})
 	s.Start()
-	_ = sim.Run(10 * time.Second) // 1000 samples
+	_ = sim.Run(1000 * time.Second / roomRateHz) // 1000 samples
 	if count < 400 || count > 600 {
 		t.Errorf("delivered %d of 1000 at 50%% occlusion", count)
 	}
@@ -159,7 +159,7 @@ func TestRoomSensorNoiseGrowsWithDistance(t *testing.T) {
 	sim := vclock.New(9)
 	var nearStd, farStd float64
 	s := NewRoomSensor("cam0", sim, RoomSensorConfig{
-		Position: mathx.V3(0, 2.5, 0), BaseNoiseStd: 0.01, OcclusionRate: 1e-9,
+		Position: mathx.V3(0, 2.5, 0), OcclusionRate: 1e-9,
 	}, func(o Observation) {
 		switch o.SensorID {
 		case "cam0/near":

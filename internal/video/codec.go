@@ -5,31 +5,16 @@ import (
 	"time"
 )
 
-// CodecConfig parameterizes the synthetic lecture-video encoder. The model
-// follows standard streaming practice: constant FPS, a GOP structure of one
-// keyframe followed by delta frames, keyframes ~5x the mean delta size, and
-// quality a saturating function of bitrate (rate-distortion).
-type CodecConfig struct {
-	// FPS is frames per second (default 30).
-	FPS float64
-	// BitrateBps is the target video bitrate in bits per second
-	// (default 2 Mbps — 720p lecture capture).
-	BitrateBps float64
-	// GOP is the keyframe interval in frames (default 30, one per second).
-	GOP int
-}
-
-func (c *CodecConfig) applyDefaults() {
-	if c.FPS <= 0 {
-		c.FPS = 30
-	}
-	if c.BitrateBps <= 0 {
-		c.BitrateBps = 2e6
-	}
-	if c.GOP <= 0 {
-		c.GOP = 30
-	}
-}
+// The synthetic lecture-video encoder follows standard streaming practice:
+// constant FPS, a GOP structure of one keyframe followed by delta frames,
+// keyframes ~5x the mean delta size, and quality a saturating function of
+// bitrate (rate-distortion).
+const (
+	fps = 30 // frames per second
+	gop = 30 // keyframe interval in frames: one a second
+	// startBitrateBps is a new encoder's target: 720p lecture capture.
+	startBitrateBps = 2e6
+)
 
 // keyframeWeight is the size ratio of keyframes to delta frames.
 const keyframeWeight = 5.0
@@ -42,35 +27,25 @@ type Frame struct {
 	Data       []byte
 }
 
-// Encoder produces synthetic frames whose sizes realize the configured
-// bitrate with the GOP structure. Frame payloads are deterministic filler
-// (the sync system treats them as opaque), sized so that bandwidth and FEC
-// behavior match a real encoder's output.
+// Encoder produces synthetic frames whose sizes realize its target bitrate
+// with the GOP structure. Frame payloads are deterministic filler (the sync
+// system treats them as opaque), sized so that bandwidth and FEC behavior
+// match a real encoder's output.
 type Encoder struct {
-	cfg  CodecConfig
-	next uint32
+	// bitrateBps is the target video bitrate in bits per second; the
+	// adaptive controller moves it between frames.
+	bitrateBps float64
+	next       uint32
 }
 
-// NewEncoder creates an encoder.
-func NewEncoder(cfg CodecConfig) *Encoder {
-	cfg.applyDefaults()
-	return &Encoder{cfg: cfg}
-}
-
-// Config returns the effective configuration.
-func (e *Encoder) Config() CodecConfig { return e.cfg }
-
-// FrameInterval returns the time between frames.
-func (e *Encoder) FrameInterval() time.Duration {
-	return time.Duration(float64(time.Second) / e.cfg.FPS)
-}
+// NewEncoder creates an encoder targeting 2 Mbps.
+func NewEncoder() *Encoder { return &Encoder{bitrateBps: startBitrateBps} }
 
 // frame sizes: per GOP of g frames, 1 keyframe of weight w and g-1 deltas of
 // weight 1 must sum to bitrate/fps*g bits. delta = total / (w + g - 1).
 func (e *Encoder) deltaSize() int {
-	g := float64(e.cfg.GOP)
-	bytesPerGOP := e.cfg.BitrateBps / 8 / e.cfg.FPS * g
-	d := bytesPerGOP / (keyframeWeight + g - 1)
+	bytesPerGOP := e.bitrateBps / 8 / fps * gop
+	d := bytesPerGOP / (keyframeWeight + gop - 1)
 	if d < 64 {
 		d = 64
 	}
@@ -81,7 +56,7 @@ func (e *Encoder) deltaSize() int {
 func (e *Encoder) NextFrame(now time.Duration) Frame {
 	id := e.next
 	e.next++
-	key := int(id)%e.cfg.GOP == 0
+	key := id%gop == 0
 	size := e.deltaSize()
 	if key {
 		size = int(float64(size) * keyframeWeight)

@@ -89,7 +89,7 @@ type Sender struct {
 func NewSender(sim *vclock.Sim, cfg StreamConfig, send func(*protocol.VideoChunk)) *Sender {
 	cfg.applyDefaults()
 	s := &Sender{
-		sim: sim, cfg: cfg, enc: NewEncoder(CodecConfig{}), send: send,
+		sim: sim, cfg: cfg, enc: NewEncoder(), send: send,
 		rsCache: make(map[[2]int]*RS),
 		pending: make(map[uint32][][]byte),
 	}
@@ -110,7 +110,7 @@ func (s *Sender) Start() {
 	if s.cancel != nil {
 		return
 	}
-	s.cancel = s.sim.Ticker(s.enc.FrameInterval(), s.emitFrame)
+	s.cancel = s.sim.Ticker(time.Second/fps, s.emitFrame)
 }
 
 // Stop halts emission.
@@ -215,11 +215,7 @@ func (s *Sender) ReportNetwork(loss float64, rtt time.Duration) {
 	plan := Controller{}.Decide(loss, rtt, playoutDeadline)
 	s.parity = plan.Parity
 	s.useARQ = plan.UseARQ
-	if s.enc.cfg.BitrateBps != plan.BitrateBps {
-		cfg := s.enc.cfg
-		cfg.BitrateBps = plan.BitrateBps
-		s.enc = &Encoder{cfg: cfg, next: s.enc.next}
-	}
+	s.enc.bitrateBps = plan.BitrateBps
 }
 
 // SenderStats reports sender-side accounting.
@@ -236,7 +232,7 @@ type SenderStats struct {
 func (s *Sender) Stats() SenderStats {
 	return SenderStats{
 		FramesSent: s.framesSent, ChunksSent: s.chunksSent, BytesSent: s.bytesSent,
-		Retransmits: s.retransmits, Parity: s.parity, BitrateBps: s.enc.cfg.BitrateBps,
+		Retransmits: s.retransmits, Parity: s.parity, BitrateBps: s.enc.bitrateBps,
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 func TestEncoderRealizesBitrate(t *testing.T) {
-	enc := NewEncoder(CodecConfig{FPS: 30, BitrateBps: 2e6, GOP: 30})
+	enc := NewEncoder()
 	var bytes int
 	const frames = 300 // 10 seconds
 	for i := 0; i < frames; i++ {
@@ -31,7 +31,7 @@ func TestEncoderRealizesBitrate(t *testing.T) {
 }
 
 func TestEncoderKeyframesLarger(t *testing.T) {
-	enc := NewEncoder(CodecConfig{})
+	enc := NewEncoder()
 	key := enc.NextFrame(0)
 	delta := enc.NextFrame(33 * time.Millisecond)
 	if !key.Keyframe || delta.Keyframe {

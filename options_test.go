@@ -11,6 +11,7 @@ import (
 	"metaclass/internal/edge"
 	"metaclass/internal/endpoint"
 	"metaclass/internal/geo"
+	"metaclass/internal/interest"
 	"metaclass/internal/netsim"
 	"metaclass/internal/node"
 	"metaclass/internal/render"
@@ -38,14 +39,14 @@ func TestOptionCensus(t *testing.T) {
 		{core.ReplConfig{}, 1},
 		{edge.Config{}, 3},
 		{endpoint.Config{}, 3},
-		{geo.Config{}, 7},
+		{geo.Config{}, 5},
+		{interest.Policy{}, 1},
 		{netsim.LinkConfig{}, 5},
 		{node.Config{}, 2},
 		{render.PipelineConfig{}, 1},
 		{rig.Config{}, 3},
-		{sensors.HeadsetConfig{}, 3},
-		{sensors.RoomSensorConfig{}, 5},
-		{video.CodecConfig{}, 3},
+		{sensors.HeadsetConfig{}, 2},
+		{sensors.RoomSensorConfig{}, 2},
 		{video.StreamConfig{}, 4},
 	} {
 		typ := reflect.TypeOf(c.cfg)
