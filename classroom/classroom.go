@@ -79,12 +79,6 @@ type Config struct {
 	VRPitch        float64
 }
 
-func (c *Config) applyDefaults() {
-	if c.TickHz <= 0 {
-		c.TickHz = 30
-	}
-}
-
 // Deployment is a running Metaverse classroom installation: campuses with
 // their sensing, names and IDs, on the simulated fabric. The rig stands every
 // node and link up, hands sessions off, starts and tears down.
@@ -101,7 +95,6 @@ type Deployment struct {
 
 // NewDeployment creates a deployment with a cloud VR server already up.
 func NewDeployment(cfg Config) (*Deployment, error) {
-	cfg.applyDefaults()
 	sim := vclock.New(cfg.Seed)
 	net := netsim.New(sim)
 	// One policy for cloud, relays and edges (nil = interest management off).

@@ -24,7 +24,7 @@ func newCloud(t *testing.T, sim *vclock.Sim, net *netsim.Network, pol *interest.
 	return s
 }
 
-func addClientHost(t *testing.T, net *netsim.Network, addr netsim.Addr, h netsim.Handler) {
+func addClientHost(t *testing.T, net *netsim.Network, addr netsim.Addr, h endpoint.Receiver) {
 	t.Helper()
 	if err := net.AddHost(addr, h); err != nil {
 		t.Fatal(err)

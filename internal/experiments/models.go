@@ -124,15 +124,19 @@ func runVideoPoint(seed int64, strat video.Strategy, link netsim.LinkConfig) (vi
 		}
 	}
 	receiver = video.NewReceiver(sim, cfg, nack)
+	// Each host decodes with its own Decoder. Neither handler keeps the
+	// message: what the receiver keeps (VideoChunk.Data) and what the sender
+	// reads (Nack.Missing) are copies.
+	var rxDec, txDec protocol.Decoder
 	_ = net.Bind("rx", netsim.HandlerFunc(func(_ netsim.Addr, payload []byte) {
-		if msg, _, err := protocol.Decode(payload); err == nil {
+		if msg, _, err := rxDec.Decode(payload); err == nil {
 			if c, ok := msg.(*protocol.VideoChunk); ok {
 				receiver.HandleChunk(c)
 			}
 		}
 	}))
 	_ = net.Bind("tx", netsim.HandlerFunc(func(_ netsim.Addr, payload []byte) {
-		if msg, _, err := protocol.Decode(payload); err == nil {
+		if msg, _, err := txDec.Decode(payload); err == nil {
 			if n, ok := msg.(*protocol.Nack); ok {
 				sender.HandleNack(n)
 			}

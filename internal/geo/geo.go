@@ -68,15 +68,6 @@ type Config struct {
 // Roam migrates a session to it (see package doc).
 const roamHysteresis = 15 * time.Millisecond
 
-func (c *Config) applyDefaults() {
-	if c.TickHz <= 0 {
-		c.TickHz = 30
-	}
-	if c.PublishHz <= 0 {
-		c.PublishHz = 20
-	}
-}
-
 // seatedScript is a session's motion: seated, anchored by ID so no two
 // sessions overlap.
 func seatedScript(id protocol.ParticipantID) trace.MotionScript {
@@ -121,7 +112,6 @@ type Deployment struct {
 // New creates a deployment: the cloud comes up immediately (address
 // "geo-cloud"); relays are placed later via Deploy or Rebalance.
 func New(sim *vclock.Sim, fab rig.Fabric, cfg Config) (*Deployment, error) {
-	cfg.applyDefaults()
 	if cfg.Topology == nil {
 		return nil, errors.New("geo: Config.Topology is required")
 	}

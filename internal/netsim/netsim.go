@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"time"
 
+	"metaclass/internal/endpoint"
 	"metaclass/internal/metrics"
 	"metaclass/internal/protocol"
 	"metaclass/internal/vclock"
@@ -34,33 +35,17 @@ var (
 	ErrNetworkClosed = errors.New("netsim: network closed")
 )
 
-// Addr identifies a simulated host.
-type Addr string
+// Addr identifies a simulated host: the endpoint address itself, so nodes
+// and the fabric name hosts with one type.
+type Addr = endpoint.Addr
 
-// Handler receives messages delivered to a host. from is the sending host;
-// payload is the delivered frame's bytes, borrowed for the duration of the
-// call: the frame is recycled as soon as the handler returns, so a handler
-// that wants to keep bytes must copy them (e.g. into a protocol.CopyFrame).
-type Handler interface {
-	HandleMessage(from Addr, payload []byte)
-}
-
-// HandlerFunc adapts a function to the Handler interface.
+// HandlerFunc adapts a function to endpoint.Receiver. payload is borrowed for
+// the duration of the call: the frame is recycled as soon as the function
+// returns, so a handler that wants to keep bytes must copy them.
 type HandlerFunc func(from Addr, payload []byte)
 
-// HandleMessage implements Handler.
-func (f HandlerFunc) HandleMessage(from Addr, payload []byte) { f(from, payload) }
-
-// FrameHandler is an optional extension of Handler for receivers that want
-// the refcounted frame behind a delivery (the retainable receive-frame
-// handle). The frame is borrowed for the duration of the call — the network
-// still releases its delivery reference when the handler returns — so a
-// handler that wants to keep or forward the bytes zero-copy must Retain the
-// frame and release its own reference later.
-type FrameHandler interface {
-	Handler
-	HandleFrame(from Addr, f *protocol.Frame)
-}
+// Receive implements endpoint.Receiver.
+func (f HandlerFunc) Receive(from Addr, payload []byte) { f(from, payload) }
 
 // LinkConfig describes one direction of a point-to-point path.
 type LinkConfig struct {
@@ -109,17 +94,17 @@ type link struct {
 }
 
 type host struct {
-	addr    Addr
-	handler Handler
-	// frameHandler is handler's FrameHandler view, asserted once at Bind so
-	// the per-delivery dispatch is a nil check, not a type switch.
-	frameHandler FrameHandler
-	links        map[Addr]*link // destination -> link
+	addr Addr
+	recv endpoint.Receiver
+	// frames is recv's FrameReceiver view, asserted once at bind so the
+	// per-delivery dispatch is a nil check, not a type switch.
+	frames endpoint.FrameReceiver
+	links  map[Addr]*link // destination -> link
 }
 
-func (h *host) bind(hd Handler) {
-	h.handler = hd
-	h.frameHandler, _ = hd.(FrameHandler)
+func (h *host) bind(r endpoint.Receiver) {
+	h.recv = r
+	h.frames, _ = r.(endpoint.FrameReceiver)
 }
 
 // delivery is the in-flight state of one SendFrame, recycled through the
@@ -131,7 +116,7 @@ type delivery struct {
 	src Addr
 	dst Addr
 	// frame holds the message. The delivery holds one reference, taken at
-	// frameGen, and releases it after the handler returns — or without
+	// frameGen, and releases it after the receiver returns — or without
 	// delivering when the delivery is cancelled (host removal, link removal,
 	// network close).
 	frame    *protocol.Frame
@@ -158,8 +143,8 @@ func runDelivery(a any) {
 		d.l.queued -= d.size
 	}
 	n.deliver(d.src, d.dst, d.frame, d.sentAt)
-	// The handler has returned (or the destination is gone): the delivery's
-	// reference — and with it the bytes — goes back. A handler that retained
+	// The receiver has returned (or the destination is gone): the delivery's
+	// reference — and with it the bytes — goes back. A receiver that retained
 	// the frame keeps it alive past this point.
 	d.frame.ReleaseGen(d.frameGen)
 	n.recycle(d)
@@ -184,7 +169,7 @@ func (n *Network) recycle(d *delivery) {
 // cancel reclaims one in-flight delivery without delivering it: the timer
 // event comes off the heap, the link's serialization queue is credited, and
 // the frame reference is released — exactly the once the SendFrame contract
-// owes. The destination handler is never invoked.
+// owes. The destination receiver is never invoked.
 func (n *Network) cancel(d *delivery) {
 	n.sim.Cancel(d.timer)
 	n.untrack(d)
@@ -232,25 +217,25 @@ func New(sim *vclock.Sim) *Network {
 	return &Network{sim: sim, hosts: make(map[Addr]*host)}
 }
 
-// AddHost registers a host. The handler may be nil and set later with Bind
-// (messages delivered to a nil handler are counted and discarded).
-func (n *Network) AddHost(addr Addr, h Handler) error {
+// AddHost registers a host. The receiver may be nil and set later with Bind
+// (messages delivered to a nil receiver are discarded).
+func (n *Network) AddHost(addr Addr, r endpoint.Receiver) error {
 	if _, ok := n.hosts[addr]; ok {
 		return fmt.Errorf("%w: %s", ErrHostExists, addr)
 	}
 	hst := &host{addr: addr, links: make(map[Addr]*link)}
-	hst.bind(h)
+	hst.bind(r)
 	n.hosts[addr] = hst
 	return nil
 }
 
-// Bind sets or replaces the handler for addr.
-func (n *Network) Bind(addr Addr, h Handler) error {
+// Bind sets or replaces the receiver for addr.
+func (n *Network) Bind(addr Addr, r endpoint.Receiver) error {
 	hst, ok := n.hosts[addr]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownHost, addr)
 	}
-	hst.bind(h)
+	hst.bind(r)
 	return nil
 }
 
@@ -400,23 +385,23 @@ func (n *Network) SendFrame(src, dst Addr, f *protocol.Frame) error {
 	return nil
 }
 
-// deliver hands f to dst's handler: HandleFrame for a FrameHandler, the
-// frame's bytes to HandleMessage otherwise.
+// deliver hands f to dst's receiver: ReceiveFrame for a FrameReceiver, the
+// frame's bytes to Receive otherwise. Either way f is borrowed for the call.
 func (n *Network) deliver(src, dst Addr, f *protocol.Frame, sentAt time.Duration) {
 	if n.closed {
 		return
 	}
 	d, ok := n.hosts[dst]
-	if !ok || d.handler == nil {
+	if !ok || d.recv == nil {
 		return
 	}
 	n.delivered.Inc()
 	n.latency.Observe(n.sim.Now() - sentAt)
-	if d.frameHandler != nil {
-		d.frameHandler.HandleFrame(src, f)
+	if d.frames != nil {
+		d.frames.ReceiveFrame(src, f)
 		return
 	}
-	d.handler.HandleMessage(src, f.Bytes())
+	d.recv.Receive(src, f.Bytes())
 }
 
 // retire folds a link's drop/byte counters into the network-level retired
@@ -431,7 +416,7 @@ func (n *Network) retire(l *link) {
 // it: every link to or from the host is deleted (their aggregate counters are
 // folded into the network totals), and every delivery still in flight *to*
 // the host is cancelled — its frame reference released exactly once, per the
-// SendFrame contract, without invoking the stale handler. Traffic the host
+// SendFrame contract, without invoking the stale receiver. Traffic the host
 // already put on the wire toward live destinations still arrives. The
 // address may be re-registered with AddHost afterwards; no ghost links
 // survive the removal.
@@ -458,7 +443,7 @@ func (n *Network) RemoveHost(addr Addr) error {
 }
 
 // Disconnect removes the unidirectional src->dst link, cancelling any
-// deliveries still in flight on it (frames released exactly once, handlers
+// deliveries still in flight on it (frames released exactly once, receivers
 // not invoked) and folding the link's counters into the network totals.
 func (n *Network) Disconnect(src, dst Addr) error {
 	s, ok := n.hosts[src]

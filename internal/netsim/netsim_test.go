@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"metaclass/internal/endpoint"
 	"metaclass/internal/protocol"
 	"metaclass/internal/vclock"
 )
@@ -22,7 +23,7 @@ type capture struct {
 	sim     *vclock.Sim
 }
 
-func (c *capture) HandleMessage(from Addr, payload []byte) {
+func (c *capture) Receive(from Addr, payload []byte) {
 	c.from = append(c.from, from)
 	c.payload = append(c.payload, payload)
 	c.at = append(c.at, c.sim.Now())
@@ -370,7 +371,7 @@ func TestDegraded(t *testing.T) {
 	}
 }
 
-func mustAdd(t *testing.T, n *Network, addr Addr, h Handler) {
+func mustAdd(t *testing.T, n *Network, addr Addr, h endpoint.Receiver) {
 	t.Helper()
 	if err := n.AddHost(addr, h); err != nil {
 		t.Fatal(err)
@@ -388,5 +389,67 @@ func BenchmarkSendDeliver(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = n.SendFrame("a", "b", protocol.CopyFrame(payload))
 		sim.Step()
+	}
+}
+
+// frameRecorder is an endpoint.FrameReceiver that retains every frame it is
+// handed, so the test can check it got the delivered frame itself.
+type frameRecorder struct {
+	frames []*protocol.Frame
+}
+
+func (r *frameRecorder) Receive(Addr, []byte) { panic("frame receiver handed bytes") }
+
+func (r *frameRecorder) ReceiveFrame(_ Addr, f *protocol.Frame) {
+	f.Retain()
+	r.frames = append(r.frames, f)
+}
+
+// TestDeliverToReceiverAndFrameReceiver binds a plain receiver and a frame
+// receiver on one network: the first gets borrowed bytes, the second the
+// frame behind them, and once the retained frames go back no frame is live.
+func TestDeliverToReceiverAndFrameReceiver(t *testing.T) {
+	live0 := protocol.LiveFrames()
+	sim, n := newNet(t)
+	var got [][]byte
+	mustAdd(t, n, "src", nil)
+	mustAdd(t, n, "bytes", HandlerFunc(func(from Addr, payload []byte) {
+		if from != "src" {
+			t.Errorf("bytes receiver: from %q", from)
+		}
+		got = append(got, append([]byte(nil), payload...))
+	}))
+	frames := &frameRecorder{}
+	mustAdd(t, n, "frames", frames)
+	for _, dst := range []Addr{"bytes", "frames"} {
+		if err := n.Connect("src", dst, LinkConfig{Latency: time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := byte(1); i <= 3; i++ {
+		for _, dst := range []Addr{"bytes", "frames"} {
+			if err := n.SendFrame("src", dst, protocol.CopyFrame([]byte{i, i})); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := sim.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 || len(frames.frames) != 3 {
+		t.Fatalf("bytes receiver got %d payloads, frame receiver %d frames; want 3 each", len(got), len(frames.frames))
+	}
+	for i := range 3 {
+		want := []byte{byte(i + 1), byte(i + 1)}
+		if string(got[i]) != string(want) {
+			t.Errorf("payload %d = %v, want %v", i, got[i], want)
+		}
+		if b := frames.frames[i].Bytes(); string(b) != string(want) {
+			t.Errorf("frame %d = %v, want %v", i, b, want)
+		}
+		frames.frames[i].Release()
+	}
+	if live := protocol.LiveFrames(); live != live0 {
+		t.Fatalf("%d frames live after delivery", live-live0)
 	}
 }

@@ -354,35 +354,18 @@ func (r *Runtime) RemoveEntity(id protocol.ParticipantID) {
 // passively registered).
 func (r *Runtime) ClientCount() int { return len(r.clients) }
 
-// RetargetClient updates a client's address without touching its replication
-// state: the table entry (and, for replicated clients, the byAddr lookup and
-// the replicator peer key) move to the new address. Session handoff uses it
-// on the node that keeps serving the client when only the route changed —
-// e.g. the cloud retargeting a relay-routed learner to its new relay.
-//
-// For replicated clients the replicator peer is re-keyed by baseline
-// export/re-add/import, so the interest set, ack floor, and owed debt all
-// survive the rename; only the peer's pooled scratch is re-acquired.
+// RetargetClient moves a client this node registered without replicating to
+// it (RegisterClient) to a new route: the cloud retargeting a relay-routed
+// learner to its new relay on a relay-to-relay handoff. A replicated client
+// is refused: its address keys its replicator peer, so moving it is a new
+// registration (RemoveClient, AddClient, ImportClientBaseline).
 func (r *Runtime) RetargetClient(id protocol.ParticipantID, addr endpoint.Addr) error {
 	c, ok := r.clients[id]
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownClient, id)
 	}
-	if c.Addr == addr {
-		return nil
-	}
 	if c.Replicated {
-		b, err := r.repl.ExportBaseline(string(c.Addr))
-		if err != nil {
-			return err
-		}
-		if err := r.repl.AddPeerRefusing(string(addr), c.refused); err != nil {
-			return err
-		}
-		_ = r.repl.RemovePeer(string(c.Addr))
-		_ = r.repl.ImportBaseline(string(addr), b)
-		delete(r.byAddr, c.Addr)
-		r.byAddr[addr] = c
+		return fmt.Errorf("node: client %d is replicated here; only a relay-routed client is retargeted", id)
 	}
 	c.Addr = addr
 	return nil

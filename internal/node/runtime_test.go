@@ -1,6 +1,7 @@
 package node
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -76,6 +77,40 @@ func TestRuntimeClientLifecycle(t *testing.T) {
 	}
 	if rt.ClientCount() != 0 {
 		t.Fatalf("ClientCount = %d after removals", rt.ClientCount())
+	}
+}
+
+// TestRetargetClientMovesOnlyRoutedClients: a relay-routed registration
+// moves to its new route; a replicated client is refused and keeps its
+// address and its replicator peer.
+func TestRetargetClientMovesOnlyRoutedClients(t *testing.T) {
+	rt, _ := newRuntime(t, Config{Interest: interest.NewPolicy()})
+	if err := rt.RegisterClient(2, "relay-a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.RetargetClient(2, "relay-b"); err != nil {
+		t.Fatal(err)
+	}
+	if c, _ := rt.Client(2); c.Addr != "relay-b" {
+		t.Fatalf("routed client at %q after retarget, want relay-b", c.Addr)
+	}
+	if err := rt.AddClient(1, "c1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.RetargetClient(1, "c2"); err == nil {
+		t.Fatal("retargeting a replicated client succeeded")
+	}
+	if c, _ := rt.Client(1); c.Addr != "c1" {
+		t.Fatalf("replicated client at %q after a refused retarget", c.Addr)
+	}
+	if !rt.Replicator().HasPeer("c1") || rt.Replicator().HasPeer("c2") {
+		t.Fatal("a refused retarget moved the replicator peer")
+	}
+	if _, ok := rt.ClientByAddr("c1"); !ok {
+		t.Fatal("a refused retarget moved the address lookup")
+	}
+	if err := rt.RetargetClient(9, "x"); !errors.Is(err, ErrUnknownClient) {
+		t.Fatalf("unknown client: %v, want ErrUnknownClient", err)
 	}
 }
 

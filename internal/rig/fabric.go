@@ -48,21 +48,21 @@ type NetsimFabric struct {
 
 // Transport returns the simulated host's endpoint (registered on first Bind).
 func (f *NetsimFabric) Transport(name endpoint.Addr) (endpoint.Transport, error) {
-	if f.Net.HasHost(netsim.Addr(name)) {
+	if f.Net.HasHost(name) {
 		return nil, fmt.Errorf("%w: %s", ErrAddrInUse, name)
 	}
-	return f.Net.Endpoint(netsim.Addr(name)), nil
+	return f.Net.Endpoint(name), nil
 }
 
 // Link connects both directions of a<->b.
 func (f *NetsimFabric) Link(a, b endpoint.Addr, cfg netsim.LinkConfig) error {
-	return f.Net.ConnectBoth(netsim.Addr(a), netsim.Addr(b), cfg)
+	return f.Net.ConnectBoth(a, b, cfg)
 }
 
 // Unlink disconnects both directions, cancelling in-flight deliveries.
 // Directions that do not exist are skipped.
 func (f *NetsimFabric) Unlink(a, b endpoint.Addr) error {
-	for _, dir := range [2][2]netsim.Addr{{netsim.Addr(a), netsim.Addr(b)}, {netsim.Addr(b), netsim.Addr(a)}} {
+	for _, dir := range [2][2]endpoint.Addr{{a, b}, {b, a}} {
 		if _, err := f.Net.LinkConfigOf(dir[0], dir[1]); err != nil {
 			continue
 		}
@@ -75,10 +75,10 @@ func (f *NetsimFabric) Unlink(a, b endpoint.Addr) error {
 
 // Remove reclaims the host: links retired, in-flight deliveries cancelled.
 func (f *NetsimFabric) Remove(name endpoint.Addr) error {
-	if !f.Net.HasHost(netsim.Addr(name)) {
+	if !f.Net.HasHost(name) {
 		return nil // never bound (or already removed): nothing to reclaim
 	}
-	return f.Net.RemoveHost(netsim.Addr(name))
+	return f.Net.RemoveHost(name)
 }
 
 // TCPFabric is the real-socket Fabric: every Transport is a

@@ -28,9 +28,10 @@ var ErrFrameTooLarge = errors.New("transport: frame exceeds MaxFrame")
 // Conn is a message-oriented connection. Reads must come from a single
 // goroutine; writes are internally serialized and safe from any goroutine.
 type Conn struct {
-	c  net.Conn
-	r  *bufio.Reader
-	mu sync.Mutex // guards writes and the pending batch
+	c   net.Conn
+	r   *bufio.Reader
+	dec protocol.Decoder // ReadMessage's; reads come from one goroutine
+	mu  sync.Mutex       // guards writes and the pending batch
 
 	// pending is the queued write batch: refcounted frames whose bytes may be
 	// shared with other holders (a forwarded receive frame, in-flight sends)
@@ -121,16 +122,17 @@ func (c *Conn) releasePendingLocked() {
 	c.pending = c.pending[:0]
 }
 
-// ReadMessage blocks for the next message and decodes it into a freshly
-// allocated value (its byte fields are copies, so it outlives the frame).
-// io.EOF signals a clean close.
+// ReadMessage blocks for the next message and decodes it with the Conn's
+// Decoder: the message is valid until the next ReadMessage, so a caller
+// consumes it (or copies what it keeps) before reading again. Its byte
+// fields are copies and outlive both. io.EOF signals a clean close.
 func (c *Conn) ReadMessage() (protocol.Message, error) {
 	f, err := c.ReadFrame()
 	if err != nil {
 		return nil, err
 	}
 	defer f.Release()
-	msg, _, err := protocol.Decode(f.Bytes())
+	msg, _, err := c.dec.Decode(f.Bytes())
 	return msg, err
 }
 

@@ -21,8 +21,18 @@ var ErrUnknownPeer = errors.New("transport: no connection to peer")
 // this long and no longer.
 const handshakeWait = 5 * time.Second
 
-// inbound is one received frame queued for dispatch. The frame holds the
-// payload bytes; Pump releases it after the receiver returns.
+// acceptBackoffMin and acceptBackoffMax bound the wait after a failed Accept
+// (EMFILE when descriptors run out): it starts at the minimum, doubles on
+// each further failure up to the maximum, and resets after an accept.
+const (
+	acceptBackoffMin = 5 * time.Millisecond
+	acceptBackoffMax = time.Second
+)
+
+// inbound is one entry queued for dispatch: a received frame, which Pump
+// releases after the receiver returns, or — with a nil frame — the departure
+// of the peer whose connection died, queued by its read loop behind the last
+// frame it read.
 type inbound struct {
 	from  endpoint.Addr
 	frame *protocol.Frame
@@ -67,20 +77,12 @@ type Endpoint struct {
 	batching     bool
 	dirty        map[endpoint.Addr]*Conn
 	flushScratch []flushEntry
+	onGone       func(endpoint.Addr) // OnPeerGone's handler
 
 	inbox     chan inbound
 	done      chan struct{}
 	wg        sync.WaitGroup
 	closeOnce sync.Once
-
-	// gone queues the addresses of registered peers whose connections died,
-	// drained by Pump (after the dead peer's already-received frames) on the
-	// owning goroutine — never from the read loop that observed the error —
-	// so teardown stays on the single-threaded node path.
-	goneMu      sync.Mutex
-	gone        []endpoint.Addr
-	goneScratch []endpoint.Addr
-	onGone      func(endpoint.Addr)
 }
 
 // ListenEndpoint binds a TCP listener (tcpAddr, e.g. "127.0.0.1:0") and
@@ -102,6 +104,11 @@ func listen(name endpoint.Addr, tcpAddr string, anon bool) (*Endpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", tcpAddr, err)
 	}
+	return serve(name, ln, anon), nil
+}
+
+// serve returns the endpoint named name accepting on ln.
+func serve(name endpoint.Addr, ln net.Listener, anon bool) *Endpoint {
 	e := &Endpoint{
 		addr:   name,
 		ln:     ln,
@@ -115,7 +122,7 @@ func listen(name endpoint.Addr, tcpAddr string, anon bool) (*Endpoint, error) {
 	}
 	e.wg.Add(1)
 	go e.acceptLoop()
-	return e, nil
+	return e
 }
 
 // TCPAddr returns the bound listen address (for peers to dial).
@@ -169,19 +176,26 @@ func (e *Endpoint) track(c *Conn) bool {
 
 func (e *Endpoint) acceptLoop() {
 	defer e.wg.Done()
+	var backoff time.Duration
 	for {
 		nc, err := e.ln.Accept()
 		if err != nil {
-			select {
-			case <-e.done:
-				return
-			default:
-			}
 			if errors.Is(err, net.ErrClosed) {
 				return
 			}
+			// Retrying at once would spin on a persistent failure and hold
+			// a core the serving goroutine needs; Close ends the wait.
+			backoff = min(max(2*backoff, acceptBackoffMin), acceptBackoffMax)
+			t := time.NewTimer(backoff)
+			select {
+			case <-e.done:
+				t.Stop()
+				return
+			case <-t.C:
+			}
 			continue
 		}
+		backoff = 0
 		c := NewConn(nc)
 		if !e.track(c) {
 			_ = c.Close()
@@ -236,8 +250,7 @@ func (e *Endpoint) handshake(c *Conn) {
 	}
 	e.register(endpoint.Addr(hello.Name), c)
 	if err := c.WriteMessage(&protocol.HelloAck{}); err != nil {
-		e.dropConn(endpoint.Addr(hello.Name), c)
-		return
+		_ = c.Close() // the read loop fails at once and drops the conn
 	}
 	e.readLoop(endpoint.Addr(hello.Name), c)
 }
@@ -252,47 +265,51 @@ func (e *Endpoint) register(peer endpoint.Addr, c *Conn) {
 }
 
 // readLoop moves raw frames from the socket into the inbox until the
-// connection or the endpoint closes.
+// connection or the endpoint closes. It is the one place a connection is
+// dropped: everything else that ends a conn (a failed flush or handshake
+// write, ClosePeer, a replacing registration, Close) only closes it, and the
+// read fails here. When the conn held its peer's registration, the loop
+// queues the peer's departure behind the last frame it read, so the
+// teardown is dispatched on the pumping goroutine after all of them — and
+// a replaced conn dying never tears down its successor.
 func (e *Endpoint) readLoop(from endpoint.Addr, c *Conn) {
 	for {
 		f, err := c.ReadFrame()
-		if err != nil {
-			e.dropConn(from, c)
+		if err != nil && !e.dropConn(from, c) {
 			return
 		}
 		select {
 		case e.inbox <- inbound{from: from, frame: f}:
 		case <-e.done:
-			f.Release()
+			if f != nil {
+				f.Release()
+			}
+			return
+		}
+		if err != nil {
 			return
 		}
 	}
 }
 
-func (e *Endpoint) dropConn(from endpoint.Addr, c *Conn) {
+// dropConn closes and forgets c, reporting whether it held from's
+// registration.
+func (e *Endpoint) dropConn(from endpoint.Addr, c *Conn) bool {
 	_ = c.Close()
 	e.mu.Lock()
-	registered := e.conns[from] == c
-	if registered {
-		delete(e.conns, from)
-	}
+	defer e.mu.Unlock()
 	delete(e.all, c)
-	notify := registered && !e.closed && e.onGone != nil
-	e.mu.Unlock()
-	if notify {
-		// Queue, don't call: the handler must run on the pumping goroutine,
-		// and only for the conn that actually held the registration (a
-		// replaced conn dying must not tear down its successor).
-		e.goneMu.Lock()
-		e.gone = append(e.gone, from)
-		e.goneMu.Unlock()
+	if e.conns[from] != c {
+		return false
 	}
+	delete(e.conns, from)
+	return true
 }
 
 // OnPeerGone registers a handler for peer teardown: when a registered peer's
-// connection dies, its address is queued and the handler runs during a later
-// Pump, after the inbox has drained — so every frame the peer sent before
-// dying is dispatched before its teardown. Set before traffic starts.
+// connection dies, the handler runs during a later Pump, after every frame
+// the peer's connection had read. Departures still queued when the endpoint
+// closes are dropped. Set before traffic starts.
 func (e *Endpoint) OnPeerGone(h func(peer endpoint.Addr)) {
 	e.mu.Lock()
 	e.onGone = h
@@ -308,32 +325,6 @@ func (e *Endpoint) ClosePeer(peer endpoint.Addr) {
 	e.mu.Unlock()
 	if c != nil {
 		_ = c.Close()
-	}
-}
-
-// drainGone runs the queued peer-gone notifications on the caller's
-// goroutine. Handlers may trigger further notifications (closing another
-// peer), so it loops until the queue stays empty.
-func (e *Endpoint) drainGone() {
-	e.mu.Lock()
-	h := e.onGone
-	e.mu.Unlock()
-	if h == nil {
-		return
-	}
-	for {
-		e.goneMu.Lock()
-		if len(e.gone) == 0 {
-			e.goneMu.Unlock()
-			return
-		}
-		batch := append(e.goneScratch[:0], e.gone...)
-		e.gone = e.gone[:0]
-		e.goneMu.Unlock()
-		for _, a := range batch {
-			h(a)
-		}
-		e.goneScratch = batch[:0]
 	}
 }
 
@@ -380,7 +371,7 @@ func (e *Endpoint) SendFrame(to endpoint.Addr, f *protocol.Frame) error {
 		return nil
 	}
 	if err := c.Flush(); err != nil {
-		e.dropConn(to, c)
+		_ = c.Close() // its read loop drops it
 		return err
 	}
 	return nil
@@ -396,7 +387,7 @@ func (e *Endpoint) BeginBatch() {
 
 // FlushBatch implements endpoint.Batcher: every connection touched since
 // BeginBatch is flushed with one vectored write; failing connections are
-// dropped. Returns the first flush error.
+// closed, and their read loops drop them. Returns the first flush error.
 func (e *Endpoint) FlushBatch() error {
 	e.mu.Lock()
 	e.batching = false
@@ -413,7 +404,7 @@ func (e *Endpoint) FlushBatch() error {
 	var first error
 	for i, d := range scratch {
 		if err := d.c.Flush(); err != nil {
-			e.dropConn(d.to, d.c)
+			_ = d.c.Close()
 			if first == nil {
 				first = err
 			}
@@ -432,10 +423,11 @@ type flushEntry struct {
 	c  *Conn
 }
 
-// Pump dispatches queued inbound messages to the bound receiver until the
-// inbox is empty, returning the number dispatched. Call from the goroutine
-// that owns the node. Replies the receiver sends while dispatching (acks,
-// pongs, forwards) are batched and flushed once per pump, not per message.
+// Pump dispatches queued inbound entries — frames to the bound receiver,
+// departures to the OnPeerGone handler — until the inbox is empty, returning
+// the number dispatched. Call from the goroutine that owns the node. Replies
+// sent while dispatching (acks, pongs, forwards, teardown traffic) are
+// batched and flushed once per pump, not per message.
 func (e *Endpoint) Pump() int {
 	e.BeginBatch()
 	n := 0
@@ -446,14 +438,13 @@ func (e *Endpoint) Pump() int {
 			n++
 		default:
 			_ = e.FlushBatch()
-			e.drainGone()
 			return n
 		}
 	}
 }
 
-// PumpWait blocks up to timeout for at least one inbound message, then
-// drains the rest of the inbox, returning the number dispatched.
+// PumpWait blocks up to timeout for at least one inbound entry, then drains
+// the rest of the inbox, returning the number dispatched.
 func (e *Endpoint) PumpWait(timeout time.Duration) int {
 	t := time.NewTimer(timeout)
 	defer t.Stop()
@@ -466,8 +457,6 @@ func (e *Endpoint) PumpWait(timeout time.Duration) int {
 		e.dispatch(in)
 		return 1 + e.Pump()
 	case <-t.C:
-		// No traffic, but a quiet peer may still have died: run its teardown.
-		e.drainGone()
 		return 0
 	case <-e.done:
 		return 0
@@ -494,8 +483,14 @@ func (e *Endpoint) Serve(sim *vclock.Sim, interval time.Duration, done <-chan st
 
 func (e *Endpoint) dispatch(in inbound) {
 	e.mu.Lock()
-	r, fr := e.recv, e.recvFrames
+	r, fr, gone := e.recv, e.recvFrames, e.onGone
 	e.mu.Unlock()
+	if in.frame == nil {
+		if gone != nil {
+			gone(in.from)
+		}
+		return
+	}
 	switch {
 	case fr != nil:
 		// Retainable handle: the receiver may keep or forward the frame
@@ -509,7 +504,7 @@ func (e *Endpoint) dispatch(in inbound) {
 
 // Close implements endpoint.Transport: it stops the listener and every
 // connection, waits for the read loops, and releases any frames still queued
-// in the inbox.
+// in the inbox, dropping the departures queued among them.
 func (e *Endpoint) Close() error {
 	var err error
 	e.closeOnce.Do(func() {
@@ -532,7 +527,9 @@ func (e *Endpoint) Close() error {
 	for {
 		select {
 		case in := <-e.inbox:
-			in.frame.Release()
+			if in.frame != nil {
+				in.frame.Release()
+			}
 		default:
 			return err
 		}
