@@ -461,7 +461,7 @@ func BenchmarkE7Video(b *testing.B) {
 func benchVideoSecond(b *testing.B) {
 	b.Helper()
 	sim, net := newBenchNet(b)
-	cfg := video.StreamConfig{Strategy: video.StrategyFEC, K: 8, R: 3}
+	cfg := video.StreamConfig{Strategy: video.StrategyFEC, R: 3}
 	var receiver *video.Receiver
 	sender := video.NewSender(sim, cfg, func(c *protocol.VideoChunk) {
 		if frame, err := protocol.AppendEncode(nil, c); err == nil {

@@ -1,6 +1,6 @@
 // Command classroomd hosts the cloud VR classroom server of Fig. 3
-// (cloud.Server) over real TCP. Learners join with a Hello, publish pose and
-// expression streams, are seated in the virtual classroom, and receive
+// (cloud.Server) over real TCP. Learners join with a Hello, publish pose
+// streams, are seated in the virtual classroom, and receive
 // interest-managed replication of everyone else, whose audio is relayed.
 //
 // Usage:

@@ -27,7 +27,6 @@ func runGeo() error {
 	d, err := geo.New(sim, fab, geo.Config{
 		Topology:    region.GlobalCampus(),
 		CloudRegion: "hk",
-		TickHz:      30,
 		PublishHz:   30,
 	})
 	if err != nil {

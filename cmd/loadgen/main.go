@@ -200,15 +200,7 @@ func runSoak(addr string, clients int, rate float64, stay time.Duration, epochs 
 		fmt.Println("soak: too few epochs for a flatness verdict (need >= 4)")
 		return nil
 	}
-	base := heaps[2]
-	const slack = 512 << 10
-	lim := uint64(float64(base)*1.10) + slack
-	flat := true
-	for _, h := range heaps[len(heaps)-max(1, len(heaps)/4):] {
-		if h > lim {
-			flat = false
-		}
-	}
+	base, flat := metrics.FlatHeap(heaps, 0.10, 512<<10)
 	if !flat {
 		return fmt.Errorf("soak NOT FLAT: final-quartile post-GC heap exceeds epoch-3 baseline %d KB +10%%+512KB", base/1024)
 	}

@@ -12,7 +12,6 @@ import (
 
 	"metaclass/internal/core"
 	"metaclass/internal/endpoint"
-	"metaclass/internal/expression"
 	"metaclass/internal/metrics"
 	"metaclass/internal/pose"
 	"metaclass/internal/protocol"
@@ -33,8 +32,6 @@ type VRConfig struct {
 	PingEvery time.Duration
 	// Script drives the user's own motion (default Seated at origin).
 	Script trace.MotionScript
-	// Expressions, when non-nil, samples a facial expression each publish.
-	Expressions func(time.Duration) expression.Expression
 }
 
 func (c *VRConfig) applyDefaults() {
@@ -64,9 +61,7 @@ type VR struct {
 
 	pingScratch protocol.Ping
 	poseScratch protocol.PoseUpdate
-	exprScratch protocol.ExpressionUpdate
 	seq         uint32
-	exprSeq     uint32
 	nonce       uint64
 	cancel      func()
 	cancelPing  func()
@@ -190,15 +185,6 @@ func (v *VR) publish() {
 	// link is still publishing, and E1's per-client rate derives from this.
 	if err := v.ep.Send(v.cfg.Server, &v.poseScratch); err == nil || !errors.Is(err, protocol.ErrTooLarge) {
 		v.mPublish.Inc()
-	}
-	if v.cfg.Expressions != nil {
-		v.exprSeq++
-		v.exprScratch = protocol.ExpressionUpdate{
-			Participant: v.cfg.Participant,
-			Seq:         v.exprSeq,
-			Weights:     v.cfg.Expressions(now).Quantize(),
-		}
-		_ = v.ep.Send(v.cfg.Server, &v.exprScratch)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"metaclass/internal/core"
-	"metaclass/internal/expression"
 	"metaclass/internal/mathx"
 	"metaclass/internal/netsim"
 	"metaclass/internal/protocol"
@@ -18,7 +17,6 @@ type fakeServer struct {
 	sim   *vclock.Sim
 	net   *netsim.Network
 	poses []*protocol.PoseUpdate
-	exprs []*protocol.ExpressionUpdate
 	acks  []*protocol.Ack
 }
 
@@ -33,8 +31,6 @@ func newFakeServer(t *testing.T, sim *vclock.Sim, net *netsim.Network) *fakeServ
 		switch m := msg.(type) {
 		case *protocol.PoseUpdate:
 			fs.poses = append(fs.poses, m)
-		case *protocol.ExpressionUpdate:
-			fs.exprs = append(fs.exprs, m)
 		case *protocol.Ack:
 			fs.acks = append(fs.acks, m)
 		}
@@ -76,9 +72,6 @@ func TestVRPublishesPoses(t *testing.T) {
 	v := newVRUnderTest(t, sim, net, VRConfig{
 		PublishHz: 20,
 		Script:    trace.Seated{Anchor: mathx.V3(1, 0, 1)},
-		Expressions: func(time.Duration) expression.Expression {
-			return expression.PresetSmile.Make()
-		},
 	})
 	if err := v.Start(); err != nil {
 		t.Fatal(err)
@@ -91,9 +84,6 @@ func TestVRPublishesPoses(t *testing.T) {
 	v.Stop()
 	if got := len(fs.poses); got != 20 {
 		t.Errorf("poses = %d, want 20", got)
-	}
-	if got := len(fs.exprs); got != 20 {
-		t.Errorf("expressions = %d, want 20", got)
 	}
 	// Sequence numbers increase; capture stamps are sane.
 	for i := 1; i < len(fs.poses); i++ {

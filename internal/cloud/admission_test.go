@@ -13,7 +13,7 @@ import (
 
 // TestAdmissionPolicy drives the self-admission policy over netsim, one
 // message at a time on zero-latency links, so every step is deterministic:
-// Hello/HelloAck, a duplicate Hello, spoofed pose, expression and audio, the
+// Hello/HelloAck, a duplicate Hello, spoofed pose and audio, the
 // audio relay, a Leave that frees its seat for the next joiner, a seat
 // takeover, and sync traffic from an unknown address.
 func TestAdmissionPolicy(t *testing.T) {
@@ -89,13 +89,12 @@ func TestAdmissionPolicy(t *testing.T) {
 	send("a", pose(1, 0.5))
 	before, _ := s.World().Get(1)
 	send("b", pose(1, 40))
-	send("b", &protocol.ExpressionUpdate{Participant: 1, Seq: 1, Weights: []byte{9}})
 	send("b", &protocol.AudioFrame{Participant: 1, Seq: 1, Data: []byte("fake")})
 	if after, _ := s.World().Get(1); after.Pose != before.Pose || len(after.Expression) != 0 {
 		t.Fatalf("a spoof moved entity 1: %+v, was %+v", after, before)
 	}
-	if n := counter("recv.spoofed"); n != 3 {
-		t.Fatalf("recv.spoofed = %d, want 3 (pose, expression, audio)", n)
+	if n := counter("recv.spoofed"); n != 2 {
+		t.Fatalf("recv.spoofed = %d, want 2 (pose, audio)", n)
 	}
 	if counter("client.poses") != 1 {
 		t.Fatalf("client.poses = %d, want 1", counter("client.poses"))

@@ -116,7 +116,6 @@ func New(sim *vclock.Sim, tr endpoint.Transport, cfg Config) (*Server, error) {
 	}
 	ep := rt.Dispatcher()
 	ep.OnPose(s.ingestClientPose)
-	ep.OnExpression(s.ingestClientExpression)
 	ep.OnFallback(s.admit)
 	return s, nil
 }
@@ -332,18 +331,6 @@ func (s *Server) ingestClientPose(from endpoint.Addr, m *protocol.PoseUpdate) {
 	s.rt.Grid().Update(m.Participant, p.Position)
 	s.mClientPoses.Inc()
 	s.hClientAge.Observe(s.rt.Sim().Now() - m.CapturedAt)
-}
-
-func (s *Server) ingestClientExpression(from endpoint.Addr, m *protocol.ExpressionUpdate) {
-	if c, ok := s.rt.Client(m.Participant); !ok || s.spoofed(from, c) {
-		return
-	}
-	e, ok := s.rt.Store().Get(m.Participant)
-	if !ok {
-		return
-	}
-	e.Expression = m.Weights
-	s.rt.Store().Upsert(e)
 }
 
 // ClientCount returns the number of registered remote learners.

@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"encoding/hex"
 	"errors"
 	"testing"
 	"time"
@@ -296,6 +297,60 @@ func TestRelayForwardsClientPosesUpstream(t *testing.T) {
 	}
 	if r.Metrics().Counter("forwarded.up").Value() == 0 {
 		t.Error("forwarding not counted")
+	}
+}
+
+// TestRelayRefusesRetiredExpressionUpload: wire type 6 was the VR client's
+// expression upload, retired with its ingest hook. A well-formed frame of it
+// from a served client is a decode error at the relay: it reaches no hook
+// and no fallback, and nothing goes upstream.
+func TestRelayRefusesRetiredExpressionUpload(t *testing.T) {
+	sim := vclock.New(7)
+	net := netsim.New(sim)
+	upstream := 0
+	if err := net.AddHost("cloud", netsim.HandlerFunc(func(netsim.Addr, []byte) { upstream++ })); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRelay(sim, net.Endpoint("relay"), RelayConfig{Upstream: "cloud"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.ConnectBoth("relay", "cloud", netsim.LinkConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.AddHost("sub", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.ConnectBoth("sub", "relay", netsim.LinkConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddClient(3, "sub"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// ExpressionUpdate{Participant: 3, Seq: 2, Weights: {0, 128, 255}} as
+	// Encode wrote it while the type existed.
+	frame, err := hex.DecodeString("4d4301060c0000000300000002030080ff1d5beb7b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.SendFrame("sub", "relay", protocol.CopyFrame(frame)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	counter := func(name string) uint64 { return r.Metrics().Counter(name).Value() }
+	if n := counter("recv.decode_errors"); n != 1 {
+		t.Errorf("recv.decode_errors = %d, want 1", n)
+	}
+	if n := counter("forwarded.up") + counter("recv.unhandled"); n != 0 {
+		t.Errorf("the frame reached the fallback: forwarded.up + recv.unhandled = %d", n)
+	}
+	if upstream != 0 {
+		t.Errorf("%d frames went upstream, want none", upstream)
 	}
 }
 

@@ -57,7 +57,7 @@ func NewRelay(sim *vclock.Sim, tr endpoint.Transport, cfg RelayConfig) (*Relay, 
 	}
 	// From a client: acks terminate in the runtime and pings are auto-ponged
 	// (RTT probes are answered whoever asks); everything else
-	// (pose/expression streams) forwards upstream unchanged. Stray non-ping
+	// (pose streams) forwards upstream unchanged. Stray non-ping
 	// traffic from upstream is counted, never echoed back.
 	ep := rt.Dispatcher()
 	ep.OnFallback(func(from endpoint.Addr, payload []byte, _ protocol.Message) {

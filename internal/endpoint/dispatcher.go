@@ -70,7 +70,6 @@ type Dispatcher struct {
 	onApplied  func(from Addr, ackTick uint64)
 	onAck      func(from Addr, m *protocol.Ack) error
 	onPose     func(from Addr, m *protocol.PoseUpdate)
-	onExpr     func(from Addr, m *protocol.ExpressionUpdate)
 	onPong     func(from Addr, m *protocol.Pong)
 	fallback   func(from Addr, payload []byte, msg protocol.Message)
 }
@@ -117,9 +116,6 @@ func (d *Dispatcher) OnAck(h func(from Addr, m *protocol.Ack) error) { d.onAck =
 
 // OnPose registers the pose-stream ingest hook.
 func (d *Dispatcher) OnPose(h func(from Addr, m *protocol.PoseUpdate)) { d.onPose = h }
-
-// OnExpression registers the expression-stream ingest hook.
-func (d *Dispatcher) OnExpression(h func(from Addr, m *protocol.ExpressionUpdate)) { d.onExpr = h }
 
 // OnPong registers the pong (RTT probe reply) hook.
 func (d *Dispatcher) OnPong(h func(from Addr, m *protocol.Pong)) { d.onPong = h }
@@ -195,12 +191,6 @@ func (d *Dispatcher) Receive(from Addr, payload []byte) {
 			return
 		}
 		d.onPose(from, m)
-	case *protocol.ExpressionUpdate:
-		if d.onExpr == nil {
-			d.unhandled(from, payload, msg)
-			return
-		}
-		d.onExpr(from, m)
 	case *protocol.Ping:
 		d.pongScratch = protocol.Pong{Nonce: m.Nonce, SentAt: m.SentAt}
 		_ = d.Send(from, &d.pongScratch)

@@ -108,10 +108,9 @@ func TestDispatcherSyncAppliesAndAcks(t *testing.T) {
 func TestDispatcherAutoPongAndTypedHooks(t *testing.T) {
 	d, tr, reg := newTestDispatcher(t, endpoint.Config{})
 	var ackErr error
-	var poses, exprs int
+	var poses int
 	d.OnAck(func(endpoint.Addr, *protocol.Ack) error { return ackErr })
 	d.OnPose(func(endpoint.Addr, *protocol.PoseUpdate) { poses++ })
-	d.OnExpression(func(endpoint.Addr, *protocol.ExpressionUpdate) { exprs++ })
 
 	d.Receive("c", encodeMsg(t, &protocol.Ping{Nonce: 7, SentAt: time.Second}))
 	if len(tr.sent) != 1 {
@@ -122,9 +121,9 @@ func TestDispatcherAutoPongAndTypedHooks(t *testing.T) {
 		t.Fatalf("auto-pong = %+v", tr.sent[0])
 	}
 	d.Receive("c", encodeMsg(t, &protocol.PoseUpdate{Participant: 1, Seq: 1}))
-	d.Receive("c", encodeMsg(t, &protocol.ExpressionUpdate{Participant: 1, Seq: 1, Weights: []byte{1}}))
-	if poses != 1 || exprs != 1 {
-		t.Fatalf("poses = %d exprs = %d", poses, exprs)
+	d.Receive("c", encodeMsg(t, &protocol.PoseUpdate{Participant: 1, Seq: 2}))
+	if poses != 2 {
+		t.Fatalf("poses = %d, want 2", poses)
 	}
 	d.Receive("c", encodeMsg(t, &protocol.Ack{Tick: 3}))
 	if got := reg.Counter("recv.unknown_peer").Value(); got != 0 {

@@ -54,6 +54,37 @@ type churnResult struct {
 	err           error
 }
 
+// warmClass stands up the class E11 and E13 churn: one interest-managed
+// campus with its professor and 8 resident remote learners, warmed for 2 s.
+// lossy is the 1 %-loss residential link every remote learner joins on.
+func warmClass(seed int64) (d *classroom.Deployment, lossy netsim.LinkConfig, err error) {
+	d, err = classroom.NewDeployment(classroom.Config{Seed: seed, EnableInterest: true})
+	if err != nil {
+		return nil, lossy, err
+	}
+	gz, err := d.AddCampus("gz", 1)
+	if err != nil {
+		return nil, lossy, err
+	}
+	if _, err := gz.AddEducator("prof", trace.Lecturer{
+		Left: mathx.V3(-3, 0, 0), Right: mathx.V3(3, 0, 0)}); err != nil {
+		return nil, lossy, err
+	}
+	lossy = netsim.ResidentialBroadband(25 * time.Millisecond)
+	lossy.LossRate = 0.01
+	for i := 0; i < 8; i++ {
+		if _, _, err := d.AddRemoteLearner("base", trace.Seated{
+			Anchor: mathx.V3(float64(i%4)*1.2, 0, float64(i/4)*1.2), Phase: float64(i),
+		}, lossy); err != nil {
+			return nil, lossy, err
+		}
+	}
+	if err := d.Run(2 * time.Second); err != nil {
+		return nil, lossy, err
+	}
+	return d, lossy, nil
+}
+
 // runChurnPoint drives one churn workload: warm up a two-campus class with a
 // base remote population, fire join/leave storms at a fixed 500 ms cadence
 // (each joined batch leaves two events later), then let the class settle and
@@ -61,32 +92,8 @@ type churnResult struct {
 func runChurnPoint(seed int64, storm int) churnResult {
 	res := churnResult{}
 	live0 := protocol.LiveFrames()
-	d, err := classroom.NewDeployment(classroom.Config{Seed: seed, EnableInterest: true})
+	d, lossy, err := warmClass(seed)
 	if err != nil {
-		res.err = err
-		return res
-	}
-	gz, err := d.AddCampus("gz", 1)
-	if err != nil {
-		res.err = err
-		return res
-	}
-	if _, err := gz.AddEducator("prof", trace.Lecturer{
-		Left: mathx.V3(-3, 0, 0), Right: mathx.V3(3, 0, 0)}); err != nil {
-		res.err = err
-		return res
-	}
-	lossy := netsim.ResidentialBroadband(25 * time.Millisecond)
-	lossy.LossRate = 0.01
-	for i := 0; i < 8; i++ {
-		if _, _, err := d.AddRemoteLearner("base", trace.Seated{
-			Anchor: mathx.V3(float64(i%4)*1.2, 0, float64(i/4)*1.2), Phase: float64(i),
-		}, lossy); err != nil {
-			res.err = err
-			return res
-		}
-	}
-	if err := d.Run(2 * time.Second); err != nil {
 		res.err = err
 		return res
 	}

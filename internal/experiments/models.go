@@ -107,7 +107,7 @@ func runVideoPoint(seed int64, strat video.Strategy, link netsim.LinkConfig) (vi
 	if err := net.ConnectBoth("tx", "rx", link); err != nil {
 		return video.SenderStats{}, video.ReceiverStats{}, err
 	}
-	cfg := video.StreamConfig{Strategy: strat, K: 8, R: 3}
+	cfg := video.StreamConfig{Strategy: strat, R: 3}
 	var sender *video.Sender
 	var receiver *video.Receiver
 	sender = video.NewSender(sim, cfg, func(c *protocol.VideoChunk) {

@@ -7,6 +7,7 @@ import (
 
 	"metaclass/classroom"
 	"metaclass/internal/mathx"
+	"metaclass/internal/metrics"
 	"metaclass/internal/netsim"
 	"metaclass/internal/protocol"
 	"metaclass/internal/trace"
@@ -37,62 +38,40 @@ func E13Soak(seed int64) Table {
 		return t
 	}
 	for i, ep := range res.epochs {
-		t.AddRow(fmt.Sprint(i+1), fmt.Sprint(ep.heap/1024), fmt.Sprint(ep.frames),
+		t.AddRow(fmt.Sprint(i+1), fmt.Sprint(res.heaps[i]/1024), fmt.Sprint(ep.frames),
 			fmt.Sprint(ep.tables.Hosts), fmt.Sprint(ep.tables.Links), fmt.Sprint(ep.tables.Inflight))
 	}
 	verdict := "FLAT"
-	if !res.flat(0.10) {
+	base, flat := res.flat()
+	if !flat {
 		verdict = "NOT FLAT"
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("%s: final-quartile post-GC HeapAlloc vs epoch-3 baseline (%d KB), 10%% tolerance", verdict, res.baselineHeap()/1024),
+		fmt.Sprintf("%s: final-quartile post-GC HeapAlloc vs epoch-3 baseline (%d KB), 10%% tolerance", verdict, base/1024),
 		fmt.Sprintf("each epoch: 8 learners join on lossy links, stay 1 s, leave, 500 ms drain — the E11 storm-8 cycle, %d times", len(res.epochs)),
 		fmt.Sprintf("after final drain: %d live frames, tables %+v (pool must hold every delivery ever allocated)", res.leaked, res.final))
 	return t
 }
 
-// soakEpoch is one epoch's post-GC measurement.
+// soakEpoch is one epoch's post-drain measurement.
 type soakEpoch struct {
-	heap   uint64 // post-GC runtime.MemStats.HeapAlloc
-	frames int64  // protocol.LiveFrames delta vs run start
+	frames int64 // protocol.LiveFrames delta vs run start
 	tables netsim.Tables
 }
 
 type soakResult struct {
 	epochs   []soakEpoch
+	heaps    []uint64      // post-GC runtime.MemStats.HeapAlloc, one per epoch
 	baseline netsim.Tables // post-warm, pre-churn
 	final    netsim.Tables // after stop and full drain
 	leaked   int64         // live frames after stop and full drain
 	err      error
 }
 
-// baselineHeap is the epoch-3 post-GC heap: epochs 1–2 still carry warm-up
-// effects (pools reaching steady high-water, lazily allocated scratch), by
-// epoch 3 the steady state is established.
-func (r *soakResult) baselineHeap() uint64 {
-	if len(r.epochs) < 3 {
-		return 0
-	}
-	return r.epochs[2].heap
-}
-
-// flat reports whether every final-quartile epoch's post-GC heap is within
-// tol of the epoch-3 baseline (with a small absolute slack for allocator
-// noise on tiny heaps).
-func (r *soakResult) flat(tol float64) bool {
-	base := r.baselineHeap()
-	if base == 0 {
-		return false
-	}
-	const slack = 256 << 10
-	q := len(r.epochs) - max(1, len(r.epochs)/4)
-	for _, ep := range r.epochs[q:] {
-		lim := uint64(float64(base)*(1+tol)) + slack
-		if ep.heap > lim {
-			return false
-		}
-	}
-	return true
+// flat applies metrics.FlatHeap at 10 % tolerance, with 256 KB of slack for
+// allocator noise on the simulated class's small heap.
+func (r *soakResult) flat() (base uint64, ok bool) {
+	return metrics.FlatHeap(r.heaps, 0.10, 256<<10)
 }
 
 // runSoak drives the compressed-churn soak: warm an E11-scale class, then
@@ -101,32 +80,8 @@ func (r *soakResult) flat(tol float64) bool {
 func runSoak(seed int64, epochs int) soakResult {
 	res := soakResult{}
 	live0 := protocol.LiveFrames()
-	d, err := classroom.NewDeployment(classroom.Config{Seed: seed, EnableInterest: true})
+	d, lossy, err := warmClass(seed)
 	if err != nil {
-		res.err = err
-		return res
-	}
-	gz, err := d.AddCampus("gz", 1)
-	if err != nil {
-		res.err = err
-		return res
-	}
-	if _, err := gz.AddEducator("prof", trace.Lecturer{
-		Left: mathx.V3(-3, 0, 0), Right: mathx.V3(3, 0, 0)}); err != nil {
-		res.err = err
-		return res
-	}
-	lossy := netsim.ResidentialBroadband(25 * time.Millisecond)
-	lossy.LossRate = 0.01
-	for i := 0; i < 8; i++ {
-		if _, _, err := d.AddRemoteLearner("base", trace.Seated{
-			Anchor: mathx.V3(float64(i%4)*1.2, 0, float64(i/4)*1.2), Phase: float64(i),
-		}, lossy); err != nil {
-			res.err = err
-			return res
-		}
-	}
-	if err := d.Run(2 * time.Second); err != nil {
 		res.err = err
 		return res
 	}
@@ -161,8 +116,8 @@ func runSoak(seed int64, epochs int) soakResult {
 		}
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
+		res.heaps = append(res.heaps, ms.HeapAlloc)
 		res.epochs = append(res.epochs, soakEpoch{
-			heap:   ms.HeapAlloc,
 			frames: protocol.LiveFrames() - live0,
 			tables: d.Network().Tables(),
 		})

@@ -18,11 +18,11 @@ func TestE13SoakFlatness(t *testing.T) {
 	if res.err != nil {
 		t.Fatal(res.err)
 	}
-	if !res.flat(0.10) {
+	if base, flat := res.flat(); !flat {
 		for i, ep := range res.epochs {
-			t.Logf("epoch %2d: heap=%d KB frames=%d tables=%+v", i+1, ep.heap/1024, ep.frames, ep.tables)
+			t.Logf("epoch %2d: heap=%d KB frames=%d tables=%+v", i+1, res.heaps[i]/1024, ep.frames, ep.tables)
 		}
-		t.Fatalf("heap not flat: epoch-3 baseline %d KB, final quartile exceeds +10%%", res.baselineHeap()/1024)
+		t.Fatalf("heap not flat: epoch-3 baseline %d KB, final quartile exceeds +10%%", base/1024)
 	}
 	for i, ep := range res.epochs {
 		if ep.tables.Hosts != res.baseline.Hosts || ep.tables.Links != res.baseline.Links {

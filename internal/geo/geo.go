@@ -56,8 +56,6 @@ type Config struct {
 	// CloudRegion is where the cloud server lives (required; must be a
 	// topology region).
 	CloudRegion region.ID
-	// TickHz is the server fan-out rate (default 30).
-	TickHz float64
 	// PublishHz is the client pose upload rate (default 20).
 	PublishHz float64
 	// Interest is the client fan-out policy (nil = broadcast).
@@ -120,7 +118,7 @@ func New(sim *vclock.Sim, fab rig.Fabric, cfg Config) (*Deployment, error) {
 	}
 	r, err := rig.New(sim, fab, rig.Config{
 		CloudAddr: "geo-cloud",
-		Cloud:     cloud.Config{TickHz: cfg.TickHz, Interest: cfg.Interest},
+		Cloud:     cloud.Config{Interest: cfg.Interest},
 		PublishHz: cfg.PublishHz,
 	})
 	if err != nil {

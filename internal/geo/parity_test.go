@@ -50,7 +50,6 @@ func newGeoParityPass(t *testing.T, sim *vclock.Sim, fab rig.Fabric) *geoParityP
 	d, err := New(sim, flatLinks{fab}, Config{
 		Topology:    region.GlobalCampus(),
 		CloudRegion: "hk",
-		TickHz:      30,
 		PublishHz:   30,
 	})
 	if err != nil {

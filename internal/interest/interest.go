@@ -251,50 +251,6 @@ const (
 	TierCulled              // outside interest: no updates
 )
 
-// String implements fmt.Stringer.
-func (t Tier) String() string {
-	switch t {
-	case TierFocus:
-		return "focus"
-	case TierNear:
-		return "near"
-	case TierFar:
-		return "far"
-	case TierAmbient:
-		return "ambient"
-	default:
-		return "culled"
-	}
-}
-
-// RateDivisor returns the per-tier tick decimation: a source is sent on the
-// ticks where tick % divisor == Phase(source) % divisor.
-func (t Tier) RateDivisor() uint64 {
-	switch t {
-	case TierFocus:
-		return 1
-	case TierNear:
-		return 2
-	case TierFar:
-		return 4
-	case TierAmbient:
-		return 8
-	default:
-		return 0 // culled: never
-	}
-}
-
-// due reports whether a source with the given decimation phase, in tier t for
-// some receiver, is sent at tick. Every divisor is a power of two, so
-// tick%d == phase%d is a mask test on tick^phase. ShouldSend is its only
-// caller outside the tests: this is the per-source statement of the rule,
-// which their brute-force oracles are written in, and Set.RefreshOwned applies
-// the same rule to a whole neighbourhood without naming a tier.
-func (t Tier) due(phase, tick uint64) bool {
-	d := t.RateDivisor()
-	return d != 0 && (tick^phase)&(d-1) == 0
-}
-
 // The tier boundaries in meters: beyond farRadius but inside cullRadius is
 // ambient, and beyond cullRadius a source is dropped entirely.
 const focusRadius, nearRadius, farRadius, cullRadius = 3, 8, 20, 60
@@ -321,20 +277,9 @@ func NewPolicy() *Policy {
 // everyone watches the lecturer regardless of distance).
 func (p *Policy) Pin(id protocol.ParticipantID) { p.Pinned[id] = true }
 
-// Unpin removes a pin.
-func (p *Policy) Unpin(id protocol.ParticipantID) { delete(p.Pinned, id) }
-
-// Classify returns the tier of source for a receiver at the given distance.
-// It delegates to ClassifySq so the two can never disagree at a radius
-// boundary: comparing d against r and d*d against r*r round differently in
-// float64, and a source classified TierNear by one path and TierFar by the
-// other would decimate on different ticks depending on which caller asked.
-func (p *Policy) Classify(source protocol.ParticipantID, distance float64) Tier {
-	return p.ClassifySq(source, distance*distance)
-}
-
-// ClassifySq is Classify taking the squared distance, letting hot fan-out
-// paths skip the sqrt of a Euclidean distance computation entirely.
+// ClassifySq returns the tier of source for a receiver at the given squared
+// distance, letting hot fan-out paths skip the sqrt of a Euclidean distance
+// computation entirely.
 func (p *Policy) ClassifySq(source protocol.ParticipantID, distSq float64) Tier {
 	if p.Pinned[source] {
 		return TierFocus
@@ -376,13 +321,6 @@ func Phase(source protocol.ParticipantID) uint64 {
 	return x
 }
 
-// ShouldSend reports whether source (in tier t for some receiver) should be
-// included in the update sent at the given tick. Sends are decimated to the
-// tier's RateDivisor and phase-staggered per source by Phase.
-func ShouldSend(t Tier, source protocol.ParticipantID, tick uint64) bool {
-	return t.due(Phase(source), tick)
-}
-
 // Set is a per-receiver cache of the sources whose update is due at the
 // current tick: a bitset over grid slots, rebuilt at most once per tick from
 // one walk of the grid's cells. A set bit means the slot's tenant is pinned, or
@@ -392,14 +330,14 @@ func ShouldSend(t Tier, source protocol.ParticipantID, tick uint64) bool {
 // slowest tier) is due exactly when some tier 0…z takes its distance — when it
 // stands within reach[z], the widest of those tiers' radii. That is one
 // compare per neighbour against a four-entry table, and it must agree bit for
-// bit with naming the tier first, one source at a time:
-// ShouldSend(p.ClassifySq(id, d²), id, tick). Servers keep one Set per
+// bit with naming the tier first, one source at a time, as the tests'
+// ShouldSend(p.ClassifySq(id, d²), id, tick) does. Servers keep one Set per
 // subscribed client.
 //
 // The build asks a set once per tick: AppendRefused lists every source it
-// refuses in one pass over the grid's ascending ID directory. Allows answers
-// one source at a time, the statement AppendRefused is tested against.
-// Neither writes to the set or the grid; a set's refresh must not run
+// refuses in one pass over the grid's ascending ID directory. The tests'
+// Allows answers one source at a time, the statement AppendRefused is tested
+// against. Neither writes to the set or the grid; a set's refresh must not run
 // concurrently with its answers, while distinct sets share nothing.
 type Set struct {
 	allowed  []uint64 // bit per grid slot
@@ -426,8 +364,7 @@ func (s *Set) Reset() { *s = Set{allowed: s.allowed[:0]} }
 // policy are read-only), which is how the tick shards per-client
 // classification across the pool's workers. While recv is not indexed in g
 // the set admits everything — a just-joined receiver needs the full world
-// until placed. The receiver itself is never admitted:
-// `Allows(g, recv) == false` is part of the contract, even in
+// until placed. The receiver itself is never admitted, even in
 // admit-everything mode and even when recv is pinned.
 func (s *Set) RefreshOwned(g *Grid, p *Policy, recv protocol.ParticipantID, tick uint64) {
 	s.recv = recv
@@ -450,7 +387,7 @@ func (s *Set) RefreshOwned(g *Grid, p *Policy, recv protocol.ParticipantID, tick
 	clear(s.allowed)
 	// Distance alone decides here: a pinned neighbour is force-set below, and
 	// setting bits is order-independent. The walk includes the receiver and
-	// the pinned loop may: Allows answers for recv before it reads a bit.
+	// the pinned loop may: AppendRefused lists recv without reading its bit.
 	center := g.ents[g.ids[at].slot].pos
 	for slots := range g.occupied(center, cullRadius) {
 		for _, slot := range slots {
@@ -471,30 +408,7 @@ func (s *Set) RefreshOwned(g *Grid, p *Policy, recv protocol.ParticipantID, tick
 	}
 }
 
-// Allows reports whether source id should be sent this tick. The receiver
-// the set was last refreshed for is never allowed. Other sources not indexed
-// in g bypass interest management (the caller cannot place them), and a
-// source placed since the refresh is indexed but unclassified: not allowed.
-// RefreshOwned must have been called for the current tick.
-func (s *Set) Allows(g *Grid, id protocol.ParticipantID) bool {
-	if id == s.recv {
-		return false
-	}
-	if s.allowAll {
-		return true
-	}
-	at, indexed := g.seatOf(id)
-	if !indexed {
-		return true
-	}
-	e := g.ids[at]
-	if e.born > s.seen {
-		return false
-	}
-	return s.allowed[e.slot/64]&(1<<(e.slot%64)) != 0
-}
-
-// AppendRefused appends to dst, ascending, every ID Allows refuses: the
+// AppendRefused appends to dst, ascending, every ID the set refuses: the
 // receiver, and each indexed source seated after the refresh or left unset by
 // it (in admit-everything mode, the receiver alone). It writes nothing to the
 // set. RefreshOwned must have been called for the current tick.

@@ -338,3 +338,23 @@ func (r *Registry) String() string {
 	}
 	return b.String()
 }
+
+// FlatHeap is the soak gates' flatness rule over post-GC heap samples, one
+// per epoch. Epoch 3 is the baseline: epochs 1–2 still carry warm-up (pools
+// reaching their high-water mark, lazily allocated scratch). Every sample in
+// the final quartile must stay within tol of it plus slack bytes, which
+// absorbs allocator noise on small heaps. Fewer than 3 samples have no
+// baseline and are not flat.
+func FlatHeap(heaps []uint64, tol float64, slack uint64) (base uint64, flat bool) {
+	if len(heaps) < 3 {
+		return 0, false
+	}
+	base = heaps[2]
+	lim := uint64(float64(base)*(1+tol)) + slack
+	for _, h := range heaps[len(heaps)-max(1, len(heaps)/4):] {
+		if h > lim {
+			return base, false
+		}
+	}
+	return base, true
+}

@@ -180,3 +180,22 @@ func BenchmarkHistogramObserve(b *testing.B) {
 		h.Observe(time.Duration(i%1000) * time.Microsecond)
 	}
 }
+
+func TestFlatHeap(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		heaps []uint64
+		base  uint64
+		flat  bool
+	}{
+		{"no baseline", []uint64{1, 2}, 0, false},
+		{"epochs 1-2 are warm-up", []uint64{900, 900, 100, 100}, 100, true},
+		{"at the limit", []uint64{0, 0, 100, 0, 0, 0, 0, 110 + 5}, 100, true},
+		{"over the limit", []uint64{0, 0, 100, 0, 0, 0, 0, 110 + 6}, 100, false},
+		{"only the final quartile counts", []uint64{0, 0, 100, 999, 0, 0, 0, 0}, 100, true},
+	} {
+		if base, flat := FlatHeap(tc.heaps, 0.10, 5); base != tc.base || flat != tc.flat {
+			t.Errorf("%s: FlatHeap = %d, %v; want %d, %v", tc.name, base, flat, tc.base, tc.flat)
+		}
+	}
+}

@@ -68,7 +68,7 @@ func (c LinkConfig) Validate() error {
 	if c.Latency < 0 || c.Jitter < 0 {
 		return fmt.Errorf("netsim: negative latency/jitter: %+v", c)
 	}
-	if c.LossRate < 0 || c.LossRate > 1 {
+	if !(c.LossRate >= 0 && c.LossRate <= 1) { // NaN fails both comparisons
 		return fmt.Errorf("netsim: loss rate %v out of [0,1]", c.LossRate)
 	}
 	if c.Bandwidth < 0 {

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -94,6 +95,7 @@ func TestLinkConfigValidate(t *testing.T) {
 		{"neg-jitter", LinkConfig{Jitter: -1}, false},
 		{"loss>1", LinkConfig{LossRate: 1.5}, false},
 		{"neg-loss", LinkConfig{LossRate: -0.1}, false},
+		{"nan-loss", LinkConfig{LossRate: math.NaN()}, false},
 		{"neg-bw", LinkConfig{Bandwidth: -5}, false},
 		{"neg-queue", LinkConfig{QueueLimit: -1}, false},
 	}

@@ -118,7 +118,7 @@ type Runtime struct {
 // and receive dispatch all come from tr, so the same node construction works
 // over netsim and TCP. The dispatcher is wired with the shared peer-table
 // resolution for sync and ack traffic; node policies register their own
-// pose/expression/fallback hooks on Dispatcher().
+// pose and fallback hooks on Dispatcher().
 func New(sim *vclock.Sim, tr endpoint.Transport, cfg Config) (*Runtime, error) {
 	cfg.applyDefaults()
 	r := &Runtime{

@@ -67,7 +67,6 @@ type Decoder struct {
 	helloAck HelloAck
 	leave    Leave
 	pose     PoseUpdate
-	expr     ExpressionUpdate
 	snapshot Snapshot
 	delta    Delta
 	ack      Ack
@@ -90,8 +89,6 @@ func (d *Decoder) message(t MsgType) (Message, error) {
 		return &d.leave, nil
 	case TypePoseUpdate:
 		return &d.pose, nil
-	case TypeExpressionUpdate:
-		return &d.expr, nil
 	case TypeSnapshot:
 		return &d.snapshot, nil
 	case TypeDelta:

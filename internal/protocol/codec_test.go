@@ -22,7 +22,6 @@ func allMessages() []Message {
 		&Leave{Participant: 9, Reason: "travel restriction"},
 		&PoseUpdate{Participant: 7, Seq: 42, CapturedAt: 1500 * time.Millisecond,
 			Pose: pose, VelMMS: [3]int64{120, -5, 900}},
-		&ExpressionUpdate{Participant: 7, Seq: 43, Weights: []byte{0, 128, 255, 64}},
 		&Snapshot{Tick: 99, Entities: []EntityState{
 			{Participant: 1, Pose: pose, Expression: []byte{1, 2}, Seat: 3, Flags: FlagSpeaking},
 			{Participant: 2, Pose: pose, VelMMS: [3]int64{-1, 0, 55}},
@@ -86,8 +85,9 @@ func TestEveryTypeHasName(t *testing.T) {
 }
 
 // retiredTypes are the wire numbers of deleted message types (Join,
-// SeatAssign). They stay reserved: a number is never handed to a new type.
-var retiredTypes = []MsgType{3, 7}
+// ExpressionUpdate, SeatAssign). They stay reserved: a number is never handed
+// to a new type.
+var retiredTypes = []MsgType{3, 6, 7}
 
 // TestWireTypeNumbersPinned holds every wire type to its number — the type
 // byte is the protocol, and the constants are an iota block that a deletion
@@ -96,9 +96,8 @@ var retiredTypes = []MsgType{3, 7}
 func TestWireTypeNumbersPinned(t *testing.T) {
 	pinned := map[MsgType]uint8{
 		TypeHello: 1, TypeHelloAck: 2, TypeLeave: 4, TypePoseUpdate: 5,
-		TypeExpressionUpdate: 6, TypeSnapshot: 8, TypeDelta: 9, TypeAck: 10,
-		TypePing: 11, TypePong: 12, TypeVideoChunk: 13, TypeAudioFrame: 14,
-		TypeActivityEvent: 15, TypeNack: 16,
+		TypeSnapshot: 8, TypeDelta: 9, TypeAck: 10, TypePing: 11, TypePong: 12,
+		TypeVideoChunk: 13, TypeAudioFrame: 14, TypeActivityEvent: 15, TypeNack: 16,
 	}
 	for mt, n := range pinned {
 		if uint8(mt) != n {

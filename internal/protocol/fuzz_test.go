@@ -20,7 +20,6 @@ func fuzzSeedMessages() []Message {
 			Pose:   WirePose{PosMM: [3]int64{-1200, 0, 34000}, Quat: [4]int16{32767, -1, 2, -3}},
 			VelMMS: [3]int64{-50, 0, 1400},
 		},
-		&ExpressionUpdate{Participant: 3, Seq: 2, Weights: []byte{0, 128, 255}},
 		&Snapshot{Tick: 5, Entities: []EntityState{
 			{Participant: 1, Home: 1, CapturedAt: time.Second,
 				Pose:   WirePose{PosMM: [3]int64{10, 20, 30}, Quat: [4]int16{32767, 0, 0, 0}},
@@ -67,11 +66,13 @@ func fuzzBoundarySeedMessages() []Message {
 	}
 }
 
-// retiredTypeFrames are the seeds of the two retired wire types, 3 (Join) and
-// 7 (SeatAssign), byte for byte as Encode wrote them while the types existed:
-// well-formed length and checksum, a type number no decoder knows any more.
+// retiredTypeFrames are the seeds of the three retired wire types, 3 (Join),
+// 6 (ExpressionUpdate) and 7 (SeatAssign), byte for byte as Encode wrote them
+// while the types existed: well-formed length and checksum, a type number no
+// decoder knows any more.
 var retiredTypeFrames = [][]byte{
 	mustHex("4d4301030f0000000900010106e5ada6e7949f025167ee61"),
+	mustHex("4d4301060c0000000300000002030080ff1d5beb7b"),
 	mustHex("4d4301071300000003000200110204067fff000000000000677cabd8"),
 }
 

@@ -12,16 +12,16 @@ import (
 // zero byte is never a valid type.
 type MsgType uint8
 
-// Message types. A type's number is its wire byte. 3 and 7 belonged to Join
-// and SeatAssign, which nothing sent or handled; they stay reserved so a
-// later type can never be mistaken for a frame of either.
+// Message types. A type's number is its wire byte. 3, 6 and 7 belonged to
+// Join, ExpressionUpdate and SeatAssign, which no deployment sent; they
+// stay reserved so a later type can never be mistaken for a frame of any.
 const (
 	TypeHello MsgType = iota + 1
 	TypeHelloAck
 	_ // 3: was Join
 	TypeLeave
 	TypePoseUpdate
-	TypeExpressionUpdate
+	_ // 6: was ExpressionUpdate
 	_ // 7: was SeatAssign
 	TypeSnapshot
 	TypeDelta
@@ -36,20 +36,19 @@ const (
 )
 
 var typeNames = map[MsgType]string{
-	TypeHello:            "Hello",
-	TypeHelloAck:         "HelloAck",
-	TypeLeave:            "Leave",
-	TypePoseUpdate:       "PoseUpdate",
-	TypeExpressionUpdate: "ExpressionUpdate",
-	TypeSnapshot:         "Snapshot",
-	TypeDelta:            "Delta",
-	TypeAck:              "Ack",
-	TypePing:             "Ping",
-	TypePong:             "Pong",
-	TypeVideoChunk:       "VideoChunk",
-	TypeAudioFrame:       "AudioFrame",
-	TypeActivityEvent:    "ActivityEvent",
-	TypeNack:             "Nack",
+	TypeHello:         "Hello",
+	TypeHelloAck:      "HelloAck",
+	TypeLeave:         "Leave",
+	TypePoseUpdate:    "PoseUpdate",
+	TypeSnapshot:      "Snapshot",
+	TypeDelta:         "Delta",
+	TypeAck:           "Ack",
+	TypePing:          "Ping",
+	TypePong:          "Pong",
+	TypeVideoChunk:    "VideoChunk",
+	TypeAudioFrame:    "AudioFrame",
+	TypeActivityEvent: "ActivityEvent",
+	TypeNack:          "Nack",
 }
 
 // String implements fmt.Stringer.
@@ -266,29 +265,6 @@ func (m *PoseUpdate) decode(r *Reader) error {
 	for i := range m.VelMMS {
 		m.VelMMS[i] = r.Varint()
 	}
-	return r.ExpectEOF()
-}
-
-// ExpressionUpdate carries quantized facial blendshape weights (0..255 each).
-type ExpressionUpdate struct {
-	Participant ParticipantID
-	Seq         uint32
-	Weights     []byte // one byte per blendshape channel
-}
-
-// Type implements Message.
-func (*ExpressionUpdate) Type() MsgType { return TypeExpressionUpdate }
-
-func (m *ExpressionUpdate) encode(w *Writer) {
-	w.U32(uint32(m.Participant))
-	w.U32(m.Seq)
-	w.BytesVar(m.Weights)
-}
-
-func (m *ExpressionUpdate) decode(r *Reader) error {
-	m.Participant = ParticipantID(r.U32())
-	m.Seq = r.U32()
-	m.Weights = r.BytesVar()
 	return r.ExpectEOF()
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"metaclass/internal/metrics"
 	"metaclass/internal/protocol"
 )
 
@@ -89,20 +90,12 @@ func TestRoomSoakFlatness(t *testing.T) {
 		heaps = append(heaps, ms.HeapAlloc)
 	}
 
-	base := heaps[2]
-	const slack = 512 << 10
-	q := len(heaps) - max(1, len(heaps)/4)
-	for i, h := range heaps[q:] {
-		if lim := uint64(float64(base)*1.10) + slack; h > lim {
-			t.Logf("heaps (KB): %v", func() []uint64 {
-				kb := make([]uint64, len(heaps))
-				for j, v := range heaps {
-					kb[j] = v / 1024
-				}
-				return kb
-			}())
-			t.Fatalf("epoch %d heap %d KB exceeds baseline %d KB +10%%+slack", q+i+1, h/1024, base/1024)
+	if base, flat := metrics.FlatHeap(heaps, 0.10, 512<<10); !flat {
+		kb := make([]uint64, len(heaps))
+		for i, h := range heaps {
+			kb[i] = h / 1024
 		}
+		t.Fatalf("final-quartile heap exceeds baseline %d KB +10%%+slack; heaps (KB): %v", base/1024, kb)
 	}
 
 	if err := r.Close(); err != nil {

@@ -40,11 +40,12 @@ func (s Strategy) String() string {
 type StreamConfig struct {
 	Stream   uint32
 	Strategy Strategy
-	// K is the data shards per frame (default 8).
-	K int
 	// R is the static parity count (StrategyFEC; default 2).
 	R int
 }
+
+// dataShards is the data shard count per frame.
+const dataShards = 8
 
 // playoutDeadline is the playout deadline measured from capture:
 // interactive lecture video.
@@ -53,9 +54,6 @@ const playoutDeadline = 150 * time.Millisecond
 func (c *StreamConfig) applyDefaults() {
 	if c.Strategy == 0 {
 		c.Strategy = StrategyFEC
-	}
-	if c.K <= 0 {
-		c.K = 8
 	}
 	if c.R < 0 {
 		c.R = 0
@@ -73,7 +71,7 @@ type Sender struct {
 	enc  *Encoder
 	send func(*protocol.VideoChunk)
 
-	rsCache map[[2]int]*RS
+	rsCache map[int]*RS         // by parity count
 	pending map[uint32][][]byte // frameID -> all shards, for ARQ
 	parity  int                 // current parity count
 	useARQ  bool
@@ -90,7 +88,7 @@ func NewSender(sim *vclock.Sim, cfg StreamConfig, send func(*protocol.VideoChunk
 	cfg.applyDefaults()
 	s := &Sender{
 		sim: sim, cfg: cfg, enc: NewEncoder(), send: send,
-		rsCache: make(map[[2]int]*RS),
+		rsCache: make(map[int]*RS),
 		pending: make(map[uint32][][]byte),
 	}
 	switch cfg.Strategy {
@@ -121,29 +119,28 @@ func (s *Sender) Stop() {
 	}
 }
 
-func (s *Sender) rs(k, r int) (*RS, error) {
-	key := [2]int{k, r}
-	if rs, ok := s.rsCache[key]; ok {
+func (s *Sender) rs(r int) (*RS, error) {
+	if rs, ok := s.rsCache[r]; ok {
 		return rs, nil
 	}
-	rs, err := NewRS(k, r)
+	rs, err := NewRS(dataShards, r)
 	if err != nil {
 		return nil, err
 	}
-	s.rsCache[key] = rs
+	s.rsCache[r] = rs
 	return rs, nil
 }
 
 func (s *Sender) emitFrame() {
 	now := s.sim.Now()
 	frame := s.enc.NextFrame(now)
-	data, err := SplitFrame(frame.Data, s.cfg.K)
+	data, err := SplitFrame(frame.Data, dataShards)
 	if err != nil {
 		return // zero-length frame cannot happen with the encoder's floor
 	}
 	shards := data
 	if s.parity > 0 {
-		rs, err := s.rs(s.cfg.K, s.parity)
+		rs, err := s.rs(s.parity)
 		if err != nil {
 			return
 		}
@@ -159,7 +156,7 @@ func (s *Sender) emitFrame() {
 		s.send(&protocol.VideoChunk{
 			Stream:     s.cfg.Stream,
 			FrameID:    frame.ID,
-			GroupK:     uint8(s.cfg.K),
+			GroupK:     uint8(dataShards),
 			GroupR:     uint8(s.parity),
 			ShardIndex: uint8(i),
 			Keyframe:   frame.Keyframe,
@@ -197,8 +194,8 @@ func (s *Sender) HandleNack(n *protocol.Nack) {
 		s.send(&protocol.VideoChunk{
 			Stream:     s.cfg.Stream,
 			FrameID:    n.FrameID,
-			GroupK:     uint8(s.cfg.K),
-			GroupR:     uint8(len(shards) - s.cfg.K),
+			GroupK:     uint8(dataShards),
+			GroupR:     uint8(len(shards) - dataShards),
 			ShardIndex: idx,
 			Deadline:   deadline,
 			Data:       shards[idx],

@@ -239,7 +239,7 @@ func TestStreamLosslessDeliversEverything(t *testing.T) {
 }
 
 func TestStreamFECRecoversLoss(t *testing.T) {
-	cfg := StreamConfig{Strategy: StrategyFEC, K: 8, R: 4}
+	cfg := StreamConfig{Strategy: StrategyFEC, R: 4}
 	link := netsim.LinkConfig{Latency: 20 * time.Millisecond, LossRate: 0.03}
 	_, rs := runStream(t, cfg, link, 10*time.Second)
 	if rs.DeliveredRatio() < 0.95 {
@@ -253,7 +253,7 @@ func TestStreamFECRecoversLoss(t *testing.T) {
 func TestStreamNoProtectionSuffersLoss(t *testing.T) {
 	// Ablation baseline: r=0 and no ARQ. With 3% shard loss and k=8, about
 	// 1-(0.97)^8 ~ 22% of frames must die.
-	cfg := StreamConfig{Strategy: StrategyFEC, K: 8}
+	cfg := StreamConfig{Strategy: StrategyFEC}
 	cfg.R = -1 // explicit zero parity (negative normalizes to 0)
 	link := netsim.LinkConfig{Latency: 20 * time.Millisecond, LossRate: 0.03}
 	_, rs := runStream(t, cfg, link, 10*time.Second)
@@ -264,7 +264,7 @@ func TestStreamNoProtectionSuffersLoss(t *testing.T) {
 }
 
 func TestStreamARQRecoversOnShortRTT(t *testing.T) {
-	cfg := StreamConfig{Strategy: StrategyARQ, K: 8}
+	cfg := StreamConfig{Strategy: StrategyARQ}
 	link := netsim.LinkConfig{Latency: 10 * time.Millisecond, LossRate: 0.03}
 	ss, rs := runStream(t, cfg, link, 10*time.Second)
 	if rs.NacksSent == 0 || ss.Retransmits == 0 {
@@ -277,11 +277,11 @@ func TestStreamARQRecoversOnShortRTT(t *testing.T) {
 
 func TestStreamARQFailsOnLongRTT(t *testing.T) {
 	// One-way 120 ms on a 150 ms deadline: the NACK round cannot complete.
-	cfg := StreamConfig{Strategy: StrategyARQ, K: 8}
+	cfg := StreamConfig{Strategy: StrategyARQ}
 	link := netsim.LinkConfig{Latency: 120 * time.Millisecond, LossRate: 0.05}
 	_, arq := runStream(t, cfg, link, 10*time.Second)
 
-	cfgF := StreamConfig{Strategy: StrategyFEC, K: 8, R: 4}
+	cfgF := StreamConfig{Strategy: StrategyFEC, R: 4}
 	_, fec := runStream(t, cfgF, link, 10*time.Second)
 
 	t.Logf("long-RTT delivered: arq=%.3f fec=%.3f", arq.DeliveredRatio(), fec.DeliveredRatio())
@@ -297,8 +297,8 @@ func TestStreamAdaptiveMatchesConditions(t *testing.T) {
 	short := netsim.LinkConfig{Latency: 10 * time.Millisecond, LossRate: 0.03}
 	long := netsim.LinkConfig{Latency: 120 * time.Millisecond, LossRate: 0.05}
 
-	_, adShort := runStream(t, StreamConfig{Strategy: StrategyAdaptive, K: 8}, short, 10*time.Second)
-	_, adLong := runStream(t, StreamConfig{Strategy: StrategyAdaptive, K: 8}, long, 10*time.Second)
+	_, adShort := runStream(t, StreamConfig{Strategy: StrategyAdaptive}, short, 10*time.Second)
+	_, adLong := runStream(t, StreamConfig{Strategy: StrategyAdaptive}, long, 10*time.Second)
 
 	if adShort.DeliveredRatio() < 0.93 {
 		t.Errorf("adaptive on short RTT = %v", adShort.DeliveredRatio())
@@ -318,10 +318,10 @@ func TestReceiverIgnoresWrongStream(t *testing.T) {
 }
 
 func TestSenderStatsAccounting(t *testing.T) {
-	cfg := StreamConfig{Strategy: StrategyFEC, K: 4, R: 2}
+	cfg := StreamConfig{Strategy: StrategyFEC, R: 2}
 	ss, rs := runStream(t, cfg, netsim.LinkConfig{}, 2*time.Second)
-	if ss.ChunksSent != ss.FramesSent*6 {
-		t.Errorf("chunks %d != frames %d * 6", ss.ChunksSent, ss.FramesSent)
+	if ss.ChunksSent != ss.FramesSent*10 {
+		t.Errorf("chunks %d != frames %d * 10", ss.ChunksSent, ss.FramesSent)
 	}
 	if rs.ChunksReceived != ss.ChunksSent {
 		t.Errorf("lossless: received %d != sent %d", rs.ChunksReceived, ss.ChunksSent)

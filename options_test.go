@@ -33,13 +33,13 @@ func TestOptionCensus(t *testing.T) {
 		want int
 	}{
 		{classroom.Config{}, 6},
-		{client.VRConfig{}, 6},
+		{client.VRConfig{}, 5},
 		{cloud.Config{}, 5},
 		{cloud.RelayConfig{}, 3},
 		{core.ReplConfig{}, 1},
 		{edge.Config{}, 3},
 		{endpoint.Config{}, 3},
-		{geo.Config{}, 5},
+		{geo.Config{}, 4},
 		{interest.Policy{}, 1},
 		{netsim.LinkConfig{}, 5},
 		{node.Config{}, 2},
@@ -47,7 +47,7 @@ func TestOptionCensus(t *testing.T) {
 		{rig.Config{}, 3},
 		{sensors.HeadsetConfig{}, 2},
 		{sensors.RoomSensorConfig{}, 2},
-		{video.StreamConfig{}, 4},
+		{video.StreamConfig{}, 3},
 	} {
 		typ := reflect.TypeOf(c.cfg)
 		got := 0

@@ -7,7 +7,7 @@
 # of them, as <file>:<line>: <symbol>.
 #
 # A function absent from every binary may still be a seam or an oracle a test
-# in another package uses (ShouldSend, ...). Deciding
+# in another package uses (Grid.Neighbors, ...). Deciding
 # which of those stay is a judgement; this is the list to judge.
 #
 # Usage:
