@@ -88,9 +88,8 @@ type Deployment struct {
 	net *netsim.Network
 	rig *rig.Rig
 
-	campuses map[ClassroomID]*Campus
-	names    map[ParticipantID]string
-	nextID   ParticipantID
+	names  map[ParticipantID]string
+	nextID ParticipantID
 }
 
 // NewDeployment creates a deployment with a cloud VR server already up.
@@ -116,13 +115,12 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 		return nil, err
 	}
 	return &Deployment{
-		cfg:      cfg,
-		sim:      sim,
-		net:      net,
-		rig:      r,
-		campuses: make(map[ClassroomID]*Campus),
-		names:    make(map[ParticipantID]string),
-		nextID:   1,
+		cfg:    cfg,
+		sim:    sim,
+		net:    net,
+		rig:    r,
+		names:  make(map[ParticipantID]string),
+		nextID: 1,
 	}, nil
 }
 
@@ -138,11 +136,12 @@ func (d *Deployment) Cloud() *cloud.Server { return d.rig.Cloud() }
 // Now returns the current virtual time.
 func (d *Deployment) Now() time.Duration { return d.sim.Now() }
 
-// allocID hands out the next participant ID.
-func (d *Deployment) allocID(name string) ParticipantID {
+// allocID hands out the next participant ID. A failed join spends its ID
+// all the same (no ID is ever handed out twice); the roster gets the name
+// only once the participant has joined.
+func (d *Deployment) allocID() ParticipantID {
 	id := d.nextID
 	d.nextID++
-	d.names[id] = name
 	return id
 }
 
@@ -178,7 +177,6 @@ func (d *Deployment) AddCampus(name string, id ClassroomID) (*Campus, error) {
 	c.edge = es
 	// Four sensors around a 12 m x 10 m room.
 	c.array = sensors.NewArray(4, 12, 10, d.sim, sensors.RoomSensorConfig{}, c.roomSink)
-	d.campuses[id] = c
 	return c, nil
 }
 
@@ -232,7 +230,7 @@ func (c *Campus) roomSink(o sensors.Observation) {
 
 // addLocal registers a physically-present participant with full sensing.
 func (c *Campus) addLocal(name string, role Role, script trace.MotionScript) (ParticipantID, error) {
-	id := c.d.allocID(name)
+	id := c.d.allocID()
 	av := avatar.Avatar{
 		Participant: id,
 		Name:        name,
@@ -246,6 +244,7 @@ func (c *Campus) addLocal(name string, role Role, script trace.MotionScript) (Pa
 	if err := c.edge.RegisterLocal(av, vacant[0]); err != nil {
 		return 0, err
 	}
+	c.d.names[id] = name
 	hs := sensors.NewHeadset(strconv.FormatUint(uint64(id), 10), c.d.sim, script,
 		sensors.HeadsetConfig{},
 		func(o sensors.Observation) { _ = c.edge.IngestObservation(id, o) })
@@ -292,6 +291,7 @@ func (c *Campus) RemoveLocal(id ParticipantID) error {
 	hs.Stop()
 	delete(c.headset, id)
 	delete(c.scripts, id)
+	delete(c.d.names, id)
 	c.array.Untrack(strconv.FormatUint(uint64(id), 10))
 	return c.edge.UnregisterLocal(id)
 }
@@ -319,15 +319,14 @@ func (d *Deployment) AddRemoteLearnerVia(relay *cloud.Relay, name string, script
 	return d.addRemote(name, script, link, relay)
 }
 
-// addRemote joins a learner through the rig. One who never joined keeps no
-// roster entry; the ID is spent all the same (no ID is ever handed out twice).
+// addRemote joins a learner through the rig.
 func (d *Deployment) addRemote(name string, script trace.MotionScript, link netsim.LinkConfig, via *cloud.Relay) (*client.VR, ParticipantID, error) {
-	id := d.allocID(name)
+	id := d.allocID()
 	v, err := d.rig.Join(id, endpoint.Addr("vr-"+strconv.FormatUint(uint64(id), 10)), script, via, link)
 	if err != nil {
-		delete(d.names, id)
 		return nil, 0, err
 	}
+	d.names[id] = name
 	return v, id, nil
 }
 

@@ -461,6 +461,43 @@ func TestLinkDegradationSurvived(t *testing.T) {
 	}
 }
 
+// TestRosterHoldsOnlyPresentLocals: a learner a full campus refuses never
+// joined and a learner who left is gone, so neither keeps a roster name.
+func TestRosterHoldsOnlyPresentLocals(t *testing.T) {
+	d, err := NewDeployment(Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gz, err := d.AddCampus("gz", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seats := gz.Edge().Seats().Total()
+	var ids []ParticipantID
+	for range seats {
+		id, err := gz.AddLearner("s", trace.Seated{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if _, err := gz.AddLearner("s", trace.Seated{}); err == nil {
+		t.Fatalf("learner %d joined a %d-seat campus", seats+1, seats)
+	}
+	if name := d.NameOf(ParticipantID(seats + 1)); name != "" {
+		t.Errorf("the refused learner keeps the roster name %q", name)
+	}
+	if err := gz.RemoveLocal(ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	if name := d.NameOf(ids[0]); name != "" {
+		t.Errorf("the departed learner keeps the roster name %q", name)
+	}
+	if n := len(d.names); n != seats-1 {
+		t.Errorf("roster holds %d names, want %d", n, seats-1)
+	}
+}
+
 // TestFailedJoinReclaimsEndpoint: a join the fabric refuses (a loss rate of
 // 2 is no probability) must leave nothing behind — no bound host, no link,
 // no cloud registration, no roster entry — and must not wedge later joins.

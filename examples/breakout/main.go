@@ -11,7 +11,6 @@ import (
 	"metaclass/classroom"
 	"metaclass/internal/mathx"
 	"metaclass/internal/netsim"
-	"metaclass/internal/protocol"
 	"metaclass/internal/session"
 	"metaclass/internal/trace"
 )
@@ -39,9 +38,7 @@ func run() error {
 		return err
 	}
 
-	var events int
-	sess := session.NewManager(func(_ *protocol.ActivityEvent) { events++ })
-	_ = events
+	sess := session.NewManager()
 
 	teacher, err := gz.AddEducator("Prof. Wang", trace.Lecturer{
 		Left: mathx.V3(-2, 0, 0), Right: mathx.V3(2, 0, 0),
@@ -173,6 +170,6 @@ func run() error {
 	slide, _ := sess.CurrentSlide(pres)
 	fmt.Printf("\npresentation: remote learner %s drove the deck to slide %d/5 from their VR classroom\n",
 		d.NameOf(members[6].id), slide+1)
-	fmt.Printf("activity events replicated to all venues: %d\n", len(sess.Log()))
+	fmt.Printf("activity events logged: %d\n", len(sess.Log()))
 	return nil
 }

@@ -47,7 +47,7 @@ func run() error {
 		return err
 	}
 
-	sess := session.NewManager(nil)
+	sess := session.NewManager()
 	sess.Enroll(teacher, classroom.RoleEducator)
 
 	var students []classroom.ParticipantID

@@ -301,9 +301,10 @@ func TestRelayForwardsClientPosesUpstream(t *testing.T) {
 }
 
 // TestRelayRefusesRetiredExpressionUpload: wire type 6 was the VR client's
-// expression upload, retired with its ingest hook. A well-formed frame of it
-// from a served client is a decode error at the relay: it reaches no hook
-// and no fallback, and nothing goes upstream.
+// expression upload, retired with its ingest hook, and wire type 15 the
+// session layer's ActivityEvent, which nothing sent. A well-formed frame of
+// either from a served client is a decode error at the relay: it reaches no
+// hook and no fallback, and nothing goes upstream.
 func TestRelayRefusesRetiredExpressionUpload(t *testing.T) {
 	sim := vclock.New(7)
 	net := netsim.New(sim)
@@ -330,21 +331,27 @@ func TestRelayRefusesRetiredExpressionUpload(t *testing.T) {
 	if err := r.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// ExpressionUpdate{Participant: 3, Seq: 2, Weights: {0, 128, 255}} as
-	// Encode wrote it while the type existed.
-	frame, err := hex.DecodeString("4d4301060c0000000300000002030080ff1d5beb7b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := net.SendFrame("sub", "relay", protocol.CopyFrame(frame)); err != nil {
-		t.Fatal(err)
+	// ExpressionUpdate{Participant: 3, Seq: 2, Weights: {0, 128, 255}} and
+	// ActivityEvent{Participant: 4, Activity: 1, Kind: "quiz", Payload: "a=1"}
+	// as Encode wrote them while the types existed.
+	for _, h := range []string{
+		"4d4301060c0000000300000002030080ff1d5beb7b",
+		"4d43010f110000000400000001047175697a03613d31717cf0ae",
+	} {
+		frame, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := net.SendFrame("sub", "relay", protocol.CopyFrame(frame)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := sim.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
 	counter := func(name string) uint64 { return r.Metrics().Counter(name).Value() }
-	if n := counter("recv.decode_errors"); n != 1 {
-		t.Errorf("recv.decode_errors = %d, want 1", n)
+	if n := counter("recv.decode_errors"); n != 2 {
+		t.Errorf("recv.decode_errors = %d, want 2", n)
 	}
 	if n := counter("forwarded.up") + counter("recv.unhandled"); n != 0 {
 		t.Errorf("the frame reached the fallback: forwarded.up + recv.unhandled = %d", n)

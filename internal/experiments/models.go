@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"metaclass/internal/avatar"
 	"metaclass/internal/fusion"
 	"metaclass/internal/mathx"
 	"metaclass/internal/netsim"
@@ -29,22 +30,17 @@ func E6Render(seed int64) Table {
 	cfg := render.PipelineConfig{RTT: 40 * time.Millisecond}
 	const headAngVel = 0.6 // rad/s: attentive student scanning the room
 	for _, n := range []int{10, 30, 60} {
-		for _, lod := range []struct {
-			name string
-			tris int64
-		}{
-			{"medium(25k)", 25_000},
-			{"photoreal(500k)", 500_000},
-		} {
-			hq := int64(n) * lod.tris
-			lq := int64(n) * 5_000 // low-LoD stand-ins
+		for _, lod := range []avatar.LoD{avatar.LoDMedium, avatar.LoDPhotoreal} {
+			hq := int64(n) * int64(lod.Triangles())
+			lq := int64(n) * int64(avatar.LoDLow.Triangles()) // low-LoD stand-ins
+			name := fmt.Sprintf("%s(%dk)", lod, lod.Triangles()/1000)
 			for _, plan := range render.Plans() {
 				rep := render.Evaluate(plan, render.DeviceStandalone, hq, lq, cfg, headAngVel)
 				ok := "yes"
 				if rep.LocalFrameTime > time.Second/72 {
 					ok = "NO"
 				}
-				t.AddRow(fmt.Sprint(n), lod.name, plan.String(),
+				t.AddRow(fmt.Sprint(n), name, plan.String(),
 					fmtMS(rep.LocalFrameTime), ok,
 					fmtMS(rep.AvatarLag), fmt.Sprintf("%.1f%%", rep.MispredictRate*100))
 			}

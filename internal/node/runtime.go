@@ -274,16 +274,21 @@ func (r *Runtime) releaseClient(c *Client) {
 }
 
 // AddClient registers a learner replicated directly by this node, gated by
-// the runtime's interest filter.
+// the runtime's interest filter. An address that is already a replication
+// peer is refused before any table is written.
 func (r *Runtime) AddClient(id protocol.ParticipantID, addr endpoint.Addr) error {
 	if _, ok := r.clients[id]; ok {
 		return fmt.Errorf("%w: %d", ErrClientExists, id)
 	}
 	c := r.acquireClient()
+	if err := r.repl.AddPeerRefusing(string(addr), c.refused); err != nil {
+		r.releaseClient(c)
+		return err
+	}
 	c.ID, c.Addr, c.Replicated = id, addr, true
 	r.clients[id] = c
 	r.byAddr[addr] = c
-	return r.repl.AddPeerRefusing(string(addr), c.refused)
+	return nil
 }
 
 // RegisterClient records a learner this node seats and authors but does not

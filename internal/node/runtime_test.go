@@ -114,6 +114,35 @@ func TestRetargetClientMovesOnlyRoutedClients(t *testing.T) {
 	}
 }
 
+// TestAddClientAtTakenAddressChangesNothing: a second client at an address
+// that is already a replication peer is refused, and the refusal leaves the
+// first client's session whole: it stays a peer and stays resolvable, and
+// the refused client is in no table for a later RemoveClient to tear down.
+func TestAddClientAtTakenAddressChangesNothing(t *testing.T) {
+	rt, _ := newRuntime(t, Config{Interest: interest.NewPolicy()})
+	if err := rt.AddClient(1, "x"); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.AddClient(2, "x"); !errors.Is(err, core.ErrPeerExists) {
+		t.Fatalf("AddClient at a taken address: err = %v, want core.ErrPeerExists", err)
+	}
+	if _, ok := rt.Client(2); ok {
+		t.Error("the refused client is registered")
+	}
+	if rt.ClientCount() != 1 {
+		t.Errorf("ClientCount = %d, want 1", rt.ClientCount())
+	}
+	if _, err := rt.RemoveClient(2); !errors.Is(err, ErrUnknownClient) {
+		t.Errorf("RemoveClient of the refused client: err = %v, want ErrUnknownClient", err)
+	}
+	if !rt.Replicator().HasPeer("x") {
+		t.Error("client 1 lost its replicator peer")
+	}
+	if c, ok := rt.ClientByAddr("x"); !ok || c.ID != 1 {
+		t.Errorf("ClientByAddr(x) = %v, %v; want client 1", c, ok)
+	}
+}
+
 // TestRuntimeOnboardingAllocationFlat pins the pooled onboarding path: after
 // warm-up, a join/leave cycle (client table + interest set + replicator peer
 // state + first-snapshot scratch) performs no steady-state allocations

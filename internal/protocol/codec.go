@@ -74,7 +74,6 @@ type Decoder struct {
 	pong     Pong
 	video    VideoChunk
 	audio    AudioFrame
-	activity ActivityEvent
 	nack     Nack
 }
 
@@ -103,8 +102,6 @@ func (d *Decoder) message(t MsgType) (Message, error) {
 		return &d.video, nil
 	case TypeAudioFrame:
 		return &d.audio, nil
-	case TypeActivityEvent:
-		return &d.activity, nil
 	case TypeNack:
 		return &d.nack, nil
 	default:

@@ -35,7 +35,6 @@ func allMessages() []Message {
 		&VideoChunk{Stream: 1, FrameID: 500, GroupK: 8, GroupR: 2, ShardIndex: 9,
 			Keyframe: true, Deadline: 150 * time.Millisecond, Data: []byte("shard-bytes")},
 		&AudioFrame{Participant: 7, Seq: 77, CapturedAt: time.Second, Data: []byte("opusish")},
-		&ActivityEvent{Participant: 9, Activity: 3, Kind: "quiz.answer", Payload: []byte(`{"q":1,"a":"B"}`)},
 		&Nack{Stream: 1, FrameID: 500, Missing: []byte{2, 7}},
 	}
 }
@@ -85,9 +84,9 @@ func TestEveryTypeHasName(t *testing.T) {
 }
 
 // retiredTypes are the wire numbers of deleted message types (Join,
-// ExpressionUpdate, SeatAssign). They stay reserved: a number is never handed
-// to a new type.
-var retiredTypes = []MsgType{3, 6, 7}
+// ExpressionUpdate, SeatAssign, ActivityEvent). They stay reserved: a number
+// is never handed to a new type.
+var retiredTypes = []MsgType{3, 6, 7, 15}
 
 // TestWireTypeNumbersPinned holds every wire type to its number — the type
 // byte is the protocol, and the constants are an iota block that a deletion
@@ -97,7 +96,7 @@ func TestWireTypeNumbersPinned(t *testing.T) {
 	pinned := map[MsgType]uint8{
 		TypeHello: 1, TypeHelloAck: 2, TypeLeave: 4, TypePoseUpdate: 5,
 		TypeSnapshot: 8, TypeDelta: 9, TypeAck: 10, TypePing: 11, TypePong: 12,
-		TypeVideoChunk: 13, TypeAudioFrame: 14, TypeActivityEvent: 15, TypeNack: 16,
+		TypeVideoChunk: 13, TypeAudioFrame: 14, TypeNack: 16,
 	}
 	for mt, n := range pinned {
 		if uint8(mt) != n {

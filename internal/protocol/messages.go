@@ -12,9 +12,10 @@ import (
 // zero byte is never a valid type.
 type MsgType uint8
 
-// Message types. A type's number is its wire byte. 3, 6 and 7 belonged to
-// Join, ExpressionUpdate and SeatAssign, which no deployment sent; they
-// stay reserved so a later type can never be mistaken for a frame of any.
+// Message types. A type's number is its wire byte. 3, 6, 7 and 15 belonged
+// to Join, ExpressionUpdate, SeatAssign and ActivityEvent, which no
+// deployment sent; they stay reserved so a later type can never be mistaken
+// for a frame of any.
 const (
 	TypeHello MsgType = iota + 1
 	TypeHelloAck
@@ -30,25 +31,24 @@ const (
 	TypePong
 	TypeVideoChunk
 	TypeAudioFrame
-	TypeActivityEvent
+	_ // 15: was ActivityEvent
 	TypeNack
 	typeMax // sentinel, keep last
 )
 
 var typeNames = map[MsgType]string{
-	TypeHello:         "Hello",
-	TypeHelloAck:      "HelloAck",
-	TypeLeave:         "Leave",
-	TypePoseUpdate:    "PoseUpdate",
-	TypeSnapshot:      "Snapshot",
-	TypeDelta:         "Delta",
-	TypeAck:           "Ack",
-	TypePing:          "Ping",
-	TypePong:          "Pong",
-	TypeVideoChunk:    "VideoChunk",
-	TypeAudioFrame:    "AudioFrame",
-	TypeActivityEvent: "ActivityEvent",
-	TypeNack:          "Nack",
+	TypeHello:      "Hello",
+	TypeHelloAck:   "HelloAck",
+	TypeLeave:      "Leave",
+	TypePoseUpdate: "PoseUpdate",
+	TypeSnapshot:   "Snapshot",
+	TypeDelta:      "Delta",
+	TypeAck:        "Ack",
+	TypePing:       "Ping",
+	TypePong:       "Pong",
+	TypeVideoChunk: "VideoChunk",
+	TypeAudioFrame: "AudioFrame",
+	TypeNack:       "Nack",
 }
 
 // String implements fmt.Stringer.
@@ -666,33 +666,6 @@ func (m *AudioFrame) decode(r *Reader) error {
 	m.Seq = r.U32()
 	m.CapturedAt = time.Duration(r.Varint())
 	m.Data = r.BytesVar()
-	return r.ExpectEOF()
-}
-
-// ActivityEvent carries session-layer interactions: quiz answers, breakout
-// progress, hand raises, presentation controls (§III-A features).
-type ActivityEvent struct {
-	Participant ParticipantID
-	Activity    uint32
-	Kind        string
-	Payload     []byte
-}
-
-// Type implements Message.
-func (*ActivityEvent) Type() MsgType { return TypeActivityEvent }
-
-func (m *ActivityEvent) encode(w *Writer) {
-	w.U32(uint32(m.Participant))
-	w.U32(m.Activity)
-	w.String(m.Kind)
-	w.BytesVar(m.Payload)
-}
-
-func (m *ActivityEvent) decode(r *Reader) error {
-	m.Participant = ParticipantID(r.U32())
-	m.Activity = r.U32()
-	m.Kind = r.String()
-	m.Payload = r.BytesVar()
 	return r.ExpectEOF()
 }
 

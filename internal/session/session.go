@@ -6,13 +6,12 @@
 // patterns it highlights: gamified task-based modules ("digital breakouts"),
 // learner collaborations, and learner-driven activities.
 //
-// Activities communicate through protocol.ActivityEvent messages so they
-// ride the same sync fabric as poses; the Manager is the authoritative
-// activity state machine hosted next to a sync server.
+// The Manager is the authoritative activity state machine hosted next to a
+// sync server, and its log (Manager.Log) is the record of what happened in
+// each activity.
 package session
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -57,10 +56,6 @@ func (s State) String() string {
 	}
 }
 
-// EventSink receives activity events for replication to all classrooms
-// (wired to the sync layer by the host server).
-type EventSink func(ev *protocol.ActivityEvent)
-
 // Manager hosts the activities of one class session. Not safe for
 // concurrent use; it lives on its server's simulation goroutine.
 type Manager struct {
@@ -69,7 +64,6 @@ type Manager struct {
 	breakout map[ActivityID]*Breakout
 	pres     map[ActivityID]*Presentation
 	enrolled map[protocol.ParticipantID]protocol.Role
-	sink     EventSink
 	log      []LogEntry
 }
 
@@ -81,15 +75,14 @@ type LogEntry struct {
 	Who      protocol.ParticipantID
 }
 
-// NewManager creates an empty session. sink may be nil.
-func NewManager(sink EventSink) *Manager {
+// NewManager creates an empty session.
+func NewManager() *Manager {
 	return &Manager{
 		next:     1,
 		quizzes:  make(map[ActivityID]*Quiz),
 		breakout: make(map[ActivityID]*Breakout),
 		pres:     make(map[ActivityID]*Presentation),
 		enrolled: make(map[protocol.ParticipantID]protocol.Role),
-		sink:     sink,
 	}
 }
 
@@ -104,21 +97,8 @@ func (m *Manager) Withdraw(id protocol.ParticipantID) { delete(m.enrolled, id) }
 // Enrolled returns the number of enrolled participants.
 func (m *Manager) Enrolled() int { return len(m.enrolled) }
 
-func (m *Manager) emit(at time.Duration, a ActivityID, kind string, who protocol.ParticipantID, payload any) {
+func (m *Manager) emit(at time.Duration, a ActivityID, kind string, who protocol.ParticipantID) {
 	m.log = append(m.log, LogEntry{At: at, Activity: a, Kind: kind, Who: who})
-	if m.sink == nil {
-		return
-	}
-	var body []byte
-	if payload != nil {
-		body, _ = json.Marshal(payload)
-	}
-	m.sink(&protocol.ActivityEvent{
-		Participant: who,
-		Activity:    uint32(a),
-		Kind:        kind,
-		Payload:     body,
-	})
 }
 
 // Log returns the event log (copy).
@@ -179,7 +159,7 @@ func (m *Manager) OpenQuiz(at time.Duration, id ActivityID, window time.Duration
 	q.state = StateOpen
 	q.openAt = at
 	q.window = window
-	m.emit(at, id, "quiz.open", 0, map[string]any{"title": q.Title, "n": len(q.Questions)})
+	m.emit(at, id, "quiz.open", 0)
 	return nil
 }
 
@@ -213,7 +193,7 @@ func (m *Manager) SubmitAnswer(at time.Duration, id ActivityID, p protocol.Parti
 	}
 	ans[qi] = choice
 	q.answers[p] = ans
-	m.emit(at, id, "quiz.answer", p, map[string]int{"q": qi, "a": choice})
+	m.emit(at, id, "quiz.answer", p)
 	return nil
 }
 
@@ -237,7 +217,7 @@ func (m *Manager) CloseQuiz(at time.Duration, id ActivityID) (map[protocol.Parti
 		}
 		scores[p] = s
 	}
-	m.emit(at, id, "quiz.close", 0, map[string]int{"submissions": len(q.answers)})
+	m.emit(at, id, "quiz.close", 0)
 	return scores, nil
 }
 
@@ -305,7 +285,7 @@ func (m *Manager) OpenBreakout(at time.Duration, id ActivityID) error {
 		return fmt.Errorf("%w: no teams formed", ErrWrongState)
 	}
 	b.state = StateOpen
-	m.emit(at, id, "breakout.open", 0, map[string]int{"teams": len(b.teams), "stages": len(b.Stages)})
+	m.emit(at, id, "breakout.open", 0)
 	return nil
 }
 
@@ -329,14 +309,14 @@ func (m *Manager) AttemptStage(at time.Duration, id ActivityID, p protocol.Parti
 		return false, true, nil // already escaped
 	}
 	if code != b.Stages[cur] {
-		m.emit(at, id, "breakout.wrong", p, nil)
+		m.emit(at, id, "breakout.wrong", p)
 		return false, false, nil
 	}
 	b.progress[team] = cur + 1
-	m.emit(at, id, "breakout.solved", p, map[string]any{"team": team, "stage": cur})
+	m.emit(at, id, "breakout.solved", p)
 	if b.progress[team] == len(b.Stages) {
 		b.solvedAt[team] = at
-		m.emit(at, id, "breakout.escaped", p, map[string]string{"team": team})
+		m.emit(at, id, "breakout.escaped", p)
 		return true, true, nil
 	}
 	return true, false, nil
@@ -426,7 +406,7 @@ func (m *Manager) StartPresentation(at time.Duration, owner protocol.Participant
 		ctrl: map[protocol.ParticipantID]bool{owner: true},
 	}
 	m.pres[id] = p
-	m.emit(at, id, "pres.start", owner, map[string]any{"title": title, "slides": slides})
+	m.emit(at, id, "pres.start", owner)
 	return id, nil
 }
 
@@ -463,7 +443,7 @@ func (m *Manager) Navigate(at time.Duration, id ActivityID, who protocol.Partici
 	if p.slide >= p.Slides {
 		p.slide = p.Slides - 1
 	}
-	m.emit(at, id, "pres.slide", who, map[string]int{"slide": p.slide})
+	m.emit(at, id, "pres.slide", who)
 	return p.slide, nil
 }
 

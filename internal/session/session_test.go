@@ -8,10 +8,9 @@ import (
 	"metaclass/internal/protocol"
 )
 
-func newSession(t *testing.T, n int) (*Manager, []protocol.ParticipantID, *[]*protocol.ActivityEvent) {
+func newSession(t *testing.T, n int) (*Manager, []protocol.ParticipantID) {
 	t.Helper()
-	var events []*protocol.ActivityEvent
-	m := NewManager(func(ev *protocol.ActivityEvent) { events = append(events, ev) })
+	m := NewManager()
 	ids := make([]protocol.ParticipantID, n)
 	for i := range ids {
 		ids[i] = protocol.ParticipantID(i + 1)
@@ -21,11 +20,11 @@ func newSession(t *testing.T, n int) (*Manager, []protocol.ParticipantID, *[]*pr
 		}
 		m.Enroll(ids[i], role)
 	}
-	return m, ids, &events
+	return m, ids
 }
 
 func TestQuizLifecycle(t *testing.T) {
-	m, ids, events := newSession(t, 4)
+	m, ids := newSession(t, 4)
 	qid, err := m.CreateQuiz("latency basics", []Question{
 		{Prompt: "threshold?", Choices: []string{"10ms", "100ms", "1s"}, Answer: 1},
 		{Prompt: "protocol?", Choices: []string{"ARQ", "FEC"}, Answer: 1},
@@ -61,10 +60,10 @@ func TestQuizLifecycle(t *testing.T) {
 	if _, ok := scores[ids[3]]; ok {
 		t.Error("silent student scored")
 	}
-	// Events were emitted for replication.
+	// Every step is on the session log.
 	kinds := map[string]int{}
-	for _, ev := range *events {
-		kinds[ev.Kind]++
+	for _, e := range m.Log() {
+		kinds[e.Kind]++
 	}
 	if kinds["quiz.open"] != 1 || kinds["quiz.answer"] != 5 || kinds["quiz.close"] != 1 {
 		t.Errorf("event kinds = %v", kinds)
@@ -79,7 +78,7 @@ func mustSubmit(t *testing.T, m *Manager, q ActivityID, p protocol.ParticipantID
 }
 
 func TestQuizValidation(t *testing.T) {
-	m, ids, _ := newSession(t, 2)
+	m, ids := newSession(t, 2)
 	if _, err := m.CreateQuiz("empty", nil); !errors.Is(err, ErrBadSubmission) {
 		t.Errorf("empty quiz err = %v", err)
 	}
@@ -110,7 +109,7 @@ func TestQuizValidation(t *testing.T) {
 }
 
 func TestBreakoutRace(t *testing.T) {
-	m, ids, _ := newSession(t, 6)
+	m, ids := newSession(t, 6)
 	bid, err := m.CreateBreakout("escape-1", []string{"alpha", "beta", "gamma"})
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +173,7 @@ func TestBreakoutRace(t *testing.T) {
 }
 
 func TestPresentationControl(t *testing.T) {
-	m, ids, _ := newSession(t, 3)
+	m, ids := newSession(t, 3)
 	owner, student, outsider := ids[0], ids[1], protocol.ParticipantID(99)
 
 	pid, err := m.StartPresentation(0, owner, "metaverse 101", 10)
@@ -213,7 +212,7 @@ func TestPresentationControl(t *testing.T) {
 }
 
 func TestEventLogOrdered(t *testing.T) {
-	m, ids, _ := newSession(t, 3)
+	m, ids := newSession(t, 3)
 	qid, _ := m.CreateQuiz("q", []Question{{Choices: []string{"a", "b"}, Answer: 0}})
 	_ = m.OpenQuiz(time.Second, qid, 0)
 	_ = m.SubmitAnswer(2*time.Second, qid, ids[1], 0, 0)
@@ -235,7 +234,7 @@ func TestEventLogOrdered(t *testing.T) {
 }
 
 func TestEnrollWithdraw(t *testing.T) {
-	m, ids, _ := newSession(t, 2)
+	m, ids := newSession(t, 2)
 	if m.Enrolled() != 2 {
 		t.Errorf("enrolled = %d", m.Enrolled())
 	}
@@ -251,7 +250,7 @@ func TestEnrollWithdraw(t *testing.T) {
 }
 
 func TestNilSinkSafe(t *testing.T) {
-	m := NewManager(nil)
+	m := NewManager()
 	m.Enroll(1, protocol.RoleEducator)
 	qid, err := m.CreateQuiz("q", []Question{{Choices: []string{"a", "b"}, Answer: 0}})
 	if err != nil {
@@ -261,6 +260,6 @@ func TestNilSinkSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(m.Log()) != 1 {
-		t.Error("log not recorded with nil sink")
+		t.Error("log not recorded by a Manager with no consumer")
 	}
 }

@@ -38,11 +38,14 @@ func (s Strategy) String() string {
 
 // StreamConfig parameterizes one video stream.
 type StreamConfig struct {
-	Stream   uint32
 	Strategy Strategy
 	// R is the static parity count (StrategyFEC; default 2).
 	R int
 }
+
+// streamID is the stream number a sender stamps on its chunks; a receiver
+// and a sender refuse chunks and nacks of any other stream.
+const streamID uint32 = 0
 
 // dataShards is the data shard count per frame.
 const dataShards = 8
@@ -154,7 +157,7 @@ func (s *Sender) emitFrame() {
 		s.chunksSent++
 		s.bytesSent += uint64(len(shard))
 		s.send(&protocol.VideoChunk{
-			Stream:     s.cfg.Stream,
+			Stream:     streamID,
 			FrameID:    frame.ID,
 			GroupK:     uint8(dataShards),
 			GroupR:     uint8(s.parity),
@@ -176,7 +179,7 @@ func (s *Sender) emitFrame() {
 
 // HandleNack retransmits the requested shards if the frame is still alive.
 func (s *Sender) HandleNack(n *protocol.Nack) {
-	if n.Stream != s.cfg.Stream {
+	if n.Stream != streamID {
 		return
 	}
 	shards, ok := s.pending[n.FrameID]
@@ -192,7 +195,7 @@ func (s *Sender) HandleNack(n *protocol.Nack) {
 		s.chunksSent++
 		s.bytesSent += uint64(len(shards[idx]))
 		s.send(&protocol.VideoChunk{
-			Stream:     s.cfg.Stream,
+			Stream:     streamID,
 			FrameID:    n.FrameID,
 			GroupK:     uint8(dataShards),
 			GroupR:     uint8(len(shards) - dataShards),
@@ -295,7 +298,7 @@ func NewReceiver(sim *vclock.Sim, cfg StreamConfig, sendNack func(*protocol.Nack
 
 // HandleChunk ingests one arriving chunk.
 func (r *Receiver) HandleChunk(c *protocol.VideoChunk) {
-	if c.Stream != r.cfg.Stream {
+	if c.Stream != streamID {
 		return
 	}
 	g, ok := r.groups[c.FrameID]
@@ -381,7 +384,7 @@ func (r *Receiver) maybeNack(id uint32) {
 	}
 	g.nacked = true
 	r.stats.NacksSent++
-	r.sendNack(&protocol.Nack{Stream: r.cfg.Stream, FrameID: id, Missing: missing})
+	r.sendNack(&protocol.Nack{Stream: streamID, FrameID: id, Missing: missing})
 }
 
 func (r *Receiver) finalize(id uint32) {

@@ -310,7 +310,7 @@ func TestStreamAdaptiveMatchesConditions(t *testing.T) {
 
 func TestReceiverIgnoresWrongStream(t *testing.T) {
 	sim := vclock.New(1)
-	r := NewReceiver(sim, StreamConfig{Stream: 7}, nil)
+	r := NewReceiver(sim, StreamConfig{}, nil)
 	r.HandleChunk(&protocol.VideoChunk{Stream: 99, FrameID: 1, GroupK: 1, Data: []byte{1}})
 	if r.Stats().ChunksReceived != 0 {
 		t.Error("wrong-stream chunk accepted")

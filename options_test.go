@@ -47,7 +47,7 @@ func TestOptionCensus(t *testing.T) {
 		{rig.Config{}, 3},
 		{sensors.HeadsetConfig{}, 2},
 		{sensors.RoomSensorConfig{}, 2},
-		{video.StreamConfig{}, 3},
+		{video.StreamConfig{}, 2},
 	} {
 		typ := reflect.TypeOf(c.cfg)
 		got := 0
