@@ -240,9 +240,9 @@ func (s *Server) AdoptSession(id protocol.ParticipantID, addr endpoint.Addr, fro
 }
 
 // RemoveClient drops a remote learner: the runtime tears down the
-// replication peer (returning its scratch to the onboarding pool) and the
-// interest-grid entry; the cloud releases the VR seat and withdraws the
-// authored entity so the departure replicates to everyone else.
+// replication peer (returning its scratch to the onboarding pool); the cloud
+// releases the VR seat and withdraws the authored entity, with its
+// interest-grid entry, so the departure replicates to everyone else.
 func (s *Server) RemoveClient(id protocol.ParticipantID) error {
 	if _, err := s.rt.RemoveClient(id); err != nil {
 		return fmt.Errorf("cloud: %w", err)

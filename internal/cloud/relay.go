@@ -91,7 +91,7 @@ func (r *Relay) AddClient(id protocol.ParticipantID, addr endpoint.Addr) error {
 
 // RemoveClient drops a locally-served client: its replication peer (and
 // scratch) and interest state are torn down by the runtime; the mirrored
-// world entry is owned upstream and expires via the cloud's own removal.
+// world entry, grid entry included, expires via the cloud's own removal.
 func (r *Relay) RemoveClient(id protocol.ParticipantID) error {
 	if _, err := r.rt.RemoveClient(id); err != nil {
 		return fmt.Errorf("cloud: relay: %w", err)

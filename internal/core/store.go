@@ -68,6 +68,7 @@ type Store struct {
 	wire     [][]byte // wire[slot]: recs[slot].state encoded; sized by the first encode
 	free     []uint32
 	removals []removal // ascending by tick
+	cursors  []int     // Mirror's scratch: one walk-order index per source
 
 	// order holds every live entity's (id, slot), ascending by ID and kept
 	// sorted in place; slots is the point index.
@@ -105,8 +106,7 @@ func (s *Store) position(id protocol.ParticipantID) (int, bool) {
 
 // slotOf returns id's slot, seating an ID the store does not hold in the most
 // recently vacated slot, else a new one at the end of the table, with its
-// entry inserted into the walk order. It is one call so that Upsert stays
-// small enough to inline at the per-entity ingest and mirror call sites.
+// entry inserted into the walk order.
 func (s *Store) slotOf(id protocol.ParticipantID) uint32 {
 	slot, ok := s.slots[id]
 	if ok {
@@ -148,26 +148,79 @@ func (s *Store) release(is idSlot) {
 	delete(s.slots, is.id)
 }
 
+// write is the one write path of a record (Upsert, merge, Mirror).
+func (s *Store) write(slot uint32, e *protocol.EntityState) {
+	r := &s.recs[slot]
+	r.state, r.changedTick, r.encoded = *e, s.tick, false
+}
+
 // Upsert inserts or replaces an entity's state, stamping it changed at the
 // current tick.
-func (s *Store) Upsert(e protocol.EntityState) {
-	r := &s.recs[s.slotOf(e.Participant)]
-	r.state, r.changedTick, r.encoded = e, s.tick, false
-}
+func (s *Store) Upsert(e protocol.EntityState) { s.put(&e) }
 
-// UpsertIfChanged inserts or replaces an entity only if its state actually
-// differs from what is stored, reporting whether a write happened. Mirroring
-// stages (cloud world, regional relays) use it so unchanged entities do not
-// get re-stamped — and therefore not re-replicated — every tick.
-func (s *Store) UpsertIfChanged(e protocol.EntityState) bool {
-	if slot, ok := s.slots[e.Participant]; ok && entityEqual(s.recs[slot].state, e) {
-		return false
+// put is Upsert out of line: Upsert stays inlinable and passes e by pointer.
+func (s *Store) put(e *protocol.EntityState) { s.write(s.slotOf(e.Participant), e) }
+
+// Mirror folds srcs, in the order given, into the store at the current tick
+// (a relay's mirror, the cloud's edge merge), joining each source's ascending
+// walk to the store's by a cursor; new IDs are seated in (source, ID) order. A
+// record is written, and passed to moved, only when it differs from the
+// source's (whose changedTick is another store's tick, so it is not read): a
+// later source overrides an earlier one. Then each entity no source holds
+// departs, ascending, unless retain (if set) keeps it: removed and logged as
+// by Remove, and passed to removed.
+func (s *Store) Mirror(srcs []*Store, retain func(protocol.EntityState) bool, moved func(*protocol.EntityState), removed func(protocol.ParticipantID)) {
+	for _, src := range srcs {
+		order, c := s.order, 0
+		for _, is := range src.ordered() {
+			e := &src.recs[is.slot].state
+			for c < len(order) && order[c].id < is.id {
+				c++
+			}
+			var slot uint32
+			if c < len(order) && order[c].id == is.id {
+				if slot = order[c].slot; sameEntity(&s.recs[slot].state, e) {
+					c++
+					continue
+				}
+			} else {
+				slot = s.slotOf(is.id) // seated at the cursor
+				order = s.order
+			}
+			c++
+			s.write(slot, e)
+			moved(&s.recs[slot].state)
+		}
 	}
-	s.Upsert(e)
-	return true
+	s.cursors = append(s.cursors[:0], make([]int, len(srcs))...)
+	kept := s.order[:0]
+	for _, is := range s.order {
+		if heldBy(srcs, s.cursors, is.id) || retain != nil && retain(s.recs[is.slot].state) {
+			kept = append(kept, is)
+			continue
+		}
+		s.release(is)
+		s.removals = append(s.removals, removal{id: is.id, tick: s.tick})
+		removed(is.id)
+	}
+	s.order = kept
 }
 
-func entityEqual(a, b protocol.EntityState) bool {
+// heldBy reports whether a source holds id; asked in ascending ID order, its
+// cursors at[k] walk each source once.
+func heldBy(srcs []*Store, at []int, id protocol.ParticipantID) bool {
+	for k, src := range srcs {
+		for at[k] < len(src.order) && src.order[at[k]].id < id {
+			at[k]++
+		}
+		if at[k] < len(src.order) && src.order[at[k]].id == id {
+			return true
+		}
+	}
+	return false
+}
+
+func sameEntity(a, b *protocol.EntityState) bool {
 	if a.Participant != b.Participant || a.Home != b.Home ||
 		a.CapturedAt != b.CapturedAt || a.Pose != b.Pose ||
 		a.VelMMS != b.VelMMS || a.Seat != b.Seat || a.Flags != b.Flags {
@@ -218,14 +271,6 @@ func (s *Store) IDs() []protocol.ParticipantID {
 		out[i] = is.id
 	}
 	return out
-}
-
-// Range calls fn for every live entity in ascending participant order
-// without allocating. fn must not mutate the store.
-func (s *Store) Range(fn func(id protocol.ParticipantID, e protocol.EntityState)) {
-	for _, is := range s.ordered() {
-		fn(is.id, s.recs[is.slot].state)
-	}
 }
 
 // SnapshotInto builds a full-state message at the current tick into msg,
@@ -526,8 +571,7 @@ func (s *Store) merge(ents []protocol.EntityState, r *Replica, now time.Duration
 			order = s.order // seated, at or before the cursor
 			c++
 		}
-		rec := &s.recs[slot]
-		rec.state, rec.changedTick, rec.encoded = *e, s.tick, false
+		s.write(slot, e)
 		if r != nil {
 			r.noteEntity(slot, e, now)
 		}

@@ -102,9 +102,10 @@ type Runtime struct {
 	// fan-out (set once via Start).
 	onTick func()
 
-	// Per-tick scratch, reused so the tick path allocates nothing.
-	liveScratch   map[protocol.ParticipantID]bool
-	removeScratch []protocol.ParticipantID
+	// MirrorPeers' reused source list, and its grid upkeep, built once.
+	mirrorSrcs []*core.Store
+	moved      func(*protocol.EntityState)
+	removed    func(protocol.ParticipantID)
 
 	// pool runs the tick's per-peer jobs — ack settling, the build, its
 	// frame and checksum; its width is GOMAXPROCS at construction. Width is
@@ -132,9 +133,9 @@ func New(sim *vclock.Sim, tr endpoint.Transport, cfg Config) (*Runtime, error) {
 		peers:   make(map[endpoint.Addr]*SyncPeer),
 		clients: make(map[protocol.ParticipantID]*Client),
 		byAddr:  make(map[endpoint.Addr]*Client),
-
-		liveScratch: make(map[protocol.ParticipantID]bool),
 	}
+	r.moved = func(e *protocol.EntityState) { r.grid.Update(e.Participant, e.Pose.Position()) }
+	r.removed = r.grid.Remove
 	r.pool = work.New(0)
 	r.repl = core.NewReplicator(r.store, core.ReplConfig{Pool: r.pool})
 	ep, err := endpoint.NewDispatcher(tr, r.reg, endpoint.Config{Now: sim.Now})
@@ -326,9 +327,9 @@ func (r *Runtime) RangeClients(fn func(c *Client)) {
 }
 
 // RemoveClient tears a learner down: the replicator peer (and its scratch,
-// returned to the pool), the interest-grid entry, and the table slots all
-// go; the Client value is recycled for the next join. The client's former
-// address is returned so policies can finish their own teardown.
+// returned to the pool) and the table slots go, but not a stored entity or its
+// interest-grid entry; the Client value is recycled for the next join. The
+// client's former address is returned so policies can finish their teardown.
 func (r *Runtime) RemoveClient(id protocol.ParticipantID) (endpoint.Addr, error) {
 	c, ok := r.clients[id]
 	if !ok {
@@ -342,17 +343,17 @@ func (r *Runtime) RemoveClient(id protocol.ParticipantID) (endpoint.Addr, error)
 			_ = r.repl.RemovePeer(string(addr))
 		}
 	}
-	r.grid.Remove(id)
 	r.releaseClient(c)
 	return addr, nil
 }
 
-// RemoveEntity withdraws an entity the node authors, from outside the tick
-// loop. A removal between ticks must open its own store tick or it is
-// stamped with an already-planned one.
+// RemoveEntity withdraws an entity the node authors, and its interest-grid
+// entry, from outside the tick loop. A removal between ticks must open its
+// own store tick or it is stamped with an already-planned one.
 func (r *Runtime) RemoveEntity(id protocol.ParticipantID) {
 	r.store.BeginTick()
 	r.store.Remove(id)
+	r.grid.Remove(id)
 }
 
 // ClientCount returns the number of registered learners (replicated or
@@ -426,30 +427,13 @@ func (r *Runtime) ImportClientBaseline(id protocol.ParticipantID, b core.PeerBas
 // the interest grid in step. Entities present in the store but absent from
 // every replica have departed upstream and are removed — unless retain
 // admits them (the cloud keeps entities it authors itself). Peers are
-// walked in pinned ascending-address order.
+// walked in pinned ascending-address order (see core.Store.Mirror).
 func (r *Runtime) MirrorPeers(retain func(e protocol.EntityState) bool) {
-	live := r.liveScratch
-	clear(live)
+	r.mirrorSrcs = r.mirrorSrcs[:0]
 	for _, addr := range r.SyncPeerAddrs() {
-		p := r.peers[addr]
-		p.Replica.Store().Range(func(id protocol.ParticipantID, e protocol.EntityState) {
-			live[id] = true
-			if r.store.UpsertIfChanged(e) {
-				pos, _ := e.Pose.Dequantize()
-				r.grid.Update(id, pos)
-			}
-		})
+		r.mirrorSrcs = append(r.mirrorSrcs, r.peers[addr].Replica.Store())
 	}
-	r.removeScratch = r.removeScratch[:0]
-	r.store.Range(func(id protocol.ParticipantID, e protocol.EntityState) {
-		if !live[id] && (retain == nil || !retain(e)) {
-			r.removeScratch = append(r.removeScratch, id)
-		}
-	})
-	for _, id := range r.removeScratch {
-		r.store.Remove(id)
-		r.grid.Remove(id)
-	}
+	r.store.Mirror(r.mirrorSrcs, retain, r.moved, r.removed)
 }
 
 // Start begins the tick loop: BeginTick, the node's ingest policy, then the

@@ -299,6 +299,76 @@ func TestRuntimeMirrorPeersRetention(t *testing.T) {
 	}
 }
 
+// TestMirrorPeersAllocationFree pins a relay-shaped mirror at zero heap
+// objects per tick: one upstream replica holding 128 entities, every one of
+// them moving every tick, so each mirror writes and re-indexes all 128.
+func TestMirrorPeersAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are meaningless under -race")
+	}
+	const pop = 128
+	rt, _ := newRuntime(t, Config{Interest: interest.NewPolicy()})
+	up, err := rt.ConnectReplica("up", "age")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := up.Replica.Store()
+	tick := func() {
+		now := src.BeginTick()
+		for id := protocol.ParticipantID(1); id <= pop; id++ {
+			pos := mathx.V3(3*float64(id%16)+0.01*float64(now%7), 0, 3*float64(id/16))
+			src.Upsert(protocol.EntityState{Participant: id, Home: 1, Pose: protocol.QuantizePose(pos, mathx.QuatIdentity())})
+		}
+		rt.Store().BeginTick()
+		rt.MirrorPeers(nil)
+	}
+	for i := 0; i < 8; i++ { // seats the population and its grid cells
+		tick()
+	}
+	if rt.Store().Len() != pop || rt.Grid().Len() != pop {
+		t.Fatalf("mirrored %d entities, %d placed, want %d", rt.Store().Len(), rt.Grid().Len(), pop)
+	}
+	if allocs := testing.AllocsPerRun(100, tick); allocs != 0 {
+		t.Errorf("steady-state mirror allocates %.2f objects, want 0", allocs)
+	}
+	var d protocol.Delta
+	if rt.Store().DeltaSinceInto(rt.Store().Tick()-1, nil, &d); len(d.Changed) != pop {
+		t.Fatalf("the last mirror wrote %d entities, want all %d", len(d.Changed), pop)
+	}
+}
+
+// TestRemoveClientKeepsStoredEntityIndexed: the interest grid follows the
+// store, not the client table. A learner handed off (or a relay's client
+// whose entity stays mirrored from upstream) leaves its entity in the store,
+// and while it is there it must stay indexed, or no client's interest ever
+// refuses it. RemoveEntity takes both away.
+func TestRemoveClientKeepsStoredEntityIndexed(t *testing.T) {
+	rt, _ := newRuntime(t, Config{Interest: interest.NewPolicy()})
+	if err := rt.AddClient(7, "c7"); err != nil {
+		t.Fatal(err)
+	}
+	pos := mathx.V3(4, 0, 2)
+	rt.Store().BeginTick()
+	rt.Store().Upsert(protocol.EntityState{Participant: 7, Pose: protocol.QuantizePose(pos, mathx.QuatIdentity())})
+	rt.Grid().Update(7, pos)
+	if _, err := rt.RemoveClient(7); err != nil {
+		t.Fatal(err)
+	}
+	if _, stored := rt.Store().Get(7); !stored {
+		t.Fatal("RemoveClient withdrew the entity")
+	}
+	if got, indexed := rt.Grid().Position(7); !indexed || got != pos {
+		t.Fatalf("entity 7 still stored, but indexed=%v at %v", indexed, got)
+	}
+	rt.RemoveEntity(7)
+	if _, stored := rt.Store().Get(7); stored {
+		t.Fatal("RemoveEntity kept the entity")
+	}
+	if _, indexed := rt.Grid().Position(7); indexed {
+		t.Fatal("RemoveEntity kept the grid entry")
+	}
+}
+
 func TestRuntimeStartStop(t *testing.T) {
 	rt, tr := newRuntime(t, Config{TickHz: 10})
 	ticks := 0

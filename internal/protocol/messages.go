@@ -133,14 +133,16 @@ func QuantizePose(pos mathx.Vec3, rot mathx.Quat) WirePose {
 
 // Dequantize converts the wire pose back to world coordinates.
 func (p WirePose) Dequantize() (mathx.Vec3, mathx.Quat) {
-	pos := mathx.V3(
-		float64(p.PosMM[0])/1000, float64(p.PosMM[1])/1000, float64(p.PosMM[2])/1000,
-	)
 	rot := mathx.Quat{
 		W: float64(p.Quat[0]) / quatScale, X: float64(p.Quat[1]) / quatScale,
 		Y: float64(p.Quat[2]) / quatScale, Z: float64(p.Quat[3]) / quatScale,
 	}.Normalize()
-	return pos, rot
+	return p.Position(), rot
+}
+
+// Position is Dequantize's position, without normalizing the orientation.
+func (p WirePose) Position() mathx.Vec3 {
+	return mathx.V3(float64(p.PosMM[0])/1000, float64(p.PosMM[1])/1000, float64(p.PosMM[2])/1000)
 }
 
 func (p WirePose) encode(w *Writer) {

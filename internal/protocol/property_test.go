@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -125,5 +127,36 @@ func TestQuickCorruptionDetected(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestWirePosePositionMatchesDequantize: the position alone (what the
+// interest grid indexes) is Dequantize's, bit for bit, over seeded
+// millimetre coordinates of every magnitude and the int64 extremes.
+func TestWirePosePositionMatchesDequantize(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	extremes := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+	coord := func() int64 {
+		switch rng.Intn(3) {
+		case 0:
+			return extremes[rng.Intn(len(extremes))]
+		case 1:
+			return rng.Int63n(200_001) - 100_000 // a classroom's span
+		default:
+			return int64(rng.Uint64())
+		}
+	}
+	for i := 0; i < 10_000; i++ {
+		p := WirePose{PosMM: [3]int64{coord(), coord(), coord()}}
+		for k := range p.Quat {
+			p.Quat[k] = int16(rng.Intn(1 << 16))
+		}
+		got := p.Position()
+		want, _ := p.Dequantize()
+		for k, pair := range [][2]float64{{got.X, want.X}, {got.Y, want.Y}, {got.Z, want.Z}} {
+			if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+				t.Fatalf("PosMM %v axis %d: Position %v, Dequantize %v", p.PosMM, k, pair[0], pair[1])
+			}
+		}
 	}
 }
