@@ -62,7 +62,7 @@ func main() {
 		geoMode  = flag.Bool("geo", false, "replay the geo placement/roam/drain schedule over an in-process TCP fabric; exit non-zero unless converged and leak-free")
 	)
 	flag.Parse()
-	if err := checkFlags(*clients, *rate); err != nil {
+	if err := checkFlags(*clients, *rate, *duration, *churn, *soak, *geoMode); err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(2)
 	}
@@ -96,14 +96,21 @@ func main() {
 }
 
 // checkFlags refuses the values that would otherwise surface as a panic in a
-// client goroutine (a publish ticker needs a positive interval, and above
-// 1 GHz the interval rounds to zero) or as a verdict over no clients.
-func checkFlags(clients int, rate float64) error {
+// client goroutine (a ticker needs a positive interval, and above 1 GHz the
+// interval rounds to zero), as a verdict over no clients or no -duration
+// (which -soak and -geo ignore), or as a negative -churn or -soak read as 0.
+func checkFlags(clients int, rate float64, duration, churn time.Duration, soak int, geo bool) error {
 	if clients <= 0 {
 		return fmt.Errorf("-clients must be positive, got %d", clients)
 	}
 	if !(rate > 0 && rate <= 1e9) { // also refuses NaN
 		return fmt.Errorf("-rate must be in (0, 1e9] Hz, got %v", rate)
+	}
+	if churn < 0 || soak < 0 {
+		return fmt.Errorf("-churn and -soak must not be negative, got %v and %d", churn, soak)
+	}
+	if duration <= 0 && soak == 0 && !geo {
+		return fmt.Errorf("-duration must be positive, got %v", duration)
 	}
 	return nil
 }

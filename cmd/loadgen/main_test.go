@@ -27,8 +27,31 @@ func TestCheckFlags(t *testing.T) {
 		{"zero clients", 0, 20, false},
 		{"negative clients", -3, 20, false},
 	} {
-		if err := checkFlags(tc.clients, tc.rate); (err == nil) != tc.ok {
+		if err := checkFlags(tc.clients, tc.rate, 30*time.Second, 0, 0, false); (err == nil) != tc.ok {
 			t.Errorf("%s: checkFlags(%d, %v) = %v, want ok=%v", tc.name, tc.clients, tc.rate, err, tc.ok)
+		}
+	}
+	// The mode flags, at the default -clients and -rate: -duration bounds a
+	// run only, and -churn and -soak take no negative value in any mode.
+	for _, tc := range []struct {
+		name            string
+		duration, churn time.Duration
+		soak            int
+		geo             bool
+		ok              bool
+	}{
+		{"run with churn", 3 * time.Second, time.Second, 0, false, true},
+		{"zero duration", 0, 0, 0, false, false},
+		{"negative duration", -time.Second, 0, 0, false, false},
+		{"soak ignores duration", 0, 200 * time.Millisecond, 10, false, true},
+		{"geo ignores duration", 0, 0, 0, true, true},
+		{"negative churn", 3 * time.Second, -5 * time.Second, 0, false, false},
+		{"negative churn in a soak", 0, -time.Second, 10, false, false},
+		{"negative soak", 3 * time.Second, 0, -1, false, false},
+	} {
+		if err := checkFlags(10, 20, tc.duration, tc.churn, tc.soak, tc.geo); (err == nil) != tc.ok {
+			t.Errorf("%s: checkFlags(10, 20, %v, %v, %d, %v) = %v, want ok=%v",
+				tc.name, tc.duration, tc.churn, tc.soak, tc.geo, err, tc.ok)
 		}
 	}
 }

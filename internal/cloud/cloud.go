@@ -44,8 +44,8 @@ var (
 type Config struct {
 	// TickHz is the fan-out tick rate (default 30).
 	TickHz float64
-	// VRRows/VRCols/VRPitch shape the virtual classroom's seating
-	// (defaults 40 x 25 at 1.2 m — a thousand-seat virtual auditorium).
+	// VRRows/VRCols/VRPitch shape the virtual classroom's seating, at most
+	// seat.MaxSeats (defaults 40 x 25 at 1.2 m — a thousand-seat auditorium).
 	VRRows, VRCols int
 	VRPitch        float64
 	// Interest is the fan-out policy; nil disables interest management
@@ -92,6 +92,9 @@ type Server struct {
 // works over netsim and TCP.
 func New(sim *vclock.Sim, tr endpoint.Transport, cfg Config) (*Server, error) {
 	cfg.applyDefaults()
+	if cfg.VRCols > seat.MaxSeats/cfg.VRRows { // rows x cols > MaxSeats, not multiplied
+		return nil, fmt.Errorf("cloud: a %d x %d seating grid has over %d seats", cfg.VRRows, cfg.VRCols, seat.MaxSeats)
+	}
 	rt, err := node.New(sim, tr, node.Config{
 		TickHz:   cfg.TickHz,
 		Interest: cfg.Interest,

@@ -506,3 +506,27 @@ func TestRemoveClientWhileFramesInFlight(t *testing.T) {
 		t.Fatalf("ClientCount = %d after removal", s.ClientCount())
 	}
 }
+
+// TestSeatGridCappedAtIndexRange: a seat's index is a uint16, so a grid of
+// more than 65,536 seats would number two seats alike (seat 65,536 of a
+// 257 x 256 grid would get index 0). New refuses it and takes the largest
+// grids that fit.
+func TestSeatGridCappedAtIndexRange(t *testing.T) {
+	for _, tc := range []struct {
+		rows, cols int
+		ok         bool
+	}{
+		{256, 256, true},
+		{1, 1 << 16, true},
+		{257, 256, false},
+		{256, 257, false},
+		{1, 1<<16 + 1, false},
+		{1 << 17, 1, false},
+	} {
+		sim := vclock.New(1)
+		_, err := New(sim, netsim.New(sim).Endpoint("cloud"), Config{VRRows: tc.rows, VRCols: tc.cols})
+		if (err == nil) != tc.ok {
+			t.Errorf("New with a %d x %d grid: err = %v, want accepted %v", tc.rows, tc.cols, err, tc.ok)
+		}
+	}
+}

@@ -14,9 +14,7 @@ import (
 // playout (interpolation) buffer per remote participant so displays render
 // smooth motion between network updates.
 type Replica struct {
-	store  *Store
-	delay  time.Duration
-	extrap pose.Extrapolator
+	store *Store
 
 	// playout is indexed by the store's slot: the playout buffer of the slot's
 	// tenant, held by value (live while the slot has a tenant), and whether a
@@ -55,12 +53,11 @@ type Replica struct {
 	bufCreates uint64
 	bufDrops   uint64
 	retained   uint64
-	clamped    uint64 // of buffers since dropped; the live ones are summed in Stats
 
 	// bufPool recycles playout rings (slab-allocated) so a cold join into a
 	// large world costs a few slab allocations instead of one ring per
-	// entity, and churn after the join recycles instead of reallocating.
-	// Built lazily on the first entity so an idle replica allocates nothing.
+	// entity, and churn after the join recycles instead of reallocating. Its
+	// buffers read its delay and extrapolator and add to its counters.
 	bufPool *pose.InterpPool
 }
 
@@ -98,13 +95,9 @@ func playoutDepth(delay time.Duration) int {
 // The delay also sets how much history each buffer keeps (playoutDepth):
 // enough for a display reading at the live edge, not for replaying the past.
 func NewReplica(delay time.Duration, extrap pose.Extrapolator) *Replica {
-	if extrap == nil {
-		extrap = pose.Linear{}
-	}
 	return &Replica{
-		store:  NewStore(),
-		delay:  delay,
-		extrap: extrap,
+		store:   NewStore(),
+		bufPool: pose.NewInterpPool(delay, playoutDepth(delay), extrap, 64),
 	}
 }
 
@@ -145,9 +138,9 @@ func (r *Replica) Apply(msg protocol.Message, now time.Duration) (uint64, bool) 
 	}
 }
 
-// playoutSlot is one entry of Replica.playout. The flags come first so an
-// apply's reads of a slot (flags, then the buffer's ring, count and newest
-// stamp) lie in its first 56 bytes.
+// playoutSlot is one entry of Replica.playout, 64 bytes on 64-bit (a cache
+// line): the flags, then the buffer's per-entity header, which is all an
+// apply reads of a slot.
 type playoutSlot struct {
 	live, retained bool
 	buf            pose.InterpBuffer
@@ -165,9 +158,6 @@ func (r *Replica) noteEntity(slot uint32, e *protocol.EntityState, now time.Dura
 	}
 	ps := &r.playout[slot]
 	if !ps.live {
-		if r.bufPool == nil {
-			r.bufPool = pose.NewInterpPool(r.delay, playoutDepth(r.delay), r.extrap, 64)
-		}
 		r.bufPool.Acquire(&ps.buf)
 		ps.live = true
 		r.bufCreates++
@@ -218,7 +208,6 @@ func (r *Replica) dropBuffer(is idSlot) {
 		p.retained = false
 		r.nRetained--
 	}
-	r.clamped += p.buf.Clamped()
 	r.bufPool.Release(&p.buf)
 	p.live = false
 	r.bufDrops++
@@ -270,9 +259,9 @@ func (r *Replica) Participants() []protocol.ParticipantID { return r.store.IDs()
 // playout-buffer churn (a create after a drop of the same entity means the
 // interpolation history was lost); Retained counts snapshot omissions that
 // kept their buffer under RetainOmitted; Clamped counts Pose calls that
-// wanted history a full buffer had evicted and got its oldest sample
-// (InterpBuffer.Clamped) — non-zero means an upstream outrunning the playout
-// depth, or a caller reading before the live edge.
+// wanted history a full buffer had evicted and got its oldest sample (the
+// pool's Clamped, over every buffer held) — non-zero means an upstream
+// outrunning the playout depth, or a caller reading before the live edge.
 type ReplicaStats struct {
 	Applied       uint64
 	Rejected      uint64
@@ -285,15 +274,9 @@ type ReplicaStats struct {
 
 // Stats returns counters.
 func (r *Replica) Stats() ReplicaStats {
-	st := ReplicaStats{
+	return ReplicaStats{
 		Applied: r.applied, Rejected: r.rejected, Snapshots: r.snapshots,
 		BufferCreates: r.bufCreates, BufferDrops: r.bufDrops, Retained: r.retained,
-		Clamped: r.clamped,
+		Clamped: r.bufPool.Clamped(),
 	}
-	for i := range r.playout {
-		if p := &r.playout[i]; p.live {
-			st.Clamped += p.buf.Clamped()
-		}
-	}
-	return st
 }

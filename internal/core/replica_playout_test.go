@@ -118,3 +118,20 @@ func TestPlayoutRingsStayDisjointAcrossGrowth(t *testing.T) {
 		t.Fatalf("the playout table grew %d times, want a schedule that grows it at least 10", growths)
 	}
 }
+
+// TestPlayoutSlotLayout pins the playout table's slot to one cache line on
+// 64-bit: the header holds only the entity's ring, head, count and newest
+// stamp plus the pointer to what every buffer of the replica shares (its
+// delay, extrapolator and read counters, on the pool), and the slot adds its
+// two flags. A per-receiver field back in the header shows here.
+func TestPlayoutSlotLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the layout is pinned for 64-bit words")
+	}
+	if got := unsafe.Sizeof(pose.InterpBuffer{}); got != 56 {
+		t.Errorf("pose.InterpBuffer is %d bytes, want 56", got)
+	}
+	if got := unsafe.Sizeof(playoutSlot{}); got != 64 {
+		t.Errorf("playoutSlot is %d bytes, want 64", got)
+	}
+}

@@ -1,17 +1,16 @@
 package pose
 
-import (
-	"time"
-)
+import "time"
 
 // InterpBuffer is the receiver-side playout buffer: it stores recent pose
 // samples for a remote participant and reconstructs the pose at display time
-// by rendering Delay behind the newest sample (interpolation) and falling
+// by rendering a delay behind the newest sample (interpolation) and falling
 // back to an Extrapolator when the buffer runs dry.
 //
-// The Delay trades latency against smoothness: it must cover network jitter
+// The delay trades latency against smoothness: it must cover network jitter
 // or playback stutters, but adds directly to the end-to-end motion-to-photon
-// lag the paper's 100 ms budget constrains.
+// lag the paper's 100 ms budget constrains. The header (56 bytes) holds the
+// entity's own state; the delay and the rest are its pool's (playout).
 type InterpBuffer struct {
 	// ring holds the n buffered samples, stamps strictly increasing, from
 	// ring[head] (the oldest) and wrapping; len(ring) is the capacity.
@@ -20,6 +19,12 @@ type InterpBuffer struct {
 	// newest is the stamp of the newest sample, ring[slot(n-1)].Time, valid
 	// while n > 0: the in-order test reads it from the header, not the ring.
 	newest time.Duration
+	*playout
+}
+
+// playout is what a pool's buffers share: the delay, the extrapolator and
+// the read counters.
+type playout struct {
 	delay  time.Duration
 	extrap Extrapolator
 
@@ -30,15 +35,10 @@ type InterpBuffer struct {
 
 // NewInterpBuffer creates a buffer rendering delay behind live, holding up to
 // capacity samples, using extrap beyond the newest sample. A nil extrap
-// defaults to Linear; capacity < 2 defaults to 64.
+// defaults to Linear; capacity < 2 defaults to 64. Its pool is its own.
 func NewInterpBuffer(delay time.Duration, capacity int, extrap Extrapolator) *InterpBuffer {
-	if capacity < 2 {
-		capacity = 64
-	}
-	if extrap == nil {
-		extrap = Linear{}
-	}
-	return &InterpBuffer{ring: make([]Pose, capacity), delay: delay, extrap: extrap}
+	p := newInterpPool(delay, capacity, extrap)
+	return &InterpBuffer{ring: make([]Pose, p.cap), playout: &p.playout}
 }
 
 // slot returns the ring index of the i-th buffered sample, oldest first
@@ -99,9 +99,6 @@ func (b *InterpBuffer) Push(p Pose) bool {
 // Len returns the number of buffered samples.
 func (b *InterpBuffer) Len() int { return b.n }
 
-// Delay returns the configured playout delay.
-func (b *InterpBuffer) Delay() time.Duration { return b.delay }
-
 // Newest returns the most recent sample and whether one exists.
 func (b *InterpBuffer) Newest() (Pose, bool) {
 	if b.n == 0 {
@@ -111,7 +108,7 @@ func (b *InterpBuffer) Newest() (Pose, bool) {
 }
 
 // Sample reconstructs the pose at display time now, rendering at target time
-// now - Delay. It returns false only when the buffer is empty: a target past
+// now - delay. It returns false only when the buffer is empty: a target past
 // the newest sample is extrapolated, one before the oldest holds the oldest
 // (Clamped).
 func (b *InterpBuffer) Sample(now time.Duration) (Pose, bool) {
@@ -150,18 +147,20 @@ func (b *InterpBuffer) Sample(now time.Duration) (Pose, bool) {
 
 // Stats reports how many samples were answered by interpolation vs.
 // extrapolation — the extrapolation share rises when updates arrive slower
-// than Delay covers.
-func (b *InterpBuffer) Stats() (interpolated, extrapolated uint64) {
-	return b.interpolated, b.extrapolated
+// than the delay covers. It counts every buffer of the pool (for
+// NewInterpBuffer's, the buffer alone).
+func (p *playout) Stats() (interpolated, extrapolated uint64) {
+	return p.interpolated, p.extrapolated
 }
 
 // Clamped reports how many samples a full buffer answered by holding its
 // oldest sample because the target fell before it: the history the read
 // wanted had been evicted. Any non-zero count means the buffer is too shallow
-// for its reader — updates arrive faster than capacity covers Delay (playback
-// moves in steps), or now lay further in the past than the buffer keeps. A
-// buffer still filling holds its first sample the same way, uncounted.
-func (b *InterpBuffer) Clamped() uint64 { return b.clamped }
+// for its reader — updates arrive faster than capacity covers the delay
+// (playback moves in steps), or now lay further in the past than the buffer
+// keeps. A buffer still filling holds its first sample the same way,
+// uncounted. Like Stats, it counts every buffer of the pool.
+func (p *playout) Clamped() uint64 { return p.clamped }
 
 // InterpPool recycles sample rings for one receiver's playout buffers. A
 // client first seeing an N-entity world otherwise allocates N rings one at a
@@ -171,34 +170,38 @@ func (b *InterpBuffer) Clamped() uint64 { return b.clamped }
 // migration re-joins) recycles rings instead of minting garbage. The buffer
 // headers are the caller's: Acquire fills one in place, Release empties it.
 //
-// All buffers filled from one pool share the pool's delay and extrapolator.
+// Its buffers read the pool's delay and extrapolator and add to its counters.
 // Not safe for concurrent use — single-goroutine, like the Replica that owns
 // it.
 type InterpPool struct {
-	delay  time.Duration
-	cap    int
-	slab   int
-	extrap Extrapolator
-	free   [][]Pose
+	playout
+	cap  int
+	slab int
+	free [][]Pose
 }
 
-// NewInterpPool creates a pool filling buffers equivalent to
-// NewInterpBuffer(delay, capacity, extrap). slab is the number of rings
-// carved per slab allocation (min 8; default 64 when <= 0).
-func NewInterpPool(delay time.Duration, capacity int, extrap Extrapolator, slab int) *InterpPool {
+// newInterpPool applies NewInterpBuffer's defaults and carves nothing.
+func newInterpPool(delay time.Duration, capacity int, extrap Extrapolator) *InterpPool {
 	if capacity < 2 {
 		capacity = 64
 	}
 	if extrap == nil {
 		extrap = Linear{}
 	}
+	return &InterpPool{playout: playout{delay: delay, extrap: extrap}, cap: capacity}
+}
+
+// NewInterpPool creates a pool filling buffers equivalent to
+// NewInterpBuffer(delay, capacity, extrap). slab is the number of rings
+// carved per slab allocation (min 8; default 64 when <= 0).
+func NewInterpPool(delay time.Duration, capacity int, extrap Extrapolator, slab int) *InterpPool {
 	if slab <= 0 {
 		slab = 64
 	}
-	if slab < 8 {
-		slab = 8
-	}
-	return &InterpPool{delay: delay, cap: capacity, slab: slab, extrap: extrap, free: make([][]Pose, 0, slab)}
+	p := newInterpPool(delay, capacity, extrap)
+	p.slab = max(slab, 8)
+	p.free = make([][]Pose, 0, p.slab)
+	return p
 }
 
 // Acquire makes *b an empty buffer with a pooled ring and the pool's delay
@@ -209,7 +212,7 @@ func (p *InterpPool) Acquire(b *InterpBuffer) {
 		p.grow()
 	}
 	n := len(p.free) - 1
-	*b = InterpBuffer{ring: p.free[n], delay: p.delay, extrap: p.extrap}
+	*b = InterpBuffer{ring: p.free[n], playout: &p.playout}
 	p.free[n] = nil
 	p.free = p.free[:n]
 }

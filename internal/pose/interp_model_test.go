@@ -190,12 +190,11 @@ func TestInterpPoolGetAfterPutIsClean(t *testing.T) {
 	for k := 0; k < 7; k++ { // leaves head mid-ring
 		b.Push(sampleAt(time.Duration(k)*time.Millisecond, float64(k)))
 	}
-	b.Sample(5 * time.Millisecond)
-	b.Sample(time.Second)
+	b.Sample(5 * time.Millisecond) // target -5 ms, before the oldest held (3 ms): clamped
+	b.Sample(time.Second)          // past the newest: extrapolated
 	ring := b.ring
 	p.Release(&b)
-	if b.ring != nil || b.head != 0 || b.n != 0 || b.newest != 0 || b.delay != 0 || b.extrap != nil ||
-		b.interpolated != 0 || b.extrapolated != 0 || b.clamped != 0 {
+	if b.ring != nil || b.head != 0 || b.n != 0 || b.newest != 0 || b.playout != nil {
 		t.Fatalf("released header not zeroed: %+v", b)
 	}
 	var got InterpBuffer
@@ -212,14 +211,17 @@ func TestInterpPoolGetAfterPutIsClean(t *testing.T) {
 	if _, ok := got.Sample(time.Second); ok {
 		t.Error("recycled buffer answered Sample")
 	}
-	if i, e := got.Stats(); i != 0 || e != 0 {
-		t.Errorf("recycled stats = %d/%d, want 0/0", i, e)
-	}
-	if got.Delay() != 10*time.Millisecond {
-		t.Errorf("recycled delay = %v", got.Delay())
+	// The counters are the pool's: the released buffer's reads stay counted.
+	if i, e := got.Stats(); i != 0 || e != 1 || got.Clamped() != 1 {
+		t.Errorf("pool stats after recycling = %d/%d/%d, want 0/1/1", i, e, got.Clamped())
 	}
 	if !got.Push(sampleAt(0, 1)) {
 		t.Error("first push into a recycled buffer not fresh")
+	}
+	got.Push(sampleAt(20*time.Millisecond, 3))
+	// The pool's 10 ms delay: display time 20 ms renders 10 ms, halfway.
+	if s, ok := got.Sample(20 * time.Millisecond); !ok || s.Position.X != 2 {
+		t.Errorf("recycled Sample(20ms) = %v,%v, want x=2 (10 ms behind)", s.Position, ok)
 	}
 }
 

@@ -30,6 +30,9 @@ var (
 	ErrDuplicated = errors.New("seat: participant already seated")
 )
 
+// MaxSeats is the most seats a grid can number: Seat.Index is a uint16.
+const MaxSeats = 1 << 16
+
 // Seat is one position in a classroom.
 type Seat struct {
 	Index uint16
