@@ -304,14 +304,9 @@ func (t *tally) session(addr string, id protocol.ParticipantID, rate float64, st
 			}
 			seq++
 			elapsed := now.Sub(start)
-			p := script.PoseAt(elapsed)
-			_ = conn.WriteMessage(&protocol.PoseUpdate{
-				Participant: id, Seq: seq, CapturedAt: elapsed,
-				Pose: protocol.QuantizePose(p.Position, p.Rotation),
-				VelMMS: [3]int64{
-					int64(p.Velocity.X * 1000), int64(p.Velocity.Y * 1000), int64(p.Velocity.Z * 1000),
-				},
-			})
+			m := protocol.PoseUpdate{Participant: id, Seq: seq, CapturedAt: elapsed}
+			m.Pose, m.VelMMS = protocol.Sample(script.PoseAt(elapsed))
+			_ = conn.WriteMessage(&m)
 		}
 	}()
 

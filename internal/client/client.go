@@ -169,17 +169,9 @@ func (v *VR) Stop() {
 
 func (v *VR) publish() {
 	now := v.sim.Now()
-	p := v.cfg.Script.PoseAt(now)
 	v.seq++
-	v.poseScratch = protocol.PoseUpdate{
-		Participant: v.cfg.Participant,
-		Seq:         v.seq,
-		CapturedAt:  now,
-		Pose:        protocol.QuantizePose(p.Position, p.Rotation),
-		VelMMS: [3]int64{
-			int64(p.Velocity.X * 1000), int64(p.Velocity.Y * 1000), int64(p.Velocity.Z * 1000),
-		},
-	}
+	v.poseScratch = protocol.PoseUpdate{Participant: v.cfg.Participant, Seq: v.seq, CapturedAt: now}
+	v.poseScratch.Pose, v.poseScratch.VelMMS = protocol.Sample(v.cfg.Script.PoseAt(now))
 	// publish.poses counts poses the client produced (encode succeeded),
 	// whether or not the transport could carry them — a client on a dead
 	// link is still publishing, and E1's per-client rate derives from this.

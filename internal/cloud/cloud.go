@@ -317,19 +317,18 @@ func (s *Server) ingestClientPose(from endpoint.Addr, m *protocol.PoseUpdate) {
 		Time:     m.CapturedAt,
 		Position: pos,
 		Rotation: rot,
-		Velocity: mathx.V3(float64(m.VelMMS[0])/1000, float64(m.VelMMS[1])/1000, float64(m.VelMMS[2])/1000),
+		Velocity: protocol.VelocityOf(m.VelMMS),
 	}
 	p = seat.ApplyCorrection(st.correction, p)
 	seatIdx, _ := s.seats.SeatOf(m.Participant)
+	wp, vel := protocol.Sample(p)
 	s.rt.Store().Upsert(protocol.EntityState{
 		Participant: m.Participant,
 		Home:        0,
 		CapturedAt:  m.CapturedAt,
-		Pose:        protocol.QuantizePose(p.Position, p.Rotation),
-		VelMMS: [3]int64{
-			int64(p.Velocity.X * 1000), int64(p.Velocity.Y * 1000), int64(p.Velocity.Z * 1000),
-		},
-		Seat: seatIdx,
+		Pose:        wp,
+		VelMMS:      vel,
+		Seat:        seatIdx,
 	})
 	s.rt.Grid().Update(m.Participant, p.Position)
 	s.mClientPoses.Inc()

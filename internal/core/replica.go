@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"metaclass/internal/mathx"
 	"metaclass/internal/metrics"
 	"metaclass/internal/pose"
 	"metaclass/internal/protocol"
@@ -174,9 +173,7 @@ func (r *Replica) noteEntity(slot uint32, e *protocol.EntityState, now time.Dura
 		Time:     e.CapturedAt,
 		Position: pos,
 		Rotation: rot,
-		Velocity: mathx.V3(
-			float64(e.VelMMS[0])/1000, float64(e.VelMMS[1])/1000, float64(e.VelMMS[2])/1000,
-		),
+		Velocity: protocol.VelocityOf(e.VelMMS),
 	}
 	// Latency accounting covers fresh information only: redelivery of an
 	// entity whose capture stamp has not advanced (snapshot keyframes,

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"metaclass/internal/avatar"
@@ -70,9 +69,7 @@ type Server struct {
 	cfg Config
 	rt  *node.Runtime
 
-	fusers map[protocol.ParticipantID]*fusion.Fuser
-	exprs  map[protocol.ParticipantID][]byte
-	flags  map[protocol.ParticipantID]uint8
+	locals map[protocol.ParticipantID]*local
 	// corrections maps, per sync peer, remote participants to the rigid
 	// transform from their source frame into their assigned local seat frame.
 	corrections map[endpoint.Addr]map[protocol.ParticipantID]mathx.Transform
@@ -83,6 +80,14 @@ type Server struct {
 	// slices reused (the send/receive paths live in the runtime).
 	mLocalDespawn *metrics.Counter
 	idScratch     []protocol.ParticipantID
+}
+
+// local is one physically-present participant: their sensor fusion and the
+// expression and activity flags authored with their pose.
+type local struct {
+	*fusion.Fuser
+	expr  []byte
+	flags uint8
 }
 
 // New creates an edge server on the given transport endpoint: its address,
@@ -102,9 +107,7 @@ func New(sim *vclock.Sim, tr endpoint.Transport, cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:         cfg,
 		rt:          rt,
-		fusers:      make(map[protocol.ParticipantID]*fusion.Fuser),
-		exprs:       make(map[protocol.ParticipantID][]byte),
-		flags:       make(map[protocol.ParticipantID]uint8),
+		locals:      make(map[protocol.ParticipantID]*local),
 		corrections: make(map[endpoint.Addr]map[protocol.ParticipantID]mathx.Transform),
 		seats:       seat.NewGrid(cfg.Classroom, seatRows, seatCols, seatPitch),
 		avatars:     avatar.NewRegistry(),
@@ -139,7 +142,7 @@ func (s *Server) RegisterLocal(av avatar.Avatar, seatIdx uint16) error {
 		_ = s.avatars.Remove(av.Participant)
 		return err
 	}
-	s.fusers[av.Participant] = fusion.New()
+	s.locals[av.Participant] = &local{Fuser: fusion.New()}
 	return nil
 }
 
@@ -147,12 +150,10 @@ func (s *Server) RegisterLocal(av avatar.Avatar, seatIdx uint16) error {
 // state, expression/flag entries, seat, avatar, and authored store entry are
 // all released; the store removal replicates the departure to every peer.
 func (s *Server) UnregisterLocal(id protocol.ParticipantID) error {
-	if _, ok := s.fusers[id]; !ok {
+	if _, ok := s.locals[id]; !ok {
 		return fmt.Errorf("%w: %d", ErrNotRegistered, id)
 	}
-	delete(s.fusers, id)
-	delete(s.exprs, id)
-	delete(s.flags, id)
+	delete(s.locals, id)
 	_ = s.seats.Release(id)
 	_ = s.avatars.Remove(id)
 	s.rt.RemoveEntity(id)
@@ -163,11 +164,11 @@ func (s *Server) UnregisterLocal(id protocol.ParticipantID) error {
 // Wire sensors to this method: headset sinks know their wearer; room-array
 // sinks parse the participant from Observation.SensorID.
 func (s *Server) IngestObservation(id protocol.ParticipantID, o sensors.Observation) error {
-	f, ok := s.fusers[id]
+	l, ok := s.locals[id]
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNotRegistered, id)
 	}
-	if f.Observe(o) {
+	if l.Observe(o) {
 		s.rt.Metrics().Counter("fusion.accepted").Inc()
 	} else {
 		s.rt.Metrics().Counter("fusion.rejected").Inc()
@@ -177,20 +178,20 @@ func (s *Server) IngestObservation(id protocol.ParticipantID, o sensors.Observat
 
 // IngestExpression feeds a local participant's facial expression sample.
 func (s *Server) IngestExpression(id protocol.ParticipantID, e expression.Expression) error {
-	if _, ok := s.fusers[id]; !ok {
-		return fmt.Errorf("%w: %d", ErrNotRegistered, id)
+	if l, ok := s.locals[id]; ok {
+		l.expr = e.Quantize()
+		return nil
 	}
-	s.exprs[id] = e.Quantize()
-	return nil
+	return fmt.Errorf("%w: %d", ErrNotRegistered, id)
 }
 
 // SetFlags sets a local participant's activity flags (speaking, hand up).
 func (s *Server) SetFlags(id protocol.ParticipantID, flags uint8) error {
-	if _, ok := s.fusers[id]; !ok {
-		return fmt.Errorf("%w: %d", ErrNotRegistered, id)
+	if l, ok := s.locals[id]; ok {
+		l.flags = flags
+		return nil
 	}
-	s.flags[id] = flags
-	return nil
+	return fmt.Errorf("%w: %d", ErrNotRegistered, id)
 }
 
 // ConnectPeer links this edge to another sync server (peer edge or cloud).
@@ -255,38 +256,37 @@ func (s *Server) Stop() { s.rt.Stop() }
 // anyone whose sensors went quiet.
 func (s *Server) authorLocals() {
 	now := s.rt.Sim().Now()
-	local := s.rt.Store()
+	store := s.rt.Store()
 	ids := s.idScratch[:0]
-	for id := range s.fusers {
+	for id := range s.locals {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
 	s.idScratch = ids
 	for _, id := range ids {
-		f := s.fusers[id]
-		if f.Stale(now, staleAfter) {
-			if _, present := local.Get(id); present {
-				local.Remove(id)
+		l := s.locals[id]
+		if l.Stale(now, staleAfter) {
+			if _, present := store.Get(id); present {
+				store.Remove(id)
 				s.mLocalDespawn.Inc()
 			}
 			continue
 		}
-		est, ok := f.Estimate(now)
+		est, ok := l.Estimate(now)
 		if !ok {
 			continue
 		}
 		seatIdx, _ := s.seats.SeatOf(id)
-		local.Upsert(protocol.EntityState{
+		wp, vel := protocol.Sample(est)
+		store.Upsert(protocol.EntityState{
 			Participant: id,
 			Home:        s.cfg.Classroom,
-			CapturedAt:  f.LastObservation(),
-			Pose:        protocol.QuantizePose(est.Position, est.Rotation),
-			VelMMS: [3]int64{
-				int64(est.Velocity.X * 1000), int64(est.Velocity.Y * 1000), int64(est.Velocity.Z * 1000),
-			},
-			Expression: s.exprs[id],
-			Seat:       seatIdx,
-			Flags:      s.flags[id],
+			CapturedAt:  l.LastObservation(),
+			Pose:        wp,
+			VelMMS:      vel,
+			Expression:  l.expr,
+			Seat:        seatIdx,
+			Flags:       l.flags,
 		})
 	}
 }
@@ -296,10 +296,12 @@ func (s *Server) authorLocals() {
 // participants, seat-corrected interpolated state for remote ones. at is a
 // live display time (the node's now): a remote participant's history reaches
 // only as far back as a display at the live edge reads (core.Replica.Pose),
-// and an earlier at is answered with the oldest pose still held.
+// and an earlier at is answered with the oldest pose still held. A local
+// participant whose sensors went quiet is not displayed: authorLocals
+// despawns them by the same rule.
 func (s *Server) DisplayPose(id protocol.ParticipantID, at time.Duration) (pose.Pose, bool) {
-	if f, ok := s.fusers[id]; ok {
-		return f.Estimate(at)
+	if l, ok := s.locals[id]; ok && !l.Stale(at, staleAfter) {
+		return l.Estimate(at)
 	}
 	for _, addr := range s.rt.SyncPeerAddrs() {
 		rp, _ := s.rt.SyncPeer(addr)
@@ -316,27 +318,21 @@ func (s *Server) DisplayPose(id protocol.ParticipantID, at time.Duration) (pose.
 }
 
 // VisibleParticipants lists everyone the room's displays can currently
-// render: local participants plus replicated remote ones, ascending.
+// render: tracked local participants plus replicated remote ones, ascending.
 func (s *Server) VisibleParticipants() []protocol.ParticipantID {
-	seen := map[protocol.ParticipantID]bool{}
+	now := s.rt.Sim().Now()
 	var out []protocol.ParticipantID
-	for id := range s.fusers {
-		if !seen[id] {
-			seen[id] = true
+	for id, l := range s.locals {
+		if !l.Stale(now, staleAfter) {
 			out = append(out, id)
 		}
 	}
 	for _, addr := range s.rt.SyncPeerAddrs() {
 		rp, _ := s.rt.SyncPeer(addr)
-		for _, id := range rp.Replica.Participants() {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, id)
-			}
-		}
+		out = append(out, rp.Replica.Participants()...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // LocalStore exposes the authored state (tests and experiments).

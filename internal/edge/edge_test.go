@@ -2,6 +2,7 @@ package edge
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -189,6 +190,37 @@ func TestEdgeStaleDespawn(t *testing.T) {
 	}
 	if got := s.Metrics().Counter("local.despawned").Value(); got == 0 {
 		t.Error("despawn not counted")
+	}
+}
+
+// TestEdgeDespawnedLocalIsNotDisplayed: once authorLocals has despawned a
+// local whose sensors went quiet, the room's displays neither draw nor list
+// them; a display would otherwise show a Kalman-extrapolated ghost.
+func TestEdgeDespawnedLocalIsNotDisplayed(t *testing.T) {
+	sim := vclock.New(3)
+	net := netsim.New(sim)
+	s := newEdge(t, sim, net, 1, "e")
+	h := wireParticipant(t, sim, s, 10, 0, trace.Still{Anchor: mathx.V3(0, 1.2, 0)})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	_ = sim.Run(time.Second)
+	if _, ok := s.DisplayPose(10, sim.Now()); !ok {
+		t.Fatal("tracked participant not displayed")
+	}
+	if got := s.VisibleParticipants(); !slices.Equal(got, []protocol.ParticipantID{10}) {
+		t.Fatalf("visible while tracked = %v, want [10]", got)
+	}
+	h.Stop()
+	_ = sim.Run(time.Second + staleAfter + 500*time.Millisecond)
+	if _, ok := s.LocalStore().Get(10); ok {
+		t.Fatal("stale participant not despawned")
+	}
+	if p, ok := s.DisplayPose(10, sim.Now()); ok {
+		t.Errorf("despawned participant displayed at %v", p.Position)
+	}
+	if got := s.VisibleParticipants(); len(got) != 0 {
+		t.Errorf("visible after despawn = %v, want none", got)
 	}
 }
 

@@ -149,9 +149,7 @@ func (d *Dispatcher) Receive(from Addr, payload []byte) {
 		d.mDecodeErrors.Inc()
 		return
 	}
-	if d.mMsgsRecv != nil {
-		d.mMsgsRecv.Inc()
-	}
+	d.mMsgsRecv.Inc()
 	switch m := msg.(type) {
 	case *protocol.Snapshot, *protocol.Delta:
 		if d.replicaFor == nil {

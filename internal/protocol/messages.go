@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"metaclass/internal/mathx"
+	"metaclass/internal/pose"
 )
 
 // MsgType enumerates wire message types. Values start at 1 so an accidental
@@ -143,6 +144,21 @@ func (p WirePose) Dequantize() (mathx.Vec3, mathx.Quat) {
 // Position is Dequantize's position, without normalizing the orientation.
 func (p WirePose) Position() mathx.Vec3 {
 	return mathx.V3(float64(p.PosMM[0])/1000, float64(p.PosMM[1])/1000, float64(p.PosMM[2])/1000)
+}
+
+// Sample converts a tracked pose to its wire fields: the quantized pose and
+// the velocity in mm/s per axis, truncated toward zero. The capture stamp is
+// the caller's to choose.
+func Sample(p pose.Pose) (WirePose, [3]int64) {
+	return QuantizePose(p.Position, p.Rotation), [3]int64{
+		int64(p.Velocity.X * 1000), int64(p.Velocity.Y * 1000), int64(p.Velocity.Z * 1000),
+	}
+}
+
+// VelocityOf converts a wire velocity (mm/s per axis) back to m/s. It stays
+// small enough to inline: the replica's apply runs it for every entity.
+func VelocityOf(mms [3]int64) mathx.Vec3 {
+	return mathx.V3(float64(mms[0])/1000, float64(mms[1])/1000, float64(mms[2])/1000)
 }
 
 func (p WirePose) encode(w *Writer) {

@@ -14,7 +14,6 @@ package seat
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"metaclass/internal/mathx"
 	"metaclass/internal/pose"
@@ -199,7 +198,8 @@ func ApplyCorrection(c mathx.Transform, p pose.Pose) pose.Pose {
 	return out
 }
 
-// VacantIndices returns the sorted indices of vacant seats.
+// VacantIndices returns the indices of vacant seats, ascending: seats are
+// numbered by their position in the grid.
 func (m *Map) VacantIndices() []uint16 {
 	out := make([]uint16, 0, m.Vacant())
 	for i := range m.seats {
@@ -207,6 +207,5 @@ func (m *Map) VacantIndices() []uint16 {
 			out = append(out, m.seats[i].Index)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
