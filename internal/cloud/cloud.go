@@ -144,7 +144,7 @@ func (s *Server) ConnectEdge(addr endpoint.Addr, classroom protocol.ClassroomID)
 	if s.rt.Replicator().HasPeer(string(addr)) {
 		return fmt.Errorf("%w: %s", ErrPeerExists, addr)
 	}
-	if _, err := s.rt.ConnectReplica(addr, "edge.pose.age"); err != nil {
+	if _, err := s.rt.ConnectReplica(addr, "edge.pose.age", false); err != nil {
 		return err
 	}
 	// The edge receives only VR-user entities (Home == 0) from the cloud.
@@ -220,17 +220,21 @@ func (s *Server) ReleaseSession(id protocol.ParticipantID, from, to *Relay) (cor
 // stores, so the handoff is lossless either way. from is the server the
 // session left, as passed to ReleaseSession.
 func (s *Server) AdoptSession(id protocol.ParticipantID, addr endpoint.Addr, from, to *Relay, b core.PeerBaseline) error {
-	rt := s.rt
+	rt, via := s.rt, endpoint.Addr("")
 	if to != nil {
 		rt = to.rt
 	} else {
 		// Relay to cloud: the relay-routed registration gives way to a
-		// direct one.
-		if _, err := s.rt.RemoveClient(id); err != nil {
+		// direct one, and comes back if the direct one is refused.
+		var err error
+		if via, err = s.rt.RemoveClient(id); err != nil {
 			return err
 		}
 	}
 	if err := rt.AddClient(id, addr); err != nil {
+		if to == nil {
+			_ = s.rt.RegisterClient(id, via) // id was removed just above: cannot fail
+		}
 		return err
 	}
 	if err := rt.ImportClientBaseline(id, b); err != nil {

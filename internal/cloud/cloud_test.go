@@ -364,6 +364,76 @@ func TestRelayRefusesRetiredExpressionUpload(t *testing.T) {
 // TestConnectEdgeRefusesReplicationPeer: an address already replicated to
 // as a relay cannot also become an edge, and the refusal leaves no sync peer
 // behind for it.
+// TestFailedAdoptSessionKeepsRelayRoute: a relay learner adopted by the cloud
+// at an address the cloud already replicates to is refused, and the refusal
+// changes nothing. The learner stays registered behind its relay, so its
+// relay-routed poses are still authored and RemoveClient still releases its
+// seat and its entity.
+func TestFailedAdoptSessionKeepsRelayRoute(t *testing.T) {
+	sim := vclock.New(8)
+	net := netsim.New(sim)
+	s := newCloud(t, sim, net, nil)
+	r, err := NewRelay(sim, net.Endpoint("relay"), RelayConfig{Upstream: "cloud"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.ConnectBoth("relay", "cloud", netsim.LinkConfig{Latency: 30 * time.Millisecond, Bandwidth: 1e9}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddRelay("relay"); err != nil {
+		t.Fatal(err)
+	}
+	addClientHost(t, net, "c1", nil)
+	if err := s.AddClient(1, "c1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.AddHost("sub", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.ConnectBoth("sub", "relay", netsim.LinkConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RegisterRelayClient(2, "relay"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddClient(2, "sub"); err != nil {
+		t.Fatal(err)
+	}
+	_ = s.Start()
+	_ = r.Start()
+	_ = net.SendFrame("sub", "relay", protocol.CopyFrame(clientPose(2, 1, 0, 3)))
+	_ = sim.Run(time.Second)
+	if _, ok := s.World().Get(2); !ok {
+		t.Fatal("relay learner never authored")
+	}
+
+	b, err := s.ReleaseSession(2, r, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AdoptSession(2, "c1", r, nil, b); err == nil {
+		t.Fatal("adoption at an address the cloud already replicates to was accepted")
+	}
+	if c, ok := s.Runtime().Client(2); !ok || c.Addr != "relay" || c.Replicated {
+		t.Fatalf("after the refusal the learner's record is %+v (ok=%v), want relay-routed via relay", c, ok)
+	}
+	sent := sim.Now()
+	_ = net.SendFrame("sub", "relay", protocol.CopyFrame(clientPose(2, 2, sent, 4)))
+	_ = sim.Run(sent + time.Second)
+	if e, _ := s.World().Get(2); e.CapturedAt != sent {
+		t.Fatalf("relay-routed pose captured at %v not authored after the refusal (entity at %v)", sent, e.CapturedAt)
+	}
+	if err := s.RemoveClient(2); err != nil {
+		t.Fatalf("RemoveClient after the refusal: %v", err)
+	}
+	if _, ok := s.World().Get(2); ok {
+		t.Error("entity still authored after RemoveClient")
+	}
+	if _, seated := s.seats.SeatOf(2); seated {
+		t.Error("seat still held after RemoveClient")
+	}
+}
+
 func TestConnectEdgeRefusesReplicationPeer(t *testing.T) {
 	sim := vclock.New(7)
 	s := newCloud(t, sim, netsim.New(sim), nil)

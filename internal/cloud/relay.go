@@ -52,7 +52,7 @@ func NewRelay(sim *vclock.Sim, tr endpoint.Transport, cfg RelayConfig) (*Relay, 
 	// unhandled, not unknown (the cloud is not a local replication client) —
 	// the runtime's shared ack policy handles that because the upstream is a
 	// sync peer without a replicator registration.
-	if _, err := rt.ConnectReplica(cfg.Upstream, "upstream.pose.age"); err != nil {
+	if _, err := rt.ConnectReplica(cfg.Upstream, "upstream.pose.age", false); err != nil {
 		return nil, err
 	}
 	// From a client: acks terminate in the runtime and pings are auto-ponged

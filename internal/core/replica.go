@@ -9,22 +9,26 @@ import (
 )
 
 // Replica is the receiver side of the sync engine: it applies Snapshot and
-// Delta messages from one upstream peer into a local Store and maintains a
-// playout (interpolation) buffer per remote participant so displays render
-// smooth motion between network updates.
+// Delta messages from one upstream peer into a local Store. On a node that
+// displays (the edge, the VR client) it is a display replica (NewReplica),
+// with a playout buffer per remote participant so displays render smooth
+// motion; on one that only merges and fans out (the cloud, a relay) it is a
+// sync replica (NewSyncReplica), keeping each one's newest capture stamp.
 type Replica struct {
 	store *Store
 
-	// playout is indexed by the store's slot: the playout buffer of the slot's
-	// tenant, held by value (live while the slot has a tenant), and whether a
-	// snapshot omission is holding the tenant as retained. The store's apply
-	// walk hands every entity's slot to noteEntity, and a buffer is released
+	// playout (a display replica's) or marks (a sync replica's) is indexed by
+	// the store's slot: the flags — live while the slot has a tenant, retained
+	// while a snapshot omission holds it — and the tenant's playout buffer,
+	// held by value, or its newest stamp. The store's apply walk hands every
+	// entity's slot to noteEntity, and a buffer is released (a stamp reset)
 	// before its slot is vacated, so a slot's next tenant always starts with
 	// an empty one. The table is as long as the store's record capacity and
 	// is reallocated when that grows, moving every header: nothing keeps a
 	// pointer into it past the call that took it. nRetained counts the
 	// retained marks.
 	playout   []playoutSlot
+	marks     []markSlot
 	nRetained int
 
 	// OnNew fires when a participant first appears (seat assignment hook).
@@ -57,11 +61,11 @@ type Replica struct {
 	// large world costs a few slab allocations instead of one ring per
 	// entity, and churn after the join recycles instead of reallocating. Its
 	// buffers read its delay and extrapolator and add to its counters.
-	bufPool *pose.InterpPool
+	bufPool *pose.InterpPool // nil on a sync replica
 }
 
 // PlayoutDelay is how far behind live every replica in the system renders
-// remote entities: the delay clients and sync peers build their replicas with.
+// remote entities: the delay clients and edges build display replicas with.
 const PlayoutDelay = 100 * time.Millisecond
 
 // retainFor bounds how long a retained entity may stay capture-silent before
@@ -100,6 +104,10 @@ func NewReplica(delay time.Duration, extrap pose.Extrapolator) *Replica {
 	}
 }
 
+// NewSyncReplica creates a replica for a node that does not display: no
+// playout buffers, no dequantize, and Pose reports nothing.
+func NewSyncReplica() *Replica { return &Replica{store: NewStore()} }
+
 // Store exposes the replica's current entity state, for reading: the playout
 // buffers follow the store's slots, so only Apply may change its membership.
 func (r *Replica) Store() *Store { return r.store }
@@ -137,49 +145,82 @@ func (r *Replica) Apply(msg protocol.Message, now time.Duration) (uint64, bool) 
 	}
 }
 
+// slotFlags heads both kinds of slot.
+type slotFlags struct{ live, retained bool }
+
 // playoutSlot is one entry of Replica.playout, 64 bytes on 64-bit (a cache
 // line): the flags, then the buffer's per-entity header, which is all an
 // apply reads of a slot.
 type playoutSlot struct {
-	live, retained bool
-	buf            pose.InterpBuffer
+	slotFlags
+	buf pose.InterpBuffer
+}
+
+// markSlot is one entry of Replica.marks, 16 bytes: the flags, then the
+// tenant's newest capture stamp (0 while vacant).
+type markSlot struct {
+	slotFlags
+	newest time.Duration
+}
+
+// flags returns slot's flags from whichever table the replica keeps.
+func (r *Replica) flags(slot uint32) *slotFlags {
+	if r.bufPool == nil {
+		return &r.marks[slot].slotFlags
+	}
+	return &r.playout[slot].slotFlags
 }
 
 // noteEntity is the store's apply walk handing over an entity it has just
 // written to slot: the first one a slot's tenant receives fills its buffer.
 func (r *Replica) noteEntity(slot uint32, e *protocol.EntityState, now time.Duration) {
-	if int(slot) >= len(r.playout) { // a slot the store has just added
+	if int(slot) >= len(r.playout)+len(r.marks) { // a slot the store has just added
 		// To the store's capacity, so the table grows when the store's does:
 		// by an eighth, not append's doubling.
-		grown := make([]playoutSlot, cap(r.store.recs))
-		copy(grown, r.playout)
-		r.playout = grown
+		if n := cap(r.store.recs); r.bufPool == nil {
+			r.marks = append(make([]markSlot, 0, n), r.marks...)[:n]
+		} else {
+			r.playout = append(make([]playoutSlot, 0, n), r.playout...)[:n]
+		}
 	}
-	ps := &r.playout[slot]
-	if !ps.live {
-		r.bufPool.Acquire(&ps.buf)
-		ps.live = true
+	f := r.flags(slot)
+	first := !f.live
+	if first {
+		f.live = true
 		r.bufCreates++
 		if r.OnNew != nil {
 			r.OnNew(*e)
 		}
 	}
-	if ps.retained { // an update ends the omission
-		ps.retained = false
+	if f.retained { // an update ends the omission
+		f.retained = false
 		r.nRetained--
-	}
-	pos, rot := e.Pose.Dequantize()
-	p := pose.Pose{
-		Time:     e.CapturedAt,
-		Position: pos,
-		Rotation: rot,
-		Velocity: protocol.VelocityOf(e.VelMMS),
 	}
 	// Latency accounting covers fresh information only: redelivery of an
 	// entity whose capture stamp has not advanced (snapshot keyframes,
-	// mirror re-sends) says nothing about pipeline freshness. The buffer's
-	// newest stamp is that watermark; Push reports whether p advanced it.
-	if ps.buf.Push(p) && r.Latency != nil {
+	// mirror re-sends) says nothing about pipeline freshness. The newest
+	// stamp is that watermark: a tenant's first stamp is fresh, and so is
+	// one above it (what Push reports).
+	var fresh bool
+	if r.bufPool == nil {
+		m := &r.marks[slot]
+		if fresh = first || e.CapturedAt > m.newest; fresh {
+			m.newest = e.CapturedAt
+		}
+	} else {
+		b := &r.playout[slot].buf
+		if first {
+			r.bufPool.Acquire(b)
+		}
+		pos, rot := e.Pose.Dequantize()
+		fresh = b.Push(pose.Pose{
+			Time:     e.CapturedAt,
+			Position: pos,
+			Rotation: rot,
+			Velocity: protocol.VelocityOf(e.VelMMS),
+		})
+	}
+	if fresh && r.Latency != nil {
 		r.Latency.Observe(now - e.CapturedAt)
 	}
 }
@@ -191,22 +232,26 @@ func (r *Replica) retain(slot uint32) bool {
 		return false
 	}
 	r.retained++
-	if p := &r.playout[slot]; !p.retained {
-		p.retained = true
+	if f := r.flags(slot); !f.retained {
+		f.retained = true
 		r.nRetained++
 	}
 	return true
 }
 
-// dropBuffer releases the buffer of is, which is about to leave the store.
+// dropBuffer empties the slot of is, which is about to leave the store.
 func (r *Replica) dropBuffer(is idSlot) {
-	p := &r.playout[is.slot]
-	if p.retained {
-		p.retained = false
+	f := r.flags(is.slot)
+	if f.retained {
+		f.retained = false
 		r.nRetained--
 	}
-	r.bufPool.Release(&p.buf)
-	p.live = false
+	f.live = false
+	if r.bufPool == nil {
+		r.marks[is.slot].newest = 0
+	} else {
+		r.bufPool.Release(&r.playout[is.slot].buf)
+	}
 	r.bufDrops++
 	if r.OnRemove != nil {
 		r.OnRemove(is.id)
@@ -224,14 +269,21 @@ func (r *Replica) expireRetained(now time.Duration) {
 		return
 	}
 	for i := 0; i < len(r.store.order); {
-		if p := &r.playout[r.store.order[i].slot]; p.retained {
-			if newest, _ := p.buf.Newest(); now-newest.Time > retainFor {
-				r.store.drop(i, r)
-				continue
-			}
+		if slot := r.store.order[i].slot; r.flags(slot).retained && now-r.newest(slot) > retainFor {
+			r.store.drop(i, r)
+			continue
 		}
 		i++
 	}
+}
+
+// newest is the newest capture stamp applied to slot's tenant.
+func (r *Replica) newest(slot uint32) time.Duration {
+	if r.bufPool == nil {
+		return r.marks[slot].newest
+	}
+	p, _ := r.playout[slot].buf.Newest()
+	return p.Time
 }
 
 // Pose samples the replicated participant's pose for display at time at
@@ -240,10 +292,10 @@ func (r *Replica) expireRetained(now time.Duration) {
 // applied stamp. The replica keeps only the history such a read can reach
 // (playoutDepth), so an earlier at whose target falls before that history
 // returns the oldest sample still held, with ok true, and adds to
-// ReplicaStats.Clamped.
+// ReplicaStats.Clamped. A sync replica has no pose to give.
 func (r *Replica) Pose(id protocol.ParticipantID, at time.Duration) (pose.Pose, bool) {
 	slot, ok := r.store.slots[id]
-	if !ok {
+	if !ok || r.bufPool == nil {
 		return pose.Pose{}, false
 	}
 	return r.playout[slot].buf.Sample(at)
@@ -254,11 +306,12 @@ func (r *Replica) Participants() []protocol.ParticipantID { return r.store.IDs()
 
 // ReplicaStats reports apply accounting. BufferCreates/BufferDrops expose
 // playout-buffer churn (a create after a drop of the same entity means the
-// interpolation history was lost); Retained counts snapshot omissions that
-// kept their buffer under RetainOmitted; Clamped counts Pose calls that
-// wanted history a full buffer had evicted and got its oldest sample (the
-// pool's Clamped, over every buffer held) — non-zero means an upstream
-// outrunning the playout depth, or a caller reading before the live edge.
+// interpolation history was lost; a sync replica counts its tenants);
+// Retained counts snapshot omissions kept under RetainOmitted; Clamped (0 on
+// a sync replica) counts Pose calls that wanted history a full buffer had
+// evicted and got its oldest sample (the pool's Clamped, over every buffer
+// held) — non-zero means an upstream outrunning the playout depth, or a
+// caller reading before the live edge.
 type ReplicaStats struct {
 	Applied       uint64
 	Rejected      uint64
@@ -271,9 +324,12 @@ type ReplicaStats struct {
 
 // Stats returns counters.
 func (r *Replica) Stats() ReplicaStats {
-	return ReplicaStats{
+	st := ReplicaStats{
 		Applied: r.applied, Rejected: r.rejected, Snapshots: r.snapshots,
 		BufferCreates: r.bufCreates, BufferDrops: r.bufDrops, Retained: r.retained,
-		Clamped: r.bufPool.Clamped(),
 	}
+	if r.bufPool != nil {
+		st.Clamped = r.bufPool.Clamped()
+	}
+	return st
 }

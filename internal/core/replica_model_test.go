@@ -424,11 +424,67 @@ func liveBuffers(t testing.TB, r *Replica) int {
 // reloading order after a seat (a stale copy still names every slot right,
 // and an entry it no longer shows falls to the slotOf probe).
 func TestReplicaMatchesMapModel(t *testing.T) {
+	checkReplicaModel(t, func(delay time.Duration) *Replica { return NewReplica(delay, nil) })
+}
+
+// liveMarks counts the live slots of a sync replica's watermark table, checks
+// each sits in a live entity's slot and that every vacant slot is zero: no
+// flag and no stamp of a departed tenant.
+func liveMarks(t testing.TB, r *Replica) int {
+	t.Helper()
+	n, retained := 0, 0
+	for slot, m := range r.marks {
+		if !m.live {
+			if m != (markSlot{}) {
+				t.Fatalf("vacant slot %d holds %+v", slot, m)
+			}
+			continue
+		}
+		n++
+		if m.retained {
+			retained++
+		}
+		id := r.store.recs[slot].state.Participant
+		if got, ok := r.store.slots[id]; !ok || int(got) != slot {
+			t.Fatalf("slot %d is live but no live entity holds it (record says %d)", slot, id)
+		}
+	}
+	if retained != r.nRetained {
+		t.Fatalf("nRetained = %d, %d slots marked", r.nRetained, retained)
+	}
+	return n
+}
+
+// TestSyncReplicaMatchesMapModel runs TestReplicaMatchesMapModel's schedules
+// through a sync replica, which keeps a capture watermark and no playout
+// buffer, against the same oracle: every observable agrees but the sampled
+// poses (Pose always reports false) and Stats.Clamped (always 0), and every
+// vacant slot of the watermark table is zero.
+//
+// Checked to fail on two seeded mutations of the watermark (every seed of
+// both modes fails):
+//   - Replica.dropBuffer not resetting the stamp: retain=false seed 1 stops
+//     at step 4, a vacant slot holding its departed tenant's stamp (a next
+//     tenant's first stamp is fresh whatever the slot holds, so only the
+//     table shows it);
+//   - Replica.noteEntity taking a stamp equal to the newest as fresh (>= for
+//     >): retain=false seed 1 stops at step 27, the Latency count one ahead
+//     of the model's.
+func TestSyncReplicaMatchesMapModel(t *testing.T) {
+	checkReplicaModel(t, func(time.Duration) *Replica { return NewSyncReplica() })
+}
+
+// checkReplicaModel drives replicas made by newReplica and the map-keyed
+// oracle through the model schedules (both retain modes, seeds 1-10, 2,000
+// steps each) and compares them after every message. A display replica's
+// poses are compared with the oracle's; a sync replica's must be absent.
+func checkReplicaModel(t *testing.T, newReplica func(delay time.Duration) *Replica) {
 	const delay = 20 * time.Millisecond
 	for _, retain := range []bool{false, true} {
 		for seed := int64(1); seed <= 10; seed++ {
 			t.Run(fmt.Sprintf("retain=%v/seed=%d", retain, seed), func(t *testing.T) {
-				r, o := NewReplica(delay, nil), newMapReplica(delay)
+				r, o := newReplica(delay), newMapReplica(delay)
+				display := r.bufPool != nil
 				var gotEvents, wantEvents []string
 				r.RetainOmitted, o.RetainOmitted = retain, retain
 				r.Latency, o.Latency = &metrics.Histogram{}, &metrics.Histogram{}
@@ -466,7 +522,7 @@ func TestReplicaMatchesMapModel(t *testing.T) {
 							t.Fatalf("step %d: entity %d = %+v, model %+v", step, id, got, o.ents[id])
 						}
 					}
-					if r.Stats() != o.Stats() {
+					if r.Stats() != o.Stats() { // a sync replica's oracle is never sampled: Clamped 0
 						t.Fatalf("step %d (%T): Stats = %+v, model %+v", step, st.msg, r.Stats(), o.Stats())
 					}
 					if r.Latency.Count() != o.Latency.Count() || r.Latency.Sum() != o.Latency.Sum() {
@@ -476,17 +532,29 @@ func TestReplicaMatchesMapModel(t *testing.T) {
 					for id := protocol.ParticipantID(0); id <= 25; id++ {
 						for _, at := range []time.Duration{st.now - 300*time.Millisecond, st.now - 15*time.Millisecond, st.now + delay + 40*time.Millisecond} {
 							got, gotOK := r.Pose(id, at)
+							if !display {
+								if gotOK {
+									t.Fatalf("step %d: sync replica has a pose for %d", step, id)
+								}
+								continue
+							}
 							want, wantOK := o.Pose(id, at)
 							if got != want || gotOK != wantOK {
 								t.Fatalf("step %d (%T): Pose(%d, %v) = %v,%v, model %v,%v", step, st.msg, id, at, got, gotOK, want, wantOK)
 							}
 						}
 					}
-					if n := liveBuffers(t, r); n != len(ids) {
-						t.Fatalf("step %d: %d live buffers for %d entities", step, n, len(ids))
+					var held int
+					if display {
+						held = liveBuffers(t, r)
+					} else {
+						held = liveMarks(t, r)
+					}
+					if held != len(ids) {
+						t.Fatalf("step %d: %d live buffers for %d entities", step, held, len(ids))
 					}
 				}
-				if st := r.Stats(); st.Rejected == 0 || st.BufferDrops < 20 || st.Clamped == 0 || (retain && st.Retained == 0) {
+				if st := r.Stats(); st.Rejected == 0 || st.BufferDrops < 20 || (display && st.Clamped == 0) || (retain && st.Retained == 0) {
 					t.Fatalf("schedule too tame: %+v", st)
 				}
 			})

@@ -127,7 +127,11 @@ func TestReplicaRetainedExpiresAfterNewestStamp(t *testing.T) {
 // applyFixture is a replica holding pop entities (IDs 1..pop) after one
 // keyframe, and a message-building helper that stamps fresh capture times.
 func applyFixture(pop int) (*Replica, []protocol.EntityState) {
-	r := NewReplica(100*ms, nil)
+	return fillFixture(NewReplica(100*ms, nil), pop)
+}
+
+// fillFixture is applyFixture over a replica of either kind.
+func fillFixture(r *Replica, pop int) (*Replica, []protocol.EntityState) {
 	r.RetainOmitted = true
 	r.Latency = &metrics.Histogram{}
 	ents := make([]protocol.EntityState, pop)
@@ -139,14 +143,23 @@ func applyFixture(pop int) (*Replica, []protocol.EntityState) {
 }
 
 // TestReplicaApplyAllocationFree pins the receive path's steady state at
-// zero heap objects: a delta over known entities, and a keyframe over an
-// unchanged population (listing everyone, and listing a third with the rest
-// retained).
+// zero heap objects, for a display replica and a sync one: a delta over
+// known entities, and a keyframe over an unchanged population (listing
+// everyone, and listing a third with the rest retained).
 func TestReplicaApplyAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are meaningless under -race")
 	}
-	r, ents := applyFixture(100)
+	for _, kind := range []struct {
+		name string
+		r    *Replica
+	}{{"display", NewReplica(100*ms, nil)}, {"sync", NewSyncReplica()}} {
+		replicaApplyAllocationFree(t, kind.name, kind.r)
+	}
+}
+
+func replicaApplyAllocationFree(t *testing.T, kind string, r *Replica) {
+	r, ents := fillFixture(r, 100)
 	tick, now := uint64(1), time.Duration(0)
 	stamp := func(list []protocol.EntityState) {
 		tick++
@@ -180,11 +193,11 @@ func TestReplicaApplyAllocationFree(t *testing.T) {
 		fn   func()
 	}{{"delta", delta}, {"keyframe", keyframe(100)}, {"filtered keyframe", keyframe(34)}} {
 		if allocs := testing.AllocsPerRun(100, c.fn); allocs != 0 {
-			t.Errorf("steady-state %s allocates %.2f objects, want 0", c.name, allocs)
+			t.Errorf("%s replica: steady-state %s allocates %.2f objects, want 0", kind, c.name, allocs)
 		}
 	}
 	if st := r.Stats(); st.BufferCreates != 100 || st.BufferDrops != 0 || st.Rejected != 0 {
-		t.Fatalf("fixture drifted from steady state: %+v", st)
+		t.Fatalf("%s replica: fixture drifted from steady state: %+v", kind, st)
 	}
 }
 

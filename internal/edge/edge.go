@@ -203,7 +203,7 @@ func (s *Server) ConnectPeer(addr endpoint.Addr) error {
 	if err := s.rt.Replicate(addr, nil); err != nil {
 		return err
 	}
-	p, err := s.rt.ConnectReplica(addr, "remote.pose.age")
+	p, err := s.rt.ConnectReplica(addr, "remote.pose.age", true)
 	if err != nil {
 		return err
 	}

@@ -56,7 +56,9 @@ func (c *Config) applyDefaults() {
 
 // SyncPeer is one inbound sync partner (a campus edge at the cloud, the
 // cloud at a relay or edge, a peer edge) whose Snapshot/Delta traffic lands
-// in a dedicated replica.
+// in a dedicated replica: a display replica with playout buffers on the edge,
+// whose MR displays render it; on the cloud and a relay, which only merge and
+// fan out, a sync replica keeping each entity's newest capture stamp.
 type SyncPeer struct {
 	Addr    endpoint.Addr
 	Replica *core.Replica
@@ -190,12 +192,19 @@ func (r *Runtime) Grid() *interest.Grid { return r.grid }
 // ConnectReplica registers a sync partner: inbound Snapshot/Delta frames
 // from addr apply into the returned peer's replica, whose capture-to-apply
 // latency lands in the named histogram (shared across peers using the same
-// name).
-func (r *Runtime) ConnectReplica(addr endpoint.Addr, ageHist string) (*SyncPeer, error) {
+// name). display says whether this node renders the partner's entities: a
+// display replica keeps playout buffers (core.NewReplica), any other keeps
+// only a capture watermark per entity (core.NewSyncReplica).
+func (r *Runtime) ConnectReplica(addr endpoint.Addr, ageHist string, display bool) (*SyncPeer, error) {
 	if _, ok := r.peers[addr]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrPeerExists, addr)
 	}
-	p := &SyncPeer{Addr: addr, Replica: core.NewReplica(core.PlayoutDelay, pose.Linear{})}
+	p := &SyncPeer{Addr: addr}
+	if display {
+		p.Replica = core.NewReplica(core.PlayoutDelay, pose.Linear{})
+	} else {
+		p.Replica = core.NewSyncReplica()
+	}
 	p.Replica.Latency = r.reg.Histogram(ageHist)
 	r.peers[addr] = p
 	r.peersDirty = true

@@ -240,7 +240,7 @@ func TestUnsentPlanFramesAreReleased(t *testing.T) {
 func TestRuntimeSyncPeerAddrsSortedAndAckPolicy(t *testing.T) {
 	rt, _ := newRuntime(t, Config{})
 	for _, a := range []endpoint.Addr{"zeta", "alpha", "mid"} {
-		if _, err := rt.ConnectReplica(a, "age"); err != nil {
+		if _, err := rt.ConnectReplica(a, "age", false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -274,7 +274,7 @@ func TestRuntimeSyncPeerAddrsSortedAndAckPolicy(t *testing.T) {
 
 func TestRuntimeMirrorPeersRetention(t *testing.T) {
 	rt, _ := newRuntime(t, Config{})
-	p, err := rt.ConnectReplica("up", "age")
+	p, err := rt.ConnectReplica("up", "age", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestMirrorPeersAllocationFree(t *testing.T) {
 	}
 	const pop = 128
 	rt, _ := newRuntime(t, Config{Interest: interest.NewPolicy()})
-	up, err := rt.ConnectReplica("up", "age")
+	up, err := rt.ConnectReplica("up", "age", false)
 	if err != nil {
 		t.Fatal(err)
 	}
