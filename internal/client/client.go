@@ -49,6 +49,7 @@ func (c *VRConfig) applyDefaults() {
 // VR is a remote learner's client endpoint.
 type VR struct {
 	cfg     VRConfig
+	period  time.Duration // of cfg.PublishHz
 	sim     *vclock.Sim
 	addr    endpoint.Addr
 	ep      *endpoint.Dispatcher
@@ -78,8 +79,13 @@ func NewVR(sim *vclock.Sim, tr endpoint.Transport, cfg VRConfig) (*VR, error) {
 	if cfg.Participant == 0 {
 		return nil, errors.New("client: participant ID must be nonzero")
 	}
+	period, ok := vclock.Period(cfg.PublishHz)
+	if !ok {
+		return nil, errors.New("client: publish rate has no positive period")
+	}
 	v := &VR{
 		cfg:     cfg,
+		period:  period,
 		sim:     sim,
 		addr:    tr.LocalAddr(),
 		replica: core.NewReplica(core.PlayoutDelay, pose.Linear{}),
@@ -141,8 +147,7 @@ func (v *VR) Start() error {
 	if v.cancel != nil {
 		return errors.New("client: already started")
 	}
-	interval := time.Duration(float64(time.Second) / v.cfg.PublishHz)
-	v.cancel = v.sim.Ticker(interval, v.publish)
+	v.cancel = v.sim.Ticker(v.period, v.publish)
 	if v.cfg.PingEvery > 0 {
 		v.cancelPing = v.sim.Ticker(v.cfg.PingEvery, v.ping)
 	}

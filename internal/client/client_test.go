@@ -1,6 +1,7 @@
 package client
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -179,6 +180,33 @@ func TestVROwnPoseIsLive(t *testing.T) {
 	truth := script.PoseAt(sim.Now())
 	if own.PositionError(truth) != 0 {
 		t.Error("own pose not rendered live (zero latency)")
+	}
+}
+
+// TestNewVRRefusesUnrunnablePublishRate: a rate with no positive publish
+// period is refused by NewVR, not left to panic in Start; zero and negative
+// rates still take the default.
+func TestNewVRRefusesUnrunnablePublishRate(t *testing.T) {
+	sim := vclock.New(5)
+	net := netsim.New(sim)
+	for _, hz := range []float64{math.NaN(), math.Inf(1), 2e9, 1e-300} {
+		if _, err := NewVR(sim, net.Endpoint("x"), VRConfig{Participant: 7, Server: "y", PublishHz: hz}); err == nil {
+			t.Errorf("PublishHz %v accepted", hz)
+		}
+	}
+	for _, hz := range []float64{0, -5} {
+		sim := vclock.New(5)
+		net := netsim.New(sim)
+		newFakeServer(t, sim, net)
+		v := newVRUnderTest(t, sim, net, VRConfig{PublishHz: hz})
+		if err := v.Start(); err != nil {
+			t.Fatal(err)
+		}
+		_ = sim.Run(time.Second) // publishes fire at 50..1000 ms
+		v.Stop()
+		if got := v.Metrics().Counter("publish.poses").Value(); got != 20 {
+			t.Errorf("PublishHz %v published %d poses in a second, want the default 20", hz, got)
+		}
 	}
 }
 

@@ -212,13 +212,14 @@ func (r *Replica) noteEntity(slot uint32, e *protocol.EntityState, now time.Dura
 		if first {
 			r.bufPool.Acquire(b)
 		}
-		pos, rot := e.Pose.Dequantize()
-		fresh = b.Push(pose.Pose{
-			Time:     e.CapturedAt,
-			Position: pos,
-			Rotation: rot,
-			Velocity: protocol.VelocityOf(e.VelMMS),
-		})
+		// Field by field: a composite literal is built on the stack, copied in.
+		var at *pose.Pose
+		if at, fresh = b.Place(e.CapturedAt); at != nil {
+			at.Time = e.CapturedAt
+			at.Position, at.Rotation = e.Pose.Dequantize()
+			at.Velocity = protocol.VelocityOf(e.VelMMS)
+			at.AngVelY = 0
+		}
 	}
 	if fresh && r.Latency != nil {
 		r.Latency.Observe(now - e.CapturedAt)

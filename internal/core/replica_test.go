@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"metaclass/internal/metrics"
+	"metaclass/internal/pose"
 	"metaclass/internal/protocol"
 )
 
@@ -82,6 +83,34 @@ func TestReplicaReAddedEntityStartsFresh(t *testing.T) {
 	}
 	if st := r.Stats(); st.BufferCreates != 3 || st.BufferDrops != 2 {
 		t.Fatalf("buffer churn = %+v, want 3 creates / 2 drops", st)
+	}
+}
+
+// TestReplicaSamplesCarryEveryWireField: every sample a display replica
+// writes into its ring is the entity's dequantized pose and wire velocity,
+// whether it lands in order or late, in a fresh ring or in one recycled from
+// a departed tenant: each read equals a standalone buffer's fed those samples.
+func TestReplicaSamplesCarryEveryWireField(t *testing.T) {
+	r := NewReplica(0, pose.Linear{})
+	var tick uint64
+	for tenant, vel := range [][3]int64{{1500, 0, -700}, {-300, 200, 900}} {
+		want := pose.NewInterpBuffer(0, 8, pose.Linear{})
+		for _, at := range []time.Duration{100 * ms, 200 * ms, 150 * ms} { // the last one late
+			e := entAt(7, at)
+			e.VelMMS = vel
+			pos, rot := e.Pose.Dequantize()
+			want.Push(pose.Pose{Time: at, Position: pos, Rotation: rot, Velocity: protocol.VelocityOf(vel)})
+			tick++
+			r.Apply(&protocol.Delta{BaseTick: tick - 1, Tick: tick, Changed: []protocol.EntityState{e}}, 210*ms)
+		}
+		for _, now := range []time.Duration{125 * ms, 175 * ms, 450 * ms} {
+			got, gotOK := r.Pose(7, now)
+			if w, _ := want.Sample(now); !gotOK || got != w {
+				t.Fatalf("tenant %d: Pose(7, %v) = %v,%v, want %v (velocity %v)", tenant, now, got, gotOK, w, w.Velocity)
+			}
+		}
+		tick++
+		r.Apply(&protocol.Delta{BaseTick: tick - 1, Tick: tick, Removed: []protocol.ParticipantID{7}}, 220*ms)
 	}
 }
 

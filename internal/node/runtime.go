@@ -114,6 +114,7 @@ type Runtime struct {
 	// proven not to change the output (see package work).
 	pool *work.Pool
 
+	period time.Duration // of cfg.TickHz
 	cancel func()
 }
 
@@ -124,6 +125,10 @@ type Runtime struct {
 // pose and fallback hooks on Dispatcher().
 func New(sim *vclock.Sim, tr endpoint.Transport, cfg Config) (*Runtime, error) {
 	cfg.applyDefaults()
+	period, ok := vclock.Period(cfg.TickHz)
+	if !ok {
+		return nil, fmt.Errorf("node: tick rate %v Hz has no positive period", cfg.TickHz)
+	}
 	r := &Runtime{
 		cfg:   cfg,
 		sim:   sim,
@@ -135,6 +140,7 @@ func New(sim *vclock.Sim, tr endpoint.Transport, cfg Config) (*Runtime, error) {
 		peers:   make(map[endpoint.Addr]*SyncPeer),
 		clients: make(map[protocol.ParticipantID]*Client),
 		byAddr:  make(map[endpoint.Addr]*Client),
+		period:  period,
 	}
 	r.moved = func(e *protocol.EntityState) { r.grid.Update(e.Participant, e.Pose.Position()) }
 	r.removed = r.grid.Remove
@@ -454,8 +460,7 @@ func (r *Runtime) Start(onTick func()) error {
 		return ErrStarted
 	}
 	r.onTick = onTick
-	interval := time.Duration(float64(time.Second) / r.cfg.TickHz)
-	r.cancel = r.sim.Ticker(interval, r.tick)
+	r.cancel = r.sim.Ticker(r.period, r.tick)
 	return nil
 }
 

@@ -3,6 +3,7 @@ package node
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -40,6 +41,27 @@ func newRuntime(t *testing.T, cfg Config) (*Runtime, *sinkTransport) {
 		t.Fatal(err)
 	}
 	return rt, tr
+}
+
+// TestNewRefusesUnrunnableTickRate: a rate with no positive tick period is
+// refused by New, not left to panic in Start; zero and negative rates still
+// take the default.
+func TestNewRefusesUnrunnableTickRate(t *testing.T) {
+	for _, hz := range []float64{math.NaN(), math.Inf(1), 2e9, 1e-300} {
+		if _, err := New(vclock.New(1), &sinkTransport{addr: "node"}, Config{TickHz: hz}); err == nil {
+			t.Errorf("TickHz %v accepted", hz)
+		}
+	}
+	for _, hz := range []float64{0, -5} {
+		rt, _ := newRuntime(t, Config{TickHz: hz})
+		if rt.TickHz() != 30 {
+			t.Errorf("TickHz %v ran at %v Hz, want the default 30", hz, rt.TickHz())
+		}
+		if err := rt.Start(func() {}); err != nil {
+			t.Fatal(err)
+		}
+		rt.Stop()
+	}
 }
 
 func TestRuntimeClientLifecycle(t *testing.T) {

@@ -57,43 +57,57 @@ func (b *InterpBuffer) slot(i int) int {
 // Only the fast path moves the newest stamp: a late arrival, a duplicate and
 // an evictee all leave it where it was.
 func (b *InterpBuffer) Push(p Pose) bool {
-	full := b.n == len(b.ring)
-	// Fast path: newest sample, one slot written and no sample read.
-	if b.n == 0 || p.Time > b.newest {
-		if full {
+	at, fresh := b.Place(p.Time)
+	if at != nil {
+		*at = p
+	}
+	return fresh
+}
+
+// Place does Push's bookkeeping for a sample stamped t and hands out the slot
+// Push would write, with Push's result; it returns nil, and changes nothing,
+// when the sample is a full buffer's evictee. The slot still holds whatever
+// was there: the caller writes every field of the sample, Time = t included,
+// before the buffer is used again.
+func (b *InterpBuffer) Place(t time.Duration) (*Pose, bool) {
+	// Fast path: newest sample, one slot handed out and no sample read.
+	if b.n == 0 || t > b.newest {
+		if b.n == len(b.ring) {
 			b.head = b.slot(1)
 		} else {
 			b.n++
 		}
-		b.ring[b.slot(b.n-1)] = p
-		b.newest = p.Time
-		return true
+		b.newest = t
+		return &b.ring[b.slot(b.n-1)], true
 	}
-	// Late arrival: i counts the buffered samples older than p (they land
-	// near the back, so scan from there).
+	return b.placeLate(t), false
+}
+
+// placeLate is Place for a stamp at or below the newest.
+func (b *InterpBuffer) placeLate(t time.Duration) *Pose {
+	// i counts the buffered samples older than t (they land near the back,
+	// so scan from there).
 	i := b.n - 1
-	for i > 0 && b.ring[b.slot(i-1)].Time >= p.Time {
+	for i > 0 && b.ring[b.slot(i-1)].Time >= t {
 		i--
 	}
-	if at := &b.ring[b.slot(i)]; at.Time == p.Time {
-		*at = p
-		return false
+	if at := &b.ring[b.slot(i)]; at.Time == t {
+		return at // a duplicate stamp: its sample is replaced
 	}
-	if full {
+	if b.n == len(b.ring) {
 		if i == 0 {
-			return false // older than everything in a full buffer: p is the evictee
+			return nil // older than everything in a full buffer: the evictee
 		}
 		b.head = b.slot(1)
 		b.n--
 		i--
 	}
-	// Shift the samples newer than p up one slot and put p in the gap.
+	// Shift the samples newer than t up one slot and hand out the gap.
 	for j := b.n; j > i; j-- {
 		b.ring[b.slot(j)] = b.ring[b.slot(j-1)]
 	}
-	b.ring[b.slot(i)] = p
 	b.n++
-	return false
+	return &b.ring[b.slot(i)]
 }
 
 // Len returns the number of buffered samples.

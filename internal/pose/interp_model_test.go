@@ -3,8 +3,11 @@ package pose
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
+
+	"metaclass/internal/mathx"
 )
 
 // sliceOracle is the trivially correct playout buffer the ring is checked
@@ -137,6 +140,87 @@ func TestInterpBufferMatchesSliceModel(t *testing.T) {
 			}
 			if clock < 300*time.Duration(capacity)*time.Millisecond {
 				t.Fatalf("clock only reached %v: head did not wrap enough", clock)
+			}
+		})
+	}
+}
+
+// TestPlaceWritesWherePushWould feeds one seeded schedule of in-order, late,
+// duplicate-stamp and full-ring-evictee samples to two buffers: one through
+// Push, one through Place and a field-by-field write. After every step the
+// freshness, Len, Newest and three display-time reads of both must agree with
+// each other and with the slice oracle (Push is Place plus a copy, so only
+// the oracle catches an ordering fault both share); Place must hand out nil
+// exactly for an evictee, and then change nothing.
+func TestPlaceWritesWherePushWould(t *testing.T) {
+	for _, capacity := range []int{2, 8, 64} {
+		t.Run(fmt.Sprintf("cap=%d", capacity), func(t *testing.T) {
+			const delay = 20 * time.Millisecond
+			rng := rand.New(rand.NewSource(int64(capacity) + 1))
+			pushed := NewInterpBuffer(delay, capacity, nil)
+			placed := NewInterpBuffer(delay, capacity, nil)
+			o := &sliceOracle{cap: capacity, delay: delay}
+			span := time.Duration(capacity+2) * time.Millisecond
+			clock := time.Duration(0)
+			for step := 0; step < 20000; step++ {
+				var stamp time.Duration
+				switch r := rng.Intn(100); {
+				case r < 60: // in order
+					clock += time.Duration(1+rng.Intn(3)) * time.Millisecond
+					stamp = clock
+				case r < 78: // late arrival or duplicate, inside the buffered span
+					stamp = clock - time.Duration(rng.Int63n(int64(span)))/time.Millisecond*time.Millisecond
+				case r < 86: // duplicate of the newest stamp
+					stamp = clock
+				default: // older than anything buffered
+					stamp = clock - 2*span - time.Duration(rng.Intn(5))*time.Millisecond
+				}
+				p := Pose{
+					Time:     stamp,
+					Position: mathx.V3(rng.Float64(), rng.Float64(), rng.Float64()),
+					Rotation: mathx.QuatAxisAngle(mathx.V3(0, 1, 0), rng.Float64()),
+					Velocity: mathx.V3(rng.Float64(), 0, rng.Float64()),
+					AngVelY:  rng.Float64(),
+				}
+				evictee := len(o.samples) == capacity && stamp < o.samples[0].Time
+				head, n, newest, image := placed.head, placed.n, placed.newest, ringImage(placed)
+
+				want := o.push(p)
+				at, got := placed.Place(stamp)
+				if (at == nil) != evictee {
+					t.Fatalf("step %d: Place(%v) = %p, evictee %v", step, stamp, at, evictee)
+				}
+				if at != nil {
+					at.Time = p.Time
+					at.Position = p.Position
+					at.Rotation = p.Rotation
+					at.Velocity = p.Velocity
+					at.AngVelY = p.AngVelY
+				} else if placed.head != head || placed.n != n || placed.newest != newest || !slices.Equal(ringImage(placed), image) {
+					t.Fatalf("step %d: Place(%v) handed out nil but changed the buffer", step, stamp)
+				}
+				if pushedFresh := pushed.Push(p); got != want || pushedFresh != want {
+					t.Fatalf("step %d: fresh = %v (Place), %v (Push), oracle %v", step, got, pushedFresh, want)
+				}
+				for _, b := range []*InterpBuffer{placed, pushed} {
+					if b.Len() != len(o.samples) {
+						t.Fatalf("step %d: Len = %d, oracle %d", step, b.Len(), len(o.samples))
+					}
+					gotNew, gotOK := b.Newest()
+					wantNew, wantOK := o.newest()
+					if gotNew != wantNew || gotOK != wantOK {
+						t.Fatalf("step %d: Newest = %v,%v, oracle %v,%v", step, gotNew, gotOK, wantNew, wantOK)
+					}
+				}
+				// Read before the buffered span, inside it and past its newest.
+				for _, now := range []time.Duration{clock + delay - 2*span, clock + delay - span/3, clock + delay + span} {
+					want, wantOK := o.sample(now)
+					for _, b := range []*InterpBuffer{placed, pushed} {
+						if got, gotOK := b.Sample(now); got != want || gotOK != wantOK {
+							t.Fatalf("step %d: Sample(%v) = %v,%v, oracle %v,%v", step, now, got, gotOK, want, wantOK)
+						}
+					}
+				}
 			}
 		})
 	}

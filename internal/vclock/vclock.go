@@ -17,6 +17,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -238,6 +239,15 @@ func (s *Sim) RunAll() error {
 		s.Step()
 	}
 	return nil
+}
+
+// Period returns the tick period of a rate in hertz, and false when it is no
+// positive Duration: a NaN or infinite rate, one above 1e9 Hz, or one too low.
+func Period(hz float64) (time.Duration, bool) {
+	if p := float64(time.Second) / hz; p >= 1 && p < math.MaxInt64 {
+		return time.Duration(p), true
+	}
+	return 0, false
 }
 
 // Ticker invokes fn every interval of virtual time, starting one interval
