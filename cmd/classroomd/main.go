@@ -1,7 +1,7 @@
 // Command classroomd hosts the cloud VR classroom server of Fig. 3
 // (cloud.Server) over real TCP. Learners join with a Hello, publish pose
 // streams, are seated in the virtual classroom, and receive
-// interest-managed replication of everyone else, whose audio is relayed.
+// interest-managed replication of everyone else.
 //
 // Usage:
 //

@@ -19,6 +19,9 @@ import (
 	"metaclass/internal/vclock"
 )
 
+// pingEvery is the interval of a VR client's RTT probes.
+const pingEvery = 2 * time.Second
+
 // VRConfig parameterizes a remote VR client.
 type VRConfig struct {
 	// Participant is the learner's ID.
@@ -28,8 +31,6 @@ type VRConfig struct {
 	Server endpoint.Addr
 	// PublishHz is the own-pose upload rate (default 20).
 	PublishHz float64
-	// PingEvery is the RTT probe interval (default 2s; <0 disables).
-	PingEvery time.Duration
 	// Script drives the user's own motion (default Seated at origin).
 	Script trace.MotionScript
 }
@@ -37,9 +38,6 @@ type VRConfig struct {
 func (c *VRConfig) applyDefaults() {
 	if c.PublishHz <= 0 {
 		c.PublishHz = 20
-	}
-	if c.PingEvery == 0 {
-		c.PingEvery = 2 * time.Second
 	}
 	if c.Script == nil {
 		c.Script = trace.Seated{}
@@ -50,6 +48,7 @@ func (c *VRConfig) applyDefaults() {
 type VR struct {
 	cfg     VRConfig
 	period  time.Duration // of cfg.PublishHz
+	pingGap time.Duration // pingEvery; a field so a test can turn probes off
 	sim     *vclock.Sim
 	addr    endpoint.Addr
 	ep      *endpoint.Dispatcher
@@ -86,6 +85,7 @@ func NewVR(sim *vclock.Sim, tr endpoint.Transport, cfg VRConfig) (*VR, error) {
 	v := &VR{
 		cfg:     cfg,
 		period:  period,
+		pingGap: pingEvery,
 		sim:     sim,
 		addr:    tr.LocalAddr(),
 		replica: core.NewReplica(core.PlayoutDelay, pose.Linear{}),
@@ -148,8 +148,8 @@ func (v *VR) Start() error {
 		return errors.New("client: already started")
 	}
 	v.cancel = v.sim.Ticker(v.period, v.publish)
-	if v.cfg.PingEvery > 0 {
-		v.cancelPing = v.sim.Ticker(v.cfg.PingEvery, v.ping)
+	if v.pingGap > 0 {
+		v.cancelPing = v.sim.Ticker(v.pingGap, v.ping)
 	}
 	return nil
 }

@@ -250,11 +250,11 @@ func TestVRPingMeasuresRTT(t *testing.T) {
 	})); err != nil {
 		t.Fatal(err)
 	}
-	v := newVRUnderTest(t, sim, net, VRConfig{PingEvery: 500 * time.Millisecond})
+	v := newVRUnderTest(t, sim, net, VRConfig{})
 	if err := v.Start(); err != nil {
 		t.Fatal(err)
 	}
-	_ = sim.Run(3 * time.Second)
+	_ = sim.Run(4*pingEvery + pingEvery/2)
 	h := v.Metrics().Histogram("rtt")
 	if h.Count() < 4 {
 		t.Fatalf("rtt samples = %d, want >= 4", h.Count())
@@ -269,13 +269,14 @@ func TestVRPingDisabled(t *testing.T) {
 	sim := vclock.New(8)
 	net := netsim.New(sim)
 	newFakeServer(t, sim, net)
-	v := newVRUnderTest(t, sim, net, VRConfig{PingEvery: -1})
+	v := newVRUnderTest(t, sim, net, VRConfig{})
+	v.pingGap = 0
 	if err := v.Start(); err != nil {
 		t.Fatal(err)
 	}
-	_ = sim.Run(3 * time.Second)
+	_ = sim.Run(3 * pingEvery)
 	if v.Metrics().Histogram("rtt").Count() != 0 {
-		t.Error("pings sent despite PingEvery < 0")
+		t.Error("pings sent despite a zero ping interval")
 	}
 }
 

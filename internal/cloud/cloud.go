@@ -19,6 +19,7 @@
 package cloud
 
 import (
+	"errors"
 	"fmt"
 
 	"metaclass/internal/core"
@@ -39,6 +40,9 @@ var (
 	ErrClientExists = node.ErrClientExists
 	ErrPeerExists   = node.ErrPeerExists
 )
+
+// errSameServer refuses a handoff whose two ends are one server.
+var errSameServer = errors.New("cloud: a session cannot be handed off to the server it is on")
 
 // Config parameterizes the cloud VR server.
 type Config struct {
@@ -191,8 +195,12 @@ func (s *Server) RegisterRelayClient(id protocol.ParticipantID, relay endpoint.A
 // the cloud throughout: a learner leaving the cloud's direct service
 // re-registers as routed via relay to, so its poses keep being authored.
 // The caller cuts the old access path, brings the new one up, and hands the
-// baseline to AdoptSession.
+// baseline to AdoptSession. A handoff from a server to itself is refused
+// before any table changes.
 func (s *Server) ReleaseSession(id protocol.ParticipantID, from, to *Relay) (core.PeerBaseline, error) {
+	if from == to {
+		return core.PeerBaseline{}, errSameServer
+	}
 	rt := s.rt
 	if from != nil {
 		rt = from.rt
@@ -218,8 +226,11 @@ func (s *Server) ReleaseSession(id protocol.ParticipantID, from, to *Relay) (cor
 // node-local; see core.Replicator.ImportBaseline), and the runtime
 // conservatively re-opens owed debt for the content skew between the two
 // stores, so the handoff is lossless either way. from is the server the
-// session left, as passed to ReleaseSession.
+// session left, as passed to ReleaseSession; it must not be to.
 func (s *Server) AdoptSession(id protocol.ParticipantID, addr endpoint.Addr, from, to *Relay, b core.PeerBaseline) error {
+	if from == to {
+		return errSameServer
+	}
 	rt, via := s.rt, endpoint.Addr("")
 	if to != nil {
 		rt = to.rt
@@ -343,11 +354,11 @@ func (s *Server) ingestClientPose(from endpoint.Addr, m *protocol.PoseUpdate) {
 func (s *Server) ClientCount() int { return s.rt.ClientCount() }
 
 // admit is the receive policy for messages no typed hook claims: a learner
-// connecting on its own (cmd/classroomd) joins with a Hello, leaves with a
-// Leave and speaks in AudioFrames. No other deployment sends them, and
-// traffic from an edge or a relay is never admission. The counters it adds
-// (sessions.joined, sessions.left, recv.spoofed) exist from first increment.
-func (s *Server) admit(from endpoint.Addr, payload []byte, msg protocol.Message) {
+// connecting on its own (cmd/classroomd) joins with a Hello and leaves with a
+// Leave. No other deployment sends them, and traffic from an edge or a relay
+// is never admission. The counters it adds (sessions.joined, sessions.left)
+// exist from first increment.
+func (s *Server) admit(from endpoint.Addr, _ []byte, msg protocol.Message) {
 	switch msg.(type) {
 	case *protocol.Snapshot, *protocol.Delta: // no replica: the dispatcher's count
 		s.count("recv.unknown_peer")
@@ -363,8 +374,6 @@ func (s *Server) admit(from endpoint.Addr, payload []byte, msg protocol.Message)
 	case *protocol.Leave:
 		s.EndSession(from)
 		s.closePeer(from)
-	case *protocol.AudioFrame:
-		s.relayAudio(from, m, payload)
 	default:
 		s.rt.Dispatcher().CountUnhandled()
 	}
@@ -398,19 +407,6 @@ func (s *Server) EndSession(addr endpoint.Addr) {
 	if c, ok := s.rt.ClientByAddr(addr); ok && s.RemoveClient(c.ID) == nil {
 		s.count("sessions.left")
 	}
-}
-
-// relayAudio forwards a learner's audio at once, zero-copy (lip-sync makes
-// it deadline-critical), to every other directly served learner.
-func (s *Server) relayAudio(from endpoint.Addr, m *protocol.AudioFrame, payload []byte) {
-	if c, ok := s.rt.Client(m.Participant); !ok || s.spoofed(from, c) {
-		return
-	}
-	s.rt.RangeClients(func(c *node.Client) {
-		if c.Replicated && c.Addr != from {
-			_ = s.rt.Dispatcher().Forward(c.Addr, payload)
-		}
-	})
 }
 
 // spoofed reports, and counts as recv.spoofed, a message for learner c from

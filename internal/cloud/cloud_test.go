@@ -361,9 +361,91 @@ func TestRelayRefusesRetiredExpressionUpload(t *testing.T) {
 	}
 }
 
-// TestConnectEdgeRefusesReplicationPeer: an address already replicated to
-// as a relay cannot also become an edge, and the refusal leaves no sync peer
-// behind for it.
+// TestRetiredAudioFrameRefused: wire type 14 was AudioFrame, which the cloud
+// relayed to every other directly served learner and nothing sent. A
+// well-formed frame of it is now a decode error at the cloud, which relays it
+// to no one, and at a relay, which forwards nothing upstream.
+func TestRetiredAudioFrameRefused(t *testing.T) {
+	sim := vclock.New(9)
+	net := netsim.New(sim)
+	s := newCloud(t, sim, net, nil)
+	heard := map[netsim.Addr]int{}
+	for _, h := range []netsim.Addr{"a", "b"} {
+		if err := net.AddHost(h, netsim.HandlerFunc(func(_ netsim.Addr, payload []byte) {
+			if len(payload) > 3 && payload[3] == 14 { // the type byte
+				heard[h]++
+			}
+		})); err != nil {
+			t.Fatal(err)
+		}
+		if err := net.ConnectBoth(h, "cloud", netsim.LinkConfig{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.AddClient(1, "a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddClient(2, "b"); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRelay(sim, net.Endpoint("relay"), RelayConfig{Upstream: "cloud"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.ConnectBoth("relay", "cloud", netsim.LinkConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddRelay("relay"); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.AddHost("sub", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.ConnectBoth("sub", "relay", netsim.LinkConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RegisterRelayClient(3, "relay"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddClient(3, "sub"); err != nil {
+		t.Fatal(err)
+	}
+	_ = s.Start()
+	_ = r.Start()
+	// AudioFrame{Participant: 1 or 3, Seq: 2, CapturedAt: 1s, Data: "voice"}
+	// as Encode wrote it while the type existed.
+	for _, send := range []struct {
+		from, to netsim.Addr
+		frame    string
+	}{
+		{"a", "cloud", "4d43010e13000000010000000280a8d6b90705766f696365d2bedc51"},
+		{"sub", "relay", "4d43010e13000000030000000280a8d6b90705766f696365551ef932"},
+	} {
+		frame, err := hex.DecodeString(send.frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := net.SendFrame(send.from, send.to, protocol.CopyFrame(frame)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sim.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Metrics().Counter("recv.decode_errors").Value(); n != 1 {
+		t.Errorf("cloud recv.decode_errors = %d, want 1", n)
+	}
+	if len(heard) != 0 {
+		t.Errorf("the cloud relayed the frame: %v", heard)
+	}
+	if n := r.Metrics().Counter("recv.decode_errors").Value(); n != 1 {
+		t.Errorf("relay recv.decode_errors = %d, want 1", n)
+	}
+	if n := r.Metrics().Counter("forwarded.up").Value(); n != 0 {
+		t.Errorf("relay forwarded.up = %d, want 0", n)
+	}
+}
+
 // TestFailedAdoptSessionKeepsRelayRoute: a relay learner adopted by the cloud
 // at an address the cloud already replicates to is refused, and the refusal
 // changes nothing. The learner stays registered behind its relay, so its
@@ -434,6 +516,51 @@ func TestFailedAdoptSessionKeepsRelayRoute(t *testing.T) {
 	}
 }
 
+// TestReleaseSessionRefusesSameServer: a handoff whose two ends are one
+// server is refused by both halves before any table changes, so the learner
+// stays registered where it was.
+func TestReleaseSessionRefusesSameServer(t *testing.T) {
+	sim := vclock.New(10)
+	net := netsim.New(sim)
+	s := newCloud(t, sim, net, nil)
+	addClientHost(t, net, "c1", nil)
+	if err := s.AddClient(1, "c1"); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRelay(sim, net.Endpoint("relay"), RelayConfig{Upstream: "cloud"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RegisterRelayClient(2, "relay"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddClient(2, "sub"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		id     protocol.ParticipantID
+		server *Relay
+		rt     *node.Runtime
+		addr   endpoint.Addr
+	}{{1, nil, s.Runtime(), "c1"}, {2, r, r.rt, "sub"}} {
+		if _, err := s.ReleaseSession(c.id, c.server, c.server); err == nil {
+			t.Errorf("learner %d: ReleaseSession to the server it is on was accepted", c.id)
+		}
+		if err := s.AdoptSession(c.id, c.addr, c.server, c.server, core.PeerBaseline{}); err == nil {
+			t.Errorf("learner %d: AdoptSession from the server it is on was accepted", c.id)
+		}
+		if got, ok := c.rt.Client(c.id); !ok || got.Addr != c.addr || !got.Replicated {
+			t.Errorf("learner %d after the refusals: %+v (ok=%v), want served at %s", c.id, got, ok, c.addr)
+		}
+	}
+	if c, ok := s.Runtime().Client(2); !ok || c.Addr != "relay" || c.Replicated {
+		t.Errorf("the cloud's route for learner 2 is %+v (ok=%v), want relay-routed via relay", c, ok)
+	}
+}
+
+// TestConnectEdgeRefusesReplicationPeer: an address already replicated to
+// as a relay cannot also become an edge, and the refusal leaves no sync peer
+// behind for it.
 func TestConnectEdgeRefusesReplicationPeer(t *testing.T) {
 	sim := vclock.New(7)
 	s := newCloud(t, sim, netsim.New(sim), nil)

@@ -106,7 +106,7 @@ func (b *churnBackend) run(t *testing.T) string {
 		if join != 0 {
 			tr, closer := b.newClient(t, join)
 			v, err := client.NewVR(b.sim, tr, client.VRConfig{
-				Participant: join, Server: "cloud", PublishHz: 30, PingEvery: -1,
+				Participant: join, Server: "cloud", PublishHz: 30,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -333,14 +333,6 @@ func (r *Runtime) ClientByAddr(addr endpoint.Addr) (*Client, bool) {
 	return c, ok
 }
 
-// RangeClients calls fn for every registered client, in no particular order.
-// fn must not add or remove clients.
-func (r *Runtime) RangeClients(fn func(c *Client)) {
-	for _, c := range r.clients {
-		fn(c)
-	}
-}
-
 // RemoveClient tears a learner down: the replicator peer (and its scratch,
 // returned to the pool) and the table slots go, but not a stored entity or its
 // interest-grid entry; the Client value is recycled for the next join. The

@@ -73,7 +73,6 @@ type Decoder struct {
 	ping     Ping
 	pong     Pong
 	video    VideoChunk
-	audio    AudioFrame
 	nack     Nack
 }
 
@@ -100,8 +99,6 @@ func (d *Decoder) message(t MsgType) (Message, error) {
 		return &d.pong, nil
 	case TypeVideoChunk:
 		return &d.video, nil
-	case TypeAudioFrame:
-		return &d.audio, nil
 	case TypeNack:
 		return &d.nack, nil
 	default:

@@ -34,7 +34,6 @@ func allMessages() []Message {
 		&Pong{Nonce: 0xdeadbeef, SentAt: 2 * time.Second},
 		&VideoChunk{Stream: 1, FrameID: 500, GroupK: 8, GroupR: 2, ShardIndex: 9,
 			Keyframe: true, Deadline: 150 * time.Millisecond, Data: []byte("shard-bytes")},
-		&AudioFrame{Participant: 7, Seq: 77, CapturedAt: time.Second, Data: []byte("opusish")},
 		&Nack{Stream: 1, FrameID: 500, Missing: []byte{2, 7}},
 	}
 }
@@ -84,9 +83,9 @@ func TestEveryTypeHasName(t *testing.T) {
 }
 
 // retiredTypes are the wire numbers of deleted message types (Join,
-// ExpressionUpdate, SeatAssign, ActivityEvent). They stay reserved: a number
-// is never handed to a new type.
-var retiredTypes = []MsgType{3, 6, 7, 15}
+// ExpressionUpdate, SeatAssign, AudioFrame, ActivityEvent). They stay
+// reserved: a number is never handed to a new type.
+var retiredTypes = []MsgType{3, 6, 7, 14, 15}
 
 // TestWireTypeNumbersPinned holds every wire type to its number — the type
 // byte is the protocol, and the constants are an iota block that a deletion
@@ -96,7 +95,7 @@ func TestWireTypeNumbersPinned(t *testing.T) {
 	pinned := map[MsgType]uint8{
 		TypeHello: 1, TypeHelloAck: 2, TypeLeave: 4, TypePoseUpdate: 5,
 		TypeSnapshot: 8, TypeDelta: 9, TypeAck: 10, TypePing: 11, TypePong: 12,
-		TypeVideoChunk: 13, TypeAudioFrame: 14, TypeNack: 16,
+		TypeVideoChunk: 13, TypeNack: 16,
 	}
 	for mt, n := range pinned {
 		if uint8(mt) != n {

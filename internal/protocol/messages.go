@@ -13,10 +13,10 @@ import (
 // zero byte is never a valid type.
 type MsgType uint8
 
-// Message types. A type's number is its wire byte. 3, 6, 7 and 15 belonged
-// to Join, ExpressionUpdate, SeatAssign and ActivityEvent, which no
-// deployment sent; they stay reserved so a later type can never be mistaken
-// for a frame of any.
+// Message types. A type's number is its wire byte. 3, 6, 7, 14 and 15
+// belonged to Join, ExpressionUpdate, SeatAssign, AudioFrame and
+// ActivityEvent, which no deployment sent; they stay reserved so a later type
+// can never be mistaken for a frame of any.
 const (
 	TypeHello MsgType = iota + 1
 	TypeHelloAck
@@ -31,7 +31,7 @@ const (
 	TypePing
 	TypePong
 	TypeVideoChunk
-	TypeAudioFrame
+	_ // 14: was AudioFrame
 	_ // 15: was ActivityEvent
 	TypeNack
 	typeMax // sentinel, keep last
@@ -48,7 +48,6 @@ var typeNames = map[MsgType]string{
 	TypePing:       "Ping",
 	TypePong:       "Pong",
 	TypeVideoChunk: "VideoChunk",
-	TypeAudioFrame: "AudioFrame",
 	TypeNack:       "Nack",
 }
 
@@ -656,33 +655,6 @@ func (m *VideoChunk) decode(r *Reader) error {
 	m.ShardIndex = r.U8()
 	m.Keyframe = r.U8() == 1
 	m.Deadline = time.Duration(r.Varint())
-	m.Data = r.BytesVar()
-	return r.ExpectEOF()
-}
-
-// AudioFrame is one compressed audio packet, timestamped for lip-sync with
-// avatar actions (the paper's A/V-to-avatar matching requirement).
-type AudioFrame struct {
-	Participant ParticipantID
-	Seq         uint32
-	CapturedAt  time.Duration
-	Data        []byte
-}
-
-// Type implements Message.
-func (*AudioFrame) Type() MsgType { return TypeAudioFrame }
-
-func (m *AudioFrame) encode(w *Writer) {
-	w.U32(uint32(m.Participant))
-	w.U32(m.Seq)
-	w.Varint(int64(m.CapturedAt))
-	w.BytesVar(m.Data)
-}
-
-func (m *AudioFrame) decode(r *Reader) error {
-	m.Participant = ParticipantID(r.U32())
-	m.Seq = r.U32()
-	m.CapturedAt = time.Duration(r.Varint())
 	m.Data = r.BytesVar()
 	return r.ExpectEOF()
 }

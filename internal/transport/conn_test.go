@@ -95,7 +95,7 @@ func TestConnMessagePathsLeakNoFrames(t *testing.T) {
 	live0 := protocol.LiveFrames()
 	c, peer := connPair(t)
 
-	want := &protocol.AudioFrame{Participant: 3, Seq: 8, Data: []byte("voice")}
+	want := &protocol.VideoChunk{Stream: 3, FrameID: 8, Data: []byte("shard")}
 	if err := c.WriteMessage(want); err != nil {
 		t.Fatal(err)
 	}
@@ -103,12 +103,12 @@ func TestConnMessagePathsLeakNoFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := msg.(*protocol.AudioFrame); !ok || got.Seq != want.Seq || string(got.Data) != "voice" {
+	if got, ok := msg.(*protocol.VideoChunk); !ok || got.FrameID != want.FrameID || string(got.Data) != "shard" {
 		t.Fatalf("round trip returned %#v", msg)
 	}
 
 	// An unencodable message fails before anything is queued or written.
-	huge := &protocol.AudioFrame{Data: make([]byte, protocol.MaxPayload+1)}
+	huge := &protocol.VideoChunk{Data: make([]byte, protocol.MaxPayload+1)}
 	if err := c.WriteMessage(huge); !errors.Is(err, protocol.ErrTooLarge) {
 		t.Fatalf("oversize message: err = %v, want protocol.ErrTooLarge", err)
 	}

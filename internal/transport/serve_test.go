@@ -441,62 +441,3 @@ func TestRoomLeaksNoFrames(t *testing.T) {
 		t.Fatalf("%d frames leaked by the TCP room write path", live-live0)
 	}
 }
-
-func TestRoomRelaysAudio(t *testing.T) {
-	r := startRoom(t)
-	a := hello(t, r.Addr(), 1)
-	defer a.Close()
-	b := hello(t, r.Addr(), 2)
-	defer b.Close()
-
-	// Client 1 speaks; client 2 must receive the audio frame verbatim.
-	send := &protocol.AudioFrame{Participant: 1, Seq: 9,
-		CapturedAt: 123 * time.Millisecond, Data: []byte("opus-frame")}
-	if err := a.WriteMessage(send); err != nil {
-		t.Fatal(err)
-	}
-	// Spoofed audio from client 2 pretending to be 1 must be dropped.
-	if err := b.WriteMessage(&protocol.AudioFrame{Participant: 1, Seq: 10, Data: []byte("fake")}); err != nil {
-		t.Fatal(err)
-	}
-
-	got := readUntil(t, b, 3*time.Second, func(msg protocol.Message) bool {
-		af, ok := msg.(*protocol.AudioFrame)
-		if !ok {
-			return false
-		}
-		if string(af.Data) == "fake" {
-			t.Fatal("spoofed audio relayed")
-		}
-		return af.Participant == 1 && af.Seq == 9 &&
-			af.CapturedAt == 123*time.Millisecond && string(af.Data) == "opus-frame"
-	})
-	if !got {
-		t.Fatal("audio frame never relayed to the other participant")
-	}
-}
-
-func TestRoomAudioNotEchoedToSpeaker(t *testing.T) {
-	r := startRoom(t)
-	a := hello(t, r.Addr(), 1)
-	defer a.Close()
-	if err := a.WriteMessage(&protocol.AudioFrame{Participant: 1, Seq: 1, Data: []byte("x")}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(400 * time.Millisecond)
-	for time.Now().Before(deadline) {
-		msg, err := a.ReadMessage()
-		if err != nil {
-			break
-		}
-		if _, ok := msg.(*protocol.AudioFrame); ok {
-			t.Fatal("speaker heard their own audio echoed")
-		}
-		switch m := msg.(type) {
-		case *protocol.Snapshot:
-			_ = a.WriteMessage(&protocol.Ack{Tick: m.Tick})
-		case *protocol.Delta:
-			_ = a.WriteMessage(&protocol.Ack{Tick: m.Tick})
-		}
-	}
-}

@@ -33,7 +33,7 @@ func TestOptionCensus(t *testing.T) {
 		want int
 	}{
 		{classroom.Config{}, 6},
-		{client.VRConfig{}, 5},
+		{client.VRConfig{}, 4},
 		{cloud.Config{}, 5},
 		{cloud.RelayConfig{}, 3},
 		{core.ReplConfig{}, 1},
