@@ -615,7 +615,8 @@ func (s *sinkTransport) Close() error                 { return nil }
 // buildPlanFixture assembles a store and replicator loaded like the venue's
 // server tick: 256 entities seated 16×16 at 3.2 m, each also a peer whose
 // interest is asked the way node.Runtime asks a client's — its own
-// interest.Set refreshed under interest.NewPolicy(), then AppendRefused —
+// interest.Set refreshed under interest.NewPolicy(), whose refused bits the
+// build reads — and whose avatar the grid places at its store slot,
 // pre-warmed past first-contact snapshots. step advances one tick: every
 // avatar shifts inside its seat and every peer re-acks at its fixed lag of
 // one to three ticks, so each iteration plans the same amount of work.
@@ -630,9 +631,8 @@ func buildPlanFixture(b testing.TB, pool *work.Pool) (*core.Replicator, func()) 
 	for i := range peers {
 		id, set := protocol.ParticipantID(i+1), interest.NewSet()
 		peers[i] = fmt.Sprintf("peer-%03d", i)
-		if err := r.AddPeerRefusing(peers[i], func(tick uint64, dst []protocol.ParticipantID) []protocol.ParticipantID {
-			set.RefreshOwned(g, policy, id, tick)
-			return set.AppendRefused(g, dst)
+		if err := r.AddPeerRefusing(peers[i], func(tick uint64) []uint64 {
+			return set.RefreshOwned(g, policy, id, tick)
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -652,8 +652,7 @@ func buildPlanFixture(b testing.TB, pool *work.Pool) (*core.Replicator, func()) 
 		for i := range peers {
 			id := protocol.ParticipantID(i + 1)
 			pos := mathx.V3(pitch*float64(i%side)+0.01*float64(tick%7), 0, pitch*float64(i/side))
-			s.Upsert(protocol.EntityState{Participant: id, Pose: protocol.QuantizePose(pos, mathx.QuatIdentity())})
-			g.Update(id, pos)
+			g.Update(id, s.Upsert(protocol.EntityState{Participant: id, Pose: protocol.QuantizePose(pos, mathx.QuatIdentity())}), pos)
 		}
 		ack()
 	}

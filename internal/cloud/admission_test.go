@@ -130,3 +130,40 @@ func TestAdmissionPolicy(t *testing.T) {
 		t.Fatal("a Snapshot from an unknown address must count recv.unknown_peer, fallback or not")
 	}
 }
+
+// TestHelloForParticipantZeroRefused: participant 0 names no learner — it is
+// what a named transport endpoint's handshake Hello carries — so a Hello for
+// it is refused and counted (sessions.refused). It is not answered, and no
+// client is registered.
+func TestHelloForParticipantZeroRefused(t *testing.T) {
+	sim := vclock.New(1)
+	net := netsim.New(sim)
+	s, err := New(sim, net.Endpoint("cloud"), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	answered := 0
+	if err := net.AddHost("a", netsim.HandlerFunc(func(netsim.Addr, []byte) { answered++ })); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.ConnectBoth("a", "cloud", netsim.LinkConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := protocol.AppendEncode(nil, &protocol.Hello{Participant: 0, Role: protocol.RoleLearner, Name: "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.SendFrame("a", "cloud", protocol.CopyFrame(b)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Run(sim.Now()); err != nil {
+		t.Fatal(err)
+	}
+	counter := func(name string) uint64 { return s.Metrics().Counter(name).Value() }
+	if j, r := counter("sessions.joined"), counter("sessions.refused"); j != 0 || r != 1 {
+		t.Fatalf("sessions.joined = %d, sessions.refused = %d; want 0 and 1", j, r)
+	}
+	if _, ok := s.Runtime().ClientByAddr("a"); ok || s.ClientCount() != 0 || answered != 0 {
+		t.Fatalf("participant 0 registered=%v, %d clients, %d answers; want none", ok, s.ClientCount(), answered)
+	}
+}

@@ -337,15 +337,14 @@ func (s *Server) ingestClientPose(from endpoint.Addr, m *protocol.PoseUpdate) {
 	p = seat.ApplyCorrection(st.correction, p)
 	seatIdx, _ := s.seats.SeatOf(m.Participant)
 	wp, vel := protocol.Sample(p)
-	s.rt.Store().Upsert(protocol.EntityState{
+	s.rt.Upsert(protocol.EntityState{
 		Participant: m.Participant,
 		Home:        0,
 		CapturedAt:  m.CapturedAt,
 		Pose:        wp,
 		VelMMS:      vel,
 		Seat:        seatIdx,
-	})
-	s.rt.Grid().Update(m.Participant, p.Position)
+	}, p.Position)
 	s.mClientPoses.Inc()
 	s.hClientAge.Observe(s.rt.Sim().Now() - m.CapturedAt)
 }
@@ -356,8 +355,8 @@ func (s *Server) ClientCount() int { return s.rt.ClientCount() }
 // admit is the receive policy for messages no typed hook claims: a learner
 // connecting on its own (cmd/classroomd) joins with a Hello and leaves with a
 // Leave. No other deployment sends them, and traffic from an edge or a relay
-// is never admission. The counters it adds (sessions.joined, sessions.left)
-// exist from first increment.
+// is never admission. The counters it adds (sessions.joined, sessions.left,
+// sessions.refused) exist from first increment.
 func (s *Server) admit(from endpoint.Addr, _ []byte, msg protocol.Message) {
 	switch msg.(type) {
 	case *protocol.Snapshot, *protocol.Delta: // no replica: the dispatcher's count
@@ -382,7 +381,13 @@ func (s *Server) admit(from endpoint.Addr, _ []byte, msg protocol.Message) {
 // hello admits the learner at from. A duplicate Hello on a live session is
 // ignored; one for a participant another session holds takes the seat over
 // (a churned client rejoining before its old connection's teardown landed).
+// Participant 0 names no learner (it is what a named transport endpoint's
+// handshake Hello carries): it is refused and counted, and not answered.
 func (s *Server) hello(from endpoint.Addr, m *protocol.Hello) {
+	if m.Participant == 0 {
+		s.count("sessions.refused")
+		return
+	}
 	if _, live := s.rt.ClientByAddr(from); live {
 		return
 	}

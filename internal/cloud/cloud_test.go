@@ -25,12 +25,14 @@ func newCloud(t *testing.T, sim *vclock.Sim, net *netsim.Network, pol *interest.
 	return s
 }
 
+// addClientHost links a learner host to the cloud at 20 ms without loss: none
+// of these tests is about loss, and their learners send single frames.
 func addClientHost(t *testing.T, net *netsim.Network, addr netsim.Addr, h endpoint.Receiver) {
 	t.Helper()
 	if err := net.AddHost(addr, h); err != nil {
 		t.Fatal(err)
 	}
-	if err := net.ConnectBoth(addr, "cloud", netsim.ResidentialBroadband(20*time.Millisecond)); err != nil {
+	if err := net.ConnectBoth(addr, "cloud", netsim.LinkConfig{Latency: 20 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -51,11 +51,11 @@ func TestWriteAfterPlanOfOwedEntityIsDelivered(t *testing.T) {
 	t.Skip("owed stamping: a write after plan T of an entity refused at T+1 is taken as carried by plan T")
 	s := NewStore()
 	r := NewReplicator(s, ReplConfig{})
-	refused := func(tick uint64, dst []protocol.ParticipantID) []protocol.ParticipantID {
-		if tick <= 8 || tick == 10 {
-			return append(dst, 1)
+	refused := func(tick uint64) []uint64 {
+		if slot, ok := s.slots[1]; ok && (tick <= 8 || tick == 10) {
+			return []uint64{1 << slot}
 		}
-		return dst
+		return nil
 	}
 	if err := r.AddPeerRefusing("p", refused); err != nil {
 		t.Fatal(err)

@@ -43,13 +43,13 @@ func entityEqual(a, b protocol.EntityState) bool {
 // MirrorPeers ran it: every source entity marked live in a map and written
 // through UpsertIfChanged, then a second walk of the store collecting what no
 // source holds and retain does not keep, removed one by one.
-func mirrorReference(s *Store, srcs []*Store, retain func(protocol.EntityState) bool, moved func(*protocol.EntityState), removed func(protocol.ParticipantID)) {
+func mirrorReference(s *Store, srcs []*Store, retain func(protocol.EntityState) bool, moved func(uint32, *protocol.EntityState), removed func(protocol.ParticipantID)) {
 	live := make(map[protocol.ParticipantID]bool)
 	for _, src := range srcs {
 		src.Range(func(id protocol.ParticipantID, e protocol.EntityState) {
 			live[id] = true
 			if s.UpsertIfChanged(e) {
-				moved(&e)
+				moved(s.slots[id], &e)
 			}
 		})
 	}
@@ -75,7 +75,7 @@ func (c *mirrorCalls) reset() {
 	c.moved, c.removed = c.moved[:0], c.removed[:0]
 }
 
-func (c *mirrorCalls) onMoved(e *protocol.EntityState) { c.moved = append(c.moved, *e) }
+func (c *mirrorCalls) onMoved(_ uint32, e *protocol.EntityState) { c.moved = append(c.moved, *e) }
 
 func (c *mirrorCalls) onRemoved(id protocol.ParticipantID) { c.removed = append(c.removed, id) }
 

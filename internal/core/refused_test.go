@@ -11,24 +11,23 @@ import (
 
 // TestRefusedFuncMatchesFilter drives one seeded decimating schedule through
 // two replicators over one store. One registers each peer with AddPeer and a
-// FilterFunc, the other with AddPeerRefusing and a RefusedFunc listing the
-// same refusals over a wider ID range: it also names IDs the store does not
-// hold (never seated, or removed), which the build's cursor must step over.
+// FilterFunc, the other with AddPeerRefusing and a RefusedFunc setting the
+// same refusals as bits on the store's slots, plus bits no live entity holds
+// (every vacant slot, and a word past the table), which the build must ignore.
 // The schedule churns entities (joins, leaves, re-adds, touches), churns a
 // peer, acks at per-peer lags with skipped and regressed acks, and lets one
 // peer fall past the delta window into keyframes. Every tick the two
 // plans must be identical, message by message, and so must every peer's
-// StatsOf, its owed count included. Checked to fail when the store's cursor
-// steps over a refused entry only on an exact match (no ordering compare),
-// and when it refuses whatever entry it stands on without comparing IDs.
+// StatsOf, its owed count included. Checked to fail when the build tests a
+// record's bit by its walk index instead of its slot.
 func TestRefusedFuncMatchesFilter(t *testing.T) {
 	const span = 90 // the store seats IDs 1..span that are not multiples of 3
 	rng := rand.New(rand.NewSource(53))
 	store := NewStore()
 	byFilter := NewReplicator(store, ReplConfig{})
-	pool := work.New(3) // the refused lists live in per-worker scratch
+	pool := work.New(3) // each peer's bits are its own, refreshed on a worker
 	defer pool.Close()
-	byList := NewReplicator(store, ReplConfig{Pool: pool})
+	byBits := NewReplicator(store, ReplConfig{Pool: pool})
 
 	filters := map[string]FilterFunc{
 		// Interest-shaped: divisors 1, 2, 4 and never, phased by ID.
@@ -46,13 +45,19 @@ func TestRefusedFuncMatchesFilter(t *testing.T) {
 		if f == nil {
 			return nil
 		}
-		return func(tick uint64, dst []protocol.ParticipantID) []protocol.ParticipantID {
+		var bits []uint64
+		return func(tick uint64) []uint64 {
+			bits = append(bits[:0], make([]uint64, len(store.recs)/64+2)...)
 			for id := protocol.ParticipantID(0); id <= span+2; id++ {
-				if !f(id, tick) {
-					dst = append(dst, id)
+				if slot, ok := store.slots[id]; ok && !f(id, tick) {
+					bits[slot/64] |= 1 << (slot % 64)
 				}
 			}
-			return dst
+			for _, slot := range store.free {
+				bits[slot/64] |= 1 << (slot % 64)
+			}
+			bits[len(bits)-1] = ^uint64(0)
+			return bits
 		}
 	}
 	add := func(peer string) {
@@ -60,7 +65,7 @@ func TestRefusedFuncMatchesFilter(t *testing.T) {
 		if err := byFilter.AddPeer(peer, filters[peer]); err != nil {
 			t.Fatal(err)
 		}
-		if err := byList.AddPeerRefusing(peer, refusing(filters[peer])); err != nil {
+		if err := byBits.AddPeerRefusing(peer, refusing(filters[peer])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -87,7 +92,7 @@ func TestRefusedFuncMatchesFilter(t *testing.T) {
 			}
 		}
 		if tick%97 == 50 { // the filtered peer leaves and rejoins from scratch
-			for _, r := range []*Replicator{byFilter, byList} {
+			for _, r := range []*Replicator{byFilter, byBits} {
 				if err := r.RemovePeer("self"); err != nil {
 					t.Fatal(err)
 				}
@@ -100,13 +105,13 @@ func TestRefusedFuncMatchesFilter(t *testing.T) {
 				pastWindow++
 			}
 		}
-		want, got := byFilter.PlanTick(), byList.PlanTick()
+		want, got := byFilter.PlanTick(), byBits.PlanTick()
 		if len(got) != len(want) {
-			t.Fatalf("tick %d: refused-list plan has %d messages, filter plan %d", tick, len(got), len(want))
+			t.Fatalf("tick %d: refused-bits plan has %d messages, filter plan %d", tick, len(got), len(want))
 		}
 		for i := range got {
 			if got[i].Peer != want[i].Peer || !bytes.Equal(got[i].Msg.Bytes(), want[i].Msg.Bytes()) {
-				t.Fatalf("tick %d, message %d to %s: refused-list plan %+v, filter plan %+v",
+				t.Fatalf("tick %d, message %d to %s: refused-bits plan %+v, filter plan %+v",
 					tick, i, want[i].Peer, decoded(t, got[i].Msg), decoded(t, want[i].Msg))
 			}
 		}
@@ -128,7 +133,7 @@ func TestRefusedFuncMatchesFilter(t *testing.T) {
 					continue
 				}
 			}
-			for _, r := range []*Replicator{byFilter, byList} {
+			for _, r := range []*Replicator{byFilter, byBits} {
 				if err := r.Ack(peer, tick-l); err != nil {
 					t.Fatal(err)
 				}
@@ -139,12 +144,12 @@ func TestRefusedFuncMatchesFilter(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sg, err := byList.StatsOf(peer)
+			sg, err := byBits.StatsOf(peer)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if sg != sw {
-				t.Fatalf("tick %d: stats of %s: refused-list %+v, filter %+v", tick, peer, sg, sw)
+				t.Fatalf("tick %d: stats of %s: refused-bits %+v, filter %+v", tick, peer, sg, sw)
 			}
 			if sw.Owed > 0 {
 				owedTicks++

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"metaclass/internal/protocol"
@@ -19,10 +20,12 @@ var (
 // call (AddPeer adapts it to a RefusedFunc). A nil FilterFunc admits everything.
 type FilterFunc func(id protocol.ParticipantID, tick uint64) bool
 
-// RefusedFunc is a peer's interest, asked once per build: it appends the IDs
-// the peer refuses at tick to dst, ascending, and returns the extended slice.
-// IDs the store does not hold may be listed. A nil RefusedFunc refuses nothing.
-type RefusedFunc func(tick uint64, dst []protocol.ParticipantID) []protocol.ParticipantID
+// RefusedFunc is a peer's interest, asked once per build: it returns a bitset
+// over the store's slots (Store.Upsert's) holding a bit for each entity the
+// peer refuses at tick. A slot past its end, or a bit on a vacant slot,
+// refuses nothing; the slice is the peer's own and is read only until the
+// build ends. A nil RefusedFunc refuses nothing.
+type RefusedFunc func(tick uint64) []uint64
 
 // maxDeltaWindow is the largest tick distance between a peer's ack and the
 // current tick that a delta may span; past it the peer gets a full snapshot,
@@ -45,10 +48,10 @@ type ReplConfig struct {
 	// its workers; the results merge back in sorted-peer order, so the plan is
 	// the same at every width. nil runs the builds inline on the caller.
 	//
-	// A peer's RefusedFunc is called once per build, into its worker's
-	// scratch, concurrently with other peers' (never with itself): it must
-	// read only state immutable for the duration of PlanTick plus state owned
-	// by its own peer. The store itself is read-only while the builds run.
+	// A peer's RefusedFunc is called once per build, concurrently with other
+	// peers' (never with itself): it must read only state immutable for the
+	// duration of PlanTick plus state owned by its own peer, and write only
+	// the latter. The store itself is read-only while the builds run.
 	Pool *work.Pool
 }
 
@@ -184,11 +187,10 @@ type Replicator struct {
 	// reallocating them per onboarding.
 	freePeers []*peerState
 
-	// Build scratch: one job per peer in sorted-peer order, the hoisted job
-	// runner (built once so Run allocates nothing), a refused list per worker.
-	jobs    []planJob
-	runJob  func(worker, i int)
-	refused [][]protocol.ParticipantID
+	// Build scratch: one job per peer in sorted-peer order, and the hoisted
+	// job runner (built once so Run allocates nothing).
+	jobs   []planJob
+	runJob func(worker, i int)
 }
 
 // planJob is one peer's build in a PlanTick: a snapshot when snap is set,
@@ -207,27 +209,27 @@ type planJob struct {
 
 // NewReplicator creates a replicator over store.
 func NewReplicator(store *Store, cfg ReplConfig) *Replicator {
-	return &Replicator{
-		store:   store,
-		cfg:     cfg,
-		peers:   make(map[string]*peerState),
-		refused: make([][]protocol.ParticipantID, cfg.Pool.Workers()),
-	}
+	return &Replicator{store: store, cfg: cfg, peers: make(map[string]*peerState)}
 }
 
 // AddPeer registers a downstream peer gated by filter, which may be nil (e.g.
 // the peer is another authoritative server needing everything). It adapts
-// filter for AddPeerRefusing: one pass over the store's live entities a build.
+// filter for AddPeerRefusing: one pass over the store's live entities a build,
+// into a bitset of the peer's own.
 func (r *Replicator) AddPeer(id string, filter FilterFunc) error {
 	var refused RefusedFunc
 	if filter != nil {
-		refused = func(tick uint64, dst []protocol.ParticipantID) []protocol.ParticipantID {
+		var bits []uint64
+		refused = func(tick uint64) []uint64 {
+			words := (len(r.store.recs) + 63) / 64
+			bits = slices.Grow(bits[:0], words)[:words]
+			clear(bits)
 			for _, is := range r.store.ordered() {
 				if !filter(is.id, tick) {
-					dst = append(dst, is.id)
+					bits[is.slot/64] |= 1 << (is.slot % 64)
 				}
 			}
-			return dst
+			return bits
 		}
 	}
 	return r.AddPeerRefusing(id, refused)
@@ -468,9 +470,9 @@ type PeerMessage struct {
 //	          build job per peer.
 //	2 (pool)  encode each entity written since the last plan once, on the
 //	          owner, then execute the jobs on ReplConfig.Pool. Each job
-//	          settles its peer's queued acks, copies wire bytes into a pooled
-//	          frame and seals it, writing only its own job, its peer's owed
-//	          set and its worker's refused list; the store is read-only.
+//	          asks its peer's interest, settles its queued acks, copies wire
+//	          bytes into a pooled frame and seals it, writing only its own
+//	          job and its peer's state; the store is read-only.
 //	3 (owner) walk the jobs in order, dropping empty deltas and bumping the
 //	          per-peer counters.
 //
@@ -538,17 +540,16 @@ func (r *Replicator) wantSnapshot(p *peerState, tick uint64) bool {
 	return !p.acked || tick-p.ackTick > maxDeltaWindow
 }
 
-// execJob runs one build of pass 2, asking the peer's interest once into its
-// worker's refused list. It writes only that list, its own job, the frame it
-// acquires and its peer's owed set, honoring the pool's ownership rules (see
+// execJob runs one build of pass 2, asking the peer's interest once. It
+// writes only its own job, the frame it acquires and its peer's state (its
+// interest's bits, its owed set), honoring the pool's ownership rules (see
 // package work).
-func (r *Replicator) execJob(w, i int) {
+func (r *Replicator) execJob(_, i int) {
 	j := &r.jobs[i]
 	p := j.peer
-	refused := r.refused[w][:0]
+	var refused []uint64
 	if p.refused != nil {
-		refused = p.refused(r.store.Tick(), refused)
-		r.refused[w] = refused
+		refused = p.refused(r.store.Tick())
 	}
 	f := protocol.AcquireBody()
 	var err error

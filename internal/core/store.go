@@ -54,9 +54,12 @@ type removal struct {
 // live entity holds a small dense slot in recs — one ID→slot map, records by
 // value, vacated slots free-listed for the next new entity — and every walk
 // of the table, the delta and snapshot builds included, is a pass over the
-// ascending (id, slot) order indexing it by slot. Slots do not leave this
-// package. Not safe for concurrent use: each server owns one on its
-// simulation goroutine (PlanTick's concurrent builds only read it).
+// ascending (id, slot) order indexing it by slot. A slot is the entity's
+// while it lives: Upsert and Mirror's moved hand it out, so a node's interest
+// grid places the entity at it, and a peer's interest reaches the builds as a
+// bitset over slots (RefusedFunc). Not safe for concurrent use: each server
+// owns one on its simulation goroutine (PlanTick's concurrent builds only
+// read it).
 //
 // The store keeps each record's wire bytes, encoded once per write, so a
 // record's Expression bytes are never mutated in place after the write: a new
@@ -155,21 +158,25 @@ func (s *Store) write(slot uint32, e *protocol.EntityState) {
 }
 
 // Upsert inserts or replaces an entity's state, stamping it changed at the
-// current tick.
-func (s *Store) Upsert(e protocol.EntityState) { s.put(&e) }
+// current tick, and returns the entity's slot.
+func (s *Store) Upsert(e protocol.EntityState) uint32 { return s.put(&e) }
 
 // put is Upsert out of line: Upsert stays inlinable and passes e by pointer.
-func (s *Store) put(e *protocol.EntityState) { s.write(s.slotOf(e.Participant), e) }
+func (s *Store) put(e *protocol.EntityState) uint32 {
+	slot := s.slotOf(e.Participant)
+	s.write(slot, e)
+	return slot
+}
 
 // Mirror folds srcs, in the order given, into the store at the current tick
 // (a relay's mirror, the cloud's edge merge), joining each source's ascending
 // walk to the store's by a cursor; new IDs are seated in (source, ID) order. A
-// record is written, and passed to moved, only when it differs from the
-// source's (whose changedTick is another store's tick, so it is not read): a
-// later source overrides an earlier one. Then each entity no source holds
+// record is written, and passed to moved with its slot, only when it differs
+// from the source's (whose changedTick is another store's tick, so it is not
+// read): a later source overrides an earlier one. Then each entity no source holds
 // departs, ascending, unless retain (if set) keeps it: removed and logged as
 // by Remove, and passed to removed.
-func (s *Store) Mirror(srcs []*Store, retain func(protocol.EntityState) bool, moved func(*protocol.EntityState), removed func(protocol.ParticipantID)) {
+func (s *Store) Mirror(srcs []*Store, retain func(protocol.EntityState) bool, moved func(uint32, *protocol.EntityState), removed func(protocol.ParticipantID)) {
 	for _, src := range srcs {
 		order, c := s.order, 0
 		for _, is := range src.ordered() {
@@ -189,7 +196,7 @@ func (s *Store) Mirror(srcs []*Store, retain func(protocol.EntityState) bool, mo
 			}
 			c++
 			s.write(slot, e)
-			moved(&s.recs[slot].state)
+			moved(slot, &s.recs[slot].state)
 		}
 	}
 	s.cursors = append(s.cursors[:0], make([]int, len(srcs))...)
@@ -337,16 +344,10 @@ func (s *Store) encodeChanged() {
 	}
 }
 
-// refusedList is a peer's ascending refused IDs, read as a cursor by one
-// ascending walk: admits drops the entries below id for good, stepping over
-// IDs the store does not hold, and reports whether id is absent.
-type refusedList []protocol.ParticipantID
-
-func (l *refusedList) admits(id protocol.ParticipantID) bool {
-	for len(*l) > 0 && (*l)[0] < id {
-		*l = (*l)[1:]
-	}
-	return len(*l) == 0 || (*l)[0] != id
+// refuses reports whether refused, a bitset over the store's slots, holds
+// slot; a slot past its end is admitted.
+func refuses(refused []uint64, slot uint32) bool {
+	return int(slot/64) < len(refused) && refused[slot/64]&(1<<(slot%64)) != 0
 }
 
 // DeltaSinceOwedInto builds a peer's delta with owed-change tracking into f,
@@ -354,8 +355,8 @@ func (l *refusedList) admits(id protocol.ParticipantID) bool {
 // carries nothing, which the replicator does not send. It is the
 // decimation-safe variant of DeltaSinceInto, and the one the replicator plans
 // every peer with, from the wire bytes of encodeChanged. owed must be
-// non-nil; refused lists, ascending, what the peer refuses at the store's
-// tick, which is the plan's. It is one pass over the ascending (id, slot)
+// non-nil; refused holds a bit per slot whose entity the peer refuses at the
+// store's tick, which is the plan's. It is one pass over the ascending (id, slot)
 // list, testing per slot "changed after base, or owed"; beyond the plain
 // filtered build it
 //
@@ -375,22 +376,21 @@ func (l *refusedList) admits(id protocol.ParticipantID) bool {
 //     is re-included only after the peer's ack floor base reaches L without
 //     the exact ack for L arriving (the tick-L message is then presumed lost).
 //
-// Each entity is visited once, in ascending ID order, and merge-joined with
-// refused (no call per entity), so the carried entities are ascending and
+// Each entity is visited once, in ascending ID order, and tested against its
+// slot's bit (no call per entity), so the carried entities are ascending and
 // byte-identical across runs and worker counts. Removals are never owed, and
 // filtered in one case only (below). The build settles the peer's queued acks
 // first (OwedSet.begin). Concurrency: as DeltaSinceInto, for distinct owed
 // sets and frames.
-func (s *Store) DeltaSinceOwedInto(base uint64, refused []protocol.ParticipantID, f *protocol.Frame, owed *OwedSet, settle uint64) (empty bool, err error) {
+func (s *Store) DeltaSinceOwedInto(base uint64, refused []uint64, f *protocol.Frame, owed *OwedSet, settle uint64) (empty bool, err error) {
 	owed.begin(s)
 	count, removed := 0, 0
-	cursor := refusedList(refused)
 	for _, is := range s.ordered() {
 		r := &s.recs[is.slot]
 		e := owed.at(is.slot, r.gen)
 		if r.changedTick > base {
 			// Changed inside the window: this walk subsumes the sweep.
-			if cursor.admits(is.id) {
+			if !refuses(refused, is.slot) {
 				count++
 				f.AppendSpan(s.wire[is.slot])
 				if e.owed {
@@ -404,7 +404,7 @@ func (s *Store) DeltaSinceOwedInto(base uint64, refused []protocol.ParticipantID
 		if !e.owed || s.tick-r.changedTick < settle {
 			continue // nothing owed, or still moving: a later walk supersedes this
 		}
-		if cursor.admits(is.id) && (e.last == 0 || base >= e.last) {
+		if !refuses(refused, is.slot) && (e.last == 0 || base >= e.last) {
 			count++
 			f.AppendSpan(s.wire[is.slot])
 			owed.markSent(is.slot, s.tick)
@@ -417,8 +417,7 @@ func (s *Store) DeltaSinceOwedInto(base uint64, refused []protocol.ParticipantID
 		// wait too: an earlier message on this base may already have delivered
 		// the re-add, and a bare removal would erase it at the receiver after
 		// that message's ack has settled the debt.
-		_, live := s.slots[rm.id]
-		if _, refusedNow := slices.BinarySearch(refused, rm.id); live && refusedNow {
+		if slot, live := s.slots[rm.id]; live && refuses(refused, slot) {
 			continue
 		}
 		removed++
@@ -434,14 +433,13 @@ func (s *Store) DeltaSinceOwedInto(base uint64, refused []protocol.ParticipantID
 // it was, is now at or before the baseline and no delta window will ever
 // surface it again. Included entities that were owed become pending on the
 // snapshot's tick.
-func (s *Store) SnapshotOwedInto(refused []protocol.ParticipantID, f *protocol.Frame, owed *OwedSet) error {
+func (s *Store) SnapshotOwedInto(refused []uint64, f *protocol.Frame, owed *OwedSet) error {
 	owed.begin(s)
 	count := 0
-	cursor := refusedList(refused)
 	for _, is := range s.ordered() {
 		r := &s.recs[is.slot]
 		e := owed.at(is.slot, r.gen)
-		if !cursor.admits(is.id) {
+		if refuses(refused, is.slot) {
 			e.mark()
 			continue
 		}

@@ -2,6 +2,7 @@ package interest
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,30 +11,30 @@ import (
 	"metaclass/internal/protocol"
 )
 
-// mapGrid is the oracle for the grid's ID directory: the bookkeeping Grid did
-// before it, slots found through a hash map keyed by participant. It mirrors
-// the free list (last freed, first reused), so its slots are the grid's.
+// mapGrid is the oracle for the grid's ID directory: slots found through a
+// hash map keyed by participant. It also stands in for the store that hands
+// the grid its slots: an ID keeps its slot while placed, and a freed slot goes
+// to the next newcomer (last freed, first reused), as core.Store's does.
 type mapGrid struct {
-	slots  map[protocol.ParticipantID]uint32
-	pos    []mathx.Vec3 // slot-indexed
-	born   []uint64     // slot-indexed: seated at placement
-	free   []uint32
-	seated uint64
+	slots map[protocol.ParticipantID]uint32
+	pos   []mathx.Vec3 // slot-indexed
+	free  []uint32
 }
 
-func (m *mapGrid) update(id protocol.ParticipantID, p mathx.Vec3) {
+// update places or moves id and returns its slot.
+func (m *mapGrid) update(id protocol.ParticipantID, p mathx.Vec3) uint32 {
 	slot, ok := m.slots[id]
 	if !ok {
-		m.seated++
 		if n := len(m.free); n > 0 {
 			slot, m.free = m.free[n-1], m.free[:n-1]
 		} else {
 			slot = uint32(len(m.pos))
-			m.pos, m.born = append(m.pos, p), append(m.born, 0)
+			m.pos = append(m.pos, p)
 		}
-		m.slots[id], m.born[slot] = slot, m.seated
+		m.slots[id] = slot
 	}
 	m.pos[slot] = p
+	return slot
 }
 
 func (m *mapGrid) remove(id protocol.ParticipantID) {
@@ -45,12 +46,11 @@ func (m *mapGrid) remove(id protocol.ParticipantID) {
 
 // mapSet is the oracle for Set: a refresh that classifies every indexed
 // entity by brute force, and the Allows the map-keyed grid answered with —
-// one map probe, the tenant test, the slot's bit.
+// one map probe, the slot's bit.
 type mapSet struct {
 	allowed  map[uint32]bool // by slot
 	allowAll bool
 	recv     protocol.ParticipantID
-	seen     uint64
 }
 
 func (s *mapSet) refresh(m *mapGrid, p *Policy, recv protocol.ParticipantID, tick uint64) {
@@ -59,7 +59,7 @@ func (s *mapSet) refresh(m *mapGrid, p *Policy, recv protocol.ParticipantID, tic
 	if s.allowAll = !ok; !ok {
 		return
 	}
-	s.seen, s.allowed = m.seated, map[uint32]bool{}
+	s.allowed = map[uint32]bool{}
 	for id, slot := range m.slots {
 		dx, dz := m.pos[slot].X-m.pos[at].X, m.pos[slot].Z-m.pos[at].Z
 		if tierSq(dx*dx+dz*dz).due(Phase(id), tick) {
@@ -83,9 +83,6 @@ func (s *mapSet) allows(m *mapGrid, id protocol.ParticipantID) bool {
 	slot, indexed := m.slots[id]
 	if !indexed {
 		return true
-	}
-	if m.born[slot] > s.seen {
-		return false
 	}
 	return s.allowed[slot]
 }
@@ -140,8 +137,7 @@ func (h *directoryModel) randPos() mathx.Vec3 {
 }
 
 func (h *directoryModel) update(id protocol.ParticipantID, p mathx.Vec3) {
-	h.g.Update(id, p)
-	h.m.update(id, p)
+	h.g.Update(id, h.m.update(id, p), p)
 }
 
 func (h *directoryModel) remove(id protocol.ParticipantID) {
@@ -151,16 +147,23 @@ func (h *directoryModel) remove(id protocol.ParticipantID) {
 
 func (h *directoryModel) refresh() {
 	h.tick++
+	h.resync()
+}
+
+// resync refreshes every receiver's set and oracle at the current tick: a set
+// is read only as its refresh left it, against the grid it was built from.
+func (h *directoryModel) resync() {
 	for i, recv := range h.recvs {
 		h.sets[i].RefreshOwned(h.g, h.p, recv, h.tick)
 		h.refs[i].refresh(h.m, h.p, recv, h.tick)
 	}
 }
 
-// check compares the directory with the map, and every receiver's Allows
-// with its oracle's over five call orders.
+// check compares the directory with the map, and every receiver's Allows,
+// freshly refreshed, with its oracle's over five call orders.
 func (h *directoryModel) check(step int) {
 	h.t.Helper()
+	h.resync()
 	g, m := h.g, h.m
 	if g.Len() != len(m.slots) || len(g.ids) != len(m.slots) {
 		h.t.Fatalf("step %d: Len = %d, directory holds %d, the map %d", step, g.Len(), len(g.ids), len(m.slots))
@@ -169,13 +172,20 @@ func (h *directoryModel) check(step int) {
 		if i > 0 && g.ids[i-1].id >= e.id {
 			h.t.Fatalf("step %d: directory not strictly ascending at %d: %d then %d", step, i, g.ids[i-1].id, e.id)
 		}
-		if slot, ok := m.slots[e.id]; !ok || slot != e.slot || m.born[slot] != e.born {
-			h.t.Fatalf("step %d: directory says %d sits in slot %d since %d, the map slot %d (indexed=%v) since %d",
-				step, e.id, e.slot, e.born, slot, ok, m.born[slot])
+		if slot, ok := m.slots[e.id]; !ok || slot != e.slot || !g.holds(slot) {
+			h.t.Fatalf("step %d: directory says %d sits in slot %d (placed=%v), the map slot %d (indexed=%v)",
+				step, e.id, e.slot, g.holds(e.slot), slot, ok)
 		}
 		if pos, ok := g.Position(e.id); !ok || pos != m.pos[e.slot] {
 			h.t.Fatalf("step %d: Position(%d) = %v, %v, want %v", step, e.id, pos, ok, m.pos[e.slot])
 		}
+	}
+	placed := 0
+	for _, w := range g.placed {
+		placed += bits.OnesCount64(w)
+	}
+	if placed != len(m.slots) {
+		h.t.Fatalf("step %d: %d slots marked placed, the map holds %d", step, placed, len(m.slots))
 	}
 
 	descending := slices.Clone(h.asked)
@@ -212,11 +222,10 @@ func (h *directoryModel) check(step int) {
 // and the Set's answers, with the deleted ID→slot map as the oracle: a seeded
 // schedule of joins (fresh slots and recycled ones), moves inside a cell and
 // across cells, leaves, pin churn and refreshes at advancing ticks, and after
-// every step — most of them with the sets stale, so the tenant test carries
-// answers — Allows for an indexed, a pinned and an unindexed receiver over
-// indexed and unindexed IDs in five call orders. Checked to fail when Allows
-// reads the entry seatOf stops on without asking whether it is the ID's, and
-// when Remove leaves the directory entry behind.
+// every step, with every set refreshed, Allows for an indexed, a pinned and an
+// unindexed receiver over indexed and unindexed IDs in five call orders.
+// Checked to fail when Allows reads the entry seatOf stops on without asking
+// whether it is the ID's, and when Remove leaves the directory entry behind.
 func TestSetAllowsMatchesMapModel(t *testing.T) {
 	h := newDirectoryModel(t, 31)
 	h.refresh()
@@ -251,7 +260,7 @@ func TestSetAllowsMatchesMapModel(t *testing.T) {
 		h.check(step)
 	}
 	if recycled < 50 {
-		t.Fatalf("only %d joins took a recycled slot: the schedule does not exercise the tenant test", recycled)
+		t.Fatalf("only %d joins took a recycled slot: the schedule does not exercise slot reuse", recycled)
 	}
 
 	// A walk to the end of a directory that then loses half its entries,
@@ -279,42 +288,52 @@ func TestSetAllowsMatchesMapModel(t *testing.T) {
 	})
 }
 
-// checkRefused compares each receiver's AppendRefused with what Allows says,
-// asked about every directory ID and the receiver: the refused ones,
-// ascending, appended after what dst already held.
-func (h *directoryModel) checkRefused(step int) {
+// checkRefused compares each receiver's refused bits with its oracle: a bit
+// on every indexed slot whose tenant the map model refuses, the receiver's
+// own included, and on no other slot. It returns how many slots hold another
+// tenant than at the previous call (tenants, by slot).
+func (h *directoryModel) checkRefused(step int, tenants map[uint32]protocol.ParticipantID) (reseated int) {
 	h.t.Helper()
 	for r, recv := range h.recvs {
-		asked := []protocol.ParticipantID{recv}
-		for _, e := range h.g.ids {
-			asked = append(asked, e.id)
-		}
-		slices.Sort(asked)
-		want := []protocol.ParticipantID{math.MaxUint32} // dst's prefix
-		for _, id := range slices.Compact(asked) {
-			if !h.sets[r].Allows(h.g, id) {
-				want = append(want, id)
+		got := h.sets[r].RefreshOwned(h.g, h.p, recv, h.tick)
+		h.refs[r].refresh(h.m, h.p, recv, h.tick)
+		want := make([]uint64, len(got))
+		for id, slot := range h.m.slots {
+			if !h.refs[r].allows(h.m, id) {
+				want[slot/64] |= 1 << (slot % 64)
+			}
+			if allows := h.sets[r].Allows(h.g, id); allows != h.refs[r].allows(h.m, id) {
+				h.t.Fatalf("step %d, recv %#x source %#x: Allows = %v, the map model %v", step, recv, id, allows, !allows)
 			}
 		}
-		if got := h.sets[r].AppendRefused(h.g, []protocol.ParticipantID{math.MaxUint32}); !slices.Equal(got, want) {
-			h.t.Fatalf("step %d, recv %#x: AppendRefused = %#x, Allows refuses %#x", step, recv, got, want)
+		if !slices.Equal(got, want) {
+			h.t.Fatalf("step %d, recv %#x: refused bits %#x, the map model refuses %#x", step, recv, got, want)
 		}
 	}
+	for id, slot := range h.m.slots {
+		if was, ok := tenants[slot]; ok && was != id {
+			reseated++
+		}
+		tenants[slot] = id
+	}
+	return reseated
 }
 
-// TestAppendRefusedMatchesAllows checks the build's one question per tick
-// against the per-source answer, on the schedule kind of
-// TestSetAllowsMatchesMapModel: joins into fresh and recycled slots, moves,
-// leaves, pin churn and refreshes, and after every step — most with the sets
-// stale — the indexed, pinned and unindexed receivers. Then the indexed
-// receiver leaves, and after it everything above it, so a receiver the
-// directory no longer holds is listed in the middle and at the end. Checked
-// to fail when AppendRefused drops the born > seen test.
+// TestAppendRefusedMatchesAllows checks the build's one question per tick,
+// a receiver's refused bits, against the map model's per-source answer, on
+// the schedule kind of TestSetAllowsMatchesMapModel: joins into fresh and
+// recycled slots, moves, leaves, pin churn and refreshes, and after every step
+// the indexed, pinned and unindexed receivers. Then the indexed receiver
+// leaves, and after it everything above it, so a receiver the directory no
+// longer holds admits everything. Checked to fail when the refresh leaves the
+// receiver's own bit clear, and when it starts from the bits of every slot
+// ever placed rather than of the slots placed now.
 func TestAppendRefusedMatchesAllows(t *testing.T) {
 	h := newDirectoryModel(t, 43)
 	h.refresh()
-	h.checkRefused(0)
-	stale := 0
+	tenants := map[uint32]protocol.ParticipantID{}
+	h.checkRefused(0, tenants)
+	reseated := 0
 	for step := 1; step <= 1500; step++ {
 		id := h.pool[h.rng.Intn(len(h.pool))]
 		switch op := h.rng.Intn(8); {
@@ -333,23 +352,17 @@ func TestAppendRefusedMatchesAllows(t *testing.T) {
 		default:
 			h.refresh()
 		}
-		for _, e := range h.g.ids {
-			if e.born > h.sets[0].seen {
-				stale++
-				break
-			}
-		}
-		h.checkRefused(step)
+		reseated += h.checkRefused(step, tenants)
 	}
-	if stale < 500 {
-		t.Fatalf("only %d steps held a tenant seated after the refresh: the schedule does not exercise the tenant test", stale)
+	if reseated < 150 { // seed 43: 199
+		t.Fatalf("only %d slots changed tenant between steps: the schedule does not exercise slot reuse", reseated)
 	}
 	h.remove(h.recvs[0])
-	h.checkRefused(1501)
+	h.checkRefused(1501, tenants)
 	for _, id := range h.pool {
 		if id > h.recvs[0] {
 			h.remove(id)
 		}
 	}
-	h.checkRefused(1502)
+	h.checkRefused(1502, tenants)
 }

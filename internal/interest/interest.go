@@ -18,41 +18,34 @@ import (
 )
 
 // Grid is a 2D spatial index over the classroom floor plane (X/Z), the
-// standard area-of-interest structure. Every indexed entity holds a small
-// dense slot: a directory of the indexed IDs in ascending order naming each
-// one's slot, a slot-indexed entry array, and a directory of the occupied
-// cells, sorted by cell coordinate, whose cells list slots — so the package
-// holds no hash map keyed by entity and a query visits only cells somebody
-// stands in. Slots are free-listed and never leave this package; every table
-// is sized by population, never by coordinates. Update and Remove need
-// exclusive access and are the only writers of both directories: each keeps
-// them sorted as it goes (a binary search, then a memmove of the 16-byte
-// entries above a joiner or leaver) and nothing is left for a query to build.
-// Queries (Neighbors, Position, Len, a Set's refresh and its answers) write
-// nothing to the grid, so any number may run concurrently between mutations —
-// the tick's workers do.
+// standard area-of-interest structure. It places each entity at the slot its
+// caller's store holds it in (core.Store's), so an interest answer is a bitset
+// the store's builds read by slot: a slot-indexed entry array with a bit per
+// placed slot, a directory of the placed IDs in ascending order naming each
+// one's slot, and a directory of the occupied cells, sorted by cell
+// coordinate, whose cells list slots — so the package holds no hash map keyed
+// by entity and a query visits only cells somebody stands in. Every table is
+// sized by the store's slots, never by coordinates. Update and Remove need
+// exclusive access and are the only writers: each keeps both directories
+// sorted as it goes (a binary search, then a memmove of the entries above a
+// joiner or leaver) and nothing is left for a query to build. Queries
+// (Neighbors, Position, Len, a Set's refresh) write nothing to the grid, so
+// any number may run concurrently between mutations — the tick's workers do.
 type Grid struct {
-	size  float64
-	ids   []seat   // every indexed entity, ascending by ID
-	ents  []placed // slot-indexed; free slots are listed in free
-	free  []uint32
-	cells []cell // occupied cells, ascending by (x, z)
+	size   float64
+	ids    []seat   // every placed entity, ascending by ID
+	ents   []placed // indexed by store slot; live where placed has the bit
+	placed []uint64 // bit per store slot holding a placement
+	cells  []cell   // occupied cells, ascending by (x, z)
 	// spare keeps emptied cells' slot lists for the next cell that fills: an
 	// avatar walking across empty floor allocates nothing.
 	spare [][]uint32
-
-	// seated counts placements ever made; a directory entry remembers the
-	// count at its own, so a Set can tell the tenant it classified from a
-	// later one.
-	seated uint64
 }
 
-// seat is one ID directory entry: everything a Set's answer needs to know
-// about an entity besides its bit, so the answer never loads ents[slot].
+// seat is one ID directory entry.
 type seat struct {
 	id   protocol.ParticipantID
 	slot uint32
-	born uint64 // Grid.seated at placement
 }
 
 // placed is one indexed entity. phase caches Phase(id) for Set.RefreshOwned,
@@ -93,9 +86,8 @@ func (g *Grid) find(x, z int32) (int, bool) {
 }
 
 // seatOf returns the ID directory index of id, or of the first entry after it.
-// The loop is written out: Update runs it once per moved entity on every
-// node, interest policy or not, and through slices.BinarySearchFunc the
-// comparator calls alone cost campus_relay_tcp 2.9 % of its step.
+// The loop is written out: through slices.BinarySearchFunc the comparator
+// calls alone once cost campus_relay_tcp 2.9 % of its step.
 func (g *Grid) seatOf(id protocol.ParticipantID) (int, bool) {
 	lo, hi := 0, len(g.ids)
 	for lo < hi {
@@ -108,12 +100,16 @@ func (g *Grid) seatOf(id protocol.ParticipantID) (int, bool) {
 	return lo, lo < len(g.ids) && g.ids[lo].id == id
 }
 
-// Update inserts or moves an entity.
-func (g *Grid) Update(id protocol.ParticipantID, p mathx.Vec3) {
-	var slot uint32
-	at, ok := g.seatOf(id)
-	if ok {
-		slot = g.ids[at].slot
+// holds reports whether slot holds a placement.
+func (g *Grid) holds(slot uint32) bool {
+	return int(slot/64) < len(g.placed) && g.placed[slot/64]&(1<<(slot%64)) != 0
+}
+
+// Update places an entity at slot, the store's slot for it, or moves it
+// there. An entity keeps its slot while placed: the store frees a slot only
+// on a removal, which the caller passes on to Remove.
+func (g *Grid) Update(id protocol.ParticipantID, slot uint32, p mathx.Vec3) {
+	if g.holds(slot) && g.ents[slot].id == id {
 		e := &g.ents[slot]
 		fx, fz := g.key(e.pos)
 		e.pos = p
@@ -122,16 +118,16 @@ func (g *Grid) Update(id protocol.ParticipantID, p mathx.Vec3) {
 		}
 		g.leaveCell(fx, fz, slot)
 	} else {
-		g.seated++
-		e := placed{pos: p, phase: Phase(id), id: id}
-		if n := len(g.free); n > 0 {
-			slot, g.free = g.free[n-1], g.free[:n-1]
-			g.ents[slot] = e
-		} else {
-			slot = uint32(len(g.ents))
-			g.ents = append(g.ents, e)
+		for len(g.ents) <= int(slot) {
+			g.ents = append(g.ents, placed{})
 		}
-		g.ids = slices.Insert(g.ids, at, seat{id: id, slot: slot, born: g.seated})
+		for len(g.placed) <= int(slot/64) {
+			g.placed = append(g.placed, 0)
+		}
+		g.ents[slot] = placed{pos: p, phase: Phase(id), id: id}
+		g.placed[slot/64] |= 1 << (slot % 64)
+		at, _ := g.seatOf(id)
+		g.ids = slices.Insert(g.ids, at, seat{id: id, slot: slot})
 	}
 	x, z := g.key(p)
 	i, occupied := g.find(x, z)
@@ -145,7 +141,7 @@ func (g *Grid) Update(id protocol.ParticipantID, p mathx.Vec3) {
 	g.cells[i].slots = append(g.cells[i].slots, slot)
 }
 
-// Remove deletes an entity, freeing its slot for the next placement.
+// Remove deletes an entity, clearing its slot for the store's next tenant.
 // Removing an absent entity is a no-op.
 func (g *Grid) Remove(id protocol.ParticipantID) {
 	at, ok := g.seatOf(id)
@@ -156,7 +152,7 @@ func (g *Grid) Remove(id protocol.ParticipantID) {
 	x, z := g.key(g.ents[slot].pos)
 	g.leaveCell(x, z, slot)
 	g.ids = slices.Delete(g.ids, at, at+1)
-	g.free = append(g.free, slot)
+	g.placed[slot/64] &^= 1 << (slot % 64)
 }
 
 // leaveCell takes slot out of cell (x, z), dropping the cell once empty.
@@ -321,115 +317,76 @@ func Phase(source protocol.ParticipantID) uint64 {
 	return x
 }
 
-// Set is a per-receiver cache of the sources whose update is due at the
-// current tick: a bitset over grid slots, rebuilt at most once per tick from
-// one walk of the grid's cells. A set bit means the slot's tenant is pinned, or
-// stands within the reach of its trailing-zero count: a tier with divisor 2^t
-// sends a source on the ticks where tick^phase ends in at least t zero bits,
-// so a source whose tick^phase ends in z of them (3 or more counting as 3, the
-// slowest tier) is due exactly when some tier 0…z takes its distance — when it
-// stands within reach[z], the widest of those tiers' radii. That is one
-// compare per neighbour against a four-entry table, and it must agree bit for
-// bit with naming the tier first, one source at a time, as the tests'
-// ShouldSend(p.ClassifySq(id, d²), id, tick) does. Servers keep one Set per
-// subscribed client.
+// Set is one receiver's interest at a tick: the bitset, over the store slots
+// the grid places entities at, of the sources it refuses, rebuilt on every
+// refresh from one walk of the grid's cells. A placed source is admitted when
+// it is pinned, or stands within the reach of its trailing-zero count: a tier
+// with divisor 2^t sends a source on the ticks where tick^phase ends in at
+// least t zero bits, so a source whose tick^phase ends in z of them (3 or more
+// counting as 3, the slowest tier) is due exactly when some tier 0…z takes its
+// distance — when it stands within reach[z], the widest of those tiers' radii.
+// That is one compare per neighbour against a four-entry table, and it must
+// agree bit for bit with naming the tier first, one source at a time, as the
+// tests' ShouldSend(p.ClassifySq(id, d²), id, tick) does. Servers keep one Set
+// per subscribed client.
 //
-// The build asks a set once per tick: AppendRefused lists every source it
-// refuses in one pass over the grid's ascending ID directory. The tests'
-// Allows answers one source at a time, the statement AppendRefused is tested
-// against. Neither writes to the set or the grid; a set's refresh must not run
-// concurrently with its answers, while distinct sets share nothing.
+// The build refreshes a set and reads its bits in one call while the store
+// and the grid are read-only, so the bits always describe the grid they were
+// built from. A refresh writes only its own set: distinct sets may be
+// refreshed concurrently, a set never concurrently with itself.
 type Set struct {
-	allowed  []uint64 // bit per grid slot
-	allowAll bool
-	recv     protocol.ParticipantID
-	tick     uint64
-	// seen is Grid.seated at the last rebuild: a slot whose tenant was seated
-	// later was never classified, whatever bit its predecessor left behind.
-	seen uint64
+	refused []uint64 // bit per store slot
+	recv    protocol.ParticipantID
 }
 
 // NewSet returns an empty, ready-to-refresh set.
 func NewSet() *Set { return &Set{} }
 
 // Reset clears the set for reuse by another receiver (the node runtime pools
-// per-client sets across join/leave churn). The bitset keeps its capacity;
-// the tick marker rewinds so the next RefreshOwned rebuilds, and until then
-// no indexed source reads as admitted (none was seated before count zero).
-func (s *Set) Reset() { *s = Set{allowed: s.allowed[:0]} }
+// per-client sets across join/leave churn). The bitset keeps its capacity.
+func (s *Set) Reset() { *s = Set{refused: s.refused[:0]} }
 
-// RefreshOwned rebuilds the set for receiver recv at tick, at most once per
-// tick (ticks start at 1; zero means never built). Distinct sets may be
-// refreshed concurrently (each touches only its own state; the grid and
-// policy are read-only), which is how the tick shards per-client
-// classification across the pool's workers. While recv is not indexed in g
+// RefreshOwned rebuilds the set for receiver recv at tick and returns its
+// bits: every placed slot it does not admit, and recv's own (clients predict
+// themselves locally), even when recv is pinned. A slot past the bitset or
+// not placed is admitted: the grid cannot place it. While recv is not placed
 // the set admits everything — a just-joined receiver needs the full world
-// until placed. The receiver itself is never admitted, even in
-// admit-everything mode and even when recv is pinned.
-func (s *Set) RefreshOwned(g *Grid, p *Policy, recv protocol.ParticipantID, tick uint64) {
+// until placed — and a nil policy admits every source but recv (broadcast).
+// The slice is the set's, valid until its next refresh.
+func (s *Set) RefreshOwned(g *Grid, p *Policy, recv protocol.ParticipantID, tick uint64) []uint64 {
 	s.recv = recv
-	if s.tick == tick {
-		return
-	}
-	s.tick = tick
+	s.refused = append(s.refused[:0], g.placed...)
 	at, ok := g.seatOf(recv)
 	if !ok {
-		s.allowAll = true
-		return
+		clear(s.refused)
+		return s.refused
 	}
-	s.allowAll = false
-	s.seen = g.seated
-	words := (len(g.ents) + 63) / 64
-	if cap(s.allowed) < words {
-		s.allowed = make([]uint64, words)
-	}
-	s.allowed = s.allowed[:words]
-	clear(s.allowed)
-	// Distance alone decides here: a pinned neighbour is force-set below, and
-	// setting bits is order-independent. The walk includes the receiver and
-	// the pinned loop may: AppendRefused lists recv without reading its bit.
-	center := g.ents[g.ids[at].slot].pos
-	for slots := range g.occupied(center, cullRadius) {
-		for _, slot := range slots {
-			e := &g.ents[slot]
-			dx, dz := e.pos.X-center.X, e.pos.Z-center.Z
-			if dx*dx+dz*dz <= reach[bits.TrailingZeros64((tick^e.phase)|8)] {
-				s.allowed[slot/64] |= 1 << (slot % 64)
+	self := g.ids[at].slot
+	if p == nil {
+		clear(s.refused)
+	} else {
+		// Distance alone decides here: a pinned neighbour is admitted below,
+		// and clearing bits is order-independent. The receiver's own bit is
+		// set last, whatever the walk and the pins did to it.
+		center := g.ents[self].pos
+		for slots := range g.occupied(center, cullRadius) {
+			for _, slot := range slots {
+				e := &g.ents[slot]
+				dx, dz := e.pos.X-center.X, e.pos.Z-center.Z
+				if dx*dx+dz*dz <= reach[bits.TrailingZeros64((tick^e.phase)|8)] {
+					s.refused[slot/64] &^= 1 << (slot % 64)
+				}
+			}
+		}
+		// Pinned sources are focus-tier regardless of distance (divisor 1, so
+		// no decimation check).
+		for id := range p.Pinned {
+			if at, placed := g.seatOf(id); placed {
+				slot := g.ids[at].slot
+				s.refused[slot/64] &^= 1 << (slot % 64)
 			}
 		}
 	}
-	// Pinned sources are focus-tier regardless of distance (divisor 1, so no
-	// decimation check).
-	for id := range p.Pinned {
-		if at, indexed := g.seatOf(id); indexed {
-			slot := g.ids[at].slot
-			s.allowed[slot/64] |= 1 << (slot % 64)
-		}
-	}
-}
-
-// AppendRefused appends to dst, ascending, every ID the set refuses: the
-// receiver, and each indexed source seated after the refresh or left unset by
-// it (in admit-everything mode, the receiver alone). It writes nothing to the
-// set. RefreshOwned must have been called for the current tick.
-func (s *Set) AppendRefused(g *Grid, dst []protocol.ParticipantID) []protocol.ParticipantID {
-	if s.allowAll {
-		return append(dst, s.recv)
-	}
-	self := false // the receiver is listed, indexed or not
-	for _, e := range g.ids {
-		if !self && e.id >= s.recv {
-			dst, self = append(dst, s.recv), true
-			if e.id == s.recv {
-				continue
-			}
-		}
-		if e.born > s.seen || s.allowed[e.slot/64]&(1<<(e.slot%64)) == 0 {
-			dst = append(dst, e.id)
-		}
-	}
-	if !self {
-		dst = append(dst, s.recv)
-	}
-	return dst
+	s.refused[self/64] |= 1 << (self % 64)
+	return s.refused
 }

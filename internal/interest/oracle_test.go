@@ -4,8 +4,8 @@ import "metaclass/internal/protocol"
 
 // The per-source statements of the interest rules, which only the tests ask:
 // the tier a source is in and whether it is due at a tick, and Set.Allows,
-// one source at a time. The production paths, Set.RefreshOwned and
-// Set.AppendRefused, are checked against them.
+// one source at a time. The production path, Set.RefreshOwned's bits, is
+// checked against them.
 
 // String implements fmt.Stringer.
 func (t Tier) String() string {
@@ -70,25 +70,19 @@ func ShouldSend(t Tier, source protocol.ParticipantID, tick uint64) bool {
 	return t.due(Phase(source), tick)
 }
 
-// Allows reports whether source id should be sent this tick. The receiver
-// the set was last refreshed for is never allowed. Other sources not indexed
-// in g bypass interest management (the caller cannot place them), and a
-// source placed since the refresh is indexed but unclassified: not allowed.
-// RefreshOwned must have been called for the current tick.
+// Allows reports whether source id should be sent this tick: whether the
+// bits of the set's last refresh leave id's slot clear. The receiver the set
+// was last refreshed for is never allowed. Other sources not indexed in g
+// bypass interest management (the caller cannot place them). RefreshOwned
+// must have been called for the current tick, with no grid write since.
 func (s *Set) Allows(g *Grid, id protocol.ParticipantID) bool {
 	if id == s.recv {
 		return false
-	}
-	if s.allowAll {
-		return true
 	}
 	at, indexed := g.seatOf(id)
 	if !indexed {
 		return true
 	}
-	e := g.ids[at]
-	if e.born > s.seen {
-		return false
-	}
-	return s.allowed[e.slot/64]&(1<<(e.slot%64)) != 0
+	slot := g.ids[at].slot
+	return int(slot/64) >= len(s.refused) || s.refused[slot/64]&(1<<(slot%64)) == 0
 }

@@ -23,6 +23,7 @@ import (
 	"metaclass/internal/core"
 	"metaclass/internal/endpoint"
 	"metaclass/internal/interest"
+	"metaclass/internal/mathx"
 	"metaclass/internal/metrics"
 	"metaclass/internal/pose"
 	"metaclass/internal/protocol"
@@ -66,9 +67,8 @@ type SyncPeer struct {
 
 // Client is one downstream learner endpoint, replicated with the runtime's
 // interest filter. Client values are pooled across join/leave churn: the
-// interest set, the closure asking it, and the replicator-side scratch they
-// feed all survive a leave and are reused by the next join, so onboarding
-// is allocation-flat under storms.
+// interest set and the closure asking it survive a leave and are reused by
+// the next join, so onboarding is allocation-flat under storms.
 type Client struct {
 	ID   protocol.ParticipantID
 	Addr endpoint.Addr
@@ -106,7 +106,7 @@ type Runtime struct {
 
 	// MirrorPeers' reused source list, and its grid upkeep, built once.
 	mirrorSrcs []*core.Store
-	moved      func(*protocol.EntityState)
+	moved      func(uint32, *protocol.EntityState)
 	removed    func(protocol.ParticipantID)
 
 	// pool runs the tick's per-peer jobs — ack settling, the build, its
@@ -142,7 +142,7 @@ func New(sim *vclock.Sim, tr endpoint.Transport, cfg Config) (*Runtime, error) {
 		byAddr:  make(map[endpoint.Addr]*Client),
 		period:  period,
 	}
-	r.moved = func(e *protocol.EntityState) { r.grid.Update(e.Participant, e.Pose.Position()) }
+	r.moved = func(slot uint32, e *protocol.EntityState) { r.grid.Update(e.Participant, slot, e.Pose.Position()) }
 	r.removed = r.grid.Remove
 	r.pool = work.New(0)
 	r.repl = core.NewReplicator(r.store, core.ReplConfig{Pool: r.pool})
@@ -192,8 +192,18 @@ func (r *Runtime) Store() *core.Store { return r.store }
 // Replicator exposes the planner (tests and stats).
 func (r *Runtime) Replicator() *core.Replicator { return r.repl }
 
-// Grid exposes the spatial interest index.
+// Grid exposes the spatial interest index. It places every entity the
+// runtime writes (Upsert, MirrorPeers) at the entity's store slot and drops
+// every one it removes (RemoveEntity, MirrorPeers); a write to Store() alone
+// is not placed.
 func (r *Runtime) Grid() *interest.Grid { return r.grid }
+
+// Upsert writes e into the store, stamped at the current tick, and places it
+// on the interest grid at pos, at the store's slot for it: the one write of
+// an entity the node authors.
+func (r *Runtime) Upsert(e protocol.EntityState, pos mathx.Vec3) {
+	r.grid.Update(e.Participant, r.store.Upsert(e), pos)
+}
 
 // ConnectReplica registers a sync partner: inbound Snapshot/Delta frames
 // from addr apply into the returned peer's replica, whose capture-to-apply
@@ -252,25 +262,14 @@ func (r *Runtime) Replicate(addr endpoint.Addr, filter core.FilterFunc) error {
 	return r.repl.AddPeer(string(addr), filter)
 }
 
-// clientFilter is the shared interest gate, asked once per client build: one
-// walk of the grid's cells plus squared-distance classification through the
-// client's set, instead of an all-pairs sqrt test per (client, source), then
-// one pass over the grid's directory listing what the set refuses. The client
-// itself is always refused: clients predict themselves locally. Built once
-// per pooled Client — it reads c.ID dynamically, so reuse across joins
-// allocates nothing. A refresh writes only the client's own set, so
-// concurrent calls for distinct clients (the plan's builds on the pool) share
-// nothing but the read-only grid and policy.
-func (r *Runtime) clientFilter(c *Client) core.RefusedFunc {
-	return func(tick uint64, dst []protocol.ParticipantID) []protocol.ParticipantID {
-		if r.cfg.Interest == nil {
-			return append(dst, c.ID) // broadcast mode
-		}
-		c.iset.RefreshOwned(r.grid, r.cfg.Interest, c.ID, tick)
-		return c.iset.AppendRefused(r.grid, dst)
-	}
-}
-
+// acquireClient returns a pooled Client, or a new one whose interest is its
+// own set, refreshed once per build: one walk of the grid's cells classifying
+// by squared distance, and the bits of every placed slot it does not admit,
+// the client's own included (clients predict themselves locally; a nil
+// policy refuses only that one). The closure reads c.ID dynamically, so reuse
+// across joins allocates nothing, and it writes only the client's own set, so
+// concurrent builds for distinct clients share nothing but the read-only grid
+// and policy.
 func (r *Runtime) acquireClient() *Client {
 	if n := len(r.freeClients); n > 0 {
 		c := r.freeClients[n-1]
@@ -279,7 +278,7 @@ func (r *Runtime) acquireClient() *Client {
 		return c
 	}
 	c := &Client{iset: interest.NewSet()}
-	c.refused = r.clientFilter(c)
+	c.refused = func(tick uint64) []uint64 { return c.iset.RefreshOwned(r.grid, r.cfg.Interest, c.ID, tick) }
 	return c
 }
 
@@ -430,8 +429,9 @@ func (r *Runtime) ImportClientBaseline(id protocol.ParticipantID, b core.PeerBas
 }
 
 // MirrorPeers folds every sync partner's replicated store into the
-// runtime's own store (the cloud's world merge, a relay's mirror), keeping
-// the interest grid in step. Entities present in the store but absent from
+// runtime's own store (the cloud's world merge, a relay's mirror), placing
+// each written entity at its store slot and dropping each departure from the
+// interest grid. Entities present in the store but absent from
 // every replica have departed upstream and are removed — unless retain
 // admits them (the cloud keeps entities it authors itself). Peers are
 // walked in pinned ascending-address order (see core.Store.Mirror).

@@ -31,6 +31,7 @@ import (
 var (
 	ErrUnknownSession = errors.New("rig: unknown session")
 	ErrForeignRelay   = errors.New("rig: relay is not part of this deployment")
+	ErrRelayInUse     = errors.New("rig: relay still serves sessions")
 	ErrStarted        = errors.New("rig: already started")
 )
 
@@ -200,14 +201,20 @@ func (r *Rig) AddRelay(addr endpoint.Addr, link netsim.LinkConfig) (*cloud.Relay
 }
 
 // RetireRelay reclaims a relay whose sessions the caller has already handed
-// off: it stops ticking, the cloud drops its replication peer, the backbone
-// link is cut (unlike a leaver's, its in-flight upstream is cancelled: those
+// off, and refuses one still serving a session before it changes anything:
+// it stops ticking, the cloud drops its replication peer, the backbone link
+// is cut (unlike a leaver's, its in-flight upstream is cancelled: those
 // sessions already publish elsewhere) and the endpoint reclaimed — in that
 // order, so no tick plans a frame for a route being torn down.
 func (r *Rig) RetireRelay(rel *cloud.Relay) error {
 	addr, err := r.server(rel)
 	if err != nil {
 		return err
+	}
+	for id, via := range r.via {
+		if via == rel {
+			return fmt.Errorf("%w: %s serves %d", ErrRelayInUse, addr, id)
+		}
 	}
 	delete(r.relays, addr)
 	rel.Stop()

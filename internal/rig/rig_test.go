@@ -256,3 +256,41 @@ func TestLinkIsOncePerPair(t *testing.T) {
 		t.Errorf("Link after Unlink: err=%v links=%d, want nil and 2", err, net.Tables().Links)
 	}
 }
+
+// TestRetireRelayRefusesServingRelay: a relay still serving a session is not
+// retired. RetireRelay refuses it before anything changes, so the relay
+// keeps ticking and the cloud keeps routing the learner through it; once the
+// session is handed off, the same call retires it.
+func TestRetireRelayRefusesServingRelay(t *testing.T) {
+	r, net := newNetsimRig(t)
+	rel, err := r.AddRelay("relay-a", netsim.EdgeToCloud())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Join(7, "vr-7", trace.Seated{}, rel, access); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	before := net.Tables()
+	if err := r.RetireRelay(rel); !errors.Is(err, ErrRelayInUse) {
+		t.Fatalf("RetireRelay of a serving relay: err = %v, want ErrRelayInUse", err)
+	}
+	if got := net.Tables(); got.Hosts != before.Hosts || got.Links != before.Links {
+		t.Errorf("the refusal changed the fabric: %d hosts / %d links, want %d / %d", got.Hosts, got.Links, before.Hosts, before.Links)
+	}
+	if !rel.Runtime().Started() || r.relays[rel.Addr()] != rel || r.via[7] != rel {
+		t.Fatal("the refusal stopped or unregistered the relay")
+	}
+	if err := r.Handoff(7, nil, access); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.RetireRelay(rel); err != nil {
+		t.Fatalf("RetireRelay after the handoff: %v", err)
+	}
+	if rel.Runtime().Started() {
+		t.Error("the retired relay still ticks")
+	}
+}
