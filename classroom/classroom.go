@@ -152,7 +152,6 @@ func (d *Deployment) NameOf(id ParticipantID) string { return d.names[id] }
 type Campus struct {
 	d       *Deployment
 	name    string
-	id      ClassroomID
 	edge    *edge.Server
 	array   *sensors.Array
 	headset map[ParticipantID]*sensors.Headset
@@ -166,7 +165,6 @@ func (d *Deployment) AddCampus(name string, id ClassroomID) (*Campus, error) {
 	c := &Campus{
 		d:       d,
 		name:    name,
-		id:      id,
 		headset: make(map[ParticipantID]*sensors.Headset),
 		scripts: make(map[ParticipantID]trace.MotionScript),
 	}
@@ -207,9 +205,6 @@ func (c *sensing) Stop() {
 
 // Name returns the campus name.
 func (c *Campus) Name() string { return c.name }
-
-// ID returns the classroom ID.
-func (c *Campus) ID() ClassroomID { return c.id }
 
 // Edge exposes the campus edge server.
 func (c *Campus) Edge() *edge.Server { return c.edge }

@@ -127,9 +127,6 @@ func NewVR(sim *vclock.Sim, tr endpoint.Transport, cfg VRConfig) (*VR, error) {
 // Addr returns the client's endpoint address.
 func (v *VR) Addr() endpoint.Addr { return v.addr }
 
-// Server returns the address the client currently publishes to.
-func (v *VR) Server() endpoint.Addr { return v.cfg.Server }
-
 // Retarget repoints the client at a new server mid-session — the client
 // half of a relay handoff. Publishes, pings, and (via the dispatcher's
 // reply-to-sender auto-acks) replication acks all follow the new address

@@ -337,7 +337,7 @@ func (s *Server) ingestClientPose(from endpoint.Addr, m *protocol.PoseUpdate) {
 	p = seat.ApplyCorrection(st.correction, p)
 	seatIdx, _ := s.seats.SeatOf(m.Participant)
 	wp, vel := protocol.Sample(p)
-	s.rt.Upsert(protocol.EntityState{
+	s.rt.Upsert(&protocol.EntityState{
 		Participant: m.Participant,
 		Home:        0,
 		CapturedAt:  m.CapturedAt,

@@ -266,6 +266,66 @@ func BenchmarkReplicaApplyDelta(b *testing.B) {
 	}
 }
 
+// BenchmarkDisplaySecond is one simulated second of a learner's display
+// replica of 100 moving entities: 30 deltas moving every entity, applied 20 ms
+// after capture, and at 72 Hz a Pose of every entity at the display's now.
+// It is the workload that reads what the apply path writes; read-ns/pose is
+// the mean cost of one Pose.
+func BenchmarkDisplaySecond(b *testing.B) {
+	const (
+		pop, deltaHz, frameHz = 100, 30, 72
+		transit               = 20 * ms
+	)
+	r := NewReplica(PlayoutDelay, pose.Linear{})
+	ents := make([]protocol.EntityState, pop)
+	for i := range ents {
+		ents[i] = entAt(protocol.ParticipantID(i+1), 0)
+	}
+	r.Apply(&protocol.Snapshot{Tick: 1, Entities: ents}, 0)
+	deltas := make([]protocol.Delta, deltaHz)
+	for k := range deltas {
+		for i := range ents {
+			deltas[k].Changed = append(deltas[k].Changed, ent(ents[i].Participant, float64(i)+float64(k)/deltaHz))
+		}
+	}
+	tick := uint64(1)
+	apply := func(d *protocol.Delta, captured time.Duration) {
+		for i := range d.Changed {
+			d.Changed[i].CapturedAt = captured
+		}
+		tick++
+		d.BaseTick, d.Tick = tick-1, tick
+		if _, ok := r.Apply(d, captured+transit); !ok {
+			b.Fatal("delta rejected")
+		}
+	}
+	var reads time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for op := 0; op < b.N; op++ {
+		second := time.Duration(op+1) * time.Second
+		k := 0
+		captured := func() time.Duration { return second + time.Duration(k)*time.Second/deltaHz }
+		for f := 0; f < frameHz; f++ {
+			frame := second + time.Duration(f)*time.Second/frameHz
+			for ; k < deltaHz && captured()+transit <= frame; k++ {
+				apply(&deltas[k], captured())
+			}
+			start := time.Now()
+			for i := range ents {
+				if _, ok := r.Pose(ents[i].Participant, frame); !ok {
+					b.Fatal("no pose")
+				}
+			}
+			reads += time.Since(start)
+		}
+		for ; k < deltaHz; k++ {
+			apply(&deltas[k], captured())
+		}
+	}
+	b.ReportMetric(float64(reads.Nanoseconds())/float64(b.N*frameHz*pop), "read-ns/pose")
+}
+
 // BenchmarkReplicaApplyJoinLeave is one arrival and one departure in a
 // replica of n entities: a delta that seats a new ID halfway along the walk
 // order, then a delta that removes it. n=80 is churn48_sim's mean replica;

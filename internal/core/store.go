@@ -159,10 +159,11 @@ func (s *Store) write(slot uint32, e *protocol.EntityState) {
 
 // Upsert inserts or replaces an entity's state, stamping it changed at the
 // current tick, and returns the entity's slot.
-func (s *Store) Upsert(e protocol.EntityState) uint32 { return s.put(&e) }
+func (s *Store) Upsert(e protocol.EntityState) uint32 { return s.Put(&e) }
 
-// put is Upsert out of line: Upsert stays inlinable and passes e by pointer.
-func (s *Store) put(e *protocol.EntityState) uint32 {
+// Put is Upsert for a caller that holds the state already: it copies *e once,
+// into the entity's record, and keeps no reference to e.
+func (s *Store) Put(e *protocol.EntityState) uint32 {
 	slot := s.slotOf(e.Participant)
 	s.write(slot, e)
 	return slot

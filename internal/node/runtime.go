@@ -200,9 +200,9 @@ func (r *Runtime) Grid() *interest.Grid { return r.grid }
 
 // Upsert writes e into the store, stamped at the current tick, and places it
 // on the interest grid at pos, at the store's slot for it: the one write of
-// an entity the node authors.
-func (r *Runtime) Upsert(e protocol.EntityState, pos mathx.Vec3) {
-	r.grid.Update(e.Participant, r.store.Upsert(e), pos)
+// an entity the node authors. The store copies *e; no reference is kept.
+func (r *Runtime) Upsert(e *protocol.EntityState, pos mathx.Vec3) {
+	r.grid.Update(e.Participant, r.store.Put(e), pos)
 }
 
 // ConnectReplica registers a sync partner: inbound Snapshot/Delta frames

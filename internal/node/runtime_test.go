@@ -211,7 +211,7 @@ func TestUnsentPlanFramesAreReleased(t *testing.T) {
 		for i := 1; i <= clients; i++ {
 			id := protocol.ParticipantID(i)
 			pos := mathx.V3(3.2*float64(i)+0.01*float64(tick%7), 0, 0)
-			rt.Upsert(protocol.EntityState{Participant: id, Pose: protocol.QuantizePose(pos, mathx.QuatIdentity())}, pos)
+			rt.Upsert(&protocol.EntityState{Participant: id, Pose: protocol.QuantizePose(pos, mathx.QuatIdentity())}, pos)
 		}
 		p := rt.Replicator().PlanTick()
 		if len(p) == 0 {
@@ -370,7 +370,7 @@ func TestRemoveClientKeepsStoredEntityIndexed(t *testing.T) {
 	}
 	pos := mathx.V3(4, 0, 2)
 	rt.Store().BeginTick()
-	rt.Upsert(protocol.EntityState{Participant: 7, Pose: protocol.QuantizePose(pos, mathx.QuatIdentity())}, pos)
+	rt.Upsert(&protocol.EntityState{Participant: 7, Pose: protocol.QuantizePose(pos, mathx.QuatIdentity())}, pos)
 	if _, err := rt.RemoveClient(7); err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func TestTickGridQueriesWriteNothing(t *testing.T) {
 
 	const clients, avatar = 16, protocol.ParticipantID(100)
 	place := func(id protocol.ParticipantID, pos mathx.Vec3) {
-		rt.Upsert(protocol.EntityState{Participant: id, Pose: protocol.QuantizePose(pos, mathx.QuatIdentity())}, pos)
+		rt.Upsert(&protocol.EntityState{Participant: id, Pose: protocol.QuantizePose(pos, mathx.QuatIdentity())}, pos)
 	}
 	rt.Store().BeginTick()
 	for i := 0; i < clients; i++ { // cells (0..3, 0..3) of the 4 m grid
@@ -511,7 +511,7 @@ func TestTickInterestAllocationFree(t *testing.T) {
 				tick := rt.Store().Tick()
 				for i, id := range holder {
 					pos := mathx.V3(3.2*float64(i%8)+0.01*float64(tick%7), 0, 3.2*float64(i/8))
-					rt.Upsert(protocol.EntityState{Participant: id, Pose: protocol.QuantizePose(pos, mathx.QuatIdentity())}, pos)
+					rt.Upsert(&protocol.EntityState{Participant: id, Pose: protocol.QuantizePose(pos, mathx.QuatIdentity())}, pos)
 					if tick > 2 {
 						_ = rt.Replicator().Ack(string(addrs[id]), tick-2)
 					}

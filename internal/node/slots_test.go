@@ -169,7 +169,7 @@ func (h *slotHarness) betweenTicks(step int) {
 			h.between++
 		}
 		e := entity(id, 0, p)
-		h.rt.Upsert(e, e.Pose.Position())
+		h.rt.Upsert(&e, e.Pose.Position())
 		h.learners[id] = p
 		h.highWater = max(h.highWater, h.rt.Store().Len())
 	}

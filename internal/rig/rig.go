@@ -201,12 +201,16 @@ func (r *Rig) AddRelay(addr endpoint.Addr, link netsim.LinkConfig) (*cloud.Relay
 }
 
 // RetireRelay reclaims a relay whose sessions the caller has already handed
-// off, and refuses one still serving a session before it changes anything:
-// it stops ticking, the cloud drops its replication peer, the backbone link
-// is cut (unlike a leaver's, its in-flight upstream is cancelled: those
-// sessions already publish elsewhere) and the endpoint reclaimed — in that
-// order, so no tick plans a frame for a route being torn down.
+// off, and refuses nil, a foreign relay or one still serving a session
+// before it changes anything: it stops ticking, the cloud drops its
+// replication peer, the backbone link is cut (unlike a leaver's, its
+// in-flight upstream is cancelled: those sessions already publish
+// elsewhere) and the endpoint reclaimed — in that order, so no tick plans a
+// frame for a route being torn down.
 func (r *Rig) RetireRelay(rel *cloud.Relay) error {
+	if rel == nil { // server(nil) is the cloud, which is not a relay
+		return fmt.Errorf("%w: nil relay", ErrForeignRelay)
+	}
 	addr, err := r.server(rel)
 	if err != nil {
 		return err

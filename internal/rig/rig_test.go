@@ -294,3 +294,32 @@ func TestRetireRelayRefusesServingRelay(t *testing.T) {
 		t.Error("the retired relay still ticks")
 	}
 }
+
+// TestRetireRelayRefusesNil: nil names the cloud wherever a relay is asked
+// for, and the cloud is not a relay. RetireRelay(nil) is refused as a foreign
+// relay is, with no session (it once stopped the nil relay) and with a
+// cloud-served one (it once claimed the relay was in use), and the refusal
+// changes nothing.
+func TestRetireRelayRefusesNil(t *testing.T) {
+	r, net := newNetsimRig(t)
+	if err := r.RetireRelay(nil); !errors.Is(err, ErrForeignRelay) {
+		t.Fatalf("RetireRelay(nil) on an empty rig: err = %v, want ErrForeignRelay", err)
+	}
+	if _, err := r.Join(7, "vr-7", trace.Seated{}, nil, access); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	before := net.Tables()
+	if err := r.RetireRelay(nil); !errors.Is(err, ErrForeignRelay) {
+		t.Fatalf("RetireRelay(nil) with a cloud-served session: err = %v, want ErrForeignRelay", err)
+	}
+	if got := net.Tables(); got.Hosts != before.Hosts || got.Links != before.Links {
+		t.Errorf("the refusal changed the fabric: %d hosts / %d links, want %d / %d", got.Hosts, got.Links, before.Hosts, before.Links)
+	}
+	if via, ok := r.via[7]; !ok || via != nil || !r.cloud.Runtime().Started() {
+		t.Fatal("the refusal stopped the cloud or moved the session")
+	}
+}

@@ -7,12 +7,16 @@
 // state. Callers do not branch on the pool's width: the same code runs
 // inline at width 1 and sharded above it.
 //
+// Run gives each worker one contiguous share of the jobs (helper w always
+// owns share w), drained from the front, then steals from the back of the
+// others. While the job count holds, index i thus runs on the same worker
+// tick after tick, bar a few steals at a share's tail, and the per-peer state
+// it walks (owed set, interest bits, send log) stays in that core's cache.
+//
 // Width cannot change a byte of output (TestPlanTickWidthInvariant, the
-// cross-width goldens). What it is worth was measured once, end to end on a
-// 2-vCPU host (PERFORMANCE.md "Measured: one job per peer"): venue256_direct
-// at GOMAXPROCS=1 took 42.6 % longer per step than at the default width of
-// 2. GOMAXPROCS also sets the runtime's and the collector's threads, so that
-// is an upper bound on what the pool's width alone is worth.
+// cross-width goldens); what it is worth is measured in PERFORMANCE.md
+// "Measured: one job per peer" and "Measured: each peer's build keeps its
+// core".
 //
 // Ownership rules for pooled scratch handed across goroutines (see
 // PERFORMANCE.md "The tick pipeline"):
@@ -46,17 +50,45 @@ import (
 type Pool struct {
 	workers int
 
-	// Per-Run state: the job body, the job count, and the shared cursor
-	// workers pull indices from. Published to helpers by the wake-channel
-	// send; read back by the owner after wg.Wait.
+	// Per-Run state: the job body and the shares in use (shares[:parts]).
+	// Published to helpers by the wake-channel sends; read back by the owner
+	// after wg.Wait.
 	fn     func(worker, index int)
-	n      int64
-	cursor atomic.Int64
+	parts  int
+	shares []share
 	wg     sync.WaitGroup
 
-	wake    chan struct{}
+	wake    []chan struct{} // wake[w] wakes helper w; wake[0] is unused
 	quit    chan struct{}
 	started bool
+}
+
+// share is one worker's contiguous run of job indices [lo, hi), packed into
+// one word (lo in the low half), so a take from either end is one CAS and no
+// index is handed out twice. Within a Run lo only rises and hi only falls, so
+// a CAS cannot mistake an old word for a new one. Padded to a cache line, so
+// workers draining different shares write different lines.
+type share struct {
+	span atomic.Uint64
+	_    [56]byte
+}
+
+// take removes the lowest index left (front) or the highest (!front).
+func (s *share) take(front bool) (int, bool) {
+	for {
+		old := s.span.Load()
+		lo, hi := uint32(old), uint32(old>>32)
+		if lo >= hi {
+			return 0, false
+		}
+		next, i := old+1, lo
+		if !front {
+			next, i = old-1<<32, hi-1
+		}
+		if s.span.CompareAndSwap(old, next) {
+			return int(i), true
+		}
+	}
 }
 
 // New creates a pool with the given parallelism. Zero or negative means
@@ -66,7 +98,7 @@ func New(parallelism int) *Pool {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	return &Pool{workers: parallelism}
+	return &Pool{workers: parallelism, shares: make([]share, parallelism)}
 }
 
 // Workers returns the pool's parallelism bound: the maximum number of
@@ -83,8 +115,10 @@ func (p *Pool) Workers() int {
 // across up to Workers goroutines, and returns when all calls have finished.
 // worker identifies the executing slot in [0, Workers) so jobs can use
 // per-worker scratch arenas; the caller's goroutine always participates as
-// worker 0. Indices are handed out dynamically (an atomic cursor), so job
-// order across workers is unspecified — results must be merged
+// worker 0. [0, n) is split into one contiguous share per worker taking
+// part, in worker order; each worker runs its own share front to back, then
+// steals from the back of the others. Which worker runs an index is a
+// matter of timing at the shares' tails, so results must be merged
 // deterministically by the caller afterwards.
 //
 // fn should be built once and reused across Runs: the pool itself allocates
@@ -99,16 +133,19 @@ func (p *Pool) Run(n int, fn func(worker, index int)) {
 		}
 		return
 	}
+	if uint64(n) > 1<<32-1 {
+		panic("work: Run of more than 2^32-1 jobs")
+	}
 	p.ensureStarted()
-	p.fn, p.n = fn, int64(n)
-	p.cursor.Store(0)
-	helpers := p.workers - 1
-	if helpers > n-1 {
-		helpers = n - 1 // never wake more helpers than there are extra jobs
+	helpers := min(p.workers-1, n-1) // never wake more helpers than there are extra jobs
+	p.fn, p.parts = fn, helpers+1
+	for w := 0; w < p.parts; w++ {
+		lo, hi := w*n/p.parts, (w+1)*n/p.parts
+		p.shares[w].span.Store(uint64(hi)<<32 | uint64(lo))
 	}
 	p.wg.Add(helpers)
-	for i := 0; i < helpers; i++ {
-		p.wake <- struct{}{}
+	for w := 1; w <= helpers; w++ {
+		p.wake[w] <- struct{}{}
 	}
 	p.loop(0)
 	p.wg.Wait()
@@ -130,10 +167,11 @@ func (p *Pool) ensureStarted() {
 	if p.started {
 		return
 	}
-	p.wake = make(chan struct{}, p.workers-1)
+	p.wake = make([]chan struct{}, p.workers)
 	p.quit = make(chan struct{})
 	for w := 1; w < p.workers; w++ {
-		go p.helper(w, p.wake, p.quit)
+		p.wake[w] = make(chan struct{}, 1)
+		go p.helper(w, p.wake[w], p.quit)
 	}
 	p.started = true
 }
@@ -155,14 +193,13 @@ func (p *Pool) helper(w int, wake <-chan struct{}, quit <-chan struct{}) {
 	}
 }
 
-// loop pulls indices from the shared cursor until the job list is drained.
+// loop runs worker w's share from the front, then steals from the back of
+// every other share, visiting them in worker order from w+1.
 func (p *Pool) loop(w int) {
-	n := p.n
-	for {
-		i := p.cursor.Add(1) - 1
-		if i >= n {
-			return
+	for k := 0; k < p.parts; k++ {
+		s := &p.shares[(w+k)%p.parts]
+		for i, ok := s.take(k == 0); ok; i, ok = s.take(k == 0) {
+			p.fn(w, i)
 		}
-		p.fn(w, int(i))
 	}
 }

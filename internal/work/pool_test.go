@@ -1,6 +1,7 @@
 package work
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -103,5 +104,50 @@ func TestRunAllocationFlat(t *testing.T) {
 		if allocs > 0 {
 			t.Errorf("workers=%d: %v allocs per Run, want 0", workers, allocs)
 		}
+	}
+}
+
+// TestRunHandsEachWorkerItsShare pins the hand-out: worker w owns the w-th
+// contiguous share of the jobs. With one job per worker and every job held
+// on a barrier until all n are in flight, no worker can finish early and
+// steal, so index w must run on worker w, Run after Run. A second case, with
+// three jobs a worker and no barrier, lets the workers steal and checks every
+// index still runs exactly once (run under -race in CI).
+func TestRunHandsEachWorkerItsShare(t *testing.T) {
+	for _, workers := range []int{2, 3, 8} {
+		p := New(workers)
+		ran := make([]int, workers)
+		for round := 0; round < 20; round++ {
+			var arrived atomic.Int32
+			p.Run(workers, func(w, i int) {
+				arrived.Add(1)
+				for arrived.Load() < int32(workers) {
+					runtime.Gosched()
+				}
+				ran[i] = w
+			})
+			for i, w := range ran {
+				if w != i {
+					t.Fatalf("workers=%d round %d: index %d ran on worker %d, want %d", workers, round, i, w, i)
+				}
+			}
+		}
+
+		n := 3 * workers
+		hits := make([]atomic.Int32, n)
+		for round := 0; round < 20; round++ {
+			p.Run(n, func(w, i int) {
+				if w < 0 || w >= workers {
+					t.Errorf("workers=%d: worker index %d out of range", workers, w)
+				}
+				hits[i].Add(1)
+			})
+		}
+		for i := range hits {
+			if got := hits[i].Load(); got != 20 {
+				t.Fatalf("workers=%d n=%d: index %d ran %d times in 20 Runs", workers, n, i, got)
+			}
+		}
+		p.Close()
 	}
 }
