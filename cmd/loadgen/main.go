@@ -1,11 +1,14 @@
 // Command loadgen drives a classroomd server with a swarm of real TCP
-// clients: each publishes a scripted pose stream and measures how stale the
-// other participants' avatars arrive — the paper's C1 metric measured over a
-// real network stack. With -churn, clients also cycle through join/leave
-// storms (the E11 workload): each client disconnects after its stay and
-// rejoins, and loadgen reports the onboarding latency (connect to first
-// replicated snapshot) alongside avatar staleness. A run fails (exit 1) when
-// every session failed or no replication update arrived at all.
+// clients. Each session is the product's client, a client.VR on a transport
+// endpoint of its own that dials without the name handshake and joins with a
+// Hello. loadgen reports how stale the other participants' avatars arrive —
+// the paper's C1 metric over a real network stack — from each replica's
+// pose.age (one sample per fresh entity update, stamped up to 1 ms late: a
+// session's clock advances once per pump), and "updates" counts applied
+// replication messages. With -churn, clients also cycle through join/leave
+// storms (the E11 workload), and loadgen reports the onboarding latency (join
+// to first applied update) alongside avatar staleness. A run fails (exit 1)
+// when every session failed or no replication update arrived at all.
 //
 // Usage:
 //
@@ -37,10 +40,11 @@ import (
 	"os"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"metaclass/internal/client"
 	"metaclass/internal/cloud"
+	"metaclass/internal/endpoint"
 	"metaclass/internal/interest"
 	"metaclass/internal/mathx"
 	"metaclass/internal/metrics"
@@ -66,39 +70,33 @@ func main() {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(2)
 	}
-	if *geoMode {
-		if err := runGeo(); err != nil {
-			fmt.Fprintln(os.Stderr, "loadgen:", err)
-			os.Exit(1)
+	err := func() error {
+		if *geoMode {
+			return runGeo()
 		}
-		return
-	}
-	target := *addr
-	if *serve {
-		var err error
-		if target, err = serveCloud(); err != nil {
-			fmt.Fprintln(os.Stderr, "loadgen:", err)
-			os.Exit(1)
+		target := *addr
+		if *serve {
+			var err error
+			if target, err = serveCloud(); err != nil {
+				return err
+			}
+			fmt.Printf("loadgen: serving an in-process cloud server on %s\n", target)
 		}
-		fmt.Printf("loadgen: serving an in-process cloud server on %s\n", target)
-	}
-	if *soak > 0 {
-		if err := runSoak(target, *clients, *rate, *churn, *soak); err != nil {
-			fmt.Fprintln(os.Stderr, "loadgen:", err)
-			os.Exit(1)
+		if *soak > 0 {
+			return runSoak(target, *clients, *rate, *churn, *soak)
 		}
-		return
-	}
-	if err := run(target, *clients, *duration, *rate, *churn); err != nil {
+		return run(target, *clients, *duration, *rate, *churn)
+	}()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
 }
 
-// checkFlags refuses the values that would otherwise surface as a panic in a
-// client goroutine (a ticker needs a positive interval, and above 1 GHz the
-// interval rounds to zero), as a verdict over no clients or no -duration
-// (which -soak and -geo ignore), or as a negative -churn or -soak read as 0.
+// checkFlags refuses the values that would otherwise fail every session (a
+// publish rate needs a positive period, and above 1 GHz the period rounds to
+// zero), as a verdict over no clients or no -duration (which -soak and -geo
+// ignore), or as a negative -churn or -soak read as 0.
 func checkFlags(clients int, rate float64, duration, churn time.Duration, soak int, geo bool) error {
 	if clients <= 0 {
 		return fmt.Errorf("-clients must be positive, got %d", clients)
@@ -136,26 +134,27 @@ func serveCloud() (string, error) {
 	return ep.TCPAddr(), nil
 }
 
-// tally is what every client session of a run adds to.
+// tally is what every client session of a run adds to, under mu.
 type tally struct {
-	age, onboard            metrics.SafeHistogram
-	sessions, updates, errs atomic.Uint64
+	mu                      sync.Mutex
+	age, onboard            metrics.Histogram
+	sessions, updates, errs uint64
 }
 
 // report prints the run's totals and returns its verdict.
 func (t *tally) report() error {
-	fmt.Printf("done: sessions=%d updates=%d errors=%d\n", t.sessions.Load(), t.updates.Load(), t.errs.Load())
-	if snap := t.age.Snapshot(); snap.Count() > 0 {
+	fmt.Printf("done: sessions=%d updates=%d errors=%d\n", t.sessions, t.updates, t.errs)
+	if t.age.Count() > 0 {
 		fmt.Printf("avatar age: p50=%v p95=%v p99=%v max=%v (paper threshold: 100ms)\n",
-			snap.P50().Round(time.Millisecond), snap.P95().Round(time.Millisecond),
-			snap.P99().Round(time.Millisecond), snap.Max().Round(time.Millisecond))
+			t.age.P50().Round(time.Millisecond), t.age.P95().Round(time.Millisecond),
+			t.age.P99().Round(time.Millisecond), t.age.Max().Round(time.Millisecond))
 	}
-	if snap := t.onboard.Snapshot(); snap.Count() > 0 {
+	if t.onboard.Count() > 0 {
 		fmt.Printf("onboarding: p50=%v p95=%v max=%v (connect -> first snapshot)\n",
-			snap.P50().Round(time.Millisecond), snap.P95().Round(time.Millisecond),
-			snap.Max().Round(time.Millisecond))
+			t.onboard.P50().Round(time.Millisecond), t.onboard.P95().Round(time.Millisecond),
+			t.onboard.Max().Round(time.Millisecond))
 	}
-	return verdict(t.sessions.Load(), t.updates.Load(), t.errs.Load())
+	return verdict(t.sessions, t.updates, t.errs)
 }
 
 // verdict fails a run in which no session got through or the server
@@ -186,15 +185,7 @@ func runSoak(addr string, clients int, rate float64, stay time.Duration, epochs 
 	heaps := make([]uint64, 0, epochs)
 	var ms runtime.MemStats
 	for e := 0; e < epochs; e++ {
-		var wg sync.WaitGroup
-		for i := 0; i < clients; i++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				_ = t.session(addr, protocol.ParticipantID(id+1), rate, start, time.Now().Add(stay))
-			}(i)
-		}
-		wg.Wait()
+		t.swarm(addr, clients, rate, 0, start, time.Now().Add(stay))
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
 		heaps = append(heaps, ms.HeapAlloc)
@@ -218,133 +209,123 @@ func runSoak(addr string, clients int, rate float64, stay time.Duration, epochs 
 func run(addr string, clients int, duration time.Duration, rate float64, churn time.Duration) error {
 	fmt.Printf("loadgen: %d clients -> %s for %v at %.0f Hz (churn stay %v)\n",
 		clients, addr, duration, rate, churn)
-	var (
-		t  tally
-		wg sync.WaitGroup
-	)
+	var t tally
 	start := time.Now()
-	deadline := start.Add(duration)
-	for i := 0; i < clients; i++ {
+	t.swarm(addr, clients, rate, churn, start, start.Add(duration))
+	return t.report()
+}
+
+// swarm runs clients concurrent clients until deadline. Without churn each
+// runs one session; with churn a client leaves after its stay and rejoins
+// until the deadline.
+func (t *tally) swarm(addr string, clients int, rate float64, churn time.Duration, start, deadline time.Time) {
+	var wg sync.WaitGroup
+	for id := protocol.ParticipantID(1); id <= protocol.ParticipantID(clients); id++ {
 		wg.Add(1)
-		go func(id int) {
+		go func() {
 			defer wg.Done()
-			// Without churn one session spans the whole run; with churn the
-			// client leaves after its stay and rejoins until the deadline.
-			for sess := 0; ; sess++ {
-				if time.Now().After(deadline) {
+			for time.Now().Before(deadline) {
+				stop := deadline
+				if s := time.Now().Add(churn); churn > 0 && s.Before(stop) {
+					stop = s
+				}
+				err := t.session(addr, id, rate, start, stop)
+				if churn <= 0 {
 					return
 				}
-				stop := deadline
-				if churn > 0 {
-					if s := time.Now().Add(churn); s.Before(stop) {
-						stop = s
-					}
-				}
-				if err := t.session(addr, protocol.ParticipantID(id+1), rate, start, stop); err != nil {
+				if err != nil {
 					// Back off before rejoining so an unreachable server is
 					// retried, not hammered in a busy loop.
 					time.Sleep(250 * time.Millisecond)
 				}
-				if churn <= 0 {
-					return
-				}
 			}
-		}(i)
+		}()
 	}
 	wg.Wait()
-	return t.report()
 }
 
-// session runs one client session until deadline, counting it and what it
-// receives in t. A session the server closes before the client's Leave is
-// over at once: the publisher stops, and the session counts as an error.
-func (t *tally) session(addr string, id protocol.ParticipantID, rate float64, start, deadline time.Time) error {
-	t.sessions.Add(1)
-	joinedAt := time.Now()
-	conn, err := transport.Dial(addr)
-	if err == nil {
-		defer conn.Close()
-		err = conn.WriteMessage(&protocol.Hello{
-			Participant: id, Role: protocol.RoleLearner, Name: fmt.Sprintf("load-%d", id),
-		})
-	}
+// session runs one client session until deadline and folds it into t. Every
+// session's clock reads time since start, so a receiver's now minus the
+// sender's CapturedAt is an age. A session the server closes before the
+// client's Leave is over at once, and counts as an error.
+func (t *tally) session(addr string, id protocol.ParticipantID, rate float64, start, deadline time.Time) (err error) {
+	joined := time.Since(start)
+	var v *client.VR
+	defer func() { t.fold(v, joined, err) }()
+	name := fmt.Sprintf("load-%d", id)
+	ep, err := transport.ListenEndpoint(endpoint.Addr(name), "127.0.0.1:0")
 	if err != nil {
-		t.errs.Add(1)
 		return err
 	}
-
-	script := trace.Seated{
-		Anchor: mathx.V3(float64(id%16)*1.2, 0, float64(id/16)*1.2),
-		Phase:  rand.New(rand.NewSource(int64(id))).Float64() * 6,
+	defer ep.Close()
+	sim, server := vclock.New(0), endpoint.Addr(addr)
+	_ = sim.Run(joined) // the VR's tickers start from the session's join
+	v, err = client.NewVR(sim, ep, client.VRConfig{
+		Participant: id, Server: server, PublishHz: rate,
+		Script: trace.Seated{
+			Anchor: mathx.V3(float64(id%16)*1.2, 0, float64(id/16)*1.2),
+			Phase:  rand.New(rand.NewSource(int64(id))).Float64() * 6,
+		},
+	})
+	if err != nil {
+		return err
 	}
-
-	// left closes once the publisher has sent its Leave; received once the
-	// receive loop has ended.
-	left, received := make(chan struct{}), make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	// Publisher.
-	go func() {
-		defer wg.Done()
-		ticker := time.NewTicker(time.Duration(float64(time.Second) / rate))
-		defer ticker.Stop()
-		seq := uint32(0)
-		for {
-			var now time.Time
-			select {
-			case <-received:
-				return
-			case now = <-ticker.C:
-			}
-			if now.After(deadline) {
-				_ = conn.WriteMessage(&protocol.Leave{Participant: id})
-				close(left)
-				_ = conn.Close()
-				return
-			}
-			seq++
-			elapsed := now.Sub(start)
-			m := protocol.PoseUpdate{Participant: id, Seq: seq, CapturedAt: elapsed}
-			m.Pose, m.VelMMS = protocol.Sample(script.PoseAt(elapsed))
-			_ = conn.WriteMessage(&m)
-		}
-	}()
-
-	// Receiver: measure onboarding and entity freshness, acking replication.
-	synced := false
-	for {
-		msg, err := conn.ReadMessage()
-		if err != nil {
-			break
-		}
-		elapsed := time.Since(start)
-		var ents []protocol.EntityState
-		var tick uint64
-		switch m := msg.(type) {
-		case *protocol.Snapshot:
-			ents, tick = m.Entities, m.Tick
-		case *protocol.Delta:
-			ents, tick = m.Changed, m.Tick
-		default:
-			continue
-		}
-		if !synced {
-			synced = true
-			t.onboard.Observe(time.Since(joinedAt))
-		}
-		for _, e := range ents {
-			t.age.Observe(elapsed - e.CapturedAt)
-		}
-		t.updates.Add(uint64(len(ents)))
-		_ = conn.WriteMessage(&protocol.Ack{Participant: id, Tick: tick})
+	gone := false
+	ep.OnPeerGone(func(endpoint.Addr) { gone = true })
+	if err = ep.DialAnonymous(server, addr); err != nil {
+		return err
 	}
-	close(received)
-	wg.Wait()
-	select {
-	case <-left:
-		return nil
-	default:
-		t.errs.Add(1)
+	if err = send(ep, server, &protocol.Hello{Participant: id, Role: protocol.RoleLearner, Name: name}); err != nil {
+		return err
+	}
+	if err = v.Start(); err != nil {
+		return err
+	}
+	for !gone && time.Now().Before(deadline) {
+		_ = sim.Run(time.Since(start))
+		ep.PumpWait(time.Millisecond)
+	}
+	v.Stop()
+	if gone {
 		return errors.New("loadgen: the server closed the session")
+	}
+	if err = send(ep, server, &protocol.Leave{Participant: id}); err != nil {
+		return err
+	}
+	// The server answers a Leave by closing the connection. Waiting for that
+	// (up to a second) ends the session with its server side released, so a
+	// soak's post-GC heap reads what is left, not teardown still in flight.
+	for wait := time.Now().Add(time.Second); !gone && time.Now().Before(wait); {
+		ep.PumpWait(time.Millisecond)
+	}
+	return nil
+}
+
+// send encodes msg and sends it to the server outside the VR's dispatcher.
+func send(ep *transport.Endpoint, to endpoint.Addr, msg protocol.Message) error {
+	f, err := protocol.EncodeFrame(msg)
+	if err != nil {
+		return err
+	}
+	return ep.SendFrame(to, f)
+}
+
+// fold adds a finished session to the tally: its avatar ages, its onboarding
+// (join to first applied update), its applied updates, and its error. v is
+// nil when the session failed before its client existed.
+func (t *tally) fold(v *client.VR, joined time.Duration, err error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.sessions++
+	if err != nil {
+		t.errs++
+	}
+	if v == nil {
+		return
+	}
+	t.age.Merge(v.Metrics().Histogram("pose.age"))
+	t.updates += v.Metrics().Counter("recv.updates").Value()
+	if at, ok := v.FirstSyncAt(); ok {
+		t.onboard.Observe(at - joined)
 	}
 }

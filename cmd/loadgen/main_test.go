@@ -3,9 +3,11 @@ package main
 import (
 	"math"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
+	"metaclass/internal/protocol"
 	"metaclass/internal/transport"
 )
 
@@ -100,7 +102,34 @@ func TestSessionEndsWhenServerCloses(t *testing.T) {
 	if took := time.Since(start); took > 3*time.Second {
 		t.Fatalf("session returned after %v, want well before its 10 s deadline", took)
 	}
-	if err == nil || tl.errs.Load() != 1 {
-		t.Fatalf("session = %v with errs = %d, want an error and errs = 1", err, tl.errs.Load())
+	if err == nil || tl.errs != 1 {
+		t.Fatalf("session = %v with errs = %d, want an error and errs = 1", err, tl.errs)
+	}
+}
+
+// TestSessionsReplicateFromServedCloud: three concurrent sessions against
+// the served cloud server each join without error, onboard once, and observe
+// each other's avatars.
+func TestSessionsReplicateFromServedCloud(t *testing.T) {
+	addr, err := serveCloud()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		tl tally
+		wg sync.WaitGroup
+	)
+	start := time.Now()
+	for id := protocol.ParticipantID(1); id <= 3; id++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = tl.session(addr, id, 20, start, start.Add(1500*time.Millisecond))
+		}()
+	}
+	wg.Wait()
+	if tl.sessions != 3 || tl.errs != 0 || tl.onboard.Count() != 3 || tl.age.Count() == 0 {
+		t.Fatalf("sessions=%d errs=%d onboarding samples=%d age samples=%d, want 3, 0, 3 and some",
+			tl.sessions, tl.errs, tl.onboard.Count(), tl.age.Count())
 	}
 }

@@ -1,8 +1,7 @@
 // Package metrics provides the measurement primitives used by the experiment
-// harness: log-bucketed latency histograms with percentile queries, counters,
-// and time series. All types are safe for single-goroutine simulation use;
-// Histogram and Counter additionally have concurrency-safe variants used by
-// the real-network server path.
+// harness: log-bucketed latency histograms with percentile queries, counters
+// and gauges. No type is safe for concurrent use: each belongs to the
+// goroutine that drives its node, client or run.
 package metrics
 
 import (
@@ -11,7 +10,6 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -197,6 +195,23 @@ func (h *Histogram) Delta(prev *Histogram) Histogram {
 	return d
 }
 
+// Merge adds o's samples to h, as if h had observed them too: buckets,
+// count and sum add up, and min and max are the pair's.
+func (h *Histogram) Merge(o *Histogram) {
+	if o.count == 0 {
+		return
+	}
+	if h.count == 0 || o.min < h.min {
+		h.min = o.min
+	}
+	h.max = max(h.max, o.max)
+	for i, c := range o.buckets {
+		h.buckets[i] += c
+	}
+	h.count += o.count
+	h.sum += o.sum
+}
+
 // String summarizes the distribution.
 func (h *Histogram) String() string {
 	if h.count == 0 {
@@ -206,26 +221,6 @@ func (h *Histogram) String() string {
 		h.count, h.Mean().Round(time.Microsecond), h.P50().Round(time.Microsecond),
 		h.P95().Round(time.Microsecond), h.P99().Round(time.Microsecond),
 		h.max.Round(time.Microsecond))
-}
-
-// SafeHistogram is a mutex-guarded Histogram for the real-network path.
-type SafeHistogram struct {
-	mu sync.Mutex
-	h  Histogram
-}
-
-// Observe records one sample.
-func (s *SafeHistogram) Observe(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.h.Observe(d)
-}
-
-// Snapshot returns a copy of the underlying histogram.
-func (s *SafeHistogram) Snapshot() Histogram {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.h
 }
 
 // Counter is a monotonically increasing sum. The zero value is ready to use.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -87,22 +86,35 @@ func exactQuantile(samples []time.Duration, q float64) time.Duration {
 	return s[idx]
 }
 
-func TestSafeHistogramConcurrent(t *testing.T) {
-	var sh SafeHistogram
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				sh.Observe(time.Millisecond)
-			}
-		}()
+// TestHistogramMerge: a histogram merged from two is the histogram that
+// observed both sample sets — count, sum, min, max and every bucket, so every
+// quantile — in either order, and merging an empty one changes nothing.
+func TestHistogramMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var a, b, both Histogram
+	for i := 0; i < 2000; i++ {
+		d := time.Duration(rng.ExpFloat64() * float64(20*time.Millisecond))
+		if i%3 == 0 {
+			a.Observe(d)
+		} else {
+			d += 50 * time.Millisecond
+			b.Observe(d)
+		}
+		both.Observe(d)
 	}
-	wg.Wait()
-	snap := sh.Snapshot()
-	if got := snap.Count(); got != 8000 {
-		t.Errorf("count = %d, want 8000", got)
+	for _, order := range [][2]Histogram{{a, b}, {b, a}} {
+		var m Histogram
+		m.Merge(&order[0])
+		m.Merge(&Histogram{})
+		m.Merge(&order[1])
+		if m != both {
+			t.Errorf("merged %v, want %v", &m, &both)
+		}
+		for _, q := range []float64{0, 0.5, 0.9, 0.95, 0.99, 1} {
+			if m.Quantile(q) != both.Quantile(q) {
+				t.Errorf("q=%v: merged %v, want %v", q, m.Quantile(q), both.Quantile(q))
+			}
+		}
 	}
 }
 

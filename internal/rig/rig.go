@@ -318,19 +318,21 @@ func (r *Rig) Handoff(id protocol.ParticipantID, to *cloud.Relay, link netsim.Li
 		return nil
 	}
 	oldAddr, _ := r.server(from) // from is ours: Join or a Handoff put it there
-	// 1. The old server exports the replication baseline (ack floor plus owed
+	// 1. Bring the new path up first: a refused link leaves the session
+	// served and routed where it was.
+	if err := r.fab.Link(newAddr, v.Addr(), link); err != nil {
+		return err
+	}
+	// 2. The old server exports the replication baseline (ack floor plus owed
 	// debt) and retires its route; seat and entity stay with the cloud.
 	b, err := r.cloud.ReleaseSession(id, from, to)
 	if err != nil {
+		_ = r.fab.Unlink(newAddr, v.Addr())
 		return err
 	}
-	// 2. Cut the old access path: what the old server had in flight for this
+	// 3. Cut the old access path: what the old server had in flight for this
 	// client dies here, which is why the baseline flattens sends back to debt.
 	if err := r.fab.Unlink(oldAddr, v.Addr()); err != nil {
-		return err
-	}
-	// 3. Bring the new path up before the new server plans a tick.
-	if err := r.fab.Link(newAddr, v.Addr(), link); err != nil {
 		return err
 	}
 	// 4. The new server adopts the session, seeded from the baseline plus a

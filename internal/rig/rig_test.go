@@ -7,6 +7,7 @@ import (
 
 	"metaclass/internal/cloud"
 	"metaclass/internal/endpoint"
+	"metaclass/internal/mathx"
 	"metaclass/internal/netsim"
 	"metaclass/internal/protocol"
 	"metaclass/internal/trace"
@@ -321,5 +322,62 @@ func TestRetireRelayRefusesNil(t *testing.T) {
 	}
 	if via, ok := r.via[7]; !ok || via != nil || !r.cloud.Runtime().Started() {
 		t.Fatal("the refusal stopped the cloud or moved the session")
+	}
+}
+
+// TestHandoffRefusedLinkKeepsSession: a handoff whose new link the fabric
+// refuses changes nothing. The relay keeps serving the learner, the cloud
+// keeps routing it through the relay, the rig's tables and the fabric are as
+// they were, and the learner keeps receiving a moving classmate.
+func TestHandoffRefusedLinkKeepsSession(t *testing.T) {
+	sim := vclock.New(1)
+	net := netsim.New(sim)
+	fab := &refusingFabric{Fabric: &NetsimFabric{Net: net}}
+	r, err := New(sim, fab, Config{CloudAddr: "cloud"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := r.AddRelay("relay-a", netsim.EdgeToCloud())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := r.Join(7, "vr-7", trace.Seated{}, rel, access)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lecturer := trace.Lecturer{Left: mathx.V3(-2, 0, 1), Right: mathx.V3(2, 0, 1), PeriodS: 4}
+	if _, err := r.Join(8, "vr-8", lecturer, nil, access); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	if err := sim.Run(sim.Now() + time.Second); err != nil {
+		t.Fatal(err)
+	}
+	before := net.Tables()
+	fab.refuse = true
+	if err := r.Handoff(7, nil, access); err == nil {
+		t.Fatal("Handoff over a refused link succeeded")
+	}
+	if got := net.Tables(); got.Hosts != before.Hosts || got.Links != before.Links {
+		t.Errorf("the refusal changed the fabric: %d hosts / %d links, want %d / %d", got.Hosts, got.Links, before.Hosts, before.Links)
+	}
+	if c, ok := rel.Runtime().Client(7); !ok || c.Addr != "vr-7" {
+		t.Error("the relay no longer serves learner 7")
+	}
+	if c, ok := r.Cloud().Runtime().Client(7); !ok || c.Addr != rel.Addr() || c.Replicated {
+		t.Error("the cloud no longer routes learner 7 via the relay")
+	}
+	if r.via[7] != rel || r.clients[7] != v {
+		t.Error("the rig's tables moved learner 7")
+	}
+	updates := v.Metrics().Counter("recv.updates").Value()
+	if err := sim.Run(sim.Now() + time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := v.Metrics().Counter("recv.updates").Value(); got <= updates {
+		t.Errorf("learner 7's recv.updates stayed at %d after the refusal", got)
 	}
 }

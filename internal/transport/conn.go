@@ -4,7 +4,8 @@
 // a 4-byte big-endian length. Endpoint puts those connections behind
 // endpoint.Transport, so every node runs over sockets exactly as it does
 // over netsim, and Endpoint.Serve drives one in real time (cmd/classroomd's
-// cloud server, which cmd/loadgen drives with real clients).
+// cloud server). Its clients — cmd/loadgen's sessions, each a client.VR on an
+// endpoint of its own — reach it with Endpoint.DialAnonymous.
 package transport
 
 import (

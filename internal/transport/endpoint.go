@@ -46,7 +46,8 @@ type inbound struct {
 //
 // Peers learn each other's logical names with a one-message handshake: the
 // dialing side announces itself with a Hello whose Name field carries its
-// endpoint address.
+// endpoint address. A client of an anonymous server skips it
+// (DialAnonymous) and names the server itself.
 //
 // Receives are queued and dispatched by Pump/PumpWait on the caller's
 // goroutine, honoring the single-threaded node contract — the same node code
@@ -149,6 +150,24 @@ func (e *Endpoint) Dial(peer endpoint.Addr, tcpAddr string) error {
 		_ = c.Close()
 		return fmt.Errorf("transport: handshake with %s: unexpected %T", peer, msg)
 	}
+	return e.adopt(peer, c)
+}
+
+// DialAnonymous connects this endpoint to the ListenAnonymous server at
+// tcpAddr (cmd/classroomd) without the name handshake, registered as peer:
+// the server names the conn by its TCP address, and the client joins with
+// its own Hello.
+func (e *Endpoint) DialAnonymous(peer endpoint.Addr, tcpAddr string) error {
+	c, err := Dial(tcpAddr)
+	if err != nil {
+		return err
+	}
+	return e.adopt(peer, c)
+}
+
+// adopt tracks c, registers it as peer and starts its read loop (on a closed
+// endpoint it closes c): every conn not named by the accept-side handshake.
+func (e *Endpoint) adopt(peer endpoint.Addr, c *Conn) error {
 	if !e.track(c) {
 		_ = c.Close()
 		return fmt.Errorf("transport: dial %s: endpoint closed", peer)
@@ -197,20 +216,17 @@ func (e *Endpoint) acceptLoop() {
 		}
 		backoff = 0
 		c := NewConn(nc)
+		if e.anon {
+			if e.adopt(endpoint.Addr(nc.RemoteAddr().String()), c) != nil {
+				return
+			}
+			continue
+		}
 		if !e.track(c) {
 			_ = c.Close()
 			return
 		}
 		e.wg.Add(1)
-		if e.anon {
-			from := endpoint.Addr(nc.RemoteAddr().String())
-			e.register(from, c)
-			go func() {
-				defer e.wg.Done()
-				e.readLoop(from, c)
-			}()
-			continue
-		}
 		go e.handshake(c)
 	}
 }

@@ -441,3 +441,35 @@ func TestRoomLeaksNoFrames(t *testing.T) {
 		t.Fatalf("%d frames leaked by the TCP room write path", live-live0)
 	}
 }
+
+// TestDialAnonymousJoinsRoom: an endpoint that dials a classroomd-style room
+// without the name handshake joins as the learner its own Hello names. No
+// handshake Hello reaches the room's admission, so nothing is refused (a
+// named Dial's Hello would be, as participant 0).
+func TestDialAnonymousJoinsRoom(t *testing.T) {
+	r := startRoom(t)
+	ep, err := transport.ListenEndpoint("vr-5", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	if err := ep.DialAnonymous("classroomd", r.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	f, err := protocol.EncodeFrame(&protocol.Hello{Participant: 5, Role: protocol.RoleLearner, Name: "vr-5"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ep.SendFrame("classroomd", f); err != nil {
+		t.Fatal(err)
+	}
+	if st := waitStats(r, 5*time.Second, func(s stats) bool { return s.Joined == 1 }); st.Joined != 1 {
+		t.Fatalf("joined = %d, want 1", st.Joined)
+	}
+	if err := r.Close(); err != nil { // the serving goroutine is done with the registry
+		t.Fatal(err)
+	}
+	if n := r.srv.Metrics().Counter("sessions.refused").Value(); n != 0 {
+		t.Errorf("sessions.refused = %d, want 0", n)
+	}
+}
