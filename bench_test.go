@@ -624,7 +624,7 @@ func buildPlanFixture(b testing.TB, pool *work.Pool) (*core.Replicator, func()) 
 	b.Helper()
 	const side, pitch = 16, 3.2
 	s := core.NewStore()
-	g := interest.NewGrid(4)
+	g := interest.NewGrid()
 	policy := interest.NewPolicy()
 	r := core.NewReplicator(s, core.ReplConfig{Pool: pool})
 	peers := make([]string, side*side)

@@ -120,6 +120,13 @@ func NewVR(sim *vclock.Sim, tr endpoint.Transport, cfg VRConfig) (*VR, error) {
 	ep.OnPong(func(_ endpoint.Addr, m *protocol.Pong) {
 		v.hRTT.Observe(v.sim.Now() - m.SentAt)
 	})
+	// The server answers a join with a HelloAck, which needs no reply; any
+	// other message no hook claims counts recv.unhandled.
+	ep.OnFallback(func(from endpoint.Addr, _ []byte, msg protocol.Message) {
+		if _, ok := msg.(*protocol.HelloAck); !ok || from != v.cfg.Server {
+			ep.CountUnhandled()
+		}
+	})
 	v.ep = ep
 	return v, nil
 }

@@ -233,6 +233,27 @@ func TestVRIgnoresGarbage(t *testing.T) {
 	}
 }
 
+// TestVRConsumesServerHelloAck: the server's HelloAck answers the client's
+// join and is not an unhandled message, while a Hello from the same server
+// still is.
+func TestVRConsumesServerHelloAck(t *testing.T) {
+	sim := vclock.New(6)
+	net := netsim.New(sim)
+	fs := newFakeServer(t, sim, net)
+	v := newVRUnderTest(t, sim, net, VRConfig{})
+	unhandled := v.Metrics().Counter("recv.unhandled")
+	fs.push(t, &protocol.HelloAck{Participant: 7})
+	_ = sim.RunAll()
+	if got := unhandled.Value(); got != 0 {
+		t.Fatalf("recv.unhandled = %d after the server's HelloAck, want 0", got)
+	}
+	fs.push(t, &protocol.Hello{Participant: 7})
+	_ = sim.RunAll()
+	if got := unhandled.Value(); got != 1 {
+		t.Fatalf("recv.unhandled = %d after a Hello from the server, want 1", got)
+	}
+}
+
 func TestVRPingMeasuresRTT(t *testing.T) {
 	sim := vclock.New(7)
 	net := netsim.New(sim)

@@ -106,14 +106,16 @@ type directoryModel struct {
 	tick  uint64
 }
 
-func newDirectoryModel(t *testing.T, seed int64) *directoryModel {
+// newDirectoryModel builds the model over a pool of six regions of perRegion
+// IDs each.
+func newDirectoryModel(t *testing.T, seed int64, perRegion int) *directoryModel {
 	h := &directoryModel{
 		t: t, rng: rand.New(rand.NewSource(seed)),
-		g: NewGrid(4), m: &mapGrid{slots: map[protocol.ParticipantID]uint32{}}, p: NewPolicy(),
+		g: NewGrid(), m: &mapGrid{slots: map[protocol.ParticipantID]uint32{}}, p: NewPolicy(),
 	}
 	// Sparse IDs, a campus in the high half and a seat in the low: region<<16 | n.
 	for region := 1; region <= 6; region++ {
-		for n := 0; n < 8; n++ {
+		for n := 0; n < perRegion; n++ {
 			h.pool = append(h.pool, protocol.ParticipantID(region<<16|n*5+2))
 		}
 	}
@@ -220,14 +222,14 @@ func (h *directoryModel) check(step int) {
 
 // TestSetAllowsMatchesMapModel is the model test for the grid's ID directory
 // and the Set's answers, with the deleted ID→slot map as the oracle: a seeded
-// schedule of joins (fresh slots and recycled ones), moves inside a cell and
-// across cells, leaves, pin churn and refreshes at advancing ticks, and after
+// schedule of joins (fresh slots and recycled ones), sub-metre steps and
+// long moves, leaves, pin churn and refreshes at advancing ticks, and after
 // every step, with every set refreshed, Allows for an indexed, a pinned and an
 // unindexed receiver over indexed and unindexed IDs in five call orders.
 // Checked to fail when Allows reads the entry seatOf stops on without asking
 // whether it is the ID's, and when Remove leaves the directory entry behind.
 func TestSetAllowsMatchesMapModel(t *testing.T) {
-	h := newDirectoryModel(t, 31)
+	h := newDirectoryModel(t, 31, 8)
 	h.refresh()
 	h.check(0)
 	recycled := 0
@@ -235,11 +237,10 @@ func TestSetAllowsMatchesMapModel(t *testing.T) {
 		id := h.pool[h.rng.Intn(len(h.pool))]
 		_, indexed := h.m.slots[id]
 		switch op := h.rng.Intn(10); {
-		case op < 2 && indexed: // a step that stays inside its cell
+		case op < 2 && indexed: // a sub-metre step
 			pos, _ := h.g.Position(id)
-			x, z := h.g.key(pos)
-			h.update(id, mathx.V3((float64(x)+h.rng.Float64())*4, 0, (float64(z)+h.rng.Float64())*4))
-		case op < 5: // a join, or a move across cells
+			h.update(id, pos.Add(mathx.V3(h.rng.Float64()-0.5, 0, h.rng.Float64()-0.5)))
+		case op < 5: // a join, or a long move
 			if !indexed && len(h.m.free) > 0 {
 				recycled++
 			}
@@ -266,7 +267,7 @@ func TestSetAllowsMatchesMapModel(t *testing.T) {
 	// A walk to the end of a directory that then loses half its entries,
 	// with no refresh in between: stale in every way it can be.
 	t.Run("shrunk under the cursor", func(t *testing.T) {
-		h := newDirectoryModel(t, 37)
+		h := newDirectoryModel(t, 37, 8)
 		for _, id := range h.pool {
 			h.update(id, h.randPos())
 		}
@@ -325,15 +326,49 @@ func (h *directoryModel) checkRefused(step int, tenants map[uint32]protocol.Part
 // recycled slots, moves, leaves, pin churn and refreshes, and after every step
 // the indexed, pinned and unindexed receivers. Then the indexed receiver
 // leaves, and after it everything above it, so a receiver the directory no
-// longer holds admits everything. Checked to fail when the refresh leaves the
-// receiver's own bit clear, and when it starts from the bits of every slot
-// ever placed rather than of the slots placed now.
+// longer holds admits everything. A second input seats a pool of 144 first,
+// so the slots span three words of the bitset, the last one partial, before
+// the same schedule churns them. Checked to fail when the refresh leaves the
+// receiver's own bit clear, when it starts from the bits of every slot ever
+// placed rather than of the slots placed now, and when the scan stops before
+// the last partial word.
 func TestAppendRefusedMatchesAllows(t *testing.T) {
-	h := newDirectoryModel(t, 43)
+	h := newDirectoryModel(t, 43, 8)
 	h.refresh()
 	tenants := map[uint32]protocol.ParticipantID{}
 	h.checkRefused(0, tenants)
-	reseated := 0
+	if reseated := h.churnRefused(tenants); reseated < 150 { // seed 43: 199
+		t.Fatalf("only %d slots changed tenant between steps: the schedule does not exercise slot reuse", reseated)
+	}
+	h.remove(h.recvs[0])
+	h.checkRefused(1501, tenants)
+	for _, id := range h.pool {
+		if id > h.recvs[0] {
+			h.remove(id)
+		}
+	}
+	h.checkRefused(1502, tenants)
+
+	t.Run("three words", func(t *testing.T) {
+		h := newDirectoryModel(t, 47, 24)
+		for _, id := range h.pool {
+			h.update(id, h.randPos())
+		}
+		if n := len(h.g.ents); n != len(h.pool) || n <= 128 || n%64 == 0 {
+			t.Fatalf("%d slots for a pool of %d: want three words, the last one partial", n, len(h.pool))
+		}
+		h.refresh()
+		tenants := map[uint32]protocol.ParticipantID{}
+		h.checkRefused(0, tenants)
+		if reseated := h.churnRefused(tenants); reseated < 150 { // seed 47: 182
+			t.Fatalf("only %d slots changed tenant between steps: the schedule does not exercise slot reuse", reseated)
+		}
+	})
+}
+
+// churnRefused runs 1,500 steps of the schedule, checking the refused bits
+// after each, and returns how many slots changed tenant between steps.
+func (h *directoryModel) churnRefused(tenants map[uint32]protocol.ParticipantID) (reseated int) {
 	for step := 1; step <= 1500; step++ {
 		id := h.pool[h.rng.Intn(len(h.pool))]
 		switch op := h.rng.Intn(8); {
@@ -354,15 +389,5 @@ func TestAppendRefusedMatchesAllows(t *testing.T) {
 		}
 		reseated += h.checkRefused(step, tenants)
 	}
-	if reseated < 150 { // seed 43: 199
-		t.Fatalf("only %d slots changed tenant between steps: the schedule does not exercise slot reuse", reseated)
-	}
-	h.remove(h.recvs[0])
-	h.checkRefused(1501, tenants)
-	for _, id := range h.pool {
-		if id > h.recvs[0] {
-			h.remove(id)
-		}
-	}
-	h.checkRefused(1502, tenants)
+	return reseated
 }

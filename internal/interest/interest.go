@@ -7,9 +7,6 @@
 package interest
 
 import (
-	"cmp"
-	"iter"
-	"math"
 	"math/bits"
 	"slices"
 
@@ -17,29 +14,25 @@ import (
 	"metaclass/internal/protocol"
 )
 
-// Grid is a 2D spatial index over the classroom floor plane (X/Z), the
-// standard area-of-interest structure. It places each entity at the slot its
-// caller's store holds it in (core.Store's), so an interest answer is a bitset
-// the store's builds read by slot: a slot-indexed entry array with a bit per
-// placed slot, a directory of the placed IDs in ascending order naming each
-// one's slot, and a directory of the occupied cells, sorted by cell
-// coordinate, whose cells list slots — so the package holds no hash map keyed
-// by entity and a query visits only cells somebody stands in. Every table is
-// sized by the store's slots, never by coordinates. Update and Remove need
-// exclusive access and are the only writers: each keeps both directories
-// sorted as it goes (a binary search, then a memmove of the entries above a
-// joiner or leaver) and nothing is left for a query to build. Queries
+// Grid is the interest index over the classroom floor plane (X/Z). It
+// places each entity at the slot its caller's store holds it in (core.Store's),
+// so an interest answer is a bitset the store's builds read by slot: a
+// slot-indexed entry array with a bit per placed slot, and a directory of the
+// placed IDs in ascending order naming each one's slot — so the package holds
+// no hash map keyed by entity, and every table is sized by the store's slots,
+// never by coordinates. There is no spatial index: a query is one pass (a
+// Set's refresh over the slot table, Neighbors over the directory), because
+// every workload puts (nearly) its whole population inside the cull radius of
+// every receiver and each peer's build walks the whole store anyway. Update and
+// Remove need exclusive access and are the only writers: each keeps the
+// directory sorted as it goes (a binary search, then a memmove of the entries
+// above a joiner or leaver), and a move is a position store. Queries
 // (Neighbors, Position, Len, a Set's refresh) write nothing to the grid, so
 // any number may run concurrently between mutations — the tick's workers do.
 type Grid struct {
-	size   float64
 	ids    []seat   // every placed entity, ascending by ID
 	ents   []placed // indexed by store slot; live where placed has the bit
 	placed []uint64 // bit per store slot holding a placement
-	cells  []cell   // occupied cells, ascending by (x, z)
-	// spare keeps emptied cells' slot lists for the next cell that fills: an
-	// avatar walking across empty floor allocates nothing.
-	spare [][]uint32
 }
 
 // seat is one ID directory entry.
@@ -49,7 +42,7 @@ type seat struct {
 }
 
 // placed is one indexed entity. phase caches Phase(id) for Set.RefreshOwned,
-// its only reader: once per neighbour per receiver per tick the refresh counts
+// its only reader: once per slot per receiver per tick the refresh counts
 // the trailing zero bits of tick^phase.
 type placed struct {
 	pos   mathx.Vec3
@@ -57,33 +50,8 @@ type placed struct {
 	id    protocol.ParticipantID
 }
 
-// cell is one occupied square of the floor and the slots standing in it.
-type cell struct {
-	x, z  int32
-	slots []uint32
-}
-
-// NewGrid creates a grid with the given cell size in meters (default 4).
-func NewGrid(cellSize float64) *Grid {
-	if cellSize <= 0 {
-		cellSize = 4
-	}
-	return &Grid{size: cellSize}
-}
-
-func (g *Grid) key(p mathx.Vec3) (x, z int32) {
-	return int32(math.Floor(p.X / g.size)), int32(math.Floor(p.Z / g.size))
-}
-
-// find returns the directory index of cell (x, z), or of the first after it.
-func (g *Grid) find(x, z int32) (int, bool) {
-	return slices.BinarySearchFunc(g.cells, cell{x: x, z: z}, func(c, k cell) int {
-		if d := cmp.Compare(c.x, k.x); d != 0 {
-			return d
-		}
-		return cmp.Compare(c.z, k.z)
-	})
-}
+// NewGrid creates an empty grid.
+func NewGrid() *Grid { return &Grid{} }
 
 // seatOf returns the ID directory index of id, or of the first entry after it.
 // The loop is written out: through slices.BinarySearchFunc the comparator
@@ -110,38 +78,23 @@ func (g *Grid) holds(slot uint32) bool {
 // on a removal, which the caller passes on to Remove.
 func (g *Grid) Update(id protocol.ParticipantID, slot uint32, p mathx.Vec3) {
 	if g.holds(slot) && g.ents[slot].id == id {
-		e := &g.ents[slot]
-		fx, fz := g.key(e.pos)
-		e.pos = p
-		if tx, tz := g.key(p); fx == tx && fz == tz {
-			return
-		}
-		g.leaveCell(fx, fz, slot)
-	} else {
-		for len(g.ents) <= int(slot) {
-			g.ents = append(g.ents, placed{})
-		}
-		for len(g.placed) <= int(slot/64) {
-			g.placed = append(g.placed, 0)
-		}
-		g.ents[slot] = placed{pos: p, phase: Phase(id), id: id}
-		g.placed[slot/64] |= 1 << (slot % 64)
-		at, _ := g.seatOf(id)
-		g.ids = slices.Insert(g.ids, at, seat{id: id, slot: slot})
+		g.ents[slot].pos = p
+		return
 	}
-	x, z := g.key(p)
-	i, occupied := g.find(x, z)
-	if !occupied {
-		c := cell{x: x, z: z}
-		if n := len(g.spare); n > 0 {
-			c.slots, g.spare = g.spare[n-1], g.spare[:n-1]
-		}
-		g.cells = slices.Insert(g.cells, i, c)
+	for len(g.ents) <= int(slot) {
+		g.ents = append(g.ents, placed{})
 	}
-	g.cells[i].slots = append(g.cells[i].slots, slot)
+	for len(g.placed) <= int(slot/64) {
+		g.placed = append(g.placed, 0)
+	}
+	g.ents[slot] = placed{pos: p, phase: Phase(id), id: id}
+	g.placed[slot/64] |= 1 << (slot % 64)
+	at, _ := g.seatOf(id)
+	g.ids = slices.Insert(g.ids, at, seat{id: id, slot: slot})
 }
 
 // Remove deletes an entity, clearing its slot for the store's next tenant.
+// The slot's entry stays behind, stale, until the next tenant overwrites it.
 // Removing an absent entity is a no-op.
 func (g *Grid) Remove(id protocol.ParticipantID) {
 	at, ok := g.seatOf(id)
@@ -149,23 +102,8 @@ func (g *Grid) Remove(id protocol.ParticipantID) {
 		return
 	}
 	slot := g.ids[at].slot
-	x, z := g.key(g.ents[slot].pos)
-	g.leaveCell(x, z, slot)
 	g.ids = slices.Delete(g.ids, at, at+1)
 	g.placed[slot/64] &^= 1 << (slot % 64)
-}
-
-// leaveCell takes slot out of cell (x, z), dropping the cell once empty.
-func (g *Grid) leaveCell(x, z int32, slot uint32) {
-	i, _ := g.find(x, z)
-	c := &g.cells[i]
-	n := len(c.slots) - 1
-	c.slots[slices.Index(c.slots, slot)] = c.slots[n]
-	c.slots = c.slots[:n]
-	if n == 0 {
-		g.spare = append(g.spare, c.slots)
-		g.cells = slices.Delete(g.cells, i, i+1)
-	}
 }
 
 // Len returns the number of indexed entities.
@@ -180,58 +118,22 @@ func (g *Grid) Position(id protocol.ParticipantID) (mathx.Vec3, bool) {
 	return g.ents[g.ids[at].slot].pos, true
 }
 
-// occupied yields the slot list of every occupied cell of the square around
-// center that a radius query must look at, in cell order. It is the one cell
-// walk: the occupied cells of the query square row by row — a binary search
-// into the directory wherever a row starts before or runs past the square —
-// so cost scales with local density, not with the square's area (a 60 m cull
-// radius over 4 m cells is 961 cells; a classroom occupies a few dozen) and
-// not with total population. The distance test is the caller's, in its own
-// loop over each list. A negative radius yields nothing.
-func (g *Grid) occupied(center mathx.Vec3, radius float64) iter.Seq[[]uint32] {
-	return func(yield func([]uint32) bool) {
-		if radius < 0 {
-			return
-		}
-		lox, loz := g.key(center.Sub(mathx.V3(radius, 0, radius)))
-		hix, hiz := g.key(center.Add(mathx.V3(radius, 0, radius)))
-		i, _ := g.find(lox, loz)
-		for i < len(g.cells) && g.cells[i].x <= hix {
-			c := &g.cells[i]
-			switch {
-			case c.z < loz:
-				i, _ = g.find(c.x, loz)
-			case c.z > hiz:
-				if c.x == hix {
-					return // the last row is done (and x+1 could wrap)
-				}
-				i, _ = g.find(c.x+1, loz)
-			default:
-				if !yield(c.slots) {
-					return
-				}
-				i++
-			}
-		}
-	}
-}
-
 // Neighbors appends all entities within radius of center (2D, X/Z plane) to
-// buf and returns the extended slice, sorted by ID for determinism. The
-// center entity itself is included if indexed and in range. Passing a reused
-// buf (sliced to length zero) makes repeated queries allocation-free.
+// buf and returns the extended slice, ascending by ID: one pass over the ID
+// directory. The center entity itself is included if indexed and in range; a
+// negative radius appends nothing. Passing a reused buf (sliced to length
+// zero) makes repeated queries allocation-free.
 func (g *Grid) Neighbors(center mathx.Vec3, radius float64, buf []protocol.ParticipantID) []protocol.ParticipantID {
-	base := len(buf)
+	if radius < 0 {
+		return buf
+	}
 	r2 := radius * radius
-	for slots := range g.occupied(center, radius) {
-		for _, slot := range slots {
-			e := &g.ents[slot]
-			if dx, dz := e.pos.X-center.X, e.pos.Z-center.Z; dx*dx+dz*dz <= r2 {
-				buf = append(buf, e.id)
-			}
+	for _, s := range g.ids {
+		e := &g.ents[s.slot]
+		if dx, dz := e.pos.X-center.X, e.pos.Z-center.Z; dx*dx+dz*dz <= r2 {
+			buf = append(buf, s.id)
 		}
 	}
-	slices.Sort(buf[base:])
 	return buf
 }
 
@@ -319,16 +221,16 @@ func Phase(source protocol.ParticipantID) uint64 {
 
 // Set is one receiver's interest at a tick: the bitset, over the store slots
 // the grid places entities at, of the sources it refuses, rebuilt on every
-// refresh from one walk of the grid's cells. A placed source is admitted when
-// it is pinned, or stands within the reach of its trailing-zero count: a tier
-// with divisor 2^t sends a source on the ticks where tick^phase ends in at
-// least t zero bits, so a source whose tick^phase ends in z of them (3 or more
-// counting as 3, the slowest tier) is due exactly when some tier 0…z takes its
-// distance — when it stands within reach[z], the widest of those tiers' radii.
-// That is one compare per neighbour against a four-entry table, and it must
-// agree bit for bit with naming the tier first, one source at a time, as the
-// tests' ShouldSend(p.ClassifySq(id, d²), id, tick) does. Servers keep one Set
-// per subscribed client.
+// refresh from one pass over the grid's slot table. A placed source is
+// admitted when it is pinned, or stands within the reach of its trailing-zero
+// count: a tier with divisor 2^t sends a source on the ticks where tick^phase
+// ends in at least t zero bits, so a source whose tick^phase ends in z of them
+// (3 or more counting as 3, the slowest tier) is due exactly when some tier
+// 0…z takes its distance — when it stands within reach[z], the widest of those
+// tiers' radii. That is one compare per slot against a four-entry table, and
+// it must agree bit for bit with naming the tier first, one source at a time,
+// as the tests' ShouldSend(p.ClassifySq(id, d²), id, tick) does. Servers keep
+// one Set per subscribed client.
 //
 // The build refreshes a set and reads its bits in one call while the store
 // and the grid are read-only, so the bits always describe the grid they were
@@ -365,18 +267,28 @@ func (s *Set) RefreshOwned(g *Grid, p *Policy, recv protocol.ParticipantID, tick
 	if p == nil {
 		clear(s.refused)
 	} else {
-		// Distance alone decides here: a pinned neighbour is admitted below,
-		// and clearing bits is order-independent. The receiver's own bit is
-		// set last, whatever the walk and the pins did to it.
+		// Distance alone decides here: a pinned source is admitted below, and
+		// clearing bits is order-independent. One 64-slot block of the slot
+		// table per word of the bitset, each slot's admit bit computed without
+		// a branch (the if compiles to a SETcc): the vacant slots' stale
+		// entries are read too, and their bits fall away because refused
+		// starts as the placed bits. The masks drop the bounds check and the
+		// shift guard. The receiver's own bit is set last, whatever the scan
+		// and the pins did to it.
 		center := g.ents[self].pos
-		for slots := range g.occupied(center, cullRadius) {
-			for _, slot := range slots {
-				e := &g.ents[slot]
+		for w := range s.refused {
+			blk := g.ents[64*w : min(64*w+64, len(g.ents))]
+			var admit uint64
+			for j := range blk {
+				e := &blk[j]
 				dx, dz := e.pos.X-center.X, e.pos.Z-center.Z
-				if dx*dx+dz*dz <= reach[bits.TrailingZeros64((tick^e.phase)|8)] {
-					s.refused[slot/64] &^= 1 << (slot % 64)
+				var b uint64
+				if dx*dx+dz*dz <= reach[bits.TrailingZeros64((tick^e.phase)|8)&3] {
+					b = 1
 				}
+				admit |= b << (uint(j) & 63)
 			}
+			s.refused[w] &^= admit
 		}
 		// Pinned sources are focus-tier regardless of distance (divisor 1, so
 		// no decimation check).

@@ -12,7 +12,7 @@ import (
 )
 
 func TestGridUpdateQuery(t *testing.T) {
-	g := NewGrid(4)
+	g := NewGrid()
 	g.Update(1, 1, mathx.V3(0, 0, 0))
 	g.Update(2, 2, mathx.V3(3, 0, 0))
 	g.Update(3, 3, mathx.V3(50, 0, 0))
@@ -26,7 +26,7 @@ func TestGridUpdateQuery(t *testing.T) {
 }
 
 func TestGridIgnoresHeight(t *testing.T) {
-	g := NewGrid(4)
+	g := NewGrid()
 	g.Update(1, 1, mathx.V3(0, 100, 0)) // height must not affect 2D interest
 	got := g.Neighbors(mathx.V3(0, 0, 0), 1, nil)
 	if len(got) != 1 {
@@ -35,24 +35,24 @@ func TestGridIgnoresHeight(t *testing.T) {
 }
 
 func TestGridMoveAcrossCells(t *testing.T) {
-	g := NewGrid(2)
+	g := NewGrid()
 	g.Update(1, 1, mathx.V3(0, 0, 0))
 	g.Update(1, 1, mathx.V3(100, 0, 100))
 	if got := g.Neighbors(mathx.V3(0, 0, 0), 5, nil); len(got) != 0 {
-		t.Errorf("stale cell entry: %v", got)
+		t.Errorf("stale entry: %v", got)
 	}
 	if got := g.Neighbors(mathx.V3(100, 0, 100), 1, nil); len(got) != 1 {
 		t.Errorf("moved entity missing: %v", got)
 	}
-	// Move within the same cell.
+	// A sub-metre move.
 	g.Update(1, 1, mathx.V3(100.5, 0, 100.5))
 	if got := g.Neighbors(mathx.V3(100.5, 0, 100.5), 1, nil); len(got) != 1 {
-		t.Errorf("same-cell move lost entity: %v", got)
+		t.Errorf("short move lost entity: %v", got)
 	}
 }
 
 func TestGridRemove(t *testing.T) {
-	g := NewGrid(4)
+	g := NewGrid()
 	g.Update(1, 1, mathx.V3(1, 0, 1))
 	g.Remove(1)
 	g.Remove(1) // double remove is a no-op
@@ -69,7 +69,7 @@ func TestGridRemove(t *testing.T) {
 
 func TestGridQueryMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	g := NewGrid(3)
+	g := NewGrid()
 	type ent struct {
 		id protocol.ParticipantID
 		p  mathx.Vec3
@@ -104,16 +104,16 @@ func TestGridQueryMatchesBruteForce(t *testing.T) {
 
 // TestGridSizedByPopulation: the tables grow with the number of entities,
 // never with where they stand — one avatar at the far edge of what a wire
-// pose can express costs one slot and one cell, and queries next to it and
-// back at the origin both terminate with the right answer.
+// pose can express costs one slot, and queries next to it and back at the
+// origin both answer right.
 func TestGridSizedByPopulation(t *testing.T) {
-	g := NewGrid(4)
+	g := NewGrid()
 	g.Update(1, 0, mathx.V3(1, 0, 1))
 	g.Update(2, 1, mathx.V3(2, 0, 2))
 	edge, _ := protocol.WirePose{PosMM: [3]int64{math.MaxInt64, 0, math.MinInt64}}.Dequantize()
 	g.Update(3, 2, edge)
-	if len(g.ents) != 3 || len(g.cells) != 2 {
-		t.Fatalf("%d slots and %d cells for 3 entities in 2 places", len(g.ents), len(g.cells))
+	if len(g.ents) != 3 {
+		t.Fatalf("%d slots for 3 entities", len(g.ents))
 	}
 	if got := g.Neighbors(mathx.V3(0, 0, 0), 60, nil); !slices.Equal(got, []protocol.ParticipantID{1, 2}) {
 		t.Errorf("query at the origin = %v, want [1 2]", got)
@@ -123,13 +123,13 @@ func TestGridSizedByPopulation(t *testing.T) {
 	}
 	g.Remove(3)
 	g.Update(4, 2, mathx.V3(3, 0, 3)) // the store seats the newcomer in the slot 3 left
-	if len(g.ents) != 3 || len(g.cells) != 1 {
-		t.Fatalf("after the edge avatar left: %d slots and %d cells, want its slot reused and its cell gone", len(g.ents), len(g.cells))
+	if len(g.ents) != 3 {
+		t.Fatalf("after the edge avatar left: %d slots, want its slot reused", len(g.ents))
 	}
 }
 
 func TestGridNegativeRadius(t *testing.T) {
-	g := NewGrid(4)
+	g := NewGrid()
 	g.Update(1, 1, mathx.Vec3{})
 	if got := g.Neighbors(mathx.Vec3{}, -1, nil); got != nil {
 		t.Errorf("negative radius = %v", got)
@@ -227,7 +227,7 @@ func TestPolicyPinOverridesDistance(t *testing.T) {
 }
 
 // world is the brute-force oracle for the grid and the set: every position in
-// a plain map, every query a scan of all of it, no slots, no cells. It holds
+// a plain map, every query a scan of all of it, no slots. It holds
 // what Plan and Grid.QueryRadius computed before Set.RefreshOwned became the
 // only classification loop in the package.
 type world map[protocol.ParticipantID]mathx.Vec3
@@ -292,7 +292,7 @@ func admitted(g *Grid, p *Policy, recv protocol.ParticipantID, tick uint64) []pr
 }
 
 func TestSetExcludesReceiverAndCulled(t *testing.T) {
-	g := NewGrid(4)
+	g := NewGrid()
 	p := NewPolicy()
 	g.Update(1, 1, mathx.V3(0, 0, 0))   // receiver
 	g.Update(2, 2, mathx.V3(1, 0, 0))   // focus
@@ -303,7 +303,7 @@ func TestSetExcludesReceiverAndCulled(t *testing.T) {
 }
 
 func TestSetDecimatesByTier(t *testing.T) {
-	g := NewGrid(4)
+	g := NewGrid()
 	p := NewPolicy()
 	g.Update(1, 1, mathx.V3(0, 0, 0))  // receiver
 	g.Update(2, 2, mathx.V3(1, 0, 0))  // focus: every tick
@@ -325,7 +325,7 @@ func TestSetDecimatesByTier(t *testing.T) {
 }
 
 func TestSetIncludesDistantPinned(t *testing.T) {
-	g := NewGrid(4)
+	g := NewGrid()
 	p := NewPolicy()
 	g.Update(1, 1, mathx.V3(0, 0, 0))
 	g.Update(9, 9, mathx.V3(1000, 0, 0)) // the lecturer, far outside cull radius
@@ -339,7 +339,7 @@ func TestSetFanOutReduction(t *testing.T) {
 	// The point of interest management: with 1000 spread-out users, the
 	// per-receiver set must be a small fraction of the population.
 	rng := rand.New(rand.NewSource(23))
-	g := NewGrid(8)
+	g := NewGrid()
 	p := NewPolicy()
 	for i := 0; i < 1000; i++ {
 		g.Update(protocol.ParticipantID(i), uint32(i), mathx.V3(rng.Float64()*400-200, 0, rng.Float64()*400-200))
@@ -389,7 +389,7 @@ func TestClassifySqMatchesClassify(t *testing.T) {
 }
 
 func TestRefreshExcludesReceiver(t *testing.T) {
-	g := NewGrid(4)
+	g := NewGrid()
 	p := NewPolicy()
 	g.Update(1, 1, mathx.V3(0, 0, 0)) // receiver
 	g.Update(2, 2, mathx.V3(1, 0, 0)) // focus neighbor
@@ -438,7 +438,7 @@ func TestRefreshExcludesReceiver(t *testing.T) {
 // stops clearing the slot's placed bit.
 func TestPlanSetPinChurnAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	g := NewGrid(4)
+	g := NewGrid()
 	p := NewPolicy()
 	w := world{}
 	const n = 48 // IDs 0..n-1 churn through the grid; n and n+1 are never indexed
@@ -511,23 +511,26 @@ func TestPlanSetPinChurnAgreement(t *testing.T) {
 func has(w world, id protocol.ParticipantID) bool { _, ok := w[id]; return ok }
 
 // TestRefreshMatchesPlanForAnyPolicy: the refresh never names a tier — it
-// compares each neighbour's distance with reach[trailing zeros of tick^phase]
+// compares each slot's distance with reach[trailing zeros of tick^phase]
 // — so its agreement with the spec (world.plan: ShouldSend of ClassifySq, one
 // source at a time) rests on the table. The table is checked here on seeded
 // policies beside NewPolicy(), with and without pins (placed, unplaced, the
 // receiver itself); sources exactly on every boundary of the receiver at the
 // origin (d² == R²); and 16 consecutive ticks, so every residue of tick&7
-// meets every phase class. Checked to fail on two mutations of RefreshOwned:
+// meets every phase class. Checked against three mutations of RefreshOwned's
+// scan, each failing the tests named:
 //
-//	reach[bits.TrailingZeros64(tick^e.phase)]   // the clamp "| 8" dropped: z exceeds 3
-//	g.occupied(center, farRadius)               // the walk stops short of the cull radius
+//	reach[bits.TrailingZeros64(tick^e.phase)&3]  // the clamp "| 8" dropped: this test and four more
+//	dx*dx+dz*dz < reach[…]                       // "<" for "<=": this test alone
+//	for w := range min(len(s.refused), 2)        // the scan stops before the last partial word:
+//	                                             // TestAppendRefusedMatchesAllows/three_words alone
 func TestRefreshMatchesPlanForAnyPolicy(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	radii := [4]float64{focusRadius, nearRadius, farRadius, cullRadius}
 	span := 1.3 * cullRadius
 	phases, admittedTotal, onBoundary := map[uint64]bool{}, 0, 0
 	for pi := range 241 {
-		p, g, w := NewPolicy(), NewGrid(4), world{}
+		p, g, w := NewPolicy(), NewGrid(), world{}
 		place := func(pos mathx.Vec3) protocol.ParticipantID {
 			id := protocol.ParticipantID(rng.Intn(1 << 20))
 			for has(w, id) {
@@ -584,7 +587,7 @@ func TestRefreshMatchesPlanForAnyPolicy(t *testing.T) {
 
 func TestNeighborsMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	g := NewGrid(4)
+	g := NewGrid()
 	w := world{}
 	for i := 0; i < 500; i++ {
 		id, pos := protocol.ParticipantID(i), mathx.V3(rng.Float64()*100-50, 0, rng.Float64()*100-50)
@@ -608,12 +611,12 @@ func TestNeighborsMatchesBruteForce(t *testing.T) {
 }
 
 // BenchmarkRefreshOwned256 is the venue's shape: 16×16 seats at 3.2 m, one
-// pinned, default policy, every seat refreshing its own set each tick — about
-// one and a half entities to a 4 m cell, so the cell walk weighs most.
+// pinned, default policy, every seat refreshing its own set each tick — four
+// full words of the slot table, every slot inside the cull radius.
 func BenchmarkRefreshOwned256(b *testing.B) { benchRefreshOwned(b, 256, 16, 3.2) }
 
 // BenchmarkRefreshOwnedLecture100 is the lecture's: 10×10 seats at 1.2 m,
-// eleven entities to a cell, so the per-neighbour compare does.
+// two words of the slot table, the last one partial.
 func BenchmarkRefreshOwnedLecture100(b *testing.B) { benchRefreshOwned(b, 100, 10, 1.2) }
 
 func benchRefreshOwned(b *testing.B, n, wide int, pitch float64) {
@@ -694,7 +697,7 @@ func venueGrid(n int) (*Grid, *Policy, []protocol.ParticipantID) { return seated
 // seatedGrid seats n entities pitch meters apart in rows of wide, the first
 // pinned, default policy, and returns their IDs ascending.
 func seatedGrid(n, wide int, pitch float64) (*Grid, *Policy, []protocol.ParticipantID) {
-	g, p := NewGrid(4), NewPolicy()
+	g, p := NewGrid(), NewPolicy()
 	seats := make([]protocol.ParticipantID, n)
 	for i := range seats {
 		seats[i] = protocol.ParticipantID(i + 1)
@@ -706,7 +709,7 @@ func seatedGrid(n, wide int, pitch float64) (*Grid, *Policy, []protocol.Particip
 
 func BenchmarkNeighbors1000(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	g := NewGrid(8)
+	g := NewGrid()
 	for i := 0; i < 1000; i++ {
 		g.Update(protocol.ParticipantID(i), uint32(i), mathx.V3(rng.Float64()*400-200, 0, rng.Float64()*400-200))
 	}

@@ -134,7 +134,7 @@ func New(sim *vclock.Sim, tr endpoint.Transport, cfg Config) (*Runtime, error) {
 		sim:   sim,
 		addr:  tr.LocalAddr(),
 		store: core.NewStore(),
-		grid:  interest.NewGrid(4),
+		grid:  interest.NewGrid(),
 		reg:   metrics.NewRegistry(string(tr.LocalAddr())),
 
 		peers:   make(map[endpoint.Addr]*SyncPeer),
@@ -263,8 +263,8 @@ func (r *Runtime) Replicate(addr endpoint.Addr, filter core.FilterFunc) error {
 }
 
 // acquireClient returns a pooled Client, or a new one whose interest is its
-// own set, refreshed once per build: one walk of the grid's cells classifying
-// by squared distance, and the bits of every placed slot it does not admit,
+// own set, refreshed once per build: one pass over the grid's slot table
+// classifying by squared distance, and the bits of every placed slot it does not admit,
 // the client's own included (clients predict themselves locally; a nil
 // policy refuses only that one). The closure reads c.ID dynamically, so reuse
 // across joins allocates nothing, and it writes only the client's own set, so

@@ -343,7 +343,7 @@ func TestMirrorPeersAllocationFree(t *testing.T) {
 		rt.Store().BeginTick()
 		rt.MirrorPeers(nil)
 	}
-	for i := 0; i < 8; i++ { // seats the population and its grid cells
+	for i := 0; i < 8; i++ { // seats the population in the grid
 		tick()
 	}
 	if rt.Store().Len() != pop || rt.Grid().Len() != pop {
@@ -419,13 +419,12 @@ func TestRuntimeStartStop(t *testing.T) {
 	}
 }
 
-// TestTickGridQueriesWriteNothing is the -race regression for the interest
-// grid's occupied-cell box: 16 filtered clients refresh their interest sets
-// on the pool's workers (width 4) while, between ticks, one avatar hops back
-// and forth over a cell edge at the rim of the occupied area. Whichever cell
-// it stands in is a boundary cell it occupies alone, so every hop empties a
-// boundary cell and the box must shrink — on the owner goroutine, at the
-// hop, never inside the workers' concurrent Neighbors queries.
+// TestTickGridQueriesWriteNothing is the -race check of the interest grid
+// against its concurrent readers: 16 filtered clients refresh their interest
+// sets on the pool's workers (width 4) while, between ticks, one avatar hops
+// two metres back and forth at the rim of the seated block. Every hop is a
+// grid write on the owner goroutine, never inside the workers' refreshes,
+// which only read the slot table.
 func TestTickGridQueriesWriteNothing(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
@@ -436,7 +435,7 @@ func TestTickGridQueriesWriteNothing(t *testing.T) {
 		rt.Upsert(&protocol.EntityState{Participant: id, Pose: protocol.QuantizePose(pos, mathx.QuatIdentity())}, pos)
 	}
 	rt.Store().BeginTick()
-	for i := 0; i < clients; i++ { // cells (0..3, 0..3) of the 4 m grid
+	for i := 0; i < clients; i++ { // a 4×4 block at 4 m
 		id := protocol.ParticipantID(i + 1)
 		place(id, mathx.V3(2+4*float64(i%4), 0, 2+4*float64(i/4)))
 		if err := rt.AddClient(id, endpoint.Addr(fmt.Sprintf("c%02d", id))); err != nil {
@@ -446,7 +445,7 @@ func TestTickGridQueriesWriteNothing(t *testing.T) {
 	ticks := 0
 	if err := rt.Start(func() {
 		ticks++
-		x := 21.0 // cell 5; odd ticks stand in cell 4
+		x := 21.0 // odd ticks stand at 19
 		if ticks%2 == 1 {
 			x = 19
 		}
@@ -465,7 +464,7 @@ func TestTickGridQueriesWriteNothing(t *testing.T) {
 	if ticks != 50 || tr.sent == 0 {
 		t.Fatalf("ran %d ticks and sent %d frames, want 50 ticks with traffic", ticks, tr.sent)
 	}
-	// The shrunken box still covers the avatar's current cell.
+	// A query still finds the avatar where its last hop left it.
 	far, _ := rt.Grid().Position(clients)
 	if got := rt.Grid().Neighbors(far, 60, nil); !slices.Contains(got, avatar) {
 		t.Fatalf("avatar missing from a 60 m query after 50 hops: %v", got)
