@@ -92,7 +92,9 @@ func TestSessionEndsWhenServerCloses(t *testing.T) {
 			return
 		}
 		conn := transport.NewConn(c)
-		_, _ = conn.ReadMessage()
+		if f, err := conn.ReadFrame(); err == nil {
+			f.Release()
+		}
 		_ = conn.Close()
 	}()
 

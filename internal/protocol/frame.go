@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -81,21 +82,32 @@ func CopyFrame(b []byte) *Frame {
 	return f
 }
 
+// fillStep bounds how far FillFrame's buffer runs ahead of the bytes that
+// have arrived, so a peer's length prefix alone commits no more than this.
+const fillStep = 64 << 10
+
 // FillFrame reads exactly n bytes from r into a pooled frame, returning it
 // with one reference held by the caller (the TCP receive path: stream bytes
 // land directly in a refcounted buffer, so frame accounting covers real
-// sockets the same way it covers the simulated fabric). On a short read the
-// frame is released and the read error returned.
+// sockets the same way it covers the simulated fabric). A pooled buffer
+// with room, or a frame of at most fillStep bytes, takes one read; a larger
+// frame grows its buffer as the body arrives. On a short read the frame is
+// released and the read error returned.
 func FillFrame(r io.Reader, n int) (*Frame, error) {
 	f := AcquireFrame()
 	if cap(f.w.buf) < n {
-		f.w.buf = make([]byte, n)
-	} else {
-		f.w.buf = f.w.buf[:n]
+		f.w.buf = make([]byte, 0, min(n, fillStep))
 	}
-	if _, err := io.ReadFull(r, f.w.buf); err != nil {
-		f.Release()
-		return nil, err
+	for len(f.w.buf) < n {
+		if len(f.w.buf) == cap(f.w.buf) {
+			f.w.buf = slices.Grow(f.w.buf, min(n-len(f.w.buf), fillStep))
+		}
+		k, err := io.ReadFull(r, f.w.buf[len(f.w.buf):min(n, cap(f.w.buf))])
+		f.w.buf = f.w.buf[:len(f.w.buf)+k]
+		if err != nil {
+			f.Release()
+			return nil, err
+		}
 	}
 	return f, nil
 }

@@ -3,9 +3,11 @@ package protocol
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -113,6 +115,51 @@ func TestEncodeFrameReusesPooledBuffer(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("EncodeFrame+Release allocates %.1f/op in steady state, want 0", allocs)
+	}
+}
+
+// TestFillFrameCommitsOnlyWhatArrives: a length prefix that claims a
+// maximal frame, followed by a stalled body, must not commit the claimed
+// size. The pool is emptied first (two GCs) so no grown buffer hides the
+// allocation.
+func TestFillFrameCommitsOnlyWhatArrives(t *testing.T) {
+	live0 := LiveFrames()
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f, err := FillFrame(bytes.NewReader(make([]byte, 10)), MaxPayload+60)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		f.Release()
+		t.Fatal("FillFrame of a 10-byte reader succeeded")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 128<<10 {
+		t.Fatalf("a stalled %d-byte claim allocated %d bytes, want < %d", MaxPayload+60, n, 128<<10)
+	}
+	if live := LiveFrames(); live != live0 {
+		t.Fatalf("%d frames leaked by the short read", live-live0)
+	}
+}
+
+// TestFillFrameGrowsAcrossSmallReads: a body several growth steps long,
+// delivered a byte at a time, arrives intact.
+func TestFillFrameGrowsAcrossSmallReads(t *testing.T) {
+	live0 := LiveFrames()
+	body := make([]byte, 300<<10)
+	for i := range body {
+		body[i] = byte(i * 7)
+	}
+	f, err := FillFrame(iotest.OneByteReader(bytes.NewReader(body)), len(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(f.Bytes(), body) {
+		t.Fatal("body read in small pieces arrived altered")
+	}
+	f.Release()
+	if live := LiveFrames(); live != live0 {
+		t.Fatalf("%d frames leaked", live-live0)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package transport carries the classroom wire protocol over real TCP, so
-// nothing above it is simulation-only. Conn frames messages on a stream: the
-// same protocol frame bytes the simulated fabric carries, each prefixed with
-// a 4-byte big-endian length. Endpoint puts those connections behind
+// nothing above it is simulation-only. Conn carries frames on a stream: the
+// same pooled protocol frames the simulated fabric carries, each prefixed
+// with a 4-byte big-endian length, with one read path (ReadFrame) and one
+// write path (QueueFrame + Flush). Endpoint puts those connections behind
 // endpoint.Transport, so every node runs over sockets exactly as it does
 // over netsim, and Endpoint.Serve drives one in real time (cmd/classroomd's
 // cloud server). Its clients — cmd/loadgen's sessions, each a client.VR on an
@@ -26,13 +27,12 @@ const MaxFrame = 4 + protocol.MaxPayload + 64
 // ErrFrameTooLarge reports an oversized incoming frame.
 var ErrFrameTooLarge = errors.New("transport: frame exceeds MaxFrame")
 
-// Conn is a message-oriented connection. Reads must come from a single
+// Conn is a frame-oriented connection. Reads must come from a single
 // goroutine; writes are internally serialized and safe from any goroutine.
 type Conn struct {
-	c   net.Conn
-	r   *bufio.Reader
-	dec protocol.Decoder // ReadMessage's; reads come from one goroutine
-	mu  sync.Mutex       // guards writes and the pending batch
+	c  net.Conn
+	r  *bufio.Reader
+	mu sync.Mutex // guards writes and the pending batch
 
 	// pending is the queued write batch: refcounted frames whose bytes may be
 	// shared with other holders (a forwarded receive frame, in-flight sends)
@@ -57,20 +57,6 @@ func Dial(addr string) (*Conn, error) {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
 	return NewConn(c), nil
-}
-
-// RemoteAddr returns the peer address.
-func (c *Conn) RemoteAddr() net.Addr { return c.c.RemoteAddr() }
-
-// WriteMessage encodes one message into a pooled frame and sends it (with
-// anything already queued) in one flush.
-func (c *Conn) WriteMessage(msg protocol.Message) error {
-	f, err := protocol.EncodeFrame(msg)
-	if err != nil {
-		return err
-	}
-	c.QueueFrame(f)
-	return c.Flush()
 }
 
 // QueueFrame appends f to the connection's pending write batch, taking
@@ -123,24 +109,11 @@ func (c *Conn) releasePendingLocked() {
 	c.pending = c.pending[:0]
 }
 
-// ReadMessage blocks for the next message and decodes it with the Conn's
-// Decoder: the message is valid until the next ReadMessage, so a caller
-// consumes it (or copies what it keeps) before reading again. Its byte
-// fields are copies and outlive both. io.EOF signals a clean close.
-func (c *Conn) ReadMessage() (protocol.Message, error) {
-	f, err := c.ReadFrame()
-	if err != nil {
-		return nil, err
-	}
-	defer f.Release()
-	msg, _, err := c.dec.Decode(f.Bytes())
-	return msg, err
-}
-
 // ReadFrame blocks for the next raw protocol frame (stream header stripped),
-// returning it in a pooled refcounted buffer owned by the caller. The
-// endpoint receive path uses this so frame accounting gates the TCP read
-// side exactly as it gates the simulated fabric.
+// returning it in a pooled refcounted buffer owned by the caller; io.EOF
+// signals a clean close. Every read takes this path — the endpoint's read
+// loop and the name handshake — so frame accounting gates the TCP read side
+// exactly as it gates the simulated fabric.
 func (c *Conn) ReadFrame() (*protocol.Frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"net"
@@ -63,7 +64,7 @@ func TestConnQueueFlushSharesFrameBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, want := range []protocol.MsgType{protocol.TypeAck, protocol.TypeAck, protocol.TypePing} {
-		msg, err := peer.ReadMessage()
+		msg, err := RecvMsg(peer)
 		if err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
@@ -87,19 +88,34 @@ func TestConnQueueFlushSharesFrameBytes(t *testing.T) {
 	}
 }
 
-// TestConnMessagePathsLeakNoFrames covers WriteMessage/ReadMessage, which
-// ride the pooled frame path: a round trip, an unencodable message, an
-// oversize length prefix, and a closed connection must each report the right
-// error and leave the frame accounting at its baseline.
+// TestConnMessagePathsLeakNoFrames covers the one read and one write path a
+// message takes through a Conn (EncodeFrame + QueueFrame + Flush, ReadFrame):
+// a round trip, an unencodable message, an oversize length prefix, and a
+// closed connection must each report the right error and leave the frame
+// accounting at its baseline.
 func TestConnMessagePathsLeakNoFrames(t *testing.T) {
 	live0 := protocol.LiveFrames()
 	c, peer := connPair(t)
 
 	want := &protocol.VideoChunk{Stream: 3, FrameID: 8, Data: []byte("shard")}
-	if err := c.WriteMessage(want); err != nil {
+	sent, err := protocol.EncodeFrame(want)
+	if err != nil {
 		t.Fatal(err)
 	}
-	msg, err := peer.ReadMessage()
+	wire := append([]byte(nil), sent.Bytes()...)
+	c.QueueFrame(sent)
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := peer.ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(f.Bytes(), wire) {
+		t.Fatalf("read frame %x, sent %x", f.Bytes(), wire)
+	}
+	msg, _, err := new(protocol.Decoder).Decode(f.Bytes())
+	f.Release()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +125,7 @@ func TestConnMessagePathsLeakNoFrames(t *testing.T) {
 
 	// An unencodable message fails before anything is queued or written.
 	huge := &protocol.VideoChunk{Data: make([]byte, protocol.MaxPayload+1)}
-	if err := c.WriteMessage(huge); !errors.Is(err, protocol.ErrTooLarge) {
+	if _, err := protocol.EncodeFrame(huge); !errors.Is(err, protocol.ErrTooLarge) {
 		t.Fatalf("oversize message: err = %v, want protocol.ErrTooLarge", err)
 	}
 
@@ -119,15 +135,20 @@ func TestConnMessagePathsLeakNoFrames(t *testing.T) {
 	if _, err := c.c.Write(hdr[:]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := peer.ReadMessage(); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := peer.ReadFrame(); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversize prefix: err = %v, want ErrFrameTooLarge", err)
 	}
 
 	_ = c.Close()
-	if err := c.WriteMessage(want); err == nil {
+	late, err := protocol.EncodeFrame(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.QueueFrame(late)
+	if err := c.Flush(); err == nil {
 		t.Fatal("write on a closed conn succeeded")
 	}
-	if _, err := c.ReadMessage(); err == nil {
+	if _, err := c.ReadFrame(); err == nil {
 		t.Fatal("read on a closed conn succeeded")
 	}
 	if live := protocol.LiveFrames(); live != live0 {

@@ -82,10 +82,10 @@ func dialRaw(t *testing.T, e *Endpoint, name string) *Conn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WriteMessage(&protocol.Hello{Name: name}); err != nil {
+	if err := SendMsg(c, &protocol.Hello{Name: name}); err != nil {
 		t.Fatal(err)
 	}
-	msg, err := c.ReadMessage()
+	msg, err := RecvMsg(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestReplacedConnDeathTearsNothingDown(t *testing.T) {
 	if err := sendPing(t, srv, "dup", 7); err != nil {
 		t.Fatal(err)
 	}
-	msg, err := cur.ReadMessage()
+	msg, err := RecvMsg(cur)
 	if err != nil {
 		t.Fatal(err)
 	}

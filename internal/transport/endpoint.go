@@ -137,11 +137,11 @@ func (e *Endpoint) Dial(peer endpoint.Addr, tcpAddr string) error {
 	if err != nil {
 		return err
 	}
-	if err := c.WriteMessage(&protocol.Hello{Name: string(e.addr)}); err != nil {
+	if err := sendHandshake(c, &protocol.Hello{Name: string(e.addr)}); err != nil {
 		_ = c.Close()
 		return fmt.Errorf("transport: handshake with %s: %w", peer, err)
 	}
-	msg, err := e.readHandshake(c)
+	msg, err := e.recvHandshake(c)
 	if err != nil {
 		_ = c.Close()
 		return fmt.Errorf("transport: handshake with %s: %w", peer, err)
@@ -231,21 +231,39 @@ func (e *Endpoint) acceptLoop() {
 	}
 }
 
-// readHandshake reads the one message a handshake waits for under a read
-// deadline of hsWait, and lifts the deadline once the message is whole: the
-// read loop that follows waits on a quiet peer for as long as it is quiet.
-func (e *Endpoint) readHandshake(c *Conn) (protocol.Message, error) {
+// sendHandshake writes one handshake message the way every frame is
+// written: encoded into a pooled frame, queued and flushed.
+func sendHandshake(c *Conn, msg protocol.Message) error {
+	f, err := protocol.EncodeFrame(msg)
+	if err != nil {
+		return err
+	}
+	c.QueueFrame(f)
+	return c.Flush()
+}
+
+// recvHandshake reads the one frame a handshake waits for under a read
+// deadline of hsWait, lifts the deadline once the frame is whole (the read
+// loop that follows waits on a quiet peer for as long as it is quiet), and
+// decodes it with a Decoder of its own.
+func (e *Endpoint) recvHandshake(c *Conn) (protocol.Message, error) {
 	e.mu.Lock()
 	wait := e.hsWait
 	e.mu.Unlock()
 	if err := c.c.SetReadDeadline(time.Now().Add(wait)); err != nil {
 		return nil, err
 	}
-	msg, err := c.ReadMessage()
+	f, err := c.ReadFrame()
 	if err != nil {
 		return nil, err
 	}
-	return msg, c.c.SetReadDeadline(time.Time{})
+	defer f.Release()
+	if err := c.c.SetReadDeadline(time.Time{}); err != nil {
+		return nil, err
+	}
+	var dec protocol.Decoder
+	msg, _, err := dec.Decode(f.Bytes())
+	return msg, err
 }
 
 // handshake reads the peer's announcement, registers the connection under
@@ -254,7 +272,7 @@ func (e *Endpoint) readHandshake(c *Conn) (protocol.Message, error) {
 // that never finishes its Hello is dropped when the read deadline passes.
 func (e *Endpoint) handshake(c *Conn) {
 	defer e.wg.Done()
-	msg, err := e.readHandshake(c)
+	msg, err := e.recvHandshake(c)
 	if err != nil {
 		e.untrack(c)
 		return
@@ -265,7 +283,7 @@ func (e *Endpoint) handshake(c *Conn) {
 		return
 	}
 	e.register(endpoint.Addr(hello.Name), c)
-	if err := c.WriteMessage(&protocol.HelloAck{}); err != nil {
+	if err := sendHandshake(c, &protocol.HelloAck{}); err != nil {
 		_ = c.Close() // the read loop fails at once and drops the conn
 	}
 	e.readLoop(endpoint.Addr(hello.Name), c)

@@ -163,6 +163,129 @@ func TestHandshakeDeadlineDropsStalledPeers(t *testing.T) {
 	}
 }
 
+// TestHandshakeRefusesUnusableFirstFrames covers the handshake's refusals.
+// On the accepting side a first frame that is not a usable Hello (a Ping, a
+// Hello with no Name, a corrupt frame) closes the conn and registers
+// nothing, and a healthy Dial still succeeds after them. On the dialing side
+// a reply that is not a HelloAck fails Dial, which tracks no conn. No frame
+// leaks, and each tracked set returns to its size before the refusal.
+func TestHandshakeRefusesUnusableFirstFrames(t *testing.T) {
+	live0 := protocol.LiveFrames()
+	count := func(e *Endpoint) (tracked, registered int) {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return len(e.all), len(e.conns)
+	}
+	frame := func(msg protocol.Message) *protocol.Frame {
+		t.Helper()
+		f, err := protocol.EncodeFrame(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	srv, err := ListenEndpoint("srv", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := ListenEndpoint("cli", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	good := frame(&protocol.Hello{Name: "bad"})
+	corrupt := append([]byte(nil), good.Bytes()...)
+	good.Release()
+	corrupt[len(corrupt)-1] ^= 0xff
+	for _, tc := range []struct {
+		name  string
+		first *protocol.Frame
+	}{
+		{"a Ping", frame(&protocol.Ping{Nonce: 3})},
+		{"a Hello with no Name", frame(&protocol.Hello{})},
+		{"a corrupt Hello", protocol.CopyFrame(corrupt)},
+	} {
+		c, err := Dial(srv.TCPAddr())
+		if err != nil {
+			tc.first.Release()
+			t.Fatal(err)
+		}
+		c.QueueFrame(tc.first)
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		_ = c.c.SetReadDeadline(time.Now().Add(5 * time.Second)) // the test's own bound
+		f, err := c.ReadFrame()
+		if err == nil {
+			f.Release()
+		}
+		_ = c.Close()
+		if err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("first frame %s: read err %v, want the endpoint to close the conn", tc.name, err)
+		}
+		// untrack closes the socket before it forgets the conn.
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			if tracked, registered := count(srv); tracked == 0 && registered == 0 {
+				break
+			} else if time.Now().After(deadline) {
+				t.Fatalf("first frame %s: server tracks %d conns and registers %d, want 0 and 0", tc.name, tracked, registered)
+			}
+		}
+	}
+	if err := cli.Dial("srv", srv.TCPAddr()); err != nil {
+		t.Fatalf("healthy dial after the refused peers: %v", err)
+	}
+	if _, registered := count(srv); registered != 1 {
+		t.Fatalf("server registers %d peers after a healthy dial, want 1", registered)
+	}
+
+	// The dialing side: the listener answers the Hello with a Ping.
+	wrong, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wrong.Close()
+	answered := make(chan struct{})
+	go func() {
+		defer close(answered)
+		nc, err := wrong.Accept()
+		if err != nil {
+			return
+		}
+		c := NewConn(nc)
+		defer c.Close()
+		f, err := c.ReadFrame()
+		if err != nil {
+			return
+		}
+		f.Release()
+		if f, err = protocol.EncodeFrame(&protocol.Ping{Nonce: 4}); err == nil {
+			c.QueueFrame(f)
+			_ = c.Flush()
+		}
+		_, _ = c.ReadFrame() // hold the conn until the dialer drops it
+	}()
+	tracked0, _ := count(cli)
+	if err := cli.Dial("wrong", wrong.Addr().String()); err == nil {
+		t.Fatal("Dial returned routable after a Ping reply")
+	}
+	if tracked, registered := count(cli); tracked != tracked0 || registered != 1 {
+		t.Fatalf("dialer tracks %d conns and registers %d after a refused reply, want %d and 1", tracked, registered, tracked0)
+	}
+	<-answered // its Ping is released once the dialer has closed the conn
+
+	for _, e := range []*Endpoint{cli, srv} {
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if live := protocol.LiveFrames(); live != live0 {
+		t.Fatalf("%d frames leaked", live-live0)
+	}
+}
+
 // TestEndpointSendToUnknownPeerReleasesFrame pins the SendFrame ownership
 // contract on the refusal path.
 func TestEndpointSendToUnknownPeerReleasesFrame(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 
 	"metaclass/internal/metrics"
 	"metaclass/internal/protocol"
+	"metaclass/internal/transport"
 )
 
 // soakSession is one loadgen-style client lifecycle: dial, hello, publish a
@@ -22,25 +23,25 @@ func soakSession(t *testing.T, addr string, id protocol.ParticipantID, epoch int
 	go func() {
 		defer wg.Done()
 		for {
-			msg, err := c.ReadMessage()
+			msg, err := transport.RecvMsg(c)
 			if err != nil {
 				return // server closed the session after Leave
 			}
 			switch m := msg.(type) {
 			case *protocol.Snapshot:
-				_ = c.WriteMessage(&protocol.Ack{Participant: id, Tick: m.Tick})
+				_ = transport.SendMsg(c, &protocol.Ack{Participant: id, Tick: m.Tick})
 			case *protocol.Delta:
-				_ = c.WriteMessage(&protocol.Ack{Participant: id, Tick: m.Tick})
+				_ = transport.SendMsg(c, &protocol.Ack{Participant: id, Tick: m.Tick})
 			}
 		}
 	}()
 	for seq := uint32(1); seq <= 6; seq++ {
-		if err := c.WriteMessage(posePayload(id, uint32(epoch)*100+seq, float64(seq)*0.01)); err != nil {
+		if err := transport.SendMsg(c, posePayload(id, uint32(epoch)*100+seq, float64(seq)*0.01)); err != nil {
 			return // session torn down under us; the stats wait will catch real losses
 		}
 		time.Sleep(3 * time.Millisecond)
 	}
-	_ = c.WriteMessage(&protocol.Leave{Participant: id})
+	_ = transport.SendMsg(c, &protocol.Leave{Participant: id})
 	wg.Wait()
 }
 

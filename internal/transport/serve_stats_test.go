@@ -36,18 +36,18 @@ func TestRoomStatsParity(t *testing.T) {
 
 	// 5 honest poses from a, 3 from b.
 	for seq := uint32(1); seq <= 5; seq++ {
-		if err := a.WriteMessage(posePayload(1, seq, float64(seq)*0.01)); err != nil {
+		if err := transport.SendMsg(a, posePayload(1, seq, float64(seq)*0.01)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for seq := uint32(1); seq <= 3; seq++ {
-		if err := b.WriteMessage(posePayload(2, seq, float64(seq)*0.01)); err != nil {
+		if err := transport.SendMsg(b, posePayload(2, seq, float64(seq)*0.01)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// 2 spoofed poses from c (counted, rejected: entity 1 belongs to a).
 	for seq := uint32(1); seq <= 2; seq++ {
-		if err := c.WriteMessage(posePayload(1, seq, 90)); err != nil {
+		if err := transport.SendMsg(c, posePayload(1, seq, 90)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -57,12 +57,12 @@ func TestRoomStatsParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := uint32(1); seq <= 2; seq++ {
-		if err := raw.WriteMessage(posePayload(9, seq, 1)); err != nil {
+		if err := transport.SendMsg(raw, posePayload(9, seq, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// A duplicate hello on a's live session is ignored (no second join).
-	if err := a.WriteMessage(&protocol.Hello{Participant: 1, Role: protocol.RoleLearner, Name: "dup"}); err != nil {
+	if err := transport.SendMsg(a, &protocol.Hello{Participant: 1, Role: protocol.RoleLearner, Name: "dup"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -80,7 +80,7 @@ func TestRoomStatsParity(t *testing.T) {
 	}
 
 	// b leaves; the raw never-helloed conn disconnects. Only b counts.
-	if err := b.WriteMessage(&protocol.Leave{Participant: 2}); err != nil {
+	if err := transport.SendMsg(b, &protocol.Leave{Participant: 2}); err != nil {
 		t.Fatal(err)
 	}
 	_ = raw.Close()
@@ -99,7 +99,7 @@ func TestRoomStatsAfterClose(t *testing.T) {
 	r := startRoom(t)
 	a := hello(t, r.Addr(), 1)
 	defer a.Close()
-	if err := a.WriteMessage(posePayload(1, 1, 0.5)); err != nil {
+	if err := transport.SendMsg(a, posePayload(1, 1, 0.5)); err != nil {
 		t.Fatal(err)
 	}
 	before := waitStats(r, 3*time.Second, func(st stats) bool { return st.Entities == 1 })

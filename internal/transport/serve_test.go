@@ -122,10 +122,10 @@ func hello(t *testing.T, addr string, id protocol.ParticipantID) *transport.Conn
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WriteMessage(&protocol.Hello{Participant: id, Role: protocol.RoleLearner, Name: "t"}); err != nil {
+	if err := transport.SendMsg(c, &protocol.Hello{Participant: id, Role: protocol.RoleLearner, Name: "t"}); err != nil {
 		t.Fatal(err)
 	}
-	msg, err := c.ReadMessage()
+	msg, err := transport.RecvMsg(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func readUntil(t *testing.T, c *transport.Conn, timeout time.Duration, pred func
 	result := make(chan bool, 1)
 	go func() {
 		for {
-			msg, err := c.ReadMessage()
+			msg, err := transport.RecvMsg(c)
 			if err != nil {
 				result <- false
 				return
@@ -158,9 +158,9 @@ func readUntil(t *testing.T, c *transport.Conn, timeout time.Duration, pred func
 			// Ack replication so deltas flow.
 			switch m := msg.(type) {
 			case *protocol.Snapshot:
-				_ = c.WriteMessage(&protocol.Ack{Tick: m.Tick})
+				_ = transport.SendMsg(c, &protocol.Ack{Tick: m.Tick})
 			case *protocol.Delta:
-				_ = c.WriteMessage(&protocol.Ack{Tick: m.Tick})
+				_ = transport.SendMsg(c, &protocol.Ack{Tick: m.Tick})
 			}
 			if pred(msg) {
 				result <- true
@@ -200,7 +200,7 @@ func TestRoomHelloAndReplication(t *testing.T) {
 				return
 			case <-time.After(10 * time.Millisecond):
 				seq++
-				if err := a.WriteMessage(posePayload(1, seq, float64(seq)*0.01)); err != nil {
+				if err := transport.SendMsg(a, posePayload(1, seq, float64(seq)*0.01)); err != nil {
 					return
 				}
 			}
@@ -242,26 +242,26 @@ func TestRoomExcludesSelf(t *testing.T) {
 	r := startRoom(t)
 	a := hello(t, r.Addr(), 7)
 	defer a.Close()
-	if err := a.WriteMessage(posePayload(7, 1, 1)); err != nil {
+	if err := transport.SendMsg(a, posePayload(7, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	// For a short window, any replication must not contain entity 7.
 	deadline := time.Now().Add(500 * time.Millisecond)
 	for time.Now().Before(deadline) {
-		msg, err := a.ReadMessage()
+		msg, err := transport.RecvMsg(a)
 		if err != nil {
 			break
 		}
 		switch m := msg.(type) {
 		case *protocol.Snapshot:
-			_ = a.WriteMessage(&protocol.Ack{Tick: m.Tick})
+			_ = transport.SendMsg(a, &protocol.Ack{Tick: m.Tick})
 			for _, e := range m.Entities {
 				if e.Participant == 7 {
 					t.Fatal("room replicated the client to itself")
 				}
 			}
 		case *protocol.Delta:
-			_ = a.WriteMessage(&protocol.Ack{Tick: m.Tick})
+			_ = transport.SendMsg(a, &protocol.Ack{Tick: m.Tick})
 			for _, e := range m.Changed {
 				if e.Participant == 7 {
 					t.Fatal("room replicated the client to itself")
@@ -278,11 +278,11 @@ func TestRoomRejectsSpoofedPoses(t *testing.T) {
 	b := hello(t, r.Addr(), 2)
 	defer b.Close()
 	// Client 2 tries to move client 1.
-	if err := b.WriteMessage(posePayload(1, 1, 99)); err != nil {
+	if err := transport.SendMsg(b, posePayload(1, 1, 99)); err != nil {
 		t.Fatal(err)
 	}
 	// Client 1 publishes honestly.
-	if err := a.WriteMessage(posePayload(1, 1, 0.5)); err != nil {
+	if err := transport.SendMsg(a, posePayload(1, 1, 0.5)); err != nil {
 		t.Fatal(err)
 	}
 	// The cloud seats learners, so what client 2 sees of entity 1 is the
@@ -325,8 +325,8 @@ func TestRoomClientDisconnectRemovesEntity(t *testing.T) {
 	a := hello(t, r.Addr(), 1)
 	defer a.Close()
 	b := hello(t, r.Addr(), 2)
-	_ = a.WriteMessage(posePayload(1, 1, 0))
-	_ = b.WriteMessage(posePayload(2, 1, 1))
+	_ = transport.SendMsg(a, posePayload(1, 1, 0))
+	_ = transport.SendMsg(b, posePayload(2, 1, 1))
 
 	// Wait until entity 2 is visible to client 1.
 	if !readUntil(t, a, 3*time.Second, func(msg protocol.Message) bool {
@@ -371,7 +371,7 @@ func TestRoomCloseUnblocksClients(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		for {
-			if _, err := a.ReadMessage(); err != nil {
+			if _, err := transport.RecvMsg(a); err != nil {
 				done <- err
 				return
 			}
@@ -398,10 +398,10 @@ func TestConnReadWriteRoundTrip(t *testing.T) {
 	}
 	defer c.Close()
 	// A Leave before Hello simply closes the session server-side.
-	if err := c.WriteMessage(&protocol.Leave{Participant: 5}); err != nil {
+	if err := transport.SendMsg(c, &protocol.Leave{Participant: 5}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ReadMessage(); err != io.EOF && err == nil {
+	if _, err := transport.RecvMsg(c); err != io.EOF && err == nil {
 		t.Error("expected EOF after Leave")
 	}
 }
@@ -417,10 +417,10 @@ func TestRoomLeaksNoFrames(t *testing.T) {
 	a := hello(t, r.Addr(), 1)
 	b := hello(t, r.Addr(), 2)
 	for seq := uint32(1); seq <= 20; seq++ {
-		if err := a.WriteMessage(posePayload(1, seq, float64(seq)*0.01)); err != nil {
+		if err := transport.SendMsg(a, posePayload(1, seq, float64(seq)*0.01)); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.WriteMessage(posePayload(2, seq, float64(seq)*0.02)); err != nil {
+		if err := transport.SendMsg(b, posePayload(2, seq, float64(seq)*0.02)); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(5 * time.Millisecond)
