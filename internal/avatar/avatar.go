@@ -1,14 +1,12 @@
 // Package avatar models the digital twins that represent class participants
-// across classrooms: their identity registry, geometric level-of-detail
-// (LoD) ladder, and the complexity accounting the split-rendering decision
-// (paper challenge C3: avatars "may be too complex to render with WebGL and
+// across classrooms: their identity, geometric level-of-detail (LoD)
+// ladder, and the complexity accounting the split-rendering decision (paper
+// challenge C3: avatars "may be too complex to render with WebGL and
 // lightweight VR headsets") is based on.
 package avatar
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 
 	"metaclass/internal/protocol"
 )
@@ -103,80 +101,4 @@ type Avatar struct {
 	Preferred LoD
 	// Home is the classroom the participant is physically in (0 = remote).
 	Home protocol.ClassroomID
-}
-
-// Registry tracks the avatars present in a deployment. Not safe for
-// concurrent use; servers own one each on their simulation goroutine.
-type Registry struct {
-	avatars map[protocol.ParticipantID]*Avatar
-}
-
-// Registry errors.
-var (
-	ErrDuplicate = errors.New("avatar: participant already registered")
-	ErrNotFound  = errors.New("avatar: participant not found")
-)
-
-// NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{avatars: make(map[protocol.ParticipantID]*Avatar)}
-}
-
-// Add registers an avatar.
-func (r *Registry) Add(a Avatar) error {
-	if !a.Preferred.Valid() {
-		return fmt.Errorf("avatar: invalid LoD %d", a.Preferred)
-	}
-	if _, ok := r.avatars[a.Participant]; ok {
-		return fmt.Errorf("%w: %d", ErrDuplicate, a.Participant)
-	}
-	cp := a
-	r.avatars[a.Participant] = &cp
-	return nil
-}
-
-// Remove deletes an avatar.
-func (r *Registry) Remove(id protocol.ParticipantID) error {
-	if _, ok := r.avatars[id]; !ok {
-		return fmt.Errorf("%w: %d", ErrNotFound, id)
-	}
-	delete(r.avatars, id)
-	return nil
-}
-
-// Get looks up an avatar.
-func (r *Registry) Get(id protocol.ParticipantID) (Avatar, bool) {
-	a, ok := r.avatars[id]
-	if !ok {
-		return Avatar{}, false
-	}
-	return *a, true
-}
-
-// Len returns the number of registered avatars.
-func (r *Registry) Len() int { return len(r.avatars) }
-
-// All returns every avatar sorted by participant ID (stable for iteration
-// in deterministic simulations).
-func (r *Registry) All() []Avatar {
-	out := make([]Avatar, 0, len(r.avatars))
-	for _, a := range r.avatars {
-		out = append(out, *a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Participant < out[j].Participant })
-	return out
-}
-
-// SceneTriangles sums mesh complexity for rendering all avatars at the
-// given per-avatar LoD choice function.
-func (r *Registry) SceneTriangles(pick func(Avatar) LoD) int64 {
-	var sum int64
-	for _, a := range r.avatars {
-		l := pick(*a)
-		if l > a.Preferred {
-			l = a.Preferred // cannot render finer than the scan provides
-		}
-		sum += int64(l.Triangles())
-	}
-	return sum
 }

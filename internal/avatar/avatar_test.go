@@ -1,11 +1,6 @@
 package avatar
 
-import (
-	"errors"
-	"testing"
-
-	"metaclass/internal/protocol"
-)
+import "testing"
 
 func TestLoDLadderMonotone(t *testing.T) {
 	lods := LoDs()
@@ -59,76 +54,5 @@ func TestLoDForDistance(t *testing.T) {
 			t.Fatalf("LoD increased with distance at %v", d)
 		}
 		prev = l
-	}
-}
-
-func TestRegistryCRUD(t *testing.T) {
-	r := NewRegistry()
-	a := Avatar{Participant: 1, Name: "alice", Role: protocol.RoleLearner, Preferred: LoDMedium, Home: 1}
-	if err := r.Add(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Add(a); !errors.Is(err, ErrDuplicate) {
-		t.Errorf("dup add err = %v", err)
-	}
-	got, ok := r.Get(1)
-	if !ok || got.Name != "alice" {
-		t.Errorf("Get = %+v, %v", got, ok)
-	}
-	if r.Len() != 1 {
-		t.Errorf("Len = %d", r.Len())
-	}
-	if err := r.Remove(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Remove(1); !errors.Is(err, ErrNotFound) {
-		t.Errorf("double remove err = %v", err)
-	}
-	if _, ok := r.Get(1); ok {
-		t.Error("removed avatar still present")
-	}
-}
-
-func TestRegistryRejectsInvalidLoD(t *testing.T) {
-	r := NewRegistry()
-	if err := r.Add(Avatar{Participant: 1, Preferred: LoD(99)}); err == nil {
-		t.Error("invalid LoD accepted")
-	}
-}
-
-func TestRegistryAllSorted(t *testing.T) {
-	r := NewRegistry()
-	for _, id := range []protocol.ParticipantID{5, 1, 9, 3} {
-		if err := r.Add(Avatar{Participant: id, Preferred: LoDLow}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	all := r.All()
-	for i := 1; i < len(all); i++ {
-		if all[i].Participant <= all[i-1].Participant {
-			t.Fatalf("All() not sorted: %v", all)
-		}
-	}
-}
-
-func TestRegistryAddCopies(t *testing.T) {
-	r := NewRegistry()
-	a := Avatar{Participant: 1, Name: "x", Preferred: LoDLow}
-	_ = r.Add(a)
-	a.Name = "mutated"
-	got, _ := r.Get(1)
-	if got.Name != "x" {
-		t.Error("registry aliased caller's struct")
-	}
-}
-
-func TestSceneTriangles(t *testing.T) {
-	r := NewRegistry()
-	_ = r.Add(Avatar{Participant: 1, Preferred: LoDPhotoreal})
-	_ = r.Add(Avatar{Participant: 2, Preferred: LoDLow}) // capped at its scan
-	got := r.SceneTriangles(func(Avatar) LoD { return LoDHigh })
-	want := int64(LoDHigh.Triangles() + LoDLow.Triangles())
-	if got != want {
-		t.Errorf("SceneTriangles = %d, want %d", got, want)
 	}
 }

@@ -69,21 +69,13 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// seatState is the cloud-side seating record of one VR learner (value type:
-// the table grows and shrinks with churn without per-client allocations).
-type seatState struct {
-	correction mathx.Transform
-	seated     bool
-}
-
 // Server is the cloud VR classroom host: the seating/authorship policy over
 // the shared node runtime.
 type Server struct {
 	cfg Config
 	rt  *node.Runtime
 
-	seats      *seat.Map
-	seatStates map[protocol.ParticipantID]seatState
+	seats *seat.Map
 
 	mClientPoses *metrics.Counter
 	hClientAge   *metrics.Histogram
@@ -107,10 +99,9 @@ func New(sim *vclock.Sim, tr endpoint.Transport, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:        cfg,
-		rt:         rt,
-		seats:      seat.NewGrid(0, cfg.VRRows, cfg.VRCols, cfg.VRPitch),
-		seatStates: make(map[protocol.ParticipantID]seatState),
+		cfg:   cfg,
+		rt:    rt,
+		seats: seat.NewGrid(0, cfg.VRRows, cfg.VRCols, cfg.VRPitch),
 	}
 	s.mClientPoses = rt.Metrics().Counter("client.poses")
 	s.hClientAge = rt.Metrics().Histogram("client.pose.age")
@@ -265,11 +256,10 @@ func (s *Server) RemoveClient(id protocol.ParticipantID) error {
 	if _, err := s.rt.RemoveClient(id); err != nil {
 		return fmt.Errorf("cloud: %w", err)
 	}
-	delete(s.seatStates, id)
-	// Release only if actually seated: a learner who never published a pose
-	// holds no seat, and a storm of such leaves must not pay the error-path
+	// Release only if placed: a learner who never published a pose holds no
+	// seat, and a storm of such leaves must not pay the error-path
 	// allocation inside Release.
-	if _, seated := s.seats.SeatOf(id); seated {
+	if _, _, placed := s.seats.Placement(id); placed {
 		_ = s.seats.Release(id)
 	}
 	s.rt.RemoveEntity(id)
@@ -314,19 +304,15 @@ func (s *Server) ingestClientPose(from endpoint.Addr, m *protocol.PoseUpdate) {
 		return
 	}
 	pos, rot := m.Pose.Dequantize()
-	st := s.seatStates[m.Participant]
-	if !st.seated {
+	corr, seatIdx, placed := s.seats.Placement(m.Participant)
+	if !placed {
 		anchor := mathx.V3(pos.X, 0, pos.Z)
-		asg, err := s.seats.AssignVacant(m.Participant, anchor, rot.Yaw(), mathx.Vec3{})
-		if err != nil {
+		if _, err := s.seats.AssignVacant(m.Participant, anchor, rot.Yaw(), mathx.Vec3{}); err != nil {
 			s.count("seats.exhausted")
-			st.correction = mathx.TransformIdentity()
 		} else {
-			st.correction = asg.Correction
 			s.count("seats.assigned")
 		}
-		st.seated = true
-		s.seatStates[m.Participant] = st
+		corr, seatIdx, _ = s.seats.Placement(m.Participant)
 	}
 	p := pose.Pose{
 		Time:     m.CapturedAt,
@@ -334,8 +320,7 @@ func (s *Server) ingestClientPose(from endpoint.Addr, m *protocol.PoseUpdate) {
 		Rotation: rot,
 		Velocity: protocol.VelocityOf(m.VelMMS),
 	}
-	p = seat.ApplyCorrection(st.correction, p)
-	seatIdx, _ := s.seats.SeatOf(m.Participant)
+	p = seat.ApplyCorrection(corr, p)
 	wp, vel := protocol.Sample(p)
 	s.rt.Upsert(&protocol.EntityState{
 		Participant: m.Participant,

@@ -89,6 +89,95 @@ func TestCloudSeatsAndAuthorsClients(t *testing.T) {
 	}
 }
 
+// TestCloudStandingRoom pins the cloud's standing-room policy: a learner who
+// finds no vacant VR seat is authored at its own, uncorrected pose in seat 0,
+// each seating outcome is counted once, on first contact, and a standing
+// learner keeps standing when a seat frees until it is removed.
+func TestCloudStandingRoom(t *testing.T) {
+	sim := vclock.New(4)
+	net := netsim.New(sim)
+	s, err := New(sim, net.Endpoint("cloud"), Config{VRRows: 1, VRCols: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addClientHost(t, net, "c1", nil)
+	addClientHost(t, net, "c2", nil)
+	if err := s.AddClient(1, "c1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddClient(2, "c2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	seq := uint32(0)
+	// send has learner 1 (when seated) and learner 2 publish n poses each,
+	// 100 ms apart; learner 2 stands 3 m to the side of its living-room origin.
+	send := func(n int, seated bool) {
+		for i := 0; i < n; i++ {
+			seq++
+			if seated {
+				_ = net.SendFrame("c1", "cloud", protocol.CopyFrame(clientPose(1, seq, sim.Now(), 0.5)))
+				_ = sim.Run(sim.Now() + 50*time.Millisecond) // learner 1 is first to a seat
+			}
+			_ = net.SendFrame("c2", "cloud", protocol.CopyFrame(clientPose(2, seq, sim.Now(), 3)))
+			_ = sim.Run(sim.Now() + 100*time.Millisecond)
+		}
+	}
+	standing := func(when string) {
+		t.Helper()
+		e, ok := s.World().Get(2)
+		if !ok {
+			t.Fatalf("%s: standing learner not authored", when)
+		}
+		if e.Seat != 0 {
+			t.Errorf("%s: standing learner in seat %d, want 0", when, e.Seat)
+		}
+		if _, seated := s.seats.SeatOf(2); seated {
+			t.Errorf("%s: standing learner holds a seat", when)
+		}
+		// The identity correction: the pose it sent, not a seat's.
+		if pos, _ := e.Pose.Dequantize(); !pos.NearEq(mathx.V3(3, 1.2, 0), 0.01) {
+			t.Errorf("%s: standing learner authored at %v, want its own pose (3, 1.2, 0)", when, pos)
+		}
+		if got := s.Metrics().Counter("seats.exhausted").Value(); got != 1 {
+			t.Errorf("%s: seats.exhausted = %d, want 1", when, got)
+		}
+		if got := s.Metrics().Counter("seats.assigned").Value(); got != 1 {
+			t.Errorf("%s: seats.assigned = %d, want 1", when, got)
+		}
+	}
+
+	send(4, true)
+	if idx, seated := s.seats.SeatOf(1); !seated || idx != 0 {
+		t.Fatalf("learner 1: SeatOf = %d, %v; want the one seat", idx, seated)
+	}
+	standing("both learners posting")
+
+	if err := s.RemoveClient(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.seats.Vacant(); got != 1 {
+		t.Fatalf("Vacant = %d after the seated learner left, want 1", got)
+	}
+	send(3, false)
+	standing("after the seat freed")
+	if got := s.seats.Vacant(); got != 1 {
+		t.Errorf("Vacant = %d: the standing learner took the freed seat", got)
+	}
+
+	if err := s.RemoveClient(2); err != nil {
+		t.Fatalf("removing the standing learner: %v", err)
+	}
+	if _, ok := s.World().Get(2); ok {
+		t.Error("removed standing learner still in world")
+	}
+	if s.seats.Vacant() != s.seats.Total() {
+		t.Errorf("Vacant = %d of %d after both left", s.seats.Vacant(), s.seats.Total())
+	}
+}
+
 func TestCloudUnknownClientPoseDropped(t *testing.T) {
 	sim := vclock.New(2)
 	net := netsim.New(sim)

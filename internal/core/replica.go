@@ -288,7 +288,7 @@ func (r *Replica) newest(slot uint32) time.Duration {
 }
 
 // Pose samples the replicated participant's pose for display at time at
-// (in the entity's source frame; callers apply seat corrections). It serves
+// (in the entity's source frame; callers apply the seat correction). It serves
 // a display at the live edge: at must not precede the participant's newest
 // applied stamp. The replica keeps only the history such a read can reach
 // (playoutDepth), so an earlier at whose target falls before that history

@@ -49,9 +49,9 @@ type Config struct {
 	Classroom protocol.ClassroomID
 	// TickHz is the replication tick rate (default 30).
 	TickHz float64
-	// Interest is the client fan-out policy (nil = broadcast). Edge servers
-	// replicate to server peers unfiltered either way; the policy takes
-	// effect only if VR clients are attached to this node directly.
+	// Interest is unused: an edge replicates to its server peers unfiltered
+	// and serves no VR client, the only kind a policy filters for. It
+	// remains for callers in bench/.
 	Interest *interest.Policy
 }
 
@@ -70,11 +70,9 @@ type Server struct {
 	rt  *node.Runtime
 
 	locals map[protocol.ParticipantID]*local
-	// corrections maps, per sync peer, remote participants to the rigid
-	// transform from their source frame into their assigned local seat frame.
-	corrections map[endpoint.Addr]map[protocol.ParticipantID]mathx.Transform
-	seats       *seat.Map
-	avatars     *avatar.Registry
+	// seats places locals and remote participants alike, and holds each
+	// remote one's correction from their source frame into their seat frame.
+	seats *seat.Map
 
 	// Hot-path caches: metric handles resolved once and per-tick scratch
 	// slices reused (the send/receive paths live in the runtime).
@@ -97,20 +95,15 @@ func New(sim *vclock.Sim, tr endpoint.Transport, cfg Config) (*Server, error) {
 	if cfg.Classroom == 0 {
 		return nil, errors.New("edge: classroom ID must be nonzero")
 	}
-	rt, err := node.New(sim, tr, node.Config{
-		TickHz:   cfg.TickHz,
-		Interest: cfg.Interest,
-	})
+	rt, err := node.New(sim, tr, node.Config{TickHz: cfg.TickHz})
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
-		cfg:         cfg,
-		rt:          rt,
-		locals:      make(map[protocol.ParticipantID]*local),
-		corrections: make(map[endpoint.Addr]map[protocol.ParticipantID]mathx.Transform),
-		seats:       seat.NewGrid(cfg.Classroom, seatRows, seatCols, seatPitch),
-		avatars:     avatar.NewRegistry(),
+		cfg:    cfg,
+		rt:     rt,
+		locals: make(map[protocol.ParticipantID]*local),
+		seats:  seat.NewGrid(cfg.Classroom, seatRows, seatCols, seatPitch),
 	}
 	s.mLocalDespawn = rt.Metrics().Counter("local.despawned")
 	return s, nil
@@ -132,14 +125,14 @@ func (s *Server) Metrics() *metrics.Registry { return s.rt.Metrics() }
 func (s *Server) Runtime() *node.Runtime { return s.rt }
 
 // RegisterLocal adds a physically-present participant, seating them at
-// seatIdx and creating their sensor-fusion pipeline.
+// seatIdx and creating their sensor-fusion pipeline. It refuses an avatar
+// off the LoD ladder, a taken seat, and a participant already placed (every
+// local holds a seat, so that covers a second registration).
 func (s *Server) RegisterLocal(av avatar.Avatar, seatIdx uint16) error {
-	av.Home = s.cfg.Classroom
-	if err := s.avatars.Add(av); err != nil {
-		return err
+	if !av.Preferred.Valid() {
+		return fmt.Errorf("edge: invalid LoD %d", av.Preferred)
 	}
 	if err := s.seats.Occupy(seatIdx, av.Participant); err != nil {
-		_ = s.avatars.Remove(av.Participant)
 		return err
 	}
 	s.locals[av.Participant] = &local{Fuser: fusion.New()}
@@ -147,15 +140,14 @@ func (s *Server) RegisterLocal(av avatar.Avatar, seatIdx uint16) error {
 }
 
 // UnregisterLocal removes a local participant (left the room). Their fused
-// state, expression/flag entries, seat, avatar, and authored store entry are
-// all released; the store removal replicates the departure to every peer.
+// state, expression/flag entries, seat, and authored store entry are all
+// released; the store removal replicates the departure to every peer.
 func (s *Server) UnregisterLocal(id protocol.ParticipantID) error {
 	if _, ok := s.locals[id]; !ok {
 		return fmt.Errorf("%w: %d", ErrNotRegistered, id)
 	}
 	delete(s.locals, id)
 	_ = s.seats.Release(id)
-	_ = s.avatars.Remove(id)
 	s.rt.RemoveEntity(id)
 	return nil
 }
@@ -207,36 +199,25 @@ func (s *Server) ConnectPeer(addr endpoint.Addr) error {
 	if err != nil {
 		return err
 	}
-	corr := make(map[protocol.ParticipantID]mathx.Transform)
-	s.corrections[addr] = corr
-	p.Replica.OnNew = func(e protocol.EntityState) { s.assignSeat(corr, e) }
-	p.Replica.OnRemove = func(id protocol.ParticipantID) {
-		delete(corr, id)
-		_ = s.seats.Release(id)
-		_ = s.avatars.Remove(id)
-	}
+	// An ID reaches an edge through one peer at most (the cloud sends edges
+	// only its VR learners, an edge only its locals), so the seat map needs
+	// no per-peer key.
+	p.Replica.OnNew = s.assignSeat
+	p.Replica.OnRemove = func(id protocol.ParticipantID) { _ = s.seats.Release(id) }
 	return nil
 }
 
 // assignSeat implements the Fig. 3 receive path: place the new remote
-// avatar in the nearest vacant seat and derive its pose correction.
-func (s *Server) assignSeat(corr map[protocol.ParticipantID]mathx.Transform, e protocol.EntityState) {
+// avatar in the nearest vacant seat, where the seat map derives and keeps its
+// pose correction (or standing room, when no seat is vacant).
+func (s *Server) assignSeat(e protocol.EntityState) {
 	pos, rot := e.Pose.Dequantize()
 	anchor := mathx.V3(pos.X, 0, pos.Z) // floor point under first pose
-	asg, err := s.seats.AssignVacant(e.Participant, anchor, rot.Yaw(), anchor)
-	if err != nil {
-		// Standing room only: identity correction, avatar stands at the back.
+	if _, err := s.seats.AssignVacant(e.Participant, anchor, rot.Yaw(), anchor); err != nil {
 		s.rt.Metrics().Counter("seats.exhausted").Inc()
-		corr[e.Participant] = mathx.TransformIdentity()
 		return
 	}
 	s.rt.Metrics().Counter("seats.assigned").Inc()
-	corr[e.Participant] = asg.Correction
-	_ = s.avatars.Add(avatar.Avatar{
-		Participant: e.Participant,
-		Home:        e.Home,
-		Preferred:   avatar.LoDMedium,
-	})
 }
 
 // Start begins the replication tick loop.
@@ -309,7 +290,7 @@ func (s *Server) DisplayPose(id protocol.ParticipantID, at time.Duration) (pose.
 		if !ok {
 			continue
 		}
-		if corr, ok := s.corrections[addr][id]; ok {
+		if corr, _, ok := s.seats.Placement(id); ok {
 			p = seat.ApplyCorrection(corr, p)
 		}
 		return p, true

@@ -112,6 +112,22 @@ func TestEdgeRegistrationErrors(t *testing.T) {
 	}
 }
 
+// TestEdgeRefusesInvalidLoD: a local whose avatar is off the LoD ladder is
+// refused before it takes its seat.
+func TestEdgeRefusesInvalidLoD(t *testing.T) {
+	sim := vclock.New(1)
+	s := newEdge(t, sim, netsim.New(sim), 1, "e1")
+	if err := s.RegisterLocal(avatar.Avatar{Participant: 1, Preferred: avatar.LoD(200)}, 0); err == nil {
+		t.Fatal("invalid LoD accepted")
+	}
+	if _, seated := s.Seats().SeatOf(1); seated || s.Seats().Vacant() != s.Seats().Total() {
+		t.Error("refused registration holds a seat")
+	}
+	if err := s.RegisterLocal(avatar.Avatar{Participant: 1, Preferred: avatar.LoDLow}, 0); err != nil {
+		t.Errorf("valid registration after the refusal: %v", err)
+	}
+}
+
 func TestEdgeReplicatesToPeer(t *testing.T) {
 	sim := vclock.New(2)
 	net := netsim.New(sim)
@@ -152,6 +168,24 @@ func TestEdgeReplicatesToPeer(t *testing.T) {
 	p, ok := b.DisplayPose(10, sim.Now())
 	if !ok || !p.IsFinite() {
 		t.Fatal("b cannot display remote participant")
+	}
+	// The displayed pose is seat-corrected: it sits at the seat b assigned,
+	// not at the participant's spot in a's room.
+	idx, seated := b.Seats().SeatOf(10)
+	if !seated {
+		t.Fatal("participant 10 holds no seat at b")
+	}
+	place, err := b.Seats().SeatAt(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := p.Position.Dist(place.Position); d > 2.5 {
+		t.Errorf("displayed pose %v is %.2f m from its seat at %v", p.Position, d, place.Position)
+	}
+	// Seated sway is a few centimetres; the seat nearest a's spot is 0.4 m
+	// from it, so an uncorrected pose fails this.
+	if d := mathx.V3(p.Position.X, 0, p.Position.Z).Dist(place.Position); d > 0.25 {
+		t.Errorf("displayed pose %v is %.2f m off its seat at %v on the floor plane", p.Position, d, place.Position)
 	}
 	vis := b.VisibleParticipants()
 	if len(vis) != 1 || vis[0] != 10 {
@@ -250,8 +284,19 @@ func TestEdgeSeatExhaustionFallsBackToIdentity(t *testing.T) {
 	if got := a.Metrics().Counter("seats.exhausted").Value(); got != 1 {
 		t.Errorf("seats.exhausted = %d, want 1", got)
 	}
-	if _, ok := a.DisplayPose(2, sim.Now()); !ok {
-		t.Error("visitor not displayable despite seat exhaustion")
+	got, ok := a.DisplayPose(2, sim.Now())
+	if !ok {
+		t.Fatal("visitor not displayable despite seat exhaustion")
+	}
+	// Standing room is the identity correction: the display shows the
+	// replicated pose unchanged.
+	rep, _ := a.ReplicaOf("b")
+	want, ok := rep.Pose(2, sim.Now())
+	if !ok {
+		t.Fatal("visitor missing from a's replica of b")
+	}
+	if got != want {
+		t.Errorf("standing visitor displayed as %+v, replica holds %+v", got, want)
 	}
 }
 

@@ -39,9 +39,9 @@ var (
 type Config struct {
 	// CloudAddr names the cloud's endpoint.
 	CloudAddr endpoint.Addr
-	// Cloud configures the cloud server. Its TickHz and Interest are also
-	// every edge's and relay's (one policy instance, so pins and tier radii
-	// agree wherever a client attaches).
+	// Cloud configures the cloud server. Its TickHz is also every edge's and
+	// relay's, and its Interest every relay's (one policy instance, so pins
+	// and tier radii agree wherever a client attaches).
 	Cloud cloud.Config
 	// PublishHz is each client's pose upload rate (0 = the client default).
 	PublishHz float64
@@ -136,11 +136,7 @@ func (r *Rig) AddEdge(addr endpoint.Addr, id protocol.ClassroomID, link netsim.L
 	if err != nil {
 		return nil, err
 	}
-	es, err := edge.New(r.sim, tr, edge.Config{
-		Classroom: id,
-		TickHz:    r.cfg.Cloud.TickHz,
-		Interest:  r.cfg.Cloud.Interest,
-	})
+	es, err := edge.New(r.sim, tr, edge.Config{Classroom: id, TickHz: r.cfg.Cloud.TickHz})
 	if err == nil {
 		err = r.fab.Link(r.cfg.CloudAddr, addr, link)
 	}

@@ -4,11 +4,14 @@
 // of the digital information, it corrects the pose to match the new position
 // of the avatar."
 //
-// A Map is a classroom's seating grid. Local (physical) participants occupy
-// seats; remote avatars are allocated vacant ones. Each assignment yields a
-// rigid Correction transform that maps poses expressed in the sender's
-// classroom frame into the local seat frame, so a remote learner who leans
-// left in Guangzhou leans left in their Clear Water Bay seat.
+// A Map is a classroom's seating grid and the one record of its seating; the
+// cloud's VR classroom and every campus edge own one. Local (physical)
+// participants occupy seats; remote avatars are allocated vacant ones. Each
+// assignment yields a rigid Correction transform that maps poses expressed
+// in the sender's classroom frame into the local seat frame, so a remote
+// learner who leans left in Guangzhou leans left in their Clear Water Bay
+// seat; the map keeps it with the seat. A remote participant who finds no
+// vacant seat stands: the map records them with the identity correction.
 package seat
 
 import (
@@ -42,13 +45,30 @@ type Seat struct {
 	FacingYaw float64
 }
 
-// Map is a classroom's seat inventory and occupancy. Not safe for concurrent
-// use; each edge server owns one.
+// Map is a classroom's seat inventory and the one record of who sits where:
+// each seat carries its occupant, and each placed participant one value
+// entry holding its seat (or standing) and its pose correction. Not safe for
+// concurrent use; the cloud's VR classroom and every edge server own one.
 type Map struct {
 	classroom protocol.ClassroomID
-	seats     []Seat
-	occupant  map[uint16]protocol.ParticipantID
-	seatOf    map[protocol.ParticipantID]uint16
+	seats     []place
+	placed    map[protocol.ParticipantID]placement
+	occupied  int
+}
+
+// place is a seat and its occupant.
+type place struct {
+	Seat
+	occupant protocol.ParticipantID
+	taken    bool
+}
+
+// placement is one participant's record: the seat it holds, or standing
+// room (no seat, identity correction) when none was vacant.
+type placement struct {
+	correction mathx.Transform
+	seat       uint16
+	seated     bool
 }
 
 // NewGrid builds a rows x cols seating grid with the given pitch (meters
@@ -66,21 +86,19 @@ func NewGrid(classroom protocol.ClassroomID, rows, cols int, pitch float64) *Map
 	}
 	m := &Map{
 		classroom: classroom,
-		occupant:  make(map[uint16]protocol.ParticipantID),
-		seatOf:    make(map[protocol.ParticipantID]uint16),
+		seats:     make([]place, 0, rows*cols),
+		placed:    make(map[protocol.ParticipantID]placement),
 	}
-	idx := uint16(0)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			x := (float64(c) - float64(cols-1)/2) * pitch
 			z := 2 + float64(r)*pitch
-			m.seats = append(m.seats, Seat{
-				Index:    idx,
+			m.seats = append(m.seats, place{Seat: Seat{
+				Index:    uint16(len(m.seats)),
 				Position: mathx.V3(x, 0, z),
 				// Face the lectern at the origin: heading is -Z, i.e. yaw pi.
 				FacingYaw: 3.14159265358979,
-			})
-			idx++
+			}})
 		}
 	}
 	return m
@@ -93,47 +111,65 @@ func (m *Map) Classroom() protocol.ClassroomID { return m.classroom }
 func (m *Map) Total() int { return len(m.seats) }
 
 // Vacant returns the number of unoccupied seats.
-func (m *Map) Vacant() int { return len(m.seats) - len(m.occupant) }
+func (m *Map) Vacant() int { return len(m.seats) - m.occupied }
 
 // SeatAt returns the seat with the given index.
 func (m *Map) SeatAt(idx uint16) (Seat, error) {
 	if int(idx) >= len(m.seats) {
 		return Seat{}, fmt.Errorf("%w: %d of %d", ErrBadSeat, idx, len(m.seats))
 	}
-	return m.seats[idx], nil
+	return m.seats[idx].Seat, nil
 }
 
-// Occupy marks a specific seat as taken by a local participant.
+// Occupy marks a specific seat as taken by a local participant, whose poses
+// need no correction.
 func (m *Map) Occupy(idx uint16, p protocol.ParticipantID) error {
 	if int(idx) >= len(m.seats) {
 		return fmt.Errorf("%w: %d of %d", ErrBadSeat, idx, len(m.seats))
 	}
-	if holder, ok := m.occupant[idx]; ok {
-		return fmt.Errorf("%w: seat %d held by %d", ErrOccupied, idx, holder)
+	if st := m.seats[idx]; st.taken {
+		return fmt.Errorf("%w: seat %d held by %d", ErrOccupied, idx, st.occupant)
 	}
-	if _, ok := m.seatOf[p]; ok {
+	if _, ok := m.placed[p]; ok {
 		return fmt.Errorf("%w: participant %d", ErrDuplicated, p)
 	}
-	m.occupant[idx] = p
-	m.seatOf[p] = idx
+	m.sit(idx, p, mathx.TransformIdentity())
 	return nil
 }
 
-// Release frees whatever seat the participant holds.
+// sit records p in seat idx with the given pose correction.
+func (m *Map) sit(idx uint16, p protocol.ParticipantID, c mathx.Transform) {
+	m.seats[idx].occupant, m.seats[idx].taken = p, true
+	m.occupied++
+	m.placed[p] = placement{correction: c, seat: idx, seated: true}
+}
+
+// Release forgets the participant's placement, freeing the seat it holds.
 func (m *Map) Release(p protocol.ParticipantID) error {
-	idx, ok := m.seatOf[p]
+	pl, ok := m.placed[p]
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNotSeated, p)
 	}
-	delete(m.seatOf, p)
-	delete(m.occupant, idx)
+	delete(m.placed, p)
+	if pl.seated {
+		m.seats[pl.seat].taken = false
+		m.occupied--
+	}
 	return nil
 }
 
-// SeatOf returns the participant's assigned seat index.
+// SeatOf returns the participant's assigned seat index; a standing
+// participant has none.
 func (m *Map) SeatOf(p protocol.ParticipantID) (uint16, bool) {
-	idx, ok := m.seatOf[p]
-	return idx, ok
+	pl := m.placed[p]
+	return pl.seat, pl.seated
+}
+
+// Placement returns a placed participant's pose correction and seat index
+// (0 when standing); ok is false for a participant the map has not placed.
+func (m *Map) Placement(p protocol.ParticipantID) (correction mathx.Transform, seat uint16, ok bool) {
+	pl, ok := m.placed[p]
+	return pl.correction, pl.seat, ok
 }
 
 // Assignment is the result of placing a remote avatar into a local seat.
@@ -147,15 +183,17 @@ type Assignment struct {
 // AssignVacant places remote participant p, whose home-frame anchor pose is
 // (srcPos, srcYaw), into the nearest vacant seat to preferred (pass the
 // lectern-relative spot the sender occupied to preserve classroom geometry;
-// zero value means "any"). It computes the pose-correction transform.
+// zero value means "any"). It computes and records the pose-correction
+// transform. With no seat vacant, p stands: it is recorded with the identity
+// correction and no seat, and the error is ErrNoVacancy.
 func (m *Map) AssignVacant(p protocol.ParticipantID, srcPos mathx.Vec3, srcYaw float64, preferred mathx.Vec3) (Assignment, error) {
-	if _, ok := m.seatOf[p]; ok {
+	if _, ok := m.placed[p]; ok {
 		return Assignment{}, fmt.Errorf("%w: participant %d", ErrDuplicated, p)
 	}
 	best := -1
 	bestDist := 0.0
 	for i := range m.seats {
-		if _, taken := m.occupant[m.seats[i].Index]; taken {
+		if m.seats[i].taken {
 			continue
 		}
 		d := m.seats[i].Position.Dist(preferred)
@@ -164,12 +202,13 @@ func (m *Map) AssignVacant(p protocol.ParticipantID, srcPos mathx.Vec3, srcYaw f
 		}
 	}
 	if best == -1 {
+		m.placed[p] = placement{correction: mathx.TransformIdentity()}
 		return Assignment{}, ErrNoVacancy
 	}
-	st := m.seats[best]
-	m.occupant[st.Index] = p
-	m.seatOf[p] = st.Index
-	return Assignment{Seat: st, Correction: Correction(srcPos, srcYaw, st)}, nil
+	st := m.seats[best].Seat
+	asg := Assignment{Seat: st, Correction: Correction(srcPos, srcYaw, st)}
+	m.sit(st.Index, p, asg.Correction)
+	return asg, nil
 }
 
 // Correction builds the rigid transform taking poses around the source
@@ -203,7 +242,7 @@ func ApplyCorrection(c mathx.Transform, p pose.Pose) pose.Pose {
 func (m *Map) VacantIndices() []uint16 {
 	out := make([]uint16, 0, m.Vacant())
 	for i := range m.seats {
-		if _, taken := m.occupant[m.seats[i].Index]; !taken {
+		if !m.seats[i].taken {
 			out = append(out, m.seats[i].Index)
 		}
 	}
