@@ -463,17 +463,14 @@ func benchVideoSecond(b *testing.B) {
 	sim, net := newBenchNet(b)
 	cfg := video.StreamConfig{Strategy: video.StrategyFEC, R: 3}
 	var receiver *video.Receiver
-	sender := video.NewSender(sim, cfg, func(c *protocol.VideoChunk) {
-		if frame, err := protocol.AppendEncode(nil, c); err == nil {
-			_ = net.SendFrame("tx", "rx", protocol.CopyFrame(frame))
-		}
+	sender := video.NewSender(sim, cfg, func(c *video.Chunk) {
+		_ = net.SendFrame("tx", "rx", protocol.CopyFrame(c.Encode()))
 	})
 	receiver = video.NewReceiver(sim, cfg, nil)
 	_ = net.Bind("rx", netsim.HandlerFunc(func(_ netsim.Addr, payload []byte) {
-		if msg, _, err := protocol.Decode(payload); err == nil {
-			if c, ok := msg.(*protocol.VideoChunk); ok {
-				receiver.HandleChunk(c)
-			}
+		var c video.Chunk
+		if c.Decode(payload) == nil {
+			receiver.HandleChunk(&c)
 		}
 	}))
 	sender.Start()

@@ -224,14 +224,9 @@ func (c *Campus) roomSink(o sensors.Observation) {
 }
 
 // addLocal registers a physically-present participant with full sensing.
-func (c *Campus) addLocal(name string, role Role, script trace.MotionScript) (ParticipantID, error) {
+func (c *Campus) addLocal(name string, script trace.MotionScript) (ParticipantID, error) {
 	id := c.d.allocID()
-	av := avatar.Avatar{
-		Participant: id,
-		Name:        name,
-		Role:        role,
-		Preferred:   avatar.LoDHigh,
-	}
+	av := avatar.Avatar{Participant: id, Preferred: avatar.LoDHigh}
 	vacant := c.edge.Seats().VacantIndices()
 	if len(vacant) == 0 {
 		return 0, fmt.Errorf("classroom: campus %s is full", c.name)
@@ -263,13 +258,13 @@ func (c *Campus) addLocal(name string, role Role, script trace.MotionScript) (Pa
 
 // AddLearner seats a student in the physical classroom.
 func (c *Campus) AddLearner(name string, script trace.MotionScript) (ParticipantID, error) {
-	return c.addLocal(name, RoleLearner, script)
+	return c.addLocal(name, script)
 }
 
 // AddEducator adds an instructor; the cloud pins them as always-replicated
 // focus for every remote learner.
 func (c *Campus) AddEducator(name string, script trace.MotionScript) (ParticipantID, error) {
-	id, err := c.addLocal(name, RoleEducator, script)
+	id, err := c.addLocal(name, script)
 	if err != nil {
 		return 0, err
 	}

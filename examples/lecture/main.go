@@ -7,12 +7,13 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 	"time"
 
 	"metaclass/classroom"
 	"metaclass/internal/mathx"
 	"metaclass/internal/netsim"
-	"metaclass/internal/protocol"
 	"metaclass/internal/session"
 	"metaclass/internal/trace"
 )
@@ -146,12 +147,9 @@ func run() error {
 	pCWB, _ := cwb.Edge().DisplayPose(teacher, now)
 	fmt.Printf("  teacher now: GZ renders %v; CWB renders (seat-corrected) %v\n",
 		pGZ.Position, pCWB.Position)
-	var sampleRemote protocol.ParticipantID
-	for id := range d.Clients() {
-		sampleRemote = id
-		break
-	}
-	if p, ok := d.Clients()[sampleRemote].DisplayedPose(teacher, now); ok {
+	clients := d.Clients()
+	sampleRemote := slices.Min(slices.Collect(maps.Keys(clients)))
+	if p, ok := clients[sampleRemote].DisplayedPose(teacher, now); ok {
 		fmt.Printf("  remote learner %d renders teacher at %v\n", sampleRemote, p.Position)
 	}
 	return nil

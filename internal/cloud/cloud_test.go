@@ -392,10 +392,11 @@ func TestRelayForwardsClientPosesUpstream(t *testing.T) {
 }
 
 // TestRelayRefusesRetiredExpressionUpload: wire type 6 was the VR client's
-// expression upload, retired with its ingest hook, and wire type 15 the
-// session layer's ActivityEvent, which nothing sent. A well-formed frame of
-// either from a served client is a decode error at the relay: it reaches no
-// hook and no fallback, and nothing goes upstream.
+// expression upload, retired with its ingest hook, wire type 15 the session
+// layer's ActivityEvent, which nothing sent, and wire types 13 and 16 the
+// lecture video's chunk and nack, which now have their own framing. A
+// well-formed frame of any of them from a served client is a decode error at
+// the relay: it reaches no hook and no fallback, and nothing goes upstream.
 func TestRelayRefusesRetiredExpressionUpload(t *testing.T) {
 	sim := vclock.New(7)
 	net := netsim.New(sim)
@@ -423,11 +424,16 @@ func TestRelayRefusesRetiredExpressionUpload(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ExpressionUpdate{Participant: 3, Seq: 2, Weights: {0, 128, 255}} and
-	// ActivityEvent{Participant: 4, Activity: 1, Kind: "quiz", Payload: "a=1"}
-	// as Encode wrote them while the types existed.
+	// ActivityEvent{Participant: 4, Activity: 1, Kind: "quiz", Payload: "a=1"},
+	// VideoChunk{Stream: 1, FrameID: 2, GroupK: 8, GroupR: 3, ShardIndex: 9,
+	// Keyframe: true, Deadline: 1s, Data: {1, 2, 3, 4}} and
+	// Nack{Stream: 1, FrameID: 2, Missing: {0, 9}} as Encode wrote them while
+	// the types existed.
 	for _, h := range []string{
 		"4d4301060c0000000300000002030080ff1d5beb7b",
 		"4d43010f110000000400000001047175697a03613d31717cf0ae",
+		"4d43010d1600000001000000020803090180a8d6b90704010203042ecd3ed9",
+		"4d4301100b00000001000000020200095468a98f",
 	} {
 		frame, err := hex.DecodeString(h)
 		if err != nil {
@@ -441,8 +447,8 @@ func TestRelayRefusesRetiredExpressionUpload(t *testing.T) {
 		t.Fatal(err)
 	}
 	counter := func(name string) uint64 { return r.Metrics().Counter(name).Value() }
-	if n := counter("recv.decode_errors"); n != 2 {
-		t.Errorf("recv.decode_errors = %d, want 2", n)
+	if n := counter("recv.decode_errors"); n != 4 {
+		t.Errorf("recv.decode_errors = %d, want 4", n)
 	}
 	if n := counter("forwarded.up") + counter("recv.unhandled"); n != 0 {
 		t.Errorf("the frame reached the fallback: forwarded.up + recv.unhandled = %d", n)

@@ -125,9 +125,11 @@ func (s *Server) Metrics() *metrics.Registry { return s.rt.Metrics() }
 func (s *Server) Runtime() *node.Runtime { return s.rt }
 
 // RegisterLocal adds a physically-present participant, seating them at
-// seatIdx and creating their sensor-fusion pipeline. It refuses an avatar
-// off the LoD ladder, a taken seat, and a participant already placed (every
-// local holds a seat, so that covers a second registration).
+// seatIdx and creating their sensor-fusion pipeline. It reads only the
+// avatar's Participant and Preferred; the edge keeps no other field. It
+// refuses an avatar off the LoD ladder, a taken seat, and a participant
+// already placed (every local holds a seat, so that covers a second
+// registration).
 func (s *Server) RegisterLocal(av avatar.Avatar, seatIdx uint16) error {
 	if !av.Preferred.Valid() {
 		return fmt.Errorf("edge: invalid LoD %d", av.Preferred)

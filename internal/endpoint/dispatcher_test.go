@@ -147,7 +147,7 @@ func TestDispatcherAutoPongAndTypedHooks(t *testing.T) {
 
 func TestDispatcherUnhandledAndFallback(t *testing.T) {
 	d, _, reg := newTestDispatcher(t, endpoint.Config{})
-	d.Receive("c", encodeMsg(t, &protocol.VideoChunk{Stream: 1, Data: []byte{1}}))
+	d.Receive("c", encodeMsg(t, &protocol.Leave{Participant: 1, Reason: "left"}))
 	if got := reg.Counter("recv.unhandled").Value(); got != 1 {
 		t.Fatalf("recv.unhandled = %d, want 1", got)
 	}

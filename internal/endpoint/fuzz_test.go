@@ -36,7 +36,7 @@ func FuzzDispatch(f *testing.F) {
 		&protocol.Ping{Nonce: 42, SentAt: time.Second},
 		&protocol.Pong{Nonce: 42, SentAt: time.Second},
 		&protocol.PoseUpdate{Participant: 2, Seq: 1},
-		&protocol.VideoChunk{Stream: 2, FrameID: 1, Data: []byte{1, 2}},
+		&protocol.Leave{Participant: 2, Reason: "left"},
 		// TCP-mesh handshake traffic: a Hello/HelloAck that leaks onto a
 		// bound endpoint must route through the fallback/unhandled path
 		// without panicking or leaking frames.

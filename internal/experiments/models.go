@@ -106,36 +106,29 @@ func runVideoPoint(seed int64, strat video.Strategy, link netsim.LinkConfig) (vi
 	cfg := video.StreamConfig{Strategy: strat, R: 3}
 	var sender *video.Sender
 	var receiver *video.Receiver
-	sender = video.NewSender(sim, cfg, func(c *protocol.VideoChunk) {
-		if f, err := protocol.EncodeFrame(c); err == nil {
-			_ = net.SendFrame("tx", "rx", f)
-		}
+	sender = video.NewSender(sim, cfg, func(c *video.Chunk) {
+		_ = net.SendFrame("tx", "rx", protocol.CopyFrame(c.Encode()))
 	})
-	var nack func(*protocol.Nack)
+	var nack func(*video.Nack)
 	if strat == video.StrategyARQ || strat == video.StrategyAdaptive {
-		nack = func(n *protocol.Nack) {
-			if f, err := protocol.EncodeFrame(n); err == nil {
-				_ = net.SendFrame("rx", "tx", f)
-			}
+		nack = func(n *video.Nack) {
+			_ = net.SendFrame("rx", "tx", protocol.CopyFrame(n.Encode()))
 		}
 	}
 	receiver = video.NewReceiver(sim, cfg, nack)
-	// Each host decodes with its own Decoder. Neither handler keeps the
-	// message: what the receiver keeps (VideoChunk.Data) and what the sender
-	// reads (Nack.Missing) are copies.
-	var rxDec, txDec protocol.Decoder
+	// Each host decodes into a value of its own. Neither handler keeps it:
+	// what the receiver keeps (Chunk.Data) and what the sender reads
+	// (Nack.Missing) are copies.
+	var rxChunk video.Chunk
+	var txNack video.Nack
 	_ = net.Bind("rx", netsim.HandlerFunc(func(_ netsim.Addr, payload []byte) {
-		if msg, _, err := rxDec.Decode(payload); err == nil {
-			if c, ok := msg.(*protocol.VideoChunk); ok {
-				receiver.HandleChunk(c)
-			}
+		if rxChunk.Decode(payload) == nil {
+			receiver.HandleChunk(&rxChunk)
 		}
 	}))
 	_ = net.Bind("tx", netsim.HandlerFunc(func(_ netsim.Addr, payload []byte) {
-		if msg, _, err := txDec.Decode(payload); err == nil {
-			if n, ok := msg.(*protocol.Nack); ok {
-				sender.HandleNack(n)
-			}
+		if txNack.Decode(payload) == nil {
+			sender.HandleNack(&txNack)
 		}
 	}))
 	if strat == video.StrategyAdaptive {

@@ -55,8 +55,10 @@ func Decode(frame []byte) (Message, int, error) {
 
 // Decoder is the pooled receive path: it owns one reusable message value per
 // wire type plus a reusable payload reader, so steady-state decoding
-// allocates nothing (byte-slice message fields — expressions, media data —
-// are still fresh copies and safe to retain).
+// allocates nothing (entity expressions are still fresh copies and safe to
+// retain). It knows only the messages product nodes speak: a frame of any
+// other type, a retired number included, is refused at the type lookup
+// before its payload is read.
 //
 // The returned Message is valid until the Decoder's next Decode call; callers
 // must consume (or copy) it before decoding the next frame. A Decoder is not
@@ -72,8 +74,6 @@ type Decoder struct {
 	ack      Ack
 	ping     Ping
 	pong     Pong
-	video    VideoChunk
-	nack     Nack
 }
 
 // message returns the Decoder's reusable value for a wire type.
@@ -97,10 +97,6 @@ func (d *Decoder) message(t MsgType) (Message, error) {
 		return &d.ping, nil
 	case TypePong:
 		return &d.pong, nil
-	case TypeVideoChunk:
-		return &d.video, nil
-	case TypeNack:
-		return &d.nack, nil
 	default:
 		return nil, fmt.Errorf("%w: unknown type %d", ErrBadMessage, uint8(t))
 	}

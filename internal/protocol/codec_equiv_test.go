@@ -134,7 +134,7 @@ func TestEncodeFramesDoNotAliasPool(t *testing.T) {
 
 func TestAppendEncodeOversizeLeavesDstIntact(t *testing.T) {
 	dst := []byte{1, 2, 3}
-	m := &VideoChunk{Data: make([]byte, MaxPayload+1)}
+	m := &Leave{Reason: string(make([]byte, MaxPayload+1))}
 	out, err := AppendEncode(dst, m)
 	if err == nil {
 		t.Fatal("AppendEncode accepted oversize payload")

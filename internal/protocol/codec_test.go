@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -32,9 +33,6 @@ func allMessages() []Message {
 		&Ack{Participant: 7, Tick: 99},
 		&Ping{Nonce: 0xdeadbeef, SentAt: 2 * time.Second},
 		&Pong{Nonce: 0xdeadbeef, SentAt: 2 * time.Second},
-		&VideoChunk{Stream: 1, FrameID: 500, GroupK: 8, GroupR: 2, ShardIndex: 9,
-			Keyframe: true, Deadline: 150 * time.Millisecond, Data: []byte("shard-bytes")},
-		&Nack{Stream: 1, FrameID: 500, Missing: []byte{2, 7}},
 	}
 }
 
@@ -83,9 +81,10 @@ func TestEveryTypeHasName(t *testing.T) {
 }
 
 // retiredTypes are the wire numbers of deleted message types (Join,
-// ExpressionUpdate, SeatAssign, AudioFrame, ActivityEvent). They stay
-// reserved: a number is never handed to a new type.
-var retiredTypes = []MsgType{3, 6, 7, 14, 15}
+// ExpressionUpdate, SeatAssign, the video chunk, AudioFrame, ActivityEvent,
+// the video nack). They stay reserved: a number is never handed to a new
+// type.
+var retiredTypes = []MsgType{3, 6, 7, 13, 14, 15, 16}
 
 // TestWireTypeNumbersPinned holds every wire type to its number — the type
 // byte is the protocol, and the constants are an iota block that a deletion
@@ -95,7 +94,6 @@ func TestWireTypeNumbersPinned(t *testing.T) {
 	pinned := map[MsgType]uint8{
 		TypeHello: 1, TypeHelloAck: 2, TypeLeave: 4, TypePoseUpdate: 5,
 		TypeSnapshot: 8, TypeDelta: 9, TypeAck: 10, TypePing: 11, TypePong: 12,
-		TypeVideoChunk: 13, TypeNack: 16,
 	}
 	for mt, n := range pinned {
 		if uint8(mt) != n {
@@ -123,6 +121,42 @@ func TestWireTypeNumbersPinned(t *testing.T) {
 		if _, _, err := dec.Decode(frame); !errors.Is(err, ErrBadMessage) {
 			t.Errorf("Decoder.Decode of retired type %d: err = %v, want ErrBadMessage", uint8(mt), err)
 		}
+	}
+}
+
+// TestRetiredMediaFrameRefusedWithoutCopy: a well-formed frame of wire type
+// 13, laid out as the video chunk was with a payload of MaxPayload bytes, is
+// refused at the type lookup. The payload is never decoded, so its data is
+// never copied.
+func TestRetiredMediaFrameRefusedWithoutCopy(t *testing.T) {
+	var payload Writer
+	payload.U32(1)                                // stream
+	payload.U32(2)                                // frame ID
+	payload.Raw([]byte{8, 3, 9, 1})               // K, R, shard index, keyframe
+	payload.Varint(int64(150 * time.Millisecond)) // deadline
+	payload.BytesVar(make([]byte, MaxPayload-payload.Len()-4))
+	var w Writer
+	w.U16(Magic)
+	w.U8(Version)
+	w.U8(13)
+	w.UVarint(uint64(payload.Len()))
+	w.Raw(payload.Bytes())
+	w.U32(crc32.ChecksumIEEE(w.Bytes()))
+	frame := w.Bytes()
+	if mt, p, _, err := parseFrame(frame); err != nil || mt != 13 || len(p) > MaxPayload || len(p) < MaxPayload-8 {
+		t.Fatalf("parseFrame = type %d, %d-byte payload, %v; want a well-formed type-13 frame of about MaxPayload", uint8(mt), len(p), err)
+	}
+	var dec Decoder
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := dec.Decode(frame)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadMessage) {
+		t.Fatalf("Decode err = %v, want ErrBadMessage", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+		t.Fatalf("refusing a %d-byte frame allocated %d bytes, want < %d", len(frame), n, 64<<10)
 	}
 }
 
@@ -190,7 +224,7 @@ func TestDecodeCorruption(t *testing.T) {
 }
 
 func TestOversizePayloadRejected(t *testing.T) {
-	m := &VideoChunk{Data: make([]byte, MaxPayload+1)}
+	m := &Leave{Reason: string(make([]byte, MaxPayload+1))}
 	if _, err := AppendEncode(nil, m); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("Encode oversize err = %v, want ErrTooLarge", err)
 	}

@@ -32,9 +32,6 @@ func fuzzSeedMessages() []Message {
 		&Ack{Participant: 5, Tick: 77},
 		&Ping{Nonce: 42, SentAt: 3 * time.Second},
 		&Pong{Nonce: 42, SentAt: 3 * time.Second},
-		&VideoChunk{Stream: 1, FrameID: 2, GroupK: 8, GroupR: 3, ShardIndex: 9,
-			Keyframe: true, Deadline: time.Second, Data: []byte{1, 2, 3, 4}},
-		&Nack{Stream: 1, FrameID: 2, Missing: []byte{0, 9}},
 	}
 }
 
@@ -64,17 +61,19 @@ func fuzzBoundarySeedMessages() []Message {
 	}
 }
 
-// retiredTypeFrames are the seeds of the five retired wire types, 3 (Join),
-// 6 (ExpressionUpdate), 7 (SeatAssign), 14 (AudioFrame) and 15
-// (ActivityEvent), byte for byte as Encode wrote them while the types
-// existed: well-formed length and checksum, a type number no decoder knows
-// any more.
+// retiredTypeFrames are the seeds of the seven retired wire types, 3 (Join),
+// 6 (ExpressionUpdate), 7 (SeatAssign), 13 (the video chunk), 14
+// (AudioFrame), 15 (ActivityEvent) and 16 (the video nack), byte for byte as
+// Encode wrote them while the types existed: well-formed length and
+// checksum, a type number no decoder knows any more.
 var retiredTypeFrames = [][]byte{
 	mustHex("4d4301030f0000000900010106e5ada6e7949f025167ee61"),
 	mustHex("4d4301060c0000000300000002030080ff1d5beb7b"),
 	mustHex("4d4301071300000003000200110204067fff000000000000677cabd8"),
+	mustHex("4d43010d1600000001000000020803090180a8d6b90704010203042ecd3ed9"),
 	mustHex("4d43010e10000000040000000680a8d6b90702050619d0c366"),
 	mustHex("4d43010f110000000400000001047175697a03613d31717cf0ae"),
+	mustHex("4d4301100b00000001000000020200095468a98f"),
 }
 
 func mustHex(s string) []byte {
@@ -209,9 +208,9 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		// Release the frame and force the pool to reuse (and scribble over)
 		// its buffer with a different payload.
 		fr.Release()
-		scribble, err := EncodeFrame(&VideoChunk{
-			Stream: ^uint32(0), FrameID: ^uint32(0),
-			Data: bytes.Repeat([]byte{0xAA, 0x55}, 6),
+		scribble, err := EncodeFrame(&Leave{
+			Participant: ^ParticipantID(0),
+			Reason:      string(bytes.Repeat([]byte{0xAA, 0x55}, 11)),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -15,8 +15,10 @@ type MsgType uint8
 
 // Message types. A type's number is its wire byte. 3, 6, 7, 14 and 15
 // belonged to Join, ExpressionUpdate, SeatAssign, AudioFrame and
-// ActivityEvent, which no deployment sent; they stay reserved so a later type
-// can never be mistaken for a frame of any.
+// ActivityEvent, which no deployment sent, and 13 and 16 to the lecture
+// video's chunk and nack, which no node handled and which now have their own
+// framing in package video. They stay reserved so a later type can never be
+// mistaken for a frame of any.
 const (
 	TypeHello MsgType = iota + 1
 	TypeHelloAck
@@ -30,10 +32,10 @@ const (
 	TypeAck
 	TypePing
 	TypePong
-	TypeVideoChunk
-	_ // 14: was AudioFrame
-	_ // 15: was ActivityEvent
-	TypeNack
+	_       // 13: was VideoChunk
+	_       // 14: was AudioFrame
+	_       // 15: was ActivityEvent
+	_       // 16: was Nack
 	typeMax // sentinel, keep last
 )
 
@@ -47,8 +49,6 @@ var typeNames = map[MsgType]string{
 	TypeAck:        "Ack",
 	TypePing:       "Ping",
 	TypePong:       "Pong",
-	TypeVideoChunk: "VideoChunk",
-	TypeNack:       "Nack",
 }
 
 // String implements fmt.Stringer.
@@ -611,75 +611,5 @@ func (m *Pong) encode(w *Writer) {
 func (m *Pong) decode(r *Reader) error {
 	m.Nonce = r.U64()
 	m.SentAt = time.Duration(r.Varint())
-	return r.ExpectEOF()
-}
-
-// --- media ----------------------------------------------------------------
-
-// VideoChunk is one transport unit of an encoded (or FEC parity) video
-// shard. K data shards plus R parity shards form a recovery group.
-type VideoChunk struct {
-	Stream     uint32
-	FrameID    uint32
-	GroupK     uint8 // data shards in the group
-	GroupR     uint8 // parity shards in the group
-	ShardIndex uint8 // < GroupK: data, >= GroupK: parity
-	Keyframe   bool
-	Deadline   time.Duration
-	Data       []byte
-}
-
-// Type implements Message.
-func (*VideoChunk) Type() MsgType { return TypeVideoChunk }
-
-func (m *VideoChunk) encode(w *Writer) {
-	w.U32(m.Stream)
-	w.U32(m.FrameID)
-	w.U8(m.GroupK)
-	w.U8(m.GroupR)
-	w.U8(m.ShardIndex)
-	if m.Keyframe {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-	w.Varint(int64(m.Deadline))
-	w.BytesVar(m.Data)
-}
-
-func (m *VideoChunk) decode(r *Reader) error {
-	m.Stream = r.U32()
-	m.FrameID = r.U32()
-	m.GroupK = r.U8()
-	m.GroupR = r.U8()
-	m.ShardIndex = r.U8()
-	m.Keyframe = r.U8() == 1
-	m.Deadline = time.Duration(r.Varint())
-	m.Data = r.BytesVar()
-	return r.ExpectEOF()
-}
-
-// Nack asks the video sender to retransmit specific shards of a frame
-// (ARQ mode — the baseline strategy the paper's joint-FEC approach beats on
-// high-latency paths).
-type Nack struct {
-	Stream  uint32
-	FrameID uint32
-	Missing []byte // shard indices
-}
-
-// Type implements Message.
-func (*Nack) Type() MsgType { return TypeNack }
-
-func (m *Nack) encode(w *Writer) {
-	w.U32(m.Stream)
-	w.U32(m.FrameID)
-	w.BytesVar(m.Missing)
-}
-
-func (m *Nack) decode(r *Reader) error {
-	m.Stream = r.U32()
-	m.FrameID = r.U32()
-	m.Missing = r.BytesVar()
 	return r.ExpectEOF()
 }

@@ -27,7 +27,7 @@ const (
 	Version uint8  = 1
 
 	// MaxPayload bounds a single frame's payload; larger application units
-	// (video frames) are chunked above this layer.
+	// are chunked above this layer.
 	MaxPayload = 1 << 20
 )
 

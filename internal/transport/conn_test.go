@@ -97,7 +97,7 @@ func TestConnMessagePathsLeakNoFrames(t *testing.T) {
 	live0 := protocol.LiveFrames()
 	c, peer := connPair(t)
 
-	want := &protocol.VideoChunk{Stream: 3, FrameID: 8, Data: []byte("shard")}
+	want := &protocol.Leave{Participant: 8, Reason: "shard"}
 	sent, err := protocol.EncodeFrame(want)
 	if err != nil {
 		t.Fatal(err)
@@ -119,12 +119,12 @@ func TestConnMessagePathsLeakNoFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := msg.(*protocol.VideoChunk); !ok || got.FrameID != want.FrameID || string(got.Data) != "shard" {
+	if got, ok := msg.(*protocol.Leave); !ok || got.Participant != want.Participant || got.Reason != "shard" {
 		t.Fatalf("round trip returned %#v", msg)
 	}
 
 	// An unencodable message fails before anything is queued or written.
-	huge := &protocol.VideoChunk{Data: make([]byte, protocol.MaxPayload+1)}
+	huge := &protocol.Leave{Reason: string(make([]byte, protocol.MaxPayload+1))}
 	if _, err := protocol.EncodeFrame(huge); !errors.Is(err, protocol.ErrTooLarge) {
 		t.Fatalf("oversize message: err = %v, want protocol.ErrTooLarge", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"metaclass/internal/protocol"
 	"metaclass/internal/vclock"
 )
 
@@ -66,13 +65,13 @@ func (c *StreamConfig) applyDefaults() {
 }
 
 // Sender encodes frames, shards them (with parity per strategy) and hands
-// protocol.VideoChunk messages to a transport callback. It retains shard
-// bytes until the frame deadline so NACKs can be answered.
+// Chunks to a transport callback. It retains shard bytes until the frame
+// deadline so NACKs can be answered.
 type Sender struct {
 	sim  *vclock.Sim
 	cfg  StreamConfig
 	enc  *Encoder
-	send func(*protocol.VideoChunk)
+	send func(*Chunk)
 
 	rsCache map[int]*RS         // by parity count
 	pending map[uint32][][]byte // frameID -> all shards, for ARQ
@@ -87,7 +86,7 @@ type Sender struct {
 }
 
 // NewSender creates a sender delivering chunks through send.
-func NewSender(sim *vclock.Sim, cfg StreamConfig, send func(*protocol.VideoChunk)) *Sender {
+func NewSender(sim *vclock.Sim, cfg StreamConfig, send func(*Chunk)) *Sender {
 	cfg.applyDefaults()
 	s := &Sender{
 		sim: sim, cfg: cfg, enc: NewEncoder(), send: send,
@@ -156,7 +155,7 @@ func (s *Sender) emitFrame() {
 	for i, shard := range shards {
 		s.chunksSent++
 		s.bytesSent += uint64(len(shard))
-		s.send(&protocol.VideoChunk{
+		s.send(&Chunk{
 			Stream:     streamID,
 			FrameID:    frame.ID,
 			GroupK:     uint8(dataShards),
@@ -178,7 +177,7 @@ func (s *Sender) emitFrame() {
 }
 
 // HandleNack retransmits the requested shards if the frame is still alive.
-func (s *Sender) HandleNack(n *protocol.Nack) {
+func (s *Sender) HandleNack(n *Nack) {
 	if n.Stream != streamID {
 		return
 	}
@@ -194,7 +193,7 @@ func (s *Sender) HandleNack(n *protocol.Nack) {
 		s.retransmits++
 		s.chunksSent++
 		s.bytesSent += uint64(len(shards[idx]))
-		s.send(&protocol.VideoChunk{
+		s.send(&Chunk{
 			Stream:     streamID,
 			FrameID:    n.FrameID,
 			GroupK:     uint8(dataShards),
@@ -276,7 +275,7 @@ func (r ReceiverStats) DeliveredRatio() float64 {
 type Receiver struct {
 	sim      *vclock.Sim
 	cfg      StreamConfig
-	sendNack func(*protocol.Nack)
+	sendNack func(*Nack)
 	rsCache  map[[2]int]*RS
 	groups   map[uint32]*frameGroup
 	stats    ReceiverStats
@@ -286,7 +285,7 @@ type Receiver struct {
 }
 
 // NewReceiver creates a receiver. sendNack may be nil to disable ARQ.
-func NewReceiver(sim *vclock.Sim, cfg StreamConfig, sendNack func(*protocol.Nack)) *Receiver {
+func NewReceiver(sim *vclock.Sim, cfg StreamConfig, sendNack func(*Nack)) *Receiver {
 	cfg.applyDefaults()
 	return &Receiver{
 		sim: sim, cfg: cfg, sendNack: sendNack,
@@ -297,7 +296,7 @@ func NewReceiver(sim *vclock.Sim, cfg StreamConfig, sendNack func(*protocol.Nack
 }
 
 // HandleChunk ingests one arriving chunk.
-func (r *Receiver) HandleChunk(c *protocol.VideoChunk) {
+func (r *Receiver) HandleChunk(c *Chunk) {
 	if c.Stream != streamID {
 		return
 	}
@@ -384,7 +383,7 @@ func (r *Receiver) maybeNack(id uint32) {
 	}
 	g.nacked = true
 	r.stats.NacksSent++
-	r.sendNack(&protocol.Nack{Stream: streamID, FrameID: id, Missing: missing})
+	r.sendNack(&Nack{Stream: streamID, FrameID: id, Missing: missing})
 }
 
 func (r *Receiver) finalize(id uint32) {

@@ -155,43 +155,29 @@ func runStream(t *testing.T, cfg StreamConfig, link netsim.LinkConfig, dur time.
 	var sender *Sender
 	var receiver *Receiver
 
-	sender = NewSender(sim, cfg, func(c *protocol.VideoChunk) {
-		frame, err := protocol.AppendEncode(nil, c)
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		_ = net.SendFrame("tx", "rx", protocol.CopyFrame(frame))
+	sender = NewSender(sim, cfg, func(c *Chunk) {
+		_ = net.SendFrame("tx", "rx", protocol.CopyFrame(c.Encode()))
 	})
-	var nack func(*protocol.Nack)
+	var nack func(*Nack)
 	if cfg.Strategy == StrategyARQ || cfg.Strategy == StrategyAdaptive {
-		nack = func(n *protocol.Nack) {
-			frame, err := protocol.AppendEncode(nil, n)
-			if err != nil {
-				t.Fatalf("encode nack: %v", err)
-			}
-			_ = net.SendFrame("rx", "tx", protocol.CopyFrame(frame))
+		nack = func(n *Nack) {
+			_ = net.SendFrame("rx", "tx", protocol.CopyFrame(n.Encode()))
 		}
 	}
 	receiver = NewReceiver(sim, cfg, nack)
 
 	if err := net.Bind("rx", netsim.HandlerFunc(func(_ netsim.Addr, payload []byte) {
-		msg, _, err := protocol.Decode(payload)
-		if err != nil {
-			return
-		}
-		if c, ok := msg.(*protocol.VideoChunk); ok {
-			receiver.HandleChunk(c)
+		var c Chunk
+		if c.Decode(payload) == nil {
+			receiver.HandleChunk(&c)
 		}
 	})); err != nil {
 		t.Fatal(err)
 	}
 	if err := net.Bind("tx", netsim.HandlerFunc(func(_ netsim.Addr, payload []byte) {
-		msg, _, err := protocol.Decode(payload)
-		if err != nil {
-			return
-		}
-		if n, ok := msg.(*protocol.Nack); ok {
-			sender.HandleNack(n)
+		var n Nack
+		if n.Decode(payload) == nil {
+			sender.HandleNack(&n)
 		}
 	})); err != nil {
 		t.Fatal(err)
@@ -311,7 +297,7 @@ func TestStreamAdaptiveMatchesConditions(t *testing.T) {
 func TestReceiverIgnoresWrongStream(t *testing.T) {
 	sim := vclock.New(1)
 	r := NewReceiver(sim, StreamConfig{}, nil)
-	r.HandleChunk(&protocol.VideoChunk{Stream: 99, FrameID: 1, GroupK: 1, Data: []byte{1}})
+	r.HandleChunk(&Chunk{Stream: 99, FrameID: 1, GroupK: 1, Data: []byte{1}})
 	if r.Stats().ChunksReceived != 0 {
 		t.Error("wrong-stream chunk accepted")
 	}
